@@ -16,7 +16,6 @@ from vortexmf.measure import (
     alpha_min,
     discretize_density,
     lambda_bar,
-    lambda_bar_bruteforce,
     lambda_bar_residual_vanishing,
     load_measure,
     moment,
@@ -44,7 +43,6 @@ from vortexmf.functional import (
     dalpha_partition,
     dalpha_peak,
     el_residual,
-    grad_J,
     log_partition,
     w_alpha,
 )

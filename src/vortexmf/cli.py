@@ -5,7 +5,8 @@ recorded in every output header, numeric output uses shortest round-trip
 float formatting, and no output contains timestamps or absolute paths, so
 reruns with identical inputs are byte-identical.
 
-Exit codes: 0 success, 1 a requested check or run failed, 2 invalid input.
+Exit codes: 0 success, 1 a requested check or run failed (including
+numerical failure), 2 invalid or non-finite input.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from vortexmf.measure import (
     parse_atoms_inline,
 )
 from vortexmf.minimize import (
-    DivergedError,
     MinimizeOptions,
     MinimizeResult,
     continuation_sweep,
@@ -60,44 +61,6 @@ class InputError(Exception):
     """Invalid configuration or data file; maps to exit code 2."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    measure: str | None = None
-    atoms: str | None = None
-    side_length: float = 1.0
-    grid_n: int = 128
-    lambdas: tuple[float, ...] = ()
-    fractions: tuple[float, ...] = ()
-    max_iters: int = 5000
-    grad_tol: float = 1e-8
-    step_init: float = 1.0
-    armijo_c: float = 1e-4
-    blowup_peak_threshold: float = 25.0
-    seed: int = 0
-    out: str = "runs"
-    alpha: float = 1.0
-    n_bins: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.side_length <= 0.0:
-            raise ValueError("side_length must be positive")
-        n = self.grid_n
-        if n < 16 or n & (n - 1):
-            raise ValueError("grid_n must be a power of two, at least 16")
-        if self.lambdas and self.fractions:
-            raise ValueError("give either absolute couplings or fractions, not both")
-        if any(lam <= 0.0 for lam in self.lambdas):
-            raise ValueError("couplings must be positive")
-        if any(not 0.0 < f <= 1.0 for f in self.fractions):
-            raise ValueError("schedule fractions must lie in (0, 1]")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.n_bins is not None and self.n_bins <= 0:
-            raise ValueError("n_bins must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-
-
 def _floats_csv(text: str) -> tuple[float, ...]:
     out = []
     for token in text.split(","):
@@ -108,22 +71,49 @@ def _floats_csv(text: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-_COERCE = {
-    "measure": str,
-    "atoms": str,
-    "out": str,
-    "side_length": float,
-    "grid_n": int,
-    "max_iters": int,
-    "seed": int,
-    "n_bins": int,
-    "grad_tol": float,
-    "step_init": float,
-    "armijo_c": float,
-    "blowup_peak_threshold": float,
-    "alpha": float,
-    "lambdas": _floats_csv,
-    "fractions": _floats_csv,
+class Setting(NamedTuple):
+    name: str
+    parse: Callable[[str], object]
+    default: object
+    metavar: str
+    help: str
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+# metavar and help of each MinimizeOptions field, one entry per field
+_SOLVER_HELP = {
+    "max_iters": ("N", "descent iteration budget"),
+    "grad_tol": ("TOL", "sup-norm equation residual to stop at"),
+    "step_init": ("S", "first trial step of the line search"),
+    "armijo_c": ("C", "Armijo sufficient-decrease constant, in (0, 1)"),
+    "blowup_peak_threshold": ("V", "peak of v that stops a run as blown up"),
+    "seed": ("N", "seed for all randomness"),
+}
+
+# Every run setting, once: each is both a --flag and a key of the --config
+# file, and a flag wins over the file.  The solver settings take their type
+# and default from MinimizeOptions; values are checked by the objects that
+# own them (SpectralTorus, MinimizeOptions, Problem) and by check_run_rules.
+SETTINGS: dict[str, Setting] = {
+    s.name: s
+    for s in (
+        Setting("measure", str, None, "PATH", "atomic measure file: alpha weight per line"),
+        Setting("atoms", str, None, "SPEC", "inline measure alpha:weight[,alpha:weight...]"),
+        Setting("out", str, "runs", "DIR", "output directory"),
+        Setting("side_length", float, 1.0, "L", "torus side length"),
+        Setting("grid_n", int, 128, "N", "grid points per side, a power of two >= 16"),
+        Setting("lambdas", _floats_csv, (), "LIST", "comma-separated absolute couplings"),
+        Setting("fractions", _floats_csv, (), "LIST", "comma-separated fractions of the extremal coupling"),
+        Setting("alpha", float, 1.0, "A", "circulation for profile extraction, in (0, 1]"),
+        Setting("n_bins", int, None, "N", "radial bins of an exported profile"),
+        *(
+            Setting(f.name, type(f.default), f.default, *_SOLVER_HELP[f.name])
+            for f in dataclasses.fields(MinimizeOptions)
+        ),
+    )
 }
 
 
@@ -143,7 +133,7 @@ def parse_config_file(path: str) -> dict[str, tuple[str, int]]:
                 raise InputError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _COERCE:
+            if key not in SETTINGS:
                 raise InputError(f"{path}:{lineno}: unknown key {key!r}")
             if not value:
                 raise InputError(f"{path}:{lineno}: empty value for {key!r}")
@@ -151,40 +141,38 @@ def parse_config_file(path: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    values: dict[str, object] = {}
+def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed command line with every setting filled in and typed:
+    defaults, then the config file, then the flags."""
+    given = []
     if args.config:
         for key, (text, lineno) in parse_config_file(args.config).items():
-            try:
-                values[key] = _COERCE[key](text)
-            except ValueError as exc:
-                raise InputError(f"{args.config}:{lineno}: {exc}") from exc
-    overrides = {
-        "measure": args.measure,
-        "atoms": args.atoms,
-        "out": args.out,
-        "seed": args.seed,
-        "side_length": args.side_length,
-        "grid_n": args.grid_n,
-        "alpha": args.alpha,
-        "grad_tol": args.grad_tol,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
-    for key, text in (("lambdas", args.lambdas), ("fractions", args.fractions)):
-        if text is not None:
-            try:
-                values[key] = _floats_csv(text)
-            except ValueError as exc:
-                raise InputError(f"--{key}: {exc}") from exc
-    try:
-        return RunConfig(**values)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+            given.append((key, text, f"{args.config}:{lineno}"))
+    for s in SETTINGS.values():
+        if getattr(args, s.name) is not None:
+            given.append((s.name, getattr(args, s.name), s.flag))
+    values = {s.name: s.default for s in SETTINGS.values()}
+    for key, text, where in given:
+        try:
+            values[key] = SETTINGS[key].parse(text)
+        except ValueError as exc:
+            raise InputError(f"{where}: {exc}") from exc
+    return argparse.Namespace(**{**vars(args), **values})
 
 
-def resolve_measure(cfg: RunConfig) -> CirculationMeasure:
+def check_run_rules(cfg: argparse.Namespace) -> None:
+    """The rules no library object owns; run before any solver work."""
+    if cfg.lambdas and cfg.fractions:
+        raise InputError("give either absolute couplings or fractions, not both")
+    if any(not 0.0 < f <= 1.0 for f in cfg.fractions):
+        raise InputError("schedule fractions must lie in (0, 1]")
+    if not 0.0 < cfg.alpha <= 1.0:
+        raise InputError("alpha must lie in (0, 1]")
+    if cfg.n_bins is not None and cfg.n_bins <= 0:
+        raise InputError("n_bins must be positive")
+
+
+def resolve_measure(cfg: argparse.Namespace) -> CirculationMeasure:
     if cfg.measure and cfg.atoms:
         raise InputError("both a measure file and inline atoms were given")
     try:
@@ -197,7 +185,7 @@ def resolve_measure(cfg: RunConfig) -> CirculationMeasure:
     raise InputError("no measure given: use --measure FILE or --atoms SPEC")
 
 
-def resolve_schedule(cfg: RunConfig, P: CirculationMeasure) -> list[float]:
+def resolve_schedule(cfg: argparse.Namespace, P: CirculationMeasure) -> list[float]:
     if cfg.lambdas:
         return list(cfg.lambdas)
     if cfg.fractions:
@@ -206,20 +194,6 @@ def resolve_schedule(cfg: RunConfig, P: CirculationMeasure) -> list[float]:
             raise InputError("extremal coupling is infinite; give absolute couplings")
         return [f * bar for f in cfg.fractions]
     raise InputError("no coupling given: set lambdas=... or fractions=...")
-
-
-def make_options(cfg: RunConfig) -> MinimizeOptions:
-    try:
-        return MinimizeOptions(
-            max_iters=cfg.max_iters,
-            grad_tol=cfg.grad_tol,
-            step_init=cfg.step_init,
-            armijo_c=cfg.armijo_c,
-            blowup_peak_threshold=cfg.blowup_peak_threshold,
-            seed=cfg.seed,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 def _sanitize(obj):
@@ -236,7 +210,7 @@ def _sanitize(obj):
     return obj
 
 
-def write_summary(cfg: RunConfig, payload: dict) -> str:
+def write_summary(cfg: argparse.Namespace, payload: dict) -> str:
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "summary.json")
     text = json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n"
@@ -245,8 +219,8 @@ def write_summary(cfg: RunConfig, payload: dict) -> str:
     return path
 
 
-def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> None:
-    if args.json:
+def _emit(cfg: argparse.Namespace, payload: dict, human_lines: list[str]) -> None:
+    if cfg.json:
         print(json.dumps(_sanitize(payload), indent=2, sort_keys=True))
     else:
         for line in human_lines:
@@ -262,7 +236,7 @@ def _stage_row(result: MinimizeResult, conc: tuple[int, int] | None) -> str:
     )
 
 
-def write_stage_csv(cfg: RunConfig, k: int, result: MinimizeResult, conc) -> str:
+def write_stage_csv(cfg: argparse.Namespace, k: int, result: MinimizeResult, conc) -> str:
     path = os.path.join(cfg.out, f"stage_{k}.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# seed={cfg.seed}\n")
@@ -271,7 +245,7 @@ def write_stage_csv(cfg: RunConfig, k: int, result: MinimizeResult, conc) -> str
     return path
 
 
-def write_profile_csv(cfg: RunConfig, k: int, profile: BlowupProfile, window) -> str:
+def write_profile_csv(cfg: argparse.Namespace, k: int, profile: BlowupProfile, window) -> str:
     path = os.path.join(cfg.out, f"profile_{k}.csv")
     try:
         slope, intercept = fit_li_line(profile, window)
@@ -303,7 +277,7 @@ def _result_payload(result: MinimizeResult, conc) -> dict:
     }
 
 
-def cmd_lambda_bar(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_lambda_bar(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -> int:
     P = resolve_measure(cfg)
     res = lambda_bar(P)
     nonneg = all(a >= 0.0 for a, _ in P.atoms)
@@ -326,7 +300,7 @@ def cmd_lambda_bar(cfg: RunConfig, args: argparse.Namespace) -> int:
     }
     write_summary(cfg, payload)
     _emit(
-        args,
+        cfg,
         payload,
         [
             f"lambda_bar = {res.lambda_bar!r}",
@@ -338,13 +312,11 @@ def cmd_lambda_bar(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_single(cfg: RunConfig, args: argparse.Namespace, want_profile: bool) -> int:
+def _run_single(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions, want_profile: bool) -> int:
     P = resolve_measure(cfg)
     schedule = resolve_schedule(cfg, P)
     if len(schedule) != 1:
         raise InputError("this command expects exactly one coupling")
-    T = SpectralTorus(cfg.side_length, cfg.grid_n)
-    opts = make_options(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     prob = Problem(T, P, schedule[0])
     trace = os.path.join(cfg.out, "trace_0.csv")
@@ -377,23 +349,21 @@ def _run_single(cfg: RunConfig, args: argparse.Namespace, want_profile: bool) ->
         lines.append(f"sigma = {profile.sigma!r}")
         lines.append(f"fitted_slope = {profile.fitted_slope!r}")
     write_summary(cfg, payload)
-    _emit(args, payload, lines)
+    _emit(cfg, payload, lines)
     return 0
 
 
-def cmd_minimize(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _run_single(cfg, args, want_profile=False)
+def cmd_minimize(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -> int:
+    return _run_single(cfg, T, opts, want_profile=False)
 
 
-def cmd_profile(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _run_single(cfg, args, want_profile=True)
+def cmd_profile(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -> int:
+    return _run_single(cfg, T, opts, want_profile=True)
 
 
-def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_sweep(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -> int:
     P = resolve_measure(cfg)
     schedule = resolve_schedule(cfg, P)
-    T = SpectralTorus(cfg.side_length, cfg.grid_n)
-    opts = make_options(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     traces = [os.path.join(cfg.out, f"trace_{k}.csv") for k in range(len(schedule))]
     results = continuation_sweep(T, P, schedule, opts, trace_paths=traces)
@@ -419,7 +389,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         "requested_stages": len(schedule),
     }
     write_summary(cfg, payload)
-    _emit(args, payload, lines)
+    _emit(cfg, payload, lines)
     return 0
 
 
@@ -489,10 +459,10 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
     return checks
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.debug_bubble_scale <= 0.0:
-        raise InputError("--debug-bubble-scale must be positive")
-    checks = verify_checks(args.debug_bubble_scale)
+def cmd_verify(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -> int:
+    if not 0.0 < cfg.debug_bubble_scale < math.inf:
+        raise InputError("--debug-bubble-scale must be positive and finite")
+    checks = verify_checks(cfg.debug_bubble_scale)
     all_passed = all(c["passed"] for c in checks)
     payload = {
         "command": "verify",
@@ -507,24 +477,30 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         for c in checks
     ]
     lines.append("all checks passed" if all_passed else "some checks FAILED")
-    _emit(args, payload, lines)
+    _emit(cfg, payload, lines)
     return 0 if all_passed else 1
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Spell ``--atoms -1:0.5,...`` as ``--atoms=-1:0.5,...``: argparse takes
+    a value that starts with '-' for a flag unless it is a plain number."""
+    flags = {s.flag for s in SETTINGS.values()}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in flags and token[:1] == "-" and token[:2] != "--":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value configuration file")
-    common.add_argument("--measure", metavar="PATH", help="atomic measure file: alpha weight per line")
-    common.add_argument("--atoms", metavar="SPEC", help="inline measure alpha:weight[,alpha:weight...]")
-    common.add_argument("--out", metavar="DIR", help="output directory (default runs)")
-    common.add_argument("--seed", type=int, metavar="N", help="seed for all randomness")
     common.add_argument("--json", action="store_true", help="print machine-readable JSON to stdout")
-    common.add_argument("--side-length", type=float, dest="side_length", metavar="L")
-    common.add_argument("--grid-n", type=int, dest="grid_n", metavar="N")
-    common.add_argument("--lambdas", metavar="LIST", help="comma-separated absolute couplings")
-    common.add_argument("--fractions", metavar="LIST", help="comma-separated fractions of the extremal coupling")
-    common.add_argument("--alpha", type=float, metavar="A", help="circulation for profile extraction")
-    common.add_argument("--grad-tol", type=float, dest="grad_tol", metavar="TOL")
+    for s in SETTINGS.values():
+        default = "" if s.default in (None, ()) else f" (default {s.default})"
+        common.add_argument(s.flag, dest=s.name, metavar=s.metavar, help=s.help + default)
 
     parser = argparse.ArgumentParser(
         prog="vortexmf",
@@ -553,18 +529,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_dash_values(argv))
     try:
-        cfg = build_config(args)
-        return args.handler(cfg, args)
-    except InputError as exc:
+        cfg = resolve_settings(args)
+        check_run_rules(cfg)
+        # built for every command, so any bad value exits 2 before any work
+        T = SpectralTorus(cfg.side_length, cfg.grid_n)
+        opts = MinimizeOptions(**{name: getattr(cfg, name) for name in _SOLVER_HELP})
+        return args.handler(cfg, T, opts)
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # numerical failure: DivergedError and the quadrature failures are RuntimeErrors
+    except (OverflowError, RuntimeError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 1
 
 

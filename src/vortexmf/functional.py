@@ -45,8 +45,8 @@ class Problem:
     lam: float
 
     def __post_init__(self) -> None:
-        if not self.lam > 0.0:
-            raise ValueError("coupling lambda must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("coupling lambda must be positive and finite")
 
 
 def log_partition(T: SpectralTorus, v: Field, alpha: float) -> float:
@@ -79,6 +79,9 @@ def J(prob: Problem, v: Field) -> float:
 def el_residual(prob: Problem, v: Field) -> Field:
     """Equation residual of the mean field equation at v, zero-mean.
 
+    It is also the L^2 gradient of J on the zero-mean subspace: for
+    zero-mean directions phi, dJ(v)[phi] = int el_residual(v) phi.
+
     Analytically the residual has zero mean (each density e^{alpha v}/Z
     integrates to 1); the floating-point mean is projected out so the
     certificate holds exactly.
@@ -96,15 +99,6 @@ def el_residual(prob: Problem, v: Field) -> Field:
         acc += (w * a) * (density - inv_vol)
     res = -lap - prob.lam * acc
     return project_zero_mean(T, Field(res))
-
-
-def grad_J(prob: Problem, v: Field) -> Field:
-    """L^2 gradient of J restricted to the zero-mean subspace.
-
-    Identical to :func:`el_residual`: for zero-mean test directions phi,
-    dJ(v)[phi] = int el_residual(v) phi.
-    """
-    return el_residual(prob, v)
 
 
 def J_dual(prob: Problem, v: Field) -> float:

@@ -9,10 +9,20 @@ field free energy is
 the infimum running over subsets K of supp(P) lying entirely in [0, 1] or
 entirely in [-1, 0]; subsets with vanishing circulation integral are
 excluded.  For atomic P the infimum is a finite minimum over subsets of
-atoms.  Exhaustive enumeration is exponential; empirically the minimum is
-always attained on a "tail" prefix of the atoms ordered by decreasing
-|alpha| within each sign, which the fast path exploits.  Both routes are
-kept and must agree exactly where both run.
+atoms, and it is attained on a "tail" prefix of the atoms of one sign
+ordered by decreasing |alpha|, so a scan over n prefixes replaces the 2^n
+subsets.
+
+Proof.  On one sign write p = P(K) and s = int_K |alpha| dP > 0, so the
+ratio is 8 pi p / s^2 and a minimizing K maximizes s / sqrt(p).  Let K be
+optimal.  Adding an atom j outside K, of weight w, must not help:
+s + |alpha_j| w <= s sqrt(1 + w/p) <= s (1 + w/(2p)) by concavity of the
+square root, so |alpha_j| <= s/(2p).  Removing an atom i of K must not help
+either, and the same bound on sqrt(1 - w/p) gives |alpha_i| >= s/(2p); if
+K = {i} there is nothing to remove, and |alpha_i| = s/p.  So K is a
+superlevel set of |alpha|, and since the |alpha| of one sign are distinct,
+K is a prefix.  The exhaustive enumeration is kept in the tests as the
+oracle the scan must match exactly.
 """
 
 from __future__ import annotations
@@ -29,8 +39,6 @@ EIGHT_PI = 8.0 * math.pi
 ALPHA_MERGE_TOL = 1e-12
 # Input weights must sum to 1 within this tolerance before rescaling.
 WEIGHT_SUM_TOL = 1e-9
-
-MAX_BRUTEFORCE_ATOMS = 22
 
 
 @dataclass(frozen=True)
@@ -202,7 +210,8 @@ def _side_atoms(P: CirculationMeasure, side: str) -> list[tuple[float, float, in
 
     Within a sign interval the |alpha| values are distinct, so the order is
     unambiguous.  This shared ordering makes the prefix sums of the tail
-    scan bit-identical to the corresponding subset sums of the brute force.
+    scan bit-identical to the corresponding subset sums of the brute-force
+    oracle in the tests.
     """
     if side == "positive":
         sel = [(a, w, i) for i, (a, w) in enumerate(P.atoms) if a >= 0.0]
@@ -210,38 +219,6 @@ def _side_atoms(P: CirculationMeasure, side: str) -> list[tuple[float, float, in
         sel = [(a, w, i) for i, (a, w) in enumerate(P.atoms) if a <= 0.0]
     sel.sort(key=lambda t: -abs(t[0]))
     return sel
-
-
-def _bruteforce_side(ordered: list[tuple[float, float, int]]) -> tuple[float, tuple[int, ...]]:
-    """Exact minimum of 8 pi P(K) / (int_K alpha dP)^2 over all subsets.
-
-    Subset sums are built by doubling concatenation, so the accumulation
-    order for any prefix subset matches the sequential prefix sums of the
-    tail scan exactly.  Among tying subsets the shortest prefix wins, then
-    the lowest bitmask.
-    """
-    n = len(ordered)
-    if n == 0:
-        return math.inf, ()
-    if n > MAX_BRUTEFORCE_ATOMS:
-        raise ValueError(f"brute force limited to {MAX_BRUTEFORCE_ATOMS} atoms per sign")
-    p = np.zeros(1)
-    s = np.zeros(1)
-    for alpha, weight, _ in ordered:
-        p = np.concatenate([p, p + weight])
-        s = np.concatenate([s, s + alpha * weight])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (EIGHT_PI * p) / (s * s)
-    ratio[s == 0.0] = math.inf
-    ratio[0] = math.inf
-    best = float(ratio.min())
-    if math.isinf(best):
-        return math.inf, ()
-    for j in range(1, n + 1):
-        if ratio[(1 << j) - 1] == best:
-            return best, tuple(idx for _, _, idx in ordered[:j])
-    mask = int(np.argmin(ratio))
-    return best, tuple(ordered[i][2] for i in range(n) if mask >> i & 1)
 
 
 def _tailscan_side(ordered: list[tuple[float, float, int]]) -> tuple[float, tuple[int, ...]]:
@@ -277,20 +254,12 @@ def _combine_sides(
     return ExtremalResult(value, tuple(sorted(subset)), side)
 
 
-def lambda_bar_bruteforce(P: CirculationMeasure) -> ExtremalResult:
-    """Extremal coupling by exhaustive subset enumeration per sign."""
-    return _combine_sides(
-        _bruteforce_side(_side_atoms(P, "positive")),
-        _bruteforce_side(_side_atoms(P, "negative")),
-    )
-
-
 def lambda_bar(P: CirculationMeasure) -> ExtremalResult:
     """Extremal coupling by the tail scan, O(n log n).
 
     Scans only prefixes of the atoms sorted by decreasing |alpha| within
-    each sign.  Agrees with ``lambda_bar_bruteforce`` exactly on every
-    instance where both run.
+    each sign, which is exact by the proof in the module docstring.  The
+    tests check it against exhaustive enumeration, bit for bit.
     """
     return _combine_sides(
         _tailscan_side(_side_atoms(P, "positive")),

@@ -51,8 +51,8 @@ class MinimizeOptions:
         if self.max_iters <= 0:
             raise ValueError("max_iters must be positive")
         for name in ("grad_tol", "step_init", "blowup_peak_threshold"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo_c must be in (0, 1)")
         if self.seed < 0:

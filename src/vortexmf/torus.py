@@ -27,8 +27,8 @@ class SpectralTorus:
     grid_n: int
 
     def __post_init__(self) -> None:
-        if not self.side_length > 0.0:
-            raise ValueError("side_length must be positive")
+        if not 0.0 < self.side_length < math.inf:
+            raise ValueError("side_length must be positive and finite")
         n = self.grid_n
         if n < 16 or n & (n - 1) != 0:
             raise ValueError("grid_n must be a power of two >= 16")

@@ -1,12 +1,14 @@
 """Command line interface: subcommands, config handling, artifacts, exit codes."""
 
+import argparse
 import json
 import math
 import os
 
 import pytest
 
-from vortexmf.cli import main
+from vortexmf import cli
+from vortexmf.cli import SETTINGS, build_parser, main
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -254,3 +256,105 @@ def test_human_output_mentions_key_quantities(tmp_path, capsys):
     assert code == 0
     assert "lambda_bar = " in stdout
     assert "side = positive" in stdout
+
+
+def _subcommand_parsers():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_config_keys_are_exactly_the_setting_flags():
+    keys = set(SETTINGS)
+    assert keys == {
+        "measure", "atoms", "out", "side_length", "grid_n", "max_iters", "seed",
+        "n_bins", "grad_tol", "step_init", "armijo_c", "blowup_peak_threshold",
+        "alpha", "lambdas", "fractions",
+    }
+    command_only = {"help", "config", "json", "debug_bubble_scale"}
+    for name, sub in _subcommand_parsers().items():
+        dests = {a.dest for a in sub._actions if a.option_strings} - command_only
+        assert dests == keys, name
+
+
+def test_max_iters_from_file_and_flag_flag_wins(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("atoms = 1:1\nlambdas = 12.0\ngrid_n = 32\nmax_iters = 3\n")
+    out = str(tmp_path / "runs")
+    base = ("minimize", "--config", str(cfgfile), "--out", out, "--json")
+    code, stdout, _ = run(capsys, *base)
+    assert code == 0
+    assert json.loads(stdout)["stages"][0]["iterations"] == 3
+    code, stdout, _ = run(capsys, *base, "--max-iters", "2")
+    assert code == 0
+    assert json.loads(stdout)["stages"][0]["iterations"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("verify", "--debug-bubble-scale", "nan"), None),
+        (("verify", "--debug-bubble-scale", "inf"), None),
+        (("minimize", "--atoms", "1:1", "--grid-n", "32"), "lambdas = 12.0\nstep_init = inf\n"),
+        (("minimize", "--atoms", "1:1", "--grid-n", "32", "--lambdas", "inf"), None),
+        (("minimize", "--atoms", "1:1", "--lambdas", "12.0", "--side-length", "inf"), None),
+    ],
+    ids=["scale-nan", "scale-inf", "step_init-inf", "lambdas-inf", "side_length-inf"],
+)
+def test_non_finite_input_is_an_input_error(tmp_path, capsys, argv, config):
+    argv = list(argv) + ["--out", str(tmp_path / "runs")]
+    if config is not None:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        argv += ["--config", str(cfgfile)]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith("error: ") and "finite" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("minimize", "--atoms", "1:1", "--lambdas", "1e6", "--grid-n", "64"),
+        ("verify", "--debug-bubble-scale", "1e300"),
+    ],
+    ids=["partition-overflow", "bubble-overflow"],
+)
+def test_numerical_failure_exits_1_with_a_message(tmp_path, capsys, argv):
+    code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "runs"))
+    assert code == 1
+    assert stderr.startswith("error: numerical failure: ")
+
+
+def test_quadrature_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise RuntimeError("radial quadrature did not converge")
+
+    monkeypatch.setattr(cli, "radial_integral", no_convergence)
+    code, _, stderr = run(capsys, "verify", "--out", str(tmp_path / "runs"))
+    assert code == 1
+    assert "radial quadrature did not converge" in stderr
+
+
+def _outputs(out_dir):
+    return {name: open(os.path.join(out_dir, name), "rb").read() for name in sorted(os.listdir(out_dir))}
+
+
+def test_negative_atoms_parse_with_or_without_equals(tmp_path, capsys):
+    results = []
+    for k, spelling in enumerate((["--atoms", "-1:0.5,1:0.5"], ["--atoms=-1:0.5,1:0.5"])):
+        out = str(tmp_path / str(k))
+        code, stdout, _ = run(
+            capsys, "minimize", *spelling, "--lambdas", "10.0", "--grid-n", "16", "--out", out
+        )
+        assert code == 0
+        results.append((stdout, _outputs(out)))
+    assert results[0] == results[1]
+    assert "trace_0.csv" in results[0][1]
+
+
+@pytest.mark.parametrize("command", ["minimize", "sweep"])
+def test_negative_coupling_still_rejected(capsys, command):
+    code, _, stderr = run(capsys, command, "--atoms", "1:1", "--lambdas", "-1", "--grid-n", "32")
+    assert code == 2
+    assert "must be positive" in stderr

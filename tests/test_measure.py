@@ -11,7 +11,6 @@ from vortexmf import (
     alpha_min,
     discretize_density,
     lambda_bar,
-    lambda_bar_bruteforce,
     lambda_bar_residual_vanishing,
     load_measure,
     moment,
@@ -20,6 +19,7 @@ from vortexmf import (
 )
 from vortexmf.measure import EIGHT_PI, parse_atoms_inline, save_measure
 
+from bruteforce import lambda_bar_bruteforce
 from helpers import random_measure
 
 
