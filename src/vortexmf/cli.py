@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -164,8 +165,8 @@ def check_run_rules(cfg: argparse.Namespace) -> None:
     """The rules no library object owns; run before any solver work."""
     if cfg.lambdas and cfg.fractions:
         raise InputError("give either absolute couplings or fractions, not both")
-    if any(not 0.0 < f <= 1.0 for f in cfg.fractions):
-        raise InputError("schedule fractions must lie in (0, 1]")
+    if any(not 0.0 < f < math.inf for f in cfg.fractions):
+        raise InputError("schedule fractions must be positive and finite")
     if not 0.0 < cfg.alpha <= 1.0:
         raise InputError("alpha must lie in (0, 1]")
     if cfg.n_bins is not None and cfg.n_bins <= 0:
@@ -405,8 +406,12 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
     density = lambda r: lam * math.exp(liouville_bubble(mu, lam, r))
     checks: list[dict] = []
 
-    def add(name: str, value: float, target: float, tol: float) -> None:
-        value, target = float(value), float(target)
+    def add(name: str, compute: Callable[[], float], target: float, tol: float) -> float:
+        try:
+            value = float(compute())
+        except (OverflowError, RuntimeError) as exc:
+            raise type(exc)(f"{name}: {exc}") from exc
+        target = float(target)
         checks.append(
             {
                 "name": name,
@@ -416,8 +421,9 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
                 "passed": bool(abs(value - target) <= tol),
             }
         )
+        return value
 
-    mass = 2.0 * math.pi * radial_integral(lambda r: density(r) * r, 0.0, 1e6)
+    mass = lambda: 2.0 * math.pi * radial_integral(lambda r: density(r) * r, 0.0, 1e6)
     add("bubble_mass", mass, EIGHT_PI, 1e-6 * EIGHT_PI)
 
     def pde_residual(r: float) -> float:
@@ -427,35 +433,29 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
         d2 = (w(r + h) - 2.0 * w(r) + w(r - h)) / (h * h)
         return abs(d2 + d1 / r + density(r))
 
-    worst = max(pde_residual(r) for r in np.geomspace(0.1, 100.0, 61))
+    worst = lambda: max(pde_residual(r) for r in np.geomspace(0.1, 100.0, 61))
     add("bubble_pde_residual", worst, 0.0, 1e-6)
 
-    gamma = mass_gamma(density, 1e4)
-    add("mass_gamma", gamma, 4.0, 1e-6)
-    add("pi_gamma_sq_vs_2lambda_bar", math.pi * gamma * gamma, 2.0 * EIGHT_PI, 1e-4)
+    gamma = add("mass_gamma", lambda: mass_gamma(density, 1e4), 4.0, 1e-6)
+    add("pi_gamma_sq_vs_2lambda_bar", lambda: math.pi * gamma * gamma, 2.0 * EIGHT_PI, 1e-4)
 
     radii = np.geomspace(1e-2, 3e4, 600)
-    window = (1e2, 1e4)
-    slope1 = fit_li_slope(bubble_profile(mu, lam, radii), window)
-    add("li_slope_alpha_1", slope1, 4.0, 0.02 * 4.0)
-    slope_half = fit_li_slope(bubble_profile(mu, lam, radii, alpha=0.5), window)
-    add("li_slope_alpha_half", slope_half, 2.0, 0.02 * 2.0)
+    slope = lambda alpha: fit_li_slope(bubble_profile(mu, lam, radii, alpha=alpha), (1e2, 1e4))
+    add("li_slope_alpha_1", lambda: slope(1.0), 4.0, 0.02 * 4.0)
+    add("li_slope_alpha_half", lambda: slope(0.5), 2.0, 0.02 * 2.0)
 
     shift = 2.0 * math.log(debug_bubble_scale)
     u = lambda r: liouville_bubble(mu, lam, r) + shift
-    rep = pohozaev_residual(u, lambda r: 1.0, lambda t: lam * math.exp(t), 10.0)
-    add("pohozaev_bubble", rep.relative_residual, 0.0, 1e-3)
-    const = pohozaev_residual(lambda r: 0.7, lambda r: 1.0, lambda t: lam * math.exp(t), 10.0)
-    add("pohozaev_constant", const.relative_residual, 0.0, 1e-12)
+    source = lambda t: lam * math.exp(t)
+    balance = lambda f: pohozaev_residual(f, lambda r: 1.0, source, 10.0).relative_residual
+    add("pohozaev_bubble", lambda: balance(u), 0.0, 1e-3)
+    add("pohozaev_constant", lambda: balance(lambda r: 0.7), 0.0, 1e-12)
 
     fit_rs = np.geomspace(1e2, 1e4, 9)
-    z_bubble = [newton_potential(density, R) for R in fit_rs]
-    slope_b = float(np.polyfit(np.log(fit_rs), z_bubble, 1)[0])
-    add("newton_slope_bubble", slope_b, 4.0, 0.01 * 4.0)
+    growth = lambda f, **kw: np.polyfit(np.log(fit_rs), [newton_potential(f, R, **kw) for R in fit_rs], 1)[0]
+    add("newton_slope_bubble", lambda: growth(density), 4.0, 0.01 * 4.0)
     disk = lambda r: 2.0 if r <= 1.0 else 0.0
-    z_disk = [newton_potential(disk, R, breakpoints=[1.0]) for R in fit_rs]
-    slope_d = float(np.polyfit(np.log(fit_rs), z_disk, 1)[0])
-    add("newton_slope_disk", slope_d, 1.0, 0.01 * 1.0)
+    add("newton_slope_disk", lambda: growth(disk, breakpoints=[1.0]), 1.0, 0.01 * 1.0)
     return checks
 
 
@@ -494,7 +494,10 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value configuration file")
     common.add_argument("--json", action="store_true", help="print machine-readable JSON to stdout")

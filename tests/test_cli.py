@@ -96,22 +96,31 @@ def test_minimize_writes_artifacts(tmp_path, capsys):
     assert len(stage_lines) == 3
 
 
-def test_fraction_beyond_one_rejected(capsys):
-    code, _, stderr = run(
-        capsys, "sweep", "--atoms", "1:1", "--fractions", "1.2", "--grid-n", "32"
-    )
-    assert code == 2
-    assert "fraction" in stderr
+def test_non_positive_or_infinite_fraction_rejected(capsys):
+    for fraction in ("0", "-0.5", "inf"):
+        code, _, stderr = run(
+            capsys, "sweep", "--atoms", "1:1", "--fractions", fraction, "--grid-n", "32"
+        )
+        assert code == 2
+        assert "fraction" in stderr
 
 
-def test_absolute_coupling_beyond_extremal_rejected(tmp_path, capsys):
+def test_sweep_past_extremal_coupling_concentrates(tmp_path, capsys):
+    # past lambda_bar the energy is unbounded below: the last stage blows up
+    # into a single concentration point and exports its radial profile
     out = str(tmp_path / "runs")
-    code, _, stderr = run(
-        capsys, "sweep", "--atoms", "1:1",
-        "--lambdas", repr(1.5 * EIGHT_PI), "--grid-n", "32", "--out", out,
+    code, _, _ = run(
+        capsys, "sweep", "--atoms", "1:1", "--fractions", "0.3,0.6,0.9,0.99,2.0",
+        "--grid-n", "32", "--out", out,
     )
-    assert code == 2
-    assert "extremal" in stderr
+    assert code == 0
+    stages = read_summary(out)["stages"]
+    assert len(stages) == 5
+    assert [s["blown_up"] for s in stages] == [False] * 4 + [True]
+    assert stages[-1]["concentration"] is not None
+    with open(os.path.join(out, "profile_4.csv")) as fh:
+        header = fh.readlines()[1]
+    assert "fitted_slope=" in header and "gamma0_reference=" in header
 
 
 def test_lambdas_and_fractions_conflict(capsys):
@@ -313,17 +322,18 @@ def test_non_finite_input_is_an_input_error(tmp_path, capsys, argv, config):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ("minimize", "--atoms", "1:1", "--lambdas", "1e6", "--grid-n", "64"),
-        ("verify", "--debug-bubble-scale", "1e300"),
+        (("minimize", "--atoms", "1:1", "--lambdas", "1e6", "--grid-n", "64"),
+         "partition exponent out of range"),
+        (("verify", "--debug-bubble-scale", "1e300"), "pohozaev_bubble: math range error"),
     ],
     ids=["partition-overflow", "bubble-overflow"],
 )
-def test_numerical_failure_exits_1_with_a_message(tmp_path, capsys, argv):
+def test_numerical_failure_exits_1_with_a_message(tmp_path, capsys, argv, message):
     code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "runs"))
     assert code == 1
-    assert stderr.startswith("error: numerical failure: ")
+    assert stderr == f"error: numerical failure: {message}\n"
 
 
 def test_quadrature_failure_exits_1(tmp_path, capsys, monkeypatch):
@@ -358,3 +368,13 @@ def test_negative_coupling_still_rejected(capsys, command):
     code, _, stderr = run(capsys, command, "--atoms", "1:1", "--lambdas", "-1", "--grid-n", "32")
     assert code == 2
     assert "must be positive" in stderr
+
+
+def test_repeated_main_calls_give_identical_outputs(tmp_path, capsys):
+    results = []
+    for k in range(2):
+        out = str(tmp_path / str(k))
+        code, stdout, _ = run(capsys, "verify", "--seed", "3", "--out", out)
+        results.append((code, stdout, _outputs(out)))
+    assert results[0] == results[1]
+    assert build_parser() is build_parser()

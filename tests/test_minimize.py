@@ -10,6 +10,7 @@ from helpers import gaussian_bump, synthetic_result
 from vortexmf import (
     DivergedError,
     Field,
+    J,
     MinimizeOptions,
     Problem,
     SpectralTorus,
@@ -120,8 +121,8 @@ def test_schedule_validation():
         continuation_sweep(T, P, [1.0, 1.0], opts)
     with pytest.raises(ValueError, match="positive"):
         continuation_sweep(T, P, [-2.0, -1.0], opts)
-    with pytest.raises(ValueError, match="extremal"):
-        continuation_sweep(T, P, [1.5 * EIGHT_PI], opts)
+    past_bar = continuation_sweep(T, P, [1.5 * EIGHT_PI], MinimizeOptions(max_iters=1))
+    assert len(past_bar) == 1
     with pytest.raises(ValueError, match="trace path"):
         continuation_sweep(T, P, [1.0, 2.0], opts, trace_paths=["only_one.csv"])
 
@@ -179,6 +180,33 @@ def test_blowup_reached_dynamically():
     assert res.blown_up
     assert res.iterations > 0
     assert res.peak_value >= 5.0
+
+
+def _signed_three_atom_move():
+    T = SpectralTorus(1.0, 32)
+    P = new_atomic([(-1.0, 0.3), (0.5, 0.3), (1.0, 0.4)])
+    # a strong coupling, so the partition terms carry a large share of the difference
+    prob = Problem(T, P, 3000.0)
+    v = random_zero_mean(T, 4, amplitude=1.0)
+    d = random_zero_mean(T, 5, amplitude=1.0)
+    # largest exponent increment -s a d over the atoms, per unit step
+    u_per_step = max(float((-a * d.values).max()) for a, _ in P.atoms)
+    return prob, v, d, u_per_step
+
+
+@pytest.mark.parametrize("max_u", [1.0, 10.0, 40.0, 100.0, 300.0, 600.0])
+def test_energy_delta_matches_direct_difference(max_u):
+    prob, v, d, u_per_step = _signed_three_atom_move()
+    s = max_u / u_per_step
+    moved = Field(v.values - s * d.values, zero_mean=True)
+    direct = J(prob, moved) - J(prob, v)
+    assert minimize_module._EnergyDelta(prob, v, d)(s) == pytest.approx(direct, rel=1e-12)
+
+
+def test_energy_delta_past_exp_overflow_raises():
+    prob, v, d, u_per_step = _signed_three_atom_move()
+    with pytest.raises(OverflowError, match="partition exponent out of range"):
+        minimize_module._EnergyDelta(prob, v, d)(800.0 / u_per_step)
 
 
 def test_diverged_error_carries_last_iterate(monkeypatch):
