@@ -39,9 +39,6 @@ from vortexmf.torus import (
 from vortexmf.functional import (
     Problem,
     J,
-    J_dual,
-    dalpha_partition,
-    dalpha_peak,
     el_residual,
     log_partition,
     w_alpha,

@@ -228,24 +228,6 @@ def _emit(cfg: argparse.Namespace, payload: dict, human_lines: list[str]) -> Non
             print(line)
 
 
-def _stage_row(result: MinimizeResult, conc: tuple[int, int] | None) -> str:
-    ci = "" if conc is None else str(conc[0])
-    cj = "" if conc is None else str(conc[1])
-    return (
-        f"{result.lam!r},{result.J_value!r},{result.residual_norm!r},"
-        f"{result.peak_value!r},{str(result.blown_up).lower()},{ci},{cj}"
-    )
-
-
-def write_stage_csv(cfg: argparse.Namespace, k: int, result: MinimizeResult, conc) -> str:
-    path = os.path.join(cfg.out, f"stage_{k}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# seed={cfg.seed}\n")
-        fh.write("lambda,J,residual_norm,max_v,blown_up,concentration_i,concentration_j\n")
-        fh.write(_stage_row(result, conc) + "\n")
-    return path
-
-
 def write_profile_csv(cfg: argparse.Namespace, k: int, profile: BlowupProfile, window) -> str:
     path = os.path.join(cfg.out, f"profile_{k}.csv")
     try:
@@ -265,8 +247,31 @@ def write_profile_csv(cfg: argparse.Namespace, k: int, profile: BlowupProfile, w
     return path
 
 
-def _result_payload(result: MinimizeResult, conc) -> dict:
-    return {
+def write_stage(
+    cfg: argparse.Namespace,
+    T: SpectralTorus,
+    P: CirculationMeasure,
+    opts: MinimizeOptions,
+    k: int,
+    result: MinimizeResult,
+    want_profile: bool = False,
+) -> tuple[dict, BlowupProfile | None]:
+    """Write ``stage_k.csv`` and, for a concentrated stage or on request,
+    ``profile_k.csv``; return the stage's summary entry and the profile."""
+    conc = detect_concentration(result, T, opts.blowup_peak_threshold)
+    ci, cj = ("", "") if conc is None else (str(conc[0]), str(conc[1]))
+    with open(os.path.join(cfg.out, f"stage_{k}.csv"), "w", encoding="utf-8") as fh:
+        fh.write(f"# seed={cfg.seed}\n")
+        fh.write("lambda,J,residual_norm,max_v,blown_up,concentration_i,concentration_j\n")
+        fh.write(
+            f"{result.lam!r},{result.J_value!r},{result.residual_norm!r},"
+            f"{result.peak_value!r},{str(result.blown_up).lower()},{ci},{cj}\n"
+        )
+    profile = None
+    if want_profile or conc is not None:
+        profile = rescale_profile(result, T, P, cfg.alpha, cfg.n_bins)
+        write_profile_csv(cfg, k, profile, default_fit_window(profile.sigma, T.side_length))
+    stage = {
         "lambda": result.lam,
         "J": result.J_value,
         "residual_norm": result.residual_norm,
@@ -276,6 +281,7 @@ def _result_payload(result: MinimizeResult, conc) -> dict:
         "blown_up": result.blown_up,
         "concentration": None if conc is None else list(conc),
     }
+    return stage, profile
 
 
 def cmd_lambda_bar(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -> int:
@@ -322,11 +328,11 @@ def _run_single(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions
     prob = Problem(T, P, schedule[0])
     trace = os.path.join(cfg.out, "trace_0.csv")
     result = minimize(prob, opts, trace_path=trace)
-    conc = detect_concentration(result, T, opts.blowup_peak_threshold)
+    stage, profile = write_stage(cfg, T, P, opts, 0, result, want_profile)
     payload: dict = {
         "command": "profile" if want_profile else "minimize",
         "seed": cfg.seed,
-        "stages": [_result_payload(result, conc)],
+        "stages": [stage],
     }
     lines = [
         f"lambda = {result.lam!r}",
@@ -335,11 +341,7 @@ def _run_single(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions
         f"iterations = {result.iterations}",
         f"blown_up = {str(result.blown_up).lower()}",
     ]
-    write_stage_csv(cfg, 0, result, conc)
-    if want_profile or conc is not None:
-        profile = rescale_profile(result, T, P, cfg.alpha, cfg.n_bins)
-        window = default_fit_window(profile.sigma, T.side_length)
-        write_profile_csv(cfg, 0, profile, window)
+    if profile is not None:
         payload["profile"] = {
             "sigma": profile.sigma,
             "peak_value": profile.peak_value,
@@ -368,20 +370,12 @@ def cmd_sweep(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) 
     os.makedirs(cfg.out, exist_ok=True)
     traces = [os.path.join(cfg.out, f"trace_{k}.csv") for k in range(len(schedule))]
     results = continuation_sweep(T, P, schedule, opts, trace_paths=traces)
-    stages = []
-    lines = []
-    for k, result in enumerate(results):
-        conc = detect_concentration(result, T, opts.blowup_peak_threshold)
-        write_stage_csv(cfg, k, result, conc)
-        if conc is not None:
-            profile = rescale_profile(result, T, P, cfg.alpha, cfg.n_bins)
-            window = default_fit_window(profile.sigma, T.side_length)
-            write_profile_csv(cfg, k, profile, window)
-        stages.append(_result_payload(result, conc))
-        lines.append(
-            f"stage {k}: lambda={result.lam!r} J={result.J_value!r} "
-            f"residual={result.residual_norm!r} blown_up={str(result.blown_up).lower()}"
-        )
+    stages = [write_stage(cfg, T, P, opts, k, r)[0] for k, r in enumerate(results)]
+    lines = [
+        f"stage {k}: lambda={r.lam!r} J={r.J_value!r} "
+        f"residual={r.residual_norm!r} blown_up={str(r.blown_up).lower()}"
+        for k, r in enumerate(results)
+    ]
     payload = {
         "command": "sweep",
         "seed": cfg.seed,

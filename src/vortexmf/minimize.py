@@ -97,7 +97,7 @@ def center_bump(T: SpectralTorus, amplitude: float = 0.5) -> Field:
 
 
 class _EnergyDelta:
-    """Cancellation-free J(v - s d) - J(v) for fixed v and direction d."""
+    """Cancellation-free J(v - s d) - J(v) for fixed v and zero-mean d."""
 
     def __init__(self, prob: Problem, v: Field, d: Field):
         T = prob.torus
@@ -127,9 +127,9 @@ class _EnergyDelta:
         return delta - self.prob.lam * log_terms
 
 
-def _result(prob: Problem, v: Field, j_value: float, iterations: int, blown_up: bool) -> MinimizeResult:
-    res = el_residual(prob, v)
-    residual_norm = float(np.abs(res.values).max())
+def _result(
+    prob: Problem, v: Field, j_value: float, residual_norm: float, iterations: int, blown_up: bool
+) -> MinimizeResult:
     flat_peak = int(np.argmax(v.values))
     peak = (flat_peak // prob.torus.grid_n, flat_peak % prob.torus.grid_n)
     return MinimizeResult(
@@ -152,17 +152,15 @@ def minimize(
 ) -> MinimizeResult:
     """Descend J to sup-norm residual <= grad_tol.
 
-    Starts from ``warm_start`` (must be zero-mean) or seeded band-limited
-    noise.  Terminates on tolerance, iteration budget, or peak exceeding
-    the blowup threshold (``blown_up`` set).  Raises :class:`DivergedError`
-    after ``MAX_LINE_SEARCH`` consecutive step rejections.
+    Starts from ``warm_start`` (any mean) or seeded band-limited noise.
+    Terminates on tolerance, iteration budget, or peak exceeding the blowup
+    threshold (``blown_up`` set).  Raises :class:`DivergedError` after
+    ``MAX_LINE_SEARCH`` consecutive step rejections.
     """
     T = prob.torus
     if warm_start is None:
         v = random_zero_mean(T, opts.seed)
     else:
-        if not warm_start.zero_mean:
-            raise ValueError("warm start must carry the zero-mean certificate")
         if warm_start.values.shape != (T.grid_n, T.grid_n):
             raise ValueError("warm start grid does not match the torus")
         v = warm_start
@@ -187,11 +185,11 @@ def minimize(
 
         while True:
             if res_norm <= opts.grad_tol:
-                return _result(prob, v, j_curr, iterations, blown_up=False)
+                return _result(prob, v, j_curr, res_norm, iterations, blown_up=False)
             if float(v.values.max()) >= opts.blowup_peak_threshold:
-                return _result(prob, v, j_curr, iterations, blown_up=True)
+                return _result(prob, v, j_curr, res_norm, iterations, blown_up=True)
             if iterations >= opts.max_iters:
-                return _result(prob, v, j_curr, iterations, blown_up=False)
+                return _result(prob, v, j_curr, res_norm, iterations, blown_up=False)
 
             if prev_dv is not None:
                 num = float((prev_dv * prev_dd).sum())
@@ -208,7 +206,7 @@ def minimize(
                     break
                 step *= 0.5
             if not accepted:
-                last = _result(prob, v, j_curr, iterations, blown_up=False)
+                last = _result(prob, v, j_curr, res_norm, iterations, blown_up=False)
                 raise DivergedError(
                     f"line search failed {MAX_LINE_SEARCH} times at iteration {iterations}",
                     last,
@@ -244,25 +242,23 @@ def continuation_sweep(
     """Minimize along an ascending coupling schedule with warm starts.
 
     Each stage starts from the previous solution plus a fixed center bump
-    that breaks translation symmetry.  Any positive coupling is accepted;
-    past lambda_bar(P) a stage normally blows up, and the sweep stops early
-    once a stage does.
+    that breaks translation symmetry.  Every coupling is checked by its
+    :class:`Problem` before the first stage; past lambda_bar(P) a stage
+    normally blows up, and the sweep stops early once a stage does.
     """
     if not lambda_schedule:
         raise ValueError("empty coupling schedule")
     for a, b in zip(lambda_schedule, lambda_schedule[1:]):
         if not b > a:
             raise ValueError("coupling schedule must be strictly ascending")
-    if any(lam <= 0.0 for lam in lambda_schedule):
-        raise ValueError("couplings must be positive")
+    problems = [Problem(T, P, lam) for lam in lambda_schedule]
     if trace_paths is not None and len(trace_paths) != len(lambda_schedule):
         raise ValueError("one trace path per stage required")
 
     bump = center_bump(T)
     results: list[MinimizeResult] = []
     warm: Field | None = None
-    for k, lam in enumerate(lambda_schedule):
-        prob = Problem(T, P, lam)
+    for k, prob in enumerate(problems):
         trace = trace_paths[k] if trace_paths else None
         result = minimize(prob, opts, warm_start=warm, trace_path=trace)
         results.append(result)

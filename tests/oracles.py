@@ -1,0 +1,79 @@
+"""Test oracles on the free energy: the dual energy expression and central
+differences in the circulation alpha.
+
+The library computes J directly; these recompute it, or derivatives of its
+ingredients, by independent formulas that the tests compare against.
+"""
+
+import math
+
+import numpy as np
+
+from vortexmf.functional import Problem, log_partition, w_alpha
+from vortexmf.torus import Field, integrate
+
+
+def J_dual(prob: Problem, v: Field) -> float:
+    """Alternative energy expression through the normalized fields:
+
+        (lambda/2) int_I [ mean(w_alpha) + int w_alpha e^{w_alpha} ] P(dalpha).
+
+    Agrees with J exactly at critical points (and identically at v = 0);
+    requires supp(P) in [0, 1].
+    """
+    if any(a < 0.0 for a, _ in prob.P.atoms):
+        raise ValueError("dual energy requires support in [0, 1]")
+    T = prob.torus
+    total = 0.0
+    for a, w in prob.P.atoms:
+        wa = w_alpha(prob, v, a)
+        mean_w = integrate(T, wa) / T.volume
+        ent = integrate(T, Field(wa.values * np.exp(wa.values)))
+        total += w * (mean_w + ent)
+    return 0.5 * prob.lam * total
+
+
+def dalpha_peak(
+    prob: Problem,
+    v: Field,
+    x_peak: tuple[int, int],
+    alpha: float,
+    h: float = 1e-4,
+) -> float:
+    """Central difference in alpha of w_alpha at the peak of v.
+
+    The peak must be an argmax of v; there the derivative
+    v(x) - int v e^{alpha v} / int e^{alpha v} is nonnegative.
+    """
+    _check_alpha_window(alpha, h)
+    vals = v.values
+    if vals[x_peak] != vals.max():
+        raise ValueError(f"{x_peak} is not an argmax of v")
+    wp = w_alpha(prob, v, alpha + h).values[x_peak]
+    wm = w_alpha(prob, v, alpha - h).values[x_peak]
+    return float((wp - wm) / (2.0 * h))
+
+
+def dalpha_partition(
+    prob: Problem,
+    v: Field,
+    alpha: float,
+    h: float = 1e-4,
+) -> float:
+    """Central difference in alpha of the partition integral int e^{alpha v}.
+
+    For zero-mean v and alpha >= 0 the derivative int v e^{alpha v} is
+    nonnegative.
+    """
+    _check_alpha_window(alpha, h)
+    T = prob.torus
+    ip = math.exp(log_partition(T, v, alpha + h))
+    im = math.exp(log_partition(T, v, alpha - h))
+    return (ip - im) / (2.0 * h)
+
+
+def _check_alpha_window(alpha: float, h: float) -> None:
+    if not h > 0.0:
+        raise ValueError("step h must be positive")
+    if not (alpha - h > 0.0 and alpha + h <= 1.0):
+        raise ValueError(f"stencil [{alpha - h}, {alpha + h}] must stay inside (0, 1]")

@@ -370,6 +370,16 @@ def test_negative_coupling_still_rejected(capsys, command):
     assert "must be positive" in stderr
 
 
+def test_sweep_checks_every_coupling_before_the_first_stage(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    code, _, stderr = run(
+        capsys, "sweep", "--atoms", "1:1", "--lambdas", "1,inf", "--grid-n", "32", "--out", out
+    )
+    assert code == 2
+    assert "coupling lambda must be positive and finite" in stderr
+    assert not os.path.exists(os.path.join(out, "trace_0.csv"))
+
+
 def test_repeated_main_calls_give_identical_outputs(tmp_path, capsys):
     results = []
     for k in range(2):

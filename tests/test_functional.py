@@ -7,10 +7,10 @@ import pytest
 from scipy.special import i0
 
 from helpers import random_measure, random_zero_mean_field
+from oracles import J_dual, dalpha_partition, dalpha_peak
 from vortexmf import (
     Field,
     J,
-    J_dual,
     Problem,
     SpectralTorus,
     el_residual,
@@ -20,12 +20,11 @@ from vortexmf import (
     project_zero_mean,
     w_alpha,
 )
-from vortexmf.functional import dalpha_partition, dalpha_peak
 from vortexmf.torus import laplacian
 
 
 def zero_field(T):
-    return Field(np.zeros((T.grid_n, T.grid_n)), zero_mean=True)
+    return Field(np.zeros((T.grid_n, T.grid_n)))
 
 
 def test_log_partition_at_zero_field():
@@ -91,14 +90,25 @@ def test_w_alpha_normalization():
     assert np.all(w0.values == -math.log(T.volume))
 
 
-def test_functional_requires_zero_mean_certificate():
+@pytest.mark.parametrize(
+    "atoms",
+    [[(0.4, 0.3), (1.0, 0.7)], [(-1.0, 0.3), (0.5, 0.3), (1.0, 0.4)]],
+    ids=["positive", "signed"],
+)
+def test_functional_is_shift_invariant(atoms):
+    # J, its gradient and the normalized fields do not see the constant mode
     T = SpectralTorus(1.0, 32)
-    prob = Problem(T, new_atomic([(1.0, 1.0)]), 2.0)
-    raw = Field(np.zeros((32, 32)))
-    for fn in (lambda: J(prob, raw), lambda: w_alpha(prob, raw, 0.5),
-               lambda: el_residual(prob, raw), lambda: J_dual(prob, raw)):
-        with pytest.raises(ValueError, match="zero-mean"):
-            fn()
+    prob = Problem(T, new_atomic(atoms), 20.0)
+    v = random_zero_mean_field(T, np.random.default_rng(37))
+    j0 = J(prob, v)
+    res0 = el_residual(prob, v).values
+    for c in (-3.0, 0.5, 7.0):
+        shifted = Field(v.values + c)
+        assert J(prob, shifted) == pytest.approx(j0, rel=1e-12, abs=1e-12)
+        assert np.abs(el_residual(prob, shifted).values - res0).max() <= 1e-10
+        for a, _ in prob.P.atoms:
+            w_shift = w_alpha(prob, shifted, a).values
+            assert np.abs(w_shift - w_alpha(prob, v, a).values).max() <= 1e-12
 
 
 def test_problem_rejects_nonpositive_coupling():

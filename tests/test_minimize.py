@@ -16,6 +16,7 @@ from vortexmf import (
     SpectralTorus,
     continuation_sweep,
     detect_concentration,
+    el_residual,
     minimize,
     new_atomic,
     project_zero_mean,
@@ -45,7 +46,7 @@ def test_options_validation():
 def test_zero_start_is_stationary():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 0.5 * EIGHT_PI)
-    zero = Field(np.zeros((32, 32)), zero_mean=True)
+    zero = Field(np.zeros((32, 32)))
     res = minimize(prob, MinimizeOptions(), warm_start=zero)
     assert res.iterations == 0
     assert res.J_value == 0.0
@@ -77,9 +78,15 @@ def test_warm_restart_terminates_immediately():
 def test_warm_start_validation():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 1.0)
-    with pytest.raises(ValueError, match="zero-mean"):
-        minimize(prob, MinimizeOptions(), warm_start=Field(np.zeros((32, 32))))
-    wrong = Field(np.zeros((64, 64)), zero_mean=True)
+    # a constant is the flat state: a ones warm start ends like the zero field
+    zero = minimize(prob, MinimizeOptions(), warm_start=Field(np.zeros((32, 32))))
+    ones = minimize(prob, MinimizeOptions(), warm_start=Field(np.ones((32, 32))))
+    assert ones.iterations == zero.iterations == 0
+    assert ones.J_value == pytest.approx(zero.J_value, abs=1e-15)
+    assert ones.residual_norm <= 1e-12
+    assert not ones.blown_up
+    assert np.array_equal(ones.v.values, np.ones((32, 32)))
+    wrong = Field(np.zeros((64, 64)))
     with pytest.raises(ValueError, match="grid"):
         minimize(prob, MinimizeOptions(), warm_start=wrong)
 
@@ -198,7 +205,7 @@ def _signed_three_atom_move():
 def test_energy_delta_matches_direct_difference(max_u):
     prob, v, d, u_per_step = _signed_three_atom_move()
     s = max_u / u_per_step
-    moved = Field(v.values - s * d.values, zero_mean=True)
+    moved = Field(v.values - s * d.values)
     direct = J(prob, moved) - J(prob, v)
     assert minimize_module._EnergyDelta(prob, v, d)(s) == pytest.approx(direct, rel=1e-12)
 
@@ -221,6 +228,25 @@ def test_diverged_error_carries_last_iterate(monkeypatch):
     assert last.v.values.shape == (32, 32)
 
 
+def test_residual_is_computed_once_per_iterate(monkeypatch):
+    calls = []
+
+    def counted(prob, v):
+        calls.append(1)
+        return el_residual(prob, v)
+
+    monkeypatch.setattr(minimize_module, "el_residual", counted)
+    T = SpectralTorus(1.0, 32)
+    res = minimize(Problem(T, delta_one(), 0.5 * EIGHT_PI), MinimizeOptions())
+    assert res.iterations > 0
+    assert len(calls) == res.iterations + 1
+    calls.clear()
+    monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0)
+    with pytest.raises(DivergedError) as exc:
+        minimize(Problem(T, delta_one(), 10.0), MinimizeOptions())
+    assert len(calls) == exc.value.last.iterations + 1 == 1
+
+
 def test_random_zero_mean_seeding_and_amplitude():
     T = SpectralTorus(1.0, 64)
     a = random_zero_mean(T, 0, amplitude=0.02)
@@ -228,7 +254,7 @@ def test_random_zero_mean_seeding_and_amplitude():
     c = random_zero_mean(T, 1, amplitude=0.02)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
-    assert a.zero_mean
+    assert abs(a.values.mean()) <= 1e-15
     sup = np.abs(a.values).max()
     assert 0.01 <= sup <= 0.03
 

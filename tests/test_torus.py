@@ -45,12 +45,13 @@ def test_field_shape_and_immutability():
         f.values[0, 0] = 1.0
 
 
-def test_zero_mean_certificate_is_checked():
-    with pytest.raises(ValueError, match="zero_mean"):
-        Field(np.ones((16, 16)), zero_mean=True)
-    g = project_zero_mean(SpectralTorus(1.0, 16), Field(np.ones((16, 16))))
-    assert g.zero_mean
+def test_project_zero_mean_normalises_the_mean():
+    T = SpectralTorus(1.0, 16)
+    g = project_zero_mean(T, Field(np.ones((16, 16))))
+    assert g.values.mean() == 0.0
     assert g.values.max() == 0.0
+    raw = 5.0 + 3.0 * np.random.default_rng(5).standard_normal((16, 16))
+    assert abs(project_zero_mean(T, Field(raw)).values.mean()) <= 1e-15
 
 
 @pytest.mark.parametrize("side", [1.0, 2.5])
@@ -79,15 +80,20 @@ def test_poisson_roundtrip():
     T = SpectralTorus(1.0, 128)
     rng = np.random.default_rng(3)
     u = random_zero_mean_field(T, rng)
-    rhs = Field(-laplacian(T, u).values, zero_mean=True)
+    rhs = Field(-laplacian(T, u).values)
     back = solve_poisson_zero_mean(T, rhs)
     assert np.abs(back.values - u.values).max() <= 1e-10 * max(1.0, np.abs(u.values).max())
 
 
-def test_poisson_requires_zero_mean_rhs():
+def test_poisson_ignores_the_mean_of_the_rhs():
+    # the (0,0) mode is dropped: -Laplacian u = rhs - mean(rhs)
     T = SpectralTorus(1.0, 32)
-    with pytest.raises(ValueError, match="zero mean"):
-        solve_poisson_zero_mean(T, Field(np.ones((32, 32))))
+    rhs = random_zero_mean_field(T, np.random.default_rng(11))
+    u = solve_poisson_zero_mean(T, rhs)
+    for c in (-3.0, 0.5, 7.0):
+        shifted = solve_poisson_zero_mean(T, Field(rhs.values + c))
+        assert np.abs(shifted.values - u.values).max() <= 1e-12
+    assert np.abs(solve_poisson_zero_mean(T, Field(np.ones((32, 32)))).values).max() <= 1e-12
 
 
 def test_dirichlet_energy_matches_weak_form():
