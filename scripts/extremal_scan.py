@@ -24,10 +24,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from vortexmf import lambda_bar, lambda_bar_residual_vanishing, new_atomic
 
 
+def step_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def parse_args() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--a-steps", type=int, default=19, help="grid points for the small atom in (0, 1)")
-    ap.add_argument("--t-steps", type=int, default=19, help="grid points for its weight in (0, 1)")
+    ap.add_argument("--a-steps", type=step_count, default=19, help="grid points for the small atom in (0, 1)")
+    ap.add_argument("--t-steps", type=step_count, default=19, help="grid points for its weight in (0, 1)")
     ap.add_argument("--out", default="scan_out", help="output directory")
     return ap.parse_args()
 

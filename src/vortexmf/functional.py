@@ -49,13 +49,18 @@ class Problem:
             raise ValueError("coupling lambda must be positive and finite")
 
 
-def log_partition(T: SpectralTorus, v: Field, alpha: float) -> float:
-    """log int_Omega e^{alpha v}, max-shifted for stability."""
-    av = alpha * v.values
+def _shifted_partition(av: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Max shift m of the exponents av, e^{av - m} and its grid sum."""
     m = float(av.max())
     if not math.isfinite(m) or m > _EXP_GUARD:
         raise OverflowError("partition exponent out of range")
-    total = float(np.exp(av - m).sum())
+    ex = np.exp(av - m)
+    return m, ex, float(ex.sum())
+
+
+def log_partition(T: SpectralTorus, v: Field, alpha: float) -> float:
+    """log int_Omega e^{alpha v}, max-shifted for stability."""
+    m, _, total = _shifted_partition(alpha * v.values)
     return m + math.log(T.cell_area * total)
 
 
@@ -75,23 +80,31 @@ def J(prob: Problem, v: Field) -> float:
     return dirichlet_energy(T, v) - prob.lam * log_terms
 
 
-def el_residual(prob: Problem, v: Field) -> Field:
+def el_residual(
+    prob: Problem, v: Field, partitions: list[tuple[np.ndarray, float]] | None = None
+) -> Field:
     """Equation residual of the mean field equation at v.
 
     It is also the L^2 gradient of J: dJ(v)[phi] = int el_residual(v) phi
     for every direction phi.  Analytically the residual has zero mean (each
     density e^{alpha v}/Z integrates to 1); the floating-point mean is
     projected out.
+
+    When ``partitions`` is given, the max-shifted exponential e^{alpha v - m}
+    of every atom (zero atoms included) and its grid sum are appended to it
+    as ``(ex, total)``, in atom order, for the line search to reuse.
     """
     T = prob.torus
     lap = laplacian(T, v).values
     acc = np.zeros_like(v.values)
     inv_vol = 1.0 / T.volume
     for a, w in prob.P.atoms:
-        if a == 0.0:
-            continue
-        lp = log_partition(T, v, a)
-        density = np.exp(a * v.values - lp)
-        acc += (w * a) * (density - inv_vol)
+        av = a * v.values
+        m, ex, total = _shifted_partition(av)
+        if partitions is not None:
+            partitions.append((ex, total))
+        if a != 0.0:
+            density = np.exp(av - (m + math.log(T.cell_area * total)))
+            acc += (w * a) * (density - inv_vol)
     res = -lap - prob.lam * acc
     return project_zero_mean(T, Field(res))

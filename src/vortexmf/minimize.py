@@ -11,6 +11,11 @@ form: the Dirichlet part expands exactly as a bilinear form in (v, d),
 and each log-partition difference is log1p of a relative expm1 sum.  Plain
 J(new) - J(old) subtraction stalls at the rounding floor of J long before
 the equation residual reaches the tolerances demanded here.
+
+Each atom's partition exponential e^{alpha v - m} (m the max of alpha v)
+is computed once per iterate: :func:`el_residual` hands it out with its
+grid sum, and every line-search trial at that iterate reuses it.  The two
+bilinear terms come from one transform of v and one of d.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from vortexmf.measure import CirculationMeasure
 from vortexmf.torus import (
     Field,
     SpectralTorus,
-    gradient_inner,
+    gradient_inner_pair,
     integrate,
     periodic_distance,
     project_zero_mean,
@@ -97,21 +102,17 @@ def center_bump(T: SpectralTorus, amplitude: float = 0.5) -> Field:
 
 
 class _EnergyDelta:
-    """Cancellation-free J(v - s d) - J(v) for fixed v and zero-mean d."""
+    """Cancellation-free J(v - s d) - J(v) for fixed v and zero-mean d.
 
-    def __init__(self, prob: Problem, v: Field, d: Field):
-        T = prob.torus
+    ``partitions`` holds each atom's max-shifted exponential e^{alpha v - m}
+    and its grid sum, as :func:`el_residual` hands them out for v.
+    """
+
+    def __init__(self, prob: Problem, v: Field, d: Field, partitions: list[tuple[np.ndarray, float]]):
         self.prob = prob
-        self.v = v
         self.d = d
-        self.a_vd = gradient_inner(T, v, d)
-        self.a_dd = gradient_inner(T, d, d)
-        self.shifted = []
-        for a, _ in prob.P.atoms:
-            av = a * v.values
-            x = av - av.max()
-            ex = np.exp(x)
-            self.shifted.append((np.asarray(ex), float(ex.sum())))
+        self.a_vd, self.a_dd = gradient_inner_pair(prob.torus, v, d)
+        self.shifted = partitions
 
     def __call__(self, s: float) -> float:
         delta = -s * self.a_vd + 0.5 * s * s * self.a_dd
@@ -152,7 +153,8 @@ def minimize(
 ) -> MinimizeResult:
     """Descend J to sup-norm residual <= grad_tol.
 
-    Starts from ``warm_start`` (any mean) or seeded band-limited noise.
+    Starts from ``warm_start`` with its mean subtracted, or from seeded
+    band-limited noise, so every iterate and ``result.v`` have zero mean.
     Terminates on tolerance, iteration budget, or peak exceeding the blowup
     threshold (``blown_up`` set).  Raises :class:`DivergedError` after
     ``MAX_LINE_SEARCH`` consecutive step rejections.
@@ -163,7 +165,7 @@ def minimize(
     else:
         if warm_start.values.shape != (T.grid_n, T.grid_n):
             raise ValueError("warm start grid does not match the torus")
-        v = warm_start
+        v = project_zero_mean(T, warm_start)
 
     trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
     try:
@@ -172,7 +174,8 @@ def minimize(
             trace.write("iter,J,residual_norm,step,max_v\n")
 
         j_curr = J(prob, v)
-        g = el_residual(prob, v)
+        partitions: list[tuple[np.ndarray, float]] = []
+        g = el_residual(prob, v, partitions)
         d = solve_poisson_zero_mean(T, g)
         res_norm = float(np.abs(g.values).max())
         step = opts.step_init
@@ -197,7 +200,7 @@ def minimize(
                 step = num / den if num > 0.0 and den > 0.0 else opts.step_init
                 step = min(max(step, STEP_CLIP[0]), STEP_CLIP[1])
             slope = integrate(T, Field(g.values * d.values))  # |grad|^2 in H^-1
-            delta = _EnergyDelta(prob, v, d)
+            delta = _EnergyDelta(prob, v, d, partitions)
             accepted = False
             for _ in range(MAX_LINE_SEARCH):
                 dj = delta(step)
@@ -213,7 +216,10 @@ def minimize(
                 )
 
             v_new = project_zero_mean(T, Field(v.values - step * d.values))
-            g_new = el_residual(prob, v_new)
+            # drop the old iterate's exponentials before the new ones are made
+            del delta
+            partitions = []
+            g_new = el_residual(prob, v_new, partitions)
             d_new = solve_poisson_zero_mean(T, g_new)
             prev_dv = v_new.values - v.values
             prev_dd = d_new.values - d.values
@@ -242,9 +248,10 @@ def continuation_sweep(
     """Minimize along an ascending coupling schedule with warm starts.
 
     Each stage starts from the previous solution plus a fixed center bump
-    that breaks translation symmetry.  Every coupling is checked by its
-    :class:`Problem` before the first stage; past lambda_bar(P) a stage
-    normally blows up, and the sweep stops early once a stage does.
+    that breaks translation symmetry (:func:`minimize` subtracts the mean).
+    Every coupling is checked by its :class:`Problem` before the first
+    stage; past lambda_bar(P) a stage normally blows up, and the sweep stops
+    early once a stage does.
     """
     if not lambda_schedule:
         raise ValueError("empty coupling schedule")
@@ -264,7 +271,7 @@ def continuation_sweep(
         results.append(result)
         if result.blown_up:
             break
-        warm = project_zero_mean(T, Field(result.v.values + bump.values))
+        warm = Field(result.v.values + bump.values)
     return results
 
 

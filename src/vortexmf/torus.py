@@ -115,21 +115,30 @@ def solve_poisson_zero_mean(T: SpectralTorus, rhs: Field) -> Field:
     return Field(u)
 
 
+def _spectral_inner(T: SpectralTorus, F: np.ndarray, G: np.ndarray) -> float:
+    """int grad f . grad g by Parseval, from the transforms F of f and G of g."""
+    cross = F.real * G.real + F.imag * G.imag
+    norm = T.volume / T.grid_n**4
+    return norm * float((T.eigenvalues * cross).sum())
+
+
 def dirichlet_energy(T: SpectralTorus, f: Field) -> float:
     """(1/2) int |grad f|^2 by Parseval on the spectral gradient."""
     F = np.fft.fft2(_check(T, f))
-    power = F.real * F.real + F.imag * F.imag
-    norm = T.volume / T.grid_n**4
-    return 0.5 * norm * float((T.eigenvalues * power).sum())
+    return 0.5 * _spectral_inner(T, F, F)
 
 
 def gradient_inner(T: SpectralTorus, f: Field, g: Field) -> float:
     """int grad f . grad g, the bilinear form under dirichlet_energy."""
+    return _spectral_inner(T, np.fft.fft2(_check(T, f)), np.fft.fft2(_check(T, g)))
+
+
+def gradient_inner_pair(T: SpectralTorus, f: Field, g: Field) -> tuple[float, float]:
+    """gradient_inner(f, g) and gradient_inner(g, g), bit for bit, from one
+    transform of each field."""
     F = np.fft.fft2(_check(T, f))
     G = np.fft.fft2(_check(T, g))
-    cross = F.real * G.real + F.imag * G.imag
-    norm = T.volume / T.grid_n**4
-    return norm * float((T.eigenvalues * cross).sum())
+    return _spectral_inner(T, F, G), _spectral_inner(T, G, G)
 
 
 def periodic_distance(T: SpectralTorus, center: tuple[int, int]) -> np.ndarray:

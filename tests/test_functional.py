@@ -160,6 +160,22 @@ def test_residual_reduces_to_laplacian_for_zero_circulation():
     assert np.array_equal(res.values, expected.values)
 
 
+def test_residual_hands_out_the_shifted_partitions():
+    # every atom, the zero atom included, in atom order and bit for bit
+    T = SpectralTorus(1.0, 32)
+    prob = Problem(T, new_atomic([(-1.0, 0.3), (0.0, 0.2), (0.5, 0.2), (1.0, 0.3)]), 5.0)
+    v = random_zero_mean_field(T, np.random.default_rng(8))
+    partitions = []
+    res = el_residual(prob, v, partitions)
+    assert np.array_equal(res.values, el_residual(prob, v).values)
+    assert len(partitions) == len(prob.P.atoms)
+    for (a, _), (ex, total) in zip(prob.P.atoms, partitions):
+        av = a * v.values
+        expected = np.exp(av - av.max())
+        assert np.array_equal(ex, expected)
+        assert total == float(expected.sum())
+
+
 def test_dual_energy_agrees_at_zero_field():
     rng = np.random.default_rng(21)
     for side in (1.0, 2.0):

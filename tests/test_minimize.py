@@ -22,6 +22,7 @@ from vortexmf import (
     project_zero_mean,
 )
 from vortexmf.minimize import center_bump, random_zero_mean
+from vortexmf.torus import gradient_inner
 
 minimize_module = importlib.import_module("vortexmf.minimize")
 
@@ -72,7 +73,8 @@ def test_warm_restart_terminates_immediately():
     first = minimize(prob, MinimizeOptions())
     again = minimize(prob, MinimizeOptions(), warm_start=first.v)
     assert again.iterations == 0
-    assert np.array_equal(again.v.values, first.v.values)
+    # the warm start is taken with its mean subtracted, which moves only rounding bits
+    assert np.array_equal(again.v.values, project_zero_mean(T, first.v).values)
 
 
 def test_warm_start_validation():
@@ -85,7 +87,8 @@ def test_warm_start_validation():
     assert ones.J_value == pytest.approx(zero.J_value, abs=1e-15)
     assert ones.residual_norm <= 1e-12
     assert not ones.blown_up
-    assert np.array_equal(ones.v.values, np.ones((32, 32)))
+    # the warm start is taken with its mean subtracted
+    assert np.array_equal(ones.v.values, np.zeros((32, 32)))
     wrong = Field(np.zeros((64, 64)))
     with pytest.raises(ValueError, match="grid"):
         minimize(prob, MinimizeOptions(), warm_start=wrong)
@@ -201,19 +204,47 @@ def _signed_three_atom_move():
     return prob, v, d, u_per_step
 
 
+def _energy_delta(prob, v, d):
+    """The line search's energy difference, with the partitions el_residual hands out."""
+    partitions = []
+    el_residual(prob, v, partitions)
+    return minimize_module._EnergyDelta(prob, v, d, partitions)
+
+
 @pytest.mark.parametrize("max_u", [1.0, 10.0, 40.0, 100.0, 300.0, 600.0])
 def test_energy_delta_matches_direct_difference(max_u):
     prob, v, d, u_per_step = _signed_three_atom_move()
     s = max_u / u_per_step
     moved = Field(v.values - s * d.values)
     direct = J(prob, moved) - J(prob, v)
-    assert minimize_module._EnergyDelta(prob, v, d)(s) == pytest.approx(direct, rel=1e-12)
+    assert _energy_delta(prob, v, d)(s) == pytest.approx(direct, rel=1e-12)
 
 
 def test_energy_delta_past_exp_overflow_raises():
     prob, v, d, u_per_step = _signed_three_atom_move()
     with pytest.raises(OverflowError, match="partition exponent out of range"):
-        minimize_module._EnergyDelta(prob, v, d)(800.0 / u_per_step)
+        _energy_delta(prob, v, d)(800.0 / u_per_step)
+
+
+def test_energy_delta_bilinear_terms_match_gradient_inner():
+    prob, v, d, _ = _signed_three_atom_move()
+    delta = _energy_delta(prob, v, d)
+    assert delta.a_vd == gradient_inner(prob.torus, v, d)
+    assert delta.a_dd == gradient_inner(prob.torus, d, d)
+
+
+def test_warm_start_mean_does_not_matter():
+    # J ignores the mean, so a shifted warm start must neither trip the peak
+    # guard nor change the run
+    T = SpectralTorus(1.0, 32)
+    prob = Problem(T, delta_one(), 1.0)
+    bump = center_bump(T)
+    plain = minimize(prob, MinimizeOptions(), warm_start=bump)
+    shifted = minimize(prob, MinimizeOptions(), warm_start=Field(bump.values + 30.0))
+    assert not shifted.blown_up
+    assert shifted.iterations == plain.iterations > 0
+    assert shifted.J_value == pytest.approx(plain.J_value, abs=1e-14)
+    assert abs(shifted.v.values.mean()) <= 1e-15
 
 
 def test_diverged_error_carries_last_iterate(monkeypatch):
@@ -231,9 +262,9 @@ def test_diverged_error_carries_last_iterate(monkeypatch):
 def test_residual_is_computed_once_per_iterate(monkeypatch):
     calls = []
 
-    def counted(prob, v):
+    def counted(prob, v, partitions=None):
         calls.append(1)
-        return el_residual(prob, v)
+        return el_residual(prob, v, partitions)
 
     monkeypatch.setattr(minimize_module, "el_residual", counted)
     T = SpectralTorus(1.0, 32)
@@ -245,6 +276,38 @@ def test_residual_is_computed_once_per_iterate(monkeypatch):
     with pytest.raises(DivergedError) as exc:
         minimize(Problem(T, delta_one(), 10.0), MinimizeOptions())
     assert len(calls) == exc.value.last.iterations + 1 == 1
+
+
+def test_work_per_iteration(monkeypatch):
+    # 6 transforms per iteration: one of v and one of d for the line search,
+    # two for the Laplacian in el_residual and two for the Poisson solve of d;
+    # two exponentials per nonzero atom, both in el_residual
+    counts = {"fft": 0, "exp": 0, "expm1": 0}
+
+    def counting(fn, key, elements):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            counts[key] += np.size(out) if elements else 1
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fft2", counting(np.fft.fft2, "fft", False))
+    monkeypatch.setattr(np.fft, "ifft2", counting(np.fft.ifft2, "fft", False))
+    monkeypatch.setattr(np, "exp", counting(np.exp, "exp", True))
+    monkeypatch.setattr(np, "expm1", counting(np.expm1, "expm1", True))
+    T = SpectralTorus(1.0, 32)
+    P = new_atomic([(-1.0, 0.3), (0.5, 0.3), (1.0, 0.4)])
+    res = minimize(Problem(T, P, 10.0), MinimizeOptions(max_iters=5))
+    assert res.iterations == 5
+    per_atom = len(P.atoms) * T.grid_n**2
+    # set-up: 2 transforms for the random start, 1 for J, 4 for the first residual and d
+    assert counts["fft"] == 7 + 6 * res.iterations
+    # set-up: one exponential per atom in J and two in the first residual
+    assert counts["exp"] == per_atom * (3 + 2 * res.iterations)
+    # one expm1 per atom and line-search trial, at least one trial per iteration
+    assert counts["expm1"] % per_atom == 0
+    assert counts["expm1"] >= per_atom * res.iterations
 
 
 def test_random_zero_mean_seeding_and_amplitude():
