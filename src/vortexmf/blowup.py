@@ -17,13 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from vortexmf.functional import log_partition
-from vortexmf.measure import (
-    CirculationMeasure,
-    alpha_min,
-    lambda_bar,
-    lambda_bar_residual_vanishing,
-    moment,
-)
+from vortexmf.measure import CirculationMeasure, moment
 from vortexmf.minimize import MinimizeResult
 from vortexmf.torus import Field, SpectralTorus, radial_average
 
@@ -34,7 +28,6 @@ SIGMA_TOL = 1e-12
 PEAK_SLACK = 1e-9
 FD_STEP = 1e-5
 TAIL_SAFETY = 1e-3
-FORMULA_MATCH_TOL = 1e-9
 
 
 def radial_integral(
@@ -357,49 +350,3 @@ def newton_potential(
     if probe > TAIL_SAFETY * (1.0 + abs(val)):
         raise RuntimeError("density tail too heavy at rho_max; potential tail not negligible")
     return val
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Checks tying the extremal coupling to the circulation measure.
-
-    For measures supported in [0, 1]: when the smallest circulation
-    exceeds 1/2, the extremal coupling must take the residual-vanishing
-    form 8 pi / m1^2 and the smallest circulation must exceed m1/2.
-    """
-
-    alpha_min: float
-    moment1: float
-    lambda_bar: float
-    residual_vanishing_value: float
-    alpha_min_above_half: bool
-    matches_residual_vanishing: bool
-    alpha_min_above_half_moment: bool
-
-
-def consistency_report(P: CirculationMeasure) -> ConsistencyReport:
-    """Evaluate the residual-vanishing consistency conditions for P."""
-    if any(a < 0.0 for a, _ in P.atoms):
-        raise ValueError("consistency report requires support in [0, 1]")
-    am = alpha_min(P)
-    m1 = moment(P, 1)
-    lb = lambda_bar(P).lambda_bar
-    rv = lambda_bar_residual_vanishing(P)
-    cond_a = am > 0.5
-    cond_b = abs(lb - rv) <= FORMULA_MATCH_TOL * max(1.0, rv)
-    cond_c = am > 0.5 * m1
-    if cond_a and not cond_b:
-        raise RuntimeError(
-            "alpha_min > 1/2 but the extremal coupling left the residual-vanishing form"
-        )
-    if cond_a and not cond_c:
-        raise RuntimeError("alpha_min > 1/2 but alpha_min <= m1/2; inconsistent moments")
-    return ConsistencyReport(
-        alpha_min=am,
-        moment1=m1,
-        lambda_bar=lb,
-        residual_vanishing_value=rv,
-        alpha_min_above_half=cond_a,
-        matches_residual_vanishing=cond_b,
-        alpha_min_above_half_moment=cond_c,
-    )

@@ -1,4 +1,4 @@
-"""Batch command line: measure analysis, minimization, sweeps, verification.
+"""Batch command line: measure analysis and scans, minimization, sweeps, verification.
 
 One command per process.  All randomness flows from a single seed that is
 recorded in every output header, numeric output uses shortest round-trip
@@ -18,32 +18,20 @@ import json
 import math
 import os
 import sys
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from vortexmf.blowup import (
-    BlowupProfile,
-    bubble_profile,
-    consistency_report,
-    default_fit_window,
-    fit_li_line,
-    fit_li_slope,
-    liouville_bubble,
-    mass_gamma,
-    newton_potential,
-    pohozaev_residual,
-    radial_integral,
-    rescale_profile,
-)
 from vortexmf.functional import Problem
 from vortexmf.measure import (
     CirculationMeasure,
     alpha_min,
+    consistency_report,
     lambda_bar,
     lambda_bar_residual_vanishing,
     load_measure,
     moment,
+    new_atomic,
     parse_atoms_inline,
 )
 from vortexmf.minimize import (
@@ -54,6 +42,11 @@ from vortexmf.minimize import (
     minimize,
 )
 from vortexmf.torus import SpectralTorus
+
+# vortexmf.blowup, and with it scipy, is imported only by the code that
+# integrates or fits a profile, so commands that need neither skip it.
+if TYPE_CHECKING:
+    from vortexmf.blowup import BlowupProfile
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -90,7 +83,7 @@ _SOLVER_HELP = {
     "grad_tol": ("TOL", "sup-norm equation residual to stop at"),
     "step_init": ("S", "first trial step of the line search"),
     "armijo_c": ("C", "Armijo sufficient-decrease constant, in (0, 1)"),
-    "blowup_peak_threshold": ("V", "peak of v that stops a run as blown up"),
+    "blowup_peak_threshold": ("V", "peak of |v| that stops a run as blown up"),
     "seed": ("N", "seed for all randomness"),
 }
 
@@ -229,6 +222,8 @@ def _emit(cfg: argparse.Namespace, payload: dict, human_lines: list[str]) -> Non
 
 
 def write_profile_csv(cfg: argparse.Namespace, k: int, profile: BlowupProfile, window) -> str:
+    from vortexmf.blowup import fit_li_line
+
     path = os.path.join(cfg.out, f"profile_{k}.csv")
     try:
         slope, intercept = fit_li_line(profile, window)
@@ -269,6 +264,8 @@ def write_stage(
         )
     profile = None
     if want_profile or conc is not None:
+        from vortexmf.blowup import default_fit_window, rescale_profile
+
         profile = rescale_profile(result, T, P, cfg.alpha, cfg.n_bins)
         write_profile_csv(cfg, k, profile, default_fit_window(profile.sigma, T.side_length))
     stage = {
@@ -388,6 +385,56 @@ def cmd_sweep(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) 
     return 0
 
 
+# The scanned family P(a, t) = (1 - t) delta_a + t delta_1: the small atom a
+# and its weight t each run over this grid.
+SCAN_GRID = tuple(np.linspace(0.05, 0.95, 19).tolist())
+
+
+def cmd_scan(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -> int:
+    """Map lambda_bar and its minimizing subset over the two-atom family,
+    which interpolates between one small circulation and the classical
+    one-species measure.  ``two_atom_scan.csv`` holds one row per (a, t);
+    t*(a) is the first weight at which the full support is extremal."""
+    os.makedirs(cfg.out, exist_ok=True)
+    transition: dict[float, float] = {}
+    with open(os.path.join(cfg.out, "two_atom_scan.csv"), "w", encoding="utf-8") as fh:
+        fh.write("a,t,lambda_bar,subset_size,side,residual_vanishing,full_support\n")
+        for a in SCAN_GRID:
+            for t in SCAN_GRID:
+                P = new_atomic([(a, 1.0 - t), (1.0, t)])
+                res = lambda_bar(P)
+                rv = lambda_bar_residual_vanishing(P)
+                full = res.minimizing_subset == (0, 1)
+                fh.write(
+                    f"{a!r},{t!r},{res.lambda_bar!r},"
+                    f"{len(res.minimizing_subset)},{res.side},{rv!r},{str(full).lower()}\n"
+                )
+                if full and a not in transition:
+                    transition[a] = t
+    lines = ["first weight t where the full support becomes extremal, per atom a:"]
+    for a in SCAN_GRID:
+        t_star = transition.get(a)
+        label = "never (always tail)" if t_star is None else f"{t_star:.3f}"
+        lines.append(f"  a = {a:.3f}: t* = {label}")
+    # atoms above 1/2 must be full-support for every weight
+    above_half = [a for a in SCAN_GRID if a > 0.5]
+    always_full = [a for a in above_half if transition.get(a) == SCAN_GRID[0]]
+    lines.append(
+        f"atoms above 1/2 that are full-support at the smallest weight: "
+        f"{len(always_full)} of {len(above_half)}"
+    )
+    payload = {
+        "command": "scan",
+        "seed": cfg.seed,
+        "grid": SCAN_GRID,
+        "t_star": [transition.get(a) for a in SCAN_GRID],
+        "full_support_above_half": len(always_full),
+    }
+    write_summary(cfg, payload)
+    _emit(cfg, payload, lines)
+    return 0
+
+
 def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
     """The oracle suite: bubble mass and PDE, concentration mass, slope
     fits, Pohozaev balance, Newton potential growth.
@@ -396,6 +443,16 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
     2 log(scale); any value other than 1 breaks the equation it is
     supposed to solve and must make that check fail (negative control).
     """
+    from vortexmf.blowup import (
+        bubble_profile,
+        fit_li_slope,
+        liouville_bubble,
+        mass_gamma,
+        newton_potential,
+        pohozaev_residual,
+        radial_integral,
+    )
+
     lam, mu = 8.0, 1.0
     density = lambda r: lam * math.exp(liouville_bubble(mu, lam, r))
     checks: list[dict] = []
@@ -513,6 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_sweep)
     p = sub.add_parser("profile", parents=[common], help="minimize and export the peak profile")
     p.set_defaults(handler=cmd_profile)
+    p = sub.add_parser("scan", parents=[common], help="extremal coupling over a two-atom family")
+    p.set_defaults(handler=cmd_scan)
     p = sub.add_parser("verify", parents=[common], help="run the oracle suite")
     p.add_argument(
         "--debug-bubble-scale",
@@ -535,7 +594,9 @@ def main(argv: list[str] | None = None) -> int:
         T = SpectralTorus(cfg.side_length, cfg.grid_n)
         opts = MinimizeOptions(**{name: getattr(cfg, name) for name in _SOLVER_HELP})
         return args.handler(cfg, T, opts)
-    except (InputError, ValueError) as exc:
+    # OSError: an --out that cannot be made or written, such as "" or a
+    # path under a regular file
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # numerical failure: DivergedError and the quadrature failures are RuntimeErrors

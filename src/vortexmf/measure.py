@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -39,6 +37,8 @@ EIGHT_PI = 8.0 * math.pi
 ALPHA_MERGE_TOL = 1e-12
 # Input weights must sum to 1 within this tolerance before rescaling.
 WEIGHT_SUM_TOL = 1e-9
+# lambda_bar and the residual-vanishing form agree to this relative tolerance.
+FORMULA_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,6 @@ class CirculationMeasure:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, expected 1")
 
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.array([a for a, _ in self.atoms])
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms])
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
 
 @dataclass(frozen=True)
 class ExtremalResult:
@@ -100,24 +89,6 @@ class ExtremalResult:
             raise ValueError(f"bad side tag {self.side!r}")
         if math.isinf(self.lambda_bar) != (len(self.minimizing_subset) == 0):
             raise ValueError("empty subset iff infinite value")
-
-
-@dataclass(frozen=True)
-class ThresholdSolution:
-    """Maximizer of int phi0 psi dP over densities 0 <= psi <= 1 with
-    int psi dP = d: indicator above a threshold, fractional on the level set.
-    """
-
-    s_d: float
-    c_d: float
-    psi: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.c_d <= 1.0:
-            raise ValueError(f"c_d {self.c_d} outside [0, 1]")
-        for p in self.psi:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"psi value {p} outside [0, 1]")
 
 
 def new_atomic(pairs: Sequence[tuple[float, float]]) -> CirculationMeasure:
@@ -145,36 +116,6 @@ def new_atomic(pairs: Sequence[tuple[float, float]]) -> CirculationMeasure:
         raise ValueError(f"weights sum to {total}, expected 1 within {WEIGHT_SUM_TOL}")
     atoms = tuple((a, w / total) for a, w in merged)
     return CirculationMeasure(atoms)
-
-
-def discretize_density(
-    density: Callable[[float], float],
-    n_cells: int,
-    lo: float = -1.0,
-    hi: float = 1.0,
-) -> CirculationMeasure:
-    """Midpoint discretization of a nonnegative density on [lo, hi].
-
-    Cell weights are density(midpoint) * width, normalized to total mass 1;
-    zero-weight cells are dropped.
-    """
-    if n_cells < 1:
-        raise ValueError("n_cells must be >= 1")
-    if not (-1.0 <= lo < hi <= 1.0):
-        raise ValueError("need -1 <= lo < hi <= 1")
-    width = (hi - lo) / n_cells
-    pairs = []
-    for i in range(n_cells):
-        mid = lo + (i + 0.5) * width
-        val = float(density(mid))
-        if val < 0.0:
-            raise ValueError(f"density negative at {mid}")
-        if val > 0.0:
-            pairs.append((mid, val * width))
-    if not pairs:
-        raise ValueError("density integrates to zero on the interval")
-    total = math.fsum(w for _, w in pairs)
-    return new_atomic([(a, w / total) for a, w in pairs])
 
 
 def moment(P: CirculationMeasure, k: int, side: str = "all") -> float:
@@ -278,40 +219,50 @@ def lambda_bar_residual_vanishing(P: CirculationMeasure) -> float:
     return EIGHT_PI / (m1 * m1)
 
 
-def threshold_maximizer(P: CirculationMeasure, d: float) -> ThresholdSolution:
-    """Maximize int phi0 psi dP over 0 <= psi <= 1 with int psi dP = d.
+@dataclass(frozen=True)
+class ConsistencyReport:
+    """Checks tying the extremal coupling to the circulation measure.
 
-    phi0(alpha) = alpha / int beta dP.  The maximizer is the indicator of
-    {phi0 > s_d} plus the fraction c_d on the level set {phi0 = s_d}, where
-    s_d = inf{t : P(phi0 > t) <= d}.  Requires supp(P) in [0, 1].
+    For measures supported in [0, 1]: when the smallest circulation
+    exceeds 1/2, the extremal coupling must take the residual-vanishing
+    form 8 pi / m1^2 and the smallest circulation must exceed m1/2.
     """
+
+    alpha_min: float
+    moment1: float
+    lambda_bar: float
+    residual_vanishing_value: float
+    alpha_min_above_half: bool
+    matches_residual_vanishing: bool
+    alpha_min_above_half_moment: bool
+
+
+def consistency_report(P: CirculationMeasure) -> ConsistencyReport:
+    """Evaluate the residual-vanishing consistency conditions for P."""
     if any(a < 0.0 for a, _ in P.atoms):
-        raise ValueError("requires support in [0, 1]")
-    if not 0.0 < d <= 1.0:
-        raise ValueError(f"capacity d={d} outside (0, 1]")
-    m1 = moment(P, 1, "positive")
-    if m1 <= 0.0:
-        raise ValueError("first moment must be positive")
-    phi = [a / m1 for a, _ in P.atoms]
-
-    # survival P(phi0 > t) exceeds d first at the threshold atom
-    s_d = -math.inf
-    cum = 0.0
-    for j in range(len(P.atoms) - 1, -1, -1):
-        cum += P.atoms[j][1]
-        if cum > d:
-            s_d = phi[j]
-            break
-
-    p_above = math.fsum(w for f, (_, w) in zip(phi, P.atoms) if f > s_d)
-    p_level = math.fsum(w for f, (_, w) in zip(phi, P.atoms) if f == s_d)
-    if p_level > 0.0:
-        c_d = (d - p_above) / p_level
-        c_d = min(max(c_d, 0.0), 1.0)
-    else:
-        c_d = 0.0
-    psi = tuple(1.0 if f > s_d else (c_d if f == s_d else 0.0) for f in phi)
-    return ThresholdSolution(s_d, c_d, psi)
+        raise ValueError("consistency report requires support in [0, 1]")
+    am = alpha_min(P)
+    m1 = moment(P, 1)
+    lb = lambda_bar(P).lambda_bar
+    rv = lambda_bar_residual_vanishing(P)
+    cond_a = am > 0.5
+    cond_b = abs(lb - rv) <= FORMULA_MATCH_TOL * max(1.0, rv)
+    cond_c = am > 0.5 * m1
+    if cond_a and not cond_b:
+        raise RuntimeError(
+            "alpha_min > 1/2 but the extremal coupling left the residual-vanishing form"
+        )
+    if cond_a and not cond_c:
+        raise RuntimeError("alpha_min > 1/2 but alpha_min <= m1/2; inconsistent moments")
+    return ConsistencyReport(
+        alpha_min=am,
+        moment1=m1,
+        lambda_bar=lb,
+        residual_vanishing_value=rv,
+        alpha_min_above_half=cond_a,
+        matches_residual_vanishing=cond_b,
+        alpha_min_above_half_moment=cond_c,
+    )
 
 
 def load_measure(path: str) -> CirculationMeasure:
@@ -337,14 +288,6 @@ def load_measure(path: str) -> CirculationMeasure:
         return new_atomic(pairs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def save_measure(path: str, P: CirculationMeasure) -> None:
-    """Write a measure in the text format read by :func:`load_measure`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# alpha weight\n")
-        for alpha, weight in P.atoms:
-            fh.write(f"{alpha!r} {weight!r}\n")
 
 
 def parse_atoms_inline(text: str) -> CirculationMeasure:

@@ -155,9 +155,10 @@ def minimize(
 
     Starts from ``warm_start`` with its mean subtracted, or from seeded
     band-limited noise, so every iterate and ``result.v`` have zero mean.
-    Terminates on tolerance, iteration budget, or peak exceeding the blowup
-    threshold (``blown_up`` set).  Raises :class:`DivergedError` after
-    ``MAX_LINE_SEARCH`` consecutive step rejections.
+    Terminates on tolerance, iteration budget, or a peak of |v| reaching the
+    blowup threshold (``blown_up`` set), so a spike of either sign counts.
+    Raises :class:`DivergedError` after ``MAX_LINE_SEARCH`` consecutive step
+    rejections.
     """
     T = prob.torus
     if warm_start is None:
@@ -189,7 +190,7 @@ def minimize(
         while True:
             if res_norm <= opts.grad_tol:
                 return _result(prob, v, j_curr, res_norm, iterations, blown_up=False)
-            if float(v.values.max()) >= opts.blowup_peak_threshold:
+            if float(np.abs(v.values).max()) >= opts.blowup_peak_threshold:
                 return _result(prob, v, j_curr, res_norm, iterations, blown_up=True)
             if iterations >= opts.max_iters:
                 return _result(prob, v, j_curr, res_norm, iterations, blown_up=False)

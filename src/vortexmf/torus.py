@@ -15,7 +15,6 @@ a property a field must certify.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -185,40 +184,3 @@ def radial_average(
             continue
         out.append((float(r_sums[b] / counts[b]), float(v_sums[b] / counts[b]), int(counts[b])))
     return out
-
-
-_HEADER_RE = re.compile(r"^# torus L=(?P<L>[^ ]+) n=(?P<n>\d+)\s*$")
-
-
-def save_field(path: str, T: SpectralTorus, f: Field) -> None:
-    """Write a field as CSV, row-major, with a geometry header line."""
-    vals = _check(T, f)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# torus L={T.side_length!r} n={T.grid_n}\n")
-        for row in vals:
-            fh.write(",".join(repr(float(x)) for x in row))
-            fh.write("\n")
-
-
-def load_field(path: str) -> tuple[SpectralTorus, Field]:
-    """Read a field written by :func:`save_field`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        m = _HEADER_RE.match(header)
-        if m is None:
-            raise ValueError(f"{path}: missing torus header, got {header.strip()!r}")
-        L = float(m.group("L"))
-        n = int(m.group("n"))
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            row = [float(x) for x in line.split(",")]
-            if len(row) != n:
-                raise ValueError(f"{path}: line {lineno}: expected {n} columns, got {len(row)}")
-            rows.append(row)
-    if len(rows) != n:
-        raise ValueError(f"{path}: expected {n} rows, got {len(rows)}")
-    T = SpectralTorus(L, n)
-    return T, Field(np.array(rows))

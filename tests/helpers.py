@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from vortexmf import CirculationMeasure, Field, SpectralTorus, new_atomic, project_zero_mean
+from vortexmf.measure import CirculationMeasure, new_atomic
 from vortexmf.minimize import MinimizeResult
-from vortexmf.torus import periodic_distance
+from vortexmf.torus import Field, SpectralTorus, periodic_distance, project_zero_mean
 
 
 def random_measure(rng, max_atoms: int = 12, signed: bool = True, low: float = 0.05) -> CirculationMeasure:

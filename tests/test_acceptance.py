@@ -14,28 +14,27 @@ import numpy as np
 from bruteforce import lambda_bar_bruteforce
 from helpers import random_measure, random_zero_mean_field
 from oracles import J_dual, dalpha_partition, dalpha_peak
-from vortexmf import (
-    Field,
-    J,
-    MinimizeOptions,
-    Problem,
-    SpectralTorus,
-    el_residual,
-    integrate,
-    lambda_bar,
-    lambda_bar_residual_vanishing,
+from vortexmf.blowup import (
+    bubble_profile,
+    fit_li_slope,
     liouville_bubble,
     mass_gamma,
-    minimize,
-    new_atomic,
     newton_potential,
     pohozaev_residual,
+    radial_integral,
+)
+from vortexmf.cli import main
+from vortexmf.functional import J, Problem, el_residual
+from vortexmf.measure import lambda_bar, lambda_bar_residual_vanishing, new_atomic
+from vortexmf.minimize import MinimizeOptions, minimize
+from vortexmf.torus import (
+    Field,
+    SpectralTorus,
+    integrate,
+    laplacian,
     project_zero_mean,
     solve_poisson_zero_mean,
 )
-from vortexmf.blowup import bubble_profile, fit_li_slope, radial_integral
-from vortexmf.cli import main
-from vortexmf.torus import laplacian
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -88,7 +87,7 @@ def test_criterion_03_residual_vanishing_regime():
         P = random_measure(rng, max_atoms=8, signed=False, low=0.5000001)
         res = lambda_bar(P)
         worst = max(worst, abs(res.lambda_bar - lambda_bar_residual_vanishing(P)))
-        subset_ok = subset_ok and res.minimizing_subset == tuple(range(len(P)))
+        subset_ok = subset_ok and res.minimizing_subset == tuple(range(len(P.atoms)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and subset_ok and elapsed < 5.0
     _report(3, ok, f"max |defect| = {worst:.2e}, full support {subset_ok}, {elapsed:.2f} s")

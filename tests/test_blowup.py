@@ -6,25 +6,21 @@ import numpy as np
 import pytest
 
 from helpers import synthetic_result
-from vortexmf import (
-    SpectralTorus,
-    consistency_report,
-    fit_li_slope,
-    liouville_bubble,
-    mass_gamma,
-    new_atomic,
-    newton_potential,
-    pohozaev_residual,
-    rescale_profile,
-)
 from vortexmf.blowup import (
     BlowupProfile,
     bubble_profile,
     default_fit_window,
     fit_li_line,
+    fit_li_slope,
+    liouville_bubble,
+    mass_gamma,
+    newton_potential,
+    pohozaev_residual,
     radial_integral,
+    rescale_profile,
 )
-from vortexmf.torus import periodic_distance
+from vortexmf.measure import new_atomic
+from vortexmf.torus import SpectralTorus, periodic_distance
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -294,36 +290,3 @@ def test_newton_potential_guards():
         newton_potential(lambda r: 0.0, -1.0)
     with pytest.raises(RuntimeError, match="tail"):
         newton_potential(lambda r: 1.0 / (1.0 + r), 10.0, rho_max=1e4)
-
-
-# -------------------------------------------------------------- consistency
-
-
-def test_consistency_report_classical():
-    rep = consistency_report(new_atomic([(1.0, 1.0)]))
-    assert rep.alpha_min_above_half
-    assert rep.matches_residual_vanishing
-    assert rep.alpha_min_above_half_moment
-    assert rep.lambda_bar == pytest.approx(EIGHT_PI, rel=1e-12)
-
-
-def test_consistency_report_two_atoms_above_half():
-    rep = consistency_report(new_atomic([(0.6, 0.5), (1.0, 0.5)]))
-    assert rep.alpha_min_above_half
-    assert rep.matches_residual_vanishing
-    assert rep.lambda_bar == pytest.approx(12.5 * math.pi, rel=1e-12)
-
-
-def test_consistency_report_below_half_departure():
-    # small circulations push the extremal coupling below the
-    # residual-vanishing value; the report records the departure
-    rep = consistency_report(new_atomic([(0.1, 0.9), (1.0, 0.1)]))
-    assert not rep.alpha_min_above_half
-    assert not rep.matches_residual_vanishing
-    assert rep.alpha_min_above_half_moment
-    assert rep.lambda_bar == pytest.approx(80.0 * math.pi, rel=1e-12)
-
-
-def test_consistency_report_rejects_signed_measures():
-    with pytest.raises(ValueError):
-        consistency_report(new_atomic([(-0.5, 0.5), (1.0, 0.5)]))

@@ -1,13 +1,16 @@
 """Command line interface: subcommands, config handling, artifacts, exit codes."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
-from vortexmf import cli
+import vortexmf
 from vortexmf.cli import SETTINGS, build_parser, main
 
 EIGHT_PI = 8.0 * math.pi
@@ -340,7 +343,7 @@ def test_quadrature_failure_exits_1(tmp_path, capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise RuntimeError("radial quadrature did not converge")
 
-    monkeypatch.setattr(cli, "radial_integral", no_convergence)
+    monkeypatch.setattr("vortexmf.blowup.radial_integral", no_convergence)
     code, _, stderr = run(capsys, "verify", "--out", str(tmp_path / "runs"))
     assert code == 1
     assert "radial quadrature did not converge" in stderr
@@ -388,3 +391,58 @@ def test_repeated_main_calls_give_identical_outputs(tmp_path, capsys):
         results.append((code, stdout, _outputs(out)))
     assert results[0] == results[1]
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("kind", ["empty", "under-a-file"])
+def test_unusable_out_is_an_input_error(tmp_path, capsys, kind):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = "" if kind == "empty" else str(blocker / "runs")
+    code, _, stderr = run(capsys, "lambda-bar", "--atoms", "1:1", "--out", out)
+    assert code == 2
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+def test_scan_reproduces_the_two_atom_map(tmp_path, capsys):
+    out = tmp_path / "scan"
+    code, stdout, _ = run(capsys, "scan", "--out", str(out))
+    assert code == 0
+    data = (out / "two_atom_scan.csv").read_bytes()
+    rows = data.decode().splitlines()
+    assert rows[0] == "a,t,lambda_bar,subset_size,side,residual_vanishing,full_support"
+    assert len(rows) == 1 + 19 * 19
+    # the bytes of the standalone scan script this command replaced
+    assert hashlib.sha256(data).hexdigest() == (
+        "24adf0ab6104bf65778bc924c59a95e58e1a6953b89dfa4af7bdf1241d803c16"
+    )
+    lines = stdout.splitlines()
+    assert "  a = 0.050: t* = never (always tail)" in lines
+    assert lines[-1] == "atoms above 1/2 that are full-support at the smallest weight: 9 of 9"
+
+    code, stdout, _ = run(capsys, "scan", "--out", str(out), "--json")
+    assert code == 0
+    assert json.loads(stdout) == read_summary(out)
+    assert read_summary(out)["full_support_above_half"] == 9
+
+
+def test_only_integrating_commands_load_scipy(tmp_path):
+    script = f"""
+import sys
+import vortexmf.cli
+print("scipy" in sys.modules)
+from vortexmf.cli import main
+main(["lambda-bar", "--atoms", "1:1", "--out", {str(tmp_path / "a")!r}])
+print("scipy" in sys.modules)
+main(["minimize", "--atoms", "1:1", "--lambdas", "1", "--grid-n", "32",
+      "--out", {str(tmp_path / "b")!r}])
+print("scipy" in sys.modules)
+main(["verify", "--out", {str(tmp_path / "c")!r}])
+print("scipy" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(vortexmf.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    flags = [line for line in done.stdout.splitlines() if line in ("True", "False")]
+    assert flags == ["False", "False", "False", "True"]

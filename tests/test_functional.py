@@ -8,19 +8,9 @@ from scipy.special import i0
 
 from helpers import random_measure, random_zero_mean_field
 from oracles import J_dual, dalpha_partition, dalpha_peak
-from vortexmf import (
-    Field,
-    J,
-    Problem,
-    SpectralTorus,
-    el_residual,
-    integrate,
-    log_partition,
-    new_atomic,
-    project_zero_mean,
-    w_alpha,
-)
-from vortexmf.torus import laplacian
+from vortexmf.functional import J, Problem, el_residual, log_partition, w_alpha
+from vortexmf.measure import new_atomic
+from vortexmf.torus import Field, SpectralTorus, integrate, laplacian, project_zero_mean
 
 
 def zero_field(T):

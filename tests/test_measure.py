@@ -1,4 +1,4 @@
-"""Measure construction, moments, extremal coupling, threshold maximizers."""
+"""Measure construction, moments, extremal coupling, consistency report."""
 
 import math
 
@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortexmf import (
+from vortexmf.measure import (
+    EIGHT_PI,
     alpha_min,
-    discretize_density,
+    consistency_report,
     lambda_bar,
     lambda_bar_residual_vanishing,
     load_measure,
     moment,
     new_atomic,
-    threshold_maximizer,
+    parse_atoms_inline,
 )
-from vortexmf.measure import EIGHT_PI, parse_atoms_inline, save_measure
 
 from bruteforce import lambda_bar_bruteforce
 from helpers import random_measure
@@ -26,7 +26,7 @@ from helpers import random_measure
 def test_new_atomic_sorts_and_merges():
     P = new_atomic([(1.0, 0.5), (0.5, 0.25), (0.5, 0.25)])
     assert P.atoms == ((0.5, 0.5), (1.0, 0.5))
-    assert len(P) == 2
+    assert len(P.atoms) == 2
 
 
 def test_new_atomic_single_atom():
@@ -47,7 +47,7 @@ def test_new_atomic_rejects_bad_input():
 
 def test_new_atomic_normalizes_tiny_drift():
     P = new_atomic([(0.5, 0.5 + 3e-10), (1.0, 0.5)])
-    assert math.fsum(P.weights) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(w for _, w in P.atoms) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_moment_examples():
@@ -64,36 +64,10 @@ def test_moment_examples():
 def test_alpha_min_examples():
     assert alpha_min(new_atomic([(1.0, 1.0)])) == 1.0
     assert alpha_min(new_atomic([(0.5, 0.5), (1.0, 0.5)])) == 0.5
-    Pd = discretize_density(lambda a: 1.0, 4, lo=0.6, hi=1.0)
+    Pd = new_atomic([(0.65, 0.25), (0.75, 0.25), (0.85, 0.25), (0.95, 0.25)])
     assert alpha_min(Pd) == pytest.approx(0.65, abs=1e-15)
     with pytest.raises(ValueError):
         alpha_min(new_atomic([(-0.5, 1.0)]))
-
-
-def test_discretize_uniform_midpoints():
-    P = discretize_density(lambda a: 1.0, 4, lo=0.6, hi=1.0)
-    assert np.allclose(P.alphas, [0.65, 0.75, 0.85, 0.95], atol=1e-15)
-    assert np.allclose(P.weights, 0.25, atol=1e-15)
-
-
-def test_discretize_drops_zero_cells():
-    P = discretize_density(lambda a: 1.0 if a >= 0.0 else 0.0, 2)
-    assert len(P) == 1
-    assert P.atoms[0] == (0.5, 1.0)
-
-
-def test_discretize_triangular_moment():
-    P = discretize_density(lambda a: 2.0 * a if a >= 0.0 else 0.0, 100, lo=0.0, hi=1.0)
-    assert moment(P, 1) == pytest.approx(2.0 / 3.0, abs=1e-3)
-
-
-def test_discretize_rejects_degenerate():
-    with pytest.raises(ValueError):
-        discretize_density(lambda a: 0.0, 10)
-    with pytest.raises(ValueError):
-        discretize_density(lambda a: -1.0, 10)
-    with pytest.raises(ValueError):
-        discretize_density(lambda a: 1.0, 0)
 
 
 def test_lambda_bar_classical():
@@ -178,7 +152,7 @@ def test_full_support_when_alpha_min_above_half():
     for _ in range(50):
         P = random_measure(rng, max_atoms=8, signed=False, low=0.5000001)
         res = lambda_bar(P)
-        assert res.minimizing_subset == tuple(range(len(P)))
+        assert res.minimizing_subset == tuple(range(len(P.atoms)))
         assert res.lambda_bar == pytest.approx(
             lambda_bar_residual_vanishing(P), rel=1e-12
         )
@@ -231,67 +205,10 @@ def test_moment_mixture_linearity(seed, t, k):
     assert moment(mix, k) == pytest.approx(expected, abs=1e-12)
 
 
-def test_threshold_examples():
-    P = new_atomic([(0.5, 0.5), (1.0, 0.5)])
-    sol = threshold_maximizer(P, 0.5)
-    assert sol.s_d == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert sol.c_d == 0.0
-    assert sol.psi == (0.0, 1.0)
-
-    sol = threshold_maximizer(P, 0.75)
-    assert sol.c_d == pytest.approx(0.5, abs=1e-15)
-    assert sol.psi == (0.5, 1.0)
-
-    sol = threshold_maximizer(P, 1.0)
-    assert sol.psi == (1.0, 1.0)
-    assert sol.s_d == -math.inf
-
-
-def test_threshold_rejects_bad_input():
-    P = new_atomic([(0.5, 0.5), (1.0, 0.5)])
-    with pytest.raises(ValueError):
-        threshold_maximizer(P, 0.0)
-    with pytest.raises(ValueError):
-        threshold_maximizer(P, 1.5)
-    with pytest.raises(ValueError):
-        threshold_maximizer(new_atomic([(-0.5, 0.5), (1.0, 0.5)]), 0.5)
-
-
-def _greedy_objective(P, d: float) -> float:
-    m1 = moment(P, 1)
-    remaining = d
-    total = 0.0
-    for a, w in sorted(P.atoms, key=lambda t: -t[0]):
-        take = min(w, remaining)
-        total += (a / m1) * take
-        remaining -= take
-        if remaining <= 0.0:
-            break
-    return total
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.floats(min_value=0.01, max_value=1.0),
-)
-def test_threshold_attains_greedy_optimum(seed, d):
-    rng = np.random.default_rng(seed)
-    P = random_measure(rng, max_atoms=6, signed=False, low=0.05)
-    sol = threshold_maximizer(P, d)
-    mass = math.fsum(p * w for p, (_, w) in zip(sol.psi, P.atoms))
-    assert mass == pytest.approx(d, abs=1e-12)
-    m1 = moment(P, 1)
-    objective = math.fsum(
-        (a / m1) * p * w for p, (a, w) in zip(sol.psi, P.atoms)
-    )
-    assert objective == pytest.approx(_greedy_objective(P, d), abs=1e-12)
-
-
 def test_measure_file_roundtrip(tmp_path):
     P = new_atomic([(-0.25, 0.125), (0.5, 0.375), (1.0, 0.5)])
     path = tmp_path / "measure.txt"
-    save_measure(str(path), P)
+    path.write_text("# alpha weight\n-0.25 0.125\n0.5 0.375\n1.0 0.5\n")
     Q = load_measure(str(path))
     assert Q.atoms == P.atoms
 
@@ -314,3 +231,33 @@ def test_parse_atoms_inline():
     assert P.atoms == ((0.5, 0.5), (1.0, 0.5))
     with pytest.raises(ValueError):
         parse_atoms_inline("0.5=0.5")
+
+
+def test_consistency_report_classical():
+    rep = consistency_report(new_atomic([(1.0, 1.0)]))
+    assert rep.alpha_min_above_half
+    assert rep.matches_residual_vanishing
+    assert rep.alpha_min_above_half_moment
+    assert rep.lambda_bar == pytest.approx(EIGHT_PI, rel=1e-12)
+
+
+def test_consistency_report_two_atoms_above_half():
+    rep = consistency_report(new_atomic([(0.6, 0.5), (1.0, 0.5)]))
+    assert rep.alpha_min_above_half
+    assert rep.matches_residual_vanishing
+    assert rep.lambda_bar == pytest.approx(12.5 * math.pi, rel=1e-12)
+
+
+def test_consistency_report_below_half_departure():
+    # small circulations push the extremal coupling below the
+    # residual-vanishing value; the report records the departure
+    rep = consistency_report(new_atomic([(0.1, 0.9), (1.0, 0.1)]))
+    assert not rep.alpha_min_above_half
+    assert not rep.matches_residual_vanishing
+    assert rep.alpha_min_above_half_moment
+    assert rep.lambda_bar == pytest.approx(80.0 * math.pi, rel=1e-12)
+
+
+def test_consistency_report_rejects_signed_measures():
+    with pytest.raises(ValueError):
+        consistency_report(new_atomic([(-0.5, 0.5), (1.0, 0.5)]))

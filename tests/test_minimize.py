@@ -7,22 +7,18 @@ import numpy as np
 import pytest
 
 from helpers import gaussian_bump, synthetic_result
-from vortexmf import (
+from vortexmf.functional import J, Problem, el_residual
+from vortexmf.measure import new_atomic
+from vortexmf.minimize import (
     DivergedError,
-    Field,
-    J,
     MinimizeOptions,
-    Problem,
-    SpectralTorus,
+    center_bump,
     continuation_sweep,
     detect_concentration,
-    el_residual,
     minimize,
-    new_atomic,
-    project_zero_mean,
+    random_zero_mean,
 )
-from vortexmf.minimize import center_bump, random_zero_mean
-from vortexmf.torus import gradient_inner
+from vortexmf.torus import Field, SpectralTorus, gradient_inner, project_zero_mean
 
 minimize_module = importlib.import_module("vortexmf.minimize")
 
@@ -190,6 +186,18 @@ def test_blowup_reached_dynamically():
     assert res.blown_up
     assert res.iterations > 0
     assert res.peak_value >= 5.0
+
+
+def test_blowup_guard_sees_negative_spikes():
+    # delta_{-1} concentrates into a negative spike; past lambda_bar it must
+    # stop blown up like its mirror delta_1 instead of converging onto it
+    T = SpectralTorus(1.0, 32)
+    probs = [Problem(T, new_atomic([(a, 1.0)]), 2.0 * EIGHT_PI) for a in (1.0, -1.0)]
+    runs = [minimize(prob, MinimizeOptions()) for prob in probs]
+    assert [r.blown_up for r in runs] == [True, True]
+    assert [r.iterations for r in runs] == [34, 34]
+    assert runs[0].v.values.max() >= 25.0
+    assert runs[1].v.values.min() <= -25.0
 
 
 def _signed_three_atom_move():

@@ -1,4 +1,4 @@
-"""Spectral torus calculus: quadrature, Poisson solves, geometry, field I/O."""
+"""Spectral torus calculus: quadrature, Poisson solves, geometry."""
 
 import math
 
@@ -6,21 +6,17 @@ import numpy as np
 import pytest
 
 from helpers import random_zero_mean_field
-from vortexmf import (
+from vortexmf.torus import (
     Field,
     SpectralTorus,
     dirichlet_energy,
-    integrate,
-    project_zero_mean,
-    solve_poisson_zero_mean,
-)
-from vortexmf.torus import (
     gradient_inner,
+    integrate,
     laplacian,
-    load_field,
     periodic_distance,
+    project_zero_mean,
     radial_average,
-    save_field,
+    solve_poisson_zero_mean,
 )
 
 
@@ -148,27 +144,3 @@ def test_radial_average_rejects_bad_bins():
     T = SpectralTorus(1.0, 16)
     with pytest.raises(ValueError):
         radial_average(T, Field(np.zeros((16, 16))), (0, 0), 0)
-
-
-def test_field_io_roundtrip(tmp_path):
-    T = SpectralTorus(1.5, 16)
-    rng = np.random.default_rng(5)
-    f = Field(rng.standard_normal((16, 16)))
-    path = tmp_path / "field.csv"
-    save_field(str(path), T, f)
-    T2, f2 = load_field(str(path))
-    assert T2 == T
-    assert np.array_equal(f2.values, f.values)
-
-
-def test_field_io_rejects_corrupt_files(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("no header here\n")
-    with pytest.raises(ValueError, match="header"):
-        load_field(str(path))
-    path.write_text("# torus L=1.0 n=16\n" + "0.0,1.0\n")
-    with pytest.raises(ValueError, match="columns"):
-        load_field(str(path))
-    path.write_text("# torus L=1.0 n=16\n" + "\n".join(",".join(["0.0"] * 16) for _ in range(3)) + "\n")
-    with pytest.raises(ValueError, match="rows"):
-        load_field(str(path))
