@@ -24,7 +24,6 @@ from vortexmf.torus import Field, SpectralTorus, radial_average
 QUAD_REL_TOL = 1e-10
 MIN_FIT_SAMPLES = 8
 DEFAULT_WINDOW = (3.0, 30.0)
-SIGMA_TOL = 1e-12
 PEAK_SLACK = 1e-9
 FD_STEP = 1e-5
 TAIL_SAFETY = 1e-3
@@ -89,24 +88,27 @@ class BlowupProfile:
     peak; it sets the rescaling length sigma = e^{-peak_value/2} shared by
     the profiles of every circulation alpha read off the same minimizer.
     ``samples`` holds (r, dw) pairs, dw being the radial average of
-    w_alpha(x) - w_alpha(peak), which never exceeds zero.
+    w_alpha(x) - w_alpha(peak), which never exceeds zero.  The fitted line
+    is dw = fitted_slope * (-log(1 + r/sigma)) + fitted_intercept over the
+    default window, nan when that window holds too few samples.
     """
 
-    sigma: float
     peak_value: float
     samples: tuple[tuple[float, float], ...]
     fitted_slope: float
+    fitted_intercept: float
     gamma0_reference: float
 
     def __post_init__(self) -> None:
-        expected = math.exp(-0.5 * self.peak_value)
-        if not abs(self.sigma - expected) <= SIGMA_TOL * max(1.0, expected):
-            raise ValueError("sigma does not match exp(-peak_value/2)")
         radii = [r for r, _ in self.samples]
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("samples must be strictly increasing in r")
         if any(dw > PEAK_SLACK for _, dw in self.samples):
             raise ValueError("profile exceeds its own peak")
+
+    @property
+    def sigma(self) -> float:
+        return math.exp(-0.5 * self.peak_value)
 
     @property
     def radii(self) -> np.ndarray:
@@ -146,11 +148,11 @@ def _li_fit(radii: np.ndarray, dw: np.ndarray, sigma: float, window) -> tuple[fl
     return float(slope), float(intercept)
 
 
-def _fit_or_nan(radii: np.ndarray, dw: np.ndarray, sigma: float, window) -> float:
+def _fit_or_nan(radii: np.ndarray, dw: np.ndarray, sigma: float, window) -> tuple[float, float]:
     try:
-        return _li_fit(radii, dw, sigma, window)[0]
+        return _li_fit(radii, dw, sigma, window)
     except ValueError:
-        return math.nan
+        return math.nan, math.nan
 
 
 def fit_li_line(profile: BlowupProfile, fit_window) -> tuple[float, float]:
@@ -189,13 +191,12 @@ def bubble_profile(
     peak = liouville_bubble(mu, lam, 0.0)
     dw = alpha * (liouville_bubble(mu, lam, rs) - peak)
     sigma = math.exp(-0.5 * peak)
-    samples = tuple(zip(rs.tolist(), dw.tolist()))
-    slope = _fit_or_nan(rs, dw, sigma, default_fit_window(sigma))
+    slope, intercept = _fit_or_nan(rs, dw, sigma, default_fit_window(sigma))
     return BlowupProfile(
-        sigma=sigma,
         peak_value=peak,
-        samples=samples,
+        samples=tuple(zip(rs.tolist(), dw.tolist())),
         fitted_slope=slope,
+        fitted_intercept=intercept,
         gamma0_reference=gamma0_reference,
     )
 
@@ -230,12 +231,12 @@ def rescale_profile(
     r = np.array([b[0] for b in bins])
     mean_dw = np.array([b[1] for b in bins])
     sigma = math.exp(-0.5 * w1_peak)
-    slope = _fit_or_nan(r, mean_dw, sigma, default_fit_window(sigma, T.side_length))
+    slope, intercept = _fit_or_nan(r, mean_dw, sigma, default_fit_window(sigma, T.side_length))
     return BlowupProfile(
-        sigma=sigma,
         peak_value=w1_peak,
         samples=tuple(zip(r.tolist(), mean_dw.tolist())),
         fitted_slope=slope,
+        fitted_intercept=intercept,
         gamma0_reference=4.0 / m1,
     )
 

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from vortexmf.functional import Problem
 from vortexmf.measure import (
     CirculationMeasure,
     alpha_min,
@@ -39,7 +38,7 @@ from vortexmf.minimize import (
     MinimizeResult,
     continuation_sweep,
     detect_concentration,
-    minimize,
+    mirror_image,
 )
 from vortexmf.torus import SpectralTorus
 
@@ -221,14 +220,8 @@ def _emit(cfg: argparse.Namespace, payload: dict, human_lines: list[str]) -> Non
             print(line)
 
 
-def write_profile_csv(cfg: argparse.Namespace, k: int, profile: BlowupProfile, window) -> str:
-    from vortexmf.blowup import fit_li_line
-
+def write_profile_csv(cfg: argparse.Namespace, k: int, profile: BlowupProfile) -> str:
     path = os.path.join(cfg.out, f"profile_{k}.csv")
-    try:
-        slope, intercept = fit_li_line(profile, window)
-    except ValueError:
-        slope, intercept = math.nan, math.nan
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# seed={cfg.seed}\n")
         fh.write(
@@ -237,7 +230,7 @@ def write_profile_csv(cfg: argparse.Namespace, k: int, profile: BlowupProfile, w
         )
         fh.write("r,dw,fit_prediction\n")
         for r, dw in profile.samples:
-            pred = slope * (-math.log1p(r / profile.sigma)) + intercept
+            pred = profile.fitted_slope * (-math.log1p(r / profile.sigma)) + profile.fitted_intercept
             fh.write(f"{r!r},{dw!r},{pred!r}\n")
     return path
 
@@ -249,11 +242,19 @@ def write_stage(
     opts: MinimizeOptions,
     k: int,
     result: MinimizeResult,
-    want_profile: bool = False,
-) -> tuple[dict, BlowupProfile | None]:
+    want_profile: bool,
+) -> dict:
     """Write ``stage_k.csv`` and, for a concentrated stage or on request,
-    ``profile_k.csv``; return the stage's summary entry and the profile."""
-    conc = detect_concentration(result, T, opts.blowup_peak_threshold)
+    ``profile_k.csv``; return the stage's summary entry.
+
+    The concentration point and the profile are read at the peak of v,
+    or at the peak of -v from the mirror image when only the negative
+    spike reached the blow-up threshold.
+    """
+    seen, seen_P = result, P
+    if result.peak_value < opts.blowup_peak_threshold <= -float(result.v.values.min()):
+        seen, seen_P = mirror_image(result, P)
+    conc = detect_concentration(seen, T, opts.blowup_peak_threshold)
     ci, cj = ("", "") if conc is None else (str(conc[0]), str(conc[1]))
     with open(os.path.join(cfg.out, f"stage_{k}.csv"), "w", encoding="utf-8") as fh:
         fh.write(f"# seed={cfg.seed}\n")
@@ -264,11 +265,18 @@ def write_stage(
         )
     profile = None
     if want_profile or conc is not None:
-        from vortexmf.blowup import default_fit_window, rescale_profile
+        from vortexmf.blowup import rescale_profile
 
-        profile = rescale_profile(result, T, P, cfg.alpha, cfg.n_bins)
-        write_profile_csv(cfg, k, profile, default_fit_window(profile.sigma, T.side_length))
-    stage = {
+        fitted = rescale_profile(seen, T, seen_P, cfg.alpha, cfg.n_bins)
+        write_profile_csv(cfg, k, fitted)
+        profile = {
+            "sigma": fitted.sigma,
+            "peak_value": fitted.peak_value,
+            "fitted_slope": fitted.fitted_slope,
+            "gamma0_reference": fitted.gamma0_reference,
+            "alpha": cfg.alpha,
+        }
+    return {
         "lambda": result.lam,
         "J": result.J_value,
         "residual_norm": result.residual_norm,
@@ -277,8 +285,8 @@ def write_stage(
         "peak_value": result.peak_value,
         "blown_up": result.blown_up,
         "concentration": None if conc is None else list(conc),
+        "profile": profile,
     }
-    return stage, profile
 
 
 def cmd_lambda_bar(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -> int:
@@ -316,72 +324,45 @@ def cmd_lambda_bar(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOpti
     return 0
 
 
-def _run_single(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions, want_profile: bool) -> int:
+def _stage_line(k: int, stage: dict) -> str:
+    line = (
+        f"stage {k}: lambda={stage['lambda']!r} J={stage['J']!r} "
+        f"residual={stage['residual_norm']!r} iterations={stage['iterations']} "
+        f"blown_up={str(stage['blown_up']).lower()}"
+    )
+    if stage["profile"] is not None:
+        line += f" sigma={stage['profile']['sigma']!r} fitted_slope={stage['profile']['fitted_slope']!r}"
+    return line
+
+
+def cmd_solve(
+    cfg: argparse.Namespace,
+    T: SpectralTorus,
+    opts: MinimizeOptions,
+    one_coupling: bool = False,
+    want_profile: bool = False,
+) -> int:
+    """Run the coupling schedule as a continuation sweep, one stage record
+    per completed stage.  ``minimize`` and ``profile`` are sweeps of exactly
+    one coupling; ``profile`` also exports the profile of a stage that did
+    not concentrate."""
     P = resolve_measure(cfg)
     schedule = resolve_schedule(cfg, P)
-    if len(schedule) != 1:
+    if one_coupling and len(schedule) != 1:
         raise InputError("this command expects exactly one coupling")
-    os.makedirs(cfg.out, exist_ok=True)
-    prob = Problem(T, P, schedule[0])
-    trace = os.path.join(cfg.out, "trace_0.csv")
-    result = minimize(prob, opts, trace_path=trace)
-    stage, profile = write_stage(cfg, T, P, opts, 0, result, want_profile)
-    payload: dict = {
-        "command": "profile" if want_profile else "minimize",
-        "seed": cfg.seed,
-        "stages": [stage],
-    }
-    lines = [
-        f"lambda = {result.lam!r}",
-        f"J = {result.J_value!r}",
-        f"residual_norm = {result.residual_norm!r}",
-        f"iterations = {result.iterations}",
-        f"blown_up = {str(result.blown_up).lower()}",
-    ]
-    if profile is not None:
-        payload["profile"] = {
-            "sigma": profile.sigma,
-            "peak_value": profile.peak_value,
-            "fitted_slope": profile.fitted_slope,
-            "gamma0_reference": profile.gamma0_reference,
-            "alpha": cfg.alpha,
-        }
-        lines.append(f"sigma = {profile.sigma!r}")
-        lines.append(f"fitted_slope = {profile.fitted_slope!r}")
-    write_summary(cfg, payload)
-    _emit(cfg, payload, lines)
-    return 0
-
-
-def cmd_minimize(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -> int:
-    return _run_single(cfg, T, opts, want_profile=False)
-
-
-def cmd_profile(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -> int:
-    return _run_single(cfg, T, opts, want_profile=True)
-
-
-def cmd_sweep(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -> int:
-    P = resolve_measure(cfg)
-    schedule = resolve_schedule(cfg, P)
     os.makedirs(cfg.out, exist_ok=True)
     traces = [os.path.join(cfg.out, f"trace_{k}.csv") for k in range(len(schedule))]
     results = continuation_sweep(T, P, schedule, opts, trace_paths=traces)
-    stages = [write_stage(cfg, T, P, opts, k, r)[0] for k, r in enumerate(results)]
-    lines = [
-        f"stage {k}: lambda={r.lam!r} J={r.J_value!r} "
-        f"residual={r.residual_norm!r} blown_up={str(r.blown_up).lower()}"
-        for k, r in enumerate(results)
-    ]
+    stages = [write_stage(cfg, T, P, opts, k, r, want_profile) for k, r in enumerate(results)]
     payload = {
-        "command": "sweep",
+        "command": cfg.command,
         "seed": cfg.seed,
         "stages": stages,
         "completed_stages": len(results),
         "requested_stages": len(schedule),
     }
     write_summary(cfg, payload)
-    _emit(cfg, payload, lines)
+    _emit(cfg, payload, [_stage_line(k, stage) for k, stage in enumerate(stages)])
     return 0
 
 
@@ -565,11 +546,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda-bar", parents=[common], help="extremal coupling of a measure")
     p.set_defaults(handler=cmd_lambda_bar)
     p = sub.add_parser("minimize", parents=[common], help="minimize at one coupling")
-    p.set_defaults(handler=cmd_minimize)
+    p.set_defaults(handler=functools.partial(cmd_solve, one_coupling=True))
     p = sub.add_parser("sweep", parents=[common], help="continuation over an ascending schedule")
-    p.set_defaults(handler=cmd_sweep)
+    p.set_defaults(handler=cmd_solve)
     p = sub.add_parser("profile", parents=[common], help="minimize and export the peak profile")
-    p.set_defaults(handler=cmd_profile)
+    p.set_defaults(handler=functools.partial(cmd_solve, one_coupling=True, want_profile=True))
     p = sub.add_parser("scan", parents=[common], help="extremal coupling over a two-atom family")
     p.set_defaults(handler=cmd_scan)
     p = sub.add_parser("verify", parents=[common], help="run the oracle suite")

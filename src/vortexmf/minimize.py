@@ -21,7 +21,7 @@ bilinear terms come from one transform of v and one of d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -248,7 +248,8 @@ def continuation_sweep(
 ) -> list[MinimizeResult]:
     """Minimize along an ascending coupling schedule with warm starts.
 
-    Each stage starts from the previous solution plus a fixed center bump
+    The first stage starts cold, exactly as :func:`minimize` does; each
+    later one starts from the previous solution plus a fixed center bump
     that breaks translation symmetry (:func:`minimize` subtracts the mean).
     Every coupling is checked by its :class:`Problem` before the first
     stage; past lambda_bar(P) a stage normally blows up, and the sweep stops
@@ -263,23 +264,25 @@ def continuation_sweep(
     if trace_paths is not None and len(trace_paths) != len(lambda_schedule):
         raise ValueError("one trace path per stage required")
 
-    bump = center_bump(T)
+    bump: Field | None = None
     results: list[MinimizeResult] = []
-    warm: Field | None = None
     for k, prob in enumerate(problems):
+        warm: Field | None = None
+        if results:
+            if results[-1].blown_up:
+                break
+            if bump is None:
+                bump = center_bump(T)
+            warm = Field(results[-1].v.values + bump.values)
         trace = trace_paths[k] if trace_paths else None
-        result = minimize(prob, opts, warm_start=warm, trace_path=trace)
-        results.append(result)
-        if result.blown_up:
-            break
-        warm = Field(result.v.values + bump.values)
+        results.append(minimize(prob, opts, warm_start=warm, trace_path=trace))
     return results
 
 
 def detect_concentration(
     result: MinimizeResult,
     T: SpectralTorus,
-    peak_threshold: float = 25.0,
+    peak_threshold: float,
 ) -> tuple[int, int] | None:
     """Locate a single concentration point, if any.
 
@@ -304,3 +307,12 @@ def detect_concentration(
             best = (int(ci), int(cj))
             best_mass = mass
     return best
+
+
+def mirror_image(result: MinimizeResult, P: CirculationMeasure) -> tuple[MinimizeResult, CirculationMeasure]:
+    """The stage as the state (-v, alpha -> -alpha), which has the same J:
+    its peak is the spike of the minimum of v."""
+    v = Field(-result.v.values)
+    i, j = np.unravel_index(int(np.argmax(v.values)), v.values.shape)
+    mirrored = replace(result, v=v, peak_point=(int(i), int(j)), peak_value=float(v.values[i, j]))
+    return mirrored, CirculationMeasure(tuple((-a, w) for a, w in reversed(P.atoms)))

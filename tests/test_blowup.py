@@ -122,29 +122,27 @@ def test_bubble_profile_sigma_and_samples():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError, match="sigma"):
-        BlowupProfile(2.0, 0.0, ((1.0, -1.0),), 4.0, 4.0)
     with pytest.raises(ValueError, match="increasing"):
-        BlowupProfile(1.0, 0.0, ((2.0, -1.0), (1.0, -2.0)), 4.0, 4.0)
+        BlowupProfile(0.0, ((2.0, -1.0), (1.0, -2.0)), 4.0, 0.0, 4.0)
     with pytest.raises(ValueError, match="peak"):
-        BlowupProfile(1.0, 0.0, ((1.0, 0.5),), 4.0, 4.0)
+        BlowupProfile(0.0, ((1.0, 0.5),), 4.0, 0.0, 4.0)
 
 
 def test_li_slope_on_exact_line():
     radii = np.geomspace(0.1, 100.0, 50)
     dw = -4.0 * np.log1p(radii)
-    prof = BlowupProfile(1.0, 0.0, tuple(zip(radii.tolist(), dw.tolist())), 4.0, 4.0)
+    prof = BlowupProfile(0.0, tuple(zip(radii.tolist(), dw.tolist())), 4.0, 0.0, 4.0)
     slope, intercept = fit_li_line(prof, (0.5, 50.0))
     assert slope == pytest.approx(4.0, rel=1e-12)
     assert abs(intercept) <= 1e-12
-    flat = BlowupProfile(1.0, 0.0, tuple(zip(radii.tolist(), [0.0] * 50)), 0.0, 4.0)
+    flat = BlowupProfile(0.0, tuple(zip(radii.tolist(), [0.0] * 50)), 0.0, 0.0, 4.0)
     assert fit_li_slope(flat, (0.5, 50.0)) == 0.0
 
 
 def test_li_fit_window_validation():
     radii = np.geomspace(0.1, 100.0, 50)
     dw = -4.0 * np.log1p(radii)
-    prof = BlowupProfile(1.0, 0.0, tuple(zip(radii.tolist(), dw.tolist())), 4.0, 4.0)
+    prof = BlowupProfile(0.0, tuple(zip(radii.tolist(), dw.tolist())), 4.0, 0.0, 4.0)
     with pytest.raises(ValueError, match="lo < hi"):
         fit_li_slope(prof, (5.0, 5.0))
     with pytest.raises(ValueError, match="lo < hi"):

@@ -172,13 +172,90 @@ def test_profile_command_exports_profile(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(stdout)
-    assert "profile" in payload
-    assert payload["profile"]["alpha"] == 1.0
+    assert "profile" not in payload
+    assert payload["stages"][0]["profile"]["alpha"] == 1.0
     lines = open(os.path.join(out, "profile_0.csv")).read().splitlines()
     assert lines[0] == "# seed=0"
     assert lines[1].startswith("# sigma=")
     assert lines[2] == "r,dw,fit_prediction"
     assert len(lines) > 3
+
+
+def test_single_coupling_commands_write_one_record(tmp_path, capsys):
+    # delta_1 at 2 lambda_bar concentrates, so every command exports the profile
+    records = {}
+    for command in ("minimize", "profile", "sweep"):
+        out = str(tmp_path / command)
+        code, stdout, _ = run(
+            capsys, command, "--atoms", "1:1", "--lambdas", "50", "--grid-n", "64", "--out", out
+        )
+        assert code == 0
+        summary = read_summary(out)
+        assert summary.pop("command") == command
+        records[command] = (stdout, summary, _outputs(out))
+    stdout, summary, files = records["minimize"]
+    assert sorted(files) == ["profile_0.csv", "stage_0.csv", "summary.json", "trace_0.csv"]
+    assert summary["completed_stages"] == summary["requested_stages"] == 1
+    stage = summary["stages"][0]
+    assert stage["blown_up"] is True and stage["profile"] is not None
+    assert stdout == (
+        f"stage 0: lambda=50.0 J={stage['J']!r} residual={stage['residual_norm']!r} "
+        f"iterations={stage['iterations']} blown_up=true "
+        f"sigma={stage['profile']['sigma']!r} fitted_slope={stage['profile']['fitted_slope']!r}\n"
+    )
+    for other in ("profile", "sweep"):
+        assert records[other][:2] == (stdout, summary), other
+        for name in ("stage_0.csv", "trace_0.csv", "profile_0.csv"):
+            assert records[other][2][name] == files[name], (other, name)
+
+
+@pytest.mark.parametrize("command", ["minimize", "profile"])
+def test_single_coupling_commands_reject_a_schedule(tmp_path, capsys, command):
+    out = tmp_path / "runs"
+    code, stdout, stderr = run(
+        capsys, command, "--atoms", "1:1", "--lambdas", "1,2", "--grid-n", "32", "--out", str(out)
+    )
+    assert code == 2
+    assert stderr == "error: this command expects exactly one coupling\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_concentrated_sweep_stage_records_its_profile(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    code, stdout, _ = run(
+        capsys, "sweep", "--atoms", "1:1", "--fractions", "0.5,2.0", "--grid-n", "64", "--out", out
+    )
+    assert code == 0
+    first, last = read_summary(out)["stages"]
+    assert first["profile"] is None and first["concentration"] is None
+    assert last["concentration"] is not None
+    assert set(last["profile"]) == {"sigma", "peak_value", "fitted_slope", "gamma0_reference", "alpha"}
+    assert last["profile"]["gamma0_reference"] == 4.0
+    assert math.isfinite(last["profile"]["fitted_slope"])
+    lines = stdout.splitlines()
+    assert "sigma=" not in lines[0]
+    assert lines[1].endswith(f"fitted_slope={last['profile']['fitted_slope']!r}")
+
+
+def test_negative_spike_is_located_and_profiled(tmp_path, capsys):
+    # delta_-1 past lambda_bar blows up into a spike of min v; the stage is
+    # read from its mirror image, while max_v keeps meaning the maximum of v
+    out = str(tmp_path / "runs")
+    code, _, _ = run(
+        capsys, "minimize", "--atoms=-1:1", "--fractions", "2.0", "--grid-n", "32", "--out", out
+    )
+    assert code == 0
+    stage = read_summary(out)["stages"][0]
+    assert stage["blown_up"] is True
+    assert stage["peak_value"] < 25.0
+    assert stage["concentration"] is not None and stage["concentration"] != stage["peak_point"]
+    assert stage["profile"]["gamma0_reference"] == 4.0
+    row = open(os.path.join(out, "stage_0.csv")).read().splitlines()[2].split(",")
+    assert float(row[3]) == stage["peak_value"]
+    assert [int(row[5]), int(row[6])] == stage["concentration"]
+    lines = open(os.path.join(out, "profile_0.csv")).read().splitlines()
+    assert lines[2] == "r,dw,fit_prediction" and len(lines) > 3
 
 
 def test_config_file_with_cli_override(tmp_path, capsys):

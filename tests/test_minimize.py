@@ -16,6 +16,7 @@ from vortexmf.minimize import (
     continuation_sweep,
     detect_concentration,
     minimize,
+    mirror_image,
     random_zero_mean,
 )
 from vortexmf.torus import Field, SpectralTorus, gradient_inner, project_zero_mean
@@ -155,6 +156,17 @@ def test_single_stage_sweep_matches_minimize():
     assert len(swept) == 1
     assert swept[0].iterations == direct.iterations
     assert np.array_equal(swept[0].v.values, direct.v.values)
+
+
+def test_center_bump_is_built_once_and_only_for_a_second_stage(monkeypatch):
+    calls = []
+    real = minimize_module.center_bump
+    monkeypatch.setattr(minimize_module, "center_bump", lambda T: calls.append(T) or real(T))
+    T = SpectralTorus(1.0, 32)
+    continuation_sweep(T, delta_one(), [1.0], MinimizeOptions())
+    assert calls == []
+    continuation_sweep(T, delta_one(), [1.0, 2.0, 3.0], MinimizeOptions())
+    assert len(calls) == 1
 
 
 def test_sweep_stops_after_blowup_stage():
@@ -341,13 +353,13 @@ def test_center_bump_shape():
 def test_detect_concentration_flat_field_is_none():
     T = SpectralTorus(1.0, 64)
     res = synthetic_result(T, np.zeros((64, 64)))
-    assert detect_concentration(res, T) is None
+    assert detect_concentration(res, T, 25.0) is None
 
 
 def test_detect_concentration_single_peak():
     T = SpectralTorus(1.0, 64)
     res = synthetic_result(T, gaussian_bump(T, (32, 32), 30.0, 0.05))
-    assert detect_concentration(res, T) == (32, 32)
+    assert detect_concentration(res, T, 25.0) == (32, 32)
 
 
 def test_detect_concentration_prefers_heavier_peak():
@@ -356,7 +368,7 @@ def test_detect_concentration_prefers_heavier_peak():
     narrow = gaussian_bump(T, (16, 16), 30.0, 0.01)
     wide = gaussian_bump(T, (48, 48), 30.0, 0.04)
     res = synthetic_result(T, narrow + wide)
-    assert detect_concentration(res, T) == (48, 48)
+    assert detect_concentration(res, T, 25.0) == (48, 48)
 
 
 def test_detect_concentration_split_mass_is_none():
@@ -364,4 +376,21 @@ def test_detect_concentration_split_mass_is_none():
     T = SpectralTorus(1.0, 64)
     twin = gaussian_bump(T, (16, 16), 30.0, 0.04) + gaussian_bump(T, (48, 48), 30.0, 0.04)
     res = synthetic_result(T, twin)
-    assert detect_concentration(res, T) is None
+    assert detect_concentration(res, T, 25.0) is None
+
+
+def test_mirror_image_reads_the_negative_spike():
+    T = SpectralTorus(1.0, 64)
+    res = synthetic_result(T, -gaussian_bump(T, (16, 40), 30.0, 0.05))
+    assert detect_concentration(res, T, 25.0) is None
+    P = new_atomic([(-1.0, 0.25), (0.5, 0.75)])
+    mirrored, mirrored_P = mirror_image(res, P)
+    assert mirrored_P.atoms == ((-0.5, 0.75), (1.0, 0.25))
+    assert np.array_equal(mirrored.v.values, -res.v.values)
+    assert mirrored.peak_point == (16, 40)
+    assert (mirrored.J_value, mirrored.lam) == (res.J_value, res.lam)
+    assert detect_concentration(mirrored, T, 25.0) == (16, 40)
+    # the mirror image of a state has the same energy
+    v = random_zero_mean(T, 4, amplitude=2.0)
+    same = J(Problem(T, mirrored_P, 7.0), Field(-v.values))
+    assert same == pytest.approx(J(Problem(T, P, 7.0), v), rel=1e-12)
