@@ -5,8 +5,8 @@ recorded in every output header, numeric output uses shortest round-trip
 float formatting, and no output contains timestamps or absolute paths, so
 reruns with identical inputs are byte-identical.
 
-Exit codes: 0 success, 1 a requested check or run failed (including
-numerical failure), 2 invalid or non-finite input.
+Exit codes: 0 success, 1 a failed check, a stage that ended ``budget`` or
+``diverged``, or numerical failure, 2 invalid or non-finite input.
 """
 
 from __future__ import annotations
@@ -80,8 +80,6 @@ class Setting(NamedTuple):
 _SOLVER_HELP = {
     "max_iters": ("N", "descent iteration budget"),
     "grad_tol": ("TOL", "sup-norm equation residual to stop at"),
-    "step_init": ("S", "first trial step of the line search"),
-    "armijo_c": ("C", "Armijo sufficient-decrease constant, in (0, 1)"),
     "blowup_peak_threshold": ("V", "peak of |v| that stops a run as blown up"),
     "seed": ("N", "seed for all randomness"),
 }
@@ -249,10 +247,11 @@ def write_stage(
 
     The concentration point and the profile are read at the peak of v,
     or at the peak of -v from the mirror image when only the negative
-    spike reached the blow-up threshold.
+    spike reached the blow-up threshold or P has no positive circulation.
     """
     seen, seen_P = result, P
-    if result.peak_value < opts.blowup_peak_threshold <= -float(result.v.values.min()):
+    negative_spike = result.peak_value < opts.blowup_peak_threshold <= -float(result.v.values.min())
+    if negative_spike or moment(P, 1, "positive") == 0.0:
         seen, seen_P = mirror_image(result, P)
     conc = detect_concentration(seen, T, opts.blowup_peak_threshold)
     ci, cj = ("", "") if conc is None else (str(conc[0]), str(conc[1]))
@@ -281,6 +280,7 @@ def write_stage(
         "J": result.J_value,
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
+        "status": result.status,
         "peak_point": list(result.peak_point),
         "peak_value": result.peak_value,
         "blown_up": result.blown_up,
@@ -342,11 +342,13 @@ def cmd_solve(
     one_coupling: bool = False,
     want_profile: bool = False,
 ) -> int:
-    """Run the coupling schedule as a continuation sweep, one stage record
-    per completed stage.  ``minimize`` and ``profile`` are sweeps of exactly
-    one coupling; ``profile`` also exports the profile of a stage that did
-    not concentrate."""
+    """Run the coupling schedule as a continuation sweep, write a record of
+    every stage run, and exit 1 if one ended ``budget`` or ``diverged``.
+    ``minimize`` and ``profile`` are sweeps of one coupling; ``profile`` also
+    exports the profile of a stage that did not concentrate."""
     P = resolve_measure(cfg)
+    if want_profile and all(a == 0.0 for a, _ in P.atoms):
+        raise InputError("measure carries no circulation to profile")
     schedule = resolve_schedule(cfg, P)
     if one_coupling and len(schedule) != 1:
         raise InputError("this command expects exactly one coupling")
@@ -363,6 +365,11 @@ def cmd_solve(
     }
     write_summary(cfg, payload)
     _emit(cfg, payload, [_stage_line(k, stage) for k, stage in enumerate(stages)])
+    for k, r in enumerate(results):
+        if r.status in ("budget", "diverged"):
+            ending = f"{r.status} after {r.iterations} iterations at residual {r.residual_norm!r}"
+            print(f"error: stage {k} ended {ending}", file=sys.stderr)
+            return 1
     return 0
 
 
@@ -580,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # numerical failure: DivergedError and the quadrature failures are RuntimeErrors
+    # numerical failure: exp overflow, and the quadrature failures are RuntimeErrors
     except (OverflowError, RuntimeError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 1

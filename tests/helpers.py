@@ -22,20 +22,9 @@ def random_zero_mean_field(T: SpectralTorus, rng, amplitude: float = 1.0) -> Fie
 
 
 def synthetic_result(T: SpectralTorus, values: np.ndarray, lam: float = 1.0) -> MinimizeResult:
-    """Wrap raw grid values as a zero-mean minimizer result (peak marked)."""
+    """Wrap raw grid values as a zero-mean, blown-up minimizer result."""
     f = project_zero_mean(T, Field(np.asarray(values, dtype=float)))
-    flat = int(np.argmax(f.values))
-    peak = (flat // T.grid_n, flat % T.grid_n)
-    return MinimizeResult(
-        v=f,
-        J_value=0.0,
-        residual_norm=1.0,
-        iterations=0,
-        lam=lam,
-        peak_point=peak,
-        peak_value=float(f.values[peak]),
-        blown_up=True,
-    )
+    return MinimizeResult(v=f, J_value=0.0, residual_norm=1.0, iterations=0, lam=lam, status="blown_up")
 
 
 def gaussian_bump(T: SpectralTorus, center: tuple[int, int], height: float, width: float) -> np.ndarray:

@@ -114,16 +114,21 @@ def test_sweep_past_extremal_coupling_concentrates(tmp_path, capsys):
     out = str(tmp_path / "runs")
     code, _, _ = run(
         capsys, "sweep", "--atoms", "1:1", "--fractions", "0.3,0.6,0.9,0.99,2.0",
-        "--grid-n", "32", "--out", out,
+        "--grid-n", "64", "--out", out,
     )
     assert code == 0
     stages = read_summary(out)["stages"]
     assert len(stages) == 5
     assert [s["blown_up"] for s in stages] == [False] * 4 + [True]
+    assert [s["status"] for s in stages] == ["converged"] * 4 + ["blown_up"]
     assert stages[-1]["concentration"] is not None
     with open(os.path.join(out, "profile_4.csv")) as fh:
         header = fh.readlines()[1]
-    assert "fitted_slope=" in header and "gamma0_reference=" in header
+    fields = dict(item.split("=") for item in header[1:].split())
+    assert set(fields) == {"sigma", "fitted_slope", "gamma0_reference"}
+    slope = stages[-1]["profile"]["fitted_slope"]
+    assert math.isfinite(slope) and slope > 4.0
+    assert float(fields["fitted_slope"]) == slope
 
 
 def test_lambdas_and_fractions_conflict(capsys):
@@ -258,6 +263,56 @@ def test_negative_spike_is_located_and_profiled(tmp_path, capsys):
     assert lines[2] == "r,dw,fit_prediction" and len(lines) > 3
 
 
+def test_profile_of_a_measure_without_positive_circulation_reads_the_mirror(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    code, _, stderr = run(
+        capsys, "profile", "--atoms=-1:1", "--fractions", "0.5", "--grid-n", "32", "--out", out
+    )
+    assert (code, stderr) == (0, "")
+    stage = read_summary(out)["stages"][0]
+    assert stage["status"] == "converged" and stage["concentration"] is None
+    assert stage["profile"]["gamma0_reference"] == 4.0
+    lines = open(os.path.join(out, "profile_0.csv")).read().splitlines()
+    assert "gamma0_reference=4.0" in lines[1]
+
+
+def test_profile_of_a_measure_without_circulation_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "runs"
+    code, stdout, stderr = run(
+        capsys, "profile", "--atoms", "0:1", "--lambdas", "10", "--grid-n", "32", "--out", str(out)
+    )
+    assert code == 2
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_diverged_sweep_stage_keeps_every_record(tmp_path, capsys, monkeypatch):
+    from vortexmf.minimize import _EnergyDelta
+
+    real = _EnergyDelta.__call__
+    # the line search rejects every step at the second coupling, 0.6 lambda_bar > 10
+    monkeypatch.setattr(
+        _EnergyDelta, "__call__", lambda self, s: 1.0 if self.prob.lam > 10 else real(self, s)
+    )
+    out = str(tmp_path / "runs")
+    code, stdout, stderr = run(
+        capsys, "sweep", "--atoms", "1:1", "--fractions", "0.3,0.6", "--grid-n", "32", "--out", out
+    )
+    assert code == 1
+    for name in ("stage_0.csv", "stage_1.csv", "trace_0.csv", "trace_1.csv"):
+        assert os.path.exists(os.path.join(out, name)), name
+    summary = read_summary(out)
+    assert [s["status"] for s in summary["stages"]] == ["converged", "diverged"]
+    assert summary["completed_stages"] == summary["requested_stages"] == 2
+    last = summary["stages"][1]
+    assert len(stdout.splitlines()) == 2
+    assert stderr == (
+        f"error: stage 1 ended diverged after {last['iterations']} iterations "
+        f"at residual {last['residual_norm']!r}\n"
+    )
+
+
 def test_config_file_with_cli_override(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(
@@ -357,7 +412,7 @@ def test_config_keys_are_exactly_the_setting_flags():
     keys = set(SETTINGS)
     assert keys == {
         "measure", "atoms", "out", "side_length", "grid_n", "max_iters", "seed",
-        "n_bins", "grad_tol", "step_init", "armijo_c", "blowup_peak_threshold",
+        "n_bins", "grad_tol", "blowup_peak_threshold",
         "alpha", "lambdas", "fractions",
     }
     command_only = {"help", "config", "json", "debug_bubble_scale"}
@@ -372,11 +427,15 @@ def test_max_iters_from_file_and_flag_flag_wins(tmp_path, capsys):
     out = str(tmp_path / "runs")
     base = ("minimize", "--config", str(cfgfile), "--out", out, "--json")
     code, stdout, _ = run(capsys, *base)
-    assert code == 0
+    assert code == 1
     assert json.loads(stdout)["stages"][0]["iterations"] == 3
-    code, stdout, _ = run(capsys, *base, "--max-iters", "2")
-    assert code == 0
-    assert json.loads(stdout)["stages"][0]["iterations"] == 2
+    code, stdout, stderr = run(capsys, *base, "--max-iters", "2")
+    assert code == 1
+    stage = json.loads(stdout)["stages"][0]
+    assert stage["iterations"] == 2
+    assert stage["status"] == "budget"
+    residual = stage["residual_norm"]
+    assert stderr == f"error: stage 0 ended budget after 2 iterations at residual {residual!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -384,11 +443,11 @@ def test_max_iters_from_file_and_flag_flag_wins(tmp_path, capsys):
     [
         (("verify", "--debug-bubble-scale", "nan"), None),
         (("verify", "--debug-bubble-scale", "inf"), None),
-        (("minimize", "--atoms", "1:1", "--grid-n", "32"), "lambdas = 12.0\nstep_init = inf\n"),
+        (("minimize", "--atoms", "1:1", "--grid-n", "32"), "lambdas = 12.0\ngrad_tol = inf\n"),
         (("minimize", "--atoms", "1:1", "--grid-n", "32", "--lambdas", "inf"), None),
         (("minimize", "--atoms", "1:1", "--lambdas", "12.0", "--side-length", "inf"), None),
     ],
-    ids=["scale-nan", "scale-inf", "step_init-inf", "lambdas-inf", "side_length-inf"],
+    ids=["scale-nan", "scale-inf", "grad_tol-inf", "lambdas-inf", "side_length-inf"],
 )
 def test_non_finite_input_is_an_input_error(tmp_path, capsys, argv, config):
     argv = list(argv) + ["--out", str(tmp_path / "runs")]

@@ -10,7 +10,6 @@ from helpers import gaussian_bump, synthetic_result
 from vortexmf.functional import J, Problem, el_residual
 from vortexmf.measure import new_atomic
 from vortexmf.minimize import (
-    DivergedError,
     MinimizeOptions,
     center_bump,
     continuation_sweep,
@@ -35,8 +34,6 @@ def test_options_validation():
         MinimizeOptions(max_iters=0)
     with pytest.raises(ValueError):
         MinimizeOptions(grad_tol=-1.0)
-    with pytest.raises(ValueError):
-        MinimizeOptions(armijo_c=1.0)
     with pytest.raises(ValueError):
         MinimizeOptions(seed=-1)
 
@@ -212,6 +209,42 @@ def test_blowup_guard_sees_negative_spikes():
     assert runs[1].v.values.min() <= -25.0
 
 
+@pytest.mark.parametrize("status", ["converged", "blown_up", "budget", "diverged"])
+def test_minimize_reports_how_it_ended(monkeypatch, status):
+    T = SpectralTorus(1.0, 32)
+    atom, fraction, opts = {
+        "converged": (1.0, 0.5, MinimizeOptions()),
+        "blown_up": (-1.0, 2.0, MinimizeOptions()),
+        "budget": (1.0, 0.5, MinimizeOptions(max_iters=2)),
+        "diverged": (1.0, 0.5, MinimizeOptions()),
+    }[status]
+    if status == "diverged":
+        monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0)
+    res = minimize(Problem(T, new_atomic([(atom, 1.0)]), fraction * EIGHT_PI), opts)
+    assert res.status == status
+    assert res.blown_up == (status == "blown_up")
+    assert (res.residual_norm <= opts.grad_tol) == (status == "converged")
+    if status in ("budget", "diverged"):
+        assert res.iterations == (2 if status == "budget" else 0)
+    assert res.peak_value == res.v.values.max() == res.v.values[res.peak_point]
+
+
+def test_sweep_stops_after_a_diverged_stage(monkeypatch):
+    real = minimize_module._EnergyDelta.__call__
+    monkeypatch.setattr(
+        minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0 if self.prob.lam > 10 else real(self, s)
+    )
+    T = SpectralTorus(1.0, 32)
+    results = continuation_sweep(T, delta_one(), [f * EIGHT_PI for f in (0.3, 0.6, 0.9)], MinimizeOptions())
+    assert [r.status for r in results] == ["converged", "diverged"]
+
+
+def test_sweep_goes_on_after_a_budget_stage():
+    T = SpectralTorus(1.0, 32)
+    results = continuation_sweep(T, delta_one(), [1.0, 2.0], MinimizeOptions(max_iters=1))
+    assert [r.status for r in results] == ["budget", "budget"]
+
+
 def _signed_three_atom_move():
     T = SpectralTorus(1.0, 32)
     P = new_atomic([(-1.0, 0.3), (0.5, 0.3), (1.0, 0.4)])
@@ -271,9 +304,8 @@ def test_diverged_error_carries_last_iterate(monkeypatch):
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 10.0)
     monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0)
-    with pytest.raises(DivergedError) as exc:
-        minimize(prob, MinimizeOptions())
-    last = exc.value.last
+    last = minimize(prob, MinimizeOptions())
+    assert last.status == "diverged"
     assert last.iterations == 0
     assert last.residual_norm > 0.0
     assert last.v.values.shape == (32, 32)
@@ -293,9 +325,9 @@ def test_residual_is_computed_once_per_iterate(monkeypatch):
     assert len(calls) == res.iterations + 1
     calls.clear()
     monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0)
-    with pytest.raises(DivergedError) as exc:
-        minimize(Problem(T, delta_one(), 10.0), MinimizeOptions())
-    assert len(calls) == exc.value.last.iterations + 1 == 1
+    last = minimize(Problem(T, delta_one(), 10.0), MinimizeOptions())
+    assert last.status == "diverged"
+    assert len(calls) == last.iterations + 1 == 1
 
 
 def test_work_per_iteration(monkeypatch):
