@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from vortexmf.functional import log_partition
-from vortexmf.measure import CirculationMeasure, moment
+from vortexmf.measure import CirculationMeasure, tail_scan
 from vortexmf.minimize import MinimizeResult
 from vortexmf.torus import Field, SpectralTorus, radial_average
 
@@ -27,6 +26,14 @@ DEFAULT_WINDOW = (3.0, 30.0)
 PEAK_SLACK = 1e-9
 FD_STEP = 1e-5
 TAIL_SAFETY = 1e-3
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call: reading a profile
+    needs no quadrature, so only the integrating code pays for scipy."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def radial_integral(
@@ -213,6 +220,9 @@ def rescale_profile(
     dw uses the exact relation w_alpha(x) - w_alpha(peak) =
     alpha (v(x) - v(peak)): profiles at different alpha differ by the
     factor alpha alone.  sigma comes from the unit-circulation peak value.
+    The spike carries the mass lambda m_K of the positive extremal subset K
+    of the tail scan, so the reference slope is gamma0 = 4 P(K) / m_K,
+    which is 4 / m1 under residual vanishing.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -220,9 +230,11 @@ def rescale_profile(
     if vals.shape != (T.grid_n, T.grid_n):
         raise ValueError("result grid does not match the torus")
     peak = result.peak_point
-    m1 = moment(P, 1, side="positive")
-    if m1 <= 0.0:
+    subset = tail_scan(P, "positive")[1]
+    if not subset:
         raise ValueError("measure carries no positive circulation")
+    mass = math.fsum(P.atoms[i][1] for i in subset)
+    m_k = math.fsum(P.atoms[i][0] * P.atoms[i][1] for i in subset)
     w1_peak = float(vals[peak]) - log_partition(T, result.v, 1.0)
     dw_field = Field(alpha * (vals - vals[peak]))
     bins = radial_average(T, dw_field, peak, n_bins if n_bins is not None else T.grid_n // 2)
@@ -235,7 +247,7 @@ def rescale_profile(
         samples=tuple(zip(r.tolist(), mean_dw.tolist())),
         fitted_slope=slope,
         fitted_intercept=intercept,
-        gamma0_reference=4.0 / m1,
+        gamma0_reference=4.0 * mass / m_k,
     )
 
 

@@ -18,10 +18,21 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from vortexmf.blowup import (
+    BlowupProfile,
+    bubble_profile,
+    fit_li_slope,
+    liouville_bubble,
+    mass_gamma,
+    newton_potential,
+    pohozaev_residual,
+    radial_integral,
+    rescale_profile,
+)
 from vortexmf.measure import (
     CirculationMeasure,
     alpha_min,
@@ -41,11 +52,6 @@ from vortexmf.minimize import (
     mirror_image,
 )
 from vortexmf.torus import SpectralTorus
-
-# vortexmf.blowup, and with it scipy, is imported only by the code that
-# integrates or fits a profile, so commands that need neither skip it.
-if TYPE_CHECKING:
-    from vortexmf.blowup import BlowupProfile
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -257,15 +263,13 @@ def write_stage(
     ci, cj = ("", "") if conc is None else (str(conc[0]), str(conc[1]))
     with open(os.path.join(cfg.out, f"stage_{k}.csv"), "w", encoding="utf-8") as fh:
         fh.write(f"# seed={cfg.seed}\n")
-        fh.write("lambda,J,residual_norm,max_v,blown_up,concentration_i,concentration_j\n")
+        fh.write("lambda,J,residual_norm,max_v,status,concentration_i,concentration_j\n")
         fh.write(
             f"{result.lam!r},{result.J_value!r},{result.residual_norm!r},"
-            f"{result.peak_value!r},{str(result.blown_up).lower()},{ci},{cj}\n"
+            f"{result.peak_value!r},{result.status},{ci},{cj}\n"
         )
     profile = None
     if want_profile or conc is not None:
-        from vortexmf.blowup import rescale_profile
-
         fitted = rescale_profile(seen, T, seen_P, cfg.alpha, cfg.n_bins)
         write_profile_csv(cfg, k, fitted)
         profile = {
@@ -283,7 +287,6 @@ def write_stage(
         "status": result.status,
         "peak_point": list(result.peak_point),
         "peak_value": result.peak_value,
-        "blown_up": result.blown_up,
         "concentration": None if conc is None else list(conc),
         "profile": profile,
     }
@@ -328,7 +331,7 @@ def _stage_line(k: int, stage: dict) -> str:
     line = (
         f"stage {k}: lambda={stage['lambda']!r} J={stage['J']!r} "
         f"residual={stage['residual_norm']!r} iterations={stage['iterations']} "
-        f"blown_up={str(stage['blown_up']).lower()}"
+        f"status={stage['status']}"
     )
     if stage["profile"] is not None:
         line += f" sigma={stage['profile']['sigma']!r} fitted_slope={stage['profile']['fitted_slope']!r}"
@@ -360,7 +363,6 @@ def cmd_solve(
         "command": cfg.command,
         "seed": cfg.seed,
         "stages": stages,
-        "completed_stages": len(results),
         "requested_stages": len(schedule),
     }
     write_summary(cfg, payload)
@@ -431,16 +433,6 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
     2 log(scale); any value other than 1 breaks the equation it is
     supposed to solve and must make that check fail (negative control).
     """
-    from vortexmf.blowup import (
-        bubble_profile,
-        fit_li_slope,
-        liouville_bubble,
-        mass_gamma,
-        newton_potential,
-        pohozaev_residual,
-        radial_integral,
-    )
-
     lam, mu = 8.0, 1.0
     density = lambda r: lam * math.exp(liouville_bubble(mu, lam, r))
     checks: list[dict] = []

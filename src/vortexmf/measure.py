@@ -162,8 +162,11 @@ def _side_atoms(P: CirculationMeasure, side: str) -> list[tuple[float, float, in
     return sel
 
 
-def _tailscan_side(ordered: list[tuple[float, float, int]]) -> tuple[float, tuple[int, ...]]:
-    """Minimum of the subset ratio over prefixes of the |alpha|-sorted atoms."""
+def tail_scan(P: CirculationMeasure, side: str) -> tuple[float, tuple[int, ...]]:
+    """Minimum of the subset ratio over subsets of one sign, and the tail
+    prefix attaining it as indices into P.atoms; (inf, ()) when every
+    subset of that sign has zero circulation integral."""
+    ordered = _side_atoms(P, side)
     best = math.inf
     best_j = 0
     p = 0.0
@@ -202,10 +205,7 @@ def lambda_bar(P: CirculationMeasure) -> ExtremalResult:
     each sign, which is exact by the proof in the module docstring.  The
     tests check it against exhaustive enumeration, bit for bit.
     """
-    return _combine_sides(
-        _tailscan_side(_side_atoms(P, "positive")),
-        _tailscan_side(_side_atoms(P, "negative")),
-    )
+    return _combine_sides(tail_scan(P, "positive"), tail_scan(P, "negative"))
 
 
 def lambda_bar_residual_vanishing(P: CirculationMeasure) -> float:

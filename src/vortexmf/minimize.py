@@ -75,10 +75,6 @@ class MinimizeResult:
     status: str
 
     @property
-    def blown_up(self) -> bool:
-        return self.status == "blown_up"
-
-    @property
     def peak_point(self) -> tuple[int, int]:
         """The first grid point, in row-major order, where v is largest."""
         i, j = np.unravel_index(int(np.argmax(self.v.values)), self.v.values.shape)

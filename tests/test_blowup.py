@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import synthetic_result
+from helpers import gaussian_bump, synthetic_result
 from vortexmf.blowup import (
     BlowupProfile,
     bubble_profile,
@@ -191,6 +191,20 @@ def test_rescale_profile_recovers_radial_law():
             assert abs(dw - (-2.0 * math.log1p((rr / s) ** 2))) <= 0.01
             checked += 1
     assert checked >= 20
+
+
+@pytest.mark.parametrize(
+    "pairs, gamma0",
+    [
+        ([(0.6, 0.5), (1.0, 0.5)], 5.0),  # K is the full support: 4 / m1
+        ([(0.2, 0.5), (1.0, 0.5)], 4.0),  # K = {1}: 4 P(K) / m_K, not 4 / m1
+        ([(-1.0, 0.5), (1.0, 0.5)], 4.0),  # only the positive side counts
+    ],
+)
+def test_rescale_profile_reference_from_extremal_subset(pairs, gamma0):
+    T = SpectralTorus(1.0, 32)
+    res = synthetic_result(T, gaussian_bump(T, (16, 16), 10.0, 0.05))
+    assert rescale_profile(res, T, new_atomic(pairs), 1.0).gamma0_reference == gamma0
 
 
 def test_rescale_profile_alpha_homogeneity():

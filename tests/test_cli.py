@@ -91,11 +91,12 @@ def test_minimize_writes_artifacts(tmp_path, capsys):
     stage = payload["stages"][0]
     assert stage["lambda"] == 12.0
     assert stage["residual_norm"] <= 1e-8
-    assert stage["blown_up"] is False
+    assert stage["status"] == "converged" and "blown_up" not in stage
     assert stage["concentration"] is None
     stage_lines = open(os.path.join(out, "stage_0.csv")).read().splitlines()
     assert stage_lines[0] == "# seed=0"
-    assert stage_lines[1] == "lambda,J,residual_norm,max_v,blown_up,concentration_i,concentration_j"
+    assert stage_lines[1] == "lambda,J,residual_norm,max_v,status,concentration_i,concentration_j"
+    assert stage_lines[2].split(",")[4] == "converged"
     assert len(stage_lines) == 3
 
 
@@ -119,7 +120,6 @@ def test_sweep_past_extremal_coupling_concentrates(tmp_path, capsys):
     assert code == 0
     stages = read_summary(out)["stages"]
     assert len(stages) == 5
-    assert [s["blown_up"] for s in stages] == [False] * 4 + [True]
     assert [s["status"] for s in stages] == ["converged"] * 4 + ["blown_up"]
     assert stages[-1]["concentration"] is not None
     with open(os.path.join(out, "profile_4.csv")) as fh:
@@ -163,8 +163,8 @@ def test_sweep_summary_counts_stages(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(stdout)
-    assert payload["requested_stages"] == 2
-    assert payload["completed_stages"] == 2
+    assert payload["requested_stages"] == len(payload["stages"]) == 2
+    assert "completed_stages" not in payload
     lams = [s["lambda"] for s in payload["stages"]]
     assert lams == [pytest.approx(0.3 * EIGHT_PI), pytest.approx(0.6 * EIGHT_PI)]
 
@@ -200,12 +200,12 @@ def test_single_coupling_commands_write_one_record(tmp_path, capsys):
         records[command] = (stdout, summary, _outputs(out))
     stdout, summary, files = records["minimize"]
     assert sorted(files) == ["profile_0.csv", "stage_0.csv", "summary.json", "trace_0.csv"]
-    assert summary["completed_stages"] == summary["requested_stages"] == 1
+    assert summary["requested_stages"] == len(summary["stages"]) == 1
     stage = summary["stages"][0]
-    assert stage["blown_up"] is True and stage["profile"] is not None
+    assert stage["status"] == "blown_up" and stage["profile"] is not None
     assert stdout == (
         f"stage 0: lambda=50.0 J={stage['J']!r} residual={stage['residual_norm']!r} "
-        f"iterations={stage['iterations']} blown_up=true "
+        f"iterations={stage['iterations']} status=blown_up "
         f"sigma={stage['profile']['sigma']!r} fitted_slope={stage['profile']['fitted_slope']!r}\n"
     )
     for other in ("profile", "sweep"):
@@ -252,7 +252,7 @@ def test_negative_spike_is_located_and_profiled(tmp_path, capsys):
     )
     assert code == 0
     stage = read_summary(out)["stages"][0]
-    assert stage["blown_up"] is True
+    assert stage["status"] == "blown_up"
     assert stage["peak_value"] < 25.0
     assert stage["concentration"] is not None and stage["concentration"] != stage["peak_point"]
     assert stage["profile"]["gamma0_reference"] == 4.0
@@ -261,6 +261,21 @@ def test_negative_spike_is_located_and_profiled(tmp_path, capsys):
     assert [int(row[5]), int(row[6])] == stage["concentration"]
     lines = open(os.path.join(out, "profile_0.csv")).read().splitlines()
     assert lines[2] == "r,dw,fit_prediction" and len(lines) > 3
+
+
+def test_signed_profile_reference_comes_from_the_extremal_subset(tmp_path, capsys):
+    # at lambda_bar of 1/2 delta_-1 + 1/2 delta_1 the positive spike carries
+    # the mass of K = {1}: gamma0 = 4 P(K) / m_K = 4, not 4 / m1 = 8
+    out = str(tmp_path / "runs")
+    code, _, _ = run(
+        capsys, "profile", "--atoms=-1:0.5,1:0.5", "--fractions", "1.0", "--grid-n", "64", "--out", out
+    )
+    assert code == 0
+    profile = read_summary(out)["stages"][0]["profile"]
+    assert profile["gamma0_reference"] == 4.0
+    assert abs(profile["fitted_slope"] - 4.0) < 1.0
+    lines = open(os.path.join(out, "profile_0.csv")).read().splitlines()
+    assert "gamma0_reference=4.0" in lines[1]
 
 
 def test_profile_of_a_measure_without_positive_circulation_reads_the_mirror(tmp_path, capsys):
@@ -304,7 +319,7 @@ def test_diverged_sweep_stage_keeps_every_record(tmp_path, capsys, monkeypatch):
         assert os.path.exists(os.path.join(out, name)), name
     summary = read_summary(out)
     assert [s["status"] for s in summary["stages"]] == ["converged", "diverged"]
-    assert summary["completed_stages"] == summary["requested_stages"] == 2
+    assert summary["requested_stages"] == len(summary["stages"]) == 2
     last = summary["stages"][1]
     assert len(stdout.splitlines()) == 2
     assert stderr == (
@@ -562,8 +577,12 @@ def test_scan_reproduces_the_two_atom_map(tmp_path, capsys):
 
 
 def test_only_integrating_commands_load_scipy(tmp_path):
+    # reading a concentrated or exported profile runs no quadrature, so only
+    # verify pays for scipy
     script = f"""
-import sys
+import os, sys
+import vortexmf.blowup
+print("scipy" in sys.modules)
 import vortexmf.cli
 print("scipy" in sys.modules)
 from vortexmf.cli import main
@@ -571,6 +590,13 @@ main(["lambda-bar", "--atoms", "1:1", "--out", {str(tmp_path / "a")!r}])
 print("scipy" in sys.modules)
 main(["minimize", "--atoms", "1:1", "--lambdas", "1", "--grid-n", "32",
       "--out", {str(tmp_path / "b")!r}])
+print("scipy" in sys.modules)
+main(["sweep", "--atoms", "1:1", "--fractions", "0.5,2.0", "--grid-n", "64",
+      "--out", {str(tmp_path / "d")!r}])
+print(os.path.exists({str(tmp_path / "d" / "profile_1.csv")!r}))
+print("scipy" in sys.modules)
+main(["profile", "--atoms=-1:0.5,1:0.5", "--fractions", "1.0", "--grid-n", "64",
+      "--out", {str(tmp_path / "e")!r}])
 print("scipy" in sys.modules)
 main(["verify", "--out", {str(tmp_path / "c")!r}])
 print("scipy" in sys.modules)
@@ -581,4 +607,4 @@ print("scipy" in sys.modules)
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     flags = [line for line in done.stdout.splitlines() if line in ("True", "False")]
-    assert flags == ["False", "False", "False", "True"]
+    assert flags == ["False", "False", "False", "False", "True", "False", "False", "True"]

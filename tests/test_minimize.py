@@ -46,14 +46,14 @@ def test_zero_start_is_stationary():
     assert res.iterations == 0
     assert res.J_value == 0.0
     assert res.residual_norm == 0.0
-    assert not res.blown_up
+    assert res.status == "converged"
 
 
 def test_converges_from_random_start():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 0.5 * EIGHT_PI)
     res = minimize(prob, MinimizeOptions())
-    assert not res.blown_up
+    assert res.status == "converged"
     assert res.iterations > 0
     assert res.residual_norm <= 1e-8
     # below the extremal coupling the flat state is the minimizer
@@ -80,7 +80,7 @@ def test_warm_start_validation():
     assert ones.iterations == zero.iterations == 0
     assert ones.J_value == pytest.approx(zero.J_value, abs=1e-15)
     assert ones.residual_norm <= 1e-12
-    assert not ones.blown_up
+    assert ones.status == "converged"
     # the warm start is taken with its mean subtracted
     assert np.array_equal(ones.v.values, np.zeros((32, 32)))
     wrong = Field(np.zeros((64, 64)))
@@ -138,7 +138,7 @@ def test_sweep_stagewise_convergence():
     )
     assert len(results) == 3
     for r in results:
-        assert not r.blown_up
+        assert r.status == "converged"
         assert r.residual_norm <= 1e-8
     j_vals = [r.J_value for r in results]
     assert all(b <= a + 1e-12 for a, b in zip(j_vals, j_vals[1:]))
@@ -171,7 +171,7 @@ def test_sweep_stops_after_blowup_stage():
     opts = MinimizeOptions(blowup_peak_threshold=0.001)
     results = continuation_sweep(T, delta_one(), [1.0, 2.0, 3.0], opts)
     assert len(results) == 1
-    assert results[0].blown_up
+    assert results[0].status == "blown_up"
 
 
 def test_blowup_guard_on_warm_start():
@@ -179,7 +179,7 @@ def test_blowup_guard_on_warm_start():
     prob = Problem(T, delta_one(), 1.0)
     tall = project_zero_mean(T, Field(gaussian_bump(T, (16, 16), 26.0, 0.1)))
     res = minimize(prob, MinimizeOptions(), warm_start=tall)
-    assert res.blown_up
+    assert res.status == "blown_up"
     assert res.iterations == 0
     assert res.peak_value >= 25.0
 
@@ -192,7 +192,7 @@ def test_blowup_reached_dynamically():
     warm = project_zero_mean(T, Field(gaussian_bump(T, (16, 16), 4.0, 0.125)))
     opts = MinimizeOptions(blowup_peak_threshold=5.0)
     res = minimize(prob, opts, warm_start=warm)
-    assert res.blown_up
+    assert res.status == "blown_up"
     assert res.iterations > 0
     assert res.peak_value >= 5.0
 
@@ -203,7 +203,7 @@ def test_blowup_guard_sees_negative_spikes():
     T = SpectralTorus(1.0, 32)
     probs = [Problem(T, new_atomic([(a, 1.0)]), 2.0 * EIGHT_PI) for a in (1.0, -1.0)]
     runs = [minimize(prob, MinimizeOptions()) for prob in probs]
-    assert [r.blown_up for r in runs] == [True, True]
+    assert [r.status for r in runs] == ["blown_up", "blown_up"]
     assert [r.iterations for r in runs] == [34, 34]
     assert runs[0].v.values.max() >= 25.0
     assert runs[1].v.values.min() <= -25.0
@@ -222,7 +222,6 @@ def test_minimize_reports_how_it_ended(monkeypatch, status):
         monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0)
     res = minimize(Problem(T, new_atomic([(atom, 1.0)]), fraction * EIGHT_PI), opts)
     assert res.status == status
-    assert res.blown_up == (status == "blown_up")
     assert (res.residual_norm <= opts.grad_tol) == (status == "converged")
     if status in ("budget", "diverged"):
         assert res.iterations == (2 if status == "budget" else 0)
@@ -294,7 +293,7 @@ def test_warm_start_mean_does_not_matter():
     bump = center_bump(T)
     plain = minimize(prob, MinimizeOptions(), warm_start=bump)
     shifted = minimize(prob, MinimizeOptions(), warm_start=Field(bump.values + 30.0))
-    assert not shifted.blown_up
+    assert shifted.status == "converged"
     assert shifted.iterations == plain.iterations > 0
     assert shifted.J_value == pytest.approx(plain.J_value, abs=1e-14)
     assert abs(shifted.v.values.mean()) <= 1e-15
