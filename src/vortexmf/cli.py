@@ -6,7 +6,8 @@ float formatting, and no output contains timestamps or absolute paths, so
 reruns with identical inputs are byte-identical.
 
 Exit codes: 0 success, 1 a failed check, a stage that ended ``budget`` or
-``diverged``, or numerical failure, 2 invalid or non-finite input.
+``diverged`` or blew up below lambda_bar, or numerical failure, 2 invalid or
+non-finite input.
 """
 
 from __future__ import annotations
@@ -284,6 +285,8 @@ def write_stage(
         "J": result.J_value,
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
+        "newton_steps": result.newton_steps,
+        "hessian_products": result.hessian_products,
         "status": result.status,
         "peak_point": list(result.peak_point),
         "peak_value": result.peak_value,
@@ -346,7 +349,8 @@ def cmd_solve(
     want_profile: bool = False,
 ) -> int:
     """Run the coupling schedule as a continuation sweep, write a record of
-    every stage run, and exit 1 if one ended ``budget`` or ``diverged``.
+    every stage run, and exit 1 if one ended ``budget`` or ``diverged``, or
+    ``blown_up`` below lambda_bar(P), where J is bounded below.
     ``minimize`` and ``profile`` are sweeps of one coupling; ``profile`` also
     exports the profile of a stage that did not concentrate."""
     P = resolve_measure(cfg)
@@ -367,8 +371,9 @@ def cmd_solve(
     }
     write_summary(cfg, payload)
     _emit(cfg, payload, [_stage_line(k, stage) for k, stage in enumerate(stages)])
+    bar = lambda_bar(P).lambda_bar
     for k, r in enumerate(results):
-        if r.status in ("budget", "diverged"):
+        if r.status in ("budget", "diverged") or (r.status == "blown_up" and r.lam < bar):
             ending = f"{r.status} after {r.iterations} iterations at residual {r.residual_norm!r}"
             print(f"error: stage {k} ended {ending}", file=sys.stderr)
             return 1

@@ -108,3 +108,24 @@ def el_residual(
             acc += (w * a) * (density - inv_vol)
     res = -lap - prob.lam * acc
     return project_zero_mean(T, Field(res))
+
+
+def hessian_product(prob: Problem, partitions: list[tuple[np.ndarray, float]], phi: Field) -> Field:
+    """Second variation of J at v applied to phi, projected to zero mean:
+
+        -Laplacian phi - lambda sum w alpha^2 rho_alpha (phi - int rho_alpha phi),
+
+    with rho_alpha = e^{alpha v} / int e^{alpha v} read off the ``partitions``
+    that :func:`el_residual` handed out for v, so no exponential is taken.
+    It is the derivative of :func:`el_residual` along phi, and symmetric in
+    the L^2 inner product.
+    """
+    T = prob.torus
+    phi_vals = phi.values
+    acc = np.zeros_like(phi_vals)
+    for (a, w), (ex, total) in zip(prob.P.atoms, partitions):
+        if a != 0.0:
+            mean = float((ex * phi_vals).sum()) / total  # int rho_alpha phi
+            acc += (w * a * a / (T.cell_area * total)) * ex * (phi_vals - mean)
+    res = -laplacian(T, phi).values - prob.lam * acc
+    return project_zero_mean(T, Field(res))

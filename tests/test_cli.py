@@ -92,6 +92,7 @@ def test_minimize_writes_artifacts(tmp_path, capsys):
     assert stage["lambda"] == 12.0
     assert stage["residual_norm"] <= 1e-8
     assert stage["status"] == "converged" and "blown_up" not in stage
+    assert stage["newton_steps"] == stage["hessian_products"] == 0
     assert stage["concentration"] is None
     stage_lines = open(os.path.join(out, "stage_0.csv")).read().splitlines()
     assert stage_lines[0] == "# seed=0"
@@ -129,6 +130,53 @@ def test_sweep_past_extremal_coupling_concentrates(tmp_path, capsys):
     slope = stages[-1]["profile"]["fitted_slope"]
     assert math.isfinite(slope) and slope > 4.0
     assert float(fields["fitted_slope"]) == slope
+
+
+STALL_SWEEP = ("sweep", "--atoms=-1:0.5,1:0.5", "--fractions", "0.8,0.9,0.99,1.0", "--grid-n", "64")
+
+
+def test_near_extremal_sweep_converges_every_stage(tmp_path, capsys):
+    # BB stagnates at 0.99 lambda_bar on 64^2; the trust-region Newton finish
+    # takes that stage to grad_tol, and the lambda_bar stage to the minimizer
+    out = tmp_path / "runs"
+    code, _, stderr = run(capsys, *STALL_SWEEP, "--out", str(out))
+    assert code == 0 and stderr == ""
+    stages = read_summary(out)["stages"]
+    assert [s["status"] for s in stages] == ["converged"] * 4
+    assert all(s["residual_norm"] <= 1e-8 for s in stages)
+    assert abs(stages[3]["J"] - (-21.7696018090033)) <= 1e-9
+    assert stages[2]["newton_steps"] > 0
+    assert stages[2]["hessian_products"] >= stages[2]["newton_steps"]
+    assert stages[2]["iterations"] < 1000
+    with open(out / "trace_2.csv") as fh:
+        assert len(fh.read().splitlines()) == stages[2]["iterations"] + 3
+
+
+def test_blowup_below_extremal_coupling_exits_1(tmp_path, capsys):
+    # J is bounded below lambda_bar, so a blown-up stage there is a failure;
+    # every record is still written
+    out = tmp_path / "runs"
+    code, stdout, stderr = run(
+        capsys, "minimize", "--atoms=-1:0.5,1:0.5", "--fractions", "0.99", "--grid-n", "64",
+        "--blowup-peak-threshold", "5", "--out", str(out),
+    )
+    assert code == 1
+    assert "status=blown_up" in stdout
+    assert stderr.startswith("error: stage 0 ended blown_up after ")
+    assert read_summary(out)["stages"][0]["status"] == "blown_up"
+    for name in ("stage_0.csv", "trace_0.csv"):
+        assert (out / name).exists()
+
+
+@pytest.mark.parametrize("coupling", [("--fractions", "1.0"), ("--lambdas", repr(2.0 * EIGHT_PI))])
+def test_blowup_at_extremal_coupling_exits_0(tmp_path, capsys, coupling):
+    out = tmp_path / "runs"
+    code, stdout, stderr = run(
+        capsys, "minimize", "--atoms=-1:0.5,1:0.5", *coupling, "--grid-n", "32",
+        "--blowup-peak-threshold", "5", "--out", str(out),
+    )
+    assert code == 0 and stderr == ""
+    assert "status=blown_up" in stdout
 
 
 def test_lambdas_and_fractions_conflict(capsys):
@@ -598,6 +646,8 @@ print("scipy" in sys.modules)
 main(["profile", "--atoms=-1:0.5,1:0.5", "--fractions", "1.0", "--grid-n", "64",
       "--out", {str(tmp_path / "e")!r}])
 print("scipy" in sys.modules)
+main({list(STALL_SWEEP)!r} + ["--out", {str(tmp_path / "f")!r}])
+print("scipy" in sys.modules)
 main(["verify", "--out", {str(tmp_path / "c")!r}])
 print("scipy" in sys.modules)
 """
@@ -607,4 +657,4 @@ print("scipy" in sys.modules)
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     flags = [line for line in done.stdout.splitlines() if line in ("True", "False")]
-    assert flags == ["False", "False", "False", "False", "True", "False", "False", "True"]
+    assert flags == ["False", "False", "False", "False", "True", "False", "False", "False", "True"]

@@ -8,8 +8,9 @@ from scipy.special import i0
 
 from helpers import random_measure, random_zero_mean_field
 from oracles import J_dual, dalpha_partition, dalpha_peak
-from vortexmf.functional import J, Problem, el_residual, log_partition, w_alpha
+from vortexmf.functional import J, Problem, el_residual, hessian_product, log_partition, w_alpha
 from vortexmf.measure import new_atomic
+from vortexmf.minimize import random_zero_mean
 from vortexmf.torus import Field, SpectralTorus, integrate, laplacian, project_zero_mean
 
 
@@ -164,6 +165,45 @@ def test_residual_hands_out_the_shifted_partitions():
         expected = np.exp(av - av.max())
         assert np.array_equal(ex, expected)
         assert total == float(expected.sum())
+
+
+def _signed_hessian_setup():
+    T = SpectralTorus(1.0, 32)
+    prob = Problem(T, new_atomic([(-0.7, 0.3), (0.2, 0.3), (0.9, 0.4)]), 30.0)
+    v = random_zero_mean(T, 3, amplitude=2.0)
+    partitions = []
+    el_residual(prob, v, partitions)
+    return T, prob, v, partitions
+
+
+def test_hessian_product_is_symmetric():
+    T, prob, _, partitions = _signed_hessian_setup()
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        phi = random_zero_mean_field(T, rng)
+        psi = random_zero_mean_field(T, rng)
+        h_phi = hessian_product(prob, partitions, phi)
+        h_psi = hessian_product(prob, partitions, psi)
+        lhs = integrate(T, Field(h_phi.values * psi.values))
+        rhs = integrate(T, Field(phi.values * h_psi.values))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert abs(h_phi.values.mean()) <= 1e-12 * np.abs(h_phi.values).max()
+
+
+def test_hessian_product_is_the_derivative_of_the_residual():
+    # central difference of el_residual along smooth directions; the
+    # Laplacian part is linear, so the nonlinear part is also checked alone
+    T, prob, v, partitions = _signed_hessian_setup()
+    h = 1e-4
+    for seed in range(4):
+        phi = random_zero_mean(T, 100 + seed, amplitude=1.0)
+        plus = el_residual(prob, Field(v.values + h * phi.values)).values
+        minus = el_residual(prob, Field(v.values - h * phi.values)).values
+        fd = (plus - minus) / (2.0 * h)
+        exact = hessian_product(prob, partitions, phi).values
+        assert np.abs(fd - exact).max() <= 1e-6 * np.abs(exact).max()
+        lin = project_zero_mean(T, Field(-laplacian(T, phi).values)).values
+        assert np.abs(fd - exact).max() <= 1e-6 * np.abs(exact - lin).max()
 
 
 def test_dual_energy_agrees_at_zero_field():

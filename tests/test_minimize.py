@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import gaussian_bump, synthetic_result
-from vortexmf.functional import J, Problem, el_residual
+from vortexmf.functional import J, Problem, el_residual, hessian_product
 from vortexmf.measure import new_atomic
 from vortexmf.minimize import (
     MinimizeOptions,
@@ -18,7 +18,7 @@ from vortexmf.minimize import (
     mirror_image,
     random_zero_mean,
 )
-from vortexmf.torus import Field, SpectralTorus, gradient_inner, project_zero_mean
+from vortexmf.torus import Field, SpectralTorus, gradient_inner, integrate, project_zero_mean, solve_poisson_zero_mean
 
 minimize_module = importlib.import_module("vortexmf.minimize")
 
@@ -359,6 +359,108 @@ def test_work_per_iteration(monkeypatch):
     # one expm1 per atom and line-search trial, at least one trial per iteration
     assert counts["expm1"] % per_atom == 0
     assert counts["expm1"] >= per_atom * res.iterations
+
+
+def _counting_hessian(monkeypatch):
+    calls = []
+
+    def counted(prob, partitions, phi):
+        calls.append(1)
+        return hessian_product(prob, partitions, phi)
+
+    monkeypatch.setattr(minimize_module, "hessian_product", counted)
+    return calls
+
+
+def test_bb_run_never_takes_a_hessian_product(monkeypatch):
+    calls = _counting_hessian(monkeypatch)
+    T = SpectralTorus(1.0, 32)
+    res = minimize(Problem(T, delta_one(), 0.5 * EIGHT_PI), MinimizeOptions())
+    assert res.status == "converged"
+    assert res.newton_steps == res.hessian_products == len(calls) == 0
+
+
+def test_stalled_descent_finishes_by_trust_region_newton(monkeypatch, tmp_path):
+    # the signed pair at lambda_bar on 64^2 slows BB down past the stall
+    # window; the finish converges to the energy that the sweep gate records
+    calls = _counting_hessian(monkeypatch)
+    T = SpectralTorus(1.0, 64)
+    prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
+    path = tmp_path / "trace.csv"
+    res = minimize(prob, MinimizeOptions(), trace_path=str(path))
+    assert res.status == "converged"
+    assert res.newton_steps > 0
+    assert res.hessian_products == len(calls) >= res.newton_steps
+    assert res.iterations > minimize_module.STALL_WINDOW
+    assert abs(res.J_value - (-21.7696018090033)) <= 1e-9
+    rows = path.read_text().splitlines()[2:]
+    assert len(rows) == res.iterations + 1
+
+
+def _always_stalled(monkeypatch):
+    monkeypatch.setattr(minimize_module, "_stalled", lambda best: True)
+
+
+def test_collapsed_trust_radius_ends_diverged(monkeypatch, tmp_path):
+    # every trust-region step is rejected, so the radius shrinks 4x a step
+    _always_stalled(monkeypatch)
+    monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0)
+    T = SpectralTorus(1.0, 32)
+    prob = Problem(T, delta_one(), 10.0)
+    path = tmp_path / "trace.csv"
+    res = minimize(prob, MinimizeOptions(), trace_path=str(path))
+    assert res.status == "diverged"
+    assert res.iterations == res.newton_steps == minimize_module.MAX_LINE_SEARCH
+    assert np.array_equal(res.v.values, random_zero_mean(T, 0).values)
+    radii = [float(line.split(",")[3]) for line in path.read_text().splitlines()[3:]]
+    assert len(radii) == res.iterations
+    assert all(b == 0.25 * a for a, b in zip(radii, radii[1:]))
+
+
+def test_trust_region_steps_count_toward_the_budget(monkeypatch):
+    _always_stalled(monkeypatch)
+    T = SpectralTorus(1.0, 32)
+    prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
+    res = minimize(prob, MinimizeOptions(max_iters=3))
+    assert res.status == "budget"
+    assert res.iterations == res.newton_steps == 3
+
+
+def _newton_model_setup():
+    T = SpectralTorus(1.0, 32)
+    prob = Problem(T, new_atomic([(-0.7, 0.3), (0.2, 0.3), (0.9, 0.4)]), 30.0)
+    v = random_zero_mean(T, 3, amplitude=2.0)
+    partitions = []
+    g = el_residual(prob, v, partitions)
+    return T, prob, g, partitions
+
+
+def _model(T, prob, partitions, g, d):
+    hd = hessian_product(prob, partitions, d)
+    return -integrate(T, Field(g.values * d.values)) + 0.5 * integrate(T, Field(d.values * hd.values))
+
+
+def test_truncated_cg_stops_on_the_trust_region_boundary():
+    T, prob, g, partitions = _newton_model_setup()
+    radius = 1e-3
+    d, model, boundary, products = minimize_module._truncated_cg(prob, partitions, g, radius)
+    assert boundary
+    assert products >= 1
+    assert math.sqrt(gradient_inner(T, d, d)) == pytest.approx(radius, rel=1e-10)
+    assert model < 0.0
+    assert model == pytest.approx(_model(T, prob, partitions, g, d), rel=1e-9)
+
+
+def test_truncated_cg_interior_step_solves_the_newton_equation():
+    T, prob, g, partitions = _newton_model_setup()
+    d, model, boundary, products = minimize_module._truncated_cg(prob, partitions, g, 1e6)
+    assert not boundary
+    assert model == pytest.approx(_model(T, prob, partitions, g, d), rel=1e-9)
+    # the H^-1 norm of the residual g - H d fell by the forcing term
+    r = Field(g.values - hessian_product(prob, partitions, d).values)
+    r_norm = math.sqrt(integrate(T, Field(r.values * solve_poisson_zero_mean(T, r).values)))
+    g_norm = math.sqrt(integrate(T, Field(g.values * solve_poisson_zero_mean(T, g).values)))
+    assert r_norm <= min(0.5, math.sqrt(g_norm)) * g_norm * (1.0 + 1e-6)
 
 
 def test_random_zero_mean_seeding_and_amplitude():
