@@ -85,7 +85,7 @@ class Setting(NamedTuple):
 
 # metavar and help of each MinimizeOptions field, one entry per field
 _SOLVER_HELP = {
-    "max_iters": ("N", "descent iteration budget"),
+    "max_iters": ("N", "iteration budget"),
     "grad_tol": ("TOL", "sup-norm equation residual to stop at"),
     "blowup_peak_threshold": ("V", "peak of |v| that stops a run as blown up"),
     "seed": ("N", "seed for all randomness"),
@@ -285,7 +285,6 @@ def write_stage(
         "J": result.J_value,
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
-        "newton_steps": result.newton_steps,
         "hessian_products": result.hessian_products,
         "status": result.status,
         "peak_point": list(result.peak_point),

@@ -35,6 +35,9 @@ from vortexmf.torus import (
 # so this only trips on non-finite input
 _EXP_GUARD = 700.0
 
+# per atom, as el_residual hands them out: e^{alpha v - m}, its grid sum, m
+Partitions = list[tuple[np.ndarray, float, float]]
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -70,19 +73,24 @@ def w_alpha(prob: Problem, v: Field, alpha: float) -> Field:
     return Field(alpha * v.values - lp)
 
 
-def J(prob: Problem, v: Field) -> float:
-    """Free energy value; J(v + c) = J(v) for every constant c."""
+def J(prob: Problem, v: Field, partitions: Partitions | None = None) -> float:
+    """Free energy value; J(v + c) = J(v) for every constant c.
+
+    With the ``partitions`` that :func:`el_residual` handed out for v, each
+    log-partition is m + log(cell_area * total), bit for bit, and no
+    exponential is taken.
+    """
     T = prob.torus
     vbar = float(v.values.mean())
-    log_terms = math.fsum(
-        w * (log_partition(T, v, a) - a * vbar) for a, w in prob.P.atoms
-    )
+    if partitions is None:
+        log_parts = [log_partition(T, v, a) for a, _ in prob.P.atoms]
+    else:
+        log_parts = [m + math.log(T.cell_area * total) for _, total, m in partitions]
+    log_terms = math.fsum(w * (lp - a * vbar) for (a, w), lp in zip(prob.P.atoms, log_parts))
     return dirichlet_energy(T, v) - prob.lam * log_terms
 
 
-def el_residual(
-    prob: Problem, v: Field, partitions: list[tuple[np.ndarray, float]] | None = None
-) -> Field:
+def el_residual(prob: Problem, v: Field, partitions: Partitions | None = None) -> Field:
     """Equation residual of the mean field equation at v.
 
     It is also the L^2 gradient of J: dJ(v)[phi] = int el_residual(v) phi
@@ -91,8 +99,9 @@ def el_residual(
     projected out.
 
     When ``partitions`` is given, the max-shifted exponential e^{alpha v - m}
-    of every atom (zero atoms included) and its grid sum are appended to it
-    as ``(ex, total)``, in atom order, for the line search to reuse.
+    of every atom (zero atoms included), its grid sum and the shift m are
+    appended to it as ``(ex, total, m)``, in atom order, for :func:`J`, the
+    energy differences and :func:`hessian_product` at v to reuse.
     """
     T = prob.torus
     lap = laplacian(T, v).values
@@ -102,7 +111,7 @@ def el_residual(
         av = a * v.values
         m, ex, total = _shifted_partition(av)
         if partitions is not None:
-            partitions.append((ex, total))
+            partitions.append((ex, total, m))
         if a != 0.0:
             density = np.exp(av - (m + math.log(T.cell_area * total)))
             acc += (w * a) * (density - inv_vol)
@@ -110,7 +119,7 @@ def el_residual(
     return project_zero_mean(T, Field(res))
 
 
-def hessian_product(prob: Problem, partitions: list[tuple[np.ndarray, float]], phi: Field) -> Field:
+def hessian_product(prob: Problem, partitions: Partitions, phi: Field) -> Field:
     """Second variation of J at v applied to phi, projected to zero mean:
 
         -Laplacian phi - lambda sum w alpha^2 rho_alpha (phi - int rho_alpha phi),
@@ -123,7 +132,7 @@ def hessian_product(prob: Problem, partitions: list[tuple[np.ndarray, float]], p
     T = prob.torus
     phi_vals = phi.values
     acc = np.zeros_like(phi_vals)
-    for (a, w), (ex, total) in zip(prob.P.atoms, partitions):
+    for (a, w), (ex, total, _) in zip(prob.P.atoms, partitions):
         if a != 0.0:
             mean = float((ex * phi_vals).sum()) / total  # int rho_alpha phi
             acc += (w * a * a / (T.cell_area * total)) * ex * (phi_vals - mean)

@@ -1,30 +1,29 @@
-"""Free energy minimization by preconditioned descent with continuation.
+"""Free energy minimization by trust-region Newton-CG with continuation.
 
-The descent direction is the inverse-Laplacian image of the energy
-gradient (the gradient in the H^1 inner product), which makes the
-quadratic part of the energy perfectly conditioned.  Steps are proposed
-by a Barzilai-Borwein rule and guarded by Armijo backtracking.
+Every iteration is one trust-region step (Steihaug 1983, Toint 1981).  The
+Newton model of J at the iterate is solved by truncated CG in the H^1 norm,
+preconditioned by the Poisson solve, which makes the quadratic part of the
+energy perfectly conditioned; the Hessian-vector products come from
+:func:`hessian_product`.  The step is accepted or rejected by the ratio of
+the actual change of J to the predicted one.  The first trust radius is the
+H^1 length of the preconditioned gradient, ||(-Laplacian)^-1 g||_H1, which
+needs no constant.  A cold start of 1/2 delta_-1 + 1/2 delta_1 at
+lambda_bar takes 22, 25, 35 and 47 steps on 32^2 to 256^2.
 
-Near lambda_bar that descent can stagnate: the grid pins the translation
-of a concentrated state, which leaves a slow mode.  Once the best residual
-has fallen less than STALL_FACTOR times over STALL_WINDOW iterations, a
-trust-region Newton finish takes over (Steihaug-Toint truncated CG in the
-H^1 norm, preconditioned by the Poisson solve).  A cold start of
-1/2 delta_-1 + 1/2 delta_1 at lambda_bar takes 76, 119, 124 and 131
-iterations on 32^2 to 256^2, against 76, 205, 256 and 498 by the descent
-alone.
+The CG path grows monotonically in the H^1 norm, so after a rejected step
+the smaller radius cuts the path already computed at that iterate, and
+takes no Hessian product.
 
-The Armijo test evaluates the energy *difference* in cancellation-free
-form: the Dirichlet part expands exactly as a bilinear form in (v, d),
-and each log-partition difference is log1p of a relative expm1 sum.  Plain
+The actual change of J is evaluated in cancellation-free form: the
+Dirichlet part expands exactly as a bilinear form in (v, d), and each
+log-partition difference is log1p of a relative expm1 sum.  Plain
 J(new) - J(old) subtraction stalls at the rounding floor of J long before
-the equation residual reaches the tolerances demanded here.  The trust
-region measures the actual change of J by the same difference.
+the equation residual reaches the tolerances demanded here.
 
 Each atom's partition exponential e^{alpha v - m} (m the max of alpha v)
 is computed once per iterate: :func:`el_residual` hands it out with its
-grid sum, and every line-search trial at that iterate reuses it, as does
-every Hessian product of the Newton finish.  The two bilinear terms come
+grid sum and m, and J at the start, the energy differences and every
+Hessian product at that iterate reuse it.  The two bilinear terms come
 from one transform of v and one of d.
 """
 
@@ -35,28 +34,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vortexmf.functional import J, Problem, el_residual, hessian_product, log_partition
+from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product, log_partition
 from vortexmf.measure import CirculationMeasure
 from vortexmf.torus import (
     Field,
     SpectralTorus,
     gradient_inner_pair,
-    integrate,
     periodic_distance,
     project_zero_mean,
     solve_poisson_zero_mean,
 )
 
-STEP_INIT = 1.0  # the first trial step, and the fallback of the BB rule
-# Armijo sufficient-decrease constant, and the least ratio of actual to
-# predicted decrease at which the trust region accepts a step
-ARMIJO_C = 1e-4
-STEP_CLIP = (1e-6, 1e3)
-MAX_LINE_SEARCH = 60
-# BB has stagnated when the best residual so far fell less than STALL_FACTOR
-# times over the last STALL_WINDOW iterations; the trust-region finish takes over
-STALL_WINDOW = 100
-STALL_FACTOR = 10.0
+# the least ratio of actual to predicted decrease at which a step is accepted
+ACCEPT_RATIO = 1e-4
+MAX_REJECTIONS = 60  # rejected steps in a row that end a run diverged
 CG_MAX_ITERS = 200  # Hessian products per truncated-CG solve
 
 
@@ -81,9 +72,7 @@ class MinimizeOptions:
 class MinimizeResult:
     """The last iterate of a run; ``status`` says how the run ended:
     ``converged``, ``blown_up``, ``budget`` or ``diverged`` (see :func:`minimize`).
-    ``newton_steps`` and ``hessian_products`` count the iterations and the
-    Hessian products of the trust-region finish, 0 when the descent
-    converged alone."""
+    ``hessian_products`` counts the Hessian products of the truncated CG."""
 
     v: Field
     J_value: float
@@ -91,7 +80,6 @@ class MinimizeResult:
     iterations: int
     lam: float
     status: str
-    newton_steps: int = 0
     hessian_products: int = 0
 
     @property
@@ -127,11 +115,11 @@ def center_bump(T: SpectralTorus, amplitude: float = 0.5) -> Field:
 class _EnergyDelta:
     """Cancellation-free J(v - s d) - J(v) for fixed v and zero-mean d.
 
-    ``partitions`` holds each atom's max-shifted exponential e^{alpha v - m}
-    and its grid sum, as :func:`el_residual` hands them out for v.
+    ``partitions`` holds each atom's max-shifted exponential e^{alpha v - m},
+    its grid sum and m, as :func:`el_residual` hands them out for v.
     """
 
-    def __init__(self, prob: Problem, v: Field, d: Field, partitions: list[tuple[np.ndarray, float]]):
+    def __init__(self, prob: Problem, v: Field, d: Field, partitions: Partitions):
         self.prob = prob
         self.d = d
         self.a_vd, self.a_dd = gradient_inner_pair(prob.torus, v, d)
@@ -142,7 +130,7 @@ class _EnergyDelta:
         log_terms = 0.0
         # a move past exp overflow makes the sum inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
-            for (a, w), (ex, total) in zip(self.prob.P.atoms, self.shifted):
+            for (a, w), (ex, total, _) in zip(self.prob.P.atoms, self.shifted):
                 u = (-s * a) * self.d.values
                 rel = float((ex * np.expm1(u)).sum()) / total
                 if not math.isfinite(rel):
@@ -163,56 +151,81 @@ def _stop_status(opts: MinimizeOptions, v: Field, res_norm: float, iterations: i
     return None
 
 
-def _stalled(best: list[float]) -> bool:
-    """Whether the best residual, one entry per iterate, fell less than
-    STALL_FACTOR times over the last STALL_WINDOW iterations."""
-    return len(best) > STALL_WINDOW and best[-1] * STALL_FACTOR > best[-1 - STALL_WINDOW]
+class _SteihaugPath:
+    """The Steihaug-Toint truncated CG path on the Newton model at v.
 
-
-def _truncated_cg(
-    prob: Problem, partitions: list[tuple[np.ndarray, float]], g: Field, radius: float
-) -> tuple[Field, float, bool, int]:
-    """Steihaug-Toint truncated CG on the Newton model at v.
-
-    Approximately minimizes m(d) = -<g, d> + 1/2 <d, H d>, the second-order
-    model of J(v - d) - J(v), over ||d||_H1 <= radius, preconditioned by
-    (-Laplacian)^-1; H is :func:`hessian_product` at v, g the residual at v.
-    Stops at the boundary on negative curvature or a step past the radius,
-    or inside once the H^-1 residual falls by min(1/2, sqrt(||g||_H-1)).
-    Returns d, m(d), whether d lies on the boundary, and the Hessian
-    products taken.  The H1 norms of d and of the search direction are
-    carried by the CG recurrences, so no transform computes them.
+    The model m(d) = -<g, d> + 1/2 <d, H d> is the second-order expansion of
+    J(v - d) - J(v); H is :func:`hessian_product` at v and g the residual at
+    v.  CG runs in the H^1 norm, preconditioned by (-Laplacian)^-1, from
+    d = 0, and its iterates grow monotonically in that norm.  The path ends
+    inside once the H^-1 residual has fallen by min(1/2, sqrt(||g||_H-1)),
+    or after CG_MAX_ITERS products.  It grows one Hessian product at a time,
+    only as far as a step needs it, and keeps each search direction q with
+    <q, H q> and its preconditioned residual norm rz: those are all a
+    smaller radius needs to cut the path again without a product.
     """
-    T = prob.torus
-    r = g.values
-    z = solve_poisson_zero_mean(T, g).values
-    rz = T.cell_area * float((r * z).sum())
-    tol = min(0.5, rz**0.25) * math.sqrt(rz)
-    d = np.zeros_like(r)
-    q = z
-    dd, dq, qq = 0.0, 0.0, rz  # <d, M d>, <d, M q>, <q, M q> for M = -Laplacian
-    model = 0.0
-    for products in range(1, CG_MAX_ITERS + 1):
-        hq = hessian_product(prob, partitions, Field(q)).values
+
+    def __init__(self, prob: Problem, partitions: Partitions, g: Field):
+        self.prob = prob
+        self.partitions = partitions
+        self.r = g.values  # the CG residual after the last direction kept
+        self.z = solve_poisson_zero_mean(prob.torus, g).values
+        # ||(-Laplacian)^-1 g||_H1^2 = <g, (-Laplacian)^-1 g>
+        self.rz0 = prob.torus.cell_area * float((self.r * self.z).sum())
+        self.tol = min(0.5, self.rz0**0.25) * math.sqrt(self.rz0)
+        self.directions: list[tuple[np.ndarray, float, float]] = []  # (q, <q, H q>, rz)
+        self.ended = False
+
+    def _grow(self) -> bool:
+        """Take one more CG direction and its Hessian product; False once
+        the path has ended inside."""
+        T = self.prob.torus
+        if self.ended or len(self.directions) == CG_MAX_ITERS:
+            return False
+        if self.directions:
+            q, _, rz = self.directions[-1]
+            z = solve_poisson_zero_mean(T, Field(self.r)).values
+            rz_next = T.cell_area * float((self.r * z).sum())
+            if math.sqrt(rz_next) <= self.tol:
+                self.ended = True
+                return False
+            q, rz = z + (rz_next / rz) * q, rz_next
+        else:
+            q, rz = self.z, self.rz0
+        hq = hessian_product(self.prob, self.partitions, Field(q)).values
         kappa = T.cell_area * float((q * hq).sum())
-        alpha = rz / kappa if kappa > 0.0 else math.inf
-        if dd + alpha * (2.0 * dq + alpha * qq) >= radius * radius:
-            tau = (math.sqrt(dq * dq + qq * (radius * radius - dd)) - dq) / qq
-            model += tau * (0.5 * tau * kappa - rz)
-            return Field(d + tau * q), model, True, products
-        d = d + alpha * q
-        model -= 0.5 * alpha * rz
-        dd += alpha * (2.0 * dq + alpha * qq)
-        r = r - alpha * hq
-        z = solve_poisson_zero_mean(T, Field(r)).values
-        rz_next = T.cell_area * float((r * z).sum())
-        if math.sqrt(rz_next) <= tol:
-            break
-        beta, rz = rz_next / rz, rz_next
-        dq = beta * (dq + alpha * qq)
-        qq = rz + beta * beta * qq
-        q = z + beta * q
-    return Field(d), model, False, products
+        self.directions.append((q, kappa, rz))
+        if kappa > 0.0:  # on negative curvature every step stops on this direction
+            self.r = self.r - (rz / kappa) * hq
+        return True
+
+    def step(self, radius: float) -> tuple[Field, float, bool, int]:
+        """The point where the path leaves the ball ||d||_H1 <= radius, or
+        its end inside.  Returns d, m(d), whether d lies on the boundary, and
+        the Hessian products this call took.  The H1 norms of d and of the
+        search direction are carried by the CG recurrences, so no transform
+        computes them."""
+        grown = len(self.directions)
+        d = np.zeros_like(self.r)
+        dd, dq, qq = 0.0, 0.0, self.rz0  # <d, M d>, <d, M q>, <q, M q> for M = -Laplacian
+        model = alpha = 0.0
+        k = 0
+        while k < len(self.directions) or self._grow():
+            q, kappa, rz = self.directions[k]
+            if k:
+                beta = rz / self.directions[k - 1][2]
+                dq = beta * (dq + alpha * qq)
+                qq = rz + beta * beta * qq
+            alpha = rz / kappa if kappa > 0.0 else math.inf
+            if dd + alpha * (2.0 * dq + alpha * qq) >= radius * radius:
+                tau = (math.sqrt(dq * dq + qq * (radius * radius - dd)) - dq) / qq
+                model += tau * (0.5 * tau * kappa - rz)
+                return Field(d + tau * q), model, True, len(self.directions) - grown
+            d = d + alpha * q
+            model -= 0.5 * alpha * rz
+            dd += alpha * (2.0 * dq + alpha * qq)
+            k += 1
+        return Field(d), model, False, len(self.directions) - grown
 
 
 def minimize(
@@ -221,16 +234,15 @@ def minimize(
     warm_start: Field | None = None,
     trace_path: str | None = None,
 ) -> MinimizeResult:
-    """Descend J to sup-norm residual <= grad_tol.
+    """Minimize J to sup-norm residual <= grad_tol by trust-region steps.
 
     Starts from ``warm_start`` with its mean subtracted, or from seeded
     band-limited noise, so every iterate and ``result.v`` have zero mean.
     Ends on tolerance, a peak of |v| reaching the blowup threshold (so a
     spike of either sign counts), the iteration budget, or
-    ``MAX_LINE_SEARCH`` consecutive step rejections, of the line search or
-    of the trust region; ``result.status`` says which, and ``result`` holds
-    the last iterate in every case.  Iterations of the Newton finish count
-    toward the budget, and ``result.newton_steps`` says how many there were.
+    ``MAX_REJECTIONS`` rejected steps in a row; ``result.status`` says
+    which, and ``result`` holds the last iterate in every case.  Every
+    step, accepted or rejected, is one iteration toward the budget.
     """
     T = prob.torus
     if warm_start is None:
@@ -246,89 +258,48 @@ def minimize(
             trace.write(f"# seed={opts.seed}\n")
             trace.write("iter,J,residual_norm,step,max_v\n")
 
-        j_curr = J(prob, v)
-        partitions: list[tuple[np.ndarray, float]] = []
+        partitions: Partitions = []
         g = el_residual(prob, v, partitions)
-        d = solve_poisson_zero_mean(T, g)
+        j_curr = J(prob, v, partitions)
         res_norm = float(np.abs(g.values).max())
-        step = STEP_INIT
-        prev_dv: np.ndarray | None = None
-        prev_dd: np.ndarray | None = None
-        iterations = 0
-        best = [res_norm]  # the best residual so far, per iterate
+        iterations = products = rejections = 0
+        path: _SteihaugPath | None = None
+        radius = math.nan  # set from the first path
 
         if trace:
             _trace_row(trace, iterations, j_curr, res_norm, 0.0, v)
 
         while (status := _stop_status(opts, v, res_norm, iterations)) is None:
-            if _stalled(best):
-                break
-            if prev_dv is not None:
-                num = float((prev_dv * prev_dd).sum())
-                den = float((prev_dd * prev_dd).sum())
-                step = num / den if num > 0.0 and den > 0.0 else STEP_INIT
-                step = min(max(step, STEP_CLIP[0]), STEP_CLIP[1])
-            slope = integrate(T, Field(g.values * d.values))  # |grad|^2 in H^-1
-            delta = _EnergyDelta(prob, v, d, partitions)
-            for _ in range(MAX_LINE_SEARCH):
-                dj = delta(step)
-                if dj <= -ARMIJO_C * step * slope:
-                    break
-                step *= 0.5
-            else:
-                status = "diverged"
-                break
-
-            v_new = project_zero_mean(T, Field(v.values - step * d.values))
-            # drop the old iterate's exponentials before the new ones are made
-            del delta
-            partitions = []
-            g_new = el_residual(prob, v_new, partitions)
-            d_new = solve_poisson_zero_mean(T, g_new)
-            prev_dv = v_new.values - v.values
-            prev_dd = d_new.values - d.values
-            v, g, d = v_new, g_new, d_new
-            j_curr = j_curr + dj
-            res_norm = float(np.abs(g.values).max())
+            if path is None:
+                path = _SteihaugPath(prob, partitions, g)
+                if iterations == 0:
+                    radius = math.sqrt(path.rz0)
+            step, model, boundary, n = path.step(radius)
+            products += n
+            dj = _EnergyDelta(prob, v, step, partitions)(1.0)
+            ratio = dj / model  # actual over predicted change; model < 0
             iterations += 1
-            best.append(min(best[-1], res_norm))
+            if ratio > ACCEPT_RATIO:
+                v = project_zero_mean(T, Field(v.values - step.values))
+                # drop the old iterate's exponentials before the new ones are made
+                path = None
+                partitions = []
+                g = el_residual(prob, v, partitions)
+                j_curr = j_curr + dj
+                res_norm = float(np.abs(g.values).max())
+                rejections = 0
+            else:
+                rejections += 1
             if trace:
-                _trace_row(trace, iterations, j_curr, res_norm, step, v)
-
-        newton_steps = products = 0
-        if status is None:
-            # BB stalled: the trust-region Newton finish takes one step per
-            # iteration, accepted or not, and traces its trust radius in the
-            # step column; the first radius is the H1 length of a BB step of
-            # the last accepted length
-            radius = step * math.sqrt(integrate(T, Field(g.values * d.values)))
-            rejections = 0
-            while (status := _stop_status(opts, v, res_norm, iterations)) is None:
-                tr_step, model, boundary, n = _truncated_cg(prob, partitions, g, radius)
-                products += n
-                dj = _EnergyDelta(prob, v, tr_step, partitions)(1.0)
-                ratio = dj / model  # actual over predicted change; model < 0
-                iterations += 1
-                newton_steps += 1
-                if ratio > ARMIJO_C:
-                    v = project_zero_mean(T, Field(v.values - tr_step.values))
-                    partitions = []
-                    g = el_residual(prob, v, partitions)
-                    j_curr = j_curr + dj
-                    res_norm = float(np.abs(g.values).max())
-                    rejections = 0
-                else:
-                    rejections += 1
-                if trace:
-                    _trace_row(trace, iterations, j_curr, res_norm, radius, v)
-                if rejections == MAX_LINE_SEARCH:
-                    status = "diverged"  # the trust radius collapsed
-                    break
-                if ratio < 0.25:
-                    radius *= 0.25
-                elif ratio > 0.75 and boundary:
-                    radius *= 2.0
-        return MinimizeResult(v, j_curr, res_norm, iterations, prob.lam, status, newton_steps, products)
+                _trace_row(trace, iterations, j_curr, res_norm, radius, v)
+            if rejections == MAX_REJECTIONS:
+                status = "diverged"  # the trust radius collapsed
+                break
+            if ratio < 0.25:
+                radius *= 0.25
+            elif ratio > 0.75 and boundary:
+                radius *= 2.0
+        return MinimizeResult(v, j_curr, res_norm, iterations, prob.lam, status, products)
     finally:
         if trace:
             trace.close()

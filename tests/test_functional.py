@@ -160,11 +160,14 @@ def test_residual_hands_out_the_shifted_partitions():
     res = el_residual(prob, v, partitions)
     assert np.array_equal(res.values, el_residual(prob, v).values)
     assert len(partitions) == len(prob.P.atoms)
-    for (a, _), (ex, total) in zip(prob.P.atoms, partitions):
+    for (a, _), (ex, total, m) in zip(prob.P.atoms, partitions):
         av = a * v.values
         expected = np.exp(av - av.max())
         assert np.array_equal(ex, expected)
         assert total == float(expected.sum())
+        assert m == float(av.max())
+    # J read off the partitions takes no exponential and matches bit for bit
+    assert J(prob, v, partitions) == J(prob, v)
 
 
 def _signed_hessian_setup():

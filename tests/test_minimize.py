@@ -1,4 +1,4 @@
-"""Preconditioned descent: convergence, traces, continuation, concentration."""
+"""Trust-region Newton-CG: convergence, traces, continuation, concentration."""
 
 import importlib
 import math
@@ -204,7 +204,7 @@ def test_blowup_guard_sees_negative_spikes():
     probs = [Problem(T, new_atomic([(a, 1.0)]), 2.0 * EIGHT_PI) for a in (1.0, -1.0)]
     runs = [minimize(prob, MinimizeOptions()) for prob in probs]
     assert [r.status for r in runs] == ["blown_up", "blown_up"]
-    assert [r.iterations for r in runs] == [34, 34]
+    assert [r.iterations for r in runs] == [11, 11]
     assert runs[0].v.values.max() >= 25.0
     assert runs[1].v.values.min() <= -25.0
 
@@ -224,7 +224,7 @@ def test_minimize_reports_how_it_ended(monkeypatch, status):
     assert res.status == status
     assert (res.residual_norm <= opts.grad_tol) == (status == "converged")
     if status in ("budget", "diverged"):
-        assert res.iterations == (2 if status == "budget" else 0)
+        assert res.iterations == (2 if status == "budget" else minimize_module.MAX_REJECTIONS)
     assert res.peak_value == res.v.values.max() == res.v.values[res.peak_point]
 
 
@@ -257,7 +257,7 @@ def _signed_three_atom_move():
 
 
 def _energy_delta(prob, v, d):
-    """The line search's energy difference, with the partitions el_residual hands out."""
+    """The trust region's energy difference, with the partitions el_residual hands out."""
     partitions = []
     el_residual(prob, v, partitions)
     return minimize_module._EnergyDelta(prob, v, d, partitions)
@@ -305,12 +305,20 @@ def test_diverged_error_carries_last_iterate(monkeypatch):
     monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0)
     last = minimize(prob, MinimizeOptions())
     assert last.status == "diverged"
-    assert last.iterations == 0
+    assert last.iterations == minimize_module.MAX_REJECTIONS
     assert last.residual_norm > 0.0
     assert last.v.values.shape == (32, 32)
 
 
-def test_residual_is_computed_once_per_iterate(monkeypatch):
+def _accepted_steps(trace_path):
+    """Trace rows whose J, residual or max_v differ from the row before: a
+    rejected step repeats all three (its step column, the radius, moves)."""
+    rows = [line.split(",") for line in trace_path.read_text().splitlines()[2:]]
+    rows = [(r[1], r[2], r[4]) for r in rows]
+    return sum(b != a for a, b in zip(rows, rows[1:]))
+
+
+def test_residual_is_computed_once_per_iterate(monkeypatch, tmp_path):
     calls = []
 
     def counted(prob, v, partitions=None):
@@ -319,20 +327,26 @@ def test_residual_is_computed_once_per_iterate(monkeypatch):
 
     monkeypatch.setattr(minimize_module, "el_residual", counted)
     T = SpectralTorus(1.0, 32)
-    res = minimize(Problem(T, delta_one(), 0.5 * EIGHT_PI), MinimizeOptions())
-    assert res.iterations > 0
-    assert len(calls) == res.iterations + 1
+    path = tmp_path / "trace.csv"
+    # the signed pair at lambda_bar rejects some of its steps
+    prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
+    res = minimize(prob, MinimizeOptions(), trace_path=str(path))
+    assert res.status == "converged"
+    assert 0 < _accepted_steps(path) < res.iterations
+    assert len(calls) == _accepted_steps(path) + 1
     calls.clear()
     monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0)
     last = minimize(Problem(T, delta_one(), 10.0), MinimizeOptions())
     assert last.status == "diverged"
-    assert len(calls) == last.iterations + 1 == 1
+    assert len(calls) == 1
 
 
-def test_work_per_iteration(monkeypatch):
-    # 6 transforms per iteration: one of v and one of d for the line search,
-    # two for the Laplacian in el_residual and two for the Poisson solve of d;
-    # two exponentials per nonzero atom, both in el_residual
+def test_work_per_iteration(monkeypatch, tmp_path):
+    # per step: 2 transforms for the energy difference (one of v, one of the
+    # step), 2 per Hessian product (its Laplacian) and 2 per Poisson solve of
+    # the truncated CG: one per Hessian product, and one more where the path
+    # ends inside the trust region; per accepted step 2 for the Laplacian in
+    # el_residual; two exponentials per nonzero atom, both in el_residual
     counts = {"fft": 0, "exp": 0, "expm1": 0}
 
     def counting(fn, key, elements):
@@ -343,22 +357,40 @@ def test_work_per_iteration(monkeypatch):
 
         return wrapper
 
+    boundary = []
+    real_step = minimize_module._SteihaugPath.step
+
+    def recorded(self, radius):
+        out = real_step(self, radius)
+        boundary.append(out[2])
+        return out
+
+    monkeypatch.setattr(minimize_module._SteihaugPath, "step", recorded)
     monkeypatch.setattr(np.fft, "fft2", counting(np.fft.fft2, "fft", False))
     monkeypatch.setattr(np.fft, "ifft2", counting(np.fft.ifft2, "fft", False))
     monkeypatch.setattr(np, "exp", counting(np.exp, "exp", True))
     monkeypatch.setattr(np, "expm1", counting(np.expm1, "expm1", True))
     T = SpectralTorus(1.0, 32)
     P = new_atomic([(-1.0, 0.3), (0.5, 0.3), (1.0, 0.4)])
-    res = minimize(Problem(T, P, 10.0), MinimizeOptions(max_iters=5))
-    assert res.iterations == 5
+    path = tmp_path / "trace.csv"
+    res = minimize(Problem(T, P, 10.0), MinimizeOptions(max_iters=3), trace_path=str(path))
+    assert res.status == "budget" and res.iterations == 3
+    # every step accepted, so each path took one step: the first on the
+    # boundary, the others inside
+    accepted = _accepted_steps(path)
+    assert accepted == res.iterations
+    assert boundary == [True, False, False]
+    assert res.hessian_products == 6
+    interior = boundary.count(False)
     per_atom = len(P.atoms) * T.grid_n**2
-    # set-up: 2 transforms for the random start, 1 for J, 4 for the first residual and d
-    assert counts["fft"] == 7 + 6 * res.iterations
-    # set-up: one exponential per atom in J and two in the first residual
-    assert counts["exp"] == per_atom * (3 + 2 * res.iterations)
-    # one expm1 per atom and line-search trial, at least one trial per iteration
-    assert counts["expm1"] % per_atom == 0
-    assert counts["expm1"] >= per_atom * res.iterations
+    # set-up: 2 transforms for the random start, 2 for the first residual and
+    # 1 for J; the Poisson solve of each path's first direction is one of
+    # the one-per-product solves
+    assert counts["fft"] == 5 + 2 * res.iterations + 2 * accepted + 4 * res.hessian_products + 2 * interior
+    # set-up: two exponentials per atom in the first residual; J reads the partitions
+    assert counts["exp"] == per_atom * (2 + 2 * accepted)
+    # one expm1 per atom and step
+    assert counts["expm1"] == per_atom * res.iterations
 
 
 def _counting_hessian(monkeypatch):
@@ -372,58 +404,44 @@ def _counting_hessian(monkeypatch):
     return calls
 
 
-def test_bb_run_never_takes_a_hessian_product(monkeypatch):
-    calls = _counting_hessian(monkeypatch)
-    T = SpectralTorus(1.0, 32)
-    res = minimize(Problem(T, delta_one(), 0.5 * EIGHT_PI), MinimizeOptions())
-    assert res.status == "converged"
-    assert res.newton_steps == res.hessian_products == len(calls) == 0
-
-
-def test_stalled_descent_finishes_by_trust_region_newton(monkeypatch, tmp_path):
-    # the signed pair at lambda_bar on 64^2 slows BB down past the stall
-    # window; the finish converges to the energy that the sweep gate records
-    calls = _counting_hessian(monkeypatch)
-    T = SpectralTorus(1.0, 64)
-    prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
-    path = tmp_path / "trace.csv"
-    res = minimize(prob, MinimizeOptions(), trace_path=str(path))
-    assert res.status == "converged"
-    assert res.newton_steps > 0
-    assert res.hessian_products == len(calls) >= res.newton_steps
-    assert res.iterations > minimize_module.STALL_WINDOW
-    assert abs(res.J_value - (-21.7696018090033)) <= 1e-9
-    rows = path.read_text().splitlines()[2:]
-    assert len(rows) == res.iterations + 1
-
-
-def _always_stalled(monkeypatch):
-    monkeypatch.setattr(minimize_module, "_stalled", lambda best: True)
-
-
 def test_collapsed_trust_radius_ends_diverged(monkeypatch, tmp_path):
-    # every trust-region step is rejected, so the radius shrinks 4x a step
-    _always_stalled(monkeypatch)
+    # every step is rejected, so the radius shrinks 4x a step, and every cut
+    # reuses the first direction: one Hessian product in all
+    calls = _counting_hessian(monkeypatch)
     monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0)
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 10.0)
     path = tmp_path / "trace.csv"
     res = minimize(prob, MinimizeOptions(), trace_path=str(path))
     assert res.status == "diverged"
-    assert res.iterations == res.newton_steps == minimize_module.MAX_LINE_SEARCH
+    assert res.iterations == minimize_module.MAX_REJECTIONS
+    assert res.hessian_products == len(calls) == 1
     assert np.array_equal(res.v.values, random_zero_mean(T, 0).values)
     radii = [float(line.split(",")[3]) for line in path.read_text().splitlines()[3:]]
     assert len(radii) == res.iterations
     assert all(b == 0.25 * a for a, b in zip(radii, radii[1:]))
 
 
-def test_trust_region_steps_count_toward_the_budget(monkeypatch):
-    _always_stalled(monkeypatch)
+def test_first_radius_is_the_h1_length_of_the_preconditioned_gradient(tmp_path):
+    T = SpectralTorus(1.0, 32)
+    prob = Problem(T, delta_one(), 10.0)
+    path = tmp_path / "trace.csv"
+    minimize(prob, MinimizeOptions(max_iters=1), trace_path=str(path))
+    g = el_residual(prob, random_zero_mean(T, 0))
+    first = float(path.read_text().splitlines()[3].split(",")[3])
+    assert first == math.sqrt(gradient_inner(T, solve_poisson_zero_mean(T, g), solve_poisson_zero_mean(T, g)))
+
+
+def test_trust_region_steps_count_toward_the_budget(tmp_path):
+    # the signed pair at lambda_bar on 32^2 rejects its 14th step, the last
+    # one a budget of 14 allows
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
-    res = minimize(prob, MinimizeOptions(max_iters=3))
+    path = tmp_path / "trace.csv"
+    res = minimize(prob, MinimizeOptions(max_iters=14), trace_path=str(path))
     assert res.status == "budget"
-    assert res.iterations == res.newton_steps == 3
+    assert res.iterations == 14
+    assert _accepted_steps(path) == 13
 
 
 def _newton_model_setup():
@@ -443,7 +461,7 @@ def _model(T, prob, partitions, g, d):
 def test_truncated_cg_stops_on_the_trust_region_boundary():
     T, prob, g, partitions = _newton_model_setup()
     radius = 1e-3
-    d, model, boundary, products = minimize_module._truncated_cg(prob, partitions, g, radius)
+    d, model, boundary, products = minimize_module._SteihaugPath(prob, partitions, g).step(radius)
     assert boundary
     assert products >= 1
     assert math.sqrt(gradient_inner(T, d, d)) == pytest.approx(radius, rel=1e-10)
@@ -453,7 +471,7 @@ def test_truncated_cg_stops_on_the_trust_region_boundary():
 
 def test_truncated_cg_interior_step_solves_the_newton_equation():
     T, prob, g, partitions = _newton_model_setup()
-    d, model, boundary, products = minimize_module._truncated_cg(prob, partitions, g, 1e6)
+    d, model, boundary, products = minimize_module._SteihaugPath(prob, partitions, g).step(1e6)
     assert not boundary
     assert model == pytest.approx(_model(T, prob, partitions, g, d), rel=1e-9)
     # the H^-1 norm of the residual g - H d fell by the forcing term
@@ -461,6 +479,34 @@ def test_truncated_cg_interior_step_solves_the_newton_equation():
     r_norm = math.sqrt(integrate(T, Field(r.values * solve_poisson_zero_mean(T, r).values)))
     g_norm = math.sqrt(integrate(T, Field(g.values * solve_poisson_zero_mean(T, g).values)))
     assert r_norm <= min(0.5, math.sqrt(g_norm)) * g_norm * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("steps, first_boundary", [(8, False), (4, True)], ids=["inside", "negative-curvature"])
+def test_rejected_step_cuts_the_stored_path(monkeypatch, steps, first_boundary):
+    # after a rejection the smaller radius cuts the path of the first solve:
+    # no Hessian product, and the same step as a fresh solve at that radius.
+    # Iterates of the signed pair at lambda_bar whose paths take more than one
+    # direction: after 8 steps the path ends inside, after 4 it meets
+    # negative curvature on its second direction
+    T = SpectralTorus(1.0, 32)
+    prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
+    v = minimize(prob, MinimizeOptions(max_iters=steps)).v
+    partitions = []
+    g = el_residual(prob, v, partitions)
+    path = minimize_module._SteihaugPath(prob, partitions, g)
+    first, _, on_boundary, grown = path.step(1e6)
+    assert on_boundary == first_boundary
+    assert grown >= 2
+    radius = 0.25 * math.sqrt(gradient_inner(T, first, first))
+    calls = _counting_hessian(monkeypatch)
+    d, model, boundary, products = path.step(radius)
+    assert boundary
+    assert products == len(calls) == 0
+    assert math.sqrt(gradient_inner(T, d, d)) == pytest.approx(radius, rel=1e-10)
+    assert model == pytest.approx(_model(T, prob, partitions, g, d), rel=1e-9)
+    fresh = minimize_module._SteihaugPath(prob, partitions, g).step(radius)
+    assert np.array_equal(fresh[0].values, d.values)
+    assert fresh[1:3] == (model, boundary)
 
 
 def test_random_zero_mean_seeding_and_amplitude():
