@@ -48,6 +48,7 @@ from vortexmf.measure import (
 from vortexmf.minimize import (
     MinimizeOptions,
     MinimizeResult,
+    blowup_threshold,
     continuation_sweep,
     detect_concentration,
     mirror_image,
@@ -87,7 +88,10 @@ class Setting(NamedTuple):
 _SOLVER_HELP = {
     "max_iters": ("N", "iteration budget"),
     "grad_tol": ("TOL", "sup-norm equation residual to stop at"),
-    "blowup_peak_threshold": ("V", "peak of |v| that stops a run as blown up"),
+    "blowup_peak_threshold": (
+        "V",
+        "peak of |v| that stops a run as blown up, plus 4 log(n/64) on an n^2 grid finer than 64^2",
+    ),
     "seed": ("N", "seed for all randomness"),
 }
 
@@ -257,10 +261,11 @@ def write_stage(
     spike reached the blow-up threshold or P has no positive circulation.
     """
     seen, seen_P = result, P
-    negative_spike = result.peak_value < opts.blowup_peak_threshold <= -float(result.v.values.min())
+    threshold = blowup_threshold(opts, T)
+    negative_spike = result.peak_value < threshold <= -float(result.v.values.min())
     if negative_spike or moment(P, 1, "positive") == 0.0:
         seen, seen_P = mirror_image(result, P)
-    conc = detect_concentration(seen, T, opts.blowup_peak_threshold)
+    conc = detect_concentration(seen, T, threshold)
     ci, cj = ("", "") if conc is None else (str(conc[0]), str(conc[1]))
     with open(os.path.join(cfg.out, f"stage_{k}.csv"), "w", encoding="utf-8") as fh:
         fh.write(f"# seed={cfg.seed}\n")

@@ -13,11 +13,19 @@ needs v to have zero mean.  The L^2 gradient of J is the equation residual
 The normalized field of circulation alpha is w_alpha = alpha v - log int
 e^{alpha v}, which integrates e^{w_alpha} to exactly 1.  All partition
 integrals are evaluated with max-shifted exponentials.
+
+The residual takes one exponential per atom and writes it into that atom's
+row of a stack of the partitions (:class:`Partitions`), kept in blocks of at
+most ``_BLOCK_BYTES``.  The sums over the atoms are then matrix products
+with the blocks: the residual's sum of densities is one product per block,
+and the Hessian product is two.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +43,38 @@ from vortexmf.torus import (
 # so this only trips on non-finite input
 _EXP_GUARD = 700.0
 
-# per atom, as el_residual hands them out: e^{alpha v - m}, its grid sum, m
-Partitions = list[tuple[np.ndarray, float, float]]
+# Bytes per block of the partition stack; a block holds at least one row.
+# One stack of all atoms would be a single large allocation: once glibc's
+# mmap threshold has risen past it, it is served from the heap, and the peak
+# resident set of 128 atoms at 128^2 rose by 13 MiB.  Blocks of this size
+# keep it where it was.
+_BLOCK_BYTES = 1 << 20
+
+
+class Partitions:
+    """Every atom's max-shifted partition exponential at one field v, as
+    :func:`el_residual` hands them out for J, the energy differences and
+    :func:`hessian_product` at v to reuse.
+
+    The stack has one row e^{alpha v - m} over the flattened grid per atom,
+    in atom order, zero atoms included.  It is split into contiguous
+    ``blocks`` of at most ``_BLOCK_BYTES`` each, unless a single row is
+    larger.  ``totals`` and ``shifts`` hold each row's grid sum and m;
+    ``curvature`` is S = sum w alpha^2 rho_alpha over the flattened grid,
+    and ``hessian_weights`` is w alpha^2 / (cell_area total^2) per row, so
+    that the second variation is phi S - sum_rows weight (row . phi) row.
+    """
+
+    def __init__(self) -> None:
+        self.blocks: list[np.ndarray] = []
+        self.totals = np.empty(0)
+        self.shifts = np.empty(0)
+        self.curvature = np.empty(0)
+        self.hessian_weights = np.empty(0)
+
+    def rows(self) -> Iterator[np.ndarray]:
+        """Each atom's row, in atom order."""
+        return itertools.chain.from_iterable(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -52,18 +90,20 @@ class Problem:
             raise ValueError("coupling lambda must be positive and finite")
 
 
-def _shifted_partition(av: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Max shift m of the exponents av, e^{av - m} and its grid sum."""
+def _exp_shifted(av: np.ndarray) -> tuple[float, float]:
+    """Overwrite the exponents av with e^{av - m}, m their max; return m and
+    the grid sum."""
     m = float(av.max())
     if not math.isfinite(m) or m > _EXP_GUARD:
         raise OverflowError("partition exponent out of range")
-    ex = np.exp(av - m)
-    return m, ex, float(ex.sum())
+    np.subtract(av, m, out=av)
+    np.exp(av, out=av)
+    return m, float(av.sum())
 
 
 def log_partition(T: SpectralTorus, v: Field, alpha: float) -> float:
     """log int_Omega e^{alpha v}, max-shifted for stability."""
-    m, _, total = _shifted_partition(alpha * v.values)
+    m, total = _exp_shifted(alpha * v.values)
     return m + math.log(T.cell_area * total)
 
 
@@ -85,7 +125,8 @@ def J(prob: Problem, v: Field, partitions: Partitions | None = None) -> float:
     if partitions is None:
         log_parts = [log_partition(T, v, a) for a, _ in prob.P.atoms]
     else:
-        log_parts = [m + math.log(T.cell_area * total) for _, total, m in partitions]
+        pairs = zip(partitions.shifts.tolist(), partitions.totals.tolist())
+        log_parts = [m + math.log(T.cell_area * total) for m, total in pairs]
     log_terms = math.fsum(w * (lp - a * vbar) for (a, w), lp in zip(prob.P.atoms, log_parts))
     return dirichlet_energy(T, v) - prob.lam * log_terms
 
@@ -94,28 +135,49 @@ def el_residual(prob: Problem, v: Field, partitions: Partitions | None = None) -
     """Equation residual of the mean field equation at v.
 
     It is also the L^2 gradient of J: dJ(v)[phi] = int el_residual(v) phi
-    for every direction phi.  Analytically the residual has zero mean (each
-    density e^{alpha v}/Z integrates to 1); the floating-point mean is
-    projected out.
+    for every direction phi.  Each atom takes one exponential, written into
+    its row of the stack; the densities are read off it as
+    rho_alpha = ex / (cell_area total), and sum w alpha rho_alpha is one
+    matrix product per block.  Analytically the residual has zero mean
+    (each density integrates to 1); the floating-point mean is projected
+    out.
 
-    When ``partitions`` is given, the max-shifted exponential e^{alpha v - m}
-    of every atom (zero atoms included), its grid sum and the shift m are
-    appended to it as ``(ex, total, m)``, in atom order, for :func:`J`, the
-    energy differences and :func:`hessian_product` at v to reuse.
+    When ``partitions`` is given, it is filled with the stack of v (see
+    :class:`Partitions`).
     """
     T = prob.torus
+    atoms = prob.P.atoms
     lap = laplacian(T, v).values
-    acc = np.zeros_like(v.values)
-    inv_vol = 1.0 / T.volume
-    for a, w in prob.P.atoms:
-        av = a * v.values
-        m, ex, total = _shifted_partition(av)
-        if partitions is not None:
-            partitions.append((ex, total, m))
-        if a != 0.0:
-            density = np.exp(av - (m + math.log(T.cell_area * total)))
-            acc += (w * a) * (density - inv_vol)
-    res = -lap - prob.lam * acc
+    vals = v.values.ravel()
+    alpha = np.array([a for a, _ in atoms])
+    weight = np.array([w for _, w in atoms])
+    totals = np.empty(len(atoms))
+    shifts = np.empty(len(atoms))
+    density_sum = np.zeros_like(vals)  # sum w alpha rho_alpha
+    curvature = np.zeros_like(vals)  # sum w alpha^2 rho_alpha
+    buf = np.empty_like(vals)
+    blocks = []
+    rows = max(1, _BLOCK_BYTES // vals.nbytes)
+    for start in range(0, len(atoms), rows):
+        block = np.empty((min(rows, len(atoms) - start), vals.size))
+        for i, row in enumerate(block, start):
+            np.multiply(vals, alpha[i], out=row)
+            shifts[i], totals[i] = _exp_shifted(row)
+        part = slice(start, start + len(block))
+        c = weight[part] * alpha[part] / (T.cell_area * totals[part])
+        density_sum += np.matmul(c, block, out=buf)
+        curvature += np.matmul(c * alpha[part], block, out=buf)
+        blocks.append(block)
+    if partitions is not None:
+        partitions.blocks = blocks
+        partitions.totals = totals
+        partitions.shifts = shifts
+        partitions.curvature = curvature
+        partitions.hessian_weights = weight * alpha * alpha / (T.cell_area * totals * totals)
+    density_sum -= float(weight @ alpha) / T.volume
+    res = density_sum.reshape(lap.shape)
+    res *= -prob.lam
+    res -= lap
     return project_zero_mean(T, Field(res))
 
 
@@ -126,15 +188,23 @@ def hessian_product(prob: Problem, partitions: Partitions, phi: Field) -> Field:
 
     with rho_alpha = e^{alpha v} / int e^{alpha v} read off the ``partitions``
     that :func:`el_residual` handed out for v, so no exponential is taken.
-    It is the derivative of :func:`el_residual` along phi, and symmetric in
-    the L^2 inner product.
+    The sum is phi S minus the rank-one terms of the rows, two matrix-vector
+    products per block.  It is the derivative of :func:`el_residual` along
+    phi, and symmetric in the L^2 inner product.
     """
     T = prob.torus
-    phi_vals = phi.values
-    acc = np.zeros_like(phi_vals)
-    for (a, w), (ex, total, _) in zip(prob.P.atoms, partitions):
-        if a != 0.0:
-            mean = float((ex * phi_vals).sum()) / total  # int rho_alpha phi
-            acc += (w * a * a / (T.cell_area * total)) * ex * (phi_vals - mean)
-    res = -laplacian(T, phi).values - prob.lam * acc
+    lap = laplacian(T, phi).values
+    flat = phi.values.ravel()
+    acc = flat * partitions.curvature
+    buf = np.empty_like(flat)
+    start = 0
+    for block in partitions.blocks:
+        stop = start + len(block)
+        t = block @ flat
+        t *= partitions.hessian_weights[start:stop]
+        acc -= np.matmul(t, block, out=buf)
+        start = stop
+    res = acc.reshape(lap.shape)
+    res *= -prob.lam
+    res -= lap
     return project_zero_mean(T, Field(res))

@@ -21,10 +21,10 @@ J(new) - J(old) subtraction stalls at the rounding floor of J long before
 the equation residual reaches the tolerances demanded here.
 
 Each atom's partition exponential e^{alpha v - m} (m the max of alpha v)
-is computed once per iterate: :func:`el_residual` hands it out with its
-grid sum and m, and J at the start, the energy differences and every
-Hessian product at that iterate reuse it.  The two bilinear terms come
-from one transform of v and one of d.
+is computed once per iterate: :func:`el_residual` hands out the stack of
+them with their grid sums and shifts, and J at the start, the energy
+differences and every Hessian product at that iterate reuse it.  The two
+bilinear terms come from one transform of v and one of d.
 """
 
 from __future__ import annotations
@@ -115,8 +115,10 @@ def center_bump(T: SpectralTorus, amplitude: float = 0.5) -> Field:
 class _EnergyDelta:
     """Cancellation-free J(v - s d) - J(v) for fixed v and zero-mean d.
 
-    ``partitions`` holds each atom's max-shifted exponential e^{alpha v - m},
-    its grid sum and m, as :func:`el_residual` hands them out for v.
+    ``partitions`` holds each atom's max-shifted exponential e^{alpha v - m}
+    and its grid sum, as :func:`el_residual` hands them out for v.  Each
+    atom's expm1 runs in place in one buffer, and its relative sum is one
+    dot product with the atom's row.
     """
 
     def __init__(self, prob: Problem, v: Field, d: Field, partitions: Partitions):
@@ -128,23 +130,38 @@ class _EnergyDelta:
     def __call__(self, s: float) -> float:
         delta = -s * self.a_vd + 0.5 * s * s * self.a_dd
         log_terms = 0.0
+        d = self.d.values.ravel()
+        u = np.empty_like(d)
+        rows = zip(self.prob.P.atoms, self.shifted.rows(), self.shifted.totals.tolist())
         # a move past exp overflow makes the sum inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
-            for (a, w), (ex, total, _) in zip(self.prob.P.atoms, self.shifted):
-                u = (-s * a) * self.d.values
-                rel = float((ex * np.expm1(u)).sum()) / total
+            for (a, w), ex, total in rows:
+                np.multiply(d, -s * a, out=u)
+                np.expm1(u, out=u)
+                rel = float(ex @ u) / total
                 if not math.isfinite(rel):
                     raise OverflowError("partition exponent out of range")
                 log_terms += w * math.log1p(rel)
         return delta - self.prob.lam * log_terms
 
 
-def _stop_status(opts: MinimizeOptions, v: Field, res_norm: float, iterations: int) -> str | None:
+def blowup_threshold(opts: MinimizeOptions, T: SpectralTorus) -> float:
+    """The peak of |v| at which a run on T counts as blown up.
+
+    It is ``blowup_peak_threshold`` on grids up to 64^2, plus 4 log(n/64) on
+    an n^2 grid beyond: the peak of a solution that converges at lambda_bar
+    grows by about 4 log 2 per grid doubling, and for
+    1/2 delta_-1 + 1/2 delta_1 it crosses a fixed 25 at 512^2.
+    """
+    return opts.blowup_peak_threshold + 4.0 * math.log(max(T.grid_n, 64) / 64)
+
+
+def _stop_status(opts: MinimizeOptions, T: SpectralTorus, v: Field, res_norm: float, iterations: int) -> str | None:
     """How a run ends at this iterate, or None to go on: the tolerance is
     checked first, then the peak of |v|, then the budget."""
     if res_norm <= opts.grad_tol:
         return "converged"
-    if float(np.abs(v.values).max()) >= opts.blowup_peak_threshold:
+    if float(np.abs(v.values).max()) >= blowup_threshold(opts, T):
         return "blown_up"
     if iterations >= opts.max_iters:
         return "budget"
@@ -238,8 +255,8 @@ def minimize(
 
     Starts from ``warm_start`` with its mean subtracted, or from seeded
     band-limited noise, so every iterate and ``result.v`` have zero mean.
-    Ends on tolerance, a peak of |v| reaching the blowup threshold (so a
-    spike of either sign counts), the iteration budget, or
+    Ends on tolerance, a peak of |v| reaching :func:`blowup_threshold` (so
+    a spike of either sign counts), the iteration budget, or
     ``MAX_REJECTIONS`` rejected steps in a row; ``result.status`` says
     which, and ``result`` holds the last iterate in every case.  Every
     step, accepted or rejected, is one iteration toward the budget.
@@ -258,7 +275,7 @@ def minimize(
             trace.write(f"# seed={opts.seed}\n")
             trace.write("iter,J,residual_norm,step,max_v\n")
 
-        partitions: Partitions = []
+        partitions = Partitions()
         g = el_residual(prob, v, partitions)
         j_curr = J(prob, v, partitions)
         res_norm = float(np.abs(g.values).max())
@@ -269,7 +286,7 @@ def minimize(
         if trace:
             _trace_row(trace, iterations, j_curr, res_norm, 0.0, v)
 
-        while (status := _stop_status(opts, v, res_norm, iterations)) is None:
+        while (status := _stop_status(opts, T, v, res_norm, iterations)) is None:
             if path is None:
                 path = _SteihaugPath(prob, partitions, g)
                 if iterations == 0:
@@ -283,7 +300,7 @@ def minimize(
                 v = project_zero_mean(T, Field(v.values - step.values))
                 # drop the old iterate's exponentials before the new ones are made
                 path = None
-                partitions = []
+                partitions = Partitions()
                 g = el_residual(prob, v, partitions)
                 j_curr = j_curr + dj
                 res_norm = float(np.abs(g.values).max())

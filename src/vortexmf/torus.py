@@ -99,8 +99,8 @@ def project_zero_mean(T: SpectralTorus, f: Field) -> Field:
 def laplacian(T: SpectralTorus, f: Field) -> Field:
     """Spectral Laplacian; the constant mode maps to 0."""
     F = np.fft.fft2(_check(T, f))
-    out = np.fft.ifft2(-T.eigenvalues * F).real
-    return Field(out)
+    F *= -T.eigenvalues
+    return Field(np.fft.ifft2(F).real)
 
 
 def solve_poisson_zero_mean(T: SpectralTorus, rhs: Field) -> Field:
@@ -116,7 +116,8 @@ def solve_poisson_zero_mean(T: SpectralTorus, rhs: Field) -> Field:
 
 def _spectral_inner(T: SpectralTorus, F: np.ndarray, G: np.ndarray) -> float:
     """int grad f . grad g by Parseval, from the transforms F of f and G of g."""
-    cross = F.real * G.real + F.imag * G.imag
+    cross = F.real * G.real
+    cross += F.imag * G.imag
     norm = T.volume / T.grid_n**4
     return norm * float((T.eigenvalues * cross).sum())
 

@@ -1,5 +1,6 @@
-"""Test oracles on the free energy: the dual energy expression and central
-differences in the circulation alpha.
+"""Test oracles on the free energy: the dual energy expression, central
+differences in the circulation alpha, and per-atom loops for the residual
+and the Hessian product.
 
 The library computes J directly; these recompute it, or derivatives of its
 ingredients, by independent formulas that the tests compare against.
@@ -10,7 +11,7 @@ import math
 import numpy as np
 
 from vortexmf.functional import Problem, log_partition, w_alpha
-from vortexmf.torus import Field, integrate
+from vortexmf.torus import Field, integrate, laplacian, project_zero_mean
 
 
 def J_dual(prob: Problem, v: Field) -> float:
@@ -31,6 +32,46 @@ def J_dual(prob: Problem, v: Field) -> float:
         ent = integrate(T, Field(wa.values * np.exp(wa.values)))
         total += w * (mean_w + ent)
     return 0.5 * prob.lam * total
+
+
+def _shifted_partitions(prob: Problem, v: Field) -> list[tuple[float, np.ndarray, float]]:
+    """Per atom, m = max(alpha v), e^{alpha v - m} on the grid and its grid sum."""
+    out = []
+    for a, _ in prob.P.atoms:
+        av = a * v.values
+        m = float(av.max())
+        ex = np.exp(av - m)
+        out.append((m, ex, float(ex.sum())))
+    return out
+
+
+def el_residual_per_atom(prob: Problem, v: Field) -> Field:
+    """The equation residual, one atom at a time, each density by its own
+    exponential:
+
+        -Laplacian v - lambda sum w alpha (e^{alpha v} / int e^{alpha v} - 1/|Omega|).
+    """
+    T = prob.torus
+    acc = np.zeros_like(v.values)
+    for (a, w), (m, _, total) in zip(prob.P.atoms, _shifted_partitions(prob, v)):
+        if a != 0.0:
+            density = np.exp(a * v.values - (m + math.log(T.cell_area * total)))
+            acc += (w * a) * (density - 1.0 / T.volume)
+    return project_zero_mean(T, Field(-laplacian(T, v).values - prob.lam * acc))
+
+
+def hessian_product_per_atom(prob: Problem, v: Field, phi: Field) -> Field:
+    """The second variation of J at v along phi, one atom at a time:
+
+        -Laplacian phi - lambda sum w alpha^2 rho_alpha (phi - int rho_alpha phi).
+    """
+    T = prob.torus
+    acc = np.zeros_like(phi.values)
+    for (a, w), (_, ex, total) in zip(prob.P.atoms, _shifted_partitions(prob, v)):
+        if a != 0.0:
+            mean = float((ex * phi.values).sum()) / total  # int rho_alpha phi
+            acc += (w * a * a / (T.cell_area * total)) * ex * (phi.values - mean)
+    return project_zero_mean(T, Field(-laplacian(T, phi).values - prob.lam * acc))
 
 
 def dalpha_peak(

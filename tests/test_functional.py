@@ -1,16 +1,18 @@
 """Free energy, its gradient, dual form, and alpha-derivative identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import i0
 
 from helpers import random_measure, random_zero_mean_field
-from oracles import J_dual, dalpha_partition, dalpha_peak
-from vortexmf.functional import J, Problem, el_residual, hessian_product, log_partition, w_alpha
+from oracles import J_dual, dalpha_partition, dalpha_peak, el_residual_per_atom, hessian_product_per_atom
+from vortexmf import functional
+from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product, log_partition, w_alpha
 from vortexmf.measure import new_atomic
-from vortexmf.minimize import random_zero_mean
+from vortexmf.minimize import _EnergyDelta, random_zero_mean
 from vortexmf.torus import Field, SpectralTorus, integrate, laplacian, project_zero_mean
 
 
@@ -156,25 +158,74 @@ def test_residual_hands_out_the_shifted_partitions():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-1.0, 0.3), (0.0, 0.2), (0.5, 0.2), (1.0, 0.3)]), 5.0)
     v = random_zero_mean_field(T, np.random.default_rng(8))
-    partitions = []
+    partitions = Partitions()
     res = el_residual(prob, v, partitions)
     assert np.array_equal(res.values, el_residual(prob, v).values)
-    assert len(partitions) == len(prob.P.atoms)
-    for (a, _), (ex, total, m) in zip(prob.P.atoms, partitions):
+    rows = list(partitions.rows())
+    assert len(rows) == len(partitions.totals) == len(partitions.shifts) == len(prob.P.atoms)
+    for (a, _), ex, total, m in zip(prob.P.atoms, rows, partitions.totals, partitions.shifts):
         av = a * v.values
         expected = np.exp(av - av.max())
-        assert np.array_equal(ex, expected)
+        assert np.array_equal(ex, expected.ravel())
         assert total == float(expected.sum())
         assert m == float(av.max())
     # J read off the partitions takes no exponential and matches bit for bit
     assert J(prob, v, partitions) == J(prob, v)
 
 
+def test_batched_layer_matches_the_per_atom_oracles(monkeypatch):
+    # 7 atoms in blocks of 3 rows: two full blocks and a partial one
+    T = SpectralTorus(1.0, 32)
+    monkeypatch.setattr(functional, "_BLOCK_BYTES", 3 * 8 * T.grid_n**2 + 100)
+    atoms = [(-1.0, 0.1), (-0.6, 0.2), (-0.1, 0.1), (0.0, 0.2), (0.3, 0.1), (0.8, 0.1), (1.0, 0.2)]
+    prob = Problem(T, new_atomic(atoms), 30.0)
+    v = random_zero_mean(T, 3, amplitude=2.0)
+    partitions = Partitions()
+    res = el_residual(prob, v, partitions).values
+    assert [len(block) for block in partitions.blocks] == [3, 3, 1]
+    expected = el_residual_per_atom(prob, v).values
+    assert np.abs(res - expected).max() <= 1e-13 * np.abs(expected).max()
+    for seed in range(3):
+        phi = random_zero_mean(T, 40 + seed, amplitude=1.0)
+        got = hessian_product(prob, partitions, phi).values
+        expected = hessian_product_per_atom(prob, v, phi).values
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_one_iterate_allocates_the_stack_in_blocks_and_few_fields():
+    # 128 atoms on 64^2: a 4 MiB stack.  Built, multiplied and moved along
+    # once, it takes at most 8 fields beyond itself, and no one allocation
+    # is larger than a block or a field: one large stack would raise the
+    # resident set once the allocator serves it from the heap.
+    T = SpectralTorus(1.0, 64)
+    n_atoms = 128
+    atoms = [(-1.0 + (i + 0.5) / 64, 1.0 / n_atoms) for i in range(n_atoms)]
+    prob = Problem(T, new_atomic(atoms), 100.0)
+    v = random_zero_mean(T, 0, amplitude=1.0)
+    d = random_zero_mean(T, 1, amplitude=0.1)
+    field = v.values.nbytes
+    el_residual(prob, v)  # the torus symbols are cached outside the traced calls
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        partitions = Partitions()
+        el_residual(prob, v, partitions)
+        hessian_product(prob, partitions, d)
+        _EnergyDelta(prob, v, d, partitions)(1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
+    finally:
+        tracemalloc.stop()
+    assert len(partitions.blocks) == 4
+    assert peak <= (n_atoms + 8) * field
+    assert largest <= max(functional._BLOCK_BYTES, field)
+
+
 def _signed_hessian_setup():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-0.7, 0.3), (0.2, 0.3), (0.9, 0.4)]), 30.0)
     v = random_zero_mean(T, 3, amplitude=2.0)
-    partitions = []
+    partitions = Partitions()
     el_residual(prob, v, partitions)
     return T, prob, v, partitions
 

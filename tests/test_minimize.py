@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from helpers import gaussian_bump, synthetic_result
-from vortexmf.functional import J, Problem, el_residual, hessian_product
+from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product
 from vortexmf.measure import new_atomic
 from vortexmf.minimize import (
     MinimizeOptions,
+    blowup_threshold,
     center_bump,
     continuation_sweep,
     detect_concentration,
@@ -197,6 +198,21 @@ def test_blowup_reached_dynamically():
     assert res.peak_value >= 5.0
 
 
+def test_blowup_threshold_grows_with_the_grid_beyond_64():
+    opts = MinimizeOptions()
+    for n in (16, 32, 64):
+        assert blowup_threshold(opts, SpectralTorus(1.0, n)) == 25.0
+    assert blowup_threshold(opts, SpectralTorus(1.0, 128)) == pytest.approx(25.0 + 4.0 * math.log(2.0), rel=1e-15)
+    assert blowup_threshold(opts, SpectralTorus(1.0, 512)) == pytest.approx(25.0 + 12.0 * math.log(2.0), rel=1e-15)
+    # a start with a peak of 26 stops a 64^2 run at once; a 128^2 run takes its step
+    for n, status, iterations in ((64, "blown_up", 0), (128, "budget", 1)):
+        T = SpectralTorus(1.0, n)
+        tall = project_zero_mean(T, Field(gaussian_bump(T, (n // 2, n // 2), 26.0, 0.1)))
+        assert 25.0 <= tall.values.max() < 25.0 + 4.0 * math.log(2.0)
+        res = minimize(Problem(T, delta_one(), 1.0), MinimizeOptions(max_iters=1), warm_start=tall)
+        assert (res.status, res.iterations) == (status, iterations)
+
+
 def test_blowup_guard_sees_negative_spikes():
     # delta_{-1} concentrates into a negative spike; past lambda_bar it must
     # stop blown up like its mirror delta_1 instead of converging onto it
@@ -258,7 +274,7 @@ def _signed_three_atom_move():
 
 def _energy_delta(prob, v, d):
     """The trust region's energy difference, with the partitions el_residual hands out."""
-    partitions = []
+    partitions = Partitions()
     el_residual(prob, v, partitions)
     return minimize_module._EnergyDelta(prob, v, d, partitions)
 
@@ -346,7 +362,7 @@ def test_work_per_iteration(monkeypatch, tmp_path):
     # step), 2 per Hessian product (its Laplacian) and 2 per Poisson solve of
     # the truncated CG: one per Hessian product, and one more where the path
     # ends inside the trust region; per accepted step 2 for the Laplacian in
-    # el_residual; two exponentials per nonzero atom, both in el_residual
+    # el_residual; one exponential per atom, in el_residual
     counts = {"fft": 0, "exp": 0, "expm1": 0}
 
     def counting(fn, key, elements):
@@ -387,8 +403,8 @@ def test_work_per_iteration(monkeypatch, tmp_path):
     # 1 for J; the Poisson solve of each path's first direction is one of
     # the one-per-product solves
     assert counts["fft"] == 5 + 2 * res.iterations + 2 * accepted + 4 * res.hessian_products + 2 * interior
-    # set-up: two exponentials per atom in the first residual; J reads the partitions
-    assert counts["exp"] == per_atom * (2 + 2 * accepted)
+    # set-up: one exponential per atom in the first residual; J reads the partitions
+    assert counts["exp"] == per_atom * (1 + accepted)
     # one expm1 per atom and step
     assert counts["expm1"] == per_atom * res.iterations
 
@@ -429,7 +445,10 @@ def test_first_radius_is_the_h1_length_of_the_preconditioned_gradient(tmp_path):
     minimize(prob, MinimizeOptions(max_iters=1), trace_path=str(path))
     g = el_residual(prob, random_zero_mean(T, 0))
     first = float(path.read_text().splitlines()[3].split(",")[3])
-    assert first == math.sqrt(gradient_inner(T, solve_poisson_zero_mean(T, g), solve_poisson_zero_mean(T, g)))
+    # <g, (-Laplacian)^-1 g> on the grid and the spectral Dirichlet form agree
+    # to a few ulps, not bit for bit
+    expected = math.sqrt(gradient_inner(T, solve_poisson_zero_mean(T, g), solve_poisson_zero_mean(T, g)))
+    assert first == pytest.approx(expected, rel=1e-15)
 
 
 def test_trust_region_steps_count_toward_the_budget(tmp_path):
@@ -448,7 +467,7 @@ def _newton_model_setup():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-0.7, 0.3), (0.2, 0.3), (0.9, 0.4)]), 30.0)
     v = random_zero_mean(T, 3, amplitude=2.0)
-    partitions = []
+    partitions = Partitions()
     g = el_residual(prob, v, partitions)
     return T, prob, g, partitions
 
@@ -491,7 +510,7 @@ def test_rejected_step_cuts_the_stored_path(monkeypatch, steps, first_boundary):
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
     v = minimize(prob, MinimizeOptions(max_iters=steps)).v
-    partitions = []
+    partitions = Partitions()
     g = el_residual(prob, v, partitions)
     path = minimize_module._SteihaugPath(prob, partitions, g)
     first, _, on_boundary, grown = path.step(1e6)
