@@ -147,6 +147,7 @@ def el_residual(prob: Problem, v: Field, partitions: Partitions | None = None) -
     """
     T = prob.torus
     atoms = prob.P.atoms
+    # the transforms' scratch is freed before the sums below are allocated
     lap = laplacian(T, v).values
     vals = v.values.ravel()
     alpha = np.array([a for a, _ in atoms])
@@ -193,7 +194,7 @@ def hessian_product(prob: Problem, partitions: Partitions, phi: Field) -> Field:
     phi, and symmetric in the L^2 inner product.
     """
     T = prob.torus
-    lap = laplacian(T, phi).values
+    lap = laplacian(T, phi).values  # first, as in el_residual
     flat = phi.values.ravel()
     acc = flat * partitions.curvature
     buf = np.empty_like(flat)
