@@ -155,7 +155,8 @@ def el_residual(prob: Problem, v: Field, partitions: Partitions | None = None) -
     totals = np.empty(len(atoms))
     shifts = np.empty(len(atoms))
     density_sum = np.zeros_like(vals)  # sum w alpha rho_alpha
-    curvature = np.zeros_like(vals)  # sum w alpha^2 rho_alpha
+    # sum w alpha^2 rho_alpha, which only the Hessian product reads
+    curvature = None if partitions is None else np.zeros_like(vals)
     buf = np.empty_like(vals)
     blocks = []
     rows = max(1, _BLOCK_BYTES // vals.nbytes)
@@ -167,7 +168,8 @@ def el_residual(prob: Problem, v: Field, partitions: Partitions | None = None) -
         part = slice(start, start + len(block))
         c = weight[part] * alpha[part] / (T.cell_area * totals[part])
         density_sum += np.matmul(c, block, out=buf)
-        curvature += np.matmul(c * alpha[part], block, out=buf)
+        if partitions is not None:
+            curvature += np.matmul(c * alpha[part], block, out=buf)
         blocks.append(block)
     if partitions is not None:
         partitions.blocks = blocks

@@ -205,20 +205,37 @@ def test_one_iterate_allocates_the_stack_in_blocks_and_few_fields():
     d = random_zero_mean(T, 1, amplitude=0.1)
     field = v.values.nbytes
     el_residual(prob, v)  # the torus symbols are cached outside the traced calls
+    partitions = Partitions()
+    calls = [
+        lambda: el_residual(prob, v, partitions),
+        lambda: hessian_product(prob, partitions, d),
+        lambda: _EnergyDelta(prob, v, d, partitions)(1.0),
+    ]
+    rises = []  # each call's traced peak above what was live when it began
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        partitions = Partitions()
-        el_residual(prob, v, partitions)
-        hessian_product(prob, partitions, d)
-        _EnergyDelta(prob, v, d, partitions)(1.0)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        peak = 0
+        for call in calls:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            rises.append(tracemalloc.get_traced_memory()[1] - start)
+            peak = max(peak, start - base + rises[-1])
+        # the snapshot sees only what is still live: the blocks and fields
+        # the partitions keep
         largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
     finally:
         tracemalloc.stop()
     assert len(partitions.blocks) == 4
     assert peak <= (n_atoms + 8) * field
     assert largest <= max(functional._BLOCK_BYTES, field)
+    # a block is 32 fields here, so a temporary larger than a block in the
+    # Hessian product or the energy difference breaks its bound, and one
+    # in the residual once the stack is built
+    assert rises[0] <= (n_atoms + 8) * field
+    assert rises[1] <= 8 * field
+    assert rises[2] <= 8 * field
 
 
 def _signed_hessian_setup():

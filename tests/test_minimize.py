@@ -445,10 +445,11 @@ def test_first_radius_is_the_h1_length_of_the_preconditioned_gradient(tmp_path):
     minimize(prob, MinimizeOptions(max_iters=1), trace_path=str(path))
     g = el_residual(prob, random_zero_mean(T, 0))
     first = float(path.read_text().splitlines()[3].split(",")[3])
-    # <g, (-Laplacian)^-1 g> on the grid and the spectral Dirichlet form agree
-    # to a few ulps, not bit for bit
-    expected = math.sqrt(gradient_inner(T, solve_poisson_zero_mean(T, g), solve_poisson_zero_mean(T, g)))
-    assert first == pytest.approx(expected, rel=1e-15)
+    z = solve_poisson_zero_mean(T, g)
+    assert first == math.sqrt(T.cell_area * float((g.values * z.values).sum()))
+    # <g, (-Laplacian)^-1 g> on the grid is the spectral Dirichlet form of z,
+    # to a few ulps
+    assert first == pytest.approx(math.sqrt(gradient_inner(T, z, z)), rel=1e-15)
 
 
 def test_trust_region_steps_count_toward_the_budget(tmp_path):
