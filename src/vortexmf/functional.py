@@ -15,17 +15,14 @@ e^{alpha v}, which integrates e^{w_alpha} to exactly 1.  All partition
 integrals are evaluated with max-shifted exponentials.
 
 The residual takes one exponential per atom and writes it into that atom's
-row of a stack of the partitions (:class:`Partitions`), kept in blocks of at
-most ``_BLOCK_BYTES``.  The sums over the atoms are then matrix products
-with the blocks: the residual's sum of densities is one product per block,
-and the Hessian product is two.
+row of one contiguous stack of the partitions (:class:`Partitions`).  The
+sums over the atoms are then matrix products with the stack: the residual's
+sum of densities is one, and the Hessian product is two.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,39 +40,6 @@ from vortexmf.torus import (
 # so this only trips on non-finite input
 _EXP_GUARD = 700.0
 
-# Bytes per block of the partition stack; a block holds at least one row.
-# One stack of all atoms would be a single large allocation: once glibc's
-# mmap threshold has risen past it, it is served from the heap, and the peak
-# resident set of 128 atoms at 128^2 rose by 13 MiB.  Blocks of this size
-# keep it where it was.
-_BLOCK_BYTES = 1 << 20
-
-
-class Partitions:
-    """Every atom's max-shifted partition exponential at one field v, as
-    :func:`el_residual` hands them out for J, the energy differences and
-    :func:`hessian_product` at v to reuse.
-
-    The stack has one row e^{alpha v - m} over the flattened grid per atom,
-    in atom order, zero atoms included.  It is split into contiguous
-    ``blocks`` of at most ``_BLOCK_BYTES`` each, unless a single row is
-    larger.  ``totals`` and ``shifts`` hold each row's grid sum and m;
-    ``curvature`` is S = sum w alpha^2 rho_alpha over the flattened grid,
-    and ``hessian_weights`` is w alpha^2 / (cell_area total^2) per row, so
-    that the second variation is phi S - sum_rows weight (row . phi) row.
-    """
-
-    def __init__(self) -> None:
-        self.blocks: list[np.ndarray] = []
-        self.totals = np.empty(0)
-        self.shifts = np.empty(0)
-        self.curvature = np.empty(0)
-        self.hessian_weights = np.empty(0)
-
-    def rows(self) -> Iterator[np.ndarray]:
-        """Each atom's row, in atom order."""
-        return itertools.chain.from_iterable(self.blocks)
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -88,6 +52,34 @@ class Problem:
     def __post_init__(self) -> None:
         if not 0.0 < self.lam < math.inf:
             raise ValueError("coupling lambda must be positive and finite")
+
+
+class Partitions:
+    """Every atom's max-shifted partition exponential at one field v, as
+    :func:`el_residual` hands them out for J, the energy differences and
+    :func:`hessian_product` at v to reuse.
+
+    ``stack`` has one row e^{alpha v - m} over the flattened grid per atom,
+    in atom order, zero atoms included.  ``totals`` and ``shifts`` hold each
+    row's grid sum and m; ``curvature`` is S = sum w alpha^2 rho_alpha over
+    the flattened grid, and ``hessian_weights`` is
+    w alpha^2 / (cell_area total^2) per row, so that the second variation
+    is phi S - sum_rows weight (row . phi) row.
+
+    The arrays are allocated here, once per run, and every
+    :func:`el_residual` that is handed them refills them in place, so a run
+    never holds two stacks: a new stack allocated per residual while the
+    previous one was alive raised the peak resident set of 128 atoms at
+    128^2 by 30 MiB.
+    """
+
+    def __init__(self, prob: Problem) -> None:
+        atoms, cells = len(prob.P.atoms), prob.torus.grid_n**2
+        self.stack = np.empty((atoms, cells))
+        self.totals = np.empty(atoms)
+        self.shifts = np.empty(atoms)
+        self.curvature = np.empty(cells)
+        self.hessian_weights = np.empty(atoms)
 
 
 def _exp_shifted(av: np.ndarray) -> tuple[float, float]:
@@ -138,12 +130,12 @@ def el_residual(prob: Problem, v: Field, partitions: Partitions | None = None) -
     for every direction phi.  Each atom takes one exponential, written into
     its row of the stack; the densities are read off it as
     rho_alpha = ex / (cell_area total), and sum w alpha rho_alpha is one
-    matrix product per block.  Analytically the residual has zero mean
+    matrix product with the stack.  Analytically the residual has zero mean
     (each density integrates to 1); the floating-point mean is projected
     out.
 
-    When ``partitions`` is given, it is filled with the stack of v (see
-    :class:`Partitions`).
+    When ``partitions`` is given, it is refilled in place with the stack of
+    v (see :class:`Partitions`); otherwise a stack is made for this call.
     """
     T = prob.torus
     atoms = prob.P.atoms
@@ -152,31 +144,17 @@ def el_residual(prob: Problem, v: Field, partitions: Partitions | None = None) -
     vals = v.values.ravel()
     alpha = np.array([a for a, _ in atoms])
     weight = np.array([w for _, w in atoms])
-    totals = np.empty(len(atoms))
-    shifts = np.empty(len(atoms))
-    density_sum = np.zeros_like(vals)  # sum w alpha rho_alpha
-    # sum w alpha^2 rho_alpha, which only the Hessian product reads
-    curvature = None if partitions is None else np.zeros_like(vals)
-    buf = np.empty_like(vals)
-    blocks = []
-    rows = max(1, _BLOCK_BYTES // vals.nbytes)
-    for start in range(0, len(atoms), rows):
-        block = np.empty((min(rows, len(atoms) - start), vals.size))
-        for i, row in enumerate(block, start):
-            np.multiply(vals, alpha[i], out=row)
-            shifts[i], totals[i] = _exp_shifted(row)
-        part = slice(start, start + len(block))
-        c = weight[part] * alpha[part] / (T.cell_area * totals[part])
-        density_sum += np.matmul(c, block, out=buf)
-        if partitions is not None:
-            curvature += np.matmul(c * alpha[part], block, out=buf)
-        blocks.append(block)
+    filled = Partitions(prob) if partitions is None else partitions
+    totals = filled.totals
+    for i, row in enumerate(filled.stack):
+        np.multiply(vals, alpha[i], out=row)
+        filled.shifts[i], totals[i] = _exp_shifted(row)
+    c = weight * alpha / (T.cell_area * totals)
+    density_sum = c @ filled.stack  # sum w alpha rho_alpha
     if partitions is not None:
-        partitions.blocks = blocks
-        partitions.totals = totals
-        partitions.shifts = shifts
-        partitions.curvature = curvature
-        partitions.hessian_weights = weight * alpha * alpha / (T.cell_area * totals * totals)
+        # sum w alpha^2 rho_alpha, which only the Hessian product reads
+        np.matmul(c * alpha, filled.stack, out=filled.curvature)
+        np.divide(weight * alpha * alpha, T.cell_area * totals * totals, out=filled.hessian_weights)
     density_sum -= float(weight @ alpha) / T.volume
     res = density_sum.reshape(lap.shape)
     res *= -prob.lam
@@ -192,21 +170,16 @@ def hessian_product(prob: Problem, partitions: Partitions, phi: Field) -> Field:
     with rho_alpha = e^{alpha v} / int e^{alpha v} read off the ``partitions``
     that :func:`el_residual` handed out for v, so no exponential is taken.
     The sum is phi S minus the rank-one terms of the rows, two matrix-vector
-    products per block.  It is the derivative of :func:`el_residual` along
-    phi, and symmetric in the L^2 inner product.
+    products with the stack.  It is the derivative of :func:`el_residual`
+    along phi, and symmetric in the L^2 inner product.
     """
     T = prob.torus
     lap = laplacian(T, phi).values  # first, as in el_residual
     flat = phi.values.ravel()
+    t = partitions.stack @ flat
+    t *= partitions.hessian_weights
     acc = flat * partitions.curvature
-    buf = np.empty_like(flat)
-    start = 0
-    for block in partitions.blocks:
-        stop = start + len(block)
-        t = block @ flat
-        t *= partitions.hessian_weights[start:stop]
-        acc -= np.matmul(t, block, out=buf)
-        start = stop
+    acc -= t @ partitions.stack
     res = acc.reshape(lap.shape)
     res *= -prob.lam
     res -= lap

@@ -21,10 +21,11 @@ J(new) - J(old) subtraction stalls at the rounding floor of J long before
 the equation residual reaches the tolerances demanded here.
 
 Each atom's partition exponential e^{alpha v - m} (m the max of alpha v)
-is computed once per iterate: :func:`el_residual` hands out the stack of
-them with their grid sums and shifts, and J at the start, the energy
-differences and every Hessian product at that iterate reuse it.  The two
-bilinear terms come from one transform of v and one of d.
+is computed once per iterate: :func:`el_residual` refills one stack of
+them, allocated once per run, with their grid sums and shifts, and J at
+the start, the energy differences and every Hessian product at that
+iterate reuse it.  The two bilinear terms come from one transform of v and
+one of d.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class _EnergyDelta:
         log_terms = 0.0
         d = self.d.values.ravel()
         u = np.empty_like(d)
-        rows = zip(self.prob.P.atoms, self.shifted.rows(), self.shifted.totals.tolist())
+        rows = zip(self.prob.P.atoms, self.shifted.stack, self.shifted.totals.tolist())
         # a move past exp overflow makes the sum inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
             for (a, w), ex, total in rows:
@@ -275,7 +276,7 @@ def minimize(
             trace.write(f"# seed={opts.seed}\n")
             trace.write("iter,J,residual_norm,step,max_v\n")
 
-        partitions = Partitions()
+        partitions = Partitions(prob)
         g = el_residual(prob, v, partitions)
         j_curr = J(prob, v, partitions)
         res_norm = float(np.abs(g.values).max())
@@ -298,9 +299,7 @@ def minimize(
             iterations += 1
             if ratio > ACCEPT_RATIO:
                 v = project_zero_mean(T, Field(v.values - step.values))
-                # drop the old iterate's exponentials before the new ones are made
                 path = None
-                partitions = Partitions()
                 g = el_residual(prob, v, partitions)
                 j_curr = j_curr + dj
                 res_norm = float(np.abs(g.values).max())

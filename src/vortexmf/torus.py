@@ -100,7 +100,9 @@ def laplacian(T: SpectralTorus, f: Field) -> Field:
     """Spectral Laplacian; the constant mode maps to 0."""
     F = np.fft.fft2(_check(T, f))
     F *= -T.eigenvalues
-    return Field(np.fft.ifft2(F).real)
+    F = np.fft.ifft2(F)
+    # .real is a strided view that would keep the whole complex array alive
+    return Field(F.real.copy())
 
 
 def solve_poisson_zero_mean(T: SpectralTorus, rhs: Field) -> Field:
@@ -110,8 +112,9 @@ def solve_poisson_zero_mean(T: SpectralTorus, rhs: Field) -> Field:
     side (the solvability condition) needs no check.
     """
     F = np.fft.fft2(_check(T, rhs))
-    u = np.fft.ifft2(T.inverse_eigenvalues * F).real
-    return Field(u)
+    F *= T.inverse_eigenvalues
+    F = np.fft.ifft2(F)
+    return Field(F.real.copy())  # contiguous, as in laplacian
 
 
 def _spectral_inner(T: SpectralTorus, F: np.ndarray, G: np.ndarray) -> float:

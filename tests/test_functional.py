@@ -9,7 +9,6 @@ from scipy.special import i0
 
 from helpers import random_measure, random_zero_mean_field
 from oracles import J_dual, dalpha_partition, dalpha_peak, el_residual_per_atom, hessian_product_per_atom
-from vortexmf import functional
 from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product, log_partition, w_alpha
 from vortexmf.measure import new_atomic
 from vortexmf.minimize import _EnergyDelta, random_zero_mean
@@ -158,12 +157,12 @@ def test_residual_hands_out_the_shifted_partitions():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-1.0, 0.3), (0.0, 0.2), (0.5, 0.2), (1.0, 0.3)]), 5.0)
     v = random_zero_mean_field(T, np.random.default_rng(8))
-    partitions = Partitions()
+    partitions = Partitions(prob)
     res = el_residual(prob, v, partitions)
     assert np.array_equal(res.values, el_residual(prob, v).values)
-    rows = list(partitions.rows())
-    assert len(rows) == len(partitions.totals) == len(partitions.shifts) == len(prob.P.atoms)
-    for (a, _), ex, total, m in zip(prob.P.atoms, rows, partitions.totals, partitions.shifts):
+    assert partitions.stack.shape == (len(prob.P.atoms), T.grid_n**2)
+    assert len(partitions.totals) == len(partitions.shifts) == len(prob.P.atoms)
+    for (a, _), ex, total, m in zip(prob.P.atoms, partitions.stack, partitions.totals, partitions.shifts):
         av = a * v.values
         expected = np.exp(av - av.max())
         assert np.array_equal(ex, expected.ravel())
@@ -173,16 +172,13 @@ def test_residual_hands_out_the_shifted_partitions():
     assert J(prob, v, partitions) == J(prob, v)
 
 
-def test_batched_layer_matches_the_per_atom_oracles(monkeypatch):
-    # 7 atoms in blocks of 3 rows: two full blocks and a partial one
+def test_batched_layer_matches_the_per_atom_oracles():
     T = SpectralTorus(1.0, 32)
-    monkeypatch.setattr(functional, "_BLOCK_BYTES", 3 * 8 * T.grid_n**2 + 100)
     atoms = [(-1.0, 0.1), (-0.6, 0.2), (-0.1, 0.1), (0.0, 0.2), (0.3, 0.1), (0.8, 0.1), (1.0, 0.2)]
     prob = Problem(T, new_atomic(atoms), 30.0)
     v = random_zero_mean(T, 3, amplitude=2.0)
-    partitions = Partitions()
+    partitions = Partitions(prob)
     res = el_residual(prob, v, partitions).values
-    assert [len(block) for block in partitions.blocks] == [3, 3, 1]
     expected = el_residual_per_atom(prob, v).values
     assert np.abs(res - expected).max() <= 1e-13 * np.abs(expected).max()
     for seed in range(3):
@@ -192,11 +188,12 @@ def test_batched_layer_matches_the_per_atom_oracles(monkeypatch):
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-def test_one_iterate_allocates_the_stack_in_blocks_and_few_fields():
-    # 128 atoms on 64^2: a 4 MiB stack.  Built, multiplied and moved along
-    # once, it takes at most 8 fields beyond itself, and no one allocation
-    # is larger than a block or a field: one large stack would raise the
-    # resident set once the allocator serves it from the heap.
+def test_one_iterate_refills_the_stack_and_allocates_few_fields():
+    # 128 atoms on 64^2: a 4 MiB stack, 128 fields, made before the traced
+    # calls.  Refilled, multiplied and moved along, it takes at most 8
+    # fields beyond itself per call, and no allocation a call leaves live
+    # is larger than a field: a new stack per residual, made while the old
+    # one is alive, raises the peak resident set by a stack or more.
     T = SpectralTorus(1.0, 64)
     n_atoms = 128
     atoms = [(-1.0 + (i + 0.5) / 64, 1.0 / n_atoms) for i in range(n_atoms)]
@@ -205,7 +202,7 @@ def test_one_iterate_allocates_the_stack_in_blocks_and_few_fields():
     d = random_zero_mean(T, 1, amplitude=0.1)
     field = v.values.nbytes
     el_residual(prob, v)  # the torus symbols are cached outside the traced calls
-    partitions = Partitions()
+    partitions = Partitions(prob)
     calls = [
         lambda: el_residual(prob, v, partitions),
         lambda: hessian_product(prob, partitions, d),
@@ -214,35 +211,24 @@ def test_one_iterate_allocates_the_stack_in_blocks_and_few_fields():
     rises = []  # each call's traced peak above what was live when it began
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        peak = 0
         for call in calls:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             call()
             rises.append(tracemalloc.get_traced_memory()[1] - start)
-            peak = max(peak, start - base + rises[-1])
-        # the snapshot sees only what is still live: the blocks and fields
-        # the partitions keep
-        largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
+        largest = max((trace.size for trace in tracemalloc.take_snapshot().traces), default=0)
     finally:
         tracemalloc.stop()
-    assert len(partitions.blocks) == 4
-    assert peak <= (n_atoms + 8) * field
-    assert largest <= max(functional._BLOCK_BYTES, field)
-    # a block is 32 fields here, so a temporary larger than a block in the
-    # Hessian product or the energy difference breaks its bound, and one
-    # in the residual once the stack is built
-    assert rises[0] <= (n_atoms + 8) * field
-    assert rises[1] <= 8 * field
-    assert rises[2] <= 8 * field
+    # a stack-sized temporary (128 fields here) in any call breaks its bound
+    assert max(rises) <= 8 * field
+    assert largest <= field
 
 
 def _signed_hessian_setup():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-0.7, 0.3), (0.2, 0.3), (0.9, 0.4)]), 30.0)
     v = random_zero_mean(T, 3, amplitude=2.0)
-    partitions = Partitions()
+    partitions = Partitions(prob)
     el_residual(prob, v, partitions)
     return T, prob, v, partitions
 

@@ -274,7 +274,7 @@ def _signed_three_atom_move():
 
 def _energy_delta(prob, v, d):
     """The trust region's energy difference, with the partitions el_residual hands out."""
-    partitions = Partitions()
+    partitions = Partitions(prob)
     el_residual(prob, v, partitions)
     return minimize_module._EnergyDelta(prob, v, d, partitions)
 
@@ -355,6 +355,26 @@ def test_residual_is_computed_once_per_iterate(monkeypatch, tmp_path):
     last = minimize(Problem(T, delta_one(), 10.0), MinimizeOptions())
     assert last.status == "diverged"
     assert len(calls) == 1
+
+
+def test_run_refills_one_stack(monkeypatch, tmp_path):
+    # every residual of a run refills the partitions allocated before the
+    # first one; holding each stack keeps a freed buffer's address from
+    # being handed out again
+    stacks = []
+
+    def recorded(prob, v, partitions=None):
+        stacks.append(partitions.stack)
+        return el_residual(prob, v, partitions)
+
+    monkeypatch.setattr(minimize_module, "el_residual", recorded)
+    T = SpectralTorus(1.0, 32)
+    P = new_atomic([(-1.0, 0.3), (0.5, 0.3), (1.0, 0.4)])
+    path = tmp_path / "trace.csv"
+    minimize(Problem(T, P, 10.0), MinimizeOptions(max_iters=3), trace_path=str(path))
+    assert _accepted_steps(path) == 3
+    assert len(stacks) == 4
+    assert {s.ctypes.data for s in stacks} == {stacks[0].ctypes.data}
 
 
 def test_work_per_iteration(monkeypatch, tmp_path):
@@ -468,7 +488,7 @@ def _newton_model_setup():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-0.7, 0.3), (0.2, 0.3), (0.9, 0.4)]), 30.0)
     v = random_zero_mean(T, 3, amplitude=2.0)
-    partitions = Partitions()
+    partitions = Partitions(prob)
     g = el_residual(prob, v, partitions)
     return T, prob, g, partitions
 
@@ -511,7 +531,7 @@ def test_rejected_step_cuts_the_stored_path(monkeypatch, steps, first_boundary):
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
     v = minimize(prob, MinimizeOptions(max_iters=steps)).v
-    partitions = Partitions()
+    partitions = Partitions(prob)
     g = el_residual(prob, v, partitions)
     path = minimize_module._SteihaugPath(prob, partitions, g)
     first, _, on_boundary, grown = path.step(1e6)
