@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib.util
 import json
 import math
 import os
@@ -212,13 +213,32 @@ def _sanitize(obj):
     return obj
 
 
-def write_summary(cfg: argparse.Namespace, payload: dict) -> str:
+# The layout of summary.json; raised when a key changes meaning or goes away.
+SCHEMA_VERSION = 1
+
+
+@functools.cache
+def library_versions() -> dict[str, str | None]:
+    """The numpy and scipy versions; the FFT and quadrature bits depend on
+    them.  scipy's is read from the name of its installed
+    ``scipy-<version>.dist-info`` directory (None if there is none), since
+    importing scipy, or importlib.metadata, would load megabytes that only
+    the commands that integrate need."""
+    prefix, suffix = "scipy-", ".dist-info"
+    site = os.path.dirname(importlib.util.find_spec("scipy").submodule_search_locations[0])
+    dists = sorted(name for name in os.listdir(site) if name.startswith(prefix) and name.endswith(suffix))
+    return {"numpy": np.__version__, "scipy": dists[0][len(prefix) : -len(suffix)] if dists else None}
+
+
+def write_summary(cfg: argparse.Namespace, payload: dict) -> dict:
+    """Write ``summary.json``: the payload with the schema version and the
+    library versions; return that record."""
+    record = {"schema_version": SCHEMA_VERSION, "versions": library_versions(), **payload}
     os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, "summary.json")
-    text = json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    text = json.dumps(_sanitize(record), indent=2, sort_keys=True) + "\n"
+    with open(os.path.join(cfg.out, "summary.json"), "w", encoding="utf-8") as fh:
         fh.write(text)
-    return path
+    return record
 
 
 def _emit(cfg: argparse.Namespace, payload: dict, human_lines: list[str]) -> None:
@@ -320,7 +340,7 @@ def cmd_lambda_bar(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOpti
             dataclasses.asdict(consistency_report(P)) if nonneg and m1 > 0.0 else None
         ),
     }
-    write_summary(cfg, payload)
+    payload = write_summary(cfg, payload)
     _emit(
         cfg,
         payload,
@@ -373,7 +393,7 @@ def cmd_solve(
         "stages": stages,
         "requested_stages": len(schedule),
     }
-    write_summary(cfg, payload)
+    payload = write_summary(cfg, payload)
     _emit(cfg, payload, [_stage_line(k, stage) for k, stage in enumerate(stages)])
     bar = lambda_bar(P).lambda_bar
     for k, r in enumerate(results):
@@ -429,7 +449,7 @@ def cmd_scan(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -
         "t_star": [transition.get(a) for a in SCAN_GRID],
         "full_support_above_half": len(always_full),
     }
-    write_summary(cfg, payload)
+    payload = write_summary(cfg, payload)
     _emit(cfg, payload, lines)
     return 0
 
@@ -510,7 +530,7 @@ def cmd_verify(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions)
         "checks": checks,
         "all_passed": all_passed,
     }
-    write_summary(cfg, payload)
+    payload = write_summary(cfg, payload)
     lines = [
         f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: value={c['value']!r} "
         f"target={c['target']!r} tol={c['tolerance']:g}"

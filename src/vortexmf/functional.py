@@ -17,7 +17,8 @@ integrals are evaluated with max-shifted exponentials.
 The residual takes one exponential per atom and writes it into that atom's
 row of one contiguous stack of the partitions (:class:`Partitions`).  The
 sums over the atoms are then matrix products with the stack: the residual's
-sum of densities is one, and the Hessian product is two.
+sum of densities is one, and the partition part of the Hessian product
+(:func:`hessian_atom_term`) is two.
 """
 
 from __future__ import annotations
@@ -162,25 +163,36 @@ def el_residual(prob: Problem, v: Field, partitions: Partitions | None = None) -
     return project_zero_mean(T, Field(res))
 
 
+def hessian_atom_term(prob: Problem, partitions: Partitions, phi: np.ndarray) -> np.ndarray:
+    """The partition part of the second variation of J at v along phi,
+
+        lambda sum w alpha^2 rho_alpha (phi - int rho_alpha phi),
+
+    on the flattened grid, for phi given on the flattened grid.  The rho_alpha
+    are read off the ``partitions`` that :func:`el_residual` handed out for
+    v, so no exponential is taken: the sum is phi S minus the rank-one terms
+    of the rows, two matrix-vector products with the stack.
+    """
+    t = partitions.stack @ phi
+    t *= partitions.hessian_weights
+    acc = phi * partitions.curvature
+    acc -= t @ partitions.stack
+    acc *= prob.lam
+    return acc
+
+
 def hessian_product(prob: Problem, partitions: Partitions, phi: Field) -> Field:
     """Second variation of J at v applied to phi, projected to zero mean:
 
         -Laplacian phi - lambda sum w alpha^2 rho_alpha (phi - int rho_alpha phi),
 
-    with rho_alpha = e^{alpha v} / int e^{alpha v} read off the ``partitions``
-    that :func:`el_residual` handed out for v, so no exponential is taken.
-    The sum is phi S minus the rank-one terms of the rows, two matrix-vector
-    products with the stack.  It is the derivative of :func:`el_residual`
-    along phi, and symmetric in the L^2 inner product.
+    the Laplacian of phi minus :func:`hessian_atom_term`.  It is the
+    derivative of :func:`el_residual` along phi, and symmetric in the L^2
+    inner product.
     """
     T = prob.torus
     lap = laplacian(T, phi).values  # first, as in el_residual
-    flat = phi.values.ravel()
-    t = partitions.stack @ flat
-    t *= partitions.hessian_weights
-    acc = flat * partitions.curvature
-    acc -= t @ partitions.stack
-    res = acc.reshape(lap.shape)
-    res *= -prob.lam
+    res = hessian_atom_term(prob, partitions, phi.values.ravel()).reshape(lap.shape)
+    np.negative(res, out=res)
     res -= lap
     return project_zero_mean(T, Field(res))

@@ -3,12 +3,16 @@
 Every iteration is one trust-region step (Steihaug 1983, Toint 1981).  The
 Newton model of J at the iterate is solved by truncated CG in the H^1 norm,
 preconditioned by the Poisson solve, which makes the quadratic part of the
-energy perfectly conditioned; the Hessian-vector products come from
-:func:`hessian_product`.  The step is accepted or rejected by the ratio of
-the actual change of J to the predicted one.  The first trust radius is the
-H^1 length of the preconditioned gradient, ||(-Laplacian)^-1 g||_H1, which
-needs no constant.  A cold start of 1/2 delta_-1 + 1/2 delta_1 at
-lambda_bar takes 22, 25, 35 and 47 steps on 32^2 to 256^2.
+energy perfectly conditioned.  The CG residual and search direction are
+carried as half spectra (see :mod:`vortexmf.torus`), so the preconditioner
+is a division by the eigenvalues of -Laplacian and takes no transform, and
+a Hessian-vector product takes two real transforms: the direction from its
+spectrum, and the spectrum of the partition term :func:`hessian_atom_term`.
+The step is accepted or rejected by the ratio of the actual change of J to
+the predicted one.  The first trust radius is the H^1 length of the
+preconditioned gradient, ||(-Laplacian)^-1 g||_H1, which needs no
+constant.  A cold start of 1/2 delta_-1 + 1/2 delta_1 at lambda_bar takes
+22, 25, 35 and 47 steps on 32^2 to 256^2.
 
 The CG path grows monotonically in the H^1 norm, so after a rejected step
 the smaller radius cuts the path already computed at that iterate, and
@@ -35,15 +39,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product, log_partition
+from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_atom_term, log_partition
 from vortexmf.measure import CirculationMeasure
 from vortexmf.torus import (
     Field,
     SpectralTorus,
+    _spectral_inner,
     gradient_inner_pair,
     periodic_distance,
     project_zero_mean,
-    solve_poisson_zero_mean,
 )
 
 # the least ratio of actual to predicted decrease at which a step is accepted
@@ -173,23 +177,31 @@ class _SteihaugPath:
     """The Steihaug-Toint truncated CG path on the Newton model at v.
 
     The model m(d) = -<g, d> + 1/2 <d, H d> is the second-order expansion of
-    J(v - d) - J(v); H is :func:`hessian_product` at v and g the residual at
-    v.  CG runs in the H^1 norm, preconditioned by (-Laplacian)^-1, from
-    d = 0, and its iterates grow monotonically in that norm.  The path ends
-    inside once the H^-1 residual has fallen by min(1/2, sqrt(||g||_H-1)),
-    or after CG_MAX_ITERS products.  It grows one Hessian product at a time,
-    only as far as a step needs it, and keeps each search direction q with
-    <q, H q> and its preconditioned residual norm rz: those are all a
-    smaller radius needs to cut the path again without a product.
+    J(v - d) - J(v); H is the second variation of J at v, -Laplacian minus
+    :func:`hessian_atom_term` (``functional.hessian_product`` on the grid),
+    and g the residual at v.  CG runs in the H^1 norm, preconditioned by
+    (-Laplacian)^-1, from d = 0, and its iterates grow monotonically in that
+    norm.  The path ends inside once the H^-1 residual has fallen by
+    min(1/2, sqrt(||g||_H-1)), or after CG_MAX_ITERS products.  It grows one
+    Hessian product at a time, only as far as a step needs it, and keeps
+    each search direction q with <q, H q> and its preconditioned residual
+    norm rz: those are all a smaller radius needs to cut the path again
+    without a product.
+
+    The CG residual r and the search direction are carried as half spectra,
+    so the preconditioner is a division by the eigenvalues and rz, the
+    Dirichlet form of (-Laplacian)^-1 r, is a Parseval sum.  A Hessian
+    product takes two real transforms: q from its spectrum, for the step,
+    and the spectrum of the partition term at q.
     """
 
     def __init__(self, prob: Problem, partitions: Partitions, g: Field):
         self.prob = prob
         self.partitions = partitions
-        self.r = g.values  # the CG residual after the last direction kept
-        self.z = solve_poisson_zero_mean(prob.torus, g).values
+        self.r_hat = np.fft.rfft2(g.values)  # the CG residual after the last direction kept
+        self.q_hat = self.r_hat * prob.torus.inverse_eigenvalues  # the next search direction
         # ||(-Laplacian)^-1 g||_H1^2 = <g, (-Laplacian)^-1 g>
-        self.rz0 = prob.torus.cell_area * float((self.r * self.z).sum())
+        self.rz0 = _spectral_inner(prob.torus, self.q_hat, self.q_hat)
         self.tol = min(0.5, self.rz0**0.25) * math.sqrt(self.rz0)
         self.directions: list[tuple[np.ndarray, float, float]] = []  # (q, <q, H q>, rz)
         self.ended = False
@@ -201,21 +213,37 @@ class _SteihaugPath:
         if self.ended or len(self.directions) == CG_MAX_ITERS:
             return False
         if self.directions:
-            q, _, rz = self.directions[-1]
-            z = solve_poisson_zero_mean(T, Field(self.r)).values
-            rz_next = T.cell_area * float((self.r * z).sum())
+            _, _, rz = self.directions[-1]
+            z_hat = self.r_hat * T.inverse_eigenvalues
+            rz_next = _spectral_inner(T, z_hat, z_hat)
             if math.sqrt(rz_next) <= self.tol:
                 self.ended = True
                 return False
-            q, rz = z + (rz_next / rz) * q, rz_next
+            self.q_hat *= rz_next / rz
+            self.q_hat += z_hat
+            rz = rz_next
         else:
-            q, rz = self.z, self.rz0
-        hq = hessian_product(self.prob, self.partitions, Field(q)).values
-        kappa = T.cell_area * float((q * hq).sum())
+            rz = self.rz0
+        q, kappa, hq_hat = self._hessian(self.q_hat)
         self.directions.append((q, kappa, rz))
         if kappa > 0.0:  # on negative curvature every step stops on this direction
-            self.r = self.r - (rz / kappa) * hq
+            hq_hat *= rz / kappa
+            self.r_hat -= hq_hat
         return True
+
+    def _hessian(self, q_hat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        """The direction q with half spectrum q_hat, <q, H q> and the half
+        spectrum of H q, from one inverse transform of q_hat and one
+        transform of :func:`hessian_atom_term` at q."""
+        T = self.prob.torus
+        q = np.fft.irfft2(q_hat, s=(T.grid_n, T.grid_n))
+        atoms = hessian_atom_term(self.prob, self.partitions, q.ravel())
+        hq_hat = q_hat * T.eigenvalues
+        hq_hat -= np.fft.rfft2(atoms.reshape(q.shape))
+        hq_hat[0, 0] = 0.0
+        # <q, H q> = ||q||_H1^2 - <q, atom term>, q of zero mean
+        kappa = _spectral_inner(T, q_hat, q_hat) - T.cell_area * float(q.ravel() @ atoms)
+        return q, kappa, hq_hat
 
     def step(self, radius: float) -> tuple[Field, float, bool, int]:
         """The point where the path leaves the ball ||d||_H1 <= radius, or
@@ -224,7 +252,7 @@ class _SteihaugPath:
         search direction are carried by the CG recurrences, so no transform
         computes them."""
         grown = len(self.directions)
-        d = np.zeros_like(self.r)
+        d = np.zeros((self.prob.torus.grid_n, self.prob.torus.grid_n))
         dd, dq, qq = 0.0, 0.0, self.rz0  # <d, M d>, <d, M q>, <q, M q> for M = -Laplacian
         model = alpha = 0.0
         k = 0

@@ -6,6 +6,14 @@ with eigenvalues (2 pi / L)^2 (j^2 + m^2).  Quadrature is the uniform grid
 sum, which is spectrally accurate for the band-limited fields produced
 here.
 
+A real field is transformed by ``rfft2`` to its half spectrum, an
+n x (n/2 + 1) array holding the columns m = 0 .. n/2; the other columns
+are the complex conjugates of these, so ``irfft2(..., s=(n, n))`` gives the
+field back.  Every cached symbol is a half-spectrum array.  Parseval's sum
+over the full spectrum becomes a sum over the half with weight 2 on the
+interior columns 0 < m < n/2, each of which stands for itself and its
+mirror, and weight 1 on columns 0 and n/2, which are their own mirrors.
+
 The constant Fourier mode carries no energy: -Laplacian maps it to 0 and
 the Poisson solve drops it, so a field and its shift by a constant are the
 same state.  Zero mean is a normalisation (:func:`project_zero_mean`), not
@@ -49,10 +57,13 @@ class SpectralTorus:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of -Laplacian per Fourier mode; (0,0) is exactly 0."""
-        k = 2.0 * math.pi / self.side_length * np.fft.fftfreq(self.grid_n, d=1.0 / self.grid_n)
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        return kx * kx + ky * ky
+        """Eigenvalues of -Laplacian per mode of the half spectrum; (0,0) is
+        exactly 0."""
+        n = self.grid_n
+        scale = 2.0 * math.pi / self.side_length
+        kx = scale * np.fft.fftfreq(n, d=1.0 / n)
+        ky = scale * np.fft.rfftfreq(n, d=1.0 / n)
+        return kx[:, None] ** 2 + ky[None, :] ** 2
 
     @cached_property
     def inverse_eigenvalues(self) -> np.ndarray:
@@ -62,6 +73,16 @@ class SpectralTorus:
         nonzero = eig > 0.0
         inv[nonzero] = 1.0 / eig[nonzero]
         return inv
+
+    @cached_property
+    def gradient_weights(self) -> np.ndarray:
+        """The symbol of int grad f . grad g over the half spectrum: the
+        eigenvalues times the Parseval weight (2 on the interior columns, 1
+        on columns 0 and n/2) times |Omega| / n^4."""
+        weights = self.eigenvalues * (2.0 * self.volume / self.grid_n**4)
+        weights[:, 0] *= 0.5
+        weights[:, -1] *= 0.5
+        return weights
 
 
 @dataclass(frozen=True)
@@ -98,11 +119,9 @@ def project_zero_mean(T: SpectralTorus, f: Field) -> Field:
 
 def laplacian(T: SpectralTorus, f: Field) -> Field:
     """Spectral Laplacian; the constant mode maps to 0."""
-    F = np.fft.fft2(_check(T, f))
+    F = np.fft.rfft2(_check(T, f))
     F *= -T.eigenvalues
-    F = np.fft.ifft2(F)
-    # .real is a strided view that would keep the whole complex array alive
-    return Field(F.real.copy())
+    return Field(np.fft.irfft2(F, s=(T.grid_n, T.grid_n)))
 
 
 def solve_poisson_zero_mean(T: SpectralTorus, rhs: Field) -> Field:
@@ -111,36 +130,35 @@ def solve_poisson_zero_mean(T: SpectralTorus, rhs: Field) -> Field:
     The (0,0) mode of both sides is dropped, so the mean of the right-hand
     side (the solvability condition) needs no check.
     """
-    F = np.fft.fft2(_check(T, rhs))
+    F = np.fft.rfft2(_check(T, rhs))
     F *= T.inverse_eigenvalues
-    F = np.fft.ifft2(F)
-    return Field(F.real.copy())  # contiguous, as in laplacian
+    return Field(np.fft.irfft2(F, s=(T.grid_n, T.grid_n)))
 
 
 def _spectral_inner(T: SpectralTorus, F: np.ndarray, G: np.ndarray) -> float:
-    """int grad f . grad g by Parseval, from the transforms F of f and G of g."""
+    """int grad f . grad g by Parseval, from the half spectra F of f and G of g."""
     cross = F.real * G.real
     cross += F.imag * G.imag
-    norm = T.volume / T.grid_n**4
-    return norm * float((T.eigenvalues * cross).sum())
+    cross *= T.gradient_weights
+    return float(cross.sum())
 
 
 def dirichlet_energy(T: SpectralTorus, f: Field) -> float:
     """(1/2) int |grad f|^2 by Parseval on the spectral gradient."""
-    F = np.fft.fft2(_check(T, f))
+    F = np.fft.rfft2(_check(T, f))
     return 0.5 * _spectral_inner(T, F, F)
 
 
 def gradient_inner(T: SpectralTorus, f: Field, g: Field) -> float:
     """int grad f . grad g, the bilinear form under dirichlet_energy."""
-    return _spectral_inner(T, np.fft.fft2(_check(T, f)), np.fft.fft2(_check(T, g)))
+    return _spectral_inner(T, np.fft.rfft2(_check(T, f)), np.fft.rfft2(_check(T, g)))
 
 
 def gradient_inner_pair(T: SpectralTorus, f: Field, g: Field) -> tuple[float, float]:
     """gradient_inner(f, g) and gradient_inner(g, g), bit for bit, from one
     transform of each field."""
-    F = np.fft.fft2(_check(T, f))
-    G = np.fft.fft2(_check(T, g))
+    F = np.fft.rfft2(_check(T, f))
+    G = np.fft.rfft2(_check(T, g))
     return _spectral_inner(T, F, G), _spectral_inner(T, G, G)
 
 

@@ -2,12 +2,14 @@
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import vortexmf
@@ -76,6 +78,30 @@ def test_missing_measure_is_an_input_error(capsys):
     code, _, stderr = run(capsys, "lambda-bar")
     assert code == 2
     assert "no measure" in stderr
+
+
+def test_every_summary_records_its_schema_and_library_versions(tmp_path, capsys):
+    # the FFT and quadrature bits depend on numpy and scipy, so a rerun can
+    # only be checked byte for byte against a record of the same versions
+    versions = {"numpy": np.__version__, "scipy": importlib.metadata.version("scipy")}
+    keys = {
+        "lambda-bar": (
+            ["--atoms", "1:1"],
+            {"lambda_bar", "side", "subset", "subset_atoms", "moment1", "alpha_min",
+             "residual_vanishing_form", "consistency"},
+        ),
+        "minimize": (["--atoms", "1:1", "--lambdas", "12.0", "--grid-n", "32"], {"stages", "requested_stages"}),
+        "scan": ([], {"grid", "t_star", "full_support_above_half"}),
+        "verify": ([], {"checks", "all_passed"}),
+    }
+    for command, (args, own) in keys.items():
+        out = str(tmp_path / command)
+        code, stdout, _ = run(capsys, command, *args, "--out", out, "--json")
+        assert code == 0, command
+        summary = read_summary(out)
+        assert json.loads(stdout) == summary, command
+        assert set(summary) == {"schema_version", "versions", "command", "seed"} | own, command
+        assert (summary["schema_version"], summary["versions"]) == (1, versions), command
 
 
 def test_minimize_writes_artifacts(tmp_path, capsys):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import gaussian_bump, synthetic_result
-from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product
+from oracles import hessian_product_per_atom
+from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_atom_term, hessian_product
 from vortexmf.measure import new_atomic
 from vortexmf.minimize import (
     MinimizeOptions,
@@ -19,7 +20,15 @@ from vortexmf.minimize import (
     mirror_image,
     random_zero_mean,
 )
-from vortexmf.torus import Field, SpectralTorus, gradient_inner, integrate, project_zero_mean, solve_poisson_zero_mean
+from vortexmf.torus import (
+    Field,
+    SpectralTorus,
+    _spectral_inner,
+    gradient_inner,
+    integrate,
+    project_zero_mean,
+    solve_poisson_zero_mean,
+)
 
 minimize_module = importlib.import_module("vortexmf.minimize")
 
@@ -379,11 +388,12 @@ def test_run_refills_one_stack(monkeypatch, tmp_path):
 
 def test_work_per_iteration(monkeypatch, tmp_path):
     # per step: 2 transforms for the energy difference (one of v, one of the
-    # step), 2 per Hessian product (its Laplacian) and 2 per Poisson solve of
-    # the truncated CG: one per Hessian product, and one more where the path
-    # ends inside the trust region; per accepted step 2 for the Laplacian in
-    # el_residual; one exponential per atom, in el_residual
-    counts = {"fft": 0, "exp": 0, "expm1": 0}
+    # step); per path 1, of the residual g; per Hessian product 2 (q from
+    # its half spectrum and the spectrum of the partition term); none for a
+    # preconditioner solve, which is a division of the spectrum; per accepted
+    # step 2 for the Laplacian in el_residual; one exponential per atom, in
+    # el_residual
+    counts = {"fft": 0, "complex": 0, "exp": 0, "expm1": 0}
 
     def counting(fn, key, elements):
         def wrapper(*args, **kwargs):
@@ -402,8 +412,11 @@ def test_work_per_iteration(monkeypatch, tmp_path):
         return out
 
     monkeypatch.setattr(minimize_module._SteihaugPath, "step", recorded)
-    monkeypatch.setattr(np.fft, "fft2", counting(np.fft.fft2, "fft", False))
-    monkeypatch.setattr(np.fft, "ifft2", counting(np.fft.ifft2, "fft", False))
+    for name in ("fft2", "ifft2"):
+        counted = counting(getattr(np.fft, name), "complex", False)
+        monkeypatch.setattr(np.fft, name, counting(counted, "fft", False))
+    for name in ("rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), "fft", False))
     monkeypatch.setattr(np, "exp", counting(np.exp, "exp", True))
     monkeypatch.setattr(np, "expm1", counting(np.expm1, "expm1", True))
     T = SpectralTorus(1.0, 32)
@@ -412,17 +425,18 @@ def test_work_per_iteration(monkeypatch, tmp_path):
     res = minimize(Problem(T, P, 10.0), MinimizeOptions(max_iters=3), trace_path=str(path))
     assert res.status == "budget" and res.iterations == 3
     # every step accepted, so each path took one step: the first on the
-    # boundary, the others inside
+    # boundary, the others inside, where the preconditioned residual ended
+    # them without a transform
     accepted = _accepted_steps(path)
     assert accepted == res.iterations
     assert boundary == [True, False, False]
     assert res.hessian_products == 6
-    interior = boundary.count(False)
+    paths = len(boundary)
     per_atom = len(P.atoms) * T.grid_n**2
-    # set-up: 2 transforms for the random start, 2 for the first residual and
-    # 1 for J; the Poisson solve of each path's first direction is one of
-    # the one-per-product solves
-    assert counts["fft"] == 5 + 2 * res.iterations + 2 * accepted + 4 * res.hessian_products + 2 * interior
+    # set-up: 2 complex transforms for the random start, 2 for the first
+    # residual and 1 for J
+    assert counts["fft"] == 5 + 2 * res.iterations + 2 * accepted + 2 * res.hessian_products + paths
+    assert counts["complex"] == 2
     # set-up: one exponential per atom in the first residual; J reads the partitions
     assert counts["exp"] == per_atom * (1 + accepted)
     # one expm1 per atom and step
@@ -430,13 +444,14 @@ def test_work_per_iteration(monkeypatch, tmp_path):
 
 
 def _counting_hessian(monkeypatch):
+    # the path takes the partition term once per Hessian product
     calls = []
 
     def counted(prob, partitions, phi):
         calls.append(1)
-        return hessian_product(prob, partitions, phi)
+        return hessian_atom_term(prob, partitions, phi)
 
-    monkeypatch.setattr(minimize_module, "hessian_product", counted)
+    monkeypatch.setattr(minimize_module, "hessian_atom_term", counted)
     return calls
 
 
@@ -465,10 +480,11 @@ def test_first_radius_is_the_h1_length_of_the_preconditioned_gradient(tmp_path):
     minimize(prob, MinimizeOptions(max_iters=1), trace_path=str(path))
     g = el_residual(prob, random_zero_mean(T, 0))
     first = float(path.read_text().splitlines()[3].split(",")[3])
+    # the Dirichlet form of (-Laplacian)^-1 g, from the half spectrum of g
+    z_hat = np.fft.rfft2(g.values) * T.inverse_eigenvalues
+    assert first == math.sqrt(_spectral_inner(T, z_hat, z_hat))
+    # the same form from the Poisson solve's field, to a few ulps
     z = solve_poisson_zero_mean(T, g)
-    assert first == math.sqrt(T.cell_area * float((g.values * z.values).sum()))
-    # <g, (-Laplacian)^-1 g> on the grid is the spectral Dirichlet form of z,
-    # to a few ulps
     assert first == pytest.approx(math.sqrt(gradient_inner(T, z, z)), rel=1e-15)
 
 
@@ -521,6 +537,39 @@ def test_truncated_cg_interior_step_solves_the_newton_equation():
     assert r_norm <= min(0.5, math.sqrt(g_norm)) * g_norm * (1.0 + 1e-6)
 
 
+def test_spectral_hessian_product_matches_the_per_atom_oracle():
+    # a signed measure with a zero atom; the path's product runs on half
+    # spectra, the oracle one atom at a time on the grid
+    T = SpectralTorus(1.0, 32)
+    atoms = [(-1.0, 0.1), (-0.6, 0.2), (-0.1, 0.1), (0.0, 0.2), (0.3, 0.1), (0.8, 0.1), (1.0, 0.2)]
+    prob = Problem(T, new_atomic(atoms), 30.0)
+    v = random_zero_mean(T, 3, amplitude=2.0)
+    partitions = Partitions(prob)
+    g = el_residual(prob, v, partitions)
+    path = minimize_module._SteihaugPath(prob, partitions, g)
+    for seed in range(3):
+        phi = random_zero_mean(T, 40 + seed, amplitude=1.0)
+        q, kappa, hq_hat = path._hessian(np.fft.rfft2(phi.values))
+        expected = hessian_product_per_atom(prob, v, phi).values
+        got = np.fft.irfft2(hq_hat, s=q.shape)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.abs(q - phi.values).max() <= 1e-15
+        assert kappa == pytest.approx(integrate(T, Field(phi.values * expected)), rel=1e-13)
+    # the residual spectrum carried by the recurrence is that of g - H d_k
+    # after each of k directions, forced past the forcing term
+    path.tol = 0.0
+    g_scale = np.abs(np.fft.rfft2(g.values)).max()
+    d = np.zeros_like(g.values)
+    for k in range(6):
+        assert path._grow()
+        q, kappa, rz = path.directions[k]
+        assert kappa > 0.0
+        d = d + (rz / kappa) * q
+        expected = np.fft.rfft2(g.values - hessian_product_per_atom(prob, v, Field(d)).values)
+        assert np.abs(path.r_hat - expected).max() <= 1e-13 * g_scale
+    assert np.abs(path.r_hat).max() <= 1e-5 * g_scale
+
+
 @pytest.mark.parametrize("steps, first_boundary", [(8, False), (4, True)], ids=["inside", "negative-curvature"])
 def test_rejected_step_cuts_the_stored_path(monkeypatch, steps, first_boundary):
     # after a rejection the smaller radius cuts the path of the first solve:
@@ -547,6 +596,8 @@ def test_rejected_step_cuts_the_stored_path(monkeypatch, steps, first_boundary):
     fresh = minimize_module._SteihaugPath(prob, partitions, g).step(radius)
     assert np.array_equal(fresh[0].values, d.values)
     assert fresh[1:3] == (model, boundary)
+    # the counter sees the fresh path's products, so the 0 above is no artefact
+    assert len(calls) == fresh[3] >= 1
 
 
 def test_random_zero_mean_seeding_and_amplitude():

@@ -10,6 +10,7 @@ from helpers import random_zero_mean_field
 from vortexmf.torus import (
     Field,
     SpectralTorus,
+    _spectral_inner,
     dirichlet_energy,
     gradient_inner,
     integrate,
@@ -129,6 +130,43 @@ def test_gradient_inner_polarization_and_symmetry():
     lhs = gradient_inner(T, Field(f.values + g.values), Field(f.values + g.values))
     rhs = gradient_inner(T, f, f) + 2.0 * gradient_inner(T, f, g) + gradient_inner(T, g, g)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+def _full_spectrum_inner(T, f, g):
+    """int grad f . grad g by Parseval over the full complex spectrum."""
+    k = 2.0 * math.pi / T.side_length * np.fft.fftfreq(T.grid_n, d=1.0 / T.grid_n)
+    eig = k[:, None] ** 2 + k[None, :] ** 2
+    F, G = np.fft.fft2(f.values), np.fft.fft2(g.values)
+    return T.volume / T.grid_n**4 * float((eig * (F * G.conj()).real).sum())
+
+
+def _half_spectrum_forms(T, f, g):
+    F, G = np.fft.rfft2(f.values), np.fft.rfft2(g.values)
+    return _spectral_inner(T, F, G), 2.0 * dirichlet_energy(T, f), gradient_inner(T, f, g)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_half_spectrum_parseval_matches_the_full_spectrum(n):
+    # white noise plus the Nyquist modes (n/2, 0), (0, n/2) and (n/2, n/2),
+    # which sit in the half spectrum's columns 0 and n/2
+    T = SpectralTorus(1.7, n)
+    rng = np.random.default_rng(n)
+    sign = (-1.0) ** np.arange(n)
+    nyquist = 0.1 * sign[:, None] + 0.2 * sign[None, :] + 0.3 * np.outer(sign, sign)
+    noise = rng.standard_normal((2, n, n))
+    f = Field(noise[0] + nyquist)
+    g = Field(0.5 * noise[0] + noise[1] - nyquist)
+    ff, fg = _full_spectrum_inner(T, f, f), _full_spectrum_inner(T, f, g)
+    expected = (fg, ff, fg)
+    assert _half_spectrum_forms(T, f, g) == pytest.approx(expected, rel=1e-13)
+    # an interior column weighted 1, or the Nyquist column doubled, is far off
+    for columns, factor in ((slice(1, -1), 0.5), (slice(-1, None), 2.0)):
+        wrong = T.gradient_weights.copy()
+        wrong[:, columns] *= factor
+        T.__dict__["gradient_weights"] = wrong  # over the cached symbol
+        got = _half_spectrum_forms(T, f, g)
+        assert all(abs(a - b) > 1e-3 * abs(b) for a, b in zip(got, expected))
+        del T.__dict__["gradient_weights"]
 
 
 def test_periodic_distance_wraps():
