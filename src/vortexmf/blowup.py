@@ -36,14 +36,9 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
-def radial_integral(
-    fn,
-    a: float,
-    b: float,
-    rel_tol: float = QUAD_REL_TOL,
-    breakpoints=None,
-) -> float:
-    """Adaptive integral of fn over [a, b] after substituting u = log1p(r).
+def radial_integral(fn, a: float, b: float, breakpoints=None) -> float:
+    """Adaptive integral of fn over [a, b] after substituting u = log1p(r),
+    to relative tolerance ``QUAD_REL_TOL``.
 
     The substitution spends quadrature nodes evenly across decades, which
     integrands localized near the origin need once b runs into the
@@ -64,7 +59,7 @@ def radial_integral(
         math.log1p(a),
         math.log1p(b),
         epsabs=0.0,
-        epsrel=rel_tol,
+        epsrel=QUAD_REL_TOL,
         limit=400,
         points=points,
         full_output=1,
@@ -177,18 +172,12 @@ def fit_li_slope(profile: BlowupProfile, fit_window) -> float:
     return fit_li_line(profile, fit_window)[0]
 
 
-def bubble_profile(
-    mu: float,
-    lam: float,
-    radii,
-    alpha: float = 1.0,
-    gamma0_reference: float = 4.0,
-) -> BlowupProfile:
+def bubble_profile(mu: float, lam: float, radii, alpha: float = 1.0) -> BlowupProfile:
     """Directly sampled bubble profile (construction oracle for the fits).
 
     ``alpha`` scales dw the way a circulation-alpha normalized field
     would: dw_alpha = alpha (w(r) - w(0)), while sigma keeps the alpha=1
-    peak scale.
+    peak scale.  The reference slope is the bubble's gamma0 = 4.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -204,7 +193,7 @@ def bubble_profile(
         samples=tuple(zip(rs.tolist(), dw.tolist())),
         fitted_slope=slope,
         fitted_intercept=intercept,
-        gamma0_reference=gamma0_reference,
+        gamma0_reference=4.0,
     )
 
 
@@ -251,12 +240,7 @@ def rescale_profile(
     )
 
 
-def mass_gamma(
-    f_radial,
-    r_max: float,
-    rel_tol: float = QUAD_REL_TOL,
-    breakpoints=None,
-) -> float:
+def mass_gamma(f_radial, r_max: float, breakpoints=None) -> float:
     """Concentration mass (1/2pi) integral of a radial plane density.
 
     Equals int_0^inf f(r) r dr: adaptive quadrature to r_max plus a
@@ -266,7 +250,7 @@ def mass_gamma(
     """
     if r_max <= 0.0:
         raise ValueError("r_max must be positive")
-    main = radial_integral(lambda r: f_radial(r) * r, 0.0, r_max, rel_tol, breakpoints)
+    main = radial_integral(lambda r: f_radial(r) * r, 0.0, r_max, breakpoints)
     probes = np.geomspace(r_max / 10.0, r_max, 16)
     f_vals = np.array([float(f_radial(r)) for r in probes])
     if np.any(f_vals < 0.0):
@@ -293,13 +277,7 @@ class PohozaevReport:
     relative_residual: float
 
 
-def pohozaev_residual(
-    u_radial,
-    a_radial,
-    big_f,
-    radius: float,
-    rel_tol: float = QUAD_REL_TOL,
-) -> PohozaevReport:
+def pohozaev_residual(u_radial, a_radial, big_f, radius: float) -> PohozaevReport:
     """Radial Pohozaev balance on the disk of the given radius.
 
     For u solving -Lap(u) = A(r) F'(u), the identity
@@ -326,18 +304,12 @@ def pohozaev_residual(
         return (2.0 * a_radial(r) * fu + fu * r * da) * r
 
     boundary = 2.0 * math.pi * radius * radius * a_radial(radius) * big_f(u_radial(radius))
-    rhs = boundary - 2.0 * math.pi * radial_integral(volume_term, 0.0, radius, rel_tol)
+    rhs = boundary - 2.0 * math.pi * radial_integral(volume_term, 0.0, radius)
     gap = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
     return PohozaevReport(lhs=lhs, rhs=rhs, relative_residual=gap)
 
 
-def newton_potential(
-    f_radial,
-    x_abs: float,
-    rho_max: float = 1e6,
-    breakpoints=None,
-    rel_tol: float = QUAD_REL_TOL,
-) -> float:
+def newton_potential(f_radial, x_abs: float, rho_max: float = 1e6, breakpoints=None) -> float:
     """Logarithmic potential z(x) = (1/2pi) int f(y) log(|x-y|/(1+|y|)) dy.
 
     Radial symmetry collapses the angle: the circle mean of log|x-y| over
@@ -356,7 +328,7 @@ def newton_potential(
         return f_radial(rho) * rho * angular
 
     pts = [x_abs] + ([] if breakpoints is None else list(breakpoints))
-    val = radial_integral(integrand, 0.0, rho_max, rel_tol, breakpoints=pts)
+    val = radial_integral(integrand, 0.0, rho_max, breakpoints=pts)
     probe = abs(f_radial(rho_max)) * rho_max * rho_max
     if probe > TAIL_SAFETY * (1.0 + abs(val)):
         raise RuntimeError("density tail too heavy at rho_max; potential tail not negligible")

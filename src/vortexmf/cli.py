@@ -53,6 +53,7 @@ from vortexmf.minimize import (
     continuation_sweep,
     detect_concentration,
     mirror_image,
+    stage_problems,
 )
 from vortexmf.torus import SpectralTorus
 
@@ -111,7 +112,7 @@ SETTINGS: dict[str, Setting] = {
         Setting("lambdas", _floats_csv, (), "LIST", "comma-separated absolute couplings"),
         Setting("fractions", _floats_csv, (), "LIST", "comma-separated fractions of the extremal coupling"),
         Setting("alpha", float, 1.0, "A", "circulation for profile extraction, in (0, 1]"),
-        Setting("n_bins", int, None, "N", "radial bins of an exported profile"),
+        Setting("n_bins", int, None, "N", "radial bins of an exported profile, at most grid_n^2"),
         *(
             Setting(f.name, type(f.default), f.default, *_SOLVER_HELP[f.name])
             for f in dataclasses.fields(MinimizeOptions)
@@ -173,6 +174,9 @@ def check_run_rules(cfg: argparse.Namespace) -> None:
         raise InputError("alpha must lie in (0, 1]")
     if cfg.n_bins is not None and cfg.n_bins <= 0:
         raise InputError("n_bins must be positive")
+    # the binning allocates per bin, and more bins than points leave bins empty
+    if cfg.n_bins is not None and cfg.n_bins > cfg.grid_n**2:
+        raise InputError("n_bins must not exceed the grid points, grid_n^2")
 
 
 def resolve_measure(cfg: argparse.Namespace) -> CirculationMeasure:
@@ -383,6 +387,7 @@ def cmd_solve(
     schedule = resolve_schedule(cfg, P)
     if one_coupling and len(schedule) != 1:
         raise InputError("this command expects exactly one coupling")
+    stage_problems(T, P, schedule)  # a bad schedule exits 2 before --out is made
     os.makedirs(cfg.out, exist_ok=True)
     traces = [os.path.join(cfg.out, f"trace_{k}.csv") for k in range(len(schedule))]
     results = continuation_sweep(T, P, schedule, opts, trace_paths=traces)

@@ -14,11 +14,13 @@ The normalized field of circulation alpha is w_alpha = alpha v - log int
 e^{alpha v}, which integrates e^{w_alpha} to exactly 1.  All partition
 integrals are evaluated with max-shifted exponentials.
 
-The residual takes one exponential per atom and writes it into that atom's
-row of one contiguous stack of the partitions (:class:`Partitions`).  The
-sums over the atoms are then matrix products with the stack: the residual's
-sum of densities is one, and the partition part of the Hessian product
-(:func:`hessian_atom_term`) is two.
+The residual transforms v once and takes one exponential per atom, and
+keeps both in :class:`Partitions`: v's half spectrum, and each atom's
+exponential in its row of one contiguous stack.  J, the energy differences
+of the solver and the Hessian product at v read them there.  The sums over
+the atoms are matrix products with the stack: the residual's sum of
+densities is one, and the partition part of the Hessian product
+(:func:`hessian_product`) is two.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from vortexmf.measure import CirculationMeasure
-from vortexmf.torus import (
-    Field,
-    SpectralTorus,
-    dirichlet_energy,
-    laplacian,
-    project_zero_mean,
-)
+from vortexmf.torus import Field, SpectralTorus, _spectral_inner, project_zero_mean
 
 # exponent bound after max-shift; shifted exponents are <= 0 by construction
 # so this only trips on non-finite input
@@ -56,26 +52,29 @@ class Problem:
 
 
 class Partitions:
-    """Every atom's max-shifted partition exponential at one field v, as
-    :func:`el_residual` hands them out for J, the energy differences and
-    :func:`hessian_product` at v to reuse.
+    """What :func:`el_residual` computes at one field v for J, the energy
+    differences and :func:`hessian_product` at v to reuse.
 
-    ``stack`` has one row e^{alpha v - m} over the flattened grid per atom,
-    in atom order, zero atoms included.  ``totals`` and ``shifts`` hold each
-    row's grid sum and m; ``curvature`` is S = sum w alpha^2 rho_alpha over
-    the flattened grid, and ``hessian_weights`` is
-    w alpha^2 / (cell_area total^2) per row, so that the second variation
-    is phi S - sum_rows weight (row . phi) row.
+    ``spectrum`` is the half spectrum of v, n x (n/2 + 1) modes (see
+    :mod:`vortexmf.torus`), from which the Laplacian, the Dirichlet energy
+    and the bilinear term of an energy difference are read.  ``stack`` has
+    one row e^{alpha v - m} over the flattened grid per atom, in atom order,
+    zero atoms included.  ``totals`` and ``shifts`` hold each row's grid sum
+    and m; ``curvature`` is S = sum w alpha^2 rho_alpha over the flattened
+    grid, and ``hessian_weights`` is w alpha^2 / (cell_area total^2) per
+    row, so that the partition part of the second variation is
+    phi S - sum_rows weight (row . phi) row.
 
     The arrays are allocated here, once per run, and every
-    :func:`el_residual` that is handed them refills them in place, so a run
-    never holds two stacks: a new stack allocated per residual while the
-    previous one was alive raised the peak resident set of 128 atoms at
-    128^2 by 30 MiB.
+    :func:`el_residual` refills them in place, so a run never holds two
+    stacks: a new stack allocated per residual while the previous one was
+    alive raised the peak resident set of 128 atoms at 128^2 by 30 MiB.
     """
 
     def __init__(self, prob: Problem) -> None:
-        atoms, cells = len(prob.P.atoms), prob.torus.grid_n**2
+        n = prob.torus.grid_n
+        atoms, cells = len(prob.P.atoms), n * n
+        self.spectrum = np.empty((n, n // 2 + 1), dtype=complex)
         self.stack = np.empty((atoms, cells))
         self.totals = np.empty(atoms)
         self.shifts = np.empty(atoms)
@@ -106,56 +105,53 @@ def w_alpha(prob: Problem, v: Field, alpha: float) -> Field:
     return Field(alpha * v.values - lp)
 
 
-def J(prob: Problem, v: Field, partitions: Partitions | None = None) -> float:
+def J(prob: Problem, v: Field, partitions: Partitions) -> float:
     """Free energy value; J(v + c) = J(v) for every constant c.
 
-    With the ``partitions`` that :func:`el_residual` handed out for v, each
-    log-partition is m + log(cell_area * total), bit for bit, and no
-    exponential is taken.
+    It is read off the ``partitions`` that :func:`el_residual` handed out
+    for v, so it takes no transform and no exponential: the Dirichlet
+    energy is the Parseval sum of v's half spectrum, and each log-partition
+    is m + log(cell_area * total).
     """
     T = prob.torus
     vbar = float(v.values.mean())
-    if partitions is None:
-        log_parts = [log_partition(T, v, a) for a, _ in prob.P.atoms]
-    else:
-        pairs = zip(partitions.shifts.tolist(), partitions.totals.tolist())
-        log_parts = [m + math.log(T.cell_area * total) for m, total in pairs]
-    log_terms = math.fsum(w * (lp - a * vbar) for (a, w), lp in zip(prob.P.atoms, log_parts))
-    return dirichlet_energy(T, v) - prob.lam * log_terms
+    rows = zip(prob.P.atoms, partitions.shifts.tolist(), partitions.totals.tolist())
+    log_terms = math.fsum(w * (m + math.log(T.cell_area * total) - a * vbar) for (a, w), m, total in rows)
+    return 0.5 * _spectral_inner(T, partitions.spectrum, partitions.spectrum) - prob.lam * log_terms
 
 
-def el_residual(prob: Problem, v: Field, partitions: Partitions | None = None) -> Field:
+def el_residual(prob: Problem, v: Field, partitions: Partitions) -> Field:
     """Equation residual of the mean field equation at v.
 
     It is also the L^2 gradient of J: dJ(v)[phi] = int el_residual(v) phi
-    for every direction phi.  Each atom takes one exponential, written into
-    its row of the stack; the densities are read off it as
-    rho_alpha = ex / (cell_area total), and sum w alpha rho_alpha is one
-    matrix product with the stack.  Analytically the residual has zero mean
-    (each density integrates to 1); the floating-point mean is projected
-    out.
+    for every direction phi.  v is transformed once, into
+    ``partitions.spectrum``, and the Laplacian is read from there.  Each
+    atom takes one exponential, written into its row of the stack; the
+    densities are read off it as rho_alpha = ex / (cell_area total), and
+    sum w alpha rho_alpha is one matrix product with the stack.
+    Analytically the residual has zero mean (each density integrates to
+    1); the floating-point mean is projected out.
 
-    When ``partitions`` is given, it is refilled in place with the stack of
-    v (see :class:`Partitions`); otherwise a stack is made for this call.
+    ``partitions`` is refilled in place at v (see :class:`Partitions`).
     """
     T = prob.torus
     atoms = prob.P.atoms
+    # copied, not transformed with out=, which numpy < 2.0 lacks
+    partitions.spectrum[...] = np.fft.rfft2(v.values)
     # the transforms' scratch is freed before the sums below are allocated
-    lap = laplacian(T, v).values
+    lap = np.fft.irfft2(partitions.spectrum * -T.eigenvalues, s=(T.grid_n, T.grid_n))
     vals = v.values.ravel()
     alpha = np.array([a for a, _ in atoms])
     weight = np.array([w for _, w in atoms])
-    filled = Partitions(prob) if partitions is None else partitions
-    totals = filled.totals
-    for i, row in enumerate(filled.stack):
+    totals = partitions.totals
+    for i, row in enumerate(partitions.stack):
         np.multiply(vals, alpha[i], out=row)
-        filled.shifts[i], totals[i] = _exp_shifted(row)
+        partitions.shifts[i], totals[i] = _exp_shifted(row)
     c = weight * alpha / (T.cell_area * totals)
-    density_sum = c @ filled.stack  # sum w alpha rho_alpha
-    if partitions is not None:
-        # sum w alpha^2 rho_alpha, which only the Hessian product reads
-        np.matmul(c * alpha, filled.stack, out=filled.curvature)
-        np.divide(weight * alpha * alpha, T.cell_area * totals * totals, out=filled.hessian_weights)
+    density_sum = c @ partitions.stack  # sum w alpha rho_alpha
+    # sum w alpha^2 rho_alpha, which only the Hessian product reads
+    np.matmul(c * alpha, partitions.stack, out=partitions.curvature)
+    np.divide(weight * alpha * alpha, T.cell_area * totals * totals, out=partitions.hessian_weights)
     density_sum -= float(weight @ alpha) / T.volume
     res = density_sum.reshape(lap.shape)
     res *= -prob.lam
@@ -163,36 +159,32 @@ def el_residual(prob: Problem, v: Field, partitions: Partitions | None = None) -
     return project_zero_mean(T, Field(res))
 
 
-def hessian_atom_term(prob: Problem, partitions: Partitions, phi: np.ndarray) -> np.ndarray:
-    """The partition part of the second variation of J at v along phi,
+def hessian_product(prob: Problem, partitions: Partitions, q_hat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """The second variation H of J at v along the direction q with half
+    spectrum ``q_hat``,
 
-        lambda sum w alpha^2 rho_alpha (phi - int rho_alpha phi),
+        H q = -Laplacian q - lambda sum w alpha^2 rho_alpha (q - int rho_alpha q),
 
-    on the flattened grid, for phi given on the flattened grid.  The rho_alpha
-    are read off the ``partitions`` that :func:`el_residual` handed out for
-    v, so no exponential is taken: the sum is phi S minus the rank-one terms
-    of the rows, two matrix-vector products with the stack.
-    """
-    t = partitions.stack @ phi
-    t *= partitions.hessian_weights
-    acc = phi * partitions.curvature
-    acc -= t @ partitions.stack
-    acc *= prob.lam
-    return acc
-
-
-def hessian_product(prob: Problem, partitions: Partitions, phi: Field) -> Field:
-    """Second variation of J at v applied to phi, projected to zero mean:
-
-        -Laplacian phi - lambda sum w alpha^2 rho_alpha (phi - int rho_alpha phi),
-
-    the Laplacian of phi minus :func:`hessian_atom_term`.  It is the
-    derivative of :func:`el_residual` along phi, and symmetric in the L^2
-    inner product.
+    as q on the grid, <q, H q> and the half spectrum of H q with its
+    (0, 0) mode zeroed.  It is the derivative of :func:`el_residual` along
+    q, and symmetric in the L^2 inner product.  The rho_alpha are read off
+    the ``partitions`` that :func:`el_residual` handed out for v, so no
+    exponential is taken: the partition term is q S minus the rank-one
+    terms of the rows, two matrix-vector products with the stack.  It takes
+    two real transforms: q from its spectrum, and the spectrum of the
+    partition term.
     """
     T = prob.torus
-    lap = laplacian(T, phi).values  # first, as in el_residual
-    res = hessian_atom_term(prob, partitions, phi.values.ravel()).reshape(lap.shape)
-    np.negative(res, out=res)
-    res -= lap
-    return project_zero_mean(T, Field(res))
+    q = np.fft.irfft2(q_hat, s=(T.grid_n, T.grid_n))
+    phi = q.ravel()
+    t = partitions.stack @ phi
+    t *= partitions.hessian_weights
+    atom_term = phi * partitions.curvature
+    atom_term -= t @ partitions.stack
+    atom_term *= prob.lam
+    hq_hat = q_hat * T.eigenvalues
+    hq_hat -= np.fft.rfft2(atom_term.reshape(q.shape))
+    hq_hat[0, 0] = 0.0
+    # <q, H q> = ||q||_H1^2 - <q, atom term>, q of zero mean
+    kappa = _spectral_inner(T, q_hat, q_hat) - T.cell_area * float(phi @ atom_term)
+    return q, kappa, hq_hat

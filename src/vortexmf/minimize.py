@@ -6,8 +6,9 @@ preconditioned by the Poisson solve, which makes the quadratic part of the
 energy perfectly conditioned.  The CG residual and search direction are
 carried as half spectra (see :mod:`vortexmf.torus`), so the preconditioner
 is a division by the eigenvalues of -Laplacian and takes no transform, and
-a Hessian-vector product takes two real transforms: the direction from its
-spectrum, and the spectrum of the partition term :func:`hessian_atom_term`.
+a Hessian-vector product (:func:`hessian_product`) takes two real
+transforms: the direction from its spectrum, and the spectrum of the
+partition term.
 The step is accepted or rejected by the ratio of the actual change of J to
 the predicted one.  The first trust radius is the H^1 length of the
 preconditioned gradient, ||(-Laplacian)^-1 g||_H1, which needs no
@@ -24,12 +25,12 @@ log-partition difference is log1p of a relative expm1 sum.  Plain
 J(new) - J(old) subtraction stalls at the rounding floor of J long before
 the equation residual reaches the tolerances demanded here.
 
-Each atom's partition exponential e^{alpha v - m} (m the max of alpha v)
-is computed once per iterate: :func:`el_residual` refills one stack of
-them, allocated once per run, with their grid sums and shifts, and J at
-the start, the energy differences and every Hessian product at that
-iterate reuse it.  The two bilinear terms come from one transform of v and
-one of d.
+The iterate v is transformed once, and each atom's partition exponential
+e^{alpha v - m} (m the max of alpha v) computed once, per iterate:
+:func:`el_residual` refills one :class:`Partitions`, allocated once per
+run, with v's half spectrum and the stack of exponentials, and J at the
+start, the energy differences and every Hessian product at that iterate
+read them there.  An energy difference transforms only its step.
 """
 
 from __future__ import annotations
@@ -39,13 +40,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_atom_term, log_partition
+from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product, log_partition
 from vortexmf.measure import CirculationMeasure
 from vortexmf.torus import (
     Field,
     SpectralTorus,
     _spectral_inner,
-    gradient_inner_pair,
     periodic_distance,
     project_zero_mean,
 )
@@ -118,22 +118,26 @@ def center_bump(T: SpectralTorus, amplitude: float = 0.5) -> Field:
 
 
 class _EnergyDelta:
-    """Cancellation-free J(v - s d) - J(v) for fixed v and zero-mean d.
+    """Cancellation-free J(v - d) - J(v) for the iterate v and a zero-mean
+    step d.
 
-    ``partitions`` holds each atom's max-shifted exponential e^{alpha v - m}
-    and its grid sum, as :func:`el_residual` hands them out for v.  Each
-    atom's expm1 runs in place in one buffer, and its relative sum is one
-    dot product with the atom's row.
+    ``partitions`` holds v's half spectrum and each atom's max-shifted
+    exponential e^{alpha v - m} with its grid sum, as :func:`el_residual`
+    hands them out for v, so only d is transformed, for the bilinear terms
+    <grad v, grad d> and |grad d|^2.  Each atom's expm1 runs in place in one
+    buffer, and its relative sum is one dot product with the atom's row.
     """
 
-    def __init__(self, prob: Problem, v: Field, d: Field, partitions: Partitions):
+    def __init__(self, prob: Problem, d: Field, partitions: Partitions):
         self.prob = prob
         self.d = d
-        self.a_vd, self.a_dd = gradient_inner_pair(prob.torus, v, d)
+        d_hat = np.fft.rfft2(d.values)
+        self.a_vd = _spectral_inner(prob.torus, partitions.spectrum, d_hat)
+        self.a_dd = _spectral_inner(prob.torus, d_hat, d_hat)
         self.shifted = partitions
 
-    def __call__(self, s: float) -> float:
-        delta = -s * self.a_vd + 0.5 * s * s * self.a_dd
+    def __call__(self) -> float:
+        delta = -self.a_vd + 0.5 * self.a_dd
         log_terms = 0.0
         d = self.d.values.ravel()
         u = np.empty_like(d)
@@ -141,7 +145,7 @@ class _EnergyDelta:
         # a move past exp overflow makes the sum inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
             for (a, w), ex, total in rows:
-                np.multiply(d, -s * a, out=u)
+                np.multiply(d, -a, out=u)
                 np.expm1(u, out=u)
                 rel = float(ex @ u) / total
                 if not math.isfinite(rel):
@@ -177,22 +181,22 @@ class _SteihaugPath:
     """The Steihaug-Toint truncated CG path on the Newton model at v.
 
     The model m(d) = -<g, d> + 1/2 <d, H d> is the second-order expansion of
-    J(v - d) - J(v); H is the second variation of J at v, -Laplacian minus
-    :func:`hessian_atom_term` (``functional.hessian_product`` on the grid),
-    and g the residual at v.  CG runs in the H^1 norm, preconditioned by
-    (-Laplacian)^-1, from d = 0, and its iterates grow monotonically in that
-    norm.  The path ends inside once the H^-1 residual has fallen by
-    min(1/2, sqrt(||g||_H-1)), or after CG_MAX_ITERS products.  It grows one
-    Hessian product at a time, only as far as a step needs it, and keeps
-    each search direction q with <q, H q> and its preconditioned residual
-    norm rz: those are all a smaller radius needs to cut the path again
-    without a product.
+    J(v - d) - J(v); H is the second variation of J at v
+    (:func:`hessian_product`), and g the residual at v.  CG runs in the H^1
+    norm, preconditioned by (-Laplacian)^-1, from d = 0, and its iterates
+    grow monotonically in that norm.  The path ends inside once the H^-1
+    residual has fallen by min(1/2, sqrt(||g||_H-1)), or after CG_MAX_ITERS
+    products.  It grows one Hessian product at a time, only as far as a step
+    needs it, and keeps each search direction q with <q, H q> and its
+    preconditioned residual norm rz: those are all a smaller radius needs to
+    cut the path again without a product.
 
     The CG residual r and the search direction are carried as half spectra,
     so the preconditioner is a division by the eigenvalues and rz, the
-    Dirichlet form of (-Laplacian)^-1 r, is a Parseval sum.  A Hessian
-    product takes two real transforms: q from its spectrum, for the step,
-    and the spectrum of the partition term at q.
+    Dirichlet form of (-Laplacian)^-1 r, is a Parseval sum.
+    :func:`hessian_product` takes the direction's half spectrum and hands
+    back q on the grid, for the step, with <q, H q> and the half spectrum
+    of H q, for the residual.
     """
 
     def __init__(self, prob: Problem, partitions: Partitions, g: Field):
@@ -224,26 +228,12 @@ class _SteihaugPath:
             rz = rz_next
         else:
             rz = self.rz0
-        q, kappa, hq_hat = self._hessian(self.q_hat)
+        q, kappa, hq_hat = hessian_product(self.prob, self.partitions, self.q_hat)
         self.directions.append((q, kappa, rz))
         if kappa > 0.0:  # on negative curvature every step stops on this direction
             hq_hat *= rz / kappa
             self.r_hat -= hq_hat
         return True
-
-    def _hessian(self, q_hat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        """The direction q with half spectrum q_hat, <q, H q> and the half
-        spectrum of H q, from one inverse transform of q_hat and one
-        transform of :func:`hessian_atom_term` at q."""
-        T = self.prob.torus
-        q = np.fft.irfft2(q_hat, s=(T.grid_n, T.grid_n))
-        atoms = hessian_atom_term(self.prob, self.partitions, q.ravel())
-        hq_hat = q_hat * T.eigenvalues
-        hq_hat -= np.fft.rfft2(atoms.reshape(q.shape))
-        hq_hat[0, 0] = 0.0
-        # <q, H q> = ||q||_H1^2 - <q, atom term>, q of zero mean
-        kappa = _spectral_inner(T, q_hat, q_hat) - T.cell_area * float(q.ravel() @ atoms)
-        return q, kappa, hq_hat
 
     def step(self, radius: float) -> tuple[Field, float, bool, int]:
         """The point where the path leaves the ball ||d||_H1 <= radius, or
@@ -322,7 +312,7 @@ def minimize(
                     radius = math.sqrt(path.rz0)
             step, model, boundary, n = path.step(radius)
             products += n
-            dj = _EnergyDelta(prob, v, step, partitions)(1.0)
+            dj = _EnergyDelta(prob, step, partitions)()
             ratio = dj / model  # actual over predicted change; model < 0
             iterations += 1
             if ratio > ACCEPT_RATIO:
@@ -353,6 +343,19 @@ def _trace_row(fh, iteration: int, j: float, res: float, step: float, v: Field) 
     fh.write(f"{iteration},{j!r},{res!r},{step!r},{float(v.values.max())!r}\n")
 
 
+def stage_problems(T: SpectralTorus, P: CirculationMeasure, lambda_schedule: list[float]) -> list[Problem]:
+    """One :class:`Problem` per coupling of a schedule, which must be
+    nonempty and strictly ascending; each coupling is checked by its
+    :class:`Problem` first.  Callers run it before any work or output."""
+    if not lambda_schedule:
+        raise ValueError("empty coupling schedule")
+    problems = [Problem(T, P, lam) for lam in lambda_schedule]
+    for a, b in zip(lambda_schedule, lambda_schedule[1:]):
+        if not b > a:
+            raise ValueError("coupling schedule must be strictly ascending")
+    return problems
+
+
 def continuation_sweep(
     T: SpectralTorus,
     P: CirculationMeasure,
@@ -365,17 +368,12 @@ def continuation_sweep(
     The first stage starts cold, exactly as :func:`minimize` does; each
     later one starts from the previous solution plus a fixed center bump
     that breaks translation symmetry (:func:`minimize` subtracts the mean).
-    Every coupling is checked by its :class:`Problem` before the first
+    The schedule is checked by :func:`stage_problems` before the first
     stage.  Past lambda_bar(P) a stage normally blows up; the sweep stops
     after a stage that ended ``blown_up`` or ``diverged`` and returns the
     stages run so far.  A ``budget`` stage still warm-starts the next one.
     """
-    if not lambda_schedule:
-        raise ValueError("empty coupling schedule")
-    for a, b in zip(lambda_schedule, lambda_schedule[1:]):
-        if not b > a:
-            raise ValueError("coupling schedule must be strictly ascending")
-    problems = [Problem(T, P, lam) for lam in lambda_schedule]
+    problems = stage_problems(T, P, lambda_schedule)
     if trace_paths is not None and len(trace_paths) != len(lambda_schedule):
         raise ValueError("one trace path per stage required")
 

@@ -154,14 +154,6 @@ def gradient_inner(T: SpectralTorus, f: Field, g: Field) -> float:
     return _spectral_inner(T, np.fft.rfft2(_check(T, f)), np.fft.rfft2(_check(T, g)))
 
 
-def gradient_inner_pair(T: SpectralTorus, f: Field, g: Field) -> tuple[float, float]:
-    """gradient_inner(f, g) and gradient_inner(g, g), bit for bit, from one
-    transform of each field."""
-    F = np.fft.rfft2(_check(T, f))
-    G = np.fft.rfft2(_check(T, g))
-    return _spectral_inner(T, F, G), _spectral_inner(T, G, G)
-
-
 def periodic_distance(T: SpectralTorus, center: tuple[int, int]) -> np.ndarray:
     """Minimum-image distance of every grid point to a grid center."""
     n = T.grid_n

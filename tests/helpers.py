@@ -1,7 +1,9 @@
-"""Shared test utilities: random measures and synthetic concentration fields."""
+"""Shared test utilities: random measures, synthetic concentration fields,
+and J, the residual and the Hessian product at a field outside a run."""
 
 import numpy as np
 
+from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product
 from vortexmf.measure import CirculationMeasure, new_atomic
 from vortexmf.minimize import MinimizeResult
 from vortexmf.torus import Field, SpectralTorus, periodic_distance, project_zero_mean
@@ -30,3 +32,21 @@ def synthetic_result(T: SpectralTorus, values: np.ndarray, lam: float = 1.0) -> 
 def gaussian_bump(T: SpectralTorus, center: tuple[int, int], height: float, width: float) -> np.ndarray:
     r = periodic_distance(T, center)
     return height * np.exp(-((r / width) ** 2))
+
+
+def residual(prob: Problem, v: Field) -> Field:
+    """el_residual at v, filling partitions made for this call."""
+    return el_residual(prob, v, Partitions(prob))
+
+
+def energy(prob: Problem, v: Field) -> float:
+    """J at v, read off the partitions that el_residual fills at v."""
+    partitions = Partitions(prob)
+    el_residual(prob, v, partitions)
+    return J(prob, v, partitions)
+
+
+def hessian_field(prob: Problem, partitions: Partitions, phi: Field) -> Field:
+    """hessian_product along phi, transformed back to the grid."""
+    q, _, hq_hat = hessian_product(prob, partitions, np.fft.rfft2(phi.values))
+    return Field(np.fft.irfft2(hq_hat, s=q.shape))

@@ -1,6 +1,6 @@
 """Test oracles on the free energy: the dual energy expression, central
-differences in the circulation alpha, and per-atom loops for the residual
-and the Hessian product.
+differences in the circulation alpha, and per-atom loops for J, the
+residual and the Hessian product.
 
 The library computes J directly; these recompute it, or derivatives of its
 ingredients, by independent formulas that the tests compare against.
@@ -11,7 +11,18 @@ import math
 import numpy as np
 
 from vortexmf.functional import Problem, log_partition, w_alpha
-from vortexmf.torus import Field, integrate, laplacian, project_zero_mean
+from vortexmf.torus import Field, dirichlet_energy, integrate, laplacian, project_zero_mean
+
+
+def J_per_atom(prob: Problem, v: Field) -> float:
+    """J with each log-partition from its own exponential and the Dirichlet
+    energy from a transform of v; bit for bit the J that the library reads
+    off the partitions of v."""
+    T = prob.torus
+    vbar = float(v.values.mean())
+    log_parts = [log_partition(T, v, a) for a, _ in prob.P.atoms]
+    log_terms = math.fsum(w * (lp - a * vbar) for (a, w), lp in zip(prob.P.atoms, log_parts))
+    return dirichlet_energy(T, v) - prob.lam * log_terms
 
 
 def J_dual(prob: Problem, v: Field) -> float:

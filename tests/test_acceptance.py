@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from bruteforce import lambda_bar_bruteforce
-from helpers import random_measure, random_zero_mean_field
+from helpers import energy, random_measure, random_zero_mean_field, residual
 from oracles import J_dual, dalpha_partition, dalpha_peak
 from vortexmf.blowup import (
     bubble_profile,
@@ -24,7 +24,7 @@ from vortexmf.blowup import (
     radial_integral,
 )
 from vortexmf.cli import main
-from vortexmf.functional import J, Problem, el_residual
+from vortexmf.functional import Problem
 from vortexmf.measure import lambda_bar, lambda_bar_residual_vanishing, new_atomic
 from vortexmf.minimize import MinimizeOptions, minimize
 from vortexmf.torus import (
@@ -107,12 +107,12 @@ def test_criterion_04_gradient_consistency():
     for P in measures:
         prob = Problem(T, P, 4.0)
         v = random_zero_mean_field(T, rng, amplitude=0.5)
-        g = el_residual(prob, v)
+        g = residual(prob, v)
         for _ in range(20):
             phi = random_zero_mean_field(T, rng)
             fd = (
-                J(prob, project_zero_mean(T, Field(v.values + h * phi.values)))
-                - J(prob, project_zero_mean(T, Field(v.values - h * phi.values)))
+                energy(prob, project_zero_mean(T, Field(v.values + h * phi.values)))
+                - energy(prob, project_zero_mean(T, Field(v.values - h * phi.values)))
             ) / (2.0 * h)
             exact = integrate(T, Field(g.values * phi.values))
             worst = max(worst, abs(fd - exact) / max(1e-12, abs(exact)))
@@ -232,7 +232,7 @@ def test_criterion_11_dual_energy_agreement():
     for _ in range(20):
         P = random_measure(rng, max_atoms=6, signed=False)
         prob = Problem(T0, P, float(rng.uniform(0.5, 10.0)))
-        worst_zero = max(worst_zero, abs(J_dual(prob, zero) - J(prob, zero)))
+        worst_zero = max(worst_zero, abs(J_dual(prob, zero) - energy(prob, zero)))
 
     T = SpectralTorus(2.0, 64)
     worst_min = 0.0
@@ -246,7 +246,7 @@ def test_criterion_11_dual_energy_agreement():
         prob = Problem(T, P, lam)
         res = minimize(prob, MinimizeOptions())
         converged = converged and res.residual_norm <= 1e-8
-        gap = abs(J_dual(prob, res.v) - J(prob, res.v))
+        gap = abs(J_dual(prob, res.v) - energy(prob, res.v))
         worst_min = max(worst_min, gap / (1.0 + abs(res.J_value)))
     elapsed = time.perf_counter() - t0
     ok = worst_zero <= 1e-9 and converged and worst_min <= 1e-5 and elapsed < 60.0

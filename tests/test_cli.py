@@ -302,6 +302,44 @@ def test_single_coupling_commands_reject_a_schedule(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, schedule, message",
+    [
+        ("sweep", ("--lambdas", "2,1"), "coupling schedule must be strictly ascending"),
+        ("sweep", ("--fractions", "0.9,0.5"), "coupling schedule must be strictly ascending"),
+        ("minimize", ("--lambdas", "-3"), "coupling lambda must be positive and finite"),
+        ("sweep", ("--lambdas", "1,-3"), "coupling lambda must be positive and finite"),
+        ("sweep", ("--lambdas", "nan"), "coupling lambda must be positive and finite"),
+        ("sweep", ("--lambdas", "1,nan"), "coupling lambda must be positive and finite"),
+        ("minimize", ("--lambdas", "inf"), "coupling lambda must be positive and finite"),
+        ("profile", ("--lambdas", "inf"), "coupling lambda must be positive and finite"),
+    ],
+    ids=[
+        "descending", "descending-fractions", "negative", "negative-second", "nan", "nan-second", "inf", "inf-profile"
+    ],
+)
+def test_a_bad_coupling_schedule_makes_no_out_directory(tmp_path, capsys, command, schedule, message):
+    out = tmp_path / "runs"
+    code, stdout, stderr = run(capsys, command, "--atoms", "1:1", *schedule, "--grid-n", "16", "--out", str(out))
+    assert code == 2
+    assert stderr == f"error: {message}\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_more_bins_than_grid_points_is_an_input_error(tmp_path, capsys):
+    base = ("profile", "--atoms", "1:1", "--lambdas", "10", "--grid-n", "16")
+    out = tmp_path / "runs"
+    code, stdout, stderr = run(capsys, *base, "--n-bins", str(16 * 16 + 1), "--out", str(out))
+    assert code == 2
+    assert stderr == "error: n_bins must not exceed the grid points, grid_n^2\n"
+    assert stdout == ""
+    assert not out.exists()
+    code, _, stderr = run(capsys, *base, "--n-bins", str(16 * 16), "--out", str(out))
+    assert code == 0 and stderr == ""
+    assert (out / "profile_0.csv").exists()
+
+
 def test_concentrated_sweep_stage_records_its_profile(tmp_path, capsys):
     out = str(tmp_path / "runs")
     code, stdout, _ = run(
@@ -384,7 +422,7 @@ def test_diverged_sweep_stage_keeps_every_record(tmp_path, capsys, monkeypatch):
     real = _EnergyDelta.__call__
     # the trust region rejects every step at the second coupling, 0.6 lambda_bar > 10
     monkeypatch.setattr(
-        _EnergyDelta, "__call__", lambda self, s: 1.0 if self.prob.lam > 10 else real(self, s)
+        _EnergyDelta, "__call__", lambda self: 1.0 if self.prob.lam > 10 else real(self)
     )
     out = str(tmp_path / "runs")
     code, stdout, stderr = run(

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
-from helpers import random_measure, random_zero_mean_field
-from oracles import J_dual, dalpha_partition, dalpha_peak, el_residual_per_atom, hessian_product_per_atom
+from helpers import energy, hessian_field, random_measure, random_zero_mean_field, residual
+from oracles import J_dual, J_per_atom, dalpha_partition, dalpha_peak, el_residual_per_atom, hessian_product_per_atom
 from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product, log_partition, w_alpha
 from vortexmf.measure import new_atomic
 from vortexmf.minimize import _EnergyDelta, random_zero_mean
@@ -60,13 +60,13 @@ def test_energy_matches_bessel_closed_form():
     expected = eps * eps * math.pi**2 - lam * sum(
         w * math.log(float(i0(a * eps))) for a, w in P.atoms
     )
-    assert J(prob, v) == pytest.approx(expected, rel=1e-12)
+    assert energy(prob, v) == pytest.approx(expected, rel=1e-12)
 
 
 def test_energy_is_zero_at_zero_field():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(0.5, 0.5), (-0.25, 0.5)]), 3.0)
-    assert J(prob, zero_field(T)) == 0.0
+    assert energy(prob, zero_field(T)) == 0.0
 
 
 def test_w_alpha_normalization():
@@ -92,12 +92,12 @@ def test_functional_is_shift_invariant(atoms):
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic(atoms), 20.0)
     v = random_zero_mean_field(T, np.random.default_rng(37))
-    j0 = J(prob, v)
-    res0 = el_residual(prob, v).values
+    j0 = energy(prob, v)
+    res0 = residual(prob, v).values
     for c in (-3.0, 0.5, 7.0):
         shifted = Field(v.values + c)
-        assert J(prob, shifted) == pytest.approx(j0, rel=1e-12, abs=1e-12)
-        assert np.abs(el_residual(prob, shifted).values - res0).max() <= 1e-10
+        assert energy(prob, shifted) == pytest.approx(j0, rel=1e-12, abs=1e-12)
+        assert np.abs(residual(prob, shifted).values - res0).max() <= 1e-10
         for a, _ in prob.P.atoms:
             w_shift = w_alpha(prob, shifted, a).values
             assert np.abs(w_shift - w_alpha(prob, v, a).values).max() <= 1e-12
@@ -123,12 +123,12 @@ def test_gradient_matches_directional_finite_differences():
     for P in measures:
         prob = Problem(T, P, 4.0)
         v = random_zero_mean_field(T, rng, amplitude=0.5)
-        g = el_residual(prob, v)
+        g = residual(prob, v)
         for _ in range(20):
             phi = random_zero_mean_field(T, rng)
             fd = (
-                J(prob, project_zero_mean(T, Field(v.values + h * phi.values)))
-                - J(prob, project_zero_mean(T, Field(v.values - h * phi.values)))
+                energy(prob, project_zero_mean(T, Field(v.values + h * phi.values)))
+                - energy(prob, project_zero_mean(T, Field(v.values - h * phi.values)))
             ) / (2.0 * h)
             exact = integrate(T, Field(g.values * phi.values))
             assert fd == pytest.approx(exact, rel=1e-6, abs=1e-12)
@@ -137,7 +137,7 @@ def test_gradient_matches_directional_finite_differences():
 def test_residual_vanishes_at_zero_field():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(0.3, 0.4), (0.8, 0.6)]), 6.0)
-    res = el_residual(prob, zero_field(T))
+    res = residual(prob, zero_field(T))
     assert np.all(res.values == 0.0)
 
 
@@ -147,7 +147,7 @@ def test_residual_reduces_to_laplacian_for_zero_circulation():
     prob = Problem(T, new_atomic([(0.0, 1.0)]), 7.0)
     rng = np.random.default_rng(4)
     v = random_zero_mean_field(T, rng)
-    res = el_residual(prob, v)
+    res = residual(prob, v)
     expected = project_zero_mean(T, Field(-laplacian(T, v).values))
     assert np.array_equal(res.values, expected.values)
 
@@ -156,10 +156,14 @@ def test_residual_hands_out_the_shifted_partitions():
     # every atom, the zero atom included, in atom order and bit for bit
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-1.0, 0.3), (0.0, 0.2), (0.5, 0.2), (1.0, 0.3)]), 5.0)
-    v = random_zero_mean_field(T, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    v = random_zero_mean_field(T, rng)
+    # refilled after another field, the partitions keep nothing of it
     partitions = Partitions(prob)
+    el_residual(prob, random_zero_mean_field(T, rng), partitions)
     res = el_residual(prob, v, partitions)
-    assert np.array_equal(res.values, el_residual(prob, v).values)
+    assert np.array_equal(res.values, residual(prob, v).values)
+    assert np.array_equal(partitions.spectrum, np.fft.rfft2(v.values))
     assert partitions.stack.shape == (len(prob.P.atoms), T.grid_n**2)
     assert len(partitions.totals) == len(partitions.shifts) == len(prob.P.atoms)
     for (a, _), ex, total, m in zip(prob.P.atoms, partitions.stack, partitions.totals, partitions.shifts):
@@ -168,8 +172,9 @@ def test_residual_hands_out_the_shifted_partitions():
         assert np.array_equal(ex, expected.ravel())
         assert total == float(expected.sum())
         assert m == float(av.max())
-    # J read off the partitions takes no exponential and matches bit for bit
-    assert J(prob, v, partitions) == J(prob, v)
+    # J read off the partitions takes no transform and no exponential, and
+    # matches the per-atom J bit for bit
+    assert J(prob, v, partitions) == J_per_atom(prob, v)
 
 
 def test_batched_layer_matches_the_per_atom_oracles():
@@ -181,11 +186,15 @@ def test_batched_layer_matches_the_per_atom_oracles():
     res = el_residual(prob, v, partitions).values
     expected = el_residual_per_atom(prob, v).values
     assert np.abs(res - expected).max() <= 1e-13 * np.abs(expected).max()
+    # the product runs on half spectra, the oracle one atom at a time on the grid
     for seed in range(3):
         phi = random_zero_mean(T, 40 + seed, amplitude=1.0)
-        got = hessian_product(prob, partitions, phi).values
+        q, kappa, hq_hat = hessian_product(prob, partitions, np.fft.rfft2(phi.values))
         expected = hessian_product_per_atom(prob, v, phi).values
+        got = np.fft.irfft2(hq_hat, s=q.shape)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.abs(q - phi.values).max() <= 1e-15
+        assert kappa == pytest.approx(integrate(T, Field(phi.values * expected)), rel=1e-13)
 
 
 def test_one_iterate_refills_the_stack_and_allocates_few_fields():
@@ -200,13 +209,14 @@ def test_one_iterate_refills_the_stack_and_allocates_few_fields():
     prob = Problem(T, new_atomic(atoms), 100.0)
     v = random_zero_mean(T, 0, amplitude=1.0)
     d = random_zero_mean(T, 1, amplitude=0.1)
+    d_hat = np.fft.rfft2(d.values)
     field = v.values.nbytes
-    el_residual(prob, v)  # the torus symbols are cached outside the traced calls
+    residual(prob, v)  # the torus symbols are cached outside the traced calls
     partitions = Partitions(prob)
     calls = [
         lambda: el_residual(prob, v, partitions),
-        lambda: hessian_product(prob, partitions, d),
-        lambda: _EnergyDelta(prob, v, d, partitions)(1.0),
+        lambda: hessian_product(prob, partitions, d_hat),
+        lambda: _EnergyDelta(prob, d, partitions)(),
     ]
     rises = []  # each call's traced peak above what was live when it began
     tracemalloc.start()
@@ -239,8 +249,8 @@ def test_hessian_product_is_symmetric():
     for _ in range(5):
         phi = random_zero_mean_field(T, rng)
         psi = random_zero_mean_field(T, rng)
-        h_phi = hessian_product(prob, partitions, phi)
-        h_psi = hessian_product(prob, partitions, psi)
+        h_phi = hessian_field(prob, partitions, phi)
+        h_psi = hessian_field(prob, partitions, psi)
         lhs = integrate(T, Field(h_phi.values * psi.values))
         rhs = integrate(T, Field(phi.values * h_psi.values))
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -254,10 +264,10 @@ def test_hessian_product_is_the_derivative_of_the_residual():
     h = 1e-4
     for seed in range(4):
         phi = random_zero_mean(T, 100 + seed, amplitude=1.0)
-        plus = el_residual(prob, Field(v.values + h * phi.values)).values
-        minus = el_residual(prob, Field(v.values - h * phi.values)).values
+        plus = residual(prob, Field(v.values + h * phi.values)).values
+        minus = residual(prob, Field(v.values - h * phi.values)).values
         fd = (plus - minus) / (2.0 * h)
-        exact = hessian_product(prob, partitions, phi).values
+        exact = hessian_field(prob, partitions, phi).values
         assert np.abs(fd - exact).max() <= 1e-6 * np.abs(exact).max()
         lin = project_zero_mean(T, Field(-laplacian(T, phi).values)).values
         assert np.abs(fd - exact).max() <= 1e-6 * np.abs(exact - lin).max()
@@ -271,7 +281,7 @@ def test_dual_energy_agrees_at_zero_field():
             P = random_measure(rng, max_atoms=6, signed=False)
             prob = Problem(T, P, float(rng.uniform(0.5, 10.0)))
             v = zero_field(T)
-            assert abs(J_dual(prob, v) - J(prob, v)) <= 1e-9
+            assert abs(J_dual(prob, v) - energy(prob, v)) <= 1e-9
 
 
 def test_dual_energy_rejects_negative_circulations():

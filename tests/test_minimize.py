@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gaussian_bump, synthetic_result
+from helpers import energy, gaussian_bump, hessian_field, residual, synthetic_result
 from oracles import hessian_product_per_atom
-from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_atom_term, hessian_product
+from vortexmf.functional import Partitions, Problem, el_residual, hessian_product
 from vortexmf.measure import new_atomic
 from vortexmf.minimize import (
     MinimizeOptions,
@@ -244,7 +244,7 @@ def test_minimize_reports_how_it_ended(monkeypatch, status):
         "diverged": (1.0, 0.5, MinimizeOptions()),
     }[status]
     if status == "diverged":
-        monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0)
+        monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self: 1.0)
     res = minimize(Problem(T, new_atomic([(atom, 1.0)]), fraction * EIGHT_PI), opts)
     assert res.status == status
     assert (res.residual_norm <= opts.grad_tol) == (status == "converged")
@@ -256,7 +256,7 @@ def test_minimize_reports_how_it_ended(monkeypatch, status):
 def test_sweep_stops_after_a_diverged_stage(monkeypatch):
     real = minimize_module._EnergyDelta.__call__
     monkeypatch.setattr(
-        minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0 if self.prob.lam > 10 else real(self, s)
+        minimize_module._EnergyDelta, "__call__", lambda self: 1.0 if self.prob.lam > 10 else real(self)
     )
     T = SpectralTorus(1.0, 32)
     results = continuation_sweep(T, delta_one(), [f * EIGHT_PI for f in (0.3, 0.6, 0.9)], MinimizeOptions())
@@ -282,25 +282,26 @@ def _signed_three_atom_move():
 
 
 def _energy_delta(prob, v, d):
-    """The trust region's energy difference, with the partitions el_residual hands out."""
+    """The trust region's energy difference J(v - d) - J(v), with the
+    partitions el_residual hands out at v."""
     partitions = Partitions(prob)
     el_residual(prob, v, partitions)
-    return minimize_module._EnergyDelta(prob, v, d, partitions)
+    return minimize_module._EnergyDelta(prob, d, partitions)
 
 
 @pytest.mark.parametrize("max_u", [1.0, 10.0, 40.0, 100.0, 300.0, 600.0])
 def test_energy_delta_matches_direct_difference(max_u):
     prob, v, d, u_per_step = _signed_three_atom_move()
     s = max_u / u_per_step
-    moved = Field(v.values - s * d.values)
-    direct = J(prob, moved) - J(prob, v)
-    assert _energy_delta(prob, v, d)(s) == pytest.approx(direct, rel=1e-12)
+    step = Field(s * d.values)
+    direct = energy(prob, Field(v.values - step.values)) - energy(prob, v)
+    assert _energy_delta(prob, v, step)() == pytest.approx(direct, rel=1e-12)
 
 
 def test_energy_delta_past_exp_overflow_raises():
     prob, v, d, u_per_step = _signed_three_atom_move()
     with pytest.raises(OverflowError, match="partition exponent out of range"):
-        _energy_delta(prob, v, d)(800.0 / u_per_step)
+        _energy_delta(prob, v, Field((800.0 / u_per_step) * d.values))()
 
 
 def test_energy_delta_bilinear_terms_match_gradient_inner():
@@ -327,7 +328,7 @@ def test_warm_start_mean_does_not_matter():
 def test_diverged_error_carries_last_iterate(monkeypatch):
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 10.0)
-    monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0)
+    monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self: 1.0)
     last = minimize(prob, MinimizeOptions())
     assert last.status == "diverged"
     assert last.iterations == minimize_module.MAX_REJECTIONS
@@ -346,7 +347,7 @@ def _accepted_steps(trace_path):
 def test_residual_is_computed_once_per_iterate(monkeypatch, tmp_path):
     calls = []
 
-    def counted(prob, v, partitions=None):
+    def counted(prob, v, partitions):
         calls.append(1)
         return el_residual(prob, v, partitions)
 
@@ -360,7 +361,7 @@ def test_residual_is_computed_once_per_iterate(monkeypatch, tmp_path):
     assert 0 < _accepted_steps(path) < res.iterations
     assert len(calls) == _accepted_steps(path) + 1
     calls.clear()
-    monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0)
+    monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self: 1.0)
     last = minimize(Problem(T, delta_one(), 10.0), MinimizeOptions())
     assert last.status == "diverged"
     assert len(calls) == 1
@@ -372,7 +373,7 @@ def test_run_refills_one_stack(monkeypatch, tmp_path):
     # being handed out again
     stacks = []
 
-    def recorded(prob, v, partitions=None):
+    def recorded(prob, v, partitions):
         stacks.append(partitions.stack)
         return el_residual(prob, v, partitions)
 
@@ -387,12 +388,12 @@ def test_run_refills_one_stack(monkeypatch, tmp_path):
 
 
 def test_work_per_iteration(monkeypatch, tmp_path):
-    # per step: 2 transforms for the energy difference (one of v, one of the
-    # step); per path 1, of the residual g; per Hessian product 2 (q from
-    # its half spectrum and the spectrum of the partition term); none for a
-    # preconditioner solve, which is a division of the spectrum; per accepted
-    # step 2 for the Laplacian in el_residual; one exponential per atom, in
-    # el_residual
+    # per step: 1 transform for the energy difference, of the step (v's
+    # spectrum is the residual's); per path 1, of the residual g; per
+    # Hessian product 2 (q from its half spectrum and the spectrum of the
+    # partition term); none for a preconditioner solve, which is a division
+    # of the spectrum; per accepted step 2 for the residual (v and its
+    # Laplacian); one exponential per atom, in el_residual
     counts = {"fft": 0, "complex": 0, "exp": 0, "expm1": 0}
 
     def counting(fn, key, elements):
@@ -433,9 +434,9 @@ def test_work_per_iteration(monkeypatch, tmp_path):
     assert res.hessian_products == 6
     paths = len(boundary)
     per_atom = len(P.atoms) * T.grid_n**2
-    # set-up: 2 complex transforms for the random start, 2 for the first
-    # residual and 1 for J
-    assert counts["fft"] == 5 + 2 * res.iterations + 2 * accepted + 2 * res.hessian_products + paths
+    # set-up: 2 complex transforms for the random start and 2 for the first
+    # residual; J reads v's spectrum off the partitions
+    assert counts["fft"] == 4 + res.iterations + 2 * accepted + 2 * res.hessian_products + paths == 28
     assert counts["complex"] == 2
     # set-up: one exponential per atom in the first residual; J reads the partitions
     assert counts["exp"] == per_atom * (1 + accepted)
@@ -444,14 +445,13 @@ def test_work_per_iteration(monkeypatch, tmp_path):
 
 
 def _counting_hessian(monkeypatch):
-    # the path takes the partition term once per Hessian product
     calls = []
 
-    def counted(prob, partitions, phi):
+    def counted(prob, partitions, q_hat):
         calls.append(1)
-        return hessian_atom_term(prob, partitions, phi)
+        return hessian_product(prob, partitions, q_hat)
 
-    monkeypatch.setattr(minimize_module, "hessian_atom_term", counted)
+    monkeypatch.setattr(minimize_module, "hessian_product", counted)
     return calls
 
 
@@ -459,7 +459,7 @@ def test_collapsed_trust_radius_ends_diverged(monkeypatch, tmp_path):
     # every step is rejected, so the radius shrinks 4x a step, and every cut
     # reuses the first direction: one Hessian product in all
     calls = _counting_hessian(monkeypatch)
-    monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self, s: 1.0)
+    monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self: 1.0)
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 10.0)
     path = tmp_path / "trace.csv"
@@ -478,7 +478,7 @@ def test_first_radius_is_the_h1_length_of_the_preconditioned_gradient(tmp_path):
     prob = Problem(T, delta_one(), 10.0)
     path = tmp_path / "trace.csv"
     minimize(prob, MinimizeOptions(max_iters=1), trace_path=str(path))
-    g = el_residual(prob, random_zero_mean(T, 0))
+    g = residual(prob, random_zero_mean(T, 0))
     first = float(path.read_text().splitlines()[3].split(",")[3])
     # the Dirichlet form of (-Laplacian)^-1 g, from the half spectrum of g
     z_hat = np.fft.rfft2(g.values) * T.inverse_eigenvalues
@@ -510,7 +510,7 @@ def _newton_model_setup():
 
 
 def _model(T, prob, partitions, g, d):
-    hd = hessian_product(prob, partitions, d)
+    hd = hessian_field(prob, partitions, d)
     return -integrate(T, Field(g.values * d.values)) + 0.5 * integrate(T, Field(d.values * hd.values))
 
 
@@ -531,15 +531,18 @@ def test_truncated_cg_interior_step_solves_the_newton_equation():
     assert not boundary
     assert model == pytest.approx(_model(T, prob, partitions, g, d), rel=1e-9)
     # the H^-1 norm of the residual g - H d fell by the forcing term
-    r = Field(g.values - hessian_product(prob, partitions, d).values)
+    r = Field(g.values - hessian_field(prob, partitions, d).values)
     r_norm = math.sqrt(integrate(T, Field(r.values * solve_poisson_zero_mean(T, r).values)))
     g_norm = math.sqrt(integrate(T, Field(g.values * solve_poisson_zero_mean(T, g).values)))
     assert r_norm <= min(0.5, math.sqrt(g_norm)) * g_norm * (1.0 + 1e-6)
 
 
 def test_spectral_hessian_product_matches_the_per_atom_oracle():
-    # a signed measure with a zero atom; the path's product runs on half
-    # spectra, the oracle one atom at a time on the grid
+    # a signed measure with a zero atom; the path's products run on half
+    # spectra (their values are checked against the oracle in
+    # test_functional.py), the oracle one atom at a time on the grid.  The
+    # residual spectrum carried by the recurrence is that of g - H d_k after
+    # each of k directions, forced past the forcing term
     T = SpectralTorus(1.0, 32)
     atoms = [(-1.0, 0.1), (-0.6, 0.2), (-0.1, 0.1), (0.0, 0.2), (0.3, 0.1), (0.8, 0.1), (1.0, 0.2)]
     prob = Problem(T, new_atomic(atoms), 30.0)
@@ -547,16 +550,6 @@ def test_spectral_hessian_product_matches_the_per_atom_oracle():
     partitions = Partitions(prob)
     g = el_residual(prob, v, partitions)
     path = minimize_module._SteihaugPath(prob, partitions, g)
-    for seed in range(3):
-        phi = random_zero_mean(T, 40 + seed, amplitude=1.0)
-        q, kappa, hq_hat = path._hessian(np.fft.rfft2(phi.values))
-        expected = hessian_product_per_atom(prob, v, phi).values
-        got = np.fft.irfft2(hq_hat, s=q.shape)
-        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-        assert np.abs(q - phi.values).max() <= 1e-15
-        assert kappa == pytest.approx(integrate(T, Field(phi.values * expected)), rel=1e-13)
-    # the residual spectrum carried by the recurrence is that of g - H d_k
-    # after each of k directions, forced past the forcing term
     path.tol = 0.0
     g_scale = np.abs(np.fft.rfft2(g.values)).max()
     d = np.zeros_like(g.values)
@@ -662,5 +655,5 @@ def test_mirror_image_reads_the_negative_spike():
     assert detect_concentration(mirrored, T, 25.0) == (16, 40)
     # the mirror image of a state has the same energy
     v = random_zero_mean(T, 4, amplitude=2.0)
-    same = J(Problem(T, mirrored_P, 7.0), Field(-v.values))
-    assert same == pytest.approx(J(Problem(T, P, 7.0), v), rel=1e-12)
+    same = energy(Problem(T, mirrored_P, 7.0), Field(-v.values))
+    assert same == pytest.approx(energy(Problem(T, P, 7.0), v), rel=1e-12)
