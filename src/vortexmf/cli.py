@@ -36,9 +36,10 @@ from vortexmf.blowup import (
     rescale_profile,
 )
 from vortexmf.measure import (
+    EIGHT_PI,
     CirculationMeasure,
     alpha_min,
-    consistency_report,
+    full_support,
     lambda_bar,
     lambda_bar_residual_vanishing,
     load_measure,
@@ -56,8 +57,6 @@ from vortexmf.minimize import (
     stage_problems,
 )
 from vortexmf.torus import SpectralTorus
-
-EIGHT_PI = 8.0 * math.pi
 
 
 class InputError(Exception):
@@ -218,7 +217,7 @@ def _sanitize(obj):
 
 
 # The layout of summary.json; raised when a key changes meaning or goes away.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @functools.cache
@@ -277,8 +276,8 @@ def write_stage(
     result: MinimizeResult,
     want_profile: bool,
 ) -> dict:
-    """Write ``stage_k.csv`` and, for a concentrated stage or on request,
-    ``profile_k.csv``; return the stage's summary entry.
+    """Write ``profile_k.csv`` for a concentrated stage or on request, and
+    return the stage's summary entry.
 
     The concentration point and the profile are read at the peak of v,
     or at the peak of -v from the mirror image when only the negative
@@ -290,14 +289,6 @@ def write_stage(
     if negative_spike or moment(P, 1, "positive") == 0.0:
         seen, seen_P = mirror_image(result, P)
     conc = detect_concentration(seen, T, threshold)
-    ci, cj = ("", "") if conc is None else (str(conc[0]), str(conc[1]))
-    with open(os.path.join(cfg.out, f"stage_{k}.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"# seed={cfg.seed}\n")
-        fh.write("lambda,J,residual_norm,max_v,status,concentration_i,concentration_j\n")
-        fh.write(
-            f"{result.lam!r},{result.J_value!r},{result.residual_norm!r},"
-            f"{result.peak_value!r},{result.status},{ci},{cj}\n"
-        )
     profile = None
     if want_profile or conc is not None:
         fitted = rescale_profile(seen, T, seen_P, cfg.alpha, cfg.n_bins)
@@ -337,12 +328,8 @@ def cmd_lambda_bar(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOpti
         "subset_atoms": [list(P.atoms[i]) for i in res.minimizing_subset],
         "moment1": m1,
         "alpha_min": alpha_min(P) if any(a >= 0.0 for a, _ in P.atoms) else None,
-        "residual_vanishing_form": (
-            lambda_bar_residual_vanishing(P) if nonneg and m1 > 0.0 else None
-        ),
-        "consistency": (
-            dataclasses.asdict(consistency_report(P)) if nonneg and m1 > 0.0 else None
-        ),
+        "residual_vanishing_form": lambda_bar_residual_vanishing(P) if nonneg and m1 > 0.0 else None,
+        "full_support": full_support(P, res),
     }
     payload = write_summary(cfg, payload)
     _emit(
@@ -353,6 +340,7 @@ def cmd_lambda_bar(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOpti
             f"side = {res.side}",
             f"subset = {payload['subset']}",
             f"moment1 = {m1!r}",
+            f"full_support = {str(payload['full_support']).lower()}",
         ],
     )
     return 0
@@ -428,7 +416,7 @@ def cmd_scan(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -
                 P = new_atomic([(a, 1.0 - t), (1.0, t)])
                 res = lambda_bar(P)
                 rv = lambda_bar_residual_vanishing(P)
-                full = res.minimizing_subset == (0, 1)
+                full = full_support(P, res)
                 fh.write(
                     f"{a!r},{t!r},{res.lambda_bar!r},"
                     f"{len(res.minimizing_subset)},{res.side},{rv!r},{str(full).lower()}\n"

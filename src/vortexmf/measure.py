@@ -37,8 +37,6 @@ EIGHT_PI = 8.0 * math.pi
 ALPHA_MERGE_TOL = 1e-12
 # Input weights must sum to 1 within this tolerance before rescaling.
 WEIGHT_SUM_TOL = 1e-9
-# lambda_bar and the residual-vanishing form agree to this relative tolerance.
-FORMULA_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -127,27 +125,21 @@ def moment(P: CirculationMeasure, k: int, side: str = "all") -> float:
     """
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    if side == "all":
-        sel = [(a, w) for a, w in P.atoms]
-    elif side == "positive":
-        sel = [(a, w) for a, w in P.atoms if a >= 0.0]
-    elif side == "negative":
-        sel = [(a, w) for a, w in P.atoms if a <= 0.0]
-    else:
-        raise ValueError(f"bad side {side!r}")
+    sel = P.atoms if side == "all" else [(a, w) for a, w, _ in _side_atoms(P, side)]
     return math.fsum(a**k * w for a, w in sel)
 
 
 def alpha_min(P: CirculationMeasure) -> float:
     """Smallest circulation in supp(P) intersected with [0, 1]."""
-    pos = [a for a, _ in P.atoms if a >= 0.0]
+    pos = _side_atoms(P, "positive")
     if not pos:
         raise ValueError("measure has no atom in [0, 1]")
-    return min(pos)
+    return min(a for a, _, _ in pos)
 
 
 def _side_atoms(P: CirculationMeasure, side: str) -> list[tuple[float, float, int]]:
-    """Atoms of one sign in decreasing |alpha| order, with original indices.
+    """Atoms of one sign in decreasing |alpha| order, with original indices;
+    side is 'positive' for alpha in [0, 1] or 'negative' for [-1, 0].
 
     Within a sign interval the |alpha| values are distinct, so the order is
     unambiguous.  This shared ordering makes the prefix sums of the tail
@@ -156,8 +148,10 @@ def _side_atoms(P: CirculationMeasure, side: str) -> list[tuple[float, float, in
     """
     if side == "positive":
         sel = [(a, w, i) for i, (a, w) in enumerate(P.atoms) if a >= 0.0]
-    else:
+    elif side == "negative":
         sel = [(a, w, i) for i, (a, w) in enumerate(P.atoms) if a <= 0.0]
+    else:
+        raise ValueError(f"bad side {side!r}")
     sel.sort(key=lambda t: -abs(t[0]))
     return sel
 
@@ -208,6 +202,15 @@ def lambda_bar(P: CirculationMeasure) -> ExtremalResult:
     return _combine_sides(tail_scan(P, "positive"), tail_scan(P, "negative"))
 
 
+def full_support(P: CirculationMeasure, res: ExtremalResult) -> bool:
+    """Whether ``res = lambda_bar(P)`` has every atom of P in its extremal
+    subset K.  On [0, 1] this is residual vanishing, lambda_bar(P) =
+    8 pi / m1^2.  Atoms of both signs rule it out, since K lies in one sign
+    interval, and so does an atom at 0 next to others, which adds to P(K)
+    but not to the circulation integral."""
+    return len(res.minimizing_subset) == len(P.atoms)
+
+
 def lambda_bar_residual_vanishing(P: CirculationMeasure) -> float:
     """Closed form 8 pi / (int alpha dP)^2 valid when no mass escapes to
     residual subsets; requires supp(P) in [0, 1] with positive mean."""
@@ -217,52 +220,6 @@ def lambda_bar_residual_vanishing(P: CirculationMeasure) -> float:
     if m1 <= 0.0:
         raise ValueError("first moment must be positive")
     return EIGHT_PI / (m1 * m1)
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Checks tying the extremal coupling to the circulation measure.
-
-    For measures supported in [0, 1]: when the smallest circulation
-    exceeds 1/2, the extremal coupling must take the residual-vanishing
-    form 8 pi / m1^2 and the smallest circulation must exceed m1/2.
-    """
-
-    alpha_min: float
-    moment1: float
-    lambda_bar: float
-    residual_vanishing_value: float
-    alpha_min_above_half: bool
-    matches_residual_vanishing: bool
-    alpha_min_above_half_moment: bool
-
-
-def consistency_report(P: CirculationMeasure) -> ConsistencyReport:
-    """Evaluate the residual-vanishing consistency conditions for P."""
-    if any(a < 0.0 for a, _ in P.atoms):
-        raise ValueError("consistency report requires support in [0, 1]")
-    am = alpha_min(P)
-    m1 = moment(P, 1)
-    lb = lambda_bar(P).lambda_bar
-    rv = lambda_bar_residual_vanishing(P)
-    cond_a = am > 0.5
-    cond_b = abs(lb - rv) <= FORMULA_MATCH_TOL * max(1.0, rv)
-    cond_c = am > 0.5 * m1
-    if cond_a and not cond_b:
-        raise RuntimeError(
-            "alpha_min > 1/2 but the extremal coupling left the residual-vanishing form"
-        )
-    if cond_a and not cond_c:
-        raise RuntimeError("alpha_min > 1/2 but alpha_min <= m1/2; inconsistent moments")
-    return ConsistencyReport(
-        alpha_min=am,
-        moment1=m1,
-        lambda_bar=lb,
-        residual_vanishing_value=rv,
-        alpha_min_above_half=cond_a,
-        matches_residual_vanishing=cond_b,
-        alpha_min_above_half_moment=cond_c,
-    )
 
 
 def load_measure(path: str) -> CirculationMeasure:

@@ -41,7 +41,7 @@ def test_lambda_bar_json_round_trip(tmp_path, capsys):
     assert payload["subset"] == [0, 1]
     assert payload["subset_atoms"] == [[0.5, 0.5], [1.0, 0.5]]
     assert payload["moment1"] == 0.75
-    assert payload["consistency"]["matches_residual_vanishing"] is True
+    assert payload["full_support"] is True
     assert read_summary(out) == payload
 
 
@@ -88,7 +88,7 @@ def test_every_summary_records_its_schema_and_library_versions(tmp_path, capsys)
         "lambda-bar": (
             ["--atoms", "1:1"],
             {"lambda_bar", "side", "subset", "subset_atoms", "moment1", "alpha_min",
-             "residual_vanishing_form", "consistency"},
+             "residual_vanishing_form", "full_support"},
         ),
         "minimize": (["--atoms", "1:1", "--lambdas", "12.0", "--grid-n", "32"], {"stages", "requested_stages"}),
         "scan": ([], {"grid", "t_star", "full_support_above_half"}),
@@ -101,7 +101,7 @@ def test_every_summary_records_its_schema_and_library_versions(tmp_path, capsys)
         summary = read_summary(out)
         assert json.loads(stdout) == summary, command
         assert set(summary) == {"schema_version", "versions", "command", "seed"} | own, command
-        assert (summary["schema_version"], summary["versions"]) == (1, versions), command
+        assert (summary["schema_version"], summary["versions"]) == (2, versions), command
 
 
 def test_minimize_writes_artifacts(tmp_path, capsys):
@@ -111,21 +111,20 @@ def test_minimize_writes_artifacts(tmp_path, capsys):
         "--grid-n", "32", "--out", out, "--json",
     )
     assert code == 0
-    for name in ("summary.json", "stage_0.csv", "trace_0.csv"):
-        assert os.path.exists(os.path.join(out, name))
+    assert sorted(os.listdir(out)) == ["summary.json", "trace_0.csv"]
     payload = json.loads(stdout)
+    assert payload["seed"] == 0 and len(payload["stages"]) == 1
     stage = payload["stages"][0]
+    assert set(stage) == {
+        "lambda", "J", "residual_norm", "iterations", "hessian_products", "status",
+        "peak_point", "peak_value", "concentration", "profile",
+    }
     assert stage["lambda"] == 12.0
     assert stage["residual_norm"] <= 1e-8
     assert stage["status"] == "converged" and "blown_up" not in stage
     assert (stage["iterations"], stage["hessian_products"]) == (4, 10)
     assert "newton_steps" not in stage
     assert stage["concentration"] is None
-    stage_lines = open(os.path.join(out, "stage_0.csv")).read().splitlines()
-    assert stage_lines[0] == "# seed=0"
-    assert stage_lines[1] == "lambda,J,residual_norm,max_v,status,concentration_i,concentration_j"
-    assert stage_lines[2].split(",")[4] == "converged"
-    assert len(stage_lines) == 3
 
 
 def test_non_positive_or_infinite_fraction_rejected(capsys):
@@ -192,8 +191,7 @@ def test_blowup_below_extremal_coupling_exits_1(tmp_path, capsys):
     assert "status=blown_up" in stdout
     assert stderr.startswith("error: stage 0 ended blown_up after ")
     assert read_summary(out)["stages"][0]["status"] == "blown_up"
-    for name in ("stage_0.csv", "trace_0.csv"):
-        assert (out / name).exists()
+    assert (out / "trace_0.csv").exists()
 
 
 @pytest.mark.parametrize("coupling", [("--fractions", "1.0"), ("--lambdas", repr(2.0 * EIGHT_PI))])
@@ -275,7 +273,7 @@ def test_single_coupling_commands_write_one_record(tmp_path, capsys):
         assert summary.pop("command") == command
         records[command] = (stdout, summary, _outputs(out))
     stdout, summary, files = records["minimize"]
-    assert sorted(files) == ["profile_0.csv", "stage_0.csv", "summary.json", "trace_0.csv"]
+    assert sorted(files) == ["profile_0.csv", "summary.json", "trace_0.csv"]
     assert summary["requested_stages"] == len(summary["stages"]) == 1
     stage = summary["stages"][0]
     assert stage["status"] == "blown_up" and stage["profile"] is not None
@@ -286,7 +284,7 @@ def test_single_coupling_commands_write_one_record(tmp_path, capsys):
     )
     for other in ("profile", "sweep"):
         assert records[other][:2] == (stdout, summary), other
-        for name in ("stage_0.csv", "trace_0.csv", "profile_0.csv"):
+        for name in ("trace_0.csv", "profile_0.csv"):
             assert records[other][2][name] == files[name], (other, name)
 
 
@@ -370,9 +368,8 @@ def test_negative_spike_is_located_and_profiled(tmp_path, capsys):
     assert stage["peak_value"] < 25.0
     assert stage["concentration"] is not None and stage["concentration"] != stage["peak_point"]
     assert stage["profile"]["gamma0_reference"] == 4.0
-    row = open(os.path.join(out, "stage_0.csv")).read().splitlines()[2].split(",")
-    assert float(row[3]) == stage["peak_value"]
-    assert [int(row[5]), int(row[6])] == stage["concentration"]
+    assert all(isinstance(c, int) and 0 <= c < 32 for c in stage["concentration"])
+    assert len(stage["concentration"]) == 2
     lines = open(os.path.join(out, "profile_0.csv")).read().splitlines()
     assert lines[2] == "r,dw,fit_prediction" and len(lines) > 3
 
@@ -429,8 +426,7 @@ def test_diverged_sweep_stage_keeps_every_record(tmp_path, capsys, monkeypatch):
         capsys, "sweep", "--atoms", "1:1", "--fractions", "0.3,0.6", "--grid-n", "32", "--out", out
     )
     assert code == 1
-    for name in ("stage_0.csv", "stage_1.csv", "trace_0.csv", "trace_1.csv"):
-        assert os.path.exists(os.path.join(out, name)), name
+    assert sorted(os.listdir(out)) == ["summary.json", "trace_0.csv", "trace_1.csv"]
     summary = read_summary(out)
     assert [s["status"] for s in summary["stages"]] == ["converged", "diverged"]
     assert summary["requested_stages"] == len(summary["stages"]) == 2
@@ -529,6 +525,7 @@ def test_human_output_mentions_key_quantities(tmp_path, capsys):
     assert code == 0
     assert "lambda_bar = " in stdout
     assert "side = positive" in stdout
+    assert stdout.endswith("full_support = true\n")
 
 
 def _subcommand_parsers():

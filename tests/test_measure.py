@@ -1,4 +1,7 @@
-"""Measure construction, moments, extremal coupling, consistency report."""
+"""Measure construction, moments, the extremal coupling and its full-support
+flag: the theorems that tie full support to alpha_min, m1 and the
+residual-vanishing form 8 pi / m1^2, checked over random measures, and the
+continuum oracle of uniform densities discretized by midpoint atoms."""
 
 import math
 
@@ -10,13 +13,14 @@ from hypothesis import strategies as st
 from vortexmf.measure import (
     EIGHT_PI,
     alpha_min,
-    consistency_report,
+    full_support,
     lambda_bar,
     lambda_bar_residual_vanishing,
     load_measure,
     moment,
     new_atomic,
     parse_atoms_inline,
+    tail_scan,
 )
 
 from bruteforce import lambda_bar_bruteforce
@@ -233,31 +237,136 @@ def test_parse_atoms_inline():
         parse_atoms_inline("0.5=0.5")
 
 
-def test_consistency_report_classical():
-    rep = consistency_report(new_atomic([(1.0, 1.0)]))
-    assert rep.alpha_min_above_half
-    assert rep.matches_residual_vanishing
-    assert rep.alpha_min_above_half_moment
-    assert rep.lambda_bar == pytest.approx(EIGHT_PI, rel=1e-12)
+def test_full_support_classical():
+    P = new_atomic([(1.0, 1.0)])
+    res = lambda_bar(P)
+    assert full_support(P, res)
+    assert alpha_min(P) > 0.5 and alpha_min(P) > 0.5 * moment(P, 1)
+    assert res.lambda_bar == pytest.approx(EIGHT_PI, rel=1e-12)
+    assert res.lambda_bar == lambda_bar_residual_vanishing(P)
 
 
-def test_consistency_report_two_atoms_above_half():
-    rep = consistency_report(new_atomic([(0.6, 0.5), (1.0, 0.5)]))
-    assert rep.alpha_min_above_half
-    assert rep.matches_residual_vanishing
-    assert rep.lambda_bar == pytest.approx(12.5 * math.pi, rel=1e-12)
+def test_full_support_two_atoms_above_half():
+    P = new_atomic([(0.6, 0.5), (1.0, 0.5)])
+    res = lambda_bar(P)
+    assert alpha_min(P) > 0.5
+    assert full_support(P, res)
+    assert res.lambda_bar == pytest.approx(12.5 * math.pi, rel=1e-12)
+    assert res.lambda_bar == pytest.approx(lambda_bar_residual_vanishing(P), rel=1e-9)
 
 
-def test_consistency_report_below_half_departure():
+def test_below_half_departure_is_not_full_support():
     # small circulations push the extremal coupling below the
-    # residual-vanishing value; the report records the departure
-    rep = consistency_report(new_atomic([(0.1, 0.9), (1.0, 0.1)]))
-    assert not rep.alpha_min_above_half
-    assert not rep.matches_residual_vanishing
-    assert rep.alpha_min_above_half_moment
-    assert rep.lambda_bar == pytest.approx(80.0 * math.pi, rel=1e-12)
+    # residual-vanishing value, and the extremal subset drops them
+    P = new_atomic([(0.1, 0.9), (1.0, 0.1)])
+    res = lambda_bar(P)
+    assert alpha_min(P) <= 0.5
+    assert not full_support(P, res)
+    assert alpha_min(P) > 0.5 * moment(P, 1)
+    assert res.lambda_bar == pytest.approx(80.0 * math.pi, rel=1e-12)
+    assert res.lambda_bar < lambda_bar_residual_vanishing(P) * (1.0 - 1e-9)
 
 
-def test_consistency_report_rejects_signed_measures():
+def test_signed_measures_never_have_full_support():
+    # the extremal subset lies in one sign interval; the residual-vanishing
+    # form needs support in [0, 1]
+    P = new_atomic([(-0.5, 0.5), (1.0, 0.5)])
+    assert not full_support(P, lambda_bar(P))
     with pytest.raises(ValueError):
-        consistency_report(new_atomic([(-0.5, 0.5), (1.0, 0.5)]))
+        lambda_bar_residual_vanishing(P)
+
+
+def test_unknown_side_tag_is_rejected():
+    # 'Positive' is not 'positive': it must not fall through to the negative side
+    P = new_atomic([(-1.0, 0.5), (0.5, 0.5)])
+    assert tail_scan(P, "positive") == (64.0 * math.pi, (1,))
+    assert tail_scan(P, "negative") == (16.0 * math.pi, (0,))
+    for side in ("Positive", "all", ""):
+        with pytest.raises(ValueError, match="bad side"):
+            tail_scan(P, side)
+    with pytest.raises(ValueError, match="bad side"):
+        moment(P, 1, "Positive")
+
+
+def unit_interval_measures(count: int, seed: int):
+    """Random atomic measures on [0, 1] with up to 8 atoms.  About a third
+    have every atom above a random floor in (0, 1), and about one in five
+    with two or more atoms has an atom at 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        low = float(rng.uniform(0.0, 1.0)) if rng.random() < 0.35 else 0.0
+        alphas = rng.uniform(low, 1.0, size=n).tolist()
+        if n > 1 and rng.random() < 0.2:
+            alphas[0] = 0.0
+        weights = rng.uniform(0.1, 1.0, size=n)
+        yield new_atomic(list(zip(alphas, (weights / weights.sum()).tolist())))
+
+
+THEOREM_MEASURES = 2500
+
+
+def test_alpha_min_above_half_implies_full_support():
+    above = 0
+    for P in unit_interval_measures(THEOREM_MEASURES, seed=101):
+        if alpha_min(P) > 0.5:
+            above += 1
+            assert full_support(P, lambda_bar(P)), P
+    assert above >= 300
+
+
+def test_full_support_implies_alpha_min_at_least_half_the_mean():
+    # the removal condition of the prefix proof in measure's docstring,
+    # with K = supp(P): |alpha_i| >= s / (2p) = m1 / 2
+    full = zero_atom = 0
+    for P in unit_interval_measures(THEOREM_MEASURES, seed=102):
+        zero_atom += P.atoms[0][0] == 0.0
+        if full_support(P, lambda_bar(P)):
+            full += 1
+            assert alpha_min(P) >= 0.5 * moment(P, 1), P
+    assert full >= 500 and zero_atom >= 200
+
+
+def test_full_support_is_the_residual_vanishing_form():
+    counts = {True: 0, False: 0}
+    for P in unit_interval_measures(THEOREM_MEASURES, seed=103):
+        res = lambda_bar(P)
+        rv = lambda_bar_residual_vanishing(P)
+        matches = abs(res.lambda_bar - rv) <= 1e-9 * max(1.0, rv)
+        assert full_support(P, res) == matches, P
+        counts[matches] += 1
+    assert min(counts.values()) >= 500
+
+
+def midpoint_atoms(a: float, b: float, n: int):
+    """Uniform on [a, b] as n equal atoms at the midpoints of n equal cells."""
+    h = (b - a) / n
+    return new_atomic([(a + (i + 0.5) * h, 1.0 / n) for i in range(n)])
+
+
+def test_uniform_density_on_unit_interval_has_no_residual_vanishing():
+    # continuum oracle: among tails [t, 1] of the uniform density,
+    # 8 pi B / A^2 is least where E[alpha | alpha >= t] = 2t, at t* = 1/3,
+    # so lambda_bar = 27 pi, below 8 pi / m1^2 = 32 pi
+    expected = {16: (27.01958, 1e-5, 0.34375), 128: (27.00031, 1e-5, 0.33984375),
+                1024: (27.0000048, 1e-7, 0.33349609375)}
+    previous = math.inf
+    for n, (over_pi, tol, lower_edge) in expected.items():
+        P = midpoint_atoms(0.0, 1.0, n)
+        res = lambda_bar(P)
+        assert res.lambda_bar / math.pi == pytest.approx(over_pi, abs=tol), n
+        assert 27.0 * math.pi < res.lambda_bar < previous
+        previous = res.lambda_bar
+        assert min(P.atoms[i][0] for i in res.minimizing_subset) == lower_edge
+        assert not full_support(P, res)
+        assert res.lambda_bar < lambda_bar_residual_vanishing(P)
+
+
+def test_uniform_density_above_half_has_residual_vanishing():
+    # alpha_min > 1/2: the extremal subset is the whole support, and the
+    # midpoint rule integrates alpha exactly, so m1 = 3/4
+    for n in (16, 128, 1024):
+        P = midpoint_atoms(0.5, 1.0, n)
+        res = lambda_bar(P)
+        assert res.lambda_bar == pytest.approx(128.0 * math.pi / 9.0, rel=1e-12), n
+        assert full_support(P, res)
