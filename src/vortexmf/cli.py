@@ -191,11 +191,12 @@ def resolve_measure(cfg: argparse.Namespace) -> CirculationMeasure:
     raise InputError("no measure given: use --measure FILE or --atoms SPEC")
 
 
-def resolve_schedule(cfg: argparse.Namespace, P: CirculationMeasure) -> list[float]:
+def resolve_schedule(cfg: argparse.Namespace, bar: float) -> list[float]:
+    """The couplings of the run; ``bar`` is lambda_bar(P), which scales the
+    fractions."""
     if cfg.lambdas:
         return list(cfg.lambdas)
     if cfg.fractions:
-        bar = lambda_bar(P).lambda_bar
         if not math.isfinite(bar):
             raise InputError("extremal coupling is infinite; give absolute couplings")
         return [f * bar for f in cfg.fractions]
@@ -276,13 +277,18 @@ def write_stage(
     result: MinimizeResult,
     want_profile: bool,
 ) -> dict:
-    """Write ``profile_k.csv`` for a concentrated stage or on request, and
-    return the stage's summary entry.
+    """Write ``trace_k.csv``, and ``profile_k.csv`` for a concentrated
+    stage or on request, and return the stage's summary entry.
 
     The concentration point and the profile are read at the peak of v,
     or at the peak of -v from the mirror image when only the negative
     spike reached the blow-up threshold or P has no positive circulation.
     """
+    with open(os.path.join(cfg.out, f"trace_{k}.csv"), "w", encoding="utf-8") as fh:
+        fh.write(f"# seed={cfg.seed}\n")
+        fh.write("iter,J,residual_norm,step,max_v\n")
+        for i, (j, res, step, max_v) in enumerate(result.trace):
+            fh.write(f"{i},{j!r},{res!r},{step!r},{max_v!r}\n")
     seen, seen_P = result, P
     threshold = blowup_threshold(opts, T)
     negative_spike = result.peak_value < threshold <= -float(result.v.values.min())
@@ -305,6 +311,7 @@ def write_stage(
         "J": result.J_value,
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
+        "rejected": result.rejected,
         "hessian_products": result.hessian_products,
         "status": result.status,
         "peak_point": list(result.peak_point),
@@ -364,31 +371,34 @@ def cmd_solve(
     one_coupling: bool = False,
     want_profile: bool = False,
 ) -> int:
-    """Run the coupling schedule as a continuation sweep, write a record of
-    every stage run, and exit 1 if one ended ``budget`` or ``diverged``, or
-    ``blown_up`` below lambda_bar(P), where J is bounded below.
-    ``minimize`` and ``profile`` are sweeps of one coupling; ``profile`` also
-    exports the profile of a stage that did not concentrate."""
+    """Check the schedule, run it as a continuation sweep, then write a
+    record of every stage run; exit 1 if one ended ``budget`` or
+    ``diverged``, or ``blown_up`` below lambda_bar(P), where J is bounded
+    below.  ``minimize`` and ``profile`` are sweeps of one coupling;
+    ``profile`` also exports the profile of a stage that did not concentrate.
+
+    A bad schedule exits 2 before ``--out`` is made, and a numerical
+    failure in the sweep leaves ``--out`` empty."""
     P = resolve_measure(cfg)
     if want_profile and all(a == 0.0 for a, _ in P.atoms):
         raise InputError("measure carries no circulation to profile")
-    schedule = resolve_schedule(cfg, P)
+    bar = lambda_bar(P).lambda_bar
+    schedule = resolve_schedule(cfg, bar)
     if one_coupling and len(schedule) != 1:
         raise InputError("this command expects exactly one coupling")
-    stage_problems(T, P, schedule)  # a bad schedule exits 2 before --out is made
+    problems = stage_problems(T, P, schedule)
     os.makedirs(cfg.out, exist_ok=True)
-    traces = [os.path.join(cfg.out, f"trace_{k}.csv") for k in range(len(schedule))]
-    results = continuation_sweep(T, P, schedule, opts, trace_paths=traces)
+    results = continuation_sweep(problems, opts)
     stages = [write_stage(cfg, T, P, opts, k, r, want_profile) for k, r in enumerate(results)]
     payload = {
         "command": cfg.command,
         "seed": cfg.seed,
+        "lambda_bar": bar,
         "stages": stages,
         "requested_stages": len(schedule),
     }
     payload = write_summary(cfg, payload)
     _emit(cfg, payload, [_stage_line(k, stage) for k, stage in enumerate(stages)])
-    bar = lambda_bar(P).lambda_bar
     for k, r in enumerate(results):
         if r.status in ("budget", "diverged") or (r.status == "blown_up" and r.lam < bar):
             ending = f"{r.status} after {r.iterations} iterations at residual {r.residual_norm!r}"

@@ -31,12 +31,16 @@ e^{alpha v - m} (m the max of alpha v) computed once, per iterate:
 run, with v's half spectrum and the stack of exponentials, and J at the
 start, the energy differences and every Hessian product at that iterate
 read them there.  An energy difference transforms only its step.
+
+The layer does no I/O: a run keeps its per-iteration trace, and the count
+of steps it rejected, in its :class:`MinimizeResult`, and the caller
+decides what to write.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,7 +81,12 @@ class MinimizeOptions:
 class MinimizeResult:
     """The last iterate of a run; ``status`` says how the run ended:
     ``converged``, ``blown_up``, ``budget`` or ``diverged`` (see :func:`minimize`).
-    ``hessian_products`` counts the Hessian products of the truncated CG."""
+    ``hessian_products`` counts the Hessian products of the truncated CG,
+    and ``rejected`` the steps the trust region rejected, out of
+    ``iterations``.  ``trace`` holds one row (J, residual_norm, step, max_v)
+    for the start and one per iteration: ``step`` is the trust radius of
+    the iteration, 0.0 at the start, and a rejected step repeats the J,
+    residual and max of v of the row before."""
 
     v: Field
     J_value: float
@@ -86,6 +95,8 @@ class MinimizeResult:
     lam: float
     status: str
     hessian_products: int = 0
+    rejected: int = 0
+    trace: list[tuple[float, float, float, float]] = field(default_factory=list)
 
     @property
     def peak_point(self) -> tuple[int, int]:
@@ -264,12 +275,7 @@ class _SteihaugPath:
         return Field(d), model, False, len(self.directions) - grown
 
 
-def minimize(
-    prob: Problem,
-    opts: MinimizeOptions,
-    warm_start: Field | None = None,
-    trace_path: str | None = None,
-) -> MinimizeResult:
+def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = None) -> MinimizeResult:
     """Minimize J to sup-norm residual <= grad_tol by trust-region steps.
 
     Starts from ``warm_start`` with its mean subtracted, or from seeded
@@ -288,59 +294,44 @@ def minimize(
             raise ValueError("warm start grid does not match the torus")
         v = project_zero_mean(T, warm_start)
 
-    trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
-    try:
-        if trace:
-            trace.write(f"# seed={opts.seed}\n")
-            trace.write("iter,J,residual_norm,step,max_v\n")
+    partitions = Partitions(prob)
+    g = el_residual(prob, v, partitions)
+    j_curr = J(prob, v, partitions)
+    res_norm = float(np.abs(g.values).max())
+    iterations = products = rejected = rejected_in_a_row = 0
+    path: _SteihaugPath | None = None
+    radius = math.nan  # set from the first path
+    trace = [(j_curr, res_norm, 0.0, float(v.values.max()))]
 
-        partitions = Partitions(prob)
-        g = el_residual(prob, v, partitions)
-        j_curr = J(prob, v, partitions)
-        res_norm = float(np.abs(g.values).max())
-        iterations = products = rejections = 0
-        path: _SteihaugPath | None = None
-        radius = math.nan  # set from the first path
-
-        if trace:
-            _trace_row(trace, iterations, j_curr, res_norm, 0.0, v)
-
-        while (status := _stop_status(opts, T, v, res_norm, iterations)) is None:
-            if path is None:
-                path = _SteihaugPath(prob, partitions, g)
-                if iterations == 0:
-                    radius = math.sqrt(path.rz0)
-            step, model, boundary, n = path.step(radius)
-            products += n
-            dj = _EnergyDelta(prob, step, partitions)()
-            ratio = dj / model  # actual over predicted change; model < 0
-            iterations += 1
-            if ratio > ACCEPT_RATIO:
-                v = project_zero_mean(T, Field(v.values - step.values))
-                path = None
-                g = el_residual(prob, v, partitions)
-                j_curr = j_curr + dj
-                res_norm = float(np.abs(g.values).max())
-                rejections = 0
-            else:
-                rejections += 1
-            if trace:
-                _trace_row(trace, iterations, j_curr, res_norm, radius, v)
-            if rejections == MAX_REJECTIONS:
-                status = "diverged"  # the trust radius collapsed
-                break
-            if ratio < 0.25:
-                radius *= 0.25
-            elif ratio > 0.75 and boundary:
-                radius *= 2.0
-        return MinimizeResult(v, j_curr, res_norm, iterations, prob.lam, status, products)
-    finally:
-        if trace:
-            trace.close()
-
-
-def _trace_row(fh, iteration: int, j: float, res: float, step: float, v: Field) -> None:
-    fh.write(f"{iteration},{j!r},{res!r},{step!r},{float(v.values.max())!r}\n")
+    while (status := _stop_status(opts, T, v, res_norm, iterations)) is None:
+        if path is None:
+            path = _SteihaugPath(prob, partitions, g)
+            if iterations == 0:
+                radius = math.sqrt(path.rz0)
+        step, model, boundary, n = path.step(radius)
+        products += n
+        dj = _EnergyDelta(prob, step, partitions)()
+        ratio = dj / model  # actual over predicted change; model < 0
+        iterations += 1
+        if ratio > ACCEPT_RATIO:
+            v = project_zero_mean(T, Field(v.values - step.values))
+            path = None
+            g = el_residual(prob, v, partitions)
+            j_curr = j_curr + dj
+            res_norm = float(np.abs(g.values).max())
+            rejected_in_a_row = 0
+        else:
+            rejected += 1
+            rejected_in_a_row += 1
+        trace.append((j_curr, res_norm, radius, float(v.values.max())))
+        if rejected_in_a_row == MAX_REJECTIONS:
+            status = "diverged"  # the trust radius collapsed
+            break
+        if ratio < 0.25:
+            radius *= 0.25
+        elif ratio > 0.75 and boundary:
+            radius *= 2.0
+    return MinimizeResult(v, j_curr, res_norm, iterations, prob.lam, status, products, rejected, trace)
 
 
 def stage_problems(T: SpectralTorus, P: CirculationMeasure, lambda_schedule: list[float]) -> list[Problem]:
@@ -356,39 +347,28 @@ def stage_problems(T: SpectralTorus, P: CirculationMeasure, lambda_schedule: lis
     return problems
 
 
-def continuation_sweep(
-    T: SpectralTorus,
-    P: CirculationMeasure,
-    lambda_schedule: list[float],
-    opts: MinimizeOptions,
-    trace_paths: list[str] | None = None,
-) -> list[MinimizeResult]:
-    """Minimize along an ascending coupling schedule with warm starts.
+def continuation_sweep(problems: list[Problem], opts: MinimizeOptions) -> list[MinimizeResult]:
+    """Minimize along the stages of an ascending coupling schedule, as
+    :func:`stage_problems` returns them, with warm starts.
 
     The first stage starts cold, exactly as :func:`minimize` does; each
     later one starts from the previous solution plus a fixed center bump
     that breaks translation symmetry (:func:`minimize` subtracts the mean).
-    The schedule is checked by :func:`stage_problems` before the first
-    stage.  Past lambda_bar(P) a stage normally blows up; the sweep stops
-    after a stage that ended ``blown_up`` or ``diverged`` and returns the
-    stages run so far.  A ``budget`` stage still warm-starts the next one.
+    Past lambda_bar(P) a stage normally blows up; the sweep stops after a
+    stage that ended ``blown_up`` or ``diverged`` and returns the stages
+    run so far.  A ``budget`` stage still warm-starts the next one.
     """
-    problems = stage_problems(T, P, lambda_schedule)
-    if trace_paths is not None and len(trace_paths) != len(lambda_schedule):
-        raise ValueError("one trace path per stage required")
-
     bump: Field | None = None
     results: list[MinimizeResult] = []
-    for k, prob in enumerate(problems):
+    for prob in problems:
         warm: Field | None = None
         if results:
             if results[-1].status in ("blown_up", "diverged"):
                 break
             if bump is None:
-                bump = center_bump(T)
+                bump = center_bump(prob.torus)
             warm = Field(results[-1].v.values + bump.values)
-        trace = trace_paths[k] if trace_paths else None
-        results.append(minimize(prob, opts, warm_start=warm, trace_path=trace))
+        results.append(minimize(prob, opts, warm_start=warm))
     return results
 
 

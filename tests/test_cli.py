@@ -90,7 +90,10 @@ def test_every_summary_records_its_schema_and_library_versions(tmp_path, capsys)
             {"lambda_bar", "side", "subset", "subset_atoms", "moment1", "alpha_min",
              "residual_vanishing_form", "full_support"},
         ),
-        "minimize": (["--atoms", "1:1", "--lambdas", "12.0", "--grid-n", "32"], {"stages", "requested_stages"}),
+        "minimize": (
+            ["--atoms", "1:1", "--lambdas", "12.0", "--grid-n", "32"],
+            {"lambda_bar", "stages", "requested_stages"},
+        ),
         "scan": ([], {"grid", "t_star", "full_support_above_half"}),
         "verify": ([], {"checks", "all_passed"}),
     }
@@ -116,15 +119,35 @@ def test_minimize_writes_artifacts(tmp_path, capsys):
     assert payload["seed"] == 0 and len(payload["stages"]) == 1
     stage = payload["stages"][0]
     assert set(stage) == {
-        "lambda", "J", "residual_norm", "iterations", "hessian_products", "status",
+        "lambda", "J", "residual_norm", "iterations", "rejected", "hessian_products", "status",
         "peak_point", "peak_value", "concentration", "profile",
     }
+    assert payload["lambda_bar"] == EIGHT_PI
     assert stage["lambda"] == 12.0
     assert stage["residual_norm"] <= 1e-8
     assert stage["status"] == "converged" and "blown_up" not in stage
-    assert (stage["iterations"], stage["hessian_products"]) == (4, 10)
+    assert (stage["iterations"], stage["rejected"], stage["hessian_products"]) == (4, 0, 10)
     assert "newton_steps" not in stage
     assert stage["concentration"] is None
+
+
+def test_trace_file_layout(tmp_path, capsys):
+    out = tmp_path / "runs"
+    code, _, _ = run(
+        capsys, "minimize", "--atoms", "1:1", "--fractions", "0.5", "--grid-n", "32", "--seed", "5",
+        "--out", str(out),
+    )
+    assert code == 0
+    stage = read_summary(out)["stages"][0]
+    lines = (out / "trace_0.csv").read_text().splitlines()
+    assert lines[0] == "# seed=5"
+    assert lines[1] == "iter,J,residual_norm,step,max_v"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(r[0]) for r in rows] == list(range(stage["iterations"] + 1))
+    j_col = [float(r[1]) for r in rows]
+    assert all(b <= a for a, b in zip(j_col, j_col[1:]))
+    assert (j_col[-1], float(rows[-1][4])) == (stage["J"], stage["peak_value"])
+    assert float(rows[0][3]) == 0.0
 
 
 def test_non_positive_or_infinite_fraction_rejected(capsys):
@@ -181,7 +204,8 @@ def test_near_extremal_sweep_converges_every_stage(tmp_path, capsys):
 
 def test_blowup_below_extremal_coupling_exits_1(tmp_path, capsys):
     # J is bounded below lambda_bar, so a blown-up stage there is a failure;
-    # every record is still written
+    # every record is still written, and it holds the lambda_bar the exit
+    # rule compared against
     out = tmp_path / "runs"
     code, stdout, stderr = run(
         capsys, "minimize", "--atoms=-1:0.5,1:0.5", "--fractions", "0.99", "--grid-n", "64",
@@ -190,8 +214,44 @@ def test_blowup_below_extremal_coupling_exits_1(tmp_path, capsys):
     assert code == 1
     assert "status=blown_up" in stdout
     assert stderr.startswith("error: stage 0 ended blown_up after ")
-    assert read_summary(out)["stages"][0]["status"] == "blown_up"
+    record = read_summary(out)
+    assert record["stages"][0]["status"] == "blown_up"
+    assert record["stages"][0]["lambda"] < record["lambda_bar"] == 2.0 * EIGHT_PI
     assert (out / "trace_0.csv").exists()
+
+
+def test_a_measure_without_circulation_records_lambda_bar_as_inf(tmp_path, capsys):
+    out = tmp_path / "runs"
+    code, _, _ = run(capsys, "minimize", "--atoms", "0:1", "--lambdas", "10", "--grid-n", "16", "--out", str(out))
+    assert code == 0
+    assert read_summary(out)["lambda_bar"] == "inf"
+
+
+@pytest.mark.parametrize("coupling", [("--fractions", "0.5"), ("--lambdas", "12.0")])
+def test_a_solver_command_checks_its_schedule_and_computes_lambda_bar_once(
+    tmp_path, capsys, monkeypatch, coupling
+):
+    import vortexmf.cli
+    import vortexmf.minimize
+
+    calls = {"lambda_bar": 0, "stage_problems": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (vortexmf.cli, vortexmf.minimize):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, _, _ = run(
+        capsys, "sweep", "--atoms", "1:1", *coupling, "--grid-n", "16", "--out", str(tmp_path / "runs")
+    )
+    assert code == 0
+    assert calls == {"lambda_bar": 1, "stage_problems": 1}
 
 
 @pytest.mark.parametrize("coupling", [("--fractions", "1.0"), ("--lambdas", repr(2.0 * EIGHT_PI))])
@@ -203,6 +263,9 @@ def test_blowup_at_extremal_coupling_exits_0(tmp_path, capsys, coupling):
     )
     assert code == 0 and stderr == ""
     assert "status=blown_up" in stdout
+    record = read_summary(out)
+    assert record["stages"][0]["status"] == "blown_up"
+    assert record["stages"][0]["lambda"] >= record["lambda_bar"] == 2.0 * EIGHT_PI
 
 
 def test_lambdas_and_fractions_conflict(capsys):
@@ -587,18 +650,22 @@ def test_non_finite_input_is_an_input_error(tmp_path, capsys, argv, config):
 
 
 @pytest.mark.parametrize(
-    "argv,message",
+    "argv,message,files",
     [
         (("minimize", "--atoms", "1:1", "--lambdas", "1e9", "--grid-n", "64"),
-         "partition exponent out of range"),
-        (("verify", "--debug-bubble-scale", "1e300"), "pohozaev_bubble: math range error"),
+         "partition exponent out of range", []),
+        (("verify", "--debug-bubble-scale", "1e300"), "pohozaev_bubble: math range error", None),
     ],
     ids=["partition-overflow", "bubble-overflow"],
 )
-def test_numerical_failure_exits_1_with_a_message(tmp_path, capsys, argv, message):
-    code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "runs"))
+def test_numerical_failure_exits_1_with_a_message(tmp_path, capsys, argv, message, files):
+    # every file is written after the last stage, so a solver command that
+    # fails leaves --out empty; verify makes it only to write its record
+    out = tmp_path / "runs"
+    code, _, stderr = run(capsys, *argv, "--out", str(out))
     assert code == 1
     assert stderr == f"error: numerical failure: {message}\n"
+    assert (sorted(os.listdir(out)) if out.exists() else None) == files
 
 
 def test_huge_coupling_blows_up_within_the_trust_region(tmp_path, capsys):

@@ -19,6 +19,7 @@ from vortexmf.minimize import (
     minimize,
     mirror_image,
     random_zero_mean,
+    stage_problems,
 )
 from vortexmf.torus import (
     Field,
@@ -37,6 +38,10 @@ EIGHT_PI = 8.0 * math.pi
 
 def delta_one():
     return new_atomic([(1.0, 1.0)])
+
+
+def sweep(T, P, schedule, opts):
+    return continuation_sweep(stage_problems(T, P, schedule), opts)
 
 
 def test_options_validation():
@@ -108,42 +113,26 @@ def test_minimize_is_deterministic():
     assert np.array_equal(a.v.values, b.v.values)
 
 
-def test_trace_file_layout(tmp_path):
-    T = SpectralTorus(1.0, 32)
-    prob = Problem(T, delta_one(), 0.5 * EIGHT_PI)
-    path = tmp_path / "trace.csv"
-    res = minimize(prob, MinimizeOptions(seed=5), trace_path=str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=5"
-    assert lines[1] == "iter,J,residual_norm,step,max_v"
-    rows = [line.split(",") for line in lines[2:]]
-    assert len(rows) == res.iterations + 1
-    assert [int(r[0]) for r in rows] == list(range(res.iterations + 1))
-    j_col = [float(r[1]) for r in rows]
-    assert all(b <= a for a, b in zip(j_col, j_col[1:]))
-    assert float(rows[0][3]) == 0.0
-    assert float(rows[-1][1]) == res.J_value
-
-
 def test_schedule_validation():
     T = SpectralTorus(1.0, 32)
     P = delta_one()
     opts = MinimizeOptions()
     with pytest.raises(ValueError, match="empty"):
-        continuation_sweep(T, P, [], opts)
+        stage_problems(T, P, [])
     with pytest.raises(ValueError, match="ascending"):
-        continuation_sweep(T, P, [1.0, 1.0], opts)
+        stage_problems(T, P, [1.0, 1.0])
     with pytest.raises(ValueError, match="positive"):
-        continuation_sweep(T, P, [-2.0, -1.0], opts)
-    past_bar = continuation_sweep(T, P, [1.5 * EIGHT_PI], MinimizeOptions(max_iters=1))
+        stage_problems(T, P, [-2.0, -1.0])
+    problems = stage_problems(T, P, [0.5 * EIGHT_PI, 1.5 * EIGHT_PI])
+    assert [p.lam for p in problems] == [0.5 * EIGHT_PI, 1.5 * EIGHT_PI]
+    assert all(p.torus is T and p.P is P for p in problems)
+    past_bar = sweep(T, P, [1.5 * EIGHT_PI], MinimizeOptions(max_iters=1))
     assert len(past_bar) == 1
-    with pytest.raises(ValueError, match="trace path"):
-        continuation_sweep(T, P, [1.0, 2.0], opts, trace_paths=["only_one.csv"])
 
 
 def test_sweep_stagewise_convergence():
     T = SpectralTorus(1.0, 32)
-    results = continuation_sweep(
+    results = sweep(
         T, delta_one(), [f * EIGHT_PI for f in (0.3, 0.5, 0.9)], MinimizeOptions()
     )
     assert len(results) == 3
@@ -158,7 +147,7 @@ def test_single_stage_sweep_matches_minimize():
     T = SpectralTorus(1.0, 32)
     lam = 0.4 * EIGHT_PI
     opts = MinimizeOptions(seed=2)
-    swept = continuation_sweep(T, delta_one(), [lam], opts)
+    swept = sweep(T, delta_one(), [lam], opts)
     direct = minimize(Problem(T, delta_one(), lam), opts)
     assert len(swept) == 1
     assert swept[0].iterations == direct.iterations
@@ -170,16 +159,16 @@ def test_center_bump_is_built_once_and_only_for_a_second_stage(monkeypatch):
     real = minimize_module.center_bump
     monkeypatch.setattr(minimize_module, "center_bump", lambda T: calls.append(T) or real(T))
     T = SpectralTorus(1.0, 32)
-    continuation_sweep(T, delta_one(), [1.0], MinimizeOptions())
+    sweep(T, delta_one(), [1.0], MinimizeOptions())
     assert calls == []
-    continuation_sweep(T, delta_one(), [1.0, 2.0, 3.0], MinimizeOptions())
+    sweep(T, delta_one(), [1.0, 2.0, 3.0], MinimizeOptions())
     assert len(calls) == 1
 
 
 def test_sweep_stops_after_blowup_stage():
     T = SpectralTorus(1.0, 32)
     opts = MinimizeOptions(blowup_peak_threshold=0.001)
-    results = continuation_sweep(T, delta_one(), [1.0, 2.0, 3.0], opts)
+    results = sweep(T, delta_one(), [1.0, 2.0, 3.0], opts)
     assert len(results) == 1
     assert results[0].status == "blown_up"
 
@@ -259,13 +248,13 @@ def test_sweep_stops_after_a_diverged_stage(monkeypatch):
         minimize_module._EnergyDelta, "__call__", lambda self: 1.0 if self.prob.lam > 10 else real(self)
     )
     T = SpectralTorus(1.0, 32)
-    results = continuation_sweep(T, delta_one(), [f * EIGHT_PI for f in (0.3, 0.6, 0.9)], MinimizeOptions())
+    results = sweep(T, delta_one(), [f * EIGHT_PI for f in (0.3, 0.6, 0.9)], MinimizeOptions())
     assert [r.status for r in results] == ["converged", "diverged"]
 
 
 def test_sweep_goes_on_after_a_budget_stage():
     T = SpectralTorus(1.0, 32)
-    results = continuation_sweep(T, delta_one(), [1.0, 2.0], MinimizeOptions(max_iters=1))
+    results = sweep(T, delta_one(), [1.0, 2.0], MinimizeOptions(max_iters=1))
     assert [r.status for r in results] == ["budget", "budget"]
 
 
@@ -336,15 +325,7 @@ def test_diverged_error_carries_last_iterate(monkeypatch):
     assert last.v.values.shape == (32, 32)
 
 
-def _accepted_steps(trace_path):
-    """Trace rows whose J, residual or max_v differ from the row before: a
-    rejected step repeats all three (its step column, the radius, moves)."""
-    rows = [line.split(",") for line in trace_path.read_text().splitlines()[2:]]
-    rows = [(r[1], r[2], r[4]) for r in rows]
-    return sum(b != a for a, b in zip(rows, rows[1:]))
-
-
-def test_residual_is_computed_once_per_iterate(monkeypatch, tmp_path):
+def test_residual_is_computed_once_per_iterate(monkeypatch):
     calls = []
 
     def counted(prob, v, partitions):
@@ -353,13 +334,18 @@ def test_residual_is_computed_once_per_iterate(monkeypatch, tmp_path):
 
     monkeypatch.setattr(minimize_module, "el_residual", counted)
     T = SpectralTorus(1.0, 32)
-    path = tmp_path / "trace.csv"
     # the signed pair at lambda_bar rejects some of its steps
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
-    res = minimize(prob, MinimizeOptions(), trace_path=str(path))
+    res = minimize(prob, MinimizeOptions())
     assert res.status == "converged"
-    assert 0 < _accepted_steps(path) < res.iterations
-    assert len(calls) == _accepted_steps(path) + 1
+    accepted = res.iterations - res.rejected
+    assert 0 < accepted < res.iterations
+    assert len(calls) == accepted + 1
+    # cross-check on the trace: a rejected step repeats the J, residual and
+    # max of v of the row before, and only its step column, the radius, moves
+    assert len(res.trace) == res.iterations + 1
+    rows = [(j, r, max_v) for j, r, _, max_v in res.trace]
+    assert sum(b != a for a, b in zip(rows, rows[1:])) == accepted
     calls.clear()
     monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self: 1.0)
     last = minimize(Problem(T, delta_one(), 10.0), MinimizeOptions())
@@ -367,7 +353,7 @@ def test_residual_is_computed_once_per_iterate(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
-def test_run_refills_one_stack(monkeypatch, tmp_path):
+def test_run_refills_one_stack(monkeypatch):
     # every residual of a run refills the partitions allocated before the
     # first one; holding each stack keeps a freed buffer's address from
     # being handed out again
@@ -380,14 +366,13 @@ def test_run_refills_one_stack(monkeypatch, tmp_path):
     monkeypatch.setattr(minimize_module, "el_residual", recorded)
     T = SpectralTorus(1.0, 32)
     P = new_atomic([(-1.0, 0.3), (0.5, 0.3), (1.0, 0.4)])
-    path = tmp_path / "trace.csv"
-    minimize(Problem(T, P, 10.0), MinimizeOptions(max_iters=3), trace_path=str(path))
-    assert _accepted_steps(path) == 3
+    res = minimize(Problem(T, P, 10.0), MinimizeOptions(max_iters=3))
+    assert (res.iterations, res.rejected) == (3, 0)
     assert len(stacks) == 4
     assert {s.ctypes.data for s in stacks} == {stacks[0].ctypes.data}
 
 
-def test_work_per_iteration(monkeypatch, tmp_path):
+def test_work_per_iteration(monkeypatch):
     # per step: 1 transform for the energy difference, of the step (v's
     # spectrum is the residual's); per path 1, of the residual g; per
     # Hessian product 2 (q from its half spectrum and the spectrum of the
@@ -422,13 +407,12 @@ def test_work_per_iteration(monkeypatch, tmp_path):
     monkeypatch.setattr(np, "expm1", counting(np.expm1, "expm1", True))
     T = SpectralTorus(1.0, 32)
     P = new_atomic([(-1.0, 0.3), (0.5, 0.3), (1.0, 0.4)])
-    path = tmp_path / "trace.csv"
-    res = minimize(Problem(T, P, 10.0), MinimizeOptions(max_iters=3), trace_path=str(path))
+    res = minimize(Problem(T, P, 10.0), MinimizeOptions(max_iters=3))
     assert res.status == "budget" and res.iterations == 3
     # every step accepted, so each path took one step: the first on the
     # boundary, the others inside, where the preconditioned residual ended
     # them without a transform
-    accepted = _accepted_steps(path)
+    accepted = res.iterations - res.rejected
     assert accepted == res.iterations
     assert boundary == [True, False, False]
     assert res.hessian_products == 6
@@ -455,31 +439,29 @@ def _counting_hessian(monkeypatch):
     return calls
 
 
-def test_collapsed_trust_radius_ends_diverged(monkeypatch, tmp_path):
+def test_collapsed_trust_radius_ends_diverged(monkeypatch):
     # every step is rejected, so the radius shrinks 4x a step, and every cut
     # reuses the first direction: one Hessian product in all
     calls = _counting_hessian(monkeypatch)
     monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self: 1.0)
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 10.0)
-    path = tmp_path / "trace.csv"
-    res = minimize(prob, MinimizeOptions(), trace_path=str(path))
+    res = minimize(prob, MinimizeOptions())
     assert res.status == "diverged"
-    assert res.iterations == minimize_module.MAX_REJECTIONS
+    assert res.iterations == res.rejected == minimize_module.MAX_REJECTIONS
     assert res.hessian_products == len(calls) == 1
     assert np.array_equal(res.v.values, random_zero_mean(T, 0).values)
-    radii = [float(line.split(",")[3]) for line in path.read_text().splitlines()[3:]]
+    radii = [step for _, _, step, _ in res.trace[1:]]
     assert len(radii) == res.iterations
     assert all(b == 0.25 * a for a, b in zip(radii, radii[1:]))
 
 
-def test_first_radius_is_the_h1_length_of_the_preconditioned_gradient(tmp_path):
+def test_first_radius_is_the_h1_length_of_the_preconditioned_gradient():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 10.0)
-    path = tmp_path / "trace.csv"
-    minimize(prob, MinimizeOptions(max_iters=1), trace_path=str(path))
+    res = minimize(prob, MinimizeOptions(max_iters=1))
     g = residual(prob, random_zero_mean(T, 0))
-    first = float(path.read_text().splitlines()[3].split(",")[3])
+    first = res.trace[1][2]
     # the Dirichlet form of (-Laplacian)^-1 g, from the half spectrum of g
     z_hat = np.fft.rfft2(g.values) * T.inverse_eigenvalues
     assert first == math.sqrt(_spectral_inner(T, z_hat, z_hat))
@@ -488,16 +470,14 @@ def test_first_radius_is_the_h1_length_of_the_preconditioned_gradient(tmp_path):
     assert first == pytest.approx(math.sqrt(gradient_inner(T, z, z)), rel=1e-15)
 
 
-def test_trust_region_steps_count_toward_the_budget(tmp_path):
+def test_trust_region_steps_count_toward_the_budget():
     # the signed pair at lambda_bar on 32^2 rejects its 14th step, the last
     # one a budget of 14 allows
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
-    path = tmp_path / "trace.csv"
-    res = minimize(prob, MinimizeOptions(max_iters=14), trace_path=str(path))
+    res = minimize(prob, MinimizeOptions(max_iters=14))
     assert res.status == "budget"
-    assert res.iterations == 14
-    assert _accepted_steps(path) == 13
+    assert (res.iterations, res.rejected) == (14, 1)
 
 
 def _newton_model_setup():
