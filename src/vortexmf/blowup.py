@@ -82,43 +82,38 @@ def liouville_bubble(mu: float, lam: float, r):
     return float(vals) if rr.ndim == 0 else vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlowupProfile:
     """Peak-rescaled radial profile of a normalized field.
 
     ``peak_value`` is the unit-circulation normalized field w_1 at the
-    peak; it sets the rescaling length sigma = e^{-peak_value/2} shared by
-    the profiles of every circulation alpha read off the same minimizer.
-    ``samples`` holds (r, dw) pairs, dw being the radial average of
-    w_alpha(x) - w_alpha(peak), which never exceeds zero.  The fitted line
-    is dw = fitted_slope * (-log(1 + r/sigma)) + fitted_intercept over the
-    default window, nan when that window holds too few samples.
+    peak; it sets the rescaling length sigma = e^{-peak_value/2}.
+    ``radii`` holds the sample radii, strictly increasing, and ``dw`` the
+    profile at each, w_1(x) - w_1(peak) averaged over the circle of that
+    radius (times alpha in :func:`bubble_profile`), which never exceeds
+    zero.  The fitted line is dw = fitted_slope * (-log(1 + r/sigma)) +
+    fitted_intercept over the default window, nan when that window holds
+    too few samples.
     """
 
     peak_value: float
-    samples: tuple[tuple[float, float], ...]
+    radii: np.ndarray
+    dw: np.ndarray
     fitted_slope: float
     fitted_intercept: float
     gamma0_reference: float
 
     def __post_init__(self) -> None:
-        radii = [r for r, _ in self.samples]
-        if any(b <= a for a, b in zip(radii, radii[1:])):
+        if np.shape(self.radii) != np.shape(self.dw):
+            raise ValueError("radii and dw must hold one value per sample")
+        if np.any(np.diff(self.radii) <= 0.0):
             raise ValueError("samples must be strictly increasing in r")
-        if any(dw > PEAK_SLACK for _, dw in self.samples):
+        if np.any(self.dw > PEAK_SLACK):
             raise ValueError("profile exceeds its own peak")
 
     @property
     def sigma(self) -> float:
         return math.exp(-0.5 * self.peak_value)
-
-    @property
-    def radii(self) -> np.ndarray:
-        return np.array([r for r, _ in self.samples])
-
-    @property
-    def dw(self) -> np.ndarray:
-        return np.array([d for _, d in self.samples])
 
 
 def default_fit_window(sigma: float, side_length: float | None = None) -> tuple[float, float]:
@@ -150,11 +145,17 @@ def _li_fit(radii: np.ndarray, dw: np.ndarray, sigma: float, window) -> tuple[fl
     return float(slope), float(intercept)
 
 
-def _fit_or_nan(radii: np.ndarray, dw: np.ndarray, sigma: float, window) -> tuple[float, float]:
+def _fitted_profile(
+    peak_value: float, radii: np.ndarray, dw: np.ndarray, gamma0: float, side_length: float | None = None
+) -> BlowupProfile:
+    """The profile of the samples (radii, dw), its line fitted over the
+    default window, or nan when that window holds too few samples."""
+    sigma = math.exp(-0.5 * peak_value)
     try:
-        return _li_fit(radii, dw, sigma, window)
+        slope, intercept = _li_fit(radii, dw, sigma, default_fit_window(sigma, side_length))
     except ValueError:
-        return math.nan, math.nan
+        slope = intercept = math.nan
+    return BlowupProfile(peak_value, radii, dw, slope, intercept, gamma0)
 
 
 def fit_li_line(profile: BlowupProfile, fit_window) -> tuple[float, float]:
@@ -185,36 +186,24 @@ def bubble_profile(mu: float, lam: float, radii, alpha: float = 1.0) -> BlowupPr
     if rs.size == 0 or rs[0] < 0.0:
         raise ValueError("radii must be nonnegative")
     peak = liouville_bubble(mu, lam, 0.0)
-    dw = alpha * (liouville_bubble(mu, lam, rs) - peak)
-    sigma = math.exp(-0.5 * peak)
-    slope, intercept = _fit_or_nan(rs, dw, sigma, default_fit_window(sigma))
-    return BlowupProfile(
-        peak_value=peak,
-        samples=tuple(zip(rs.tolist(), dw.tolist())),
-        fitted_slope=slope,
-        fitted_intercept=intercept,
-        gamma0_reference=4.0,
-    )
+    return _fitted_profile(peak, rs, alpha * (liouville_bubble(mu, lam, rs) - peak), 4.0)
 
 
 def rescale_profile(
     result: MinimizeResult,
     T: SpectralTorus,
     P: CirculationMeasure,
-    alpha: float,
     n_bins: int | None = None,
 ) -> BlowupProfile:
-    """Peak-rescaled radial profile of w_alpha around the field maximum.
+    """Peak-rescaled radial profile of w_1 around the field maximum.
 
-    dw uses the exact relation w_alpha(x) - w_alpha(peak) =
-    alpha (v(x) - v(peak)): profiles at different alpha differ by the
-    factor alpha alone.  sigma comes from the unit-circulation peak value.
-    The spike carries the mass lambda m_K of the positive extremal subset K
-    of the tail scan, so the reference slope is gamma0 = 4 P(K) / m_K,
-    which is 4 / m1 under residual vanishing.
+    dw is the radial average of w_1(x) - w_1(peak) = v(x) - v(peak) in
+    ``n_bins`` bins (default grid_n / 2), and sigma comes from w_1 at the
+    peak.  The profile of w_alpha is alpha dw with the same sigma, so the
+    circulation is no parameter.  The spike carries the mass lambda m_K of
+    the positive extremal subset K of the tail scan, so the reference slope
+    is gamma0 = 4 P(K) / m_K, which is 4 / m1 under residual vanishing.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
     vals = result.v.values
     if vals.shape != (T.grid_n, T.grid_n):
         raise ValueError("result grid does not match the torus")
@@ -225,19 +214,10 @@ def rescale_profile(
     mass = math.fsum(P.atoms[i][1] for i in subset)
     m_k = math.fsum(P.atoms[i][0] * P.atoms[i][1] for i in subset)
     w1_peak = float(vals[peak]) - log_partition(T, result.v, 1.0)
-    dw_field = Field(alpha * (vals - vals[peak]))
-    bins = radial_average(T, dw_field, peak, n_bins if n_bins is not None else T.grid_n // 2)
+    bins = radial_average(T, Field(vals - vals[peak]), peak, n_bins if n_bins is not None else T.grid_n // 2)
     r = np.array([b[0] for b in bins])
     mean_dw = np.array([b[1] for b in bins])
-    sigma = math.exp(-0.5 * w1_peak)
-    slope, intercept = _fit_or_nan(r, mean_dw, sigma, default_fit_window(sigma, T.side_length))
-    return BlowupProfile(
-        peak_value=w1_peak,
-        samples=tuple(zip(r.tolist(), mean_dw.tolist())),
-        fitted_slope=slope,
-        fitted_intercept=intercept,
-        gamma0_reference=4.0 * mass / m_k,
-    )
+    return _fitted_profile(w1_peak, r, mean_dw, 4.0 * mass / m_k, T.side_length)
 
 
 def mass_gamma(f_radial, r_max: float, breakpoints=None) -> float:

@@ -106,11 +106,9 @@ SETTINGS: dict[str, Setting] = {
         Setting("measure", str, None, "PATH", "atomic measure file: alpha weight per line"),
         Setting("atoms", str, None, "SPEC", "inline measure alpha:weight[,alpha:weight...]"),
         Setting("out", str, "runs", "DIR", "output directory"),
-        Setting("side_length", float, 1.0, "L", "torus side length"),
         Setting("grid_n", int, 128, "N", "grid points per side, a power of two >= 16"),
         Setting("lambdas", _floats_csv, (), "LIST", "comma-separated absolute couplings"),
         Setting("fractions", _floats_csv, (), "LIST", "comma-separated fractions of the extremal coupling"),
-        Setting("alpha", float, 1.0, "A", "circulation for profile extraction, in (0, 1]"),
         Setting("n_bins", int, None, "N", "radial bins of an exported profile, at most grid_n^2"),
         *(
             Setting(f.name, type(f.default), f.default, *_SOLVER_HELP[f.name])
@@ -148,7 +146,7 @@ def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
     """The parsed command line with every setting filled in and typed:
     defaults, then the config file, then the flags."""
     given = []
-    if args.config:
+    if args.config is not None:
         for key, (text, lineno) in parse_config_file(args.config).items():
             given.append((key, text, f"{args.config}:{lineno}"))
     for s in SETTINGS.values():
@@ -169,8 +167,6 @@ def check_run_rules(cfg: argparse.Namespace) -> None:
         raise InputError("give either absolute couplings or fractions, not both")
     if any(not 0.0 < f < math.inf for f in cfg.fractions):
         raise InputError("schedule fractions must be positive and finite")
-    if not 0.0 < cfg.alpha <= 1.0:
-        raise InputError("alpha must lie in (0, 1]")
     if cfg.n_bins is not None and cfg.n_bins <= 0:
         raise InputError("n_bins must be positive")
     # the binning allocates per bin, and more bins than points leave bins empty
@@ -179,12 +175,12 @@ def check_run_rules(cfg: argparse.Namespace) -> None:
 
 
 def resolve_measure(cfg: argparse.Namespace) -> CirculationMeasure:
-    if cfg.measure and cfg.atoms:
+    if cfg.measure is not None and cfg.atoms is not None:
         raise InputError("both a measure file and inline atoms were given")
     try:
-        if cfg.measure:
+        if cfg.measure is not None:
             return load_measure(cfg.measure)
-        if cfg.atoms:
+        if cfg.atoms is not None:
             return parse_atoms_inline(cfg.atoms)
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
@@ -218,7 +214,7 @@ def _sanitize(obj):
 
 
 # The layout of summary.json; raised when a key changes meaning or goes away.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @functools.cache
@@ -262,7 +258,7 @@ def write_profile_csv(cfg: argparse.Namespace, k: int, profile: BlowupProfile) -
             f"gamma0_reference={profile.gamma0_reference!r}\n"
         )
         fh.write("r,dw,fit_prediction\n")
-        for r, dw in profile.samples:
+        for r, dw in zip(profile.radii.tolist(), profile.dw.tolist()):
             pred = profile.fitted_slope * (-math.log1p(r / profile.sigma)) + profile.fitted_intercept
             fh.write(f"{r!r},{dw!r},{pred!r}\n")
     return path
@@ -297,14 +293,13 @@ def write_stage(
     conc = detect_concentration(seen, T, threshold)
     profile = None
     if want_profile or conc is not None:
-        fitted = rescale_profile(seen, T, seen_P, cfg.alpha, cfg.n_bins)
+        fitted = rescale_profile(seen, T, seen_P, cfg.n_bins)
         write_profile_csv(cfg, k, fitted)
         profile = {
             "sigma": fitted.sigma,
             "peak_value": fitted.peak_value,
             "fitted_slope": fitted.fitted_slope,
             "gamma0_reference": fitted.gamma0_reference,
-            "alpha": cfg.alpha,
         }
     return {
         "lambda": result.lam,
@@ -602,8 +597,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_settings(args)
         check_run_rules(cfg)
-        # built for every command, so any bad value exits 2 before any work
-        T = SpectralTorus(cfg.side_length, cfg.grid_n)
+        # built for every command, so any bad value exits 2 before any work;
+        # the unit torus, since a side L only rescales the answer (README, Scales)
+        T = SpectralTorus(1.0, cfg.grid_n)
         opts = MinimizeOptions(**{name: getattr(cfg, name) for name in _SOLVER_HELP})
         return args.handler(cfg, T, opts)
     # OSError: an --out that cannot be made or written, such as "" or a

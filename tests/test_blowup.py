@@ -19,7 +19,9 @@ from vortexmf.blowup import (
     radial_integral,
     rescale_profile,
 )
+from vortexmf.functional import Problem
 from vortexmf.measure import new_atomic
+from vortexmf.minimize import MinimizeOptions, minimize
 from vortexmf.torus import SpectralTorus, periodic_distance
 
 EIGHT_PI = 8.0 * math.pi
@@ -113,7 +115,7 @@ def test_bubble_profile_sigma_and_samples():
     prof = bubble_profile(1.0, 8.0, radii)
     assert prof.sigma == 1.0
     assert prof.peak_value == 0.0
-    assert len(prof.samples) == 600
+    assert prof.radii.shape == prof.dw.shape == (600,)
     assert np.all(prof.dw <= 0.0)
     with pytest.raises(ValueError):
         bubble_profile(1.0, 8.0, radii, alpha=1.5)
@@ -123,26 +125,28 @@ def test_bubble_profile_sigma_and_samples():
 
 def test_profile_validation():
     with pytest.raises(ValueError, match="increasing"):
-        BlowupProfile(0.0, ((2.0, -1.0), (1.0, -2.0)), 4.0, 0.0, 4.0)
+        BlowupProfile(0.0, np.array([2.0, 1.0]), np.array([-1.0, -2.0]), 4.0, 0.0, 4.0)
     with pytest.raises(ValueError, match="peak"):
-        BlowupProfile(0.0, ((1.0, 0.5),), 4.0, 0.0, 4.0)
+        BlowupProfile(0.0, np.array([1.0]), np.array([0.5]), 4.0, 0.0, 4.0)
+    with pytest.raises(ValueError, match="one value per sample"):
+        BlowupProfile(0.0, np.array([1.0, 2.0]), np.array([-1.0]), 4.0, 0.0, 4.0)
 
 
 def test_li_slope_on_exact_line():
     radii = np.geomspace(0.1, 100.0, 50)
     dw = -4.0 * np.log1p(radii)
-    prof = BlowupProfile(0.0, tuple(zip(radii.tolist(), dw.tolist())), 4.0, 0.0, 4.0)
+    prof = BlowupProfile(0.0, radii, dw, 4.0, 0.0, 4.0)
     slope, intercept = fit_li_line(prof, (0.5, 50.0))
     assert slope == pytest.approx(4.0, rel=1e-12)
     assert abs(intercept) <= 1e-12
-    flat = BlowupProfile(0.0, tuple(zip(radii.tolist(), [0.0] * 50)), 0.0, 0.0, 4.0)
+    flat = BlowupProfile(0.0, radii, np.zeros(50), 0.0, 0.0, 4.0)
     assert fit_li_slope(flat, (0.5, 50.0)) == 0.0
 
 
 def test_li_fit_window_validation():
     radii = np.geomspace(0.1, 100.0, 50)
     dw = -4.0 * np.log1p(radii)
-    prof = BlowupProfile(0.0, tuple(zip(radii.tolist(), dw.tolist())), 4.0, 0.0, 4.0)
+    prof = BlowupProfile(0.0, radii, dw, 4.0, 0.0, 4.0)
     with pytest.raises(ValueError, match="lo < hi"):
         fit_li_slope(prof, (5.0, 5.0))
     with pytest.raises(ValueError, match="lo < hi"):
@@ -182,11 +186,11 @@ def test_rescale_profile_recovers_radial_law():
     r = periodic_distance(T, (64, 64))
     res = synthetic_result(T, -2.0 * np.log1p((r / s) ** 2))
     P = new_atomic([(1.0, 1.0)])
-    prof = rescale_profile(res, T, P, 1.0)
+    prof = rescale_profile(res, T, P)
     assert prof.sigma == pytest.approx(math.exp(-0.5 * prof.peak_value), rel=1e-12)
     assert prof.gamma0_reference == 4.0
     checked = 0
-    for rr, dw in prof.samples:
+    for rr, dw in zip(prof.radii, prof.dw):
         if rr <= 0.25:
             assert abs(dw - (-2.0 * math.log1p((rr / s) ** 2))) <= 0.01
             checked += 1
@@ -204,28 +208,13 @@ def test_rescale_profile_recovers_radial_law():
 def test_rescale_profile_reference_from_extremal_subset(pairs, gamma0):
     T = SpectralTorus(1.0, 32)
     res = synthetic_result(T, gaussian_bump(T, (16, 16), 10.0, 0.05))
-    assert rescale_profile(res, T, new_atomic(pairs), 1.0).gamma0_reference == gamma0
-
-
-def test_rescale_profile_alpha_homogeneity():
-    T = SpectralTorus(1.0, 128)
-    s = 1.0 / 32.0
-    r = periodic_distance(T, (64, 64))
-    res = synthetic_result(T, -2.0 * np.log1p((r / s) ** 2))
-    P = new_atomic([(1.0, 1.0)])
-    full = rescale_profile(res, T, P, 1.0)
-    half = rescale_profile(res, T, P, 0.5)
-    assert np.array_equal(half.radii, full.radii)
-    assert np.array_equal(half.dw, 0.5 * full.dw)
-    assert half.sigma == full.sigma
-    wide = (0.0, 1e18)
-    assert fit_li_slope(half, wide) == pytest.approx(0.5 * fit_li_slope(full, wide), rel=1e-9)
+    assert rescale_profile(res, T, new_atomic(pairs)).gamma0_reference == gamma0
 
 
 def test_rescale_profile_flat_field():
     T = SpectralTorus(1.0, 64)
     res = synthetic_result(T, np.zeros((64, 64)))
-    prof = rescale_profile(res, T, new_atomic([(1.0, 1.0)]), 1.0)
+    prof = rescale_profile(res, T, new_atomic([(1.0, 1.0)]))
     assert prof.sigma == 1.0
     assert np.all(prof.dw == 0.0)
     assert math.isnan(prof.fitted_slope)
@@ -234,12 +223,31 @@ def test_rescale_profile_flat_field():
 def test_rescale_profile_validation():
     T = SpectralTorus(1.0, 64)
     res = synthetic_result(T, np.zeros((64, 64)))
-    with pytest.raises(ValueError, match="alpha"):
-        rescale_profile(res, T, new_atomic([(1.0, 1.0)]), 0.0)
     with pytest.raises(ValueError, match="positive circulation"):
-        rescale_profile(res, T, new_atomic([(-1.0, 1.0)]), 1.0)
+        rescale_profile(res, T, new_atomic([(-1.0, 1.0)]))
     with pytest.raises(ValueError, match="grid"):
-        rescale_profile(res, SpectralTorus(1.0, 32), new_atomic([(1.0, 1.0)]), 1.0)
+        rescale_profile(res, SpectralTorus(1.0, 32), new_atomic([(1.0, 1.0)]))
+
+
+def test_side_length_only_rescales_the_answer():
+    # x -> L x maps the torus of side 1 onto the one of side L: v is the
+    # same field, J shifts by -2 lambda log L, the residual scales by
+    # L^-2 (so grad_tol t at side L is t L^2 at side 1), lengths by L
+    P = new_atomic([(-1.0, 0.5), (1.0, 0.5)])
+    lam = 2.0 * EIGHT_PI  # lambda_bar(P): the pair concentrates
+    runs = {}
+    for side, tol in ((1.0, 4e-8), (2.0, 1e-8)):
+        T = SpectralTorus(side, 32)
+        result = minimize(Problem(T, P, lam), MinimizeOptions(grad_tol=tol))
+        assert result.status == "converged"
+        runs[side] = result, rescale_profile(result, T, P, n_bins=128)
+    (unit, unit_prof), (double, double_prof) = runs[1.0], runs[2.0]
+    assert double.iterations == unit.iterations
+    assert double.J_value - unit.J_value == pytest.approx(-2.0 * lam * math.log(2.0), rel=1e-12)
+    assert unit.residual_norm / double.residual_norm == pytest.approx(4.0, rel=1e-9)
+    assert double_prof.sigma / unit_prof.sigma == pytest.approx(2.0, rel=1e-12)
+    assert math.isfinite(unit_prof.fitted_slope)
+    assert double_prof.fitted_slope == pytest.approx(unit_prof.fitted_slope, rel=1e-9)
 
 
 # ----------------------------------------------------------------- Pohozaev

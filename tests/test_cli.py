@@ -80,6 +80,25 @@ def test_missing_measure_is_an_input_error(capsys):
     assert "no measure" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("lambda-bar", "--measure", "", "--atoms", "1:1"), "both a measure file and inline atoms"),
+        (("lambda-bar", "--measure", ""), "No such file or directory: ''"),
+        (("lambda-bar", "--atoms", ""), "at least one atom"),
+        (("minimize", "--config", "", "--atoms", "1:1", "--lambdas", "12", "--grid-n", "16"),
+         "No such file or directory: ''"),
+    ],
+    ids=["measure-and-atoms", "measure", "atoms", "config"],
+)
+def test_an_empty_value_counts_as_given(tmp_path, capsys, argv, message):
+    out = tmp_path / "runs"
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1 and message in stderr
+    assert not out.exists()
+
+
 def test_every_summary_records_its_schema_and_library_versions(tmp_path, capsys):
     # the FFT and quadrature bits depend on numpy and scipy, so a rerun can
     # only be checked byte for byte against a record of the same versions
@@ -104,7 +123,7 @@ def test_every_summary_records_its_schema_and_library_versions(tmp_path, capsys)
         summary = read_summary(out)
         assert json.loads(stdout) == summary, command
         assert set(summary) == {"schema_version", "versions", "command", "seed"} | own, command
-        assert (summary["schema_version"], summary["versions"]) == (2, versions), command
+        assert (summary["schema_version"], summary["versions"]) == (3, versions), command
 
 
 def test_minimize_writes_artifacts(tmp_path, capsys):
@@ -315,7 +334,7 @@ def test_profile_command_exports_profile(tmp_path, capsys):
     assert code == 0
     payload = json.loads(stdout)
     assert "profile" not in payload
-    assert payload["stages"][0]["profile"]["alpha"] == 1.0
+    assert set(payload["stages"][0]["profile"]) == {"sigma", "peak_value", "fitted_slope", "gamma0_reference"}
     lines = open(os.path.join(out, "profile_0.csv")).read().splitlines()
     assert lines[0] == "# seed=0"
     assert lines[1].startswith("# sigma=")
@@ -410,7 +429,7 @@ def test_concentrated_sweep_stage_records_its_profile(tmp_path, capsys):
     first, last = read_summary(out)["stages"]
     assert first["profile"] is None and first["concentration"] is None
     assert last["concentration"] is not None
-    assert set(last["profile"]) == {"sigma", "peak_value", "fitted_slope", "gamma0_reference", "alpha"}
+    assert set(last["profile"]) == {"sigma", "peak_value", "fitted_slope", "gamma0_reference"}
     assert last["profile"]["gamma0_reference"] == 4.0
     assert math.isfinite(last["profile"]["fitted_slope"])
     lines = stdout.splitlines()
@@ -600,14 +619,37 @@ def _subcommand_parsers():
 def test_config_keys_are_exactly_the_setting_flags():
     keys = set(SETTINGS)
     assert keys == {
-        "measure", "atoms", "out", "side_length", "grid_n", "max_iters", "seed",
+        "measure", "atoms", "out", "grid_n", "max_iters", "seed",
         "n_bins", "grad_tol", "blowup_peak_threshold",
-        "alpha", "lambdas", "fractions",
+        "lambdas", "fractions",
     }
     command_only = {"help", "config", "json", "debug_bubble_scale"}
     for name, sub in _subcommand_parsers().items():
         dests = {a.dest for a in sub._actions if a.option_strings} - command_only
         assert dests == keys, name
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--side-length"])
+def test_removed_settings_are_unknown_flags(tmp_path, capsys, flag):
+    # both only rescaled the answer (README, Scales), so the torus is the
+    # unit torus and the profile is read at unit circulation
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exc:
+        main(["minimize", "--atoms", "1:1", "--lambdas", "12.0", "--grid-n", "16", flag, "1.0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {flag} 1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["alpha", "side_length"])
+def test_removed_settings_are_unknown_config_keys(tmp_path, capsys, key):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"atoms = 1:1\nlambdas = 12.0\n{key} = 1.0\n")
+    out = tmp_path / "runs"
+    code, stdout, stderr = run(capsys, "minimize", "--config", str(cfgfile), "--grid-n", "16", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {cfgfile}:3: unknown key {key!r}\n"
+    assert not out.exists()
 
 
 def test_max_iters_from_file_and_flag_flag_wins(tmp_path, capsys):
@@ -634,9 +676,8 @@ def test_max_iters_from_file_and_flag_flag_wins(tmp_path, capsys):
         (("verify", "--debug-bubble-scale", "inf"), None),
         (("minimize", "--atoms", "1:1", "--grid-n", "32"), "lambdas = 12.0\ngrad_tol = inf\n"),
         (("minimize", "--atoms", "1:1", "--grid-n", "32", "--lambdas", "inf"), None),
-        (("minimize", "--atoms", "1:1", "--lambdas", "12.0", "--side-length", "inf"), None),
     ],
-    ids=["scale-nan", "scale-inf", "grad_tol-inf", "lambdas-inf", "side_length-inf"],
+    ids=["scale-nan", "scale-inf", "grad_tol-inf", "lambdas-inf"],
 )
 def test_non_finite_input_is_an_input_error(tmp_path, capsys, argv, config):
     argv = list(argv) + ["--out", str(tmp_path / "runs")]
