@@ -60,7 +60,7 @@ from vortexmf.torus import SpectralTorus
 
 
 class InputError(Exception):
-    """Invalid configuration or data file; maps to exit code 2."""
+    """Invalid setting or data file; maps to exit code 2."""
 
 
 def _floats_csv(text: str) -> tuple[float, ...]:
@@ -96,10 +96,10 @@ _SOLVER_HELP = {
     "seed": ("N", "seed for all randomness"),
 }
 
-# Every run setting, once: each is both a --flag and a key of the --config
-# file, and a flag wins over the file.  The solver settings take their type
-# and default from MinimizeOptions; values are checked by the objects that
-# own them (SpectralTorus, MinimizeOptions, Problem) and by check_run_rules.
+# Every run setting, once, as a --flag of every command; the command line
+# is the only source of settings.  The solver settings take their type and
+# default from MinimizeOptions; values are checked by the objects that own
+# them (SpectralTorus, MinimizeOptions, Problem) and by check_run_rules.
 SETTINGS: dict[str, Setting] = {
     s.name: s
     for s in (
@@ -118,46 +118,16 @@ SETTINGS: dict[str, Setting] = {
 }
 
 
-def parse_config_file(path: str) -> dict[str, tuple[str, int]]:
-    """Read key=value lines; '#' starts a comment.  Values stay as text."""
-    entries: dict[str, tuple[str, int]] = {}
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in SETTINGS:
-                raise InputError(f"{path}:{lineno}: unknown key {key!r}")
-            if not value:
-                raise InputError(f"{path}:{lineno}: empty value for {key!r}")
-            entries[key] = (value, lineno)
-    return entries
-
-
 def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
-    """The parsed command line with every setting filled in and typed:
-    defaults, then the config file, then the flags."""
-    given = []
-    if args.config is not None:
-        for key, (text, lineno) in parse_config_file(args.config).items():
-            given.append((key, text, f"{args.config}:{lineno}"))
+    """The parsed command line with every setting filled in and typed: a
+    flag's text goes through its parser, and an unset flag keeps its default."""
+    values = {}
     for s in SETTINGS.values():
-        if getattr(args, s.name) is not None:
-            given.append((s.name, getattr(args, s.name), s.flag))
-    values = {s.name: s.default for s in SETTINGS.values()}
-    for key, text, where in given:
+        text = getattr(args, s.name)
         try:
-            values[key] = SETTINGS[key].parse(text)
+            values[s.name] = s.default if text is None else s.parse(text)
         except ValueError as exc:
-            raise InputError(f"{where}: {exc}") from exc
+            raise InputError(f"{s.flag}: {exc}") from exc
     return argparse.Namespace(**{**vars(args), **values})
 
 
@@ -165,6 +135,9 @@ def check_run_rules(cfg: argparse.Namespace) -> None:
     """The rules no library object owns; run before any solver work."""
     if cfg.lambdas and cfg.fractions:
         raise InputError("give either absolute couplings or fractions, not both")
+    # also for the commands that read no schedule
+    if any(not 0.0 < lam < math.inf for lam in cfg.lambdas):
+        raise InputError("coupling lambda must be positive and finite")
     if any(not 0.0 < f < math.inf for f in cfg.fractions):
         raise InputError("schedule fractions must be positive and finite")
     if cfg.n_bins is not None and cfg.n_bins <= 0:
@@ -196,7 +169,7 @@ def resolve_schedule(cfg: argparse.Namespace, bar: float) -> list[float]:
         if not math.isfinite(bar):
             raise InputError("extremal coupling is infinite; give absolute couplings")
         return [f * bar for f in cfg.fractions]
-    raise InputError("no coupling given: set lambdas=... or fractions=...")
+    raise InputError("no coupling given: use --lambdas LIST or --fractions LIST")
 
 
 def _sanitize(obj):
@@ -230,23 +203,14 @@ def library_versions() -> dict[str, str | None]:
     return {"numpy": np.__version__, "scipy": dists[0][len(prefix) : -len(suffix)] if dists else None}
 
 
-def write_summary(cfg: argparse.Namespace, payload: dict) -> dict:
+def write_summary(cfg: argparse.Namespace, payload: dict) -> None:
     """Write ``summary.json``: the payload with the schema version and the
-    library versions; return that record."""
+    library versions."""
     record = {"schema_version": SCHEMA_VERSION, "versions": library_versions(), **payload}
     os.makedirs(cfg.out, exist_ok=True)
     text = json.dumps(_sanitize(record), indent=2, sort_keys=True) + "\n"
     with open(os.path.join(cfg.out, "summary.json"), "w", encoding="utf-8") as fh:
         fh.write(text)
-    return record
-
-
-def _emit(cfg: argparse.Namespace, payload: dict, human_lines: list[str]) -> None:
-    if cfg.json:
-        print(json.dumps(_sanitize(payload), indent=2, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
 
 
 def write_profile_csv(cfg: argparse.Namespace, k: int, profile: BlowupProfile) -> str:
@@ -333,18 +297,12 @@ def cmd_lambda_bar(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOpti
         "residual_vanishing_form": lambda_bar_residual_vanishing(P) if nonneg and m1 > 0.0 else None,
         "full_support": full_support(P, res),
     }
-    payload = write_summary(cfg, payload)
-    _emit(
-        cfg,
-        payload,
-        [
-            f"lambda_bar = {res.lambda_bar!r}",
-            f"side = {res.side}",
-            f"subset = {payload['subset']}",
-            f"moment1 = {m1!r}",
-            f"full_support = {str(payload['full_support']).lower()}",
-        ],
-    )
+    write_summary(cfg, payload)
+    print(f"lambda_bar = {res.lambda_bar!r}")
+    print(f"side = {res.side}")
+    print(f"subset = {payload['subset']}")
+    print(f"moment1 = {m1!r}")
+    print(f"full_support = {str(payload['full_support']).lower()}")
     return 0
 
 
@@ -392,8 +350,9 @@ def cmd_solve(
         "stages": stages,
         "requested_stages": len(schedule),
     }
-    payload = write_summary(cfg, payload)
-    _emit(cfg, payload, [_stage_line(k, stage) for k, stage in enumerate(stages)])
+    write_summary(cfg, payload)
+    for k, stage in enumerate(stages):
+        print(_stage_line(k, stage))
     for k, r in enumerate(results):
         if r.status in ("budget", "diverged") or (r.status == "blown_up" and r.lam < bar):
             ending = f"{r.status} after {r.iterations} iterations at residual {r.residual_norm!r}"
@@ -447,8 +406,8 @@ def cmd_scan(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -
         "t_star": [transition.get(a) for a in SCAN_GRID],
         "full_support_above_half": len(always_full),
     }
-    payload = write_summary(cfg, payload)
-    _emit(cfg, payload, lines)
+    write_summary(cfg, payload)
+    print(*lines, sep="\n")
     return 0
 
 
@@ -528,14 +487,14 @@ def cmd_verify(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions)
         "checks": checks,
         "all_passed": all_passed,
     }
-    payload = write_summary(cfg, payload)
+    write_summary(cfg, payload)
     lines = [
         f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: value={c['value']!r} "
         f"target={c['target']!r} tol={c['tolerance']:g}"
         for c in checks
     ]
     lines.append("all checks passed" if all_passed else "some checks FAILED")
-    _emit(cfg, payload, lines)
+    print(*lines, sep="\n")
     return 0 if all_passed else 1
 
 
@@ -557,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: parsing leaves it
     unchanged."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="key=value configuration file")
-    common.add_argument("--json", action="store_true", help="print machine-readable JSON to stdout")
     for s in SETTINGS.values():
         default = "" if s.default in (None, ()) else f" (default {s.default})"
         common.add_argument(s.flag, dest=s.name, metavar=s.metavar, help=s.help + default)

@@ -248,12 +248,13 @@ def load_measure(path: str) -> CirculationMeasure:
 
 
 def parse_atoms_inline(text: str) -> CirculationMeasure:
-    """Parse 'alpha:weight,alpha:weight,...' used for inline configuration."""
+    """Parse 'alpha:weight,alpha:weight,...', the inline measure.  An empty
+    entry, such as a trailing comma, is an error; empty text has no atoms."""
     pairs = []
-    for chunk in text.split(","):
+    for chunk in text.split(",") if text.strip() else ():
         chunk = chunk.strip()
         if not chunk:
-            continue
+            raise ValueError("empty entry in atom list")
         try:
             a, w = chunk.split(":")
             pairs.append((float(a), float(w)))

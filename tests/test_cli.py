@@ -1,4 +1,4 @@
-"""Command line interface: subcommands, config handling, artifacts, exit codes."""
+"""Command line interface: subcommands, settings flags, artifacts, exit codes."""
 
 import argparse
 import hashlib
@@ -31,29 +31,28 @@ def read_summary(out_dir):
 
 def test_lambda_bar_json_round_trip(tmp_path, capsys):
     out = str(tmp_path / "runs")
-    code, stdout, _ = run(
-        capsys, "lambda-bar", "--atoms", "0.5:0.5,1:0.5", "--out", out, "--json"
-    )
+    code, stdout, _ = run(capsys, "lambda-bar", "--atoms", "0.5:0.5,1:0.5", "--out", out)
     assert code == 0
-    payload = json.loads(stdout)
+    payload = read_summary(out)
     assert payload["lambda_bar"] == 128.0 * math.pi / 9.0
     assert payload["side"] == "positive"
     assert payload["subset"] == [0, 1]
     assert payload["subset_atoms"] == [[0.5, 0.5], [1.0, 0.5]]
     assert payload["moment1"] == 0.75
     assert payload["full_support"] is True
-    assert read_summary(out) == payload
+    assert stdout == (
+        f"lambda_bar = {payload['lambda_bar']!r}\nside = positive\nsubset = [0, 1]\n"
+        "moment1 = 0.75\nfull_support = true\n"
+    )
 
 
 def test_lambda_bar_from_measure_file(tmp_path, capsys):
     mfile = tmp_path / "measure.txt"
     mfile.write_text("# circulations\n1.0 1.0\n")
     out = str(tmp_path / "runs")
-    code, stdout, _ = run(
-        capsys, "lambda-bar", "--measure", str(mfile), "--out", out, "--json"
-    )
+    code, _, _ = run(capsys, "lambda-bar", "--measure", str(mfile), "--out", out)
     assert code == 0
-    assert json.loads(stdout)["lambda_bar"] == pytest.approx(EIGHT_PI, rel=1e-15)
+    assert read_summary(out)["lambda_bar"] == pytest.approx(EIGHT_PI, rel=1e-15)
 
 
 def test_malformed_measure_file_reports_line(tmp_path, capsys):
@@ -86,16 +85,23 @@ def test_missing_measure_is_an_input_error(capsys):
         (("lambda-bar", "--measure", "", "--atoms", "1:1"), "both a measure file and inline atoms"),
         (("lambda-bar", "--measure", ""), "No such file or directory: ''"),
         (("lambda-bar", "--atoms", ""), "at least one atom"),
-        (("minimize", "--config", "", "--atoms", "1:1", "--lambdas", "12", "--grid-n", "16"),
-         "No such file or directory: ''"),
     ],
-    ids=["measure-and-atoms", "measure", "atoms", "config"],
+    ids=["measure-and-atoms", "measure", "atoms"],
 )
 def test_an_empty_value_counts_as_given(tmp_path, capsys, argv, message):
     out = tmp_path / "runs"
     code, stdout, stderr = run(capsys, *argv, "--out", str(out))
     assert (code, stdout) == (2, "")
     assert stderr.startswith("error: ") and stderr.count("\n") == 1 and message in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("atoms", ["1:1,", ",1:1", "1:1,,"], ids=["trailing", "leading", "double-trailing"])
+def test_an_empty_atom_entry_is_an_input_error(tmp_path, capsys, atoms):
+    # as an empty entry of --lambdas is: neither list skips a malformed value
+    out = tmp_path / "runs"
+    code, stdout, stderr = run(capsys, "lambda-bar", "--atoms", atoms, "--out", str(out))
+    assert (code, stdout, stderr) == (2, "", "error: empty entry in atom list\n")
     assert not out.exists()
 
 
@@ -118,23 +124,21 @@ def test_every_summary_records_its_schema_and_library_versions(tmp_path, capsys)
     }
     for command, (args, own) in keys.items():
         out = str(tmp_path / command)
-        code, stdout, _ = run(capsys, command, *args, "--out", out, "--json")
+        code, _, _ = run(capsys, command, *args, "--out", out)
         assert code == 0, command
         summary = read_summary(out)
-        assert json.loads(stdout) == summary, command
         assert set(summary) == {"schema_version", "versions", "command", "seed"} | own, command
         assert (summary["schema_version"], summary["versions"]) == (3, versions), command
 
 
 def test_minimize_writes_artifacts(tmp_path, capsys):
     out = str(tmp_path / "runs")
-    code, stdout, _ = run(
-        capsys, "minimize", "--atoms", "1:1", "--lambdas", "12.0",
-        "--grid-n", "32", "--out", out, "--json",
+    code, _, _ = run(
+        capsys, "minimize", "--atoms", "1:1", "--lambdas", "12.0", "--grid-n", "32", "--out", out
     )
     assert code == 0
     assert sorted(os.listdir(out)) == ["summary.json", "trace_0.csv"]
-    payload = json.loads(stdout)
+    payload = read_summary(out)
     assert payload["seed"] == 0 and len(payload["stages"]) == 1
     stage = payload["stages"][0]
     assert set(stage) == {
@@ -313,12 +317,11 @@ def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
 
 def test_sweep_summary_counts_stages(tmp_path, capsys):
     out = str(tmp_path / "runs")
-    code, stdout, _ = run(
-        capsys, "sweep", "--atoms", "1:1", "--fractions", "0.3,0.6",
-        "--grid-n", "32", "--out", out, "--json",
+    code, _, _ = run(
+        capsys, "sweep", "--atoms", "1:1", "--fractions", "0.3,0.6", "--grid-n", "32", "--out", out
     )
     assert code == 0
-    payload = json.loads(stdout)
+    payload = read_summary(out)
     assert payload["requested_stages"] == len(payload["stages"]) == 2
     assert "completed_stages" not in payload
     lams = [s["lambda"] for s in payload["stages"]]
@@ -327,12 +330,11 @@ def test_sweep_summary_counts_stages(tmp_path, capsys):
 
 def test_profile_command_exports_profile(tmp_path, capsys):
     out = str(tmp_path / "runs")
-    code, stdout, _ = run(
-        capsys, "profile", "--atoms", "1:1", "--fractions", "0.5",
-        "--grid-n", "32", "--out", out, "--json",
+    code, _, _ = run(
+        capsys, "profile", "--atoms", "1:1", "--fractions", "0.5", "--grid-n", "32", "--out", out
     )
     assert code == 0
-    payload = json.loads(stdout)
+    payload = read_summary(out)
     assert "profile" not in payload
     assert set(payload["stages"][0]["profile"]) == {"sigma", "peak_value", "fitted_slope", "gamma0_reference"}
     lines = open(os.path.join(out, "profile_0.csv")).read().splitlines()
@@ -393,9 +395,17 @@ def test_single_coupling_commands_reject_a_schedule(tmp_path, capsys, command):
         ("sweep", ("--lambdas", "1,nan"), "coupling lambda must be positive and finite"),
         ("minimize", ("--lambdas", "inf"), "coupling lambda must be positive and finite"),
         ("profile", ("--lambdas", "inf"), "coupling lambda must be positive and finite"),
+        ("minimize", (), "no coupling given: use --lambdas LIST or --fractions LIST"),
+        # the commands that read no schedule check it all the same
+        ("lambda-bar", ("--lambdas", "inf"), "coupling lambda must be positive and finite"),
+        ("lambda-bar", ("--lambdas", "-1"), "coupling lambda must be positive and finite"),
+        ("verify", ("--lambdas", "0"), "coupling lambda must be positive and finite"),
+        ("scan", ("--lambdas", "1,nan"), "coupling lambda must be positive and finite"),
+        ("lambda-bar", ("--fractions", "-1"), "schedule fractions must be positive and finite"),
     ],
     ids=[
-        "descending", "descending-fractions", "negative", "negative-second", "nan", "nan-second", "inf", "inf-profile"
+        "descending", "descending-fractions", "negative", "negative-second", "nan", "nan-second", "inf", "inf-profile",
+        "missing", "lambda-bar-inf", "lambda-bar-negative", "verify-zero", "scan-nan-second", "lambda-bar-fractions",
     ],
 )
 def test_a_bad_coupling_schedule_makes_no_out_directory(tmp_path, capsys, command, schedule, message):
@@ -520,49 +530,6 @@ def test_diverged_sweep_stage_keeps_every_record(tmp_path, capsys, monkeypatch):
     )
 
 
-def test_config_file_with_cli_override(tmp_path, capsys):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(
-        "atoms = 1:1   # classical point vortex\n"
-        "grid_n = 32\n"
-        "lambdas = 12.0\n"
-        "seed = 7\n"
-    )
-    out = str(tmp_path / "runs")
-    code, stdout, _ = run(
-        capsys, "minimize", "--config", str(cfgfile), "--seed", "9",
-        "--out", out, "--json",
-    )
-    assert code == 0
-    payload = json.loads(stdout)
-    assert payload["seed"] == 9  # command line wins over the file
-    trace = open(os.path.join(out, "trace_0.csv")).read().splitlines()
-    assert trace[0] == "# seed=9"
-
-
-def test_config_file_errors(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("atoms = 1:1\nnonsense_key = 3\n")
-    code, _, stderr = run(capsys, "minimize", "--config", str(bad))
-    assert code == 2
-    assert "bad.cfg:2" in stderr and "nonsense_key" in stderr
-
-    bad.write_text("grid_n = twelve\n")
-    code, _, stderr = run(capsys, "minimize", "--config", str(bad))
-    assert code == 2
-    assert "bad.cfg:1" in stderr
-
-    bad.write_text("just a line\n")
-    code, _, stderr = run(capsys, "minimize", "--config", str(bad))
-    assert code == 2
-    assert "key=value" in stderr
-
-    bad.write_text("atoms =\n")
-    code, _, stderr = run(capsys, "minimize", "--config", str(bad))
-    assert code == 2
-    assert "empty value" in stderr
-
-
 def test_invalid_grid_rejected(capsys):
     code, _, stderr = run(
         capsys, "minimize", "--atoms", "1:1", "--lambdas", "1.0", "--grid-n", "100"
@@ -573,9 +540,9 @@ def test_invalid_grid_rejected(capsys):
 
 def test_verify_passes(tmp_path, capsys):
     out = str(tmp_path / "runs")
-    code, stdout, _ = run(capsys, "verify", "--out", out, "--json")
+    code, _, _ = run(capsys, "verify", "--out", out)
     assert code == 0
-    payload = json.loads(stdout)
+    payload = read_summary(out)
     assert payload["all_passed"] is True
     assert len(payload["checks"]) == 10
     names = {c["name"] for c in payload["checks"]}
@@ -585,15 +552,13 @@ def test_verify_passes(tmp_path, capsys):
 
 def test_verify_negative_control_fails(tmp_path, capsys):
     out = str(tmp_path / "runs")
-    code, stdout, _ = run(
-        capsys, "verify", "--debug-bubble-scale", "2.0", "--out", out, "--json"
-    )
+    code, stdout, _ = run(capsys, "verify", "--debug-bubble-scale", "2.0", "--out", out)
     assert code == 1
-    payload = json.loads(stdout)
+    payload = read_summary(out)
     assert payload["all_passed"] is False
     failed = {c["name"] for c in payload["checks"] if not c["passed"]}
     assert failed == {"pohozaev_bubble"}
-    assert read_summary(out)["all_passed"] is False
+    assert stdout.endswith("some checks FAILED\n")
 
 
 def test_verify_rejects_bad_scale(capsys):
@@ -616,53 +581,45 @@ def _subcommand_parsers():
     return sub.choices
 
 
-def test_config_keys_are_exactly_the_setting_flags():
+def test_settings_are_exactly_the_flags_of_every_command():
     keys = set(SETTINGS)
     assert keys == {
         "measure", "atoms", "out", "grid_n", "max_iters", "seed",
         "n_bins", "grad_tol", "blowup_peak_threshold",
         "lambdas", "fractions",
     }
-    command_only = {"help", "config", "json", "debug_bubble_scale"}
+    command_only = {"help", "debug_bubble_scale"}
     for name, sub in _subcommand_parsers().items():
         dests = {a.dest for a in sub._actions if a.option_strings} - command_only
         assert dests == keys, name
 
 
-@pytest.mark.parametrize("flag", ["--alpha", "--side-length"])
-def test_removed_settings_are_unknown_flags(tmp_path, capsys, flag):
-    # both only rescaled the answer (README, Scales), so the torus is the
-    # unit torus and the profile is read at unit circulation
+@pytest.mark.parametrize(
+    "argv",
+    [("--alpha", "1.0"), ("--side-length", "1.0"), ("--config", "run.cfg"), ("--json",)],
+    ids=["--alpha", "--side-length", "--config", "--json"],
+)
+def test_removed_settings_are_unknown_flags(tmp_path, capsys, argv):
+    # --alpha and --side-length only rescaled the answer (README, Scales);
+    # the flags are the one source of settings, and summary.json the one
+    # machine-readable record
     out = tmp_path / "runs"
     with pytest.raises(SystemExit) as exc:
-        main(["minimize", "--atoms", "1:1", "--lambdas", "12.0", "--grid-n", "16", flag, "1.0", "--out", str(out)])
+        main(["minimize", "--atoms", "1:1", "--lambdas", "12.0", "--grid-n", "16", *argv, "--out", str(out)])
     assert exc.value.code == 2
-    assert f"error: unrecognized arguments: {flag} 1.0" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key", ["alpha", "side_length"])
-def test_removed_settings_are_unknown_config_keys(tmp_path, capsys, key):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"atoms = 1:1\nlambdas = 12.0\n{key} = 1.0\n")
-    out = tmp_path / "runs"
-    code, stdout, stderr = run(capsys, "minimize", "--config", str(cfgfile), "--grid-n", "16", "--out", str(out))
-    assert (code, stdout) == (2, "")
-    assert stderr == f"error: {cfgfile}:3: unknown key {key!r}\n"
+    assert f"error: unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_max_iters_from_file_and_flag_flag_wins(tmp_path, capsys):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("atoms = 1:1\nlambdas = 12.0\ngrid_n = 32\nmax_iters = 3\n")
     out = str(tmp_path / "runs")
-    base = ("minimize", "--config", str(cfgfile), "--out", out, "--json")
-    code, stdout, _ = run(capsys, *base)
+    base = ("minimize", "--atoms", "1:1", "--lambdas", "12.0", "--grid-n", "32", "--out", out)
+    code, _, _ = run(capsys, *base, "--max-iters", "3")
     assert code == 1
-    assert json.loads(stdout)["stages"][0]["iterations"] == 3
-    code, stdout, stderr = run(capsys, *base, "--max-iters", "2")
+    assert read_summary(out)["stages"][0]["iterations"] == 3
+    code, _, stderr = run(capsys, *base, "--max-iters", "2")
     assert code == 1
-    stage = json.loads(stdout)["stages"][0]
+    stage = read_summary(out)["stages"][0]
     assert stage["iterations"] == 2
     assert stage["status"] == "budget"
     residual = stage["residual_norm"]
@@ -670,22 +627,17 @@ def test_max_iters_from_file_and_flag_flag_wins(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv",
     [
-        (("verify", "--debug-bubble-scale", "nan"), None),
-        (("verify", "--debug-bubble-scale", "inf"), None),
-        (("minimize", "--atoms", "1:1", "--grid-n", "32"), "lambdas = 12.0\ngrad_tol = inf\n"),
-        (("minimize", "--atoms", "1:1", "--grid-n", "32", "--lambdas", "inf"), None),
+        ("verify", "--debug-bubble-scale", "nan"),
+        ("verify", "--debug-bubble-scale", "inf"),
+        ("minimize", "--atoms", "1:1", "--grid-n", "32", "--lambdas", "12.0", "--grad-tol", "inf"),
+        ("minimize", "--atoms", "1:1", "--grid-n", "32", "--lambdas", "inf"),
     ],
     ids=["scale-nan", "scale-inf", "grad_tol-inf", "lambdas-inf"],
 )
-def test_non_finite_input_is_an_input_error(tmp_path, capsys, argv, config):
-    argv = list(argv) + ["--out", str(tmp_path / "runs")]
-    if config is not None:
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(config)
-        argv += ["--config", str(cfgfile)]
-    code, _, stderr = run(capsys, *argv)
+def test_non_finite_input_is_an_input_error(tmp_path, capsys, argv):
+    code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "runs"))
     assert code == 2
     assert stderr.startswith("error: ") and "finite" in stderr
 
@@ -801,10 +753,6 @@ def test_scan_reproduces_the_two_atom_map(tmp_path, capsys):
     lines = stdout.splitlines()
     assert "  a = 0.050: t* = never (always tail)" in lines
     assert lines[-1] == "atoms above 1/2 that are full-support at the smallest weight: 9 of 9"
-
-    code, stdout, _ = run(capsys, "scan", "--out", str(out), "--json")
-    assert code == 0
-    assert json.loads(stdout) == read_summary(out)
     assert read_summary(out)["full_support_above_half"] == 9
 
 

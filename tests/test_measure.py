@@ -235,6 +235,11 @@ def test_parse_atoms_inline():
     assert P.atoms == ((0.5, 0.5), (1.0, 0.5))
     with pytest.raises(ValueError):
         parse_atoms_inline("0.5=0.5")
+    for text in ("1:1,", ",1:1", "1:1, ,0.5:1"):
+        with pytest.raises(ValueError, match="empty entry"):
+            parse_atoms_inline(text)
+    with pytest.raises(ValueError, match="at least one atom"):
+        parse_atoms_inline(" ")
 
 
 def test_full_support_classical():
