@@ -147,7 +147,9 @@ def check_run_rules(cfg: argparse.Namespace) -> None:
         raise InputError("n_bins must not exceed the grid points, grid_n^2")
 
 
-def resolve_measure(cfg: argparse.Namespace) -> CirculationMeasure:
+def resolve_measure(cfg: argparse.Namespace) -> CirculationMeasure | None:
+    """The measure ``--measure`` or ``--atoms`` gives, or None when neither
+    is given."""
     if cfg.measure is not None and cfg.atoms is not None:
         raise InputError("both a measure file and inline atoms were given")
     try:
@@ -157,7 +159,13 @@ def resolve_measure(cfg: argparse.Namespace) -> CirculationMeasure:
             return parse_atoms_inline(cfg.atoms)
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-    raise InputError("no measure given: use --measure FILE or --atoms SPEC")
+    return None
+
+
+def required_measure(P: CirculationMeasure | None) -> CirculationMeasure:
+    if P is None:
+        raise InputError("no measure given: use --measure FILE or --atoms SPEC")
+    return P
 
 
 def resolve_schedule(cfg: argparse.Namespace, bar: float) -> list[float]:
@@ -271,6 +279,7 @@ def write_stage(
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
         "rejected": result.rejected,
+        "shifts": result.shifts,
         "hessian_products": result.hessian_products,
         "status": result.status,
         "peak_point": list(result.peak_point),
@@ -280,8 +289,10 @@ def write_stage(
     }
 
 
-def cmd_lambda_bar(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -> int:
-    P = resolve_measure(cfg)
+def cmd_lambda_bar(
+    cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions, P: CirculationMeasure | None
+) -> int:
+    P = required_measure(P)
     res = lambda_bar(P)
     nonneg = all(a >= 0.0 for a, _ in P.atoms)
     m1 = moment(P, 1)
@@ -321,6 +332,7 @@ def cmd_solve(
     cfg: argparse.Namespace,
     T: SpectralTorus,
     opts: MinimizeOptions,
+    P: CirculationMeasure | None,
     one_coupling: bool = False,
     want_profile: bool = False,
 ) -> int:
@@ -332,7 +344,7 @@ def cmd_solve(
 
     A bad schedule exits 2 before ``--out`` is made, and a numerical
     failure in the sweep leaves ``--out`` empty."""
-    P = resolve_measure(cfg)
+    P = required_measure(P)
     if want_profile and all(a == 0.0 for a, _ in P.atoms):
         raise InputError("measure carries no circulation to profile")
     bar = lambda_bar(P).lambda_bar
@@ -366,7 +378,7 @@ def cmd_solve(
 SCAN_GRID = tuple(np.linspace(0.05, 0.95, 19).tolist())
 
 
-def cmd_scan(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -> int:
+def cmd_scan(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions, P: CirculationMeasure | None) -> int:
     """Map lambda_bar and its minimizing subset over the two-atom family,
     which interpolates between one small circulation and the classical
     one-species measure.  ``two_atom_scan.csv`` holds one row per (a, t);
@@ -476,7 +488,7 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
     return checks
 
 
-def cmd_verify(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions) -> int:
+def cmd_verify(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions, P: CirculationMeasure | None) -> int:
     if not 0.0 < cfg.debug_bubble_scale < math.inf:
         raise InputError("--debug-bubble-scale must be positive and finite")
     checks = verify_checks(cfg.debug_bubble_scale)
@@ -558,7 +570,10 @@ def main(argv: list[str] | None = None) -> int:
         # the unit torus, since a side L only rescales the answer (README, Scales)
         T = SpectralTorus(1.0, cfg.grid_n)
         opts = MinimizeOptions(**{name: getattr(cfg, name) for name in _SOLVER_HELP})
-        return args.handler(cfg, T, opts)
+        # parsed by every command, also one that reads no measure, so a bad
+        # --measure or --atoms exits 2 before any work
+        P = resolve_measure(cfg)
+        return args.handler(cfg, T, opts, P)
     # OSError: an --out that cannot be made or written, such as "" or a
     # path under a regular file
     except (InputError, ValueError, OSError) as exc:

@@ -143,6 +143,27 @@ def _spectral_inner(T: SpectralTorus, F: np.ndarray, G: np.ndarray) -> float:
     return float(cross.sum())
 
 
+def translate(T: SpectralTorus, F: np.ndarray, shift: tuple[float, float]) -> Field:
+    """The field with half spectrum F moved by ``shift`` cells along the two
+    grid axes: f(x - s), sampled from the trigonometric interpolant, as
+    irfft2(F e^{-2 pi i k.s / n}).
+
+    The Nyquist line and column (wavenumber n/2) stand for both +n/2 and
+    -n/2.  The real interpolant splits them evenly between the two, so a
+    shift multiplies them by cos(pi s): the sine part it adds vanishes at
+    every node.  An integer shift is exactly ``np.roll``; a fractional one
+    damps the Nyquist modes, so only a field without them comes back from
+    a shift by s and then by -s.
+    """
+    n = T.grid_n
+    phases = []
+    for s, k in zip(shift, (np.fft.fftfreq(n, d=1.0 / n), np.fft.rfftfreq(n, d=1.0 / n))):
+        phase = np.exp(-2j * math.pi * s / n * k)
+        phase[n // 2] = math.cos(math.pi * s)
+        phases.append(phase)
+    return Field(np.fft.irfft2(F * np.outer(*phases), s=(n, n)))
+
+
 def dirichlet_energy(T: SpectralTorus, f: Field) -> float:
     """(1/2) int |grad f|^2 by Parseval on the spectral gradient."""
     F = np.fft.rfft2(_check(T, f))

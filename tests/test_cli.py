@@ -105,6 +105,26 @@ def test_an_empty_atom_entry_is_an_input_error(tmp_path, capsys, atoms):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("scan", "--atoms", "1:1,", "empty entry in atom list"),
+        ("verify", "--atoms", "x", "bad atom 'x'"),
+        ("scan", "--measure", "missing.txt", "No such file or directory"),
+    ],
+    ids=["scan-atoms", "verify-atoms", "scan-measure"],
+)
+def test_a_bad_measure_is_an_input_error_on_a_command_that_reads_none(tmp_path, capsys, command, flag, value, message):
+    # scan and verify read no measure, but a given one is still parsed first
+    if flag == "--measure":
+        value = str(tmp_path / value)
+    out = tmp_path / "runs"
+    code, stdout, stderr = run(capsys, command, flag, value, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1 and message in stderr
+    assert not out.exists()
+
+
 def test_every_summary_records_its_schema_and_library_versions(tmp_path, capsys):
     # the FFT and quadrature bits depend on numpy and scipy, so a rerun can
     # only be checked byte for byte against a record of the same versions
@@ -142,7 +162,7 @@ def test_minimize_writes_artifacts(tmp_path, capsys):
     assert payload["seed"] == 0 and len(payload["stages"]) == 1
     stage = payload["stages"][0]
     assert set(stage) == {
-        "lambda", "J", "residual_norm", "iterations", "rejected", "hessian_products", "status",
+        "lambda", "J", "residual_norm", "iterations", "rejected", "shifts", "hessian_products", "status",
         "peak_point", "peak_value", "concentration", "profile",
     }
     assert payload["lambda_bar"] == EIGHT_PI
@@ -209,8 +229,9 @@ NEAR_BAR_SWEEP = ("sweep", "--atoms=-1:0.5,1:0.5", "--fractions", "0.8,0.9,0.99,
 
 def test_near_extremal_sweep_converges_every_stage(tmp_path, capsys):
     # the grid pins the translation of the vortex pair at 0.99 lambda_bar on
-    # 64^2, a slow mode; the trust region takes that stage to grad_tol at its
-    # minimizer, and the lambda_bar stage to the minimizer
+    # 64^2, a slow mode; translations move the pair onto the grid and the
+    # trust region takes that stage to grad_tol at its minimizer, and the
+    # lambda_bar stage to the minimizer
     out = tmp_path / "runs"
     code, _, stderr = run(capsys, *NEAR_BAR_SWEEP, "--out", str(out))
     assert code == 0 and stderr == ""
@@ -221,6 +242,10 @@ def test_near_extremal_sweep_converges_every_stage(tmp_path, capsys):
     assert abs(stages[3]["J"] - (-21.7696018090033)) <= 1e-9
     assert stages[2]["hessian_products"] > 0
     assert stages[2]["iterations"] < 1000
+    # the 0.8 lambda_bar field has no spike to move; a translation is a step
+    # that moved v, so it is never a rejected one
+    assert stages[0]["shifts"] == 0 and stages[2]["shifts"] >= 1
+    assert all(s["shifts"] <= s["iterations"] - s["rejected"] for s in stages)
     with open(out / "trace_2.csv") as fh:
         assert len(fh.read().splitlines()) == stages[2]["iterations"] + 3
 

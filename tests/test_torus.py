@@ -19,6 +19,7 @@ from vortexmf.torus import (
     project_zero_mean,
     radial_average,
     solve_poisson_zero_mean,
+    translate,
 )
 
 
@@ -167,6 +168,60 @@ def test_half_spectrum_parseval_matches_the_full_spectrum(n):
         got = _half_spectrum_forms(T, f, g)
         assert all(abs(a - b) > 1e-3 * abs(b) for a, b in zip(got, expected))
         del T.__dict__["gradient_weights"]
+
+
+@pytest.mark.parametrize("shift", [(1, 0), (0, -3), (5, 7), (-16, 16)])
+def test_an_integer_translation_is_a_roll(shift):
+    # white noise carries every mode, the Nyquist line and column included
+    T = SpectralTorus(1.0, 32)
+    f = np.random.default_rng(1).standard_normal((32, 32))
+    moved = translate(T, np.fft.rfft2(f), shift).values
+    assert np.abs(moved - np.roll(f, shift, axis=(0, 1))).max() <= 1e-13
+
+
+def _without_nyquist(n, seed):
+    F = np.fft.rfft2(np.random.default_rng(seed).standard_normal((n, n)))
+    F[n // 2, :] = 0.0
+    F[:, -1] = 0.0
+    return np.fft.irfft2(F, s=(n, n))
+
+
+@pytest.mark.parametrize("shift", [(0.3, -0.7), (0.5, 0.5), (-2.25, 3.6)])
+def test_a_translation_there_and_back_returns_a_field_without_nyquist_modes(shift):
+    T = SpectralTorus(1.0, 32)
+    f = _without_nyquist(32, 2)
+    moved = translate(T, np.fft.rfft2(f), shift)
+    back = translate(T, np.fft.rfft2(moved.values), (-shift[0], -shift[1])).values
+    assert np.abs(back - f).max() <= 1e-13
+    F = np.fft.rfft2(back)
+    assert max(np.abs(F[16, :]).max(), np.abs(F[:, -1]).max()) <= 1e-13
+
+
+def test_a_subcell_translation_samples_the_moved_interpolant():
+    # a trigonometric polynomial below the Nyquist frequency is its own
+    # interpolant, so its translate is known at every node
+    T = SpectralTorus(1.0, 16)
+    x, y = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
+    f = lambda x, y: np.cos(2 * np.pi * 3 * x / 16 + 0.4) * np.sin(2 * np.pi * (x + 5 * y) / 16)
+    s = (0.37, -1.61)
+    moved = translate(T, np.fft.rfft2(f(x, y)), s).values
+    assert np.abs(moved - f(x - s[0], y - s[1])).max() <= 1e-13
+
+
+def test_a_translation_damps_the_nyquist_modes_by_the_cosine_of_the_shift():
+    # (-1)^i is cos(pi x) on the nodes; moved by s it is cos(pi (x - s)),
+    # whose sine part vanishes at every node: the Nyquist line, the Nyquist
+    # column, their corner, and a Nyquist mode next to an interior one
+    T = SpectralTorus(1.0, 16)
+    x, y = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
+    s = (0.3, 0.8)
+    c0, c1 = math.cos(math.pi * s[0]), math.cos(math.pi * s[1])
+    wave = lambda y: np.cos(2 * np.pi * 3 * y / 16 + 0.2)
+    sign_x, sign_y = (-1.0) ** x, (-1.0) ** y
+    f = 0.5 * sign_x + 0.75 * sign_y + 0.25 * sign_x * sign_y + sign_x * wave(y)
+    want = 0.5 * c0 * sign_x + 0.75 * c1 * sign_y + 0.25 * c0 * c1 * sign_x * sign_y + c0 * sign_x * wave(y - s[1])
+    moved = translate(T, np.fft.rfft2(f), s).values
+    assert np.abs(moved - want).max() <= 1e-13
 
 
 def test_periodic_distance_wraps():
