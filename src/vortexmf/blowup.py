@@ -69,14 +69,35 @@ def radial_integral(fn, a: float, b: float, breakpoints=None) -> float:
     return float(out[0])
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def liouville_bubble(mu: float, lam: float, r):
     """Entire radial solution w(r) = log(8 mu^2 / lam) - 2 log(1 + (mu r)^2).
 
     Solves -Lap(w) = lam e^w on the plane; the density lam e^w carries
     total mass 8 pi for every mu.  Accepts scalar or array r.
+
+    A float r (a quadrature integrand passes one per node) takes the same
+    steps on Python floats, with no array made around it, and returns a
+    float: the bits a 0-d array r gives.  It keeps numpy's log1p, since on
+    hosts with vectorized transcendentals ``math.log1p`` differs from it in
+    the last bit for about 1% of arguments.
     """
-    if mu <= 0.0 or lam <= 0.0:
-        raise ValueError("mu and lam must be positive")
+    # checked inline, not by _check_positive: this runs once per quadrature node
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
+    if isinstance(r, float):
+        t = mu * r
+        try:
+            sq = t**2
+        except OverflowError:  # where a numpy scalar's square reads inf
+            sq = math.inf
+        return math.log(8.0 * mu * mu / lam) - 2.0 * float(np.log1p(sq))
     rr = np.asarray(r, dtype=float)
     vals = math.log(8.0 * mu * mu / lam) - 2.0 * np.log1p((mu * rr) ** 2)
     return float(vals) if rr.ndim == 0 else vals
@@ -228,8 +249,7 @@ def mass_gamma(f_radial, r_max: float, breakpoints=None) -> float:
     must be nonnegative with f r^2 decreasing across that decade, or the
     tail is declared non-convergent.
     """
-    if r_max <= 0.0:
-        raise ValueError("r_max must be positive")
+    _check_positive("r_max", r_max)
     main = radial_integral(lambda r: f_radial(r) * r, 0.0, r_max, breakpoints)
     probes = np.geomspace(r_max / 10.0, r_max, 16)
     f_vals = np.array([float(f_radial(r)) for r in probes])
@@ -270,8 +290,7 @@ def pohozaev_residual(u_radial, a_radial, big_f, radius: float) -> PohozaevRepor
     derivatives of u and A come from central differences, so the check is
     meaningful only for smooth inputs.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    _check_positive("radius", radius)
     h = FD_STEP * max(1.0, radius)
     ur = (u_radial(radius + h) - u_radial(radius - h)) / (2.0 * h)
     lhs = -math.pi * radius * radius * ur * ur
@@ -296,8 +315,7 @@ def newton_potential(f_radial, x_abs: float, rho_max: float = 1e6, breakpoints=N
     |y| = rho is log max(|x|, rho).  z grows like gamma log|x| with
     gamma = (1/2pi) int f whenever the density tail is integrable.
     """
-    if x_abs <= 0.0:
-        raise ValueError("x_abs must be positive")
+    _check_positive("x_abs", x_abs)
     log_r = math.log(x_abs)
 
     def integrand(rho: float) -> float:

@@ -14,12 +14,12 @@ The normalized field of circulation alpha is w_alpha = alpha v - log int
 e^{alpha v}, which integrates e^{w_alpha} to exactly 1.  All partition
 integrals are evaluated with max-shifted exponentials.
 
-The residual transforms v once and takes one exponential per atom, and
-keeps both in :class:`Partitions`: v's half spectrum, and each atom's
-exponential in its row of one contiguous stack.  J, the energy differences
-of the solver and the Hessian product at v read them there.  The sums over
-the atoms are matrix products with the stack: the residual's sum of
-densities is one, and the partition part of the Hessian product
+The residual transforms v once and fills the exponentials of all atoms in
+one pass, and keeps both in :class:`Partitions`: v's half spectrum, and
+each atom's exponential in its row of one contiguous stack.  J, the energy
+differences of the solver and the Hessian product at v read them there.
+The sums over the atoms are matrix products with the stack: the residual's
+sum of densities is one, and the partition part of the Hessian product
 (:func:`hessian_product`) is two.
 """
 
@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from vortexmf.measure import CirculationMeasure
-from vortexmf.torus import Field, SpectralTorus, _spectral_inner, project_zero_mean
+from vortexmf.torus import Field, SpectralTorus, _spectral_inner, irfft2, project_zero_mean, rfft2
 
-# exponent bound after max-shift; shifted exponents are <= 0 by construction
-# so this only trips on non-finite input
+# bound on a shift m = max(alpha v): the shifted exponents are <= 0 by
+# construction, so only a field that large (or non-finite) trips it
 _EXP_GUARD = 700.0
 
 
@@ -60,9 +60,11 @@ class Partitions:
     and the bilinear term of an energy difference are read.  ``stack`` has
     one row e^{alpha v - m} over the flattened grid per atom, in atom order,
     zero atoms included.  ``totals`` and ``shifts`` hold each row's grid sum
-    and m; ``curvature`` is S = sum w alpha^2 rho_alpha over the flattened
-    grid, and ``hessian_weights`` is w alpha^2 / (cell_area total^2) per
-    row, so that the partition part of the second variation is
+    and m, the row's max of alpha v.  ``alpha`` and ``weight`` hold the
+    atoms' circulations and weights in the same order, built once per run.
+    ``curvature`` is S = sum w alpha^2 rho_alpha over the flattened grid,
+    and ``hessian_weights`` is w alpha^2 / (cell_area total^2) per row, so
+    that the partition part of the second variation is
     phi S - sum_rows weight (row . phi) row.
 
     The arrays are allocated here, once per run, and every
@@ -74,6 +76,8 @@ class Partitions:
     def __init__(self, prob: Problem) -> None:
         n = prob.torus.grid_n
         atoms, cells = len(prob.P.atoms), n * n
+        self.alpha = np.array([a for a, _ in prob.P.atoms])
+        self.weight = np.array([w for _, w in prob.P.atoms])
         self.spectrum = np.empty((n, n // 2 + 1), dtype=complex)
         self.stack = np.empty((atoms, cells))
         self.totals = np.empty(atoms)
@@ -82,21 +86,15 @@ class Partitions:
         self.hessian_weights = np.empty(atoms)
 
 
-def _exp_shifted(av: np.ndarray) -> tuple[float, float]:
-    """Overwrite the exponents av with e^{av - m}, m their max; return m and
-    the grid sum."""
+def log_partition(T: SpectralTorus, v: Field, alpha: float) -> float:
+    """log int_Omega e^{alpha v}, max-shifted for stability."""
+    av = alpha * v.values
     m = float(av.max())
     if not math.isfinite(m) or m > _EXP_GUARD:
         raise OverflowError("partition exponent out of range")
-    np.subtract(av, m, out=av)
+    av -= m
     np.exp(av, out=av)
-    return m, float(av.sum())
-
-
-def log_partition(T: SpectralTorus, v: Field, alpha: float) -> float:
-    """log int_Omega e^{alpha v}, max-shifted for stability."""
-    m, total = _exp_shifted(alpha * v.values)
-    return m + math.log(T.cell_area * total)
+    return m + math.log(T.cell_area * float(av.sum()))
 
 
 def w_alpha(prob: Problem, v: Field, alpha: float) -> Field:
@@ -125,32 +123,40 @@ def el_residual(prob: Problem, v: Field, partitions: Partitions) -> Field:
 
     It is also the L^2 gradient of J: dJ(v)[phi] = int el_residual(v) phi
     for every direction phi.  v is transformed once, into
-    ``partitions.spectrum``, and the Laplacian is read from there.  Each
-    atom takes one exponential, written into its row of the stack; the
-    densities are read off it as rho_alpha = ex / (cell_area total), and
-    sum w alpha rho_alpha is one matrix product with the stack.
+    ``partitions.spectrum``, and the Laplacian is read from there.  The
+    stack is filled in one pass over all atoms: alpha v, less each row's
+    shift m, through one exponential, then the row sums.  m needs no pass
+    of its own: rounding is monotone, so the max of a row alpha v is
+    alpha max v for alpha > 0 and alpha min v otherwise, bit for bit.  The
+    densities are read off the stack as rho_alpha = ex / (cell_area total),
+    and sum w alpha rho_alpha is one matrix product with it.
     Analytically the residual has zero mean (each density integrates to
     1); the floating-point mean is projected out.
 
-    ``partitions`` is refilled in place at v (see :class:`Partitions`).
+    ``partitions`` is refilled in place at v (see :class:`Partitions`).  A
+    non-finite v, or a largest m above the guard, raises OverflowError
+    before any transform or exponential.
     """
     T = prob.torus
-    atoms = prob.P.atoms
-    # copied, not transformed with out=, which numpy < 2.0 lacks
-    partitions.spectrum[...] = np.fft.rfft2(v.values)
-    # the transforms' scratch is freed before the sums below are allocated
-    lap = np.fft.irfft2(partitions.spectrum * -T.eigenvalues, s=(T.grid_n, T.grid_n))
     vals = v.values.ravel()
-    alpha = np.array([a for a, _ in atoms])
-    weight = np.array([w for _, w in atoms])
-    totals = partitions.totals
-    for i, row in enumerate(partitions.stack):
-        np.multiply(vals, alpha[i], out=row)
-        partitions.shifts[i], totals[i] = _exp_shifted(row)
+    alpha, weight, totals, stack = partitions.alpha, partitions.weight, partitions.totals, partitions.stack
+    lo, hi = float(vals.min()), float(vals.max())
+    # each row's max of alpha v, bit for bit, with no pass over the rows
+    np.multiply(alpha, np.where(alpha > 0.0, hi, lo), out=partitions.shifts)
+    if not (math.isfinite(lo) and math.isfinite(hi)) or float(partitions.shifts.max()) > _EXP_GUARD:
+        raise OverflowError("partition exponent out of range")
+    # copied, not transformed with out=, which numpy < 2.0 lacks
+    partitions.spectrum[...] = rfft2(v.values)
+    # the transforms' scratch is freed before the sums below are allocated
+    lap = irfft2(partitions.spectrum * -T.eigenvalues, T.grid_n)
+    np.multiply(alpha[:, None], vals, out=stack)
+    stack -= partitions.shifts[:, None]
+    np.exp(stack, out=stack)
+    np.sum(stack, axis=1, out=totals)
     c = weight * alpha / (T.cell_area * totals)
-    density_sum = c @ partitions.stack  # sum w alpha rho_alpha
+    density_sum = c @ stack  # sum w alpha rho_alpha
     # sum w alpha^2 rho_alpha, which only the Hessian product reads
-    np.matmul(c * alpha, partitions.stack, out=partitions.curvature)
+    np.matmul(c * alpha, stack, out=partitions.curvature)
     np.divide(weight * alpha * alpha, T.cell_area * totals * totals, out=partitions.hessian_weights)
     density_sum -= float(weight @ alpha) / T.volume
     res = density_sum.reshape(lap.shape)
@@ -175,7 +181,7 @@ def hessian_product(prob: Problem, partitions: Partitions, q_hat: np.ndarray) ->
     partition term.
     """
     T = prob.torus
-    q = np.fft.irfft2(q_hat, s=(T.grid_n, T.grid_n))
+    q = irfft2(q_hat, T.grid_n)
     phi = q.ravel()
     t = partitions.stack @ phi
     t *= partitions.hessian_weights
@@ -183,7 +189,7 @@ def hessian_product(prob: Problem, partitions: Partitions, q_hat: np.ndarray) ->
     atom_term -= t @ partitions.stack
     atom_term *= prob.lam
     hq_hat = q_hat * T.eigenvalues
-    hq_hat -= np.fft.rfft2(atom_term.reshape(q.shape))
+    hq_hat -= rfft2(atom_term.reshape(q.shape))
     hq_hat[0, 0] = 0.0
     # <q, H q> = ||q||_H1^2 - <q, atom term>, q of zero mean
     kappa = _spectral_inner(T, q_hat, q_hat) - T.cell_area * float(phi @ atom_term)

@@ -64,6 +64,7 @@ from vortexmf.torus import (
     _spectral_inner,
     periodic_distance,
     project_zero_mean,
+    rfft2,
     translate,
 )
 
@@ -135,6 +136,7 @@ def random_zero_mean(T: SpectralTorus, seed: int, amplitude: float = 0.01) -> Fi
     """Band-limited noise of given sup amplitude, zero-mean, seeded."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((T.grid_n, T.grid_n))
+    # complex transforms, not torus.rfft2/irfft2: every cold start is these bits
     spectrum = np.fft.fft2(noise)
     cutoff = max(2, T.grid_n // 8)
     keep = np.abs(np.fft.fftfreq(T.grid_n, 1.0 / T.grid_n)) <= cutoff
@@ -154,17 +156,18 @@ class _EnergyDelta:
     """Cancellation-free J(v - d) - J(v) for the iterate v and a zero-mean
     step d.
 
-    ``partitions`` holds v's half spectrum and each atom's max-shifted
-    exponential e^{alpha v - m} with its grid sum, as :func:`el_residual`
-    hands them out for v, so only d is transformed, for the bilinear terms
-    <grad v, grad d> and |grad d|^2.  Each atom's expm1 runs in place in one
-    buffer, and its relative sum is one dot product with the atom's row.
+    ``partitions`` holds v's half spectrum, the atoms' circulations and
+    weights, and each atom's max-shifted exponential e^{alpha v - m} with
+    its grid sum, as :func:`el_residual` hands them out for v, so only d is
+    transformed, for the bilinear terms <grad v, grad d> and |grad d|^2.
+    Each atom's expm1 runs in place in one buffer, and its relative sum is
+    one dot product with the atom's row.
     """
 
     def __init__(self, prob: Problem, d: Field, partitions: Partitions):
         self.prob = prob
         self.d = d
-        d_hat = np.fft.rfft2(d.values)
+        d_hat = rfft2(d.values)
         self.a_vd = _spectral_inner(prob.torus, partitions.spectrum, d_hat)
         self.a_dd = _spectral_inner(prob.torus, d_hat, d_hat)
         self.shifted = partitions
@@ -174,10 +177,11 @@ class _EnergyDelta:
         log_terms = 0.0
         d = self.d.values.ravel()
         u = np.empty_like(d)
-        rows = zip(self.prob.P.atoms, self.shifted.stack, self.shifted.totals.tolist())
+        shifted = self.shifted
+        rows = zip(shifted.alpha.tolist(), shifted.weight.tolist(), shifted.stack, shifted.totals.tolist())
         # a move past exp overflow makes the sum inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
-            for (a, w), ex, total in rows:
+            for a, w, ex, total in rows:
                 np.multiply(d, -a, out=u)
                 np.expm1(u, out=u)
                 rel = float(ex @ u) / total
@@ -235,7 +239,7 @@ class _SteihaugPath:
     def __init__(self, prob: Problem, partitions: Partitions, g: Field):
         self.prob = prob
         self.partitions = partitions
-        self.r_hat = np.fft.rfft2(g.values)  # the CG residual after the last direction kept
+        self.r_hat = rfft2(g.values)  # the CG residual after the last direction kept
         self.q_hat = self.r_hat * prob.torus.inverse_eigenvalues  # the next search direction
         # ||(-Laplacian)^-1 g||_H1^2 = <g, (-Laplacian)^-1 g>
         self.rz0 = _spectral_inner(prob.torus, self.q_hat, self.q_hat)

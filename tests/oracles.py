@@ -56,6 +56,16 @@ def _shifted_partitions(prob: Problem, v: Field) -> list[tuple[float, np.ndarray
     return out
 
 
+def stack_per_atom(prob: Problem, v: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The partition stack of v one atom at a time: per row, alpha v less its
+    own max, through its own exponential, with its grid sum and that max.
+    Returns (stack, totals, shifts) in atom order, laid out as
+    :class:`vortexmf.functional.Partitions` holds them."""
+    rows = _shifted_partitions(prob, v)
+    stack = np.array([ex.ravel() for _, ex, _ in rows])
+    return stack, np.array([total for _, _, total in rows]), np.array([m for m, _, _ in rows])
+
+
 def el_residual_per_atom(prob: Problem, v: Field) -> Field:
     """The equation residual, one atom at a time, each density by its own
     exponential:

@@ -67,6 +67,20 @@ def test_bubble_peak_and_validation():
     assert arr[0] == 0.0
 
 
+@pytest.mark.parametrize("mu, lam", [(1.0, 8.0), (2.0, 8.0), (0.3, 1.5)])
+def test_bubble_float_path_is_the_array_path_bit_for_bit(mu, lam):
+    radii = np.concatenate([[0.0, 1e-8], np.geomspace(1e-3, 1e6, 200)])
+    on_array = liouville_bubble(mu, lam, radii)
+    for r, expected in zip(radii.tolist(), on_array.tolist()):
+        for scalar in (r, np.float64(r)):
+            value = liouville_bubble(mu, lam, scalar)
+            assert type(value) is float
+            assert value == expected
+    # where (mu r)^2 overflows, both paths read -inf
+    with np.errstate(over="ignore"):
+        assert liouville_bubble(mu, lam, 1e200) == liouville_bubble(mu, lam, np.array([1e200]))[0] == -math.inf
+
+
 def test_bubble_total_mass_is_eight_pi():
     for mu in (0.5, 1.0, 3.0):
         mass = 2.0 * math.pi * radial_integral(
@@ -287,6 +301,22 @@ def test_pohozaev_rejects_bad_radius():
 
 
 # ----------------------------------------------------------- Newton potential
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("mu", lambda x: liouville_bubble(x, 8.0, 1.0)),
+        ("lam", lambda x: liouville_bubble(1.0, x, 1.0)),
+        ("x_abs", lambda x: newton_potential(bubble_density, x)),
+        ("r_max", lambda x: mass_gamma(bubble_density, x)),
+        ("radius", lambda x: pohozaev_residual(lambda r: 0.0, lambda r: 1.0, math.exp, x)),
+    ],
+)
+def test_radial_parameters_must_be_positive_and_finite(name, call, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+        call(bad)
 
 
 def test_newton_potential_zero_density():

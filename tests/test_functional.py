@@ -8,7 +8,15 @@ import pytest
 from scipy.special import i0
 
 from helpers import energy, hessian_field, random_measure, random_zero_mean_field, residual
-from oracles import J_dual, J_per_atom, dalpha_partition, dalpha_peak, el_residual_per_atom, hessian_product_per_atom
+from oracles import (
+    J_dual,
+    J_per_atom,
+    dalpha_partition,
+    dalpha_peak,
+    el_residual_per_atom,
+    hessian_product_per_atom,
+    stack_per_atom,
+)
 from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product, log_partition, w_alpha
 from vortexmf.measure import new_atomic
 from vortexmf.minimize import _EnergyDelta, random_zero_mean
@@ -164,17 +172,41 @@ def test_residual_hands_out_the_shifted_partitions():
     res = el_residual(prob, v, partitions)
     assert np.array_equal(res.values, residual(prob, v).values)
     assert np.array_equal(partitions.spectrum, np.fft.rfft2(v.values))
-    assert partitions.stack.shape == (len(prob.P.atoms), T.grid_n**2)
-    assert len(partitions.totals) == len(partitions.shifts) == len(prob.P.atoms)
-    for (a, _), ex, total, m in zip(prob.P.atoms, partitions.stack, partitions.totals, partitions.shifts):
-        av = a * v.values
-        expected = np.exp(av - av.max())
-        assert np.array_equal(ex, expected.ravel())
-        assert total == float(expected.sum())
-        assert m == float(av.max())
+    stack, totals, shifts = stack_per_atom(prob, v)
+    assert partitions.stack.shape == stack.shape == (len(prob.P.atoms), T.grid_n**2)
+    assert np.array_equal(partitions.stack, stack)
+    assert np.array_equal(partitions.totals, totals)
+    assert np.array_equal(partitions.shifts, shifts)
     # J read off the partitions takes no transform and no exponential, and
     # matches the per-atom J bit for bit
     assert J(prob, v, partitions) == J_per_atom(prob, v)
+
+
+def test_one_pass_stack_of_128_atoms_is_the_per_atom_loop_bit_for_bit():
+    # each row's shift is alpha max v or alpha min v, never a row max, and
+    # the stack is filled and summed in whole-stack calls; the signed
+    # measure with a zero atom is test_residual_hands_out_the_shifted_partitions
+    T = SpectralTorus(1.0, 64)
+    atoms = [(-1.0 + (i + 0.5) / 64, 1.0 / 128) for i in range(128)]
+    prob = Problem(T, new_atomic(atoms), 10.0)
+    v = random_zero_mean_field(T, np.random.default_rng(64), 5.0)
+    partitions = Partitions(prob)
+    el_residual(prob, v, partitions)
+    stack, totals, shifts = stack_per_atom(prob, v)
+    assert np.array_equal(partitions.stack, stack)
+    assert np.array_equal(partitions.totals, totals)
+    assert np.array_equal(partitions.shifts, shifts)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 701.0])
+def test_residual_guard_rejects_a_non_finite_or_too_large_field(bad):
+    # one cell at 701 puts alpha = 1's exponent above the guard
+    T = SpectralTorus(1.0, 16)
+    prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 5.0)
+    vals = np.zeros((16, 16))
+    vals[3, 5] = bad
+    with pytest.raises(OverflowError, match="^partition exponent out of range$"):
+        el_residual(prob, Field(vals), Partitions(prob))
 
 
 def test_batched_layer_matches_the_per_atom_oracles():

@@ -14,10 +14,12 @@ from vortexmf.torus import (
     dirichlet_energy,
     gradient_inner,
     integrate,
+    irfft2,
     laplacian,
     periodic_distance,
     project_zero_mean,
     radial_average,
+    rfft2,
     solve_poisson_zero_mean,
     translate,
 )
@@ -93,6 +95,15 @@ def test_poisson_ignores_the_mean_of_the_rhs():
         shifted = solve_poisson_zero_mean(T, Field(rhs.values + c))
         assert np.abs(shifted.values - u.values).max() <= 1e-12
     assert np.abs(solve_poisson_zero_mean(T, Field(np.ones((32, 32)))).values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_real_transforms_are_numpys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n))
+    X = np.fft.rfft2(x) * (1.0 + rng.standard_normal((n, n // 2 + 1)))
+    assert np.array_equal(rfft2(x), np.fft.rfft2(x))
+    assert np.array_equal(irfft2(X, n), np.fft.irfft2(X, s=(n, n)))
 
 
 @pytest.mark.parametrize("transform", [laplacian, solve_poisson_zero_mean])
