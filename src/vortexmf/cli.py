@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import importlib.util
 import json
 import math
 import os
@@ -195,26 +194,14 @@ def _sanitize(obj):
 
 
 # The layout of summary.json; raised when a key changes meaning or goes away.
-SCHEMA_VERSION = 3
-
-
-@functools.cache
-def library_versions() -> dict[str, str | None]:
-    """The numpy and scipy versions; the FFT and quadrature bits depend on
-    them.  scipy's is read from the name of its installed
-    ``scipy-<version>.dist-info`` directory (None if there is none), since
-    importing scipy, or importlib.metadata, would load megabytes that only
-    the commands that integrate need."""
-    prefix, suffix = "scipy-", ".dist-info"
-    site = os.path.dirname(importlib.util.find_spec("scipy").submodule_search_locations[0])
-    dists = sorted(name for name in os.listdir(site) if name.startswith(prefix) and name.endswith(suffix))
-    return {"numpy": np.__version__, "scipy": dists[0][len(prefix) : -len(suffix)] if dists else None}
+SCHEMA_VERSION = 4
 
 
 def write_summary(cfg: argparse.Namespace, payload: dict) -> None:
     """Write ``summary.json``: the payload with the schema version and the
-    library versions."""
-    record = {"schema_version": SCHEMA_VERSION, "versions": library_versions(), **payload}
+    version of numpy, the one library a run uses, on which the FFT bits and
+    the quadrature's transcendentals depend."""
+    record = {"schema_version": SCHEMA_VERSION, "versions": {"numpy": np.__version__}, **payload}
     os.makedirs(cfg.out, exist_ok=True)
     text = json.dumps(_sanitize(record), indent=2, sort_keys=True) + "\n"
     with open(os.path.join(cfg.out, "summary.json"), "w", encoding="utf-8") as fh:
@@ -432,7 +419,8 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
     supposed to solve and must make that check fail (negative control).
     """
     lam, mu = 8.0, 1.0
-    density = lambda r: lam * math.exp(liouville_bubble(mu, lam, r))
+    # every radial callable takes an array of radii (see vortexmf.blowup)
+    density = lambda r: lam * np.exp(liouville_bubble(mu, lam, r))
     checks: list[dict] = []
 
     def add(name: str, compute: Callable[[], float], target: float, tol: float) -> float:
@@ -455,14 +443,14 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
     mass = lambda: 2.0 * math.pi * radial_integral(lambda r: density(r) * r, 0.0, 1e6)
     add("bubble_mass", mass, EIGHT_PI, 1e-6 * EIGHT_PI)
 
-    def pde_residual(r: float) -> float:
-        h = 1e-4 * max(1.0, r)
+    def pde_residual(r: np.ndarray) -> np.ndarray:
+        h = 1e-4 * np.maximum(1.0, r)
         w = lambda s: liouville_bubble(mu, lam, s)
         d1 = (w(r + h) - w(r - h)) / (2.0 * h)
         d2 = (w(r + h) - 2.0 * w(r) + w(r - h)) / (h * h)
-        return abs(d2 + d1 / r + density(r))
+        return np.abs(d2 + d1 / r + density(r))
 
-    worst = lambda: max(pde_residual(r) for r in np.geomspace(0.1, 100.0, 61))
+    worst = lambda: pde_residual(np.geomspace(0.1, 100.0, 61)).max()
     add("bubble_pde_residual", worst, 0.0, 1e-6)
 
     gamma = add("mass_gamma", lambda: mass_gamma(density, 1e4), 4.0, 1e-6)
@@ -475,7 +463,7 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
 
     shift = 2.0 * math.log(debug_bubble_scale)
     u = lambda r: liouville_bubble(mu, lam, r) + shift
-    source = lambda t: lam * math.exp(t)
+    source = lambda t: lam * np.exp(t)
     balance = lambda f: pohozaev_residual(f, lambda r: 1.0, source, 10.0).relative_residual
     add("pohozaev_bubble", lambda: balance(u), 0.0, 1e-3)
     add("pohozaev_constant", lambda: balance(lambda r: 0.7), 0.0, 1e-12)
@@ -483,7 +471,7 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
     fit_rs = np.geomspace(1e2, 1e4, 9)
     growth = lambda f, **kw: np.polyfit(np.log(fit_rs), [newton_potential(f, R, **kw) for R in fit_rs], 1)[0]
     add("newton_slope_bubble", lambda: growth(density), 4.0, 0.01 * 4.0)
-    disk = lambda r: 2.0 if r <= 1.0 else 0.0
+    disk = lambda r: np.where(r <= 1.0, 2.0, 0.0)
     add("newton_slope_disk", lambda: growth(disk, breakpoints=[1.0]), 1.0, 0.01 * 1.0)
     return checks
 

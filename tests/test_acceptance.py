@@ -44,8 +44,8 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def bubble_density(r: float) -> float:
-    return 8.0 * math.exp(liouville_bubble(1.0, 8.0, r))
+def bubble_density(r):
+    return 8.0 * np.exp(liouville_bubble(1.0, 8.0, r))
 
 
 def test_criterion_01_classical_coupling():
@@ -177,8 +177,8 @@ def test_criterion_07_li_slope():
 def test_criterion_08_pohozaev_balance():
     t0 = time.perf_counter()
     w = lambda r: liouville_bubble(1.0, 8.0, r)
-    bubble = pohozaev_residual(w, lambda r: 8.0, math.exp, 10.0)
-    const = pohozaev_residual(lambda r: 0.7, lambda r: 1.0, math.exp, 10.0)
+    bubble = pohozaev_residual(w, lambda r: 8.0, np.exp, 10.0)
+    const = pohozaev_residual(lambda r: 0.7, lambda r: 1.0, np.exp, 10.0)
     elapsed = time.perf_counter() - t0
     ok = (
         bubble.relative_residual <= 1e-3
@@ -198,7 +198,7 @@ def test_criterion_09_newton_potential_growth():
     fit_rs = np.geomspace(1e2, 1e4, 9)
     z_bubble = [newton_potential(bubble_density, R) for R in fit_rs]
     slope_b = float(np.polyfit(np.log(fit_rs), z_bubble, 1)[0])
-    disk = lambda r: 2.0 if r <= 1.0 else 0.0
+    disk = lambda r: np.where(r <= 1.0, 2.0, 0.0)
     z_disk = [newton_potential(disk, R, breakpoints=[1.0]) for R in fit_rs]
     slope_d = float(np.polyfit(np.log(fit_rs), z_disk, 1)[0])
     elapsed = time.perf_counter() - t0

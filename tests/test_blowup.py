@@ -16,6 +16,7 @@ from vortexmf.blowup import (
     mass_gamma,
     newton_potential,
     pohozaev_residual,
+    quad,
     radial_integral,
     rescale_profile,
 )
@@ -27,8 +28,8 @@ from vortexmf.torus import SpectralTorus, periodic_distance
 EIGHT_PI = 8.0 * math.pi
 
 
-def bubble_density(r: float, mu: float = 1.0, lam: float = 8.0) -> float:
-    return lam * math.exp(liouville_bubble(mu, lam, r))
+def bubble_density(r, mu: float = 1.0, lam: float = 8.0):
+    return lam * np.exp(liouville_bubble(mu, lam, r))
 
 
 # ---------------------------------------------------------------- quadrature
@@ -40,9 +41,87 @@ def test_radial_integral_polynomial_exact():
 
 
 def test_radial_integral_with_breakpoints():
-    step = lambda r: 1.0 if r <= 1.0 else 0.0
+    step = lambda r: np.where(r <= 1.0, 1.0, 0.0)
     val = radial_integral(step, 0.0, 2.0, breakpoints=[1.0])
     assert val == pytest.approx(1.0, rel=1e-9)
+
+
+def test_polynomial_of_degree_31_is_exact_on_one_interval():
+    # the 21-point Kronrod rule integrates degree 3 * 10 + 1 exactly; the
+    # error estimate compares it with the 10-point Gauss rule, exact to
+    # degree 19 only, so a loose tolerance keeps the one interval
+    coeffs = np.random.default_rng(31).uniform(-1.0, 1.0, 32)
+    poly = np.polynomial.Polynomial(coeffs)
+    exact = poly.integ()(1.5) - poly.integ()(-0.5)
+    value, _, info = quad(poly, -0.5, 1.5, 1.0, 400)
+    assert info == {"neval": 21}
+    assert value == pytest.approx(exact, rel=1e-14, abs=1e-14)
+    assert poly.degree() == 31
+
+
+def test_step_at_a_breakpoint_is_exact():
+    # on u = log1p(r) the step integrates e^u over [0, log 2], which one
+    # interval resolves to rounding
+    step = lambda r: np.where(r <= 1.0, 1.0, 0.0)
+    assert radial_integral(step, 0.0, 2.0, breakpoints=[1.0]) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_neval_counts_21_nodes_per_interval_evaluated():
+    rows = []
+
+    def f(x):
+        rows.append(x.shape)
+        return np.exp(-x) * np.sin(20.0 * x)
+
+    value, _, info = quad(f, 0.0, 3.0, 1e-10, 400, points=[1.0])
+    assert len(rows) > 1 and all(shape[1] == 21 for shape in rows)
+    assert info["neval"] == 21 * sum(shape[0] for shape in rows)
+    exact = (20.0 - math.exp(-3.0) * (math.sin(60.0) + 20.0 * math.cos(60.0))) / 401.0
+    assert value == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "fn, error, match",
+    [
+        (lambda r: np.full_like(r, math.nan), OverflowError, "^integrand is not finite at r = "),
+        (lambda r: np.where(r < 0.5, math.inf, 1.0), OverflowError, "^integrand is not finite at r = "),
+        (lambda r: 1.0 / r, RuntimeError, "did not converge within 400 intervals"),
+    ],
+    ids=["nan", "inf", "one-over-r"],
+)
+def test_bad_integrands_raise_and_do_not_hang(fn, error, match):
+    with pytest.raises(error, match=match):
+        radial_integral(fn, 0.0, 1.0)
+
+
+def test_quadrature_of_a_nan_integrand_ends_at_the_interval_limit():
+    with pytest.raises(RuntimeError, match="did not converge"):
+        quad(lambda x: np.full_like(x, math.nan), 0.0, 1.0, 1e-10, 400)
+
+
+def test_verify_integrals_match_quadpack(monkeypatch):
+    # every integral of the oracle suite against scipy's QUADPACK on the same
+    # substitution u = log1p(r)
+    from scipy.integrate import quad as quadpack
+
+    from vortexmf import blowup, cli
+
+    pairs = []
+
+    def recorded(fn, a, b, breakpoints=None):
+        value = radial_integral(fn, a, b, breakpoints)
+        g = lambda u: float(fn(np.array(math.expm1(u)))) * math.exp(u)
+        points = sorted(math.log1p(p) for p in breakpoints if a < p < b) if breakpoints else None
+        ref = quadpack(g, math.log1p(a), math.log1p(b), epsabs=0.0, epsrel=1e-10, limit=400, points=points)[0]
+        pairs.append((value, ref))
+        return value
+
+    monkeypatch.setattr(blowup, "radial_integral", recorded)
+    monkeypatch.setattr(cli, "radial_integral", recorded)
+    assert all(check["passed"] for check in cli.verify_checks())
+    assert len(pairs) == 22
+    for value, ref in pairs:
+        assert value == pytest.approx(ref, rel=1e-12)
 
 
 def test_radial_integral_bounds_validation():
@@ -118,7 +197,7 @@ def test_concentration_mass_edge_cases():
     with pytest.raises(RuntimeError, match="not decreasing"):
         mass_gamma(lambda r: 1.0 / (1.0 + r * r), 1e4)
     with pytest.raises(RuntimeError, match="does not converge"):
-        mass_gamma(lambda r: 1.0 / max(r, 1.0) ** 2, 1e4, breakpoints=[1.0])
+        mass_gamma(lambda r: 1.0 / np.maximum(r, 1.0) ** 2, 1e4, breakpoints=[1.0])
 
 
 # ------------------------------------------------------------------ profiles
@@ -269,7 +348,7 @@ def test_side_length_only_rescales_the_answer():
 
 def test_pohozaev_balance_on_bubble():
     w = lambda r: liouville_bubble(1.0, 8.0, r)
-    rep = pohozaev_residual(w, lambda r: 8.0, math.exp, 10.0)
+    rep = pohozaev_residual(w, lambda r: 8.0, np.exp, 10.0)
     assert rep.relative_residual <= 1e-6
     expected = abs(rep.lhs - rep.rhs) / (1.0 + abs(rep.lhs) + abs(rep.rhs))
     assert rep.relative_residual == expected
@@ -278,12 +357,12 @@ def test_pohozaev_balance_on_bubble():
 def test_pohozaev_boundary_term_limit():
     # as R grows the boundary kinetic term approaches -2 lambda_bar = -16 pi
     w = lambda r: liouville_bubble(1.0, 8.0, r)
-    rep = pohozaev_residual(w, lambda r: 8.0, math.exp, 500.0)
+    rep = pohozaev_residual(w, lambda r: 8.0, np.exp, 500.0)
     assert abs(rep.lhs + 16.0 * math.pi) <= 1e-3
 
 
 def test_pohozaev_constant_field_is_exact():
-    rep = pohozaev_residual(lambda r: 0.7, lambda r: 1.0, math.exp, 3.0)
+    rep = pohozaev_residual(lambda r: 0.7, lambda r: 1.0, np.exp, 3.0)
     assert rep.lhs == 0.0
     assert rep.relative_residual <= 1e-12
 
@@ -291,13 +370,13 @@ def test_pohozaev_constant_field_is_exact():
 def test_pohozaev_detects_non_solution():
     # shifting the bubble amplitude breaks the equation, not just its scale
     w = lambda r: liouville_bubble(1.0, 8.0, r) + 2.0 * math.log(2.0)
-    rep = pohozaev_residual(w, lambda r: 8.0, math.exp, 10.0)
+    rep = pohozaev_residual(w, lambda r: 8.0, np.exp, 10.0)
     assert rep.relative_residual >= 0.1
 
 
 def test_pohozaev_rejects_bad_radius():
     with pytest.raises(ValueError):
-        pohozaev_residual(lambda r: 0.0, lambda r: 1.0, math.exp, 0.0)
+        pohozaev_residual(lambda r: 0.0, lambda r: 1.0, np.exp, 0.0)
 
 
 # ----------------------------------------------------------- Newton potential
@@ -311,7 +390,8 @@ def test_pohozaev_rejects_bad_radius():
         ("lam", lambda x: liouville_bubble(1.0, x, 1.0)),
         ("x_abs", lambda x: newton_potential(bubble_density, x)),
         ("r_max", lambda x: mass_gamma(bubble_density, x)),
-        ("radius", lambda x: pohozaev_residual(lambda r: 0.0, lambda r: 1.0, math.exp, x)),
+        ("radius", lambda x: pohozaev_residual(lambda r: 0.0, lambda r: 1.0, np.exp, x)),
+        ("rho_max", lambda x: newton_potential(bubble_density, 10.0, rho_max=x)),
     ],
 )
 def test_radial_parameters_must_be_positive_and_finite(name, call, bad):
@@ -325,7 +405,7 @@ def test_newton_potential_zero_density():
 
 def test_newton_potential_doubling_matches_mass():
     # z(2R) - z(R) -> gamma log 2 with gamma = (1/2pi) int f
-    disk = lambda r: 2.0 if r <= 1.0 else 0.0
+    disk = lambda r: np.where(r <= 1.0, 2.0, 0.0)
     gamma = mass_gamma(disk, 2.0, breakpoints=[1.0])
     assert gamma == pytest.approx(1.0, rel=1e-9)
     for R in (100.0, 400.0):
