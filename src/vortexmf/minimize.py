@@ -1,7 +1,6 @@
 """Free energy minimization by trust-region Newton-CG with continuation.
 
-Every iteration is one trust-region step (Steihaug 1983, Toint 1981), or a
-translation in its place (below).  The
+Every iteration is one trust-region step (Steihaug 1983, Toint 1981).  The
 Newton model of J at the iterate is solved by truncated CG in the H^1 norm,
 preconditioned by the Poisson solve, which makes the quadratic part of the
 energy perfectly conditioned.  The CG residual and search direction are
@@ -14,18 +13,21 @@ The step is accepted or rejected by the ratio of the actual change of J to
 the predicted one.  The first trust radius is the H^1 length of the
 preconditioned gradient, ||(-Laplacian)^-1 g||_H1, which needs no
 constant.  A cold start of 1/2 delta_-1 + 1/2 delta_1 at lambda_bar takes
-22, 25, 34 and 43 steps on 32^2 to 256^2.
+25, 23, 34 and 44 steps on 32^2 to 256^2, and 80 on 512^2.
 
-The grid pins a spike: its two translations have Hessian eigenvalues near
-zero, so the Newton model is flat along them while J along the slide to the
-pinned position is not quadratic, and trust-region steps alone crawl there.
-So the loop also moves along the orbit of the translations, not along its
-tangent (the "freezing" of Beyn and Thuemmler 2004): at an iteration whose
-Newton step was rejected, and at the one after, it tries v moved by the
-sub-cell offset that puts the peak of |v| on its nearest grid node
-(:func:`vortexmf.torus.translate`), and takes it in place of the Newton
-step when its exact decrease of J is larger.  A trial takes two real
-transforms and one energy difference, and no Hessian product.
+Every iterate is even about node (0, 0) in x and in y (see
+:mod:`vortexmf.torus`): the start, cold or warm, is projected onto the even
+fields, and so is every trial step of the CG path, before its energy
+difference is measured and before it is taken.  The residual and the
+energies then do their per-atom work at the quarter-cell nodes
+(:mod:`vortexmf.functional`).  By the principle of symmetric criticality
+(Palais 1979) a converged iterate is a critical point of J on the whole
+torus; whether it is a minimizer against odd perturbations is not checked.
+The space holds no translation: a spike sits on one of the four nodes that
+are their own reflections, (0, 0), (n/2, 0), (0, n/2) and (n/2, n/2).  On
+the whole grid its two translations have Hessian eigenvalues near zero, the
+grid pins it between nodes, and trust-region steps crawl along the slide;
+here there is no slide to crawl along.
 
 The CG path grows monotonically in the H^1 norm, so after a rejected step
 the smaller radius cuts the path already computed at that iterate, and
@@ -62,23 +64,18 @@ from vortexmf.torus import (
     Field,
     SpectralTorus,
     _spectral_inner,
+    check_even,
     periodic_distance,
+    project_even,
     project_zero_mean,
+    quarter,
     rfft2,
-    translate,
 )
 
 # the least ratio of actual to predicted decrease at which a step is accepted
 ACCEPT_RATIO = 1e-4
 MAX_REJECTIONS = 60  # rejected steps in a row that end a run diverged
 CG_MAX_ITERS = 200  # Hessian products per truncated-CG solve
-# the least peak of |v| at which a translation is tried: below it v has no
-# spike for the grid to pin
-SHIFT_PEAK = 3.0
-# the least gain of a translation, relative to |J|, at which it is taken: an
-# integer shift, which leaves J unchanged, reads up to 3 ulps of |J| as its
-# energy difference, so a smaller gain is rounding
-SHIFT_MIN_GAIN = 1e-14
 
 
 @dataclass(frozen=True)
@@ -104,8 +101,7 @@ class MinimizeResult:
     ``converged``, ``blown_up``, ``budget`` or ``diverged`` (see :func:`minimize`).
     ``hessian_products`` counts the Hessian products of the truncated CG,
     and ``rejected`` the steps the trust region rejected, out of
-    ``iterations``; ``shifts`` counts the steps taken as translations, out
-    of the ``iterations - rejected`` that moved v.  ``trace`` holds one row
+    ``iterations``.  ``trace`` holds one row
     (J, residual_norm, step, max_v) for the start and one per iteration:
     ``step`` is the trust radius of the iteration, 0.0 at the start, and a
     rejected step repeats the J, residual and max of v of the row before."""
@@ -118,7 +114,6 @@ class MinimizeResult:
     status: str
     hessian_products: int = 0
     rejected: int = 0
-    shifts: int = 0
     trace: list[tuple[float, float, float, float]] = field(default_factory=list)
 
     @property
@@ -153,18 +148,21 @@ def center_bump(T: SpectralTorus, amplitude: float = 0.5) -> Field:
 
 
 class _EnergyDelta:
-    """Cancellation-free J(v - d) - J(v) for the iterate v and a zero-mean
-    step d.
+    """Cancellation-free J(v - d) - J(v) for the iterate v and an even
+    zero-mean step d.
 
     ``partitions`` holds v's half spectrum, the atoms' circulations and
     weights, and each atom's max-shifted exponential e^{alpha v - m} with
     its grid sum, as :func:`el_residual` hands them out for v, so only d is
     transformed, for the bilinear terms <grad v, grad d> and |grad d|^2.
-    Each atom's expm1 runs in place in one buffer, and its relative sum is
-    one dot product with the atom's row.
+    Each atom's expm1 runs in place in one buffer at the quarter-cell
+    nodes, and its relative sum is one dot product with the atom's row,
+    which carries the node weights.  A d that is not even raises
+    ValueError.
     """
 
     def __init__(self, prob: Problem, d: Field, partitions: Partitions):
+        check_even(prob.torus, d)
         self.prob = prob
         self.d = d
         d_hat = rfft2(d.values)
@@ -175,7 +173,7 @@ class _EnergyDelta:
     def __call__(self) -> float:
         delta = -self.a_vd + 0.5 * self.a_dd
         log_terms = 0.0
-        d = self.d.values.ravel()
+        d = quarter(self.prob.torus, self.d.values)
         u = np.empty_like(d)
         shifted = self.shifted
         rows = zip(shifted.alpha.tolist(), shifted.weight.tolist(), shifted.stack, shifted.totals.tolist())
@@ -301,53 +299,34 @@ class _SteihaugPath:
         return Field(d), model, False, len(self.directions) - grown
 
 
-def _translation(T: SpectralTorus, v: Field, spectrum: np.ndarray) -> Field | None:
-    """v moved so that the peak of |v| sits on its nearest grid node, or
-    None when that peak is not above SHIFT_PEAK.  Per axis, the peak's
-    sub-cell offset is the vertex of the parabola through the peak node and
-    its two neighbours; ``spectrum`` is v's half spectrum."""
-    vals = v.values
-    i, j = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
-    peak = float(vals[i, j])
-    if abs(peak) <= SHIFT_PEAK:
-        return None
-    n = T.grid_n
-    shift = []
-    for before, after in ((vals[i - 1, j], vals[(i + 1) % n, j]), (vals[i, j - 1], vals[i, (j + 1) % n])):
-        curvature = float(before + after) - 2.0 * peak
-        offset = 0.5 * float(before - after) / curvature if curvature * peak < 0.0 else 0.0
-        shift.append(-offset)
-    return translate(T, spectrum, (shift[0], shift[1]))
-
-
 def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = None) -> MinimizeResult:
-    """Minimize J to sup-norm residual <= grad_tol by trust-region steps.
+    """Minimize J over the even fields to sup-norm residual <= grad_tol by
+    trust-region steps.
 
-    Starts from ``warm_start`` with its mean subtracted, or from seeded
-    band-limited noise, so every iterate and ``result.v`` have zero mean.
-    Ends on tolerance, a peak of |v| reaching :func:`blowup_threshold` (so
-    a spike of either sign counts), the iteration budget, or
-    ``MAX_REJECTIONS`` rejected steps in a row; ``result.status`` says
-    which, and ``result`` holds the last iterate in every case.  Every
-    step, accepted, rejected or a translation, is one iteration toward the
-    budget.  An iteration is rejected when it leaves v where it was: its
-    Newton step was rejected and no translation was taken.  The trust
-    radius follows the Newton step's ratio in every case.
+    Starts from ``warm_start``, or from seeded band-limited noise, projected
+    onto the even fields and with its mean subtracted, so every iterate and
+    ``result.v`` are even and have zero mean; so is every step, projected
+    before it is measured.  Ends on tolerance, a peak of |v| reaching
+    :func:`blowup_threshold` (so a spike of either sign counts), the
+    iteration budget, or ``MAX_REJECTIONS`` rejected steps in a row;
+    ``result.status`` says which, and ``result`` holds the last iterate in
+    every case.  Every step, accepted or rejected, is one iteration toward
+    the budget.
     """
     T = prob.torus
     if warm_start is None:
-        v = random_zero_mean(T, opts.seed)
+        start = random_zero_mean(T, opts.seed)
     else:
         if warm_start.values.shape != (T.grid_n, T.grid_n):
             raise ValueError("warm start grid does not match the torus")
-        v = project_zero_mean(T, warm_start)
+        start = warm_start
+    v = project_zero_mean(T, project_even(T, start))
 
     partitions = Partitions(prob)
     g = el_residual(prob, v, partitions)
     j_curr = J(prob, v, partitions)
     res_norm = float(np.abs(g.values).max())
-    iterations = products = rejected = rejected_in_a_row = shifts = 0
-    last_rejected = False  # whether the last Newton step was rejected
+    iterations = products = rejected = rejected_in_a_row = 0
     path: _SteihaugPath | None = None
     radius = math.nan  # set from the first path
     trace = [(j_curr, res_norm, 0.0, float(v.values.max()))]
@@ -359,19 +338,12 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = No
                 radius = math.sqrt(path.rz0)
         step, model, boundary, n = path.step(radius)
         products += n
+        step = project_even(T, step)
         dj = _EnergyDelta(prob, step, partitions)()
         ratio = dj / model  # actual over predicted change; model < 0
         iterations += 1
-        accepted = ratio > ACCEPT_RATIO
-        moved = Field(v.values - step.values) if accepted else None
-        if (last_rejected or not accepted) and (shifted := _translation(T, v, partitions.spectrum)) is not None:
-            dj_shift = _EnergyDelta(prob, Field(v.values - shifted.values), partitions)()
-            if dj_shift < min(dj if accepted else 0.0, -SHIFT_MIN_GAIN * abs(j_curr)):
-                moved, dj = shifted, dj_shift
-                shifts += 1
-        last_rejected = not accepted
-        if moved is not None:
-            v = project_zero_mean(T, moved)
+        if ratio > ACCEPT_RATIO:
+            v = project_zero_mean(T, Field(v.values - step.values))
             path = None
             g = el_residual(prob, v, partitions)
             j_curr = j_curr + dj
@@ -388,7 +360,7 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = No
             radius *= 0.25
         elif ratio > 0.75 and boundary:
             radius *= 2.0
-    return MinimizeResult(v, j_curr, res_norm, iterations, prob.lam, status, products, rejected, shifts, trace)
+    return MinimizeResult(v, j_curr, res_norm, iterations, prob.lam, status, products, rejected, trace)
 
 
 def stage_problems(T: SpectralTorus, P: CirculationMeasure, lambda_schedule: list[float]) -> list[Problem]:
@@ -409,8 +381,9 @@ def continuation_sweep(problems: list[Problem], opts: MinimizeOptions) -> list[M
     :func:`stage_problems` returns them, with warm starts.
 
     The first stage starts cold, exactly as :func:`minimize` does; each
-    later one starts from the previous solution plus a fixed center bump
-    that breaks translation symmetry (:func:`minimize` subtracts the mean).
+    later one starts from the previous solution plus a fixed bump at the
+    grid center, which is even (:func:`minimize` projects the start and
+    subtracts its mean).
     Past lambda_bar(P) a stage normally blows up; the sweep stops after a
     stage that ended ``blown_up`` or ``diverged`` and returns the stages
     run so far.  A ``budget`` stage still warm-starts the next one.

@@ -22,6 +22,19 @@ The constant Fourier mode carries no energy: -Laplacian maps it to 0 and
 the Poisson solve drops it, so a field and its shift by a constant are the
 same state.  Zero mean is a normalisation (:func:`project_zero_mean`), not
 a property a field must certify.
+
+The solver works on even fields: f(-x, y) = f(x, -y) = f(x, y) about node
+(0, 0), so node (i, j) carries the value of node (n - i, j) and of
+(i, n - j).  Such a field is fixed by its values at the (n/2 + 1)^2
+quarter-cell nodes 0 <= i, j <= n/2 (:func:`quarter`), and a grid sum of
+any pointwise function of it is a sum over those nodes with weights 1 at
+the four corners (i and j each 0 or n/2), 2 on the edges and 4 inside
+(``SpectralTorus.quarter_weights``).  ``SpectralTorus.fold`` maps every
+node to its quarter-cell node, so :func:`unfold` gathers quarter-cell
+values back to the grid.  :func:`project_even` is the mean of a field's
+four reflections, and :func:`check_even` rejects a field that is not even
+bit for bit.  Fields stay n x n, and the transforms stay the full-grid
+pair above.
 """
 
 from __future__ import annotations
@@ -88,6 +101,30 @@ class SpectralTorus:
         weights[:, -1] *= 0.5
         return weights
 
+    @cached_property
+    def reflection(self) -> np.ndarray:
+        """The index of the mirror image of each grid line, i -> (n - i) mod n."""
+        return -np.arange(self.grid_n) % self.grid_n
+
+    @cached_property
+    def fold(self) -> np.ndarray:
+        """Per grid node (i, j), the flat index of its quarter-cell node
+        (min(i, n - i), min(j, n - j)) in the row-major order of
+        :func:`quarter`."""
+        n = self.grid_n
+        idx = np.arange(n)
+        half = np.minimum(idx, n - idx)
+        return half[:, None] * (n // 2 + 1) + half[None, :]
+
+    @cached_property
+    def quarter_weights(self) -> np.ndarray:
+        """Per quarter-cell node, the number of grid nodes it stands for: 1,
+        2 or 4.  Powers of two, so a product or a quotient with them is
+        exact."""
+        w = np.full(self.grid_n // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return np.outer(w, w).ravel()
+
 
 @dataclass(frozen=True)
 class Field:
@@ -135,6 +172,38 @@ def project_zero_mean(T: SpectralTorus, f: Field) -> Field:
     return Field(vals - vals.mean())
 
 
+def project_even(T: SpectralTorus, f: Field) -> Field:
+    """The mean of f's four reflections about node (0, 0), the even part
+    of f.  The pairs are summed so that every reflection of the result is
+    the same sum in the same order, so it is even bit for bit; an even f
+    comes back unchanged."""
+    vals = _check(T, f)
+    r = T.reflection
+    even = vals + vals[r]
+    even += even[:, r]
+    even *= 0.25
+    return Field(even)
+
+
+def check_even(T: SpectralTorus, f: Field) -> None:
+    """Raise ValueError unless f equals its reflections bit for bit: line
+    i equals line n - i for 0 < i < n, in each direction."""
+    vals = _check(T, f)
+    if not (np.array_equal(vals[1:], vals[:0:-1]) and np.array_equal(vals[:, 1:], vals[:, :0:-1])):
+        raise ValueError("field is not even about node (0, 0) in x and in y")
+
+
+def quarter(T: SpectralTorus, values: np.ndarray) -> np.ndarray:
+    """The grid values at the quarter-cell nodes, flat and contiguous."""
+    h = T.grid_n // 2 + 1
+    return values[:h, :h].ravel()
+
+
+def unfold(T: SpectralTorus, nodes: np.ndarray) -> np.ndarray:
+    """The even n x n grid values whose quarter-cell values are ``nodes``."""
+    return nodes[T.fold]
+
+
 def laplacian(T: SpectralTorus, f: Field) -> Field:
     """Spectral Laplacian; the constant mode maps to 0."""
     F = rfft2(_check(T, f))
@@ -159,27 +228,6 @@ def _spectral_inner(T: SpectralTorus, F: np.ndarray, G: np.ndarray) -> float:
     cross += F.imag * G.imag
     cross *= T.gradient_weights
     return float(cross.sum())
-
-
-def translate(T: SpectralTorus, F: np.ndarray, shift: tuple[float, float]) -> Field:
-    """The field with half spectrum F moved by ``shift`` cells along the two
-    grid axes: f(x - s), sampled from the trigonometric interpolant, as
-    irfft2(F e^{-2 pi i k.s / n}).
-
-    The Nyquist line and column (wavenumber n/2) stand for both +n/2 and
-    -n/2.  The real interpolant splits them evenly between the two, so a
-    shift multiplies them by cos(pi s): the sine part it adds vanishes at
-    every node.  An integer shift is exactly ``np.roll``; a fractional one
-    damps the Nyquist modes, so only a field without them comes back from
-    a shift by s and then by -s.
-    """
-    n = T.grid_n
-    phases = []
-    for s, k in zip(shift, (np.fft.fftfreq(n, d=1.0 / n), np.fft.rfftfreq(n, d=1.0 / n))):
-        phase = np.exp(-2j * math.pi * s / n * k)
-        phase[n // 2] = math.cos(math.pi * s)
-        phases.append(phase)
-    return Field(irfft2(F * np.outer(*phases), n))
 
 
 def dirichlet_energy(T: SpectralTorus, f: Field) -> float:

@@ -1,4 +1,4 @@
-"""Shared test utilities: random measures, synthetic concentration fields,
+"""Shared test utilities: random measures, random and synthetic fields,
 and J, the residual and the Hessian product at a field outside a run."""
 
 import numpy as np
@@ -6,7 +6,7 @@ import numpy as np
 from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product
 from vortexmf.measure import CirculationMeasure, new_atomic
 from vortexmf.minimize import MinimizeResult
-from vortexmf.torus import Field, SpectralTorus, periodic_distance, project_zero_mean
+from vortexmf.torus import Field, SpectralTorus, periodic_distance, project_even, project_zero_mean
 
 
 def random_measure(rng, max_atoms: int = 12, signed: bool = True, low: float = 0.05) -> CirculationMeasure:
@@ -21,6 +21,16 @@ def random_measure(rng, max_atoms: int = 12, signed: bool = True, low: float = 0
 def random_zero_mean_field(T: SpectralTorus, rng, amplitude: float = 1.0) -> Field:
     raw = amplitude * rng.standard_normal((T.grid_n, T.grid_n))
     return project_zero_mean(T, Field(raw))
+
+
+def even(T: SpectralTorus, f: Field) -> Field:
+    """The even part of f with its mean subtracted, as the solver takes a
+    start: a field that the residual and the energy difference accept."""
+    return project_zero_mean(T, project_even(T, f))
+
+
+def random_even_field(T: SpectralTorus, rng, amplitude: float = 1.0) -> Field:
+    return even(T, random_zero_mean_field(T, rng, amplitude))
 
 
 def synthetic_result(T: SpectralTorus, values: np.ndarray, lam: float = 1.0) -> MinimizeResult:

@@ -1,6 +1,7 @@
 """Test oracles on the free energy: the dual energy expression, central
-differences in the circulation alpha, and per-atom loops for J, the
-residual and the Hessian product.
+differences in the circulation alpha, per-atom loops over the whole grid
+for J, the residual, the curvature, the Hessian product and the energy
+difference, and the translation of a field by a sub-cell shift.
 
 The library computes J directly; these recompute it, or derivatives of its
 ingredients, by independent formulas that the tests compare against.
@@ -11,7 +12,15 @@ import math
 import numpy as np
 
 from vortexmf.functional import Problem, log_partition, w_alpha
-from vortexmf.torus import Field, dirichlet_energy, integrate, laplacian, project_zero_mean
+from vortexmf.torus import (
+    Field,
+    SpectralTorus,
+    dirichlet_energy,
+    gradient_inner,
+    integrate,
+    laplacian,
+    project_zero_mean,
+)
 
 
 def J_per_atom(prob: Problem, v: Field) -> float:
@@ -66,6 +75,40 @@ def stack_per_atom(prob: Problem, v: Field) -> tuple[np.ndarray, np.ndarray, np.
     return stack, np.array([total for _, _, total in rows]), np.array([m for m, _, _ in rows])
 
 
+def quarter_stack(T: SpectralTorus, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a full-grid stack at the nodes 0 <= i, j <= n/2, each
+    times the number of grid nodes that an even field's node stands for
+    (1 at the corners, 2 on the edges, 4 inside), with each row's sum:
+    the layout of :class:`vortexmf.functional.Partitions`."""
+    n = T.grid_n
+    h = n // 2 + 1
+    edge = np.where((np.arange(h) == 0) | (np.arange(h) == n // 2), 1.0, 2.0)
+    weights = (edge[:, None] * edge[None, :]).ravel()
+    rows = stack.reshape(len(stack), n, n)[:, :h, :h].reshape(len(stack), h * h) * weights
+    return rows, np.array([row.sum() for row in rows])
+
+
+def curvature_per_atom(prob: Problem, v: Field) -> np.ndarray:
+    """S = sum w alpha^2 rho_alpha on the grid, one atom at a time."""
+    T = prob.torus
+    acc = np.zeros_like(v.values)
+    for (a, w), (m, ex, total) in zip(prob.P.atoms, _shifted_partitions(prob, v)):
+        acc += (w * a * a / (T.cell_area * total)) * ex
+    return acc
+
+
+def energy_delta_per_atom(prob: Problem, v: Field, d: Field) -> float:
+    """J(v - d) - J(v) in cancellation-free form over the whole grid, one
+    atom at a time: the bilinear Dirichlet terms, and per atom log1p of
+    the relative sum of e^{alpha v - m} expm1(-alpha d)."""
+    T = prob.torus
+    delta = -gradient_inner(T, v, d) + 0.5 * gradient_inner(T, d, d)
+    log_terms = 0.0
+    for (a, w), (_, ex, total) in zip(prob.P.atoms, _shifted_partitions(prob, v)):
+        log_terms += w * math.log1p(float((ex * np.expm1(-a * d.values)).sum()) / total)
+    return delta - prob.lam * log_terms
+
+
 def el_residual_per_atom(prob: Problem, v: Field) -> Field:
     """The equation residual, one atom at a time, each density by its own
     exponential:
@@ -93,6 +136,27 @@ def hessian_product_per_atom(prob: Problem, v: Field, phi: Field) -> Field:
             mean = float((ex * phi.values).sum()) / total  # int rho_alpha phi
             acc += (w * a * a / (T.cell_area * total)) * ex * (phi.values - mean)
     return project_zero_mean(T, Field(-laplacian(T, phi).values - prob.lam * acc))
+
+
+def translate(T: SpectralTorus, F: np.ndarray, shift: tuple[float, float]) -> Field:
+    """The field with half spectrum F moved by ``shift`` cells along the two
+    grid axes: f(x - s), sampled from the trigonometric interpolant, as
+    irfft2(F e^{-2 pi i k.s / n}).
+
+    The Nyquist line and column (wavenumber n/2) stand for both +n/2 and
+    -n/2.  The real interpolant splits them evenly between the two, so a
+    shift multiplies them by cos(pi s): the sine part it adds vanishes at
+    every node.  An integer shift is exactly ``np.roll``; a fractional one
+    damps the Nyquist modes, so only a field without them comes back from
+    a shift by s and then by -s.
+    """
+    n = T.grid_n
+    phases = []
+    for s, k in zip(shift, (np.fft.fftfreq(n, d=1.0 / n), np.fft.rfftfreq(n, d=1.0 / n))):
+        phase = np.exp(-2j * math.pi * s / n * k)
+        phase[n // 2] = math.cos(math.pi * s)
+        phases.append(phase)
+    return Field(np.fft.irfft2(F * np.outer(*phases), s=(n, n)))
 
 
 def dalpha_peak(

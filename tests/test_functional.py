@@ -1,4 +1,8 @@
-"""Free energy, its gradient, dual form, and alpha-derivative identities."""
+"""Free energy, its gradient, dual form, and alpha-derivative identities.
+
+The residual, the Hessian product and the energy difference take even
+fields (see vortexmf.torus); the per-atom oracles run over the whole grid
+and take any field."""
 
 import math
 import tracemalloc
@@ -7,20 +11,31 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
-from helpers import energy, hessian_field, random_measure, random_zero_mean_field, residual
+from helpers import (
+    energy,
+    even,
+    hessian_field,
+    random_even_field,
+    random_measure,
+    random_zero_mean_field,
+    residual,
+)
 from oracles import (
     J_dual,
     J_per_atom,
+    curvature_per_atom,
     dalpha_partition,
     dalpha_peak,
     el_residual_per_atom,
+    energy_delta_per_atom,
     hessian_product_per_atom,
+    quarter_stack,
     stack_per_atom,
 )
 from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product, log_partition, w_alpha
 from vortexmf.measure import new_atomic
 from vortexmf.minimize import _EnergyDelta, random_zero_mean
-from vortexmf.torus import Field, SpectralTorus, integrate, laplacian, project_zero_mean
+from vortexmf.torus import Field, SpectralTorus, integrate, laplacian, project_zero_mean, unfold
 
 
 def zero_field(T):
@@ -62,7 +77,8 @@ def test_energy_matches_bessel_closed_form():
     lam = 5.0
     x = np.arange(T.grid_n) * T.spacing
     vals = eps * np.cos(2.0 * math.pi * x)[:, None] * np.ones(T.grid_n)[None, :]
-    v = project_zero_mean(T, Field(vals))
+    # cos(2 pi x) is even; its grid values are, up to rounding
+    v = even(T, Field(vals))
     P = new_atomic([(0.4, 0.3), (0.9, 0.7)])
     prob = Problem(T, P, lam)
     expected = eps * eps * math.pi**2 - lam * sum(
@@ -99,7 +115,7 @@ def test_functional_is_shift_invariant(atoms):
     # J, its gradient and the normalized fields do not see the constant mode
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic(atoms), 20.0)
-    v = random_zero_mean_field(T, np.random.default_rng(37))
+    v = random_even_field(T, np.random.default_rng(37))
     j0 = energy(prob, v)
     res0 = residual(prob, v).values
     for c in (-3.0, 0.5, 7.0):
@@ -130,10 +146,10 @@ def test_gradient_matches_directional_finite_differences():
     h = 1e-5
     for P in measures:
         prob = Problem(T, P, 4.0)
-        v = random_zero_mean_field(T, rng, amplitude=0.5)
+        v = random_even_field(T, rng, amplitude=0.5)
         g = residual(prob, v)
         for _ in range(20):
-            phi = random_zero_mean_field(T, rng)
+            phi = random_even_field(T, rng)
             fd = (
                 energy(prob, project_zero_mean(T, Field(v.values + h * phi.values)))
                 - energy(prob, project_zero_mean(T, Field(v.values - h * phi.values)))
@@ -154,32 +170,36 @@ def test_residual_reduces_to_laplacian_for_zero_circulation():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(0.0, 1.0)]), 7.0)
     rng = np.random.default_rng(4)
-    v = random_zero_mean_field(T, rng)
+    v = random_even_field(T, rng)
     res = residual(prob, v)
     expected = project_zero_mean(T, Field(-laplacian(T, v).values))
     assert np.array_equal(res.values, expected.values)
 
 
 def test_residual_hands_out_the_shifted_partitions():
-    # every atom, the zero atom included, in atom order and bit for bit
+    # every atom, the zero atom included, in atom order and bit for bit: the
+    # quarter cell of the per-atom loop's rows, times the node weights
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-1.0, 0.3), (0.0, 0.2), (0.5, 0.2), (1.0, 0.3)]), 5.0)
     rng = np.random.default_rng(8)
-    v = random_zero_mean_field(T, rng)
+    v = random_even_field(T, rng)
     # refilled after another field, the partitions keep nothing of it
     partitions = Partitions(prob)
-    el_residual(prob, random_zero_mean_field(T, rng), partitions)
+    el_residual(prob, random_even_field(T, rng), partitions)
     res = el_residual(prob, v, partitions)
     assert np.array_equal(res.values, residual(prob, v).values)
     assert np.array_equal(partitions.spectrum, np.fft.rfft2(v.values))
     stack, totals, shifts = stack_per_atom(prob, v)
-    assert partitions.stack.shape == stack.shape == (len(prob.P.atoms), T.grid_n**2)
-    assert np.array_equal(partitions.stack, stack)
-    assert np.array_equal(partitions.totals, totals)
+    rows, row_sums = quarter_stack(T, stack)
+    assert partitions.stack.shape == rows.shape == (len(prob.P.atoms), 17 * 17)
+    assert np.array_equal(partitions.stack, rows)
+    assert np.array_equal(partitions.totals, row_sums)
     assert np.array_equal(partitions.shifts, shifts)
+    # the weighted quarter-cell sums are the grid sums
+    assert np.abs(partitions.totals - totals).max() <= 1e-13 * totals.min()
     # J read off the partitions takes no transform and no exponential, and
-    # matches the per-atom J bit for bit
-    assert J(prob, v, partitions) == J_per_atom(prob, v)
+    # matches the per-atom J over the whole grid
+    assert J(prob, v, partitions) == pytest.approx(J_per_atom(prob, v), rel=1e-13)
 
 
 def test_one_pass_stack_of_128_atoms_is_the_per_atom_loop_bit_for_bit():
@@ -189,12 +209,13 @@ def test_one_pass_stack_of_128_atoms_is_the_per_atom_loop_bit_for_bit():
     T = SpectralTorus(1.0, 64)
     atoms = [(-1.0 + (i + 0.5) / 64, 1.0 / 128) for i in range(128)]
     prob = Problem(T, new_atomic(atoms), 10.0)
-    v = random_zero_mean_field(T, np.random.default_rng(64), 5.0)
+    v = random_even_field(T, np.random.default_rng(64), 5.0)
     partitions = Partitions(prob)
     el_residual(prob, v, partitions)
-    stack, totals, shifts = stack_per_atom(prob, v)
-    assert np.array_equal(partitions.stack, stack)
-    assert np.array_equal(partitions.totals, totals)
+    stack, _, shifts = stack_per_atom(prob, v)
+    rows, row_sums = quarter_stack(T, stack)
+    assert np.array_equal(partitions.stack, rows)
+    assert np.array_equal(partitions.totals, row_sums)
     assert np.array_equal(partitions.shifts, shifts)
 
 
@@ -209,18 +230,46 @@ def test_residual_guard_rejects_a_non_finite_or_too_large_field(bad):
         el_residual(prob, Field(vals), Partitions(prob))
 
 
+def test_residual_and_energy_difference_reject_a_field_that_is_not_even():
+    # their sums run at the quarter-cell nodes, so a field off even by one
+    # cell would be answered for the even field of its quarter cell
+    T = SpectralTorus(1.0, 16)
+    prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 5.0)
+    v = random_even_field(T, np.random.default_rng(3))
+    off = v.values.copy()
+    off[3, 12] += 1e-3  # the quarter cell holds (3, 4), its mirror, but not (3, 12)
+    partitions = Partitions(prob)
+    with pytest.raises(ValueError, match="not even"):
+        el_residual(prob, Field(off), partitions)
+    el_residual(prob, v, partitions)
+    with pytest.raises(ValueError, match="not even"):
+        _EnergyDelta(prob, Field(off - v.values), partitions)
+
+
 def test_batched_layer_matches_the_per_atom_oracles():
+    # the layer sums at the quarter-cell nodes, the oracles over the whole grid
     T = SpectralTorus(1.0, 32)
     atoms = [(-1.0, 0.1), (-0.6, 0.2), (-0.1, 0.1), (0.0, 0.2), (0.3, 0.1), (0.8, 0.1), (1.0, 0.2)]
     prob = Problem(T, new_atomic(atoms), 30.0)
-    v = random_zero_mean(T, 3, amplitude=2.0)
+    v = even(T, random_zero_mean(T, 3, amplitude=2.0))
     partitions = Partitions(prob)
     res = el_residual(prob, v, partitions).values
     expected = el_residual_per_atom(prob, v).values
     assert np.abs(res - expected).max() <= 1e-13 * np.abs(expected).max()
+    # the density part alone, without the Laplacian
+    lin = project_zero_mean(T, Field(-laplacian(T, v).values)).values
+    assert np.abs(res - expected).max() <= 1e-13 * np.abs(expected - lin).max()
+    _, totals, _ = stack_per_atom(prob, v)
+    assert np.abs(partitions.totals - totals).max() <= 1e-13 * totals.min()
+    curvature = curvature_per_atom(prob, v)
+    assert np.abs(unfold(T, partitions.curvature) - curvature).max() <= 1e-13 * curvature.max()
+    for seed in range(3):
+        d = even(T, random_zero_mean(T, 20 + seed, amplitude=0.5))
+        delta = energy_delta_per_atom(prob, v, d)
+        assert _EnergyDelta(prob, d, partitions)() == pytest.approx(delta, rel=1e-13)
     # the product runs on half spectra, the oracle one atom at a time on the grid
     for seed in range(3):
-        phi = random_zero_mean(T, 40 + seed, amplitude=1.0)
+        phi = even(T, random_zero_mean(T, 40 + seed, amplitude=1.0))
         q, kappa, hq_hat = hessian_product(prob, partitions, np.fft.rfft2(phi.values))
         expected = hessian_product_per_atom(prob, v, phi).values
         got = np.fft.irfft2(hq_hat, s=q.shape)
@@ -239,8 +288,8 @@ def test_one_iterate_refills_the_stack_and_allocates_few_fields():
     n_atoms = 128
     atoms = [(-1.0 + (i + 0.5) / 64, 1.0 / n_atoms) for i in range(n_atoms)]
     prob = Problem(T, new_atomic(atoms), 100.0)
-    v = random_zero_mean(T, 0, amplitude=1.0)
-    d = random_zero_mean(T, 1, amplitude=0.1)
+    v = even(T, random_zero_mean(T, 0, amplitude=1.0))
+    d = even(T, random_zero_mean(T, 1, amplitude=0.1))
     d_hat = np.fft.rfft2(d.values)
     field = v.values.nbytes
     residual(prob, v)  # the torus symbols are cached outside the traced calls
@@ -269,7 +318,7 @@ def test_one_iterate_refills_the_stack_and_allocates_few_fields():
 def _signed_hessian_setup():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-0.7, 0.3), (0.2, 0.3), (0.9, 0.4)]), 30.0)
-    v = random_zero_mean(T, 3, amplitude=2.0)
+    v = even(T, random_zero_mean(T, 3, amplitude=2.0))
     partitions = Partitions(prob)
     el_residual(prob, v, partitions)
     return T, prob, v, partitions
@@ -279,8 +328,8 @@ def test_hessian_product_is_symmetric():
     T, prob, _, partitions = _signed_hessian_setup()
     rng = np.random.default_rng(12)
     for _ in range(5):
-        phi = random_zero_mean_field(T, rng)
-        psi = random_zero_mean_field(T, rng)
+        phi = random_even_field(T, rng)
+        psi = random_even_field(T, rng)
         h_phi = hessian_field(prob, partitions, phi)
         h_psi = hessian_field(prob, partitions, psi)
         lhs = integrate(T, Field(h_phi.values * psi.values))
@@ -295,7 +344,7 @@ def test_hessian_product_is_the_derivative_of_the_residual():
     T, prob, v, partitions = _signed_hessian_setup()
     h = 1e-4
     for seed in range(4):
-        phi = random_zero_mean(T, 100 + seed, amplitude=1.0)
+        phi = even(T, random_zero_mean(T, 100 + seed, amplitude=1.0))
         plus = residual(prob, Field(v.values + h * phi.values)).values
         minus = residual(prob, Field(v.values - h * phi.values)).values
         fd = (plus - minus) / (2.0 * h)

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import energy, gaussian_bump, hessian_field, residual, synthetic_result
-from oracles import hessian_product_per_atom
+from helpers import energy, even, gaussian_bump, hessian_field, residual, synthetic_result
+from oracles import J_per_atom, hessian_product_per_atom, translate
 from vortexmf.functional import Partitions, Problem, el_residual, hessian_product
 from vortexmf.measure import lambda_bar, new_atomic
 from vortexmf.minimize import (
@@ -29,7 +29,6 @@ from vortexmf.torus import (
     integrate,
     project_zero_mean,
     solve_poisson_zero_mean,
-    translate,
 )
 
 minimize_module = importlib.import_module("vortexmf.minimize")
@@ -264,8 +263,8 @@ def _signed_three_atom_move():
     P = new_atomic([(-1.0, 0.3), (0.5, 0.3), (1.0, 0.4)])
     # a strong coupling, so the partition terms carry a large share of the difference
     prob = Problem(T, P, 3000.0)
-    v = random_zero_mean(T, 4, amplitude=1.0)
-    d = random_zero_mean(T, 5, amplitude=1.0)
+    v = even(T, random_zero_mean(T, 4, amplitude=1.0))
+    d = even(T, random_zero_mean(T, 5, amplitude=1.0))
     # largest exponent increment -s a d over the atoms, per unit step
     u_per_step = max(float((-a * d.values).max()) for a, _ in P.atoms)
     return prob, v, d, u_per_step
@@ -312,101 +311,156 @@ def _bump(T, center, height, width):
 
 
 def _spike_pair():
+    """The signed pair at 0.99 lambda_bar on 32^2 with its spikes at the
+    nodes (0, 0) and (16, 16), where the even fields hold them."""
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 0.99 * 2.0 * EIGHT_PI)
-    v = _bump(T, (10.3, 19.6), 6.0, 1.5) - _bump(T, (26.3, 3.6), 6.0, 1.5)
-    return prob, project_zero_mean(T, Field(v))
+    v = _bump(T, (0, 0), 6.0, 1.5) - _bump(T, (16, 16), 6.0, 1.5)
+    return prob, even(T, Field(v))
 
 
 def test_a_roll_leaves_J_unchanged():
+    # J is translation invariant: the per-atom J over the whole grid under
+    # any roll, and the library's J under the half-period rolls, which keep
+    # a field even about node (0, 0)
     prob, v = _spike_pair()
     j = energy(prob, v)
-    for shift in ((1, 0), (0, -5), (7, 13), (16, 16)):
+    assert J_per_atom(prob, v) == pytest.approx(j, rel=1e-13)
+    for shift in ((1, 0), (0, -5), (7, 13)):
+        assert J_per_atom(prob, Field(np.roll(v.values, shift, axis=(0, 1)))) == pytest.approx(j, rel=1e-13)
+    for shift in ((16, 0), (0, 16), (16, 16)):
         assert energy(prob, Field(np.roll(v.values, shift, axis=(0, 1)))) == pytest.approx(j, rel=1e-13)
 
 
-@pytest.mark.parametrize("shift", [(0.3, -0.45), (-0.3, 0.4), (0.5, 0.5)])
-def test_energy_delta_of_a_subcell_translation_matches_the_direct_difference(shift):
+@pytest.mark.parametrize("height, width", [(5.0, 1.5), (6.0, 2.25), (8.0, 1.0)])
+def test_energy_delta_of_a_reshaped_spike_pair_matches_the_direct_difference(height, width):
+    # a large even move: both spikes of the pair change height or width
     prob, v = _spike_pair()
+    T = prob.torus
     partitions = Partitions(prob)
     el_residual(prob, v, partitions)
-    moved = translate(prob.torus, partitions.spectrum, shift)
+    moved = even(T, Field(_bump(T, (0, 0), height, width) - _bump(T, (16, 16), height, width)))
     delta = minimize_module._EnergyDelta(prob, Field(v.values - moved.values), partitions)()
     direct = energy(prob, moved) - energy(prob, v)
     assert abs(direct) > 0.1
     assert delta == pytest.approx(direct, rel=1e-12)
 
 
-def _peak_offset(vals):
-    """The sub-cell offset, per axis, of the vertex of the parabola through
-    the peak of |vals| and its two neighbours."""
-    u = np.abs(vals)
-    i, j = np.unravel_index(int(np.argmax(u)), u.shape)
-    n = u.shape[0]
-    out = []
-    for a, c in ((u[i - 1, j], u[(i + 1) % n, j]), (u[i, j - 1], u[i, (j + 1) % n])):
-        out.append(0.5 * (a - c) / (a + c - 2.0 * u[i, j]))
-    return (int(i), int(j)), np.array(out)
+# every near-lambda_bar sweep the README and the benchmark run: seeds 0-15
+# and one large seed
+NEAR_BAR_SEEDS = [*range(16), 1020618426]
+# the benchmark's references for the sweep's stages, at 0.8, 0.9, 0.99 and 1.0 lambda_bar
+NEAR_BAR_J = (-0.0277757676703885, -2.01224677541211, -8.86560452194484, -21.7696018090033)
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_a_translation_puts_the_peak_on_its_nearest_node(sign):
-    T = SpectralTorus(1.0, 32)
-    v = project_zero_mean(T, Field(sign * _bump(T, (10.3, 19.6), 6.0, 1.5)))
-    node, before = _peak_offset(v.values)
-    assert node == (10, 20) and np.abs(before).min() > 0.25
-    moved = minimize_module._translation(T, v, np.fft.rfft2(v.values))
-    # the parabola misreads a Gaussian's vertex by a few hundredths of a cell
-    node, after = _peak_offset(moved.values)
-    assert node == (10, 20) and np.abs(after).max() < 0.05
-    # no spike, no translation
-    flat = Field(v.values * (0.99 * minimize_module.SHIFT_PEAK / 6.0))
-    assert minimize_module._translation(T, flat, np.fft.rfft2(flat.values)) is None
-
-
-# every near-lambda_bar sweep the README and the benchmark run: seeds 0-9 and
-# one large seed
-NEAR_BAR_SEEDS = [*range(10), 1020618426]
+def _assert_even_converged(prob, res, reference):
+    """The run converged to the reference J within 1e-9, and the J it
+    recorded, J at the start plus the energy differences of its steps, is
+    J at its final iterate within 1e-12; the iterate is even bit for bit."""
+    r = prob.torus.reflection
+    assert res.status == "converged"
+    assert res.J_value == pytest.approx(reference, rel=1e-9)
+    assert res.J_value == pytest.approx(energy(prob, res.v), rel=1e-12)
+    assert np.array_equal(res.v.values, res.v.values[r]) and np.array_equal(res.v.values, res.v.values[:, r])
 
 
 @pytest.mark.parametrize("seed", NEAR_BAR_SEEDS)
 def test_the_near_bar_sweep_slides_onto_the_grid_without_crawling(seed):
-    # at 0.99 lambda_bar on 64^2 the grid pins the translation of the pair,
-    # along which the Newton model is flat; translations move the pair onto
-    # the grid in a few steps, and every seed lands on the same minimizer
+    # on the whole grid the translations of the pair are the slow modes at
+    # 0.99 lambda_bar on 64^2: the grid pins them, the Newton model is flat
+    # along them, and steps crawl.  The even fields hold no translation, so
+    # the stage takes few steps, and every seed lands on the same minimizer
     T = SpectralTorus(1.0, 64)
     P = new_atomic([(-1.0, 0.5), (1.0, 0.5)])
-    schedule = [f * 2.0 * EIGHT_PI for f in (0.8, 0.9, 0.99, 1.0)]
-    results = sweep(T, P, schedule, MinimizeOptions(seed=seed))
-    assert [r.status for r in results] == ["converged"] * 4
+    problems = stage_problems(T, P, [f * 2.0 * EIGHT_PI for f in (0.8, 0.9, 0.99, 1.0)])
+    results = continuation_sweep(problems, MinimizeOptions(seed=seed))
+    assert len(results) == 4
+    for prob, res, reference in zip(problems, results, NEAR_BAR_J):
+        _assert_even_converged(prob, res, reference)
     stage = results[2]
-    assert stage.iterations <= 30 and stage.hessian_products <= 170
+    assert stage.iterations <= 11 and stage.hessian_products <= 33
     assert stage.J_value == pytest.approx(-8.86560452194484, rel=1e-12)
-    assert all(r.shifts <= r.iterations - r.rejected for r in results)
-    if seed == 0:
-        assert results[0].shifts == 0 and stage.shifts >= 1
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_the_many_atom_workload_converges_to_its_reference_at_every_seed(seed):
+    # the benchmark's grid128-atoms128 run at CLI seeds 0-31
+    T = SpectralTorus(1.0, 128)
+    P = new_atomic([(-1.0 + (i + 0.5) / 64.0, 1.0 / 128.0) for i in range(128)])
+    prob = Problem(T, P, 0.9 * lambda_bar(P).lambda_bar)
+    res = minimize(prob, MinimizeOptions(seed=seed))
+    _assert_even_converged(prob, res, -17.7676455626036)
+    assert res.iterations <= 19
 
 
 def test_a_cold_start_near_bar_on_256_slides_onto_the_grid():
-    # a resolved spike, about 8 cells wide, slides onto the grid; a crawl
-    # along the slide takes hundreds of steps, far above the bound
+    # a resolved spike, about 8 cells wide, sits on a node of the even
+    # fields, so no step crawls along its slide onto the grid: 24 steps,
+    # where the whole grid took 41 with translation steps and hundreds
+    # without them
     T = SpectralTorus(1.0, 256)
     P = new_atomic([(-1.0, 0.5), (1.0, 0.5)])
     res = minimize(Problem(T, P, 0.999 * 2.0 * EIGHT_PI), MinimizeOptions())
     assert res.status == "converged"
-    assert res.iterations <= 66 and res.shifts >= 1
-    assert res.J_value == pytest.approx(-10.57934288028474, rel=1e-12)
+    assert res.iterations <= 24
+    assert res.J_value == pytest.approx(-10.579342880284717, rel=1e-12)
 
 
 def test_a_many_atom_field_takes_no_translation():
     # 128 equal atoms over [-1, 1] at 0.9 lambda_bar on 128^2 peak near 8.5:
-    # their field is smooth, J hardly moves under a sub-cell shift, and no
-    # trial gains more than rounding
+    # their field is smooth, and the even fields hold no translation
     T = SpectralTorus(1.0, 128)
     P = new_atomic([(-1.0 + (i + 0.5) / 64.0, 1.0 / 128.0) for i in range(128)])
     res = minimize(Problem(T, P, 0.9 * lambda_bar(P).lambda_bar), MinimizeOptions())
     assert res.status == "converged"
-    assert (res.iterations, res.rejected, res.shifts, res.hessian_products) == (17, 1, 0, 42)
+    assert (res.iterations, res.rejected, res.hessian_products) == (17, 1, 38)
+
+
+def test_every_iterate_and_every_trial_step_is_even_bit_for_bit(monkeypatch):
+    # the signed pair at lambda_bar on 32^2 at seed 3 rejects a step; the
+    # cold start, made even, is the first iterate the residual sees
+    iterates, steps = [], []
+    real_residual, real_delta = minimize_module.el_residual, minimize_module._EnergyDelta.__init__
+
+    def recorded_residual(prob, v, partitions):
+        iterates.append(v.values)
+        return real_residual(prob, v, partitions)
+
+    def recorded_delta(self, prob, d, partitions):
+        steps.append(d.values)
+        real_delta(self, prob, d, partitions)
+
+    monkeypatch.setattr(minimize_module, "el_residual", recorded_residual)
+    monkeypatch.setattr(minimize_module._EnergyDelta, "__init__", recorded_delta)
+    T = SpectralTorus(1.0, 32)
+    prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
+    res = minimize(prob, MinimizeOptions(seed=3))
+    assert res.status == "converged" and res.rejected > 0
+    assert len(iterates) == res.iterations - res.rejected + 1 and len(steps) == res.iterations
+    r = T.reflection
+    noise = random_zero_mean(T, 3).values
+    assert not np.array_equal(noise, noise[r])
+    assert np.array_equal(iterates[0], even(T, Field(noise)).values)
+    for vals in iterates + steps:
+        assert np.array_equal(vals, vals[r]) and np.array_equal(vals, vals[:, r])
+
+
+def test_translations_of_the_even_pair_raise_J():
+    # the even fields hold no translation, so nothing in a run tests J along
+    # one; moved off its node by a sub-cell shift, the converged pair at
+    # 0.99 lambda_bar on 64^2 has a higher J on the whole grid
+    T = SpectralTorus(1.0, 64)
+    P = new_atomic([(-1.0, 0.5), (1.0, 0.5)])
+    prob = Problem(T, P, 0.99 * 2.0 * EIGHT_PI)
+    res = sweep(T, P, [f * 2.0 * EIGHT_PI for f in (0.8, 0.9, 0.99)], MinimizeOptions())[-1]
+    _assert_even_converged(prob, res, NEAR_BAR_J[2])
+    spectrum = np.fft.rfft2(res.v.values)
+    # it rises by 4e-8 to 2e-7, the flat slide of a pinned spike, but far
+    # above the rounding of J, which an integer shift reads
+    for shift in ((0.25, 0.0), (0.0, -0.4), (0.3, 0.3), (0.5, 0.5)):
+        assert J_per_atom(prob, translate(T, spectrum, shift)) > res.J_value + 1e-8
+    for shift in ((1, 0), (2, 3)):
+        assert J_per_atom(prob, translate(T, spectrum, shift)) == pytest.approx(res.J_value, rel=1e-14)
 
 
 def test_warm_start_mean_does_not_matter():
@@ -443,14 +497,12 @@ def test_residual_is_computed_once_per_iterate(monkeypatch):
 
     monkeypatch.setattr(minimize_module, "el_residual", counted)
     T = SpectralTorus(1.0, 32)
-    # the signed pair at lambda_bar rejects one of its steps at seed 2, and
-    # takes two as translations; both kinds of move refill the partitions
+    # the signed pair at lambda_bar rejects one of its steps at seed 3
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
-    res = minimize(prob, MinimizeOptions(seed=2))
+    res = minimize(prob, MinimizeOptions(seed=3))
     assert res.status == "converged"
     accepted = res.iterations - res.rejected
     assert 0 < accepted < res.iterations
-    assert res.shifts > 0
     assert len(calls) == accepted + 1
     # cross-check on the trace: a rejected step repeats the J, residual and
     # max of v of the row before, and only its step column, the radius, moves
@@ -489,7 +541,8 @@ def test_work_per_iteration(monkeypatch):
     # Hessian product 2 (q from its half spectrum and the spectrum of the
     # partition term); none for a preconditioner solve, which is a division
     # of the spectrum; per accepted step 2 for the residual (v and its
-    # Laplacian); one exponential per atom, in el_residual
+    # Laplacian); one exponential per atom at the quarter-cell nodes, in
+    # el_residual
     counts = {"fft": 0, "complex": 0, "exp": 0, "expm1": 0}
 
     def counting(fn, key, elements):
@@ -530,7 +583,7 @@ def test_work_per_iteration(monkeypatch):
     assert boundary == [True, False, False]
     assert res.hessian_products == 6
     paths = len(boundary)
-    per_atom = len(P.atoms) * T.grid_n**2
+    per_atom = len(P.atoms) * (T.grid_n // 2 + 1) ** 2
     # set-up: 2 complex transforms for the random start and 2 for the first
     # residual; J reads v's spectrum off the partitions
     assert counts["fft"] == 4 + res.iterations + 2 * accepted + 2 * res.hessian_products + paths == 28
@@ -563,7 +616,7 @@ def test_collapsed_trust_radius_ends_diverged(monkeypatch):
     assert res.status == "diverged"
     assert res.iterations == res.rejected == minimize_module.MAX_REJECTIONS
     assert res.hessian_products == len(calls) == 1
-    assert np.array_equal(res.v.values, random_zero_mean(T, 0).values)
+    assert np.array_equal(res.v.values, even(T, random_zero_mean(T, 0)).values)
     radii = [step for _, _, step, _ in res.trace[1:]]
     assert len(radii) == res.iterations
     assert all(b == 0.25 * a for a, b in zip(radii, radii[1:]))
@@ -573,7 +626,7 @@ def test_first_radius_is_the_h1_length_of_the_preconditioned_gradient():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 10.0)
     res = minimize(prob, MinimizeOptions(max_iters=1))
-    g = residual(prob, random_zero_mean(T, 0))
+    g = residual(prob, even(T, random_zero_mean(T, 0)))
     first = res.trace[1][2]
     # the Dirichlet form of (-Laplacian)^-1 g, from the half spectrum of g
     z_hat = np.fft.rfft2(g.values) * T.inverse_eigenvalues
@@ -584,19 +637,19 @@ def test_first_radius_is_the_h1_length_of_the_preconditioned_gradient():
 
 
 def test_trust_region_steps_count_toward_the_budget():
-    # the signed pair at lambda_bar on 32^2 rejects its 8th step at seed 2,
-    # the last one a budget of 8 allows
+    # the signed pair at lambda_bar on 32^2 rejects its 9th step at seed 3,
+    # the last one a budget of 9 allows
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
-    res = minimize(prob, MinimizeOptions(max_iters=8, seed=2))
+    res = minimize(prob, MinimizeOptions(max_iters=9, seed=3))
     assert res.status == "budget"
-    assert (res.iterations, res.rejected) == (8, 1)
+    assert (res.iterations, res.rejected) == (9, 1)
 
 
 def _newton_model_setup():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-0.7, 0.3), (0.2, 0.3), (0.9, 0.4)]), 30.0)
-    v = random_zero_mean(T, 3, amplitude=2.0)
+    v = even(T, random_zero_mean(T, 3, amplitude=2.0))
     partitions = Partitions(prob)
     g = el_residual(prob, v, partitions)
     return T, prob, g, partitions
@@ -639,7 +692,7 @@ def test_spectral_hessian_product_matches_the_per_atom_oracle():
     T = SpectralTorus(1.0, 32)
     atoms = [(-1.0, 0.1), (-0.6, 0.2), (-0.1, 0.1), (0.0, 0.2), (0.3, 0.1), (0.8, 0.1), (1.0, 0.2)]
     prob = Problem(T, new_atomic(atoms), 30.0)
-    v = random_zero_mean(T, 3, amplitude=2.0)
+    v = even(T, random_zero_mean(T, 3, amplitude=2.0))
     partitions = Partitions(prob)
     g = el_residual(prob, v, partitions)
     path = minimize_module._SteihaugPath(prob, partitions, g)
@@ -747,6 +800,6 @@ def test_mirror_image_reads_the_negative_spike():
     assert (mirrored.J_value, mirrored.lam) == (res.J_value, res.lam)
     assert detect_concentration(mirrored, T, 25.0) == (16, 40)
     # the mirror image of a state has the same energy
-    v = random_zero_mean(T, 4, amplitude=2.0)
+    v = even(T, random_zero_mean(T, 4, amplitude=2.0))
     same = energy(Problem(T, mirrored_P, 7.0), Field(-v.values))
     assert same == pytest.approx(energy(Problem(T, P, 7.0), v), rel=1e-12)

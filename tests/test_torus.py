@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import random_zero_mean_field
+from oracles import translate
 from vortexmf.torus import (
     Field,
     SpectralTorus,
@@ -20,8 +21,11 @@ from vortexmf.torus import (
     project_zero_mean,
     radial_average,
     rfft2,
+    check_even,
+    project_even,
+    quarter,
     solve_poisson_zero_mean,
-    translate,
+    unfold,
 )
 
 
@@ -181,6 +185,8 @@ def test_half_spectrum_parseval_matches_the_full_spectrum(n):
         del T.__dict__["gradient_weights"]
 
 
+# translate is the test oracle of a sub-cell shift (tests/oracles.py); the
+# solver's fields are even, a space that holds no translation
 @pytest.mark.parametrize("shift", [(1, 0), (0, -3), (5, 7), (-16, 16)])
 def test_an_integer_translation_is_a_roll(shift):
     # white noise carries every mode, the Nyquist line and column included
@@ -265,3 +271,54 @@ def test_radial_average_rejects_bad_bins():
     T = SpectralTorus(1.0, 16)
     with pytest.raises(ValueError):
         radial_average(T, Field(np.zeros((16, 16))), (0, 0), 0)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_the_quarter_cell_weights_count_the_grid_nodes_each_node_stands_for(n):
+    T = SpectralTorus(1.0, n)
+    h = n // 2 + 1
+    assert T.fold.shape == (n, n) and T.quarter_weights.shape == (h * h,)
+    # every grid node folds onto one quarter-cell node, which counts it
+    assert np.array_equal(np.bincount(T.fold.ravel(), minlength=h * h), T.quarter_weights)
+    assert set(T.quarter_weights.tolist()) == {1.0, 2.0, 4.0}
+    assert T.quarter_weights.sum() == n * n
+    # the quarter-cell nodes fold onto themselves
+    assert np.array_equal(quarter(T, T.fold), np.arange(h * h))
+
+
+def test_project_even_is_the_mean_of_the_four_reflections_and_even_bit_for_bit():
+    T = SpectralTorus(1.0, 32)
+    f = random_zero_mean_field(T, np.random.default_rng(6)).values
+    r = T.reflection
+    even = project_even(T, Field(f)).values
+    want = 0.25 * (f + f[r] + f[:, r] + f[r][:, r])
+    assert np.abs(even - want).max() <= 1e-15
+    assert np.array_equal(even, even[r]) and np.array_equal(even, even[:, r])
+    check_even(T, Field(even))
+    # an even field comes back unchanged, and is its quarter cell unfolded
+    assert np.array_equal(project_even(T, Field(even)).values, even)
+    assert np.array_equal(unfold(T, quarter(T, even)), even)
+    # a field odd in x has no even part
+    odd = f - f[r]
+    assert np.abs(project_even(T, Field(odd)).values).max() == 0.0
+
+
+def test_a_grid_sum_of_an_even_field_is_the_weighted_quarter_cell_sum():
+    T = SpectralTorus(1.0, 64)
+    even = project_even(T, random_zero_mean_field(T, np.random.default_rng(7))).values
+    e = np.exp(even)
+    assert float(T.quarter_weights @ quarter(T, e)) == pytest.approx(float(e.sum()), rel=1e-14)
+
+
+def test_check_even_rejects_a_field_one_ulp_off_even():
+    T = SpectralTorus(1.0, 16)
+    vals = project_even(T, random_zero_mean_field(T, np.random.default_rng(8))).values.copy()
+    check_even(T, Field(vals))
+    for i, j in ((3, 5), (0, 5), (8, 3), (8, 0)):
+        off = vals.copy()
+        off[i, j] = np.nextafter(off[i, j], np.inf)
+        if (i, j) == (8, 0):  # a node that is its own reflection in both axes
+            check_even(T, Field(off))
+            continue
+        with pytest.raises(ValueError, match="not even"):
+            check_even(T, Field(off))
