@@ -26,7 +26,8 @@ The fields are even about node (0, 0) in x and in y (see
 :mod:`vortexmf.torus`), and :func:`el_residual` rejects one that is not.
 So the stack holds each atom's exponential at the (n/2 + 1)^2 quarter-cell
 nodes only, times each node's weight, and the densities it gives are
-gathered back to the grid; at 128^2 that is 4,225 nodes, not 16,384.  By
+gathered back to the grid; at 128^2 that is 4,225 nodes, not 16,384, and
+:func:`hessian_product` hands its direction back at those nodes.  By
 the principle of symmetric criticality (Palais 1979) a critical point of J
 among even fields is a critical point of J, and the residual, read on the
 whole grid, is its whole gradient.
@@ -198,19 +199,18 @@ def hessian_product(prob: Problem, partitions: Partitions, q_hat: np.ndarray) ->
 
         H q = -Laplacian q - lambda sum w alpha^2 rho_alpha (q - int rho_alpha q),
 
-    as q on the grid, <q, H q> and the half spectrum of H q with its
-    (0, 0) mode zeroed.  It is the derivative of :func:`el_residual` along
-    q, and symmetric in the L^2 inner product.  The rho_alpha are read off
-    the ``partitions`` that :func:`el_residual` handed out for v, so no
-    exponential is taken: the partition term is q S minus the rank-one
-    terms of the rows, two matrix-vector products with the stack at the
-    quarter-cell nodes, gathered back to the grid.  It takes two real
-    transforms: q from its spectrum, and the spectrum of the partition
-    term.
+    as q at the quarter-cell nodes, <q, H q> and the half spectrum of H q
+    with its (0, 0) mode zeroed.  It is the derivative of
+    :func:`el_residual` along q, and symmetric in the L^2 inner product.
+    The rho_alpha are read off the ``partitions`` that :func:`el_residual`
+    handed out for v, so no exponential is taken: the partition term is
+    q S minus the rank-one terms of the rows, two matrix-vector products
+    with the stack at the quarter-cell nodes, gathered back to the grid.
+    It takes two real transforms: q from its spectrum, and the spectrum of
+    the partition term.
     """
     T = prob.torus
-    q = irfft2(q_hat, T.grid_n)
-    phi = quarter(T, q)
+    phi = quarter(T, irfft2(q_hat, T.grid_n))
     t = partitions.stack @ phi
     t *= partitions.hessian_weights
     rank_one = t @ partitions.stack
@@ -222,6 +222,5 @@ def hessian_product(prob: Problem, partitions: Partitions, q_hat: np.ndarray) ->
     hq_hat -= rfft2(unfold(T, atom_term))
     hq_hat[0, 0] = 0.0
     # <q, H q> = ||q||_H1^2 - <q, atom term>, q of zero mean
-    phi *= T.quarter_weights
-    kappa = _spectral_inner(T, q_hat, q_hat) - T.cell_area * float(phi @ atom_term)
-    return q, kappa, hq_hat
+    kappa = _spectral_inner(T, q_hat, q_hat) - T.cell_area * float((phi * T.quarter_weights) @ atom_term)
+    return phi, kappa, hq_hat

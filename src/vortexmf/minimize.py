@@ -13,21 +13,18 @@ The step is accepted or rejected by the ratio of the actual change of J to
 the predicted one.  The first trust radius is the H^1 length of the
 preconditioned gradient, ||(-Laplacian)^-1 g||_H1, which needs no
 constant.  A cold start of 1/2 delta_-1 + 1/2 delta_1 at lambda_bar takes
-25, 23, 34 and 44 steps on 32^2 to 256^2, and 80 on 512^2.
+25, 23, 34 and 44 steps on 32^2 to 256^2, and 75 on 512^2.
 
 Every iterate is even about node (0, 0) in x and in y (see
-:mod:`vortexmf.torus`): the start, cold or warm, is projected onto the even
-fields, and so is every trial step of the CG path, before its energy
-difference is measured and before it is taken.  The residual and the
-energies then do their per-atom work at the quarter-cell nodes
-(:mod:`vortexmf.functional`).  By the principle of symmetric criticality
-(Palais 1979) a converged iterate is a critical point of J on the whole
-torus; whether it is a minimizer against odd perturbations is not checked.
-The space holds no translation: a spike sits on one of the four nodes that
-are their own reflections, (0, 0), (n/2, 0), (0, n/2) and (n/2, n/2).  On
-the whole grid its two translations have Hessian eigenvalues near zero, the
-grid pins it between nodes, and trust-region steps crawl along the slide;
-here there is no slide to crawl along.
+:mod:`vortexmf.torus`).  The start, cold or warm, is projected onto the
+even fields; the steps are even by construction, for the CG directions and
+the trial step are kept at the (n/2 + 1)^2 quarter-cell nodes, and a trial
+step is gathered to the grid once, for its energy difference and the
+update.  By the principle of symmetric criticality (Palais 1979) a
+converged iterate is a critical point of J on the whole torus; whether it
+is a minimizer against odd perturbations is not checked.  The even fields
+hold no translation, so a spike sits on a node that is its own reflection,
+and no step crawls along a slide onto the grid.
 
 The CG path grows monotonically in the H^1 norm, so after a rejected step
 the smaller radius cuts the path already computed at that iterate, and
@@ -39,12 +36,10 @@ log-partition difference is log1p of a relative expm1 sum.  Plain
 J(new) - J(old) subtraction stalls at the rounding floor of J long before
 the equation residual reaches the tolerances demanded here.
 
-The iterate v is transformed once, and each atom's partition exponential
-e^{alpha v - m} (m the max of alpha v) computed once, per iterate:
-:func:`el_residual` refills one :class:`Partitions`, allocated once per
-run, with v's half spectrum and the stack of exponentials, and J at the
-start, the energy differences and every Hessian product at that iterate
-read them there.  An energy difference transforms only its step.
+The iterate v is transformed, and each atom's exponential taken, once per
+iterate, by :func:`el_residual` into the one :class:`Partitions` of a run;
+J, the energy differences and the Hessian products at v read them there,
+and an energy difference transforms only its step.
 
 The layer does no I/O: a run keeps its per-iteration trace, and the count
 of steps it rejected, in its :class:`MinimizeResult`, and the caller
@@ -64,12 +59,11 @@ from vortexmf.torus import (
     Field,
     SpectralTorus,
     _spectral_inner,
-    check_even,
     periodic_distance,
     project_even,
     project_zero_mean,
-    quarter,
     rfft2,
+    unfold,
 )
 
 # the least ratio of actual to predicted decrease at which a step is accepted
@@ -148,8 +142,9 @@ def center_bump(T: SpectralTorus, amplitude: float = 0.5) -> Field:
 
 
 class _EnergyDelta:
-    """Cancellation-free J(v - d) - J(v) for the iterate v and an even
-    zero-mean step d.
+    """Cancellation-free J(v - d) - J(v) for the iterate v and a zero-mean
+    step d, given at the quarter-cell nodes; ``grid`` is d gathered to the
+    grid, even bit for bit, for the caller to take the step as v - grid.
 
     ``partitions`` holds v's half spectrum, the atoms' circulations and
     weights, and each atom's max-shifted exponential e^{alpha v - m} with
@@ -157,15 +152,14 @@ class _EnergyDelta:
     transformed, for the bilinear terms <grad v, grad d> and |grad d|^2.
     Each atom's expm1 runs in place in one buffer at the quarter-cell
     nodes, and its relative sum is one dot product with the atom's row,
-    which carries the node weights.  A d that is not even raises
-    ValueError.
+    which carries the node weights.
     """
 
-    def __init__(self, prob: Problem, d: Field, partitions: Partitions):
-        check_even(prob.torus, d)
+    def __init__(self, prob: Problem, d: np.ndarray, partitions: Partitions):
         self.prob = prob
         self.d = d
-        d_hat = rfft2(d.values)
+        self.grid = unfold(prob.torus, d)
+        d_hat = rfft2(self.grid)
         self.a_vd = _spectral_inner(prob.torus, partitions.spectrum, d_hat)
         self.a_dd = _spectral_inner(prob.torus, d_hat, d_hat)
         self.shifted = partitions
@@ -173,14 +167,13 @@ class _EnergyDelta:
     def __call__(self) -> float:
         delta = -self.a_vd + 0.5 * self.a_dd
         log_terms = 0.0
-        d = quarter(self.prob.torus, self.d.values)
-        u = np.empty_like(d)
+        u = np.empty_like(self.d)
         shifted = self.shifted
         rows = zip(shifted.alpha.tolist(), shifted.weight.tolist(), shifted.stack, shifted.totals.tolist())
         # a move past exp overflow makes the sum inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
             for a, w, ex, total in rows:
-                np.multiply(d, -a, out=u)
+                np.multiply(self.d, -a, out=u)
                 np.expm1(u, out=u)
                 rel = float(ex @ u) / total
                 if not math.isfinite(rel):
@@ -212,6 +205,13 @@ def _stop_status(opts: MinimizeOptions, T: SpectralTorus, v: Field, res_norm: fl
     return None
 
 
+def _finite(what: str, value):
+    """Return value, or raise OverflowError naming ``what`` if any of it is not finite."""
+    if not np.isfinite(value).all():
+        raise OverflowError(f"truncated CG: {what} is not finite")
+    return value
+
+
 class _SteihaugPath:
     """The Steihaug-Toint truncated CG path on the Newton model at v.
 
@@ -230,8 +230,10 @@ class _SteihaugPath:
     so the preconditioner is a division by the eigenvalues and rz, the
     Dirichlet form of (-Laplacian)^-1 r, is a Parseval sum.
     :func:`hessian_product` takes the direction's half spectrum and hands
-    back q on the grid, for the step, with <q, H q> and the half spectrum
-    of H q, for the residual.
+    back q at the quarter-cell nodes, for the step, with <q, H q> and the
+    half spectrum of H q, for the residual: the directions and the step
+    are (n/2 + 1)^2 values, even by construction.  A non-finite rz,
+    <q, H q>, model or step raises OverflowError before a transform.
     """
 
     def __init__(self, prob: Problem, partitions: Partitions, g: Field):
@@ -240,7 +242,7 @@ class _SteihaugPath:
         self.r_hat = rfft2(g.values)  # the CG residual after the last direction kept
         self.q_hat = self.r_hat * prob.torus.inverse_eigenvalues  # the next search direction
         # ||(-Laplacian)^-1 g||_H1^2 = <g, (-Laplacian)^-1 g>
-        self.rz0 = _spectral_inner(prob.torus, self.q_hat, self.q_hat)
+        self.rz0 = _finite("rz0", _spectral_inner(prob.torus, self.q_hat, self.q_hat))
         self.tol = min(0.5, self.rz0**0.25) * math.sqrt(self.rz0)
         self.directions: list[tuple[np.ndarray, float, float]] = []  # (q, <q, H q>, rz)
         self.ended = False
@@ -254,7 +256,7 @@ class _SteihaugPath:
         if self.directions:
             _, _, rz = self.directions[-1]
             z_hat = self.r_hat * T.inverse_eigenvalues
-            rz_next = _spectral_inner(T, z_hat, z_hat)
+            rz_next = _finite("rz", _spectral_inner(T, z_hat, z_hat))
             if math.sqrt(rz_next) <= self.tol:
                 self.ended = True
                 return False
@@ -264,22 +266,22 @@ class _SteihaugPath:
         else:
             rz = self.rz0
         q, kappa, hq_hat = hessian_product(self.prob, self.partitions, self.q_hat)
-        self.directions.append((q, kappa, rz))
+        self.directions.append((q, _finite("<q, H q>", kappa), rz))
         if kappa > 0.0:  # on negative curvature every step stops on this direction
             hq_hat *= rz / kappa
             self.r_hat -= hq_hat
         return True
 
-    def step(self, radius: float) -> tuple[Field, float, bool, int]:
+    def step(self, radius: float) -> tuple[np.ndarray, float, bool, int]:
         """The point where the path leaves the ball ||d||_H1 <= radius, or
-        its end inside.  Returns d, m(d), whether d lies on the boundary, and
-        the Hessian products this call took.  The H1 norms of d and of the
-        search direction are carried by the CG recurrences, so no transform
-        computes them."""
+        its end inside.  Returns d at the quarter-cell nodes, m(d), whether
+        d lies on the boundary, and the Hessian products this call took.
+        The H1 norms of d and of the search direction are carried by the CG
+        recurrences, so no transform computes them."""
         grown = len(self.directions)
-        d = np.zeros((self.prob.torus.grid_n, self.prob.torus.grid_n))
+        d = np.zeros(self.prob.torus.quarter_weights.size)
         dd, dq, qq = 0.0, 0.0, self.rz0  # <d, M d>, <d, M q>, <q, M q> for M = -Laplacian
-        model = alpha = 0.0
+        model, alpha, boundary = 0.0, 0.0, False
         k = 0
         while k < len(self.directions) or self._grow():
             q, kappa, rz = self.directions[k]
@@ -291,12 +293,14 @@ class _SteihaugPath:
             if dd + alpha * (2.0 * dq + alpha * qq) >= radius * radius:
                 tau = (math.sqrt(dq * dq + qq * (radius * radius - dd)) - dq) / qq
                 model += tau * (0.5 * tau * kappa - rz)
-                return Field(d + tau * q), model, True, len(self.directions) - grown
+                d, boundary = d + tau * q, True
+                break
             d = d + alpha * q
             model -= 0.5 * alpha * rz
             dd += alpha * (2.0 * dq + alpha * qq)
             k += 1
-        return Field(d), model, False, len(self.directions) - grown
+        _finite("the model", model)
+        return _finite("the step", d), model, boundary, len(self.directions) - grown
 
 
 def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = None) -> MinimizeResult:
@@ -304,22 +308,18 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = No
     trust-region steps.
 
     Starts from ``warm_start``, or from seeded band-limited noise, projected
-    onto the even fields and with its mean subtracted, so every iterate and
-    ``result.v`` are even and have zero mean; so is every step, projected
-    before it is measured.  Ends on tolerance, a peak of |v| reaching
-    :func:`blowup_threshold` (so a spike of either sign counts), the
-    iteration budget, or ``MAX_REJECTIONS`` rejected steps in a row;
-    ``result.status`` says which, and ``result`` holds the last iterate in
-    every case.  Every step, accepted or rejected, is one iteration toward
-    the budget.
+    onto the even fields and with its mean subtracted; every step is even
+    by construction, gathered from the quarter-cell nodes, so every iterate
+    and ``result.v`` are even and have zero mean.  Ends on tolerance, a
+    peak of |v| reaching :func:`blowup_threshold` (so a spike of either
+    sign counts), the iteration budget, or ``MAX_REJECTIONS`` rejected
+    steps in a row; ``result.status`` says which, and ``result`` holds the
+    last iterate in every case.  Every step, accepted or rejected, is one
+    iteration toward the budget.
     """
     T = prob.torus
-    if warm_start is None:
-        start = random_zero_mean(T, opts.seed)
-    else:
-        if warm_start.values.shape != (T.grid_n, T.grid_n):
-            raise ValueError("warm start grid does not match the torus")
-        start = warm_start
+    start = random_zero_mean(T, opts.seed) if warm_start is None else warm_start
+    # a warm start of another grid raises ValueError here
     v = project_zero_mean(T, project_even(T, start))
 
     partitions = Partitions(prob)
@@ -338,12 +338,12 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = No
                 radius = math.sqrt(path.rz0)
         step, model, boundary, n = path.step(radius)
         products += n
-        step = project_even(T, step)
-        dj = _EnergyDelta(prob, step, partitions)()
+        delta = _EnergyDelta(prob, step, partitions)
+        dj = delta()
         ratio = dj / model  # actual over predicted change; model < 0
         iterations += 1
         if ratio > ACCEPT_RATIO:
-            v = project_zero_mean(T, Field(v.values - step.values))
+            v = project_zero_mean(T, Field(v.values - delta.grid))
             path = None
             g = el_residual(prob, v, partitions)
             j_curr = j_curr + dj

@@ -31,10 +31,10 @@ any pointwise function of it is a sum over those nodes with weights 1 at
 the four corners (i and j each 0 or n/2), 2 on the edges and 4 inside
 (``SpectralTorus.quarter_weights``).  ``SpectralTorus.fold`` maps every
 node to its quarter-cell node, so :func:`unfold` gathers quarter-cell
-values back to the grid.  :func:`project_even` is the mean of a field's
-four reflections, and :func:`check_even` rejects a field that is not even
-bit for bit.  Fields stay n x n, and the transforms stay the full-grid
-pair above.
+values back to the grid, even bit for bit by construction.
+:func:`project_even` is the mean of a field's four reflections, and
+:func:`check_even` rejects a field that is not even bit for bit.  Fields
+stay n x n, and the transforms stay the full-grid pair above.
 """
 
 from __future__ import annotations

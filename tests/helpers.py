@@ -6,7 +6,7 @@ import numpy as np
 from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product
 from vortexmf.measure import CirculationMeasure, new_atomic
 from vortexmf.minimize import MinimizeResult
-from vortexmf.torus import Field, SpectralTorus, periodic_distance, project_even, project_zero_mean
+from vortexmf.torus import Field, SpectralTorus, periodic_distance, project_even, project_zero_mean, unfold
 
 
 def random_measure(rng, max_atoms: int = 12, signed: bool = True, low: float = 0.05) -> CirculationMeasure:
@@ -56,7 +56,9 @@ def energy(prob: Problem, v: Field) -> float:
     return J(prob, v, partitions)
 
 
-def hessian_field(prob: Problem, partitions: Partitions, phi: Field) -> Field:
-    """hessian_product along phi, transformed back to the grid."""
-    q, _, hq_hat = hessian_product(prob, partitions, np.fft.rfft2(phi.values))
-    return Field(np.fft.irfft2(hq_hat, s=q.shape))
+def hessian_field(prob: Problem, partitions: Partitions, phi: np.ndarray) -> Field:
+    """hessian_product along the even field with quarter-cell values phi,
+    transformed back to the grid."""
+    T = prob.torus
+    _, _, hq_hat = hessian_product(prob, partitions, np.fft.rfft2(unfold(T, phi)))
+    return Field(np.fft.irfft2(hq_hat, s=(T.grid_n, T.grid_n)))

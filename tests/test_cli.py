@@ -668,9 +668,15 @@ def test_non_finite_input_is_an_input_error(tmp_path, capsys, argv):
     [
         (("minimize", "--atoms", "1:1", "--lambdas", "1e9", "--grid-n", "64"),
          "partition exponent out of range", []),
+        # a huge coupling is valid input: the CG path overflows, and the
+        # first quantity of it that is not finite is named
+        (("minimize", "--atoms", "1:1", "--lambdas", "1e100", "--grid-n", "64"),
+         "truncated CG: the model is not finite", []),
+        (("minimize", "--atoms", "1:1", "--lambdas", "1e200", "--grid-n", "64"), "truncated CG: rz0 is not finite", []),
+        (("minimize", "--atoms", "1:1", "--lambdas", "1e308", "--grid-n", "64"), "truncated CG: rz0 is not finite", []),
         (("verify", "--debug-bubble-scale", "1e300"), "pohozaev_bubble: boundary term is not finite at r = 10.0", None),
     ],
-    ids=["partition-overflow", "bubble-overflow"],
+    ids=["partition-overflow", "coupling-1e100", "coupling-1e200", "coupling-1e308", "bubble-overflow"],
 )
 def test_numerical_failure_exits_1_with_a_message(tmp_path, capsys, argv, message, files):
     # every file is written after the last stage, so a solver command that

@@ -28,7 +28,9 @@ from vortexmf.torus import (
     gradient_inner,
     integrate,
     project_zero_mean,
+    quarter,
     solve_poisson_zero_mean,
+    unfold,
 )
 
 minimize_module = importlib.import_module("vortexmf.minimize")
@@ -271,11 +273,12 @@ def _signed_three_atom_move():
 
 
 def _energy_delta(prob, v, d):
-    """The trust region's energy difference J(v - d) - J(v), with the
-    partitions el_residual hands out at v."""
+    """The trust region's energy difference J(v - d) - J(v) for the even
+    field d, taken at its quarter-cell nodes, with the partitions
+    el_residual hands out at v."""
     partitions = Partitions(prob)
     el_residual(prob, v, partitions)
-    return minimize_module._EnergyDelta(prob, d, partitions)
+    return minimize_module._EnergyDelta(prob, quarter(prob.torus, d.values), partitions)
 
 
 @pytest.mark.parametrize("max_u", [1.0, 10.0, 40.0, 100.0, 300.0, 600.0])
@@ -340,7 +343,7 @@ def test_energy_delta_of_a_reshaped_spike_pair_matches_the_direct_difference(hei
     partitions = Partitions(prob)
     el_residual(prob, v, partitions)
     moved = even(T, Field(_bump(T, (0, 0), height, width) - _bump(T, (16, 16), height, width)))
-    delta = minimize_module._EnergyDelta(prob, Field(v.values - moved.values), partitions)()
+    delta = minimize_module._EnergyDelta(prob, quarter(T, v.values - moved.values), partitions)()
     direct = energy(prob, moved) - energy(prob, v)
     assert abs(direct) > 0.1
     assert delta == pytest.approx(direct, rel=1e-12)
@@ -418,7 +421,8 @@ def test_a_many_atom_field_takes_no_translation():
 
 def test_every_iterate_and_every_trial_step_is_even_bit_for_bit(monkeypatch):
     # the signed pair at lambda_bar on 32^2 at seed 3 rejects a step; the
-    # cold start, made even, is the first iterate the residual sees
+    # cold start, made even, is the first iterate the residual sees, and
+    # each trial step is its quarter-cell values unfolded to the grid
     iterates, steps = [], []
     real_residual, real_delta = minimize_module.el_residual, minimize_module._EnergyDelta.__init__
 
@@ -427,8 +431,9 @@ def test_every_iterate_and_every_trial_step_is_even_bit_for_bit(monkeypatch):
         return real_residual(prob, v, partitions)
 
     def recorded_delta(self, prob, d, partitions):
-        steps.append(d.values)
         real_delta(self, prob, d, partitions)
+        assert np.array_equal(quarter(prob.torus, self.grid), d)
+        steps.append(self.grid)
 
     monkeypatch.setattr(minimize_module, "el_residual", recorded_residual)
     monkeypatch.setattr(minimize_module._EnergyDelta, "__init__", recorded_delta)
@@ -656,8 +661,16 @@ def _newton_model_setup():
 
 
 def _model(T, prob, partitions, g, d):
+    """The Newton model at the step with quarter-cell values d, on the grid."""
     hd = hessian_field(prob, partitions, d)
-    return -integrate(T, Field(g.values * d.values)) + 0.5 * integrate(T, Field(d.values * hd.values))
+    d = unfold(T, d)
+    return -integrate(T, Field(g.values * d)) + 0.5 * integrate(T, Field(d * hd.values))
+
+
+def _h1_norm(T, d):
+    """||d||_H1 of the even field with quarter-cell values d."""
+    grid = Field(unfold(T, d))
+    return math.sqrt(gradient_inner(T, grid, grid))
 
 
 def test_truncated_cg_stops_on_the_trust_region_boundary():
@@ -666,9 +679,25 @@ def test_truncated_cg_stops_on_the_trust_region_boundary():
     d, model, boundary, products = minimize_module._SteihaugPath(prob, partitions, g).step(radius)
     assert boundary
     assert products >= 1
-    assert math.sqrt(gradient_inner(T, d, d)) == pytest.approx(radius, rel=1e-10)
+    assert _h1_norm(T, d) == pytest.approx(radius, rel=1e-10)
     assert model < 0.0
     assert model == pytest.approx(_model(T, prob, partitions, g, d), rel=1e-9)
+
+
+def test_the_path_keeps_its_directions_and_its_step_at_the_quarter_cell_nodes():
+    # an iterate of the signed pair at lambda_bar whose path ends inside
+    # after several directions: each of them, and the step, holds the
+    # (n/2 + 1)^2 quarter-cell values, 289 on 32^2 and not 1,024
+    T = SpectralTorus(1.0, 32)
+    prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
+    v = minimize(prob, MinimizeOptions(max_iters=8)).v
+    partitions = Partitions(prob)
+    path = minimize_module._SteihaugPath(prob, partitions, el_residual(prob, v, partitions))
+    d, _, boundary, products = path.step(1e6)
+    nodes = (T.grid_n // 2 + 1) ** 2
+    assert not boundary and products == len(path.directions) >= 2
+    assert d.shape == (nodes,)
+    assert all(q.shape == (nodes,) for q, _, _ in path.directions)
 
 
 def test_truncated_cg_interior_step_solves_the_newton_equation():
@@ -698,13 +727,13 @@ def test_spectral_hessian_product_matches_the_per_atom_oracle():
     path = minimize_module._SteihaugPath(prob, partitions, g)
     path.tol = 0.0
     g_scale = np.abs(np.fft.rfft2(g.values)).max()
-    d = np.zeros_like(g.values)
+    d = np.zeros(T.quarter_weights.size)
     for k in range(6):
         assert path._grow()
         q, kappa, rz = path.directions[k]
         assert kappa > 0.0
         d = d + (rz / kappa) * q
-        expected = np.fft.rfft2(g.values - hessian_product_per_atom(prob, v, Field(d)).values)
+        expected = np.fft.rfft2(g.values - hessian_product_per_atom(prob, v, Field(unfold(T, d))).values)
         assert np.abs(path.r_hat - expected).max() <= 1e-13 * g_scale
     assert np.abs(path.r_hat).max() <= 1e-5 * g_scale
 
@@ -725,15 +754,15 @@ def test_rejected_step_cuts_the_stored_path(monkeypatch, steps, first_boundary):
     first, _, on_boundary, grown = path.step(1e6)
     assert on_boundary == first_boundary
     assert grown >= 2
-    radius = 0.25 * math.sqrt(gradient_inner(T, first, first))
+    radius = 0.25 * _h1_norm(T, first)
     calls = _counting_hessian(monkeypatch)
     d, model, boundary, products = path.step(radius)
     assert boundary
     assert products == len(calls) == 0
-    assert math.sqrt(gradient_inner(T, d, d)) == pytest.approx(radius, rel=1e-10)
+    assert _h1_norm(T, d) == pytest.approx(radius, rel=1e-10)
     assert model == pytest.approx(_model(T, prob, partitions, g, d), rel=1e-9)
     fresh = minimize_module._SteihaugPath(prob, partitions, g).step(radius)
-    assert np.array_equal(fresh[0].values, d.values)
+    assert np.array_equal(fresh[0], d)
     assert fresh[1:3] == (model, boundary)
     # the counter sees the fresh path's products, so the 0 above is no artefact
     assert len(calls) == fresh[3] >= 1
