@@ -14,23 +14,17 @@ The normalized field of circulation alpha is w_alpha = alpha v - log int
 e^{alpha v}, which integrates e^{w_alpha} to exactly 1.  All partition
 integrals are evaluated with max-shifted exponentials.
 
-The residual transforms v once and fills the exponentials of all atoms in
-one pass, and keeps both in :class:`Partitions`: v's half spectrum, and
-each atom's exponential in its row of one contiguous stack.  J, the energy
-differences of the solver and the Hessian product at v read them there.
-The sums over the atoms are matrix products with the stack: the residual's
-sum of densities is one, and the partition part of the Hessian product
-(:func:`hessian_product`) is two.
-
-The fields are even about node (0, 0) in x and in y (see
-:mod:`vortexmf.torus`), and :func:`el_residual` rejects one that is not.
-So the stack holds each atom's exponential at the (n/2 + 1)^2 quarter-cell
-nodes only, times each node's weight, and the densities it gives are
-gathered back to the grid; at 128^2 that is 4,225 nodes, not 16,384, and
-:func:`hessian_product` hands its direction back at those nodes.  By
-the principle of symmetric criticality (Palais 1979) a critical point of J
-among even fields is a critical point of J, and the residual, read on the
-whole grid, is its whole gradient.
+The solver's fields are even about node (0, 0) in x and in y (see
+:mod:`vortexmf.torus`), and the functions a run calls take and return them
+at the (n/2 + 1)^2 quarter-cell nodes, their spectra as cosine modes.  The
+residual transforms v once and fills the exponentials of all atoms in one
+pass, and keeps both in :class:`Partitions`, where J, the energy
+differences of the solver and the Hessian product at v read them.  The
+sums over the atoms are matrix products with the stack of exponentials:
+one for the residual's sum of densities, two for the partition part of
+:func:`hessian_product`.  By the principle of symmetric criticality
+(Palais 1979) a critical point of J among even fields is a critical point
+of J, and the residual, unfolded to the grid, is its whole gradient.
 """
 
 from __future__ import annotations
@@ -44,13 +38,10 @@ from vortexmf.measure import CirculationMeasure
 from vortexmf.torus import (
     Field,
     SpectralTorus,
-    _spectral_inner,
-    check_even,
-    irfft2,
-    project_zero_mean,
-    quarter,
-    rfft2,
-    unfold,
+    cosine_transform,
+    even_inner,
+    inverse_cosine_transform,
+    quarter_mean,
 )
 
 # bound on a shift m = max(alpha v): the shifted exponents are <= 0 by
@@ -75,7 +66,7 @@ class Partitions:
     """What :func:`el_residual` computes at one even field v for J, the
     energy differences and :func:`hessian_product` at v to reuse.
 
-    ``spectrum`` is the half spectrum of v, n x (n/2 + 1) modes (see
+    ``spectrum`` holds the (n/2 + 1)^2 cosine modes of v (see
     :mod:`vortexmf.torus`), from which the Laplacian, the Dirichlet energy
     and the bilinear term of an energy difference are read.  ``stack`` has
     one row per atom, in atom order, zero atoms included: e^{alpha v - m}
@@ -100,7 +91,7 @@ class Partitions:
         atoms, nodes = len(prob.P.atoms), T.quarter_weights.size
         self.alpha = np.array([a for a, _ in prob.P.atoms])
         self.weight = np.array([w for _, w in prob.P.atoms])
-        self.spectrum = np.empty((T.grid_n, T.grid_n // 2 + 1), dtype=complex)
+        self.spectrum = np.empty(nodes)
         self.stack = np.empty((atoms, nodes))
         self.totals = np.empty(atoms)
         self.shifts = np.empty(atoms)
@@ -125,55 +116,53 @@ def w_alpha(prob: Problem, v: Field, alpha: float) -> Field:
     return Field(alpha * v.values - lp)
 
 
-def J(prob: Problem, v: Field, partitions: Partitions) -> float:
-    """Free energy value; J(v + c) = J(v) for every constant c.
+def J(prob: Problem, v: np.ndarray, partitions: Partitions) -> float:
+    """Free energy value at the even field with quarter-cell values v;
+    J(v + c) = J(v) for every constant c.
 
     It is read off the ``partitions`` that :func:`el_residual` handed out
     for v, so it takes no transform and no exponential: the Dirichlet
-    energy is the Parseval sum of v's half spectrum, and each log-partition
+    energy is the Parseval sum of v's cosine modes, and each log-partition
     is m + log(cell_area * total).
     """
     T = prob.torus
-    vbar = float(v.values.mean())
+    vbar = quarter_mean(T, v)
     rows = zip(prob.P.atoms, partitions.shifts.tolist(), partitions.totals.tolist())
     log_terms = math.fsum(w * (m + math.log(T.cell_area * total) - a * vbar) for (a, w), m, total in rows)
-    return 0.5 * _spectral_inner(T, partitions.spectrum, partitions.spectrum) - prob.lam * log_terms
+    return 0.5 * even_inner(T, partitions.spectrum, partitions.spectrum) - prob.lam * log_terms
 
 
-def el_residual(prob: Problem, v: Field, partitions: Partitions) -> Field:
-    """Equation residual of the mean field equation at the even field v.
+def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndarray:
+    """Equation residual of the mean field equation at the even field with
+    quarter-cell values v, at the same nodes.
 
     It is also the L^2 gradient of J: dJ(v)[phi] = int el_residual(v) phi
     for every direction phi.  v is transformed once, into
     ``partitions.spectrum``, and the Laplacian is read from there.  The
-    stack is filled in one pass over all atoms at the quarter-cell nodes:
-    alpha v, less each row's shift m, through one exponential, times the
-    node weights, then the row sums.  m needs no pass of its own: rounding
-    is monotone, so the max of a row alpha v is alpha max v for alpha > 0
-    and alpha min v otherwise, bit for bit.  The densities are read off the
-    stack as rho_alpha = ex / (cell_area total), and sum w alpha rho_alpha
-    is one matrix product with it, divided by the node weights and gathered
-    back to the grid.  Analytically the residual has zero mean (each
-    density integrates to 1); the floating-point mean is projected out.
+    stack is filled in one pass over all atoms: alpha v, less each row's
+    shift m, through one exponential, times the node weights, then the row
+    sums.  m needs no pass of its own: rounding is monotone, so the max of
+    a row alpha v is alpha max v for alpha > 0 and alpha min v otherwise,
+    bit for bit.  The densities are read off the stack as
+    rho_alpha = ex / (cell_area total), and sum w alpha rho_alpha is one
+    matrix product with it, divided by the node weights.  Analytically the
+    residual has zero mean (each density integrates to 1); the
+    floating-point mean is projected out.
 
     ``partitions`` is refilled in place at v (see :class:`Partitions`).  A
-    non-finite v, or a largest m above the guard, raises OverflowError, and
-    a v that is not even raises ValueError, before any transform or
-    exponential.
+    non-finite v, or a largest m above the guard, raises OverflowError
+    before any transform or exponential.
     """
     T = prob.torus
     alpha, weight, totals, stack = partitions.alpha, partitions.weight, partitions.totals, partitions.stack
-    lo, hi = float(v.values.min()), float(v.values.max())
+    lo, hi = float(v.min()), float(v.max())
     # each row's max of alpha v, bit for bit, with no pass over the rows
     np.multiply(alpha, np.where(alpha > 0.0, hi, lo), out=partitions.shifts)
     if not (math.isfinite(lo) and math.isfinite(hi)) or float(partitions.shifts.max()) > _EXP_GUARD:
         raise OverflowError("partition exponent out of range")
-    check_even(T, v)
-    # copied, not transformed with out=, which numpy < 2.0 lacks
-    partitions.spectrum[...] = rfft2(v.values)
-    # the transforms' scratch is freed before the sums below are allocated
-    lap = irfft2(partitions.spectrum * -T.eigenvalues, T.grid_n)
-    np.multiply(alpha[:, None], quarter(T, v.values), out=stack)
+    partitions.spectrum[...] = cosine_transform(T, v)
+    res = inverse_cosine_transform(T, partitions.spectrum * T.quarter_eigenvalues)  # -Laplacian v
+    np.multiply(alpha[:, None], v, out=stack)
     stack -= partitions.shifts[:, None]
     np.exp(stack, out=stack)
     stack *= T.quarter_weights
@@ -187,30 +176,29 @@ def el_residual(prob: Problem, v: Field, partitions: Partitions) -> Field:
     partitions.curvature /= T.quarter_weights
     np.divide(weight * alpha * alpha, T.cell_area * totals * totals, out=partitions.hessian_weights)
     density_sum -= float(weight @ alpha) / T.volume
-    density_sum *= -prob.lam
-    res = unfold(T, density_sum)
-    res -= lap
-    return project_zero_mean(T, Field(res))
+    density_sum *= prob.lam
+    res -= density_sum
+    res -= quarter_mean(T, res)
+    return res
 
 
 def hessian_product(prob: Problem, partitions: Partitions, q_hat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """The second variation H of J at v along the even direction q with
-    half spectrum ``q_hat``,
+    cosine modes ``q_hat``,
 
         H q = -Laplacian q - lambda sum w alpha^2 rho_alpha (q - int rho_alpha q),
 
-    as q at the quarter-cell nodes, <q, H q> and the half spectrum of H q
-    with its (0, 0) mode zeroed.  It is the derivative of
+    as q at the quarter-cell nodes, <q, H q> and the cosine modes of H q
+    with the (0, 0) mode zeroed.  It is the derivative of
     :func:`el_residual` along q, and symmetric in the L^2 inner product.
     The rho_alpha are read off the ``partitions`` that :func:`el_residual`
     handed out for v, so no exponential is taken: the partition term is
     q S minus the rank-one terms of the rows, two matrix-vector products
-    with the stack at the quarter-cell nodes, gathered back to the grid.
-    It takes two real transforms: q from its spectrum, and the spectrum of
-    the partition term.
+    with the stack.  It takes two transforms: q from its modes, and the
+    modes of the partition term.
     """
     T = prob.torus
-    phi = quarter(T, irfft2(q_hat, T.grid_n))
+    phi = inverse_cosine_transform(T, q_hat)
     t = partitions.stack @ phi
     t *= partitions.hessian_weights
     rank_one = t @ partitions.stack
@@ -218,9 +206,9 @@ def hessian_product(prob: Problem, partitions: Partitions, q_hat: np.ndarray) ->
     atom_term = phi * partitions.curvature
     atom_term -= rank_one
     atom_term *= prob.lam
-    hq_hat = q_hat * T.eigenvalues
-    hq_hat -= rfft2(unfold(T, atom_term))
-    hq_hat[0, 0] = 0.0
+    hq_hat = q_hat * T.quarter_eigenvalues
+    hq_hat -= cosine_transform(T, atom_term)
+    hq_hat[0] = 0.0
     # <q, H q> = ||q||_H1^2 - <q, atom term>, q of zero mean
-    kappa = _spectral_inner(T, q_hat, q_hat) - T.cell_area * float((phi * T.quarter_weights) @ atom_term)
+    kappa = even_inner(T, q_hat, q_hat) - T.cell_area * float((phi * T.quarter_weights) @ atom_term)
     return phi, kappa, hq_hat

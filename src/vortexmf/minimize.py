@@ -4,27 +4,27 @@ Every iteration is one trust-region step (Steihaug 1983, Toint 1981).  The
 Newton model of J at the iterate is solved by truncated CG in the H^1 norm,
 preconditioned by the Poisson solve, which makes the quadratic part of the
 energy perfectly conditioned.  The CG residual and search direction are
-carried as half spectra (see :mod:`vortexmf.torus`), so the preconditioner
+carried as cosine modes (see :mod:`vortexmf.torus`), so the preconditioner
 is a division by the eigenvalues of -Laplacian and takes no transform, and
-a Hessian-vector product (:func:`hessian_product`) takes two real
-transforms: the direction from its spectrum, and the spectrum of the
-partition term.
+a Hessian-vector product (:func:`hessian_product`) takes two transforms:
+the direction from its modes, and the modes of the partition term.
 The step is accepted or rejected by the ratio of the actual change of J to
 the predicted one.  The first trust radius is the H^1 length of the
 preconditioned gradient, ||(-Laplacian)^-1 g||_H1, which needs no
 constant.  A cold start of 1/2 delta_-1 + 1/2 delta_1 at lambda_bar takes
-25, 23, 34 and 44 steps on 32^2 to 256^2, and 75 on 512^2.
+25, 23, 34 and 44 steps on 32^2 to 256^2, and 65 on 512^2 (68 on one BLAS
+thread: the count there moves with the rounding).
 
 Every iterate is even about node (0, 0) in x and in y (see
 :mod:`vortexmf.torus`).  The start, cold or warm, is projected onto the
-even fields; the steps are even by construction, for the CG directions and
-the trial step are kept at the (n/2 + 1)^2 quarter-cell nodes, and a trial
-step is gathered to the grid once, for its energy difference and the
-update.  By the principle of symmetric criticality (Palais 1979) a
-converged iterate is a critical point of J on the whole torus; whether it
-is a minimizer against odd perturbations is not checked.  The even fields
-hold no translation, so a spike sits on a node that is its own reflection,
-and no step crawls along a slide onto the grid.
+even fields and taken at its (n/2 + 1)^2 quarter-cell nodes; the iterate,
+the residual, the CG directions and the step stay at those nodes, and
+their spectra at the cosine modes, so only ``result.v`` is unfolded to the
+grid.  By the principle of symmetric criticality (Palais 1979) a converged
+iterate is a critical point of J on the whole torus; whether it is a
+minimizer against odd perturbations is not checked.  The even fields hold
+no translation, so a spike sits on a node that is its own reflection, and
+no step crawls along a slide onto the grid.
 
 The CG path grows monotonically in the H^1 norm, so after a rejected step
 the smaller radius cuts the path already computed at that iterate, and
@@ -58,11 +58,13 @@ from vortexmf.measure import CirculationMeasure
 from vortexmf.torus import (
     Field,
     SpectralTorus,
-    _spectral_inner,
+    cosine_transform,
+    even_inner,
     periodic_distance,
     project_even,
     project_zero_mean,
-    rfft2,
+    quarter,
+    quarter_mean,
     unfold,
 )
 
@@ -125,7 +127,7 @@ def random_zero_mean(T: SpectralTorus, seed: int, amplitude: float = 0.01) -> Fi
     """Band-limited noise of given sup amplitude, zero-mean, seeded."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((T.grid_n, T.grid_n))
-    # complex transforms, not torus.rfft2/irfft2: every cold start is these bits
+    # complex transforms: every cold start is these bits
     spectrum = np.fft.fft2(noise)
     cutoff = max(2, T.grid_n // 8)
     keep = np.abs(np.fft.fftfreq(T.grid_n, 1.0 / T.grid_n)) <= cutoff
@@ -143,10 +145,9 @@ def center_bump(T: SpectralTorus, amplitude: float = 0.5) -> Field:
 
 class _EnergyDelta:
     """Cancellation-free J(v - d) - J(v) for the iterate v and a zero-mean
-    step d, given at the quarter-cell nodes; ``grid`` is d gathered to the
-    grid, even bit for bit, for the caller to take the step as v - grid.
+    step d, both at the quarter-cell nodes.
 
-    ``partitions`` holds v's half spectrum, the atoms' circulations and
+    ``partitions`` holds v's cosine modes, the atoms' circulations and
     weights, and each atom's max-shifted exponential e^{alpha v - m} with
     its grid sum, as :func:`el_residual` hands them out for v, so only d is
     transformed, for the bilinear terms <grad v, grad d> and |grad d|^2.
@@ -158,10 +159,9 @@ class _EnergyDelta:
     def __init__(self, prob: Problem, d: np.ndarray, partitions: Partitions):
         self.prob = prob
         self.d = d
-        self.grid = unfold(prob.torus, d)
-        d_hat = rfft2(self.grid)
-        self.a_vd = _spectral_inner(prob.torus, partitions.spectrum, d_hat)
-        self.a_dd = _spectral_inner(prob.torus, d_hat, d_hat)
+        d_hat = cosine_transform(prob.torus, d)
+        self.a_vd = even_inner(prob.torus, partitions.spectrum, d_hat)
+        self.a_dd = even_inner(prob.torus, d_hat, d_hat)
         self.shifted = partitions
 
     def __call__(self) -> float:
@@ -193,12 +193,12 @@ def blowup_threshold(opts: MinimizeOptions, T: SpectralTorus) -> float:
     return opts.blowup_peak_threshold + 4.0 * math.log(max(T.grid_n, 64) / 64)
 
 
-def _stop_status(opts: MinimizeOptions, T: SpectralTorus, v: Field, res_norm: float, iterations: int) -> str | None:
+def _stop_status(opts: MinimizeOptions, T: SpectralTorus, v: np.ndarray, res_norm: float, iterations: int) -> str | None:
     """How a run ends at this iterate, or None to go on: the tolerance is
     checked first, then the peak of |v|, then the budget."""
     if res_norm <= opts.grad_tol:
         return "converged"
-    if float(np.abs(v.values).max()) >= blowup_threshold(opts, T):
+    if float(np.abs(v).max()) >= blowup_threshold(opts, T):
         return "blown_up"
     if iterations >= opts.max_iters:
         return "budget"
@@ -226,23 +226,23 @@ class _SteihaugPath:
     preconditioned residual norm rz: those are all a smaller radius needs to
     cut the path again without a product.
 
-    The CG residual r and the search direction are carried as half spectra,
-    so the preconditioner is a division by the eigenvalues and rz, the
-    Dirichlet form of (-Laplacian)^-1 r, is a Parseval sum.
-    :func:`hessian_product` takes the direction's half spectrum and hands
-    back q at the quarter-cell nodes, for the step, with <q, H q> and the
-    half spectrum of H q, for the residual: the directions and the step
-    are (n/2 + 1)^2 values, even by construction.  A non-finite rz,
-    <q, H q>, model or step raises OverflowError before a transform.
+    The residual g, the CG residual r and the search direction are all
+    (n/2 + 1)^2 real values: g at the quarter-cell nodes, r and the
+    direction as cosine modes, so the preconditioner is a division by the
+    eigenvalues and rz, the Dirichlet form of (-Laplacian)^-1 r, is a
+    Parseval sum.  :func:`hessian_product` takes the direction's modes and
+    hands back q at the quarter-cell nodes, for the step, with <q, H q>
+    and the modes of H q, for the residual.  A non-finite rz, <q, H q>,
+    model or step raises OverflowError before a transform.
     """
 
-    def __init__(self, prob: Problem, partitions: Partitions, g: Field):
+    def __init__(self, prob: Problem, partitions: Partitions, g: np.ndarray):
         self.prob = prob
         self.partitions = partitions
-        self.r_hat = rfft2(g.values)  # the CG residual after the last direction kept
-        self.q_hat = self.r_hat * prob.torus.inverse_eigenvalues  # the next search direction
+        self.r_hat = cosine_transform(prob.torus, g)  # the CG residual after the last direction kept
+        self.q_hat = self.r_hat * prob.torus.quarter_inverse_eigenvalues  # the next search direction
         # ||(-Laplacian)^-1 g||_H1^2 = <g, (-Laplacian)^-1 g>
-        self.rz0 = _finite("rz0", _spectral_inner(prob.torus, self.q_hat, self.q_hat))
+        self.rz0 = _finite("rz0", even_inner(prob.torus, self.q_hat, self.q_hat))
         self.tol = min(0.5, self.rz0**0.25) * math.sqrt(self.rz0)
         self.directions: list[tuple[np.ndarray, float, float]] = []  # (q, <q, H q>, rz)
         self.ended = False
@@ -255,8 +255,8 @@ class _SteihaugPath:
             return False
         if self.directions:
             _, _, rz = self.directions[-1]
-            z_hat = self.r_hat * T.inverse_eigenvalues
-            rz_next = _finite("rz", _spectral_inner(T, z_hat, z_hat))
+            z_hat = self.r_hat * T.quarter_inverse_eigenvalues
+            rz_next = _finite("rz", even_inner(T, z_hat, z_hat))
             if math.sqrt(rz_next) <= self.tol:
                 self.ended = True
                 return False
@@ -308,9 +308,10 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = No
     trust-region steps.
 
     Starts from ``warm_start``, or from seeded band-limited noise, projected
-    onto the even fields and with its mean subtracted; every step is even
-    by construction, gathered from the quarter-cell nodes, so every iterate
-    and ``result.v`` are even and have zero mean.  Ends on tolerance, a
+    onto the even fields and with its mean subtracted; every iterate is
+    kept at the quarter-cell nodes, with its mean subtracted after each
+    step, and ``result.v`` is the last one unfolded to the grid, so it is
+    even bit for bit and has zero mean.  Ends on tolerance, a
     peak of |v| reaching :func:`blowup_threshold` (so a spike of either
     sign counts), the iteration budget, or ``MAX_REJECTIONS`` rejected
     steps in a row; ``result.status`` says which, and ``result`` holds the
@@ -320,16 +321,16 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = No
     T = prob.torus
     start = random_zero_mean(T, opts.seed) if warm_start is None else warm_start
     # a warm start of another grid raises ValueError here
-    v = project_zero_mean(T, project_even(T, start))
+    v = quarter(T, project_zero_mean(T, project_even(T, start)).values)
 
     partitions = Partitions(prob)
     g = el_residual(prob, v, partitions)
     j_curr = J(prob, v, partitions)
-    res_norm = float(np.abs(g.values).max())
+    res_norm = float(np.abs(g).max())
     iterations = products = rejected = rejected_in_a_row = 0
     path: _SteihaugPath | None = None
     radius = math.nan  # set from the first path
-    trace = [(j_curr, res_norm, 0.0, float(v.values.max()))]
+    trace = [(j_curr, res_norm, 0.0, float(v.max()))]
 
     while (status := _stop_status(opts, T, v, res_norm, iterations)) is None:
         if path is None:
@@ -343,16 +344,17 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = No
         ratio = dj / model  # actual over predicted change; model < 0
         iterations += 1
         if ratio > ACCEPT_RATIO:
-            v = project_zero_mean(T, Field(v.values - delta.grid))
+            v = v - step
+            v -= quarter_mean(T, v)
             path = None
             g = el_residual(prob, v, partitions)
             j_curr = j_curr + dj
-            res_norm = float(np.abs(g.values).max())
+            res_norm = float(np.abs(g).max())
             rejected_in_a_row = 0
         else:
             rejected += 1
             rejected_in_a_row += 1
-        trace.append((j_curr, res_norm, radius, float(v.values.max())))
+        trace.append((j_curr, res_norm, radius, float(v.max())))
         if rejected_in_a_row == MAX_REJECTIONS:
             status = "diverged"  # the trust radius collapsed
             break
@@ -360,7 +362,7 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = No
             radius *= 0.25
         elif ratio > 0.75 and boundary:
             radius *= 2.0
-    return MinimizeResult(v, j_curr, res_norm, iterations, prob.lam, status, products, rejected, trace)
+    return MinimizeResult(Field(unfold(T, v)), j_curr, res_norm, iterations, prob.lam, status, products, rejected, trace)
 
 
 def stage_problems(T: SpectralTorus, P: CirculationMeasure, lambda_schedule: list[float]) -> list[Problem]:

@@ -1,12 +1,26 @@
 """Shared test utilities: random measures, random and synthetic fields,
-and J, the residual and the Hessian product at a field outside a run."""
+and J, the residual and the Hessian product at a field outside a run.
+
+The library's solver functions take even fields at their quarter-cell
+nodes; the wrappers here take a grid ``Field``, hand its quarter cell on
+and unfold what comes back."""
 
 import numpy as np
 
 from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product
 from vortexmf.measure import CirculationMeasure, new_atomic
 from vortexmf.minimize import MinimizeResult
-from vortexmf.torus import Field, SpectralTorus, periodic_distance, project_even, project_zero_mean, unfold
+from vortexmf.torus import (
+    Field,
+    SpectralTorus,
+    cosine_transform,
+    inverse_cosine_transform,
+    periodic_distance,
+    project_even,
+    project_zero_mean,
+    quarter,
+    unfold,
+)
 
 
 def random_measure(rng, max_atoms: int = 12, signed: bool = True, low: float = 0.05) -> CirculationMeasure:
@@ -44,21 +58,24 @@ def gaussian_bump(T: SpectralTorus, center: tuple[int, int], height: float, widt
     return height * np.exp(-((r / width) ** 2))
 
 
-def residual(prob: Problem, v: Field) -> Field:
-    """el_residual at v, filling partitions made for this call."""
-    return el_residual(prob, v, Partitions(prob))
+def residual(prob: Problem, v: Field, partitions: Partitions | None = None) -> Field:
+    """el_residual at the quarter cell of v, unfolded to the grid; it fills
+    ``partitions``, or partitions made for this call."""
+    T = prob.torus
+    g = el_residual(prob, quarter(T, v.values), Partitions(prob) if partitions is None else partitions)
+    return Field(unfold(T, g))
 
 
 def energy(prob: Problem, v: Field) -> float:
     """J at v, read off the partitions that el_residual fills at v."""
     partitions = Partitions(prob)
-    el_residual(prob, v, partitions)
-    return J(prob, v, partitions)
+    residual(prob, v, partitions)
+    return J(prob, quarter(prob.torus, v.values), partitions)
 
 
 def hessian_field(prob: Problem, partitions: Partitions, phi: np.ndarray) -> Field:
     """hessian_product along the even field with quarter-cell values phi,
-    transformed back to the grid."""
+    transformed back and unfolded to the grid."""
     T = prob.torus
-    _, _, hq_hat = hessian_product(prob, partitions, np.fft.rfft2(unfold(T, phi)))
-    return Field(np.fft.irfft2(hq_hat, s=(T.grid_n, T.grid_n)))
+    _, _, hq_hat = hessian_product(prob, partitions, cosine_transform(T, phi))
+    return Field(unfold(T, inverse_cosine_transform(T, hq_hat)))

@@ -1,7 +1,8 @@
 """Test oracles on the free energy: the dual energy expression, central
 differences in the circulation alpha, per-atom loops over the whole grid
 for J, the residual, the curvature, the Hessian product and the energy
-difference, and the translation of a field by a sub-cell shift.
+difference, the translation of a field by a sub-cell shift, and a check
+that a grid field is even bit for bit.
 
 The library computes J directly; these recompute it, or derivatives of its
 ingredients, by independent formulas that the tests compare against.
@@ -15,6 +16,7 @@ from vortexmf.functional import Problem, log_partition, w_alpha
 from vortexmf.torus import (
     Field,
     SpectralTorus,
+    _check,
     dirichlet_energy,
     gradient_inner,
     integrate,
@@ -203,3 +205,11 @@ def _check_alpha_window(alpha: float, h: float) -> None:
         raise ValueError("step h must be positive")
     if not (alpha - h > 0.0 and alpha + h <= 1.0):
         raise ValueError(f"stencil [{alpha - h}, {alpha + h}] must stay inside (0, 1]")
+
+
+def check_even(T: SpectralTorus, f: Field) -> None:
+    """Raise ValueError unless f equals its reflections bit for bit: line
+    i equals line n - i for 0 < i < n, in each direction."""
+    vals = _check(T, f)
+    if not (np.array_equal(vals[1:], vals[:0:-1]) and np.array_equal(vals[:, 1:], vals[:, :0:-1])):
+        raise ValueError("field is not even about node (0, 0) in x and in y")

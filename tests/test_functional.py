@@ -1,7 +1,8 @@
 """Free energy, its gradient, dual form, and alpha-derivative identities.
 
 The residual, the Hessian product and the energy difference take even
-fields (see vortexmf.torus); the per-atom oracles run over the whole grid
+fields at their quarter-cell nodes (see vortexmf.torus), and the helpers
+unfold what they hand back; the per-atom oracles run over the whole grid
 and take any field."""
 
 import math
@@ -35,7 +36,18 @@ from oracles import (
 from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product, log_partition, w_alpha
 from vortexmf.measure import new_atomic
 from vortexmf.minimize import _EnergyDelta, random_zero_mean
-from vortexmf.torus import Field, SpectralTorus, integrate, laplacian, project_zero_mean, quarter, unfold
+from vortexmf.torus import (
+    Field,
+    SpectralTorus,
+    cosine_transform,
+    integrate,
+    inverse_cosine_transform,
+    laplacian,
+    project_zero_mean,
+    quarter,
+    quarter_mean,
+    unfold,
+)
 
 
 def zero_field(T):
@@ -165,6 +177,14 @@ def test_residual_vanishes_at_zero_field():
     assert np.all(res.values == 0.0)
 
 
+def cosine_laplacian(T, v):
+    """-Laplacian v, less its mean, from v's cosine modes, as the residual
+    computes it."""
+    x = inverse_cosine_transform(T, cosine_transform(T, quarter(T, v.values)) * T.quarter_eigenvalues)
+    x -= quarter_mean(T, x)
+    return unfold(T, x)
+
+
 def test_residual_reduces_to_laplacian_for_zero_circulation():
     # an atom at alpha = 0 contributes no nonlinearity
     T = SpectralTorus(1.0, 32)
@@ -172,8 +192,11 @@ def test_residual_reduces_to_laplacian_for_zero_circulation():
     rng = np.random.default_rng(4)
     v = random_even_field(T, rng)
     res = residual(prob, v)
-    expected = project_zero_mean(T, Field(-laplacian(T, v).values))
-    assert np.array_equal(res.values, expected.values)
+    # bit for bit the Laplacian of the cosine modes, and the full-grid
+    # Laplacian to rounding
+    assert np.array_equal(res.values, cosine_laplacian(T, v))
+    expected = project_zero_mean(T, Field(-laplacian(T, v).values)).values
+    assert np.abs(res.values - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_residual_hands_out_the_shifted_partitions():
@@ -185,10 +208,10 @@ def test_residual_hands_out_the_shifted_partitions():
     v = random_even_field(T, rng)
     # refilled after another field, the partitions keep nothing of it
     partitions = Partitions(prob)
-    el_residual(prob, random_even_field(T, rng), partitions)
-    res = el_residual(prob, v, partitions)
+    residual(prob, random_even_field(T, rng), partitions)
+    res = residual(prob, v, partitions)
     assert np.array_equal(res.values, residual(prob, v).values)
-    assert np.array_equal(partitions.spectrum, np.fft.rfft2(v.values))
+    assert np.array_equal(partitions.spectrum, cosine_transform(T, quarter(T, v.values)))
     stack, totals, shifts = stack_per_atom(prob, v)
     rows, row_sums = quarter_stack(T, stack)
     assert partitions.stack.shape == rows.shape == (len(prob.P.atoms), 17 * 17)
@@ -199,7 +222,7 @@ def test_residual_hands_out_the_shifted_partitions():
     assert np.abs(partitions.totals - totals).max() <= 1e-13 * totals.min()
     # J read off the partitions takes no transform and no exponential, and
     # matches the per-atom J over the whole grid
-    assert J(prob, v, partitions) == pytest.approx(J_per_atom(prob, v), rel=1e-13)
+    assert J(prob, quarter(T, v.values), partitions) == pytest.approx(J_per_atom(prob, v), rel=1e-13)
 
 
 def test_one_pass_stack_of_128_atoms_is_the_per_atom_loop_bit_for_bit():
@@ -211,7 +234,7 @@ def test_one_pass_stack_of_128_atoms_is_the_per_atom_loop_bit_for_bit():
     prob = Problem(T, new_atomic(atoms), 10.0)
     v = random_even_field(T, np.random.default_rng(64), 5.0)
     partitions = Partitions(prob)
-    el_residual(prob, v, partitions)
+    residual(prob, v, partitions)
     stack, _, shifts = stack_per_atom(prob, v)
     rows, row_sums = quarter_stack(T, stack)
     assert np.array_equal(partitions.stack, rows)
@@ -227,21 +250,7 @@ def test_residual_guard_rejects_a_non_finite_or_too_large_field(bad):
     vals = np.zeros((16, 16))
     vals[3, 5] = bad
     with pytest.raises(OverflowError, match="^partition exponent out of range$"):
-        el_residual(prob, Field(vals), Partitions(prob))
-
-
-def test_residual_rejects_a_field_that_is_not_even():
-    # its sums run at the quarter-cell nodes, so a field off even by one
-    # cell would be answered for the even field of its quarter cell; the
-    # energy difference takes its step at those nodes, so it takes no check
-    T = SpectralTorus(1.0, 16)
-    prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 5.0)
-    v = random_even_field(T, np.random.default_rng(3))
-    off = v.values.copy()
-    off[3, 12] += 1e-3  # the quarter cell holds (3, 4), its mirror, but not (3, 12)
-    partitions = Partitions(prob)
-    with pytest.raises(ValueError, match="not even"):
-        el_residual(prob, Field(off), partitions)
+        residual(prob, Field(vals))
 
 
 def test_batched_layer_matches_the_per_atom_oracles():
@@ -251,12 +260,13 @@ def test_batched_layer_matches_the_per_atom_oracles():
     prob = Problem(T, new_atomic(atoms), 30.0)
     v = even(T, random_zero_mean(T, 3, amplitude=2.0))
     partitions = Partitions(prob)
-    res = el_residual(prob, v, partitions).values
+    res = residual(prob, v, partitions).values
     expected = el_residual_per_atom(prob, v).values
     assert np.abs(res - expected).max() <= 1e-13 * np.abs(expected).max()
-    # the density part alone, without the Laplacian
+    # the density part alone, without each side's own Laplacian
     lin = project_zero_mean(T, Field(-laplacian(T, v).values)).values
-    assert np.abs(res - expected).max() <= 1e-13 * np.abs(expected - lin).max()
+    density_gap = (res - cosine_laplacian(T, v)) - (expected - lin)
+    assert np.abs(density_gap).max() <= 1e-13 * np.abs(expected - lin).max()
     _, totals, _ = stack_per_atom(prob, v)
     assert np.abs(partitions.totals - totals).max() <= 1e-13 * totals.min()
     curvature = curvature_per_atom(prob, v)
@@ -265,13 +275,13 @@ def test_batched_layer_matches_the_per_atom_oracles():
         d = even(T, random_zero_mean(T, 20 + seed, amplitude=0.5))
         delta = energy_delta_per_atom(prob, v, d)
         assert _EnergyDelta(prob, quarter(T, d.values), partitions)() == pytest.approx(delta, rel=1e-13)
-    # the product runs on half spectra, the oracle one atom at a time on the
+    # the product runs on cosine modes, the oracle one atom at a time on the
     # grid; it hands q back at the quarter-cell nodes
     for seed in range(3):
         phi = even(T, random_zero_mean(T, 40 + seed, amplitude=1.0))
-        q, kappa, hq_hat = hessian_product(prob, partitions, np.fft.rfft2(phi.values))
+        q, kappa, hq_hat = hessian_product(prob, partitions, cosine_transform(T, quarter(T, phi.values)))
         expected = hessian_product_per_atom(prob, v, phi).values
-        got = np.fft.irfft2(hq_hat, s=phi.values.shape)
+        got = unfold(T, inverse_cosine_transform(T, hq_hat))
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
         assert np.abs(q - quarter(T, phi.values)).max() <= 1e-15
         assert kappa == pytest.approx(integrate(T, Field(phi.values * expected)), rel=1e-13)
@@ -289,13 +299,13 @@ def test_one_iterate_refills_the_stack_and_allocates_few_fields():
     prob = Problem(T, new_atomic(atoms), 100.0)
     v = even(T, random_zero_mean(T, 0, amplitude=1.0))
     d = even(T, random_zero_mean(T, 1, amplitude=0.1))
-    d_hat = np.fft.rfft2(d.values)
-    d_nodes = quarter(T, d.values)
+    v_nodes, d_nodes = quarter(T, v.values), quarter(T, d.values)
+    d_hat = cosine_transform(T, d_nodes)
     field = v.values.nbytes
     residual(prob, v)  # the torus symbols are cached outside the traced calls
     partitions = Partitions(prob)
     calls = [
-        lambda: el_residual(prob, v, partitions),
+        lambda: el_residual(prob, v_nodes, partitions),
         lambda: hessian_product(prob, partitions, d_hat),
         lambda: _EnergyDelta(prob, d_nodes, partitions)(),
     ]
@@ -313,6 +323,9 @@ def test_one_iterate_refills_the_stack_and_allocates_few_fields():
     # a stack-sized temporary (128 fields here) in any call breaks its bound
     assert max(rises) <= 8 * field
     assert largest <= field
+    # the calls work at the quarter-cell nodes: nothing they leave live is
+    # larger than (n/2 + 1)^2 values
+    assert largest <= d_nodes.nbytes
 
 
 def _signed_hessian_setup():
@@ -320,7 +333,7 @@ def _signed_hessian_setup():
     prob = Problem(T, new_atomic([(-0.7, 0.3), (0.2, 0.3), (0.9, 0.4)]), 30.0)
     v = even(T, random_zero_mean(T, 3, amplitude=2.0))
     partitions = Partitions(prob)
-    el_residual(prob, v, partitions)
+    residual(prob, v, partitions)
     return T, prob, v, partitions
 
 

@@ -24,7 +24,8 @@ from vortexmf.minimize import (
 from vortexmf.torus import (
     Field,
     SpectralTorus,
-    _spectral_inner,
+    cosine_transform,
+    even_inner,
     gradient_inner,
     integrate,
     project_zero_mean,
@@ -34,6 +35,7 @@ from vortexmf.torus import (
 )
 
 minimize_module = importlib.import_module("vortexmf.minimize")
+functional_module = importlib.import_module("vortexmf.functional")
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -277,7 +279,7 @@ def _energy_delta(prob, v, d):
     field d, taken at its quarter-cell nodes, with the partitions
     el_residual hands out at v."""
     partitions = Partitions(prob)
-    el_residual(prob, v, partitions)
+    residual(prob, v, partitions)
     return minimize_module._EnergyDelta(prob, quarter(prob.torus, d.values), partitions)
 
 
@@ -297,10 +299,16 @@ def test_energy_delta_past_exp_overflow_raises():
 
 
 def test_energy_delta_bilinear_terms_match_gradient_inner():
+    # bit for bit the Parseval sums of the cosine modes, and the full-grid
+    # forms to rounding
     prob, v, d, _ = _signed_three_atom_move()
+    T = prob.torus
     delta = _energy_delta(prob, v, d)
-    assert delta.a_vd == gradient_inner(prob.torus, v, d)
-    assert delta.a_dd == gradient_inner(prob.torus, d, d)
+    v_hat, d_hat = cosine_transform(T, quarter(T, v.values)), cosine_transform(T, quarter(T, d.values))
+    assert delta.a_vd == even_inner(T, v_hat, d_hat)
+    assert delta.a_dd == even_inner(T, d_hat, d_hat)
+    assert delta.a_vd == pytest.approx(gradient_inner(T, v, d), rel=1e-13)
+    assert delta.a_dd == pytest.approx(gradient_inner(T, d, d), rel=1e-13)
 
 
 def _bump(T, center, height, width):
@@ -341,7 +349,7 @@ def test_energy_delta_of_a_reshaped_spike_pair_matches_the_direct_difference(hei
     prob, v = _spike_pair()
     T = prob.torus
     partitions = Partitions(prob)
-    el_residual(prob, v, partitions)
+    residual(prob, v, partitions)
     moved = even(T, Field(_bump(T, (0, 0), height, width) - _bump(T, (16, 16), height, width)))
     delta = minimize_module._EnergyDelta(prob, quarter(T, v.values - moved.values), partitions)()
     direct = energy(prob, moved) - energy(prob, v)
@@ -421,19 +429,20 @@ def test_a_many_atom_field_takes_no_translation():
 
 def test_every_iterate_and_every_trial_step_is_even_bit_for_bit(monkeypatch):
     # the signed pair at lambda_bar on 32^2 at seed 3 rejects a step; the
-    # cold start, made even, is the first iterate the residual sees, and
-    # each trial step is its quarter-cell values unfolded to the grid
+    # cold start, made even, is the first iterate the residual sees.  The
+    # iterates and the trial steps are quarter-cell values, so each stands
+    # for the even field it unfolds to, and the result is the last iterate
+    # unfolded
     iterates, steps = [], []
     real_residual, real_delta = minimize_module.el_residual, minimize_module._EnergyDelta.__init__
 
     def recorded_residual(prob, v, partitions):
-        iterates.append(v.values)
+        iterates.append(v)
         return real_residual(prob, v, partitions)
 
     def recorded_delta(self, prob, d, partitions):
         real_delta(self, prob, d, partitions)
-        assert np.array_equal(quarter(prob.torus, self.grid), d)
-        steps.append(self.grid)
+        steps.append(d)
 
     monkeypatch.setattr(minimize_module, "el_residual", recorded_residual)
     monkeypatch.setattr(minimize_module._EnergyDelta, "__init__", recorded_delta)
@@ -445,8 +454,10 @@ def test_every_iterate_and_every_trial_step_is_even_bit_for_bit(monkeypatch):
     r = T.reflection
     noise = random_zero_mean(T, 3).values
     assert not np.array_equal(noise, noise[r])
-    assert np.array_equal(iterates[0], even(T, Field(noise)).values)
-    for vals in iterates + steps:
+    assert np.array_equal(iterates[0], quarter(T, even(T, Field(noise)).values))
+    assert all(x.shape == ((T.grid_n // 2 + 1) ** 2,) for x in iterates + steps)
+    assert np.array_equal(res.v.values, unfold(T, iterates[-1]))
+    for vals in [unfold(T, x) for x in iterates + steps]:
         assert np.array_equal(vals, vals[r]) and np.array_equal(vals, vals[:, r])
 
 
@@ -541,14 +552,14 @@ def test_run_refills_one_stack(monkeypatch):
 
 
 def test_work_per_iteration(monkeypatch):
-    # per step: 1 transform for the energy difference, of the step (v's
-    # spectrum is the residual's); per path 1, of the residual g; per
-    # Hessian product 2 (q from its half spectrum and the spectrum of the
-    # partition term); none for a preconditioner solve, which is a division
-    # of the spectrum; per accepted step 2 for the residual (v and its
-    # Laplacian); one exponential per atom at the quarter-cell nodes, in
-    # el_residual
-    counts = {"fft": 0, "complex": 0, "exp": 0, "expm1": 0}
+    # per step: 1 cosine transform for the energy difference, of the step
+    # (v's modes are the residual's); per path 1, of the residual g; per
+    # Hessian product 2 (q from its modes and the modes of the partition
+    # term); none for a preconditioner solve, which is a division of the
+    # modes; per accepted step 2 for the residual (v and its Laplacian); one
+    # exponential per atom at the quarter-cell nodes, in el_residual.  No
+    # real FFT is taken, and the only complex ones make the random start
+    counts = {"fft": 0, "complex": 0, "cosine": 0, "exp": 0, "expm1": 0}
 
     def counting(fn, key, elements):
         def wrapper(*args, **kwargs):
@@ -570,10 +581,13 @@ def test_work_per_iteration(monkeypatch):
     for name in ("fft2", "ifft2"):
         counted = counting(getattr(np.fft, name), "complex", False)
         monkeypatch.setattr(np.fft, name, counting(counted, "fft", False))
-    # torus.rfft2 and irfft2 make exactly one rfft and one irfft call each;
-    # numpy's complex 2-D transforms make none
-    for name in ("rfft", "irfft"):
+    for name in ("rfft", "irfft", "rfft2", "irfft2"):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), "fft", False))
+    # the solver's transforms, each counted once where the solver calls it
+    for module in (functional_module, minimize_module):
+        for name in ("cosine_transform", "inverse_cosine_transform"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name), "cosine", False))
     monkeypatch.setattr(np, "exp", counting(np.exp, "exp", True))
     monkeypatch.setattr(np, "expm1", counting(np.expm1, "expm1", True))
     T = SpectralTorus(1.0, 32)
@@ -589,10 +603,10 @@ def test_work_per_iteration(monkeypatch):
     assert res.hessian_products == 6
     paths = len(boundary)
     per_atom = len(P.atoms) * (T.grid_n // 2 + 1) ** 2
-    # set-up: 2 complex transforms for the random start and 2 for the first
-    # residual; J reads v's spectrum off the partitions
-    assert counts["fft"] == 4 + res.iterations + 2 * accepted + 2 * res.hessian_products + paths == 28
-    assert counts["complex"] == 2
+    # set-up: 2 complex transforms for the random start and 2 cosine
+    # transforms for the first residual; J reads v's modes off the partitions
+    assert counts["cosine"] == 2 + res.iterations + 2 * accepted + 2 * res.hessian_products + paths == 26
+    assert counts["fft"] == counts["complex"] == 2
     # set-up: one exponential per atom in the first residual; J reads the partitions
     assert counts["exp"] == per_atom * (1 + accepted)
     # one expm1 per atom and step
@@ -633,9 +647,9 @@ def test_first_radius_is_the_h1_length_of_the_preconditioned_gradient():
     res = minimize(prob, MinimizeOptions(max_iters=1))
     g = residual(prob, even(T, random_zero_mean(T, 0)))
     first = res.trace[1][2]
-    # the Dirichlet form of (-Laplacian)^-1 g, from the half spectrum of g
-    z_hat = np.fft.rfft2(g.values) * T.inverse_eigenvalues
-    assert first == math.sqrt(_spectral_inner(T, z_hat, z_hat))
+    # the Dirichlet form of (-Laplacian)^-1 g, from the cosine modes of g
+    z_hat = cosine_transform(T, quarter(T, g.values)) * T.quarter_inverse_eigenvalues
+    assert first == math.sqrt(even_inner(T, z_hat, z_hat))
     # the same form from the Poisson solve's field, to a few ulps
     z = solve_poisson_zero_mean(T, g)
     assert first == pytest.approx(math.sqrt(gradient_inner(T, z, z)), rel=1e-15)
@@ -656,15 +670,16 @@ def _newton_model_setup():
     prob = Problem(T, new_atomic([(-0.7, 0.3), (0.2, 0.3), (0.9, 0.4)]), 30.0)
     v = even(T, random_zero_mean(T, 3, amplitude=2.0))
     partitions = Partitions(prob)
-    g = el_residual(prob, v, partitions)
+    g = el_residual(prob, quarter(T, v.values), partitions)
     return T, prob, g, partitions
 
 
 def _model(T, prob, partitions, g, d):
-    """The Newton model at the step with quarter-cell values d, on the grid."""
+    """The Newton model at the step with quarter-cell values d, on the grid,
+    for the residual g at the quarter-cell nodes."""
     hd = hessian_field(prob, partitions, d)
     d = unfold(T, d)
-    return -integrate(T, Field(g.values * d)) + 0.5 * integrate(T, Field(d * hd.values))
+    return -integrate(T, Field(unfold(T, g) * d)) + 0.5 * integrate(T, Field(d * hd.values))
 
 
 def _h1_norm(T, d):
@@ -692,7 +707,7 @@ def test_the_path_keeps_its_directions_and_its_step_at_the_quarter_cell_nodes():
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
     v = minimize(prob, MinimizeOptions(max_iters=8)).v
     partitions = Partitions(prob)
-    path = minimize_module._SteihaugPath(prob, partitions, el_residual(prob, v, partitions))
+    path = minimize_module._SteihaugPath(prob, partitions, el_residual(prob, quarter(T, v.values), partitions))
     d, _, boundary, products = path.step(1e6)
     nodes = (T.grid_n // 2 + 1) ** 2
     assert not boundary and products == len(path.directions) >= 2
@@ -706,6 +721,7 @@ def test_truncated_cg_interior_step_solves_the_newton_equation():
     assert not boundary
     assert model == pytest.approx(_model(T, prob, partitions, g, d), rel=1e-9)
     # the H^-1 norm of the residual g - H d fell by the forcing term
+    g = Field(unfold(T, g))
     r = Field(g.values - hessian_field(prob, partitions, d).values)
     r_norm = math.sqrt(integrate(T, Field(r.values * solve_poisson_zero_mean(T, r).values)))
     g_norm = math.sqrt(integrate(T, Field(g.values * solve_poisson_zero_mean(T, g).values)))
@@ -713,28 +729,30 @@ def test_truncated_cg_interior_step_solves_the_newton_equation():
 
 
 def test_spectral_hessian_product_matches_the_per_atom_oracle():
-    # a signed measure with a zero atom; the path's products run on half
-    # spectra (their values are checked against the oracle in
+    # a signed measure with a zero atom; the path's products run on cosine
+    # modes (their values are checked against the oracle in
     # test_functional.py), the oracle one atom at a time on the grid.  The
-    # residual spectrum carried by the recurrence is that of g - H d_k after
+    # residual modes carried by the recurrence are those of g - H d_k after
     # each of k directions, forced past the forcing term
     T = SpectralTorus(1.0, 32)
     atoms = [(-1.0, 0.1), (-0.6, 0.2), (-0.1, 0.1), (0.0, 0.2), (0.3, 0.1), (0.8, 0.1), (1.0, 0.2)]
     prob = Problem(T, new_atomic(atoms), 30.0)
     v = even(T, random_zero_mean(T, 3, amplitude=2.0))
     partitions = Partitions(prob)
-    g = el_residual(prob, v, partitions)
+    g = el_residual(prob, quarter(T, v.values), partitions)
     path = minimize_module._SteihaugPath(prob, partitions, g)
     path.tol = 0.0
-    g_scale = np.abs(np.fft.rfft2(g.values)).max()
-    d = np.zeros(T.quarter_weights.size)
+    g = unfold(T, g)
+    g_scale = np.abs(np.fft.rfft2(g)).max()
+    h = T.grid_n // 2 + 1
+    d = np.zeros(h * h)
     for k in range(6):
         assert path._grow()
         q, kappa, rz = path.directions[k]
         assert kappa > 0.0
         d = d + (rz / kappa) * q
-        expected = np.fft.rfft2(g.values - hessian_product_per_atom(prob, v, Field(unfold(T, d))).values)
-        assert np.abs(path.r_hat - expected).max() <= 1e-13 * g_scale
+        expected = np.fft.rfft2(g - hessian_product_per_atom(prob, v, Field(unfold(T, d))).values)
+        assert np.abs(path.r_hat - expected[:h, :h].ravel()).max() <= 1e-13 * g_scale
     assert np.abs(path.r_hat).max() <= 1e-5 * g_scale
 
 
@@ -749,7 +767,7 @@ def test_rejected_step_cuts_the_stored_path(monkeypatch, steps, first_boundary):
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
     v = minimize(prob, MinimizeOptions(max_iters=steps)).v
     partitions = Partitions(prob)
-    g = el_residual(prob, v, partitions)
+    g = el_residual(prob, quarter(T, v.values), partitions)
     path = minimize_module._SteihaugPath(prob, partitions, g)
     first, _, on_boundary, grown = path.step(1e6)
     assert on_boundary == first_boundary

@@ -7,21 +7,23 @@ import numpy as np
 import pytest
 
 from helpers import random_zero_mean_field
-from oracles import translate
+from oracles import check_even, translate
 from vortexmf.torus import (
     Field,
     SpectralTorus,
     _spectral_inner,
+    cosine_transform,
     dirichlet_energy,
+    even_inner,
     gradient_inner,
     integrate,
+    inverse_cosine_transform,
     irfft2,
     laplacian,
     periodic_distance,
     project_zero_mean,
     radial_average,
     rfft2,
-    check_even,
     project_even,
     quarter,
     solve_poisson_zero_mean,
@@ -108,6 +110,53 @@ def test_real_transforms_are_numpys_bit_for_bit(n):
     X = np.fft.rfft2(x) * (1.0 + rng.standard_normal((n, n // 2 + 1)))
     assert np.array_equal(rfft2(x), np.fft.rfft2(x))
     assert np.array_equal(irfft2(X, n), np.fft.irfft2(X, s=(n, n)))
+
+
+def _quarter_cell_values(n):
+    T = SpectralTorus(1.0, n)
+    x = np.random.default_rng(n).standard_normal((n // 2 + 1) ** 2)
+    return T, x, np.fft.rfft2(unfold(T, x))[: n // 2 + 1, : n // 2 + 1].real.ravel()
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512, 1024])
+def test_cosine_transform_is_the_half_spectrum_of_the_even_field(n):
+    # within 2e-15 of the largest mode, about the FFT's own rounding
+    T, x, want = _quarter_cell_values(n)
+    X = cosine_transform(T, x)
+    assert X.shape == x.shape
+    assert np.abs(X - want).max() <= 2e-15 * np.abs(want).max()
+    # and back
+    assert np.abs(inverse_cosine_transform(T, X) - x).max() <= 1e-14 * np.abs(x).max()
+
+
+def test_the_cosine_angles_are_reduced_in_integers():
+    # cos(2 pi j k / n) with j k up to n^2 / 4 loses the bound above at 512^2
+    T, x, want = _quarter_cell_values(512)
+    idx = np.arange(257)
+    unreduced = np.cos(2.0 * math.pi / 512 * np.outer(idx, idx)) * T.cosines[0]
+    bound = 2e-15 * np.abs(want).max()
+    assert np.abs((unreduced @ x.reshape(257, 257) @ unreduced.T).ravel() - want).max() > bound
+    assert np.abs(cosine_transform(T, x) - want).max() <= bound
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_even_inner_is_the_half_spectrum_parseval_sum(n):
+    T = SpectralTorus(1.7, n)
+    rng = np.random.default_rng(n)
+    f, g = rng.standard_normal((2, (n // 2 + 1) ** 2))
+    F, G = np.fft.rfft2(unfold(T, f)), np.fft.rfft2(unfold(T, g))
+    got = even_inner(T, cosine_transform(T, f), cosine_transform(T, g))
+    assert got == pytest.approx(_spectral_inner(T, F, G), rel=1e-13)
+
+
+def test_even_inner_past_the_largest_float_is_inf_without_a_warning():
+    # RuntimeWarnings fail the suite; the solver checks the sum for itself
+    T = SpectralTorus(1.0, 16)
+    F = np.full(81, 1e200)
+    assert even_inner(T, F, F) == math.inf
+    G = F.copy()
+    G[::2] *= -1.0
+    assert math.isnan(even_inner(T, F, G))
 
 
 @pytest.mark.parametrize("transform", [laplacian, solve_poisson_zero_mean])
