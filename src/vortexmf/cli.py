@@ -199,9 +199,11 @@ SCHEMA_VERSION = 5
 
 def write_summary(cfg: argparse.Namespace, payload: dict) -> None:
     """Write ``summary.json``: the payload with the schema version and the
-    version of numpy, the one library a run uses, on which the FFT bits and
-    the quadrature's transcendentals depend."""
-    record = {"schema_version": SCHEMA_VERSION, "versions": {"numpy": np.__version__}, **payload}
+    versions of numpy and of the BLAS library it was built with, on which
+    the bits of the transforms and of the quadrature depend."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    versions = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    record = {"schema_version": SCHEMA_VERSION, "versions": versions, **payload}
     os.makedirs(cfg.out, exist_ok=True)
     text = json.dumps(_sanitize(record), indent=2, sort_keys=True) + "\n"
     with open(os.path.join(cfg.out, "summary.json"), "w", encoding="utf-8") as fh:

@@ -39,9 +39,11 @@ from vortexmf.torus import (
     Field,
     SpectralTorus,
     cosine_transform,
-    even_inner,
+    dirichlet_energy,
+    gradient_inner,
+    integrate,
     inverse_cosine_transform,
-    quarter_mean,
+    laplacian,
 )
 
 # bound on a shift m = max(alpha v): the shifted exponents are <= 0 by
@@ -126,10 +128,10 @@ def J(prob: Problem, v: np.ndarray, partitions: Partitions) -> float:
     is m + log(cell_area * total).
     """
     T = prob.torus
-    vbar = quarter_mean(T, v)
+    vbar = integrate(T, v) / T.volume
     rows = zip(prob.P.atoms, partitions.shifts.tolist(), partitions.totals.tolist())
     log_terms = math.fsum(w * (m + math.log(T.cell_area * total) - a * vbar) for (a, w), m, total in rows)
-    return 0.5 * even_inner(T, partitions.spectrum, partitions.spectrum) - prob.lam * log_terms
+    return dirichlet_energy(T, partitions.spectrum) - prob.lam * log_terms
 
 
 def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndarray:
@@ -161,7 +163,7 @@ def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndar
     if not (math.isfinite(lo) and math.isfinite(hi)) or float(partitions.shifts.max()) > _EXP_GUARD:
         raise OverflowError("partition exponent out of range")
     partitions.spectrum[...] = cosine_transform(T, v)
-    res = inverse_cosine_transform(T, partitions.spectrum * T.quarter_eigenvalues)  # -Laplacian v
+    res = -inverse_cosine_transform(T, laplacian(T, partitions.spectrum))  # -Laplacian v
     np.multiply(alpha[:, None], v, out=stack)
     stack -= partitions.shifts[:, None]
     np.exp(stack, out=stack)
@@ -178,7 +180,7 @@ def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndar
     density_sum -= float(weight @ alpha) / T.volume
     density_sum *= prob.lam
     res -= density_sum
-    res -= quarter_mean(T, res)
+    res -= integrate(T, res) / T.volume
     return res
 
 
@@ -206,9 +208,9 @@ def hessian_product(prob: Problem, partitions: Partitions, q_hat: np.ndarray) ->
     atom_term = phi * partitions.curvature
     atom_term -= rank_one
     atom_term *= prob.lam
-    hq_hat = q_hat * T.quarter_eigenvalues
+    hq_hat = q_hat * T.eigenvalues  # -Laplacian q
     hq_hat -= cosine_transform(T, atom_term)
     hq_hat[0] = 0.0
     # <q, H q> = ||q||_H1^2 - <q, atom term>, q of zero mean
-    kappa = even_inner(T, q_hat, q_hat) - T.cell_area * float((phi * T.quarter_weights) @ atom_term)
+    kappa = gradient_inner(T, q_hat, q_hat) - T.cell_area * float((phi * T.quarter_weights) @ atom_term)
     return phi, kappa, hq_hat

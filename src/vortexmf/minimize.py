@@ -59,12 +59,13 @@ from vortexmf.torus import (
     Field,
     SpectralTorus,
     cosine_transform,
-    even_inner,
+    gradient_inner,
+    integrate,
     periodic_distance,
     project_even,
     project_zero_mean,
     quarter,
-    quarter_mean,
+    solve_poisson_zero_mean,
     unfold,
 )
 
@@ -160,8 +161,8 @@ class _EnergyDelta:
         self.prob = prob
         self.d = d
         d_hat = cosine_transform(prob.torus, d)
-        self.a_vd = even_inner(prob.torus, partitions.spectrum, d_hat)
-        self.a_dd = even_inner(prob.torus, d_hat, d_hat)
+        self.a_vd = gradient_inner(prob.torus, partitions.spectrum, d_hat)
+        self.a_dd = gradient_inner(prob.torus, d_hat, d_hat)
         self.shifted = partitions
 
     def __call__(self) -> float:
@@ -239,10 +240,11 @@ class _SteihaugPath:
     def __init__(self, prob: Problem, partitions: Partitions, g: np.ndarray):
         self.prob = prob
         self.partitions = partitions
-        self.r_hat = cosine_transform(prob.torus, g)  # the CG residual after the last direction kept
-        self.q_hat = self.r_hat * prob.torus.quarter_inverse_eigenvalues  # the next search direction
+        T = prob.torus
+        self.r_hat = cosine_transform(T, g)  # the CG residual after the last direction kept
+        self.q_hat = solve_poisson_zero_mean(T, self.r_hat)  # the next search direction
         # ||(-Laplacian)^-1 g||_H1^2 = <g, (-Laplacian)^-1 g>
-        self.rz0 = _finite("rz0", even_inner(prob.torus, self.q_hat, self.q_hat))
+        self.rz0 = _finite("rz0", gradient_inner(T, self.q_hat, self.q_hat))
         self.tol = min(0.5, self.rz0**0.25) * math.sqrt(self.rz0)
         self.directions: list[tuple[np.ndarray, float, float]] = []  # (q, <q, H q>, rz)
         self.ended = False
@@ -255,8 +257,8 @@ class _SteihaugPath:
             return False
         if self.directions:
             _, _, rz = self.directions[-1]
-            z_hat = self.r_hat * T.quarter_inverse_eigenvalues
-            rz_next = _finite("rz", even_inner(T, z_hat, z_hat))
+            z_hat = solve_poisson_zero_mean(T, self.r_hat)
+            rz_next = _finite("rz", gradient_inner(T, z_hat, z_hat))
             if math.sqrt(rz_next) <= self.tol:
                 self.ended = True
                 return False
@@ -345,7 +347,7 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = No
         iterations += 1
         if ratio > ACCEPT_RATIO:
             v = v - step
-            v -= quarter_mean(T, v)
+            v -= integrate(T, v) / T.volume
             path = None
             g = el_residual(prob, v, partitions)
             j_curr = j_curr + dj

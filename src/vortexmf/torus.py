@@ -2,16 +2,9 @@
 
 Fields live on a uniform n x n grid (n a power of two) and all derivatives
 are computed in the discrete Fourier basis, where -Laplacian is diagonal
-with eigenvalues (2 pi / L)^2 (j^2 + m^2).  Quadrature is the uniform grid
+with eigenvalues (2 pi / L)^2 (k^2 + m^2).  Quadrature is the uniform grid
 sum, which is spectrally accurate for the band-limited fields produced
 here.
-
-A real field is transformed by :func:`rfft2` to its half spectrum, the
-n x (n/2 + 1) columns m = 0 .. n/2, and back by :func:`irfft2`; each is
-numpy's ``rfft2``/``irfft2`` bit for bit, without its n-d wrapper.
-Parseval's sum over the full spectrum becomes a sum over the half with
-weight 2 on the interior columns 0 < m < n/2, each of which stands for
-itself and its mirror, and weight 1 on columns 0 and n/2.
 
 The constant Fourier mode carries no energy: -Laplacian maps it to 0 and
 the Poisson solve drops it, so a field and its shift by a constant are the
@@ -29,17 +22,19 @@ node to its quarter-cell node, so :func:`unfold` gathers quarter-cell
 values back to the grid, even bit for bit by construction.
 :func:`project_even` is the mean of a field's four reflections.
 
-An even field's half spectrum is real and even, so it is fixed by its
+An even field's spectrum is real and even, so it is fixed by its
 (n/2 + 1)^2 cosine modes 0 <= k, m <= n/2, the DCT-I of the quarter cell:
 X = C x C^T for quarter-cell values x, and back x = C X C^T / n^2, with
 C = ``SpectralTorus.cosines`` (:func:`cosine_transform`,
-:func:`inverse_cosine_transform`).  The solver carries its fields at these
-nodes and their spectra at these modes, and :func:`even_inner` is their
-Parseval sum.  On one OpenBLAS thread of a 2-core Xeon the pair of matrix
-products takes 22 us against 88 us for the rfft2/irfft2 pair at 64^2,
-2.6 ms against 6.9 ms at 512^2 and 143 ms against 162 ms at 2048^2; above
-2048^2 its O(n^3) cost loses to the FFT.  Its last bits depend on the BLAS
-library and its thread count.
+:func:`inverse_cosine_transform`).  This is the one calculus here: the
+symbols are built on the cosine modes, :func:`laplacian`,
+:func:`solve_poisson_zero_mean`, :func:`gradient_inner` and
+:func:`dirichlet_energy` take cosine modes, and :func:`integrate` takes
+quarter-cell values.  On one OpenBLAS thread of a 2-core Xeon the pair of
+matrix products takes 22 us against 88 us for numpy's pair of real 2-d
+FFTs at 64^2, 2.6 ms against 6.9 ms at 512^2 and 143 ms against 162 ms at
+2048^2; above 2048^2 its O(n^3) cost loses to the FFT.  Its last bits
+depend on the BLAS library and its thread count.
 """
 
 from __future__ import annotations
@@ -79,13 +74,10 @@ class SpectralTorus:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of -Laplacian per mode of the half spectrum; (0,0) is
-        exactly 0."""
-        n = self.grid_n
-        scale = 2.0 * math.pi / self.side_length
-        kx = scale * np.fft.fftfreq(n, d=1.0 / n)
-        ky = scale * np.fft.rfftfreq(n, d=1.0 / n)
-        return kx[:, None] ** 2 + ky[None, :] ** 2
+        """Eigenvalues of -Laplacian at the cosine modes 0 <= k, m <= n/2,
+        flat like the quarter cell; (0,0) is exactly 0."""
+        k = (2.0 * math.pi / self.side_length) * np.arange(self.grid_n // 2 + 1)
+        return (k[:, None] ** 2 + k[None, :] ** 2).ravel()
 
     @cached_property
     def inverse_eigenvalues(self) -> np.ndarray:
@@ -95,16 +87,6 @@ class SpectralTorus:
         nonzero = eig > 0.0
         inv[nonzero] = 1.0 / eig[nonzero]
         return inv
-
-    @cached_property
-    def gradient_weights(self) -> np.ndarray:
-        """The symbol of int grad f . grad g over the half spectrum: the
-        eigenvalues times the Parseval weight (2 on the interior columns, 1
-        on columns 0 and n/2) times |Omega| / n^4."""
-        weights = self.eigenvalues * (2.0 * self.volume / self.grid_n**4)
-        weights[:, 0] *= 0.5
-        weights[:, -1] *= 0.5
-        return weights
 
     @cached_property
     def reflection(self) -> np.ndarray:
@@ -141,19 +123,10 @@ class SpectralTorus:
         return C
 
     @cached_property
-    def quarter_eigenvalues(self) -> np.ndarray:
-        """The eigenvalues at the cosine modes 0 <= k, m <= n/2, flat."""
-        return quarter(self, self.eigenvalues)
-
-    @cached_property
-    def quarter_inverse_eigenvalues(self) -> np.ndarray:
-        return quarter(self, self.inverse_eigenvalues)
-
-    @cached_property
     def parseval_weights(self) -> np.ndarray:
         """The symbol of int grad f . grad g over the cosine modes of even f
         and g: eig w_k w_m |Omega| / n^4."""
-        return self.quarter_eigenvalues * self.quarter_weights * (self.volume / self.grid_n**4)
+        return self.eigenvalues * self.quarter_weights * (self.volume / self.grid_n**4)
 
 
 @dataclass(frozen=True)
@@ -171,29 +144,10 @@ class Field:
         vals.setflags(write=False)
 
 
-def rfft2(x: np.ndarray) -> np.ndarray:
-    """The half spectrum of the real n x n array x, bit for bit
-    ``np.fft.rfft2(x)``: the same two axis-wise calls, rfft along axis 1 and
-    then fft along axis 0, without numpy's n-d wrapper around them."""
-    return np.fft.fft(np.fft.rfft(x, axis=1), axis=0)
-
-
-def irfft2(X: np.ndarray, n: int) -> np.ndarray:
-    """The real n x n field with half spectrum X, bit for bit
-    ``np.fft.irfft2(X, s=(n, n))``: ifft along axis 0 and then irfft along
-    axis 1."""
-    return np.fft.irfft(np.fft.ifft(X, axis=0), n, axis=1)
-
-
 def _check(T: SpectralTorus, f: Field) -> np.ndarray:
     if f.values.shape != (T.grid_n, T.grid_n):
         raise ValueError(f"field shape {f.values.shape} does not match grid {T.grid_n}")
     return f.values
-
-
-def integrate(T: SpectralTorus, f: Field) -> float:
-    """Domain integral by the uniform grid rule (L/n)^2 sum."""
-    return T.cell_area * float(_check(T, f).sum())
 
 
 def project_zero_mean(T: SpectralTorus, f: Field) -> Field:
@@ -228,8 +182,8 @@ def unfold(T: SpectralTorus, nodes: np.ndarray) -> np.ndarray:
 
 def cosine_transform(T: SpectralTorus, x: np.ndarray) -> np.ndarray:
     """The cosine modes X = C x C^T of the even field with quarter-cell
-    values x, flat like x: ``rfft2`` of the field at the modes
-    0 <= k, m <= n/2, which are real, to rounding."""
+    values x, flat like x: the field's discrete Fourier transform at the
+    modes 0 <= k, m <= n/2, which is real, to rounding."""
     h = T.grid_n // 2 + 1
     C = T.cosines
     return (C @ x.reshape(h, h) @ C.T).ravel()
@@ -241,38 +195,29 @@ def inverse_cosine_transform(T: SpectralTorus, X: np.ndarray) -> np.ndarray:
     return cosine_transform(T, X) / T.grid_n**2
 
 
-def quarter_mean(T: SpectralTorus, x: np.ndarray) -> float:
-    """The grid mean of the even field with quarter-cell values x."""
-    return float(T.quarter_weights @ x) / T.grid_n**2
+def integrate(T: SpectralTorus, x: np.ndarray) -> float:
+    """Domain integral of the even field with quarter-cell values x by the
+    uniform grid rule (L/n)^2 sum, summed over the quarter cell."""
+    return T.cell_area * float(T.quarter_weights @ x)
 
 
-def laplacian(T: SpectralTorus, f: Field) -> Field:
-    """Spectral Laplacian; the constant mode maps to 0."""
-    F = rfft2(_check(T, f))
-    F *= -T.eigenvalues
-    return Field(irfft2(F, T.grid_n))
+def laplacian(T: SpectralTorus, F: np.ndarray) -> np.ndarray:
+    """The cosine modes of the Laplacian of the even field with cosine
+    modes F; the constant mode maps to 0."""
+    return F * -T.eigenvalues
 
 
-def solve_poisson_zero_mean(T: SpectralTorus, rhs: Field) -> Field:
-    """Solve -Laplacian u = rhs - mean(rhs) with int u = 0.
+def solve_poisson_zero_mean(T: SpectralTorus, F: np.ndarray) -> np.ndarray:
+    """The cosine modes of u with -Laplacian u = f - mean(f) and int u = 0,
+    for the even f with cosine modes F.
 
     The (0,0) mode of both sides is dropped, so the mean of the right-hand
     side (the solvability condition) needs no check.
     """
-    F = rfft2(_check(T, rhs))
-    F *= T.inverse_eigenvalues
-    return Field(irfft2(F, T.grid_n))
+    return F * T.inverse_eigenvalues
 
 
-def _spectral_inner(T: SpectralTorus, F: np.ndarray, G: np.ndarray) -> float:
-    """int grad f . grad g by Parseval, from the half spectra F of f and G of g."""
-    cross = F.real * G.real
-    cross += F.imag * G.imag
-    cross *= T.gradient_weights
-    return float(cross.sum())
-
-
-def even_inner(T: SpectralTorus, F: np.ndarray, G: np.ndarray) -> float:
+def gradient_inner(T: SpectralTorus, F: np.ndarray, G: np.ndarray) -> float:
     """int grad f . grad g by Parseval, from the cosine modes F of the even
     field f and G of g.  A sum past the largest float is inf or nan with no
     warning; the caller checks it."""
@@ -280,15 +225,9 @@ def even_inner(T: SpectralTorus, F: np.ndarray, G: np.ndarray) -> float:
         return float(F @ (G * T.parseval_weights))
 
 
-def dirichlet_energy(T: SpectralTorus, f: Field) -> float:
-    """(1/2) int |grad f|^2 by Parseval on the spectral gradient."""
-    F = rfft2(_check(T, f))
-    return 0.5 * _spectral_inner(T, F, F)
-
-
-def gradient_inner(T: SpectralTorus, f: Field, g: Field) -> float:
-    """int grad f . grad g, the bilinear form under dirichlet_energy."""
-    return _spectral_inner(T, rfft2(_check(T, f)), rfft2(_check(T, g)))
+def dirichlet_energy(T: SpectralTorus, F: np.ndarray) -> float:
+    """(1/2) int |grad f|^2 of the even field f with cosine modes F."""
+    return 0.5 * gradient_inner(T, F, F)
 
 
 def periodic_distance(T: SpectralTorus, center: tuple[int, int]) -> np.ndarray:

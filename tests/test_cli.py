@@ -125,9 +125,11 @@ def test_a_bad_measure_is_an_input_error_on_a_command_that_reads_none(tmp_path, 
 
 
 def test_every_summary_records_its_schema_and_library_versions(tmp_path, capsys):
-    # the FFT and quadrature bits depend on numpy, so a rerun can only be
-    # checked byte for byte against a record of the same version
-    versions = {"numpy": np.__version__}
+    # the transform and quadrature bits depend on numpy and its BLAS
+    # library, so a rerun can only be checked byte for byte against a
+    # record of the same versions
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    versions = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
     keys = {
         "lambda-bar": (
             ["--atoms", "1:1"],

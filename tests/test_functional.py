@@ -30,22 +30,22 @@ from oracles import (
     el_residual_per_atom,
     energy_delta_per_atom,
     hessian_product_per_atom,
+    integrate,
+    laplacian,
     quarter_stack,
     stack_per_atom,
 )
 from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product, log_partition, w_alpha
 from vortexmf.measure import new_atomic
 from vortexmf.minimize import _EnergyDelta, random_zero_mean
+from vortexmf import torus
 from vortexmf.torus import (
     Field,
     SpectralTorus,
     cosine_transform,
-    integrate,
     inverse_cosine_transform,
-    laplacian,
     project_zero_mean,
     quarter,
-    quarter_mean,
     unfold,
 )
 
@@ -180,8 +180,8 @@ def test_residual_vanishes_at_zero_field():
 def cosine_laplacian(T, v):
     """-Laplacian v, less its mean, from v's cosine modes, as the residual
     computes it."""
-    x = inverse_cosine_transform(T, cosine_transform(T, quarter(T, v.values)) * T.quarter_eigenvalues)
-    x -= quarter_mean(T, x)
+    x = -inverse_cosine_transform(T, torus.laplacian(T, cosine_transform(T, quarter(T, v.values))))
+    x -= torus.integrate(T, x) / T.volume
     return unfold(T, x)
 
 

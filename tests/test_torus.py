@@ -1,4 +1,8 @@
-"""Spectral torus calculus: quadrature, Poisson solves, geometry."""
+"""Spectral torus calculus: quadrature, Poisson solves, geometry.
+
+The library's operators take the cosine modes of even fields, or their
+quarter-cell values; the full-grid FFT calculus of tests/oracles.py is
+their reference."""
 
 import math
 import tracemalloc
@@ -6,29 +10,36 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_zero_mean_field
-from oracles import check_even, translate
+import oracles
+from helpers import random_even_field, random_zero_mean_field
+from oracles import check_even, half_spectrum_eigenvalues, spectral_inner, translate
 from vortexmf.torus import (
     Field,
     SpectralTorus,
-    _spectral_inner,
     cosine_transform,
     dirichlet_energy,
-    even_inner,
     gradient_inner,
     integrate,
     inverse_cosine_transform,
-    irfft2,
     laplacian,
     periodic_distance,
     project_zero_mean,
     radial_average,
-    rfft2,
     project_even,
     quarter,
     solve_poisson_zero_mean,
     unfold,
 )
+
+
+def modes(T, f):
+    """The cosine modes of the even grid field f."""
+    return cosine_transform(T, quarter(T, f.values))
+
+
+def on_grid(T, F):
+    """The even grid field with cosine modes F."""
+    return unfold(T, inverse_cosine_transform(T, F))
 
 
 def test_grid_validation():
@@ -63,53 +74,56 @@ def test_project_zero_mean_normalises_the_mean():
 
 @pytest.mark.parametrize("side", [1.0, 2.5])
 def test_cosine_dirichlet_energy(side):
-    # v = eps cos(2 pi x / L) has (1/2) int |grad v|^2 = eps^2 pi^2 for any L.
+    # v = eps cos(2 pi x / L) has (1/2) int |grad v|^2 = eps^2 pi^2 for any L;
+    # it is even, so the library and the oracle both take it
     T = SpectralTorus(side, 64)
     eps = 0.3
     x = np.arange(T.grid_n) * T.spacing
-    vals = eps * np.cos(2.0 * math.pi * x / side)[:, None] * np.ones(T.grid_n)[None, :]
-    e = dirichlet_energy(T, Field(vals))
-    assert e == pytest.approx(eps * eps * math.pi**2, rel=1e-12)
+    v = Field(eps * np.cos(2.0 * math.pi * x / side)[:, None] * np.ones(T.grid_n)[None, :])
+    for e in (dirichlet_energy(T, modes(T, v)), oracles.dirichlet_energy(T, v)):
+        assert e == pytest.approx(eps * eps * math.pi**2, rel=1e-12)
 
 
 def test_integrate_constant():
     T = SpectralTorus(2.5, 32)
-    assert integrate(T, Field(np.full((32, 32), 3.0))) == pytest.approx(3.0 * 2.5**2, rel=1e-14)
+    assert integrate(T, np.full(17 * 17, 3.0)) == pytest.approx(3.0 * 2.5**2, rel=1e-14)
+    assert oracles.integrate(T, Field(np.full((32, 32), 3.0))) == pytest.approx(3.0 * 2.5**2, rel=1e-14)
 
 
 def test_integrate_shape_mismatch():
     T = SpectralTorus(1.0, 32)
     with pytest.raises(ValueError, match="does not match"):
-        integrate(T, Field(np.zeros((16, 16))))
+        oracles.integrate(T, Field(np.zeros((16, 16))))
 
 
 def test_poisson_roundtrip():
     T = SpectralTorus(1.0, 128)
     rng = np.random.default_rng(3)
     u = random_zero_mean_field(T, rng)
-    rhs = Field(-laplacian(T, u).values)
-    back = solve_poisson_zero_mean(T, rhs)
-    assert np.abs(back.values - u.values).max() <= 1e-10 * max(1.0, np.abs(u.values).max())
+    bound = 1e-10 * max(1.0, np.abs(u.values).max())
+    back = oracles.solve_poisson_zero_mean(T, Field(-oracles.laplacian(T, u).values))
+    assert np.abs(back.values - u.values).max() <= bound
+    # the library's pair on the even part, through its cosine modes
+    u = project_zero_mean(T, project_even(T, u))
+    back = on_grid(T, solve_poisson_zero_mean(T, -laplacian(T, modes(T, u))))
+    assert np.abs(back - u.values).max() <= bound
 
 
 def test_poisson_ignores_the_mean_of_the_rhs():
     # the (0,0) mode is dropped: -Laplacian u = rhs - mean(rhs)
     T = SpectralTorus(1.0, 32)
-    rhs = random_zero_mean_field(T, np.random.default_rng(11))
-    u = solve_poisson_zero_mean(T, rhs)
-    for c in (-3.0, 0.5, 7.0):
-        shifted = solve_poisson_zero_mean(T, Field(rhs.values + c))
-        assert np.abs(shifted.values - u.values).max() <= 1e-12
-    assert np.abs(solve_poisson_zero_mean(T, Field(np.ones((32, 32)))).values).max() <= 1e-12
+    rhs = random_even_field(T, np.random.default_rng(11))
+    ones = Field(np.ones((32, 32)))
 
+    def on_modes(T, f):
+        return Field(on_grid(T, solve_poisson_zero_mean(T, modes(T, f))))
 
-@pytest.mark.parametrize("n", [16, 64, 256])
-def test_real_transforms_are_numpys_bit_for_bit(n):
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal((n, n))
-    X = np.fft.rfft2(x) * (1.0 + rng.standard_normal((n, n // 2 + 1)))
-    assert np.array_equal(rfft2(x), np.fft.rfft2(x))
-    assert np.array_equal(irfft2(X, n), np.fft.irfft2(X, s=(n, n)))
+    for solve in (oracles.solve_poisson_zero_mean, on_modes):
+        u = solve(T, rhs)
+        for c in (-3.0, 0.5, 7.0):
+            shifted = solve(T, Field(rhs.values + c))
+            assert np.abs(shifted.values - u.values).max() <= 1e-12
+        assert np.abs(solve(T, ones).values).max() <= 1e-12
 
 
 def _quarter_cell_values(n):
@@ -139,62 +153,102 @@ def test_the_cosine_angles_are_reduced_in_integers():
     assert np.abs(cosine_transform(T, x) - want).max() <= bound
 
 
+@pytest.mark.parametrize("side", [1.0, 1.7, 2.5])
+@pytest.mark.parametrize("n", [16, 64, 512])
+def test_the_symbols_are_the_half_spectrum_symbols_at_the_cosine_modes(n, side):
+    T = SpectralTorus(side, n)
+    h = n // 2 + 1
+    full = half_spectrum_eigenvalues(T)[:h, :h].ravel()
+    assert np.array_equal(T.eigenvalues, full)
+    assert T.eigenvalues[0] == T.inverse_eigenvalues[0] == 0.0
+    assert np.array_equal(T.inverse_eigenvalues[1:], 1.0 / full[1:])
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+def test_the_quarter_cell_operators_are_the_fft_calculus_on_even_fields(n):
+    # white noise carries every mode, up to the Nyquist ones
+    T = SpectralTorus(1.7, n)
+    rng = np.random.default_rng(n)
+    f, g = (random_even_field(T, rng) for _ in range(2))
+    F, G = modes(T, f), modes(T, g)
+    for ours, theirs in (
+        (on_grid(T, laplacian(T, F)), oracles.laplacian(T, f).values),
+        (on_grid(T, solve_poisson_zero_mean(T, F)), oracles.solve_poisson_zero_mean(T, f).values),
+    ):
+        assert np.abs(ours - theirs).max() <= 1e-13 * np.abs(theirs).max()
+    assert gradient_inner(T, F, G) == pytest.approx(oracles.gradient_inner(T, f, g), rel=1e-13)
+    assert dirichlet_energy(T, F) == pytest.approx(oracles.dirichlet_energy(T, f), rel=1e-13)
+    e = Field(np.exp(f.values))
+    assert integrate(T, quarter(T, e.values)) == pytest.approx(oracles.integrate(T, e), rel=1e-13)
+
+
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_even_inner_is_the_half_spectrum_parseval_sum(n):
+    # gradient_inner of cosine modes, against the oracle's half-spectrum sum
     T = SpectralTorus(1.7, n)
     rng = np.random.default_rng(n)
     f, g = rng.standard_normal((2, (n // 2 + 1) ** 2))
     F, G = np.fft.rfft2(unfold(T, f)), np.fft.rfft2(unfold(T, g))
-    got = even_inner(T, cosine_transform(T, f), cosine_transform(T, g))
-    assert got == pytest.approx(_spectral_inner(T, F, G), rel=1e-13)
+    got = gradient_inner(T, cosine_transform(T, f), cosine_transform(T, g))
+    assert got == pytest.approx(spectral_inner(T, F, G), rel=1e-13)
 
 
 def test_even_inner_past_the_largest_float_is_inf_without_a_warning():
     # RuntimeWarnings fail the suite; the solver checks the sum for itself
     T = SpectralTorus(1.0, 16)
     F = np.full(81, 1e200)
-    assert even_inner(T, F, F) == math.inf
+    assert gradient_inner(T, F, F) == math.inf
     G = F.copy()
     G[::2] *= -1.0
-    assert math.isnan(even_inner(T, F, G))
+    assert math.isnan(gradient_inner(T, F, G))
 
 
 @pytest.mark.parametrize("transform", [laplacian, solve_poisson_zero_mean])
 def test_transforms_return_contiguous_fields_that_keep_no_spectrum(transform):
-    # a view of the complex result's real part would keep 2 fields alive for 1
+    # each operator leaves one new array of the modes' size and nothing else
     T = SpectralTorus(1.0, 64)
-    f = random_zero_mean_field(T, np.random.default_rng(2))
-    transform(T, f)  # the torus symbols are cached outside the traced call
+    F = modes(T, random_even_field(T, np.random.default_rng(2)))
+    transform(T, F)  # the torus symbols are cached outside the traced call
     tracemalloc.start()
     try:
-        out = transform(T, f)
+        out = transform(T, F)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert out.values.flags.c_contiguous
-    assert retained <= 1.1 * f.values.nbytes
+    assert out.flags.c_contiguous and out.shape == F.shape
+    assert retained <= 1.1 * F.nbytes
 
 
 def test_dirichlet_energy_matches_weak_form():
     T = SpectralTorus(2.0, 64)
     rng = np.random.default_rng(7)
-    f = random_zero_mean_field(T, rng)
-    lap = laplacian(T, f)
-    weak = 0.5 * integrate(T, Field(-f.values * lap.values))
-    assert dirichlet_energy(T, f) == pytest.approx(weak, rel=1e-10)
+    f = random_even_field(T, rng)
+    F = modes(T, f)
+    x = quarter(T, f.values)
+    weak = 0.5 * integrate(T, -x * inverse_cosine_transform(T, laplacian(T, F)))
+    assert dirichlet_energy(T, F) == pytest.approx(weak, rel=1e-10)
+    # and the oracle's, on the grid
+    weak = 0.5 * oracles.integrate(T, Field(-f.values * oracles.laplacian(T, f).values))
+    assert oracles.dirichlet_energy(T, f) == pytest.approx(weak, rel=1e-10)
 
 
 def test_gradient_inner_polarization_and_symmetry():
     T = SpectralTorus(1.0, 64)
     rng = np.random.default_rng(11)
-    f = random_zero_mean_field(T, rng)
-    g = random_zero_mean_field(T, rng)
-    assert gradient_inner(T, f, f) == pytest.approx(2.0 * dirichlet_energy(T, f), rel=1e-12)
-    assert gradient_inner(T, f, g) == gradient_inner(T, g, f)
+    f = random_even_field(T, rng)
+    g = random_even_field(T, rng)
+    F, G = modes(T, f), modes(T, g)
+    assert gradient_inner(T, F, F) == pytest.approx(2.0 * dirichlet_energy(T, F), rel=1e-12)
+    # F . (G w) and G . (F w) round apart; the oracle's elementwise form
+    # is symmetric bit for bit
+    assert gradient_inner(T, F, G) == pytest.approx(gradient_inner(T, G, F), rel=1e-15)
+    assert oracles.gradient_inner(T, f, g) == oracles.gradient_inner(T, g, f)
     # bilinearity against the sum
-    lhs = gradient_inner(T, Field(f.values + g.values), Field(f.values + g.values))
-    rhs = gradient_inner(T, f, f) + 2.0 * gradient_inner(T, f, g) + gradient_inner(T, g, g)
+    lhs = gradient_inner(T, F + G, F + G)
+    rhs = gradient_inner(T, F, F) + 2.0 * gradient_inner(T, F, G) + gradient_inner(T, G, G)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+    # the oracle's form on the grid
+    assert gradient_inner(T, F, G) == pytest.approx(oracles.gradient_inner(T, f, g), rel=1e-12)
 
 
 def _full_spectrum_inner(T, f, g):
@@ -207,13 +261,14 @@ def _full_spectrum_inner(T, f, g):
 
 def _half_spectrum_forms(T, f, g):
     F, G = np.fft.rfft2(f.values), np.fft.rfft2(g.values)
-    return _spectral_inner(T, F, G), 2.0 * dirichlet_energy(T, f), gradient_inner(T, f, g)
+    return spectral_inner(T, F, G), 2.0 * oracles.dirichlet_energy(T, f), oracles.gradient_inner(T, f, g)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
-def test_half_spectrum_parseval_matches_the_full_spectrum(n):
-    # white noise plus the Nyquist modes (n/2, 0), (0, n/2) and (n/2, n/2),
-    # which sit in the half spectrum's columns 0 and n/2
+def test_half_spectrum_parseval_matches_the_full_spectrum(n, monkeypatch):
+    # the oracle's half-spectrum sums: white noise plus the Nyquist modes
+    # (n/2, 0), (0, n/2) and (n/2, n/2), which sit in the half spectrum's
+    # columns 0 and n/2
     T = SpectralTorus(1.7, n)
     rng = np.random.default_rng(n)
     sign = (-1.0) ** np.arange(n)
@@ -225,13 +280,13 @@ def test_half_spectrum_parseval_matches_the_full_spectrum(n):
     expected = (fg, ff, fg)
     assert _half_spectrum_forms(T, f, g) == pytest.approx(expected, rel=1e-13)
     # an interior column weighted 1, or the Nyquist column doubled, is far off
+    weights = oracles.half_spectrum_weights(T)
     for columns, factor in ((slice(1, -1), 0.5), (slice(-1, None), 2.0)):
-        wrong = T.gradient_weights.copy()
+        wrong = weights.copy()
         wrong[:, columns] *= factor
-        T.__dict__["gradient_weights"] = wrong  # over the cached symbol
+        monkeypatch.setattr(oracles, "half_spectrum_weights", lambda T: wrong)
         got = _half_spectrum_forms(T, f, g)
         assert all(abs(a - b) > 1e-3 * abs(b) for a, b in zip(got, expected))
-        del T.__dict__["gradient_weights"]
 
 
 # translate is the test oracle of a sub-cell shift (tests/oracles.py); the
