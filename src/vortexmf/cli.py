@@ -6,20 +6,20 @@ float formatting, and no output contains timestamps or absolute paths, so
 reruns with identical inputs are byte-identical.
 
 Exit codes: 0 success, 1 a failed check, a stage that ended ``budget`` or
-``diverged`` or blew up below lambda_bar, or numerical failure, 2 invalid or
-non-finite input.
+``diverged`` or blew up below lambda_bar, numerical failure, or out of
+memory, 2 invalid or non-finite input, an unknown flag or a missing command
+included.  Each prints one ``error: ...`` line to stderr, and no usage text.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
 import os
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -62,72 +62,22 @@ class InputError(Exception):
     """Invalid setting or data file; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors, such as an unknown flag, are input errors."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(message)
+
+
 def _floats_csv(text: str) -> tuple[float, ...]:
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            raise ValueError("empty entry in number list")
-        out.append(float(token))
-    return tuple(out)
-
-
-class Setting(NamedTuple):
-    name: str
-    parse: Callable[[str], object]
-    default: object
-    metavar: str
-    help: str
-
-    @property
-    def flag(self) -> str:
-        return "--" + self.name.replace("_", "-")
-
-
-# metavar and help of each MinimizeOptions field, one entry per field
-_SOLVER_HELP = {
-    "max_iters": ("N", "iteration budget"),
-    "grad_tol": ("TOL", "sup-norm equation residual to stop at"),
-    "blowup_peak_threshold": (
-        "V",
-        "peak of |v| that stops a run as blown up, plus 4 log(n/64) on an n^2 grid finer than 64^2",
-    ),
-    "seed": ("N", "seed for all randomness"),
-}
-
-# Every run setting, once, as a --flag of every command; the command line
-# is the only source of settings.  The solver settings take their type and
-# default from MinimizeOptions; values are checked by the objects that own
-# them (SpectralTorus, MinimizeOptions, Problem) and by check_run_rules.
-SETTINGS: dict[str, Setting] = {
-    s.name: s
-    for s in (
-        Setting("measure", str, None, "PATH", "atomic measure file: alpha weight per line"),
-        Setting("atoms", str, None, "SPEC", "inline measure alpha:weight[,alpha:weight...]"),
-        Setting("out", str, "runs", "DIR", "output directory"),
-        Setting("grid_n", int, 128, "N", "grid points per side, a power of two >= 16"),
-        Setting("lambdas", _floats_csv, (), "LIST", "comma-separated absolute couplings"),
-        Setting("fractions", _floats_csv, (), "LIST", "comma-separated fractions of the extremal coupling"),
-        Setting("n_bins", int, None, "N", "radial bins of an exported profile, at most grid_n^2"),
-        *(
-            Setting(f.name, type(f.default), f.default, *_SOLVER_HELP[f.name])
-            for f in dataclasses.fields(MinimizeOptions)
-        ),
-    )
-}
-
-
-def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
-    """The parsed command line with every setting filled in and typed: a
-    flag's text goes through its parser, and an unset flag keeps its default."""
-    values = {}
-    for s in SETTINGS.values():
-        text = getattr(args, s.name)
-        try:
-            values[s.name] = s.default if text is None else s.parse(text)
-        except ValueError as exc:
-            raise InputError(f"{s.flag}: {exc}") from exc
-    return argparse.Namespace(**{**vars(args), **values})
+    """The ``type=`` of a comma-separated number list; an empty entry is an error."""
+    tokens = [token.strip() for token in text.split(",")]
+    if not all(tokens):
+        raise argparse.ArgumentTypeError("empty entry in number list")
+    try:
+        return tuple(float(token) for token in tokens)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def check_run_rules(cfg: argparse.Namespace) -> None:
@@ -139,11 +89,6 @@ def check_run_rules(cfg: argparse.Namespace) -> None:
         raise InputError("coupling lambda must be positive and finite")
     if any(not 0.0 < f < math.inf for f in cfg.fractions):
         raise InputError("schedule fractions must be positive and finite")
-    if cfg.n_bins is not None and cfg.n_bins <= 0:
-        raise InputError("n_bins must be positive")
-    # the binning allocates per bin, and more bins than points leave bins empty
-    if cfg.n_bins is not None and cfg.n_bins > cfg.grid_n**2:
-        raise InputError("n_bins must not exceed the grid points, grid_n^2")
 
 
 def resolve_measure(cfg: argparse.Namespace) -> CirculationMeasure | None:
@@ -229,7 +174,6 @@ def write_stage(
     cfg: argparse.Namespace,
     T: SpectralTorus,
     P: CirculationMeasure,
-    opts: MinimizeOptions,
     k: int,
     result: MinimizeResult,
     want_profile: bool,
@@ -247,14 +191,14 @@ def write_stage(
         for i, (j, res, step, max_v) in enumerate(result.trace):
             fh.write(f"{i},{j!r},{res!r},{step!r},{max_v!r}\n")
     seen, seen_P = result, P
-    threshold = blowup_threshold(opts, T)
+    threshold = blowup_threshold(T)
     negative_spike = result.peak_value < threshold <= -float(result.v.values.min())
     if negative_spike or moment(P, 1, "positive") == 0.0:
         seen, seen_P = mirror_image(result, P)
     conc = detect_concentration(seen, T, threshold)
     profile = None
     if want_profile or conc is not None:
-        fitted = rescale_profile(seen, T, seen_P, cfg.n_bins)
+        fitted = rescale_profile(seen, T, seen_P)
         write_profile_csv(cfg, k, fitted)
         profile = {
             "sigma": fitted.sigma,
@@ -342,7 +286,7 @@ def cmd_solve(
     problems = stage_problems(T, P, schedule)
     os.makedirs(cfg.out, exist_ok=True)
     results = continuation_sweep(problems, opts)
-    stages = [write_stage(cfg, T, P, opts, k, r, want_profile) for k, r in enumerate(results)]
+    stages = [write_stage(cfg, T, P, k, r, want_profile) for k, r in enumerate(results)]
     payload = {
         "command": cfg.command,
         "seed": cfg.seed,
@@ -505,11 +449,12 @@ def cmd_verify(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions,
 
 def _join_dash_values(argv: list[str]) -> list[str]:
     """Spell ``--atoms -1:0.5,...`` as ``--atoms=-1:0.5,...``: argparse takes
-    a value that starts with '-' for a flag unless it is a plain number."""
-    flags = {s.flag for s in SETTINGS.values()}
+    a value that starts with '-' for a flag unless it is a plain number.
+    Every flag but --help takes a value."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in flags and token[:1] == "-" and token[:2] != "--":
+        flag = out[-1] if out else ""
+        if flag[:2] == "--" and "=" not in flag and flag != "--help" and token[:1] == "-" and token[:2] != "--":
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -518,14 +463,29 @@ def _join_dash_values(argv: list[str]) -> list[str]:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process: parsing leaves it
-    unchanged."""
-    common = argparse.ArgumentParser(add_help=False)
-    for s in SETTINGS.values():
-        default = "" if s.default in (None, ()) else f" (default {s.default})"
-        common.add_argument(s.flag, dest=s.name, metavar=s.metavar, help=s.help + default)
+    """The command line parser, built once per process.  Every setting is a flag
+    of every command, declared here once; its value is checked by the object
+    that owns it (SpectralTorus, MinimizeOptions, Problem) or check_run_rules."""
+    solver = MinimizeOptions()
+    common = _Parser(add_help=False)
+    add = common.add_argument
+    add("--measure", metavar="PATH", help="atomic measure file: alpha weight per line")
+    add("--atoms", metavar="SPEC", help="inline measure alpha:weight[,alpha:weight...]")
+    add("--out", default="runs", metavar="DIR", help="output directory (default %(default)s)")
+    add(
+        "--grid-n", type=int, default=128, metavar="N",
+        help="grid points per side, a power of two >= 16 (default %(default)s)",
+    )
+    add("--lambdas", type=_floats_csv, default=(), metavar="LIST", help="comma-separated absolute couplings")
+    add("--fractions", type=_floats_csv, default=(), metavar="LIST", help="comma-separated fractions of lambda_bar")
+    add("--max-iters", type=int, default=solver.max_iters, metavar="N", help="iteration budget (default %(default)s)")
+    add(
+        "--grad-tol", type=float, default=solver.grad_tol, metavar="TOL",
+        help="sup-norm equation residual to stop at (default %(default)s)",
+    )
+    add("--seed", type=int, default=solver.seed, metavar="N", help="seed for all randomness (default %(default)s)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vortexmf",
         description="Point-vortex mean field toolkit: extremal couplings, "
         "free-energy minimization, concentration asymptotics.",
@@ -543,10 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_scan)
     p = sub.add_parser("verify", parents=[common], help="run the oracle suite")
     p.add_argument(
-        "--debug-bubble-scale",
-        type=float,
-        default=1.0,
-        metavar="S",
+        "--debug-bubble-scale", type=float, default=1.0, metavar="S",
         help="amplitude-shift the Pohozaev test bubble (negative control; != 1 must fail)",
     )
     p.set_defaults(handler=cmd_verify)
@@ -555,18 +512,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_dash_values(argv))
     try:
-        cfg = resolve_settings(args)
+        cfg = build_parser().parse_args(_join_dash_values(argv))
         check_run_rules(cfg)
         # built for every command, so any bad value exits 2 before any work;
         # the unit torus, since a side L only rescales the answer (README, Scales)
         T = SpectralTorus(1.0, cfg.grid_n)
-        opts = MinimizeOptions(**{name: getattr(cfg, name) for name in _SOLVER_HELP})
+        opts = MinimizeOptions(max_iters=cfg.max_iters, grad_tol=cfg.grad_tol, seed=cfg.seed)
         # parsed by every command, also one that reads no measure, so a bad
         # --measure or --atoms exits 2 before any work
         P = resolve_measure(cfg)
-        return args.handler(cfg, T, opts, P)
+        return cfg.handler(cfg, T, opts, P)
     # OSError: an --out that cannot be made or written, such as "" or a
     # path under a regular file
     except (InputError, ValueError, OSError) as exc:
@@ -575,6 +531,10 @@ def main(argv: list[str] | None = None) -> int:
     # numerical failure: exp overflow, and the quadrature failures are RuntimeErrors
     except (OverflowError, RuntimeError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 1
+    # a grid too large for memory; like a numerical failure it leaves --out empty
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

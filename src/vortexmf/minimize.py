@@ -73,21 +73,21 @@ from vortexmf.torus import (
 ACCEPT_RATIO = 1e-4
 MAX_REJECTIONS = 60  # rejected steps in a row that end a run diverged
 CG_MAX_ITERS = 200  # Hessian products per truncated-CG solve
+# the peak of |v| that stops a run as blown up on grids up to 64^2 (see blowup_threshold)
+BLOWUP_PEAK = 25.0
 
 
 @dataclass(frozen=True)
 class MinimizeOptions:
     max_iters: int = 5000
     grad_tol: float = 1e-8
-    blowup_peak_threshold: float = 25.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iters <= 0:
             raise ValueError("max_iters must be positive")
-        for name in ("grad_tol", "blowup_peak_threshold"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -183,15 +183,15 @@ class _EnergyDelta:
         return delta - self.prob.lam * log_terms
 
 
-def blowup_threshold(opts: MinimizeOptions, T: SpectralTorus) -> float:
+def blowup_threshold(T: SpectralTorus) -> float:
     """The peak of |v| at which a run on T counts as blown up.
 
-    It is ``blowup_peak_threshold`` on grids up to 64^2, plus 4 log(n/64) on
+    It is ``BLOWUP_PEAK`` on grids up to 64^2, plus 4 log(n/64) on
     an n^2 grid beyond: the peak of a solution that converges at lambda_bar
     grows by about 4 log 2 per grid doubling, and for
     1/2 delta_-1 + 1/2 delta_1 it crosses a fixed 25 at 512^2.
     """
-    return opts.blowup_peak_threshold + 4.0 * math.log(max(T.grid_n, 64) / 64)
+    return BLOWUP_PEAK + 4.0 * math.log(max(T.grid_n, 64) / 64)
 
 
 def _stop_status(opts: MinimizeOptions, T: SpectralTorus, v: np.ndarray, res_norm: float, iterations: int) -> str | None:
@@ -199,7 +199,7 @@ def _stop_status(opts: MinimizeOptions, T: SpectralTorus, v: np.ndarray, res_nor
     checked first, then the peak of |v|, then the budget."""
     if res_norm <= opts.grad_tol:
         return "converged"
-    if float(np.abs(v).max()) >= blowup_threshold(opts, T):
+    if float(np.abs(v).max()) >= blowup_threshold(T):
         return "blown_up"
     if iterations >= opts.max_iters:
         return "budget"

@@ -11,8 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-import vortexmf
-from vortexmf.cli import SETTINGS, build_parser, main
+import vortexmf.minimize
+from vortexmf.cli import build_parser, main
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -248,14 +248,14 @@ def test_near_extremal_sweep_converges_every_stage(tmp_path, capsys):
         assert len(fh.read().splitlines()) == stages[2]["iterations"] + 3
 
 
-def test_blowup_below_extremal_coupling_exits_1(tmp_path, capsys):
+def test_blowup_below_extremal_coupling_exits_1(tmp_path, capsys, monkeypatch):
     # J is bounded below lambda_bar, so a blown-up stage there is a failure;
     # every record is still written, and it holds the lambda_bar the exit
     # rule compared against
+    monkeypatch.setattr(vortexmf.minimize, "BLOWUP_PEAK", 5.0)
     out = tmp_path / "runs"
     code, stdout, stderr = run(
-        capsys, "minimize", "--atoms=-1:0.5,1:0.5", "--fractions", "0.99", "--grid-n", "64",
-        "--blowup-peak-threshold", "5", "--out", str(out),
+        capsys, "minimize", "--atoms=-1:0.5,1:0.5", "--fractions", "0.99", "--grid-n", "64", "--out", str(out)
     )
     assert code == 1
     assert "status=blown_up" in stdout
@@ -301,11 +301,11 @@ def test_a_solver_command_checks_its_schedule_and_computes_lambda_bar_once(
 
 
 @pytest.mark.parametrize("coupling", [("--fractions", "1.0"), ("--lambdas", repr(2.0 * EIGHT_PI))])
-def test_blowup_at_extremal_coupling_exits_0(tmp_path, capsys, coupling):
+def test_blowup_at_extremal_coupling_exits_0(tmp_path, capsys, monkeypatch, coupling):
+    monkeypatch.setattr(vortexmf.minimize, "BLOWUP_PEAK", 5.0)
     out = tmp_path / "runs"
     code, stdout, stderr = run(
-        capsys, "minimize", "--atoms=-1:0.5,1:0.5", *coupling, "--grid-n", "32",
-        "--blowup-peak-threshold", "5", "--out", str(out),
+        capsys, "minimize", "--atoms=-1:0.5,1:0.5", *coupling, "--grid-n", "32", "--out", str(out)
     )
     assert code == 0 and stderr == ""
     assert "status=blown_up" in stdout
@@ -438,19 +438,6 @@ def test_a_bad_coupling_schedule_makes_no_out_directory(tmp_path, capsys, comman
     assert stderr == f"error: {message}\n"
     assert stdout == ""
     assert not out.exists()
-
-
-def test_more_bins_than_grid_points_is_an_input_error(tmp_path, capsys):
-    base = ("profile", "--atoms", "1:1", "--lambdas", "10", "--grid-n", "16")
-    out = tmp_path / "runs"
-    code, stdout, stderr = run(capsys, *base, "--n-bins", str(16 * 16 + 1), "--out", str(out))
-    assert code == 2
-    assert stderr == "error: n_bins must not exceed the grid points, grid_n^2\n"
-    assert stdout == ""
-    assert not out.exists()
-    code, _, stderr = run(capsys, *base, "--n-bins", str(16 * 16), "--out", str(out))
-    assert code == 0 and stderr == ""
-    assert (out / "profile_0.csv").exists()
 
 
 def test_concentrated_sweep_stage_records_its_profile(tmp_path, capsys):
@@ -605,12 +592,7 @@ def _subcommand_parsers():
 
 
 def test_settings_are_exactly_the_flags_of_every_command():
-    keys = set(SETTINGS)
-    assert keys == {
-        "measure", "atoms", "out", "grid_n", "max_iters", "seed",
-        "n_bins", "grad_tol", "blowup_peak_threshold",
-        "lambdas", "fractions",
-    }
+    keys = {"measure", "atoms", "out", "grid_n", "lambdas", "fractions", "max_iters", "grad_tol", "seed"}
     command_only = {"help", "debug_bubble_scale"}
     for name, sub in _subcommand_parsers().items():
         dests = {a.dest for a in sub._actions if a.option_strings} - command_only
@@ -619,19 +601,74 @@ def test_settings_are_exactly_the_flags_of_every_command():
 
 @pytest.mark.parametrize(
     "argv",
-    [("--alpha", "1.0"), ("--side-length", "1.0"), ("--config", "run.cfg"), ("--json",)],
-    ids=["--alpha", "--side-length", "--config", "--json"],
+    [
+        ("--alpha", "1.0"),
+        ("--side-length", "1.0"),
+        ("--config", "run.cfg"),
+        ("--json",),
+        ("--n-bins", "8"),
+        ("--blowup-peak-threshold", "5"),
+    ],
+    ids=["--alpha", "--side-length", "--config", "--json", "--n-bins", "--blowup-peak-threshold"],
 )
 def test_removed_settings_are_unknown_flags(tmp_path, capsys, argv):
     # --alpha and --side-length only rescaled the answer (README, Scales);
     # the flags are the one source of settings, and summary.json the one
-    # machine-readable record
+    # machine-readable record; the profile's bins and the blow-up peak are
+    # constants
     out = tmp_path / "runs"
-    with pytest.raises(SystemExit) as exc:
-        main(["minimize", "--atoms", "1:1", "--lambdas", "12.0", "--grid-n", "16", *argv, "--out", str(out)])
-    assert exc.value.code == 2
-    assert f"error: unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+    code, stdout, stderr = run(
+        capsys, "minimize", "--atoms", "1:1", "--lambdas", "12.0", "--grid-n", "16", *argv, "--out", str(out)
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: unrecognized arguments: {' '.join(argv)}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((), "the following arguments are required: command"),
+        (("solve",), "argument command: invalid choice: 'solve'"),
+        (("minimize", "--grid-n", "x"), "argument --grid-n: invalid int value: 'x'"),
+        (("minimize", "--grad-tol", "small"), "argument --grad-tol: invalid float value: 'small'"),
+        (("sweep", "--lambdas", "1,x"), "argument --lambdas: could not convert string to float: 'x'"),
+        (("sweep", "--fractions", "0.5,"), "argument --fractions: empty entry in number list"),
+        (("minimize", "--seed"), "argument --seed: expected one argument"),
+    ],
+    ids=["no-command", "unknown-command", "grid-n", "grad-tol", "lambdas", "fractions", "no-value"],
+)
+def test_a_usage_error_is_one_error_line(tmp_path, capsys, argv, message):
+    # argparse's errors leave by the path every other bad input takes
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"error: {message}") and stderr.count("\n") == 1
+    assert "usage:" not in stderr
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("minimize", "--help"), ("minimize", "--atoms", "-1:1", "--help")])
+def test_help_exits_0_and_prints_each_default(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("usage: vortexmf")
+    if len(argv) > 1:
+        assert "(default 128)" in stdout and "(default 1e-08)" in stdout and "(default 5000)" in stdout
+
+
+def test_a_grid_too_large_for_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # the cold start is a solve's first grid-sized allocation; no real
+    # large array is made here
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(vortexmf.minimize, "random_zero_mean", no_memory)
+    out = tmp_path / "runs"
+    code, stdout, stderr = run(capsys, "minimize", "--atoms", "1:1", "--lambdas", "1", "--grid-n", "16", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: out of memory: Unable to allocate 8.00 GiB for an array\n"
+    assert os.listdir(out) == []
 
 
 def test_max_iters_from_file_and_flag_flag_wins(tmp_path, capsys):

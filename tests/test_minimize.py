@@ -166,10 +166,10 @@ def test_center_bump_is_built_once_and_only_for_a_second_stage(monkeypatch):
     assert len(calls) == 1
 
 
-def test_sweep_stops_after_blowup_stage():
+def test_sweep_stops_after_blowup_stage(monkeypatch):
+    monkeypatch.setattr(minimize_module, "BLOWUP_PEAK", 0.001)
     T = SpectralTorus(1.0, 32)
-    opts = MinimizeOptions(blowup_peak_threshold=0.001)
-    results = sweep(T, delta_one(), [1.0, 2.0, 3.0], opts)
+    results = sweep(T, delta_one(), [1.0, 2.0, 3.0], MinimizeOptions())
     assert len(results) == 1
     assert results[0].status == "blown_up"
 
@@ -184,25 +184,25 @@ def test_blowup_guard_on_warm_start():
     assert res.peak_value >= 25.0
 
 
-def test_blowup_reached_dynamically():
+def test_blowup_reached_dynamically(monkeypatch):
     # beyond the extremal coupling the energy is unbounded below and the
     # iterates sharpen; the peak guard must stop the run
+    monkeypatch.setattr(minimize_module, "BLOWUP_PEAK", 5.0)
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 2.0 * EIGHT_PI)
     warm = project_zero_mean(T, Field(gaussian_bump(T, (16, 16), 4.0, 0.125)))
-    opts = MinimizeOptions(blowup_peak_threshold=5.0)
-    res = minimize(prob, opts, warm_start=warm)
+    res = minimize(prob, MinimizeOptions(), warm_start=warm)
     assert res.status == "blown_up"
     assert res.iterations > 0
     assert res.peak_value >= 5.0
 
 
-def test_blowup_threshold_grows_with_the_grid_beyond_64():
-    opts = MinimizeOptions()
+def test_blowup_threshold_grows_with_the_grid_beyond_64(monkeypatch):
+    assert minimize_module.BLOWUP_PEAK == 25.0
     for n in (16, 32, 64):
-        assert blowup_threshold(opts, SpectralTorus(1.0, n)) == 25.0
-    assert blowup_threshold(opts, SpectralTorus(1.0, 128)) == pytest.approx(25.0 + 4.0 * math.log(2.0), rel=1e-15)
-    assert blowup_threshold(opts, SpectralTorus(1.0, 512)) == pytest.approx(25.0 + 12.0 * math.log(2.0), rel=1e-15)
+        assert blowup_threshold(SpectralTorus(1.0, n)) == 25.0
+    assert blowup_threshold(SpectralTorus(1.0, 128)) == pytest.approx(25.0 + 4.0 * math.log(2.0), rel=1e-15)
+    assert blowup_threshold(SpectralTorus(1.0, 512)) == pytest.approx(25.0 + 12.0 * math.log(2.0), rel=1e-15)
     # a start with a peak of 26 stops a 64^2 run at once; a 128^2 run takes its step
     for n, status, iterations in ((64, "blown_up", 0), (128, "budget", 1)):
         T = SpectralTorus(1.0, n)
@@ -210,6 +210,9 @@ def test_blowup_threshold_grows_with_the_grid_beyond_64():
         assert 25.0 <= tall.values.max() < 25.0 + 4.0 * math.log(2.0)
         res = minimize(Problem(T, delta_one(), 1.0), MinimizeOptions(max_iters=1), warm_start=tall)
         assert (res.status, res.iterations) == (status, iterations)
+    # the growth is added to the constant as it reads at the call
+    monkeypatch.setattr(minimize_module, "BLOWUP_PEAK", 5.0)
+    assert blowup_threshold(SpectralTorus(1.0, 128)) == pytest.approx(5.0 + 4.0 * math.log(2.0), rel=1e-15)
 
 
 def test_blowup_guard_sees_negative_spikes():
