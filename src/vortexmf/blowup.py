@@ -303,14 +303,13 @@ def rescale_profile(
     result: MinimizeResult,
     T: SpectralTorus,
     P: CirculationMeasure,
-    n_bins: int | None = None,
 ) -> BlowupProfile:
     """Peak-rescaled radial profile of w_1 around the field maximum.
 
     dw is the radial average of w_1(x) - w_1(peak) = v(x) - v(peak) in
-    ``n_bins`` bins (default grid_n / 2), and sigma comes from w_1 at the
-    peak.  The profile of w_alpha is alpha dw with the same sigma, so the
-    circulation is no parameter.  The spike carries the mass lambda m_K of
+    grid_n / 2 bins, and sigma comes from w_1 at the peak.  The profile of
+    w_alpha is alpha dw with the same sigma, so the circulation is no
+    parameter.  The spike carries the mass lambda m_K of
     the positive extremal subset K of the tail scan, so the reference slope
     is gamma0 = 4 P(K) / m_K, which is 4 / m1 under residual vanishing.
     """
@@ -324,7 +323,7 @@ def rescale_profile(
     mass = math.fsum(P.atoms[i][1] for i in subset)
     m_k = math.fsum(P.atoms[i][0] * P.atoms[i][1] for i in subset)
     w1_peak = float(vals[peak]) - log_partition(T, result.v, 1.0)
-    bins = radial_average(T, Field(vals - vals[peak]), peak, n_bins if n_bins is not None else T.grid_n // 2)
+    bins = radial_average(T, Field(vals - vals[peak]), peak, T.grid_n // 2)
     r = np.array([b[0] for b in bins])
     mean_dw = np.array([b[1] for b in bins])
     return _fitted_profile(w1_peak, r, mean_dw, 4.0 * mass / m_k, T.side_length)

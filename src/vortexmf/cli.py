@@ -7,14 +7,17 @@ reruns with identical inputs are byte-identical.
 
 Exit codes: 0 success, 1 a failed check, a stage that ended ``budget`` or
 ``diverged`` or blew up below lambda_bar, numerical failure, or out of
-memory, 2 invalid or non-finite input, an unknown flag or a missing command
-included.  Each prints one ``error: ...`` line to stderr, and no usage text.
+memory, 2 invalid or non-finite input, an unknown flag, a prefix of a flag
+or a missing command included.  Each prints one ``error: ...`` line to
+stderr, and no usage text.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
+import glob
 import json
 import math
 import os
@@ -63,7 +66,12 @@ class InputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose errors, such as an unknown flag, are input errors."""
+    """A parser whose errors, such as an unknown flag, are input errors, and
+    which takes no prefix of a flag for the flag: ``--lambda`` is unknown,
+    not ``--lambdas``.  Each command's parser is one too."""
+
+    def __init__(self, *args, allow_abbrev: bool = False, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message: str) -> NoReturn:
         raise InputError(message)
@@ -142,12 +150,35 @@ def _sanitize(obj):
 SCHEMA_VERSION = 5
 
 
+@functools.cache
+def _blas_thread_count() -> Callable[[], int] | None:
+    """The function of numpy's bundled OpenBLAS that returns its thread
+    count, looked up once per process, or None where numpy bundles no
+    library that exports it."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            count = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        count.argtypes, count.restype = [], ctypes.c_int
+        return count
+    return None
+
+
 def write_summary(cfg: argparse.Namespace, payload: dict) -> None:
-    """Write ``summary.json``: the payload with the schema version and the
-    versions of numpy and of the BLAS library it was built with, on which
-    the bits of the transforms and of the quadrature depend."""
+    """Write ``summary.json``: the payload with the schema version, the
+    versions of numpy and of the BLAS library it was built with, and that
+    library's thread count, null where it cannot be read; the bits of the
+    transforms, of the quadrature and of the sums over the partition rows
+    depend on all three."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    versions = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    threads = _blas_thread_count()
+    versions = {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "blas_threads": None if threads is None else threads(),
+    }
     record = {"schema_version": SCHEMA_VERSION, "versions": versions, **payload}
     os.makedirs(cfg.out, exist_ok=True)
     text = json.dumps(_sanitize(record), indent=2, sort_keys=True) + "\n"

@@ -17,12 +17,19 @@ integrals are evaluated with max-shifted exponentials.
 The solver's fields are even about node (0, 0) in x and in y (see
 :mod:`vortexmf.torus`), and the functions a run calls take and return them
 at the (n/2 + 1)^2 quarter-cell nodes, their spectra as cosine modes.  The
-residual transforms v once and fills the exponentials of all atoms in one
+residual transforms v once and fills a stack of exponential rows in one
 pass, and keeps both in :class:`Partitions`, where J, the energy
-differences of the solver and the Hessian product at v read them.  The
-sums over the atoms are matrix products with the stack of exponentials:
-one for the residual's sum of densities, two for the partition part of
-:func:`hessian_product`.  By the principle of symmetric criticality
+differences of the solver and the Hessian product at v read them.  A row
+is one atom's e^{alpha v - m}, or, on a side of many atoms of one sign,
+that of a Chebyshev node in alpha: the rows are entire functions of
+alpha, and a few nodes, chosen per iterate from an a-priori bound on the
+interpolation error, stand for all of the side's atoms, which read their
+rows through an interpolation matrix.  A side of fewer atoms than nodes
+keeps the atoms' own rows, so a measure of few atoms computes exactly as
+it did before the interpolation.  The sums over the atoms are matrix
+products with the stack: one for the residual's sum of densities, two for
+the partition part of :func:`hessian_product`, with weights per row built
+once per iterate.  By the principle of symmetric criticality
 (Palais 1979) a critical point of J among even fields is a critical point
 of J, and the residual, unfolded to the grid, is its whole gradient.
 """
@@ -70,35 +77,256 @@ class Partitions:
 
     ``spectrum`` holds the (n/2 + 1)^2 cosine modes of v (see
     :mod:`vortexmf.torus`), from which the Laplacian, the Dirichlet energy
-    and the bilinear term of an energy difference are read.  ``stack`` has
-    one row per atom, in atom order, zero atoms included: e^{alpha v - m}
-    at the quarter-cell nodes, each times the node's weight, so that a
-    row's sum, or its product with the quarter-cell values of an even
-    field, is that sum over the whole grid.  ``totals`` and ``shifts``
-    hold each row's sum and m, the max of alpha v.  ``alpha`` and
-    ``weight`` hold the atoms' circulations and weights in the same order,
-    built once per run.  ``curvature`` is S = sum w alpha^2 rho_alpha at
-    the quarter-cell nodes, and ``hessian_weights`` is
-    w alpha^2 / (cell_area total^2) per row, so that the partition part of
-    the second variation is phi S - sum_rows weight (row . phi) row.
+    and the bilinear term of an energy difference are read, ``values`` v
+    at the quarter-cell nodes, and ``low`` and ``high`` its min and max,
+    from which a trial step takes rows of its own.  ``alpha`` and ``weight`` hold the atoms'
+    circulations and weights, built once per run; ``shifts`` holds each
+    atom's m, the max of alpha v, and ``totals`` the grid sum of its
+    e^{alpha v - m}.  ``curvature`` is S = sum w alpha^2 rho_alpha at the
+    quarter-cell nodes, and ``hessian_weights`` is
+    w alpha^2 / (cell_area total^2) per atom, so that the partition part of
+    the second variation is phi S - sum_atoms weight (row . phi) row.
 
-    The arrays are allocated here, once per run, and every
-    :func:`el_residual` refills them in place, so a run never holds two
-    stacks: a new stack allocated per residual while the previous one was
-    alive raised the peak resident set of 128 atoms at 128^2 by 30 MiB.
+    The atoms of one sign form a side.  At a node x, the row e^{alpha v - m}
+    of a side is e^{alpha (v - max v)} for alpha > 0 and
+    e^{alpha (v - min v)} for alpha < 0, an entire function of alpha, so a
+    Chebyshev interpolant in alpha on the side's range stands for all of
+    the side's rows (Trefethen, *Approximation Theory and Approximation
+    Practice*, 2013).  Each iterate, :func:`_node_count` picks r, the fewest
+    nodes whose interpolant is within ``_NODE_TOL`` of the row maximum for
+    v's range.  A side of more than r atoms keeps its r node rows, and
+    every atom's row is read as sum_j l_j(alpha) row_j through its
+    interpolation matrix ``l_j(alpha_i)``; a side of at most r atoms, and a
+    zero atom, keeps the atoms' own rows.  ``stack`` holds the rows in use,
+    side by side in atom order, each e^{beta v - m} at the quarter-cell
+    nodes for its circulation beta, a node or an atom, and m = beta max v
+    or beta min v, times the node's weight, so that a row's sum, or its
+    product with the quarter-cell values of an even field, is that sum over
+    the whole grid.  ``layout`` holds, per side, its atoms, its rows and its
+    interpolation matrix, None where the rows are the atoms' own.  With
+    every side exact (``exact``), the stack is one row per atom in atom
+    order, the rows' values are the atoms', and every sum is the one
+    matrix product it was before the interpolation.
+
+    The arrays, the interpolation matrices included, are allocated here,
+    once per run, and every :func:`el_residual` refills them in place, so a
+    run never holds two stacks: a new stack allocated per residual while
+    the previous one was alive raised the peak resident set of 128 atoms at
+    128^2 by 30 MiB.  ``stack`` is a view of the first rows of one buffer
+    with a row per atom, and rows an iterate does not use are not touched.
     """
 
     def __init__(self, prob: Problem) -> None:
         T = prob.torus
         atoms, nodes = len(prob.P.atoms), T.quarter_weights.size
+        self.quarter_weights = T.quarter_weights
         self.alpha = np.array([a for a, _ in prob.P.atoms])
         self.weight = np.array([w for _, w in prob.P.atoms])
         self.spectrum = np.empty(nodes)
-        self.stack = np.empty((atoms, nodes))
+        self.values = np.empty(nodes)
+        self.low = self.high = 0.0
+        self._stack = np.empty((atoms, nodes))
+        self.stack = self._stack
+        self._row_alpha = np.empty(atoms)
         self.totals = np.empty(atoms)
         self.shifts = np.empty(atoms)
         self.curvature = np.empty(nodes)
         self.hessian_weights = np.empty(atoms)
+        # per side: its atoms, their count k, half their range of alpha, and
+        # the buffers of the iterate's and of a trial's interpolation
+        # matrices and of a trial's nodes; a side interpolates on at most
+        # k - 1 nodes
+        signs = np.sign(self.alpha)
+        self._sides = []
+        for sign in (-1.0, 0.0, 1.0):
+            (index,) = np.nonzero(signs == sign)
+            if index.size:
+                k = index.size
+                side = slice(int(index[0]), int(index[-1]) + 1)
+                buffers = np.empty(k * (k - 1)), np.empty(k * (k - 1)), np.empty(k - 1)
+                self._sides.append((side, k, _half_width(self.alpha[side]), *buffers))
+        self._exact_layout = [(side, side, None) for side, *_ in self._sides]
+        self.layout, self.exact = self._exact_layout, True
+
+    def fill(self, v: np.ndarray, lo: float, hi: float) -> None:
+        """Choose each side's rows for the field v with min lo and max hi,
+        and fill the stack, the row sums and the atoms' ``totals``; the
+        atoms' ``shifts`` are filled already."""
+        self.values[...] = v
+        self.low, self.high = lo, hi
+        nodes = [_node_count(half * (hi - lo), count) for _, count, half, *_ in self._sides]
+        self.exact = all(r >= count for r, (_, count, *_) in zip(nodes, self._sides))
+        if self.exact:
+            self.layout = self._exact_layout
+            self.stack = stack = self._stack
+            row_alpha, row_shifts = self.alpha, self.shifts
+        else:
+            layout, rows = [], 0
+            for (side, count, _, lagrange, _, _), r in zip(self._sides, nodes):
+                if r < count:
+                    block = slice(rows, rows + r)
+                    matrix = lagrange[: count * r].reshape(count, r)
+                    _chebyshev(self.alpha[side], self._row_alpha[block], matrix)
+                else:
+                    block, matrix = slice(rows, rows + count), None
+                    self._row_alpha[block] = self.alpha[side]
+                layout.append((side, block, matrix))
+                rows = block.stop
+            self.layout = layout
+            self.stack = stack = self._stack[:rows]
+            row_alpha = self._row_alpha[:rows]
+            row_shifts = row_alpha * np.where(row_alpha > 0.0, hi, lo)
+        np.multiply(row_alpha[:, None], v, out=stack)
+        stack -= row_shifts[:, None]
+        np.exp(stack, out=stack)
+        stack *= self.quarter_weights
+        self.totals[...] = self.to_atoms(stack.sum(axis=1))
+
+    def to_atoms(self, per_row: np.ndarray) -> np.ndarray:
+        """Each atom's value of a quantity linear in its row, such as the
+        row's sum or its product with a field, from the rows' values: an
+        exact row's own, or sum_j l_j(alpha) times the node rows' values."""
+        if self.exact:
+            return per_row
+        out = np.empty(self.alpha.size)
+        for atoms, rows, lagrange in self.layout:
+            if lagrange is None:
+                out[atoms] = per_row[rows]
+            else:
+                np.matmul(lagrange, per_row[rows], out=out[atoms])
+        return out
+
+    def to_rows(self, per_atom: np.ndarray) -> np.ndarray:
+        """Weights per row of ``stack`` whose combination of the rows is
+        sum_i per_atom_i row_i over the atoms' rows: an exact row's own
+        weight, and sum_i per_atom_i l_j(alpha_i) for node j."""
+        if self.exact:
+            return per_atom
+        out = np.empty(self.stack.shape[0])
+        for atoms, rows, lagrange in self.layout:
+            if lagrange is None:
+                out[rows] = per_atom[atoms]
+            else:
+                np.matmul(per_atom[atoms], lagrange, out=out[rows])
+        return out
+
+    def expm1_sums(self, d: np.ndarray) -> np.ndarray:
+        """Per atom, the grid sum of e^{alpha v - m} expm1(-alpha d) for the
+        even step d at the quarter-cell nodes: the relative change of the
+        atom's partition integral from v to v - d, times its total.
+
+        An exact row takes one expm1 of its own.  On an interpolated side
+        the sum f(alpha) is an entire function of alpha with f(0) = 0, and
+        f(alpha) / alpha is interpolated from its values at the nodes, so an
+        atom of small |alpha| keeps its relative accuracy.  The exponents of
+        f span v's range widened by max d - min d; while that range needs
+        no more nodes than the iterate's, the node rows of the stack serve,
+        and otherwise the side takes rows of its own for this step, at the
+        nodes the wider range needs or, at as many nodes as atoms, at the
+        atoms.  A sum that overflows is inf or nan, and so is the atom's.
+        """
+        sums = np.empty(self.alpha.size)
+        u = np.empty_like(d)
+        if self.exact:
+            self._expm1_dots(d, u, self.alpha, sums, self.stack)
+            return sums
+        spread = max(float(d.max()), 0.0) - min(float(d.min()), 0.0)
+        for (atoms, rows, lagrange), (_, count, half, _, trial_lagrange, trial_nodes) in zip(self.layout, self._sides):
+            alpha = self.alpha[atoms]
+            if lagrange is None:
+                self._expm1_dots(d, u, alpha, sums[atoms], self.stack[rows])
+                continue
+            r = _node_count(half * (self.high - self.low + spread), count)
+            if r >= count:
+                self._expm1_dots(d, u, alpha, sums[atoms])
+                continue
+            nodes, node_rows = self._row_alpha[rows], self.stack[rows]
+            if r > nodes.size:
+                nodes, lagrange, node_rows = trial_nodes[:r], trial_lagrange[: count * r].reshape(count, r), None
+                _chebyshev(alpha, nodes, lagrange)
+            f = np.empty(nodes.size)
+            self._expm1_dots(d, u, nodes, f, node_rows)
+            f /= nodes
+            np.matmul(lagrange, f, out=sums[atoms])
+            sums[atoms] *= alpha
+        return sums
+
+    def _expm1_dots(
+        self, d: np.ndarray, u: np.ndarray, betas: np.ndarray, out: np.ndarray, rows: np.ndarray | None = None
+    ) -> None:
+        """out[j] = row_j . expm1(-beta_j d) for the circulations betas, with
+        row_j the j-th of ``rows``, or without them e^{beta_j v - m} times
+        the node weights, taken afresh; u is the expm1 buffer."""
+        fresh = np.empty_like(d) if rows is None else None
+        for j, beta in enumerate(betas.tolist()):
+            if rows is None:
+                np.multiply(self.values, beta, out=fresh)
+                fresh -= beta * (self.high if beta > 0.0 else self.low)
+                np.exp(fresh, out=fresh)
+                fresh *= self.quarter_weights
+            np.multiply(d, -beta, out=u)
+            np.expm1(u, out=u)
+            out[j] = (fresh if rows is None else rows[j]) @ u
+
+
+# the interpolation error in alpha that a side's node rows may carry,
+# relative to the row maximum; rounding alone leaves about 1e-16
+_NODE_TOL = 1e-17
+
+
+def _half_width(alpha: np.ndarray) -> float:
+    """Half the range of a side's sorted circulations."""
+    return 0.5 * (float(alpha[-1]) - float(alpha[0]))
+
+
+def _node_count(c: float, count: int) -> int:
+    """The fewest Chebyshev nodes r < count whose interpolant in alpha is
+    within ``_NODE_TOL`` of the row maximum on a side with c = half the
+    side's range of alpha times the range of v, or ``count`` if none is.
+
+    With alpha = mid + half s, the row e^{alpha t} at a node, t in [-W, 0]
+    for W = max v - min v (in [0, W] on the negative side), has the
+    Chebyshev coefficients e^{mid t} 2 I_k(half |t|) in s, which relative
+    to the row maximum 1 are at most 2 I_k(c) e^{-c}, since |mid| >= half.
+    From the series of I_k, and (k + m)! >= k! (k + 1)^m,
+    I_k(c) e^{-c} <= b_k = (c/2)^k / k! e^{c^2 / 4(k + 1) - c}, and b_k falls
+    by at least q = c / 2(r + 1) < 1 from each k >= r to the next.  The
+    interpolant at r points is within twice the coefficients' tail from
+    k = r (Trefethen 2013, Thm 4.2), so within 4 b_r / (1 - q).  A side of
+    one atom, or a constant v, has c = 0 and takes one node.
+    """
+    if c == 0.0:
+        return 1
+    log_tol = math.log(_NODE_TOL / 4.0)
+    for r in range(max(1, math.floor(c / 2.0)), count):
+        q = c / (2.0 * (r + 1))
+        if r * math.log(c / 2.0) - math.lgamma(r + 1) + 0.5 * c * q - c - math.log1p(-q) <= log_tol:
+            return r
+    return count
+
+
+def _chebyshev(alpha: np.ndarray, nodes: np.ndarray, lagrange: np.ndarray) -> None:
+    """Fill ``nodes`` with the Chebyshev points of the first kind on
+    [alpha[0], alpha[-1]], as many as ``nodes`` holds, and ``lagrange`` with
+    the Lagrange basis at the sorted circulations alpha, l_j(alpha_i), by
+    the second barycentric formula (Berrut and Trefethen 2004) with the
+    points' weights (-1)^j sin theta_j; it interpolates at the nodes as
+    rounded, whatever the weights."""
+    r = nodes.size
+    theta = (np.arange(r) + 0.5) * (math.pi / r)
+    np.cos(theta, out=nodes)
+    nodes *= _half_width(alpha)
+    nodes += 0.5 * (float(alpha[-1]) + float(alpha[0]))
+    bary = np.sin(theta)
+    bary[1::2] *= -1.0
+    np.subtract.outer(alpha, nodes, out=lagrange)
+    with np.errstate(divide="ignore"):
+        np.divide(bary, lagrange, out=lagrange)
+    sums = lagrange.sum(axis=1)
+    for i in np.flatnonzero(np.isinf(sums)):  # an atom on a node takes that node's row
+        lagrange[i] = np.isinf(lagrange[i])
+        sums[i] = 1.0
+    lagrange /= sums[:, None]
 
 
 def log_partition(T: SpectralTorus, v: Field, alpha: float) -> float:
@@ -141,13 +369,15 @@ def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndar
     It is also the L^2 gradient of J: dJ(v)[phi] = int el_residual(v) phi
     for every direction phi.  v is transformed once, into
     ``partitions.spectrum``, and the Laplacian is read from there.  The
-    stack is filled in one pass over all atoms: alpha v, less each row's
-    shift m, through one exponential, times the node weights, then the row
-    sums.  m needs no pass of its own: rounding is monotone, so the max of
-    a row alpha v is alpha max v for alpha > 0 and alpha min v otherwise,
-    bit for bit.  The densities are read off the stack as
-    rho_alpha = ex / (cell_area total), and sum w alpha rho_alpha is one
-    matrix product with it, divided by the node weights.  Analytically the
+    stack is filled in one pass over its rows (see :class:`Partitions`):
+    beta v, less each row's shift m, through one exponential, times the
+    node weights, then the row sums, which give each atom's total.  m
+    needs no pass of its own: rounding is monotone, so the max of a row
+    beta v is beta max v for beta > 0 and beta min v otherwise, bit for
+    bit.  The densities are rho_alpha = row_alpha / (cell_area total), and
+    sum w alpha rho_alpha is one matrix product of the stack with weights
+    per row, sum_i c_i l_j(alpha_i) for a node row j, divided by the node
+    weights.  Analytically the
     residual has zero mean (each density integrates to 1); the
     floating-point mean is projected out.
 
@@ -156,25 +386,22 @@ def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndar
     before any transform or exponential.
     """
     T = prob.torus
-    alpha, weight, totals, stack = partitions.alpha, partitions.weight, partitions.totals, partitions.stack
+    alpha, weight, totals = partitions.alpha, partitions.weight, partitions.totals
     lo, hi = float(v.min()), float(v.max())
-    # each row's max of alpha v, bit for bit, with no pass over the rows
+    # each atom's max of alpha v, bit for bit, with no pass over the rows
     np.multiply(alpha, np.where(alpha > 0.0, hi, lo), out=partitions.shifts)
     if not (math.isfinite(lo) and math.isfinite(hi)) or float(partitions.shifts.max()) > _EXP_GUARD:
         raise OverflowError("partition exponent out of range")
     partitions.spectrum[...] = cosine_transform(T, v)
     res = -inverse_cosine_transform(T, laplacian(T, partitions.spectrum))  # -Laplacian v
-    np.multiply(alpha[:, None], v, out=stack)
-    stack -= partitions.shifts[:, None]
-    np.exp(stack, out=stack)
-    stack *= T.quarter_weights
-    np.sum(stack, axis=1, out=totals)
+    partitions.fill(v, lo, hi)
+    stack = partitions.stack
     c = weight * alpha / (T.cell_area * totals)
     # the weights are powers of two, so dividing them out is exact
-    density_sum = c @ stack  # sum w alpha rho_alpha
+    density_sum = partitions.to_rows(c) @ stack  # sum w alpha rho_alpha
     density_sum /= T.quarter_weights
     # sum w alpha^2 rho_alpha, which only the Hessian product reads
-    np.matmul(c * alpha, stack, out=partitions.curvature)
+    np.matmul(partitions.to_rows(c * alpha), stack, out=partitions.curvature)
     partitions.curvature /= T.quarter_weights
     np.divide(weight * alpha * alpha, T.cell_area * totals * totals, out=partitions.hessian_weights)
     density_sum -= float(weight @ alpha) / T.volume
@@ -195,15 +422,17 @@ def hessian_product(prob: Problem, partitions: Partitions, q_hat: np.ndarray) ->
     :func:`el_residual` along q, and symmetric in the L^2 inner product.
     The rho_alpha are read off the ``partitions`` that :func:`el_residual`
     handed out for v, so no exponential is taken: the partition term is
-    q S minus the rank-one terms of the rows, two matrix-vector products
-    with the stack.  It takes two transforms: q from its modes, and the
-    modes of the partition term.
+    q S minus the rank-one terms of the atoms, two matrix-vector products
+    with the stack: each atom reads its row's product with q through its
+    side's interpolation matrix, and the transpose of that matrix turns
+    the atoms' weights back into the rows'.  It takes two transforms: q
+    from its modes, and the modes of the partition term.
     """
     T = prob.torus
     phi = inverse_cosine_transform(T, q_hat)
-    t = partitions.stack @ phi
+    t = partitions.to_atoms(partitions.stack @ phi)
     t *= partitions.hessian_weights
-    rank_one = t @ partitions.stack
+    rank_one = partitions.to_rows(t) @ partitions.stack
     rank_one /= T.quarter_weights
     atom_term = phi * partitions.curvature
     atom_term -= rank_one

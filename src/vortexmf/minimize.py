@@ -36,10 +36,13 @@ log-partition difference is log1p of a relative expm1 sum.  Plain
 J(new) - J(old) subtraction stalls at the rounding floor of J long before
 the equation residual reaches the tolerances demanded here.
 
-The iterate v is transformed, and each atom's exponential taken, once per
-iterate, by :func:`el_residual` into the one :class:`Partitions` of a run;
-J, the energy differences and the Hessian products at v read them there,
-and an energy difference transforms only its step.
+The iterate v is transformed, and its rows of exponentials taken, once
+per iterate, by :func:`el_residual` into the one :class:`Partitions` of a
+run; J, the energy differences and the Hessian products at v read them
+there, and an energy difference transforms only its step.  On a side of
+many atoms the rows are those of a few Chebyshev nodes in alpha, so the
+exponentials an iterate and a trial step take do not grow with the atom
+count (see :class:`Partitions`).
 
 The layer does no I/O: a run keeps its per-iteration trace, and the count
 of steps it rejected, in its :class:`MinimizeResult`, and the caller
@@ -149,12 +152,17 @@ class _EnergyDelta:
     step d, both at the quarter-cell nodes.
 
     ``partitions`` holds v's cosine modes, the atoms' circulations and
-    weights, and each atom's max-shifted exponential e^{alpha v - m} with
-    its grid sum, as :func:`el_residual` hands them out for v, so only d is
+    weights, each atom's grid sum of e^{alpha v - m}, and the stack of
+    rows, as :func:`el_residual` hands them out for v, so only d is
     transformed, for the bilinear terms <grad v, grad d> and |grad d|^2.
-    Each atom's expm1 runs in place in one buffer at the quarter-cell
-    nodes, and its relative sum is one dot product with the atom's row,
-    which carries the node weights.
+    Per row of the stack, one expm1 runs in place in one buffer at the
+    quarter-cell nodes, and the row's sum of e^{beta v - m} expm1(-beta d)
+    is one dot product with the row, which carries the node weights.  A
+    side whose rows are Chebyshev nodes reads each atom's sum off the
+    nodes' sums, divided by beta, through its interpolation matrix, and a
+    step that widens v's range past what the nodes cover takes rows of its
+    own (:meth:`Partitions.expm1_sums`).  Each atom's log-partition
+    difference is log1p of its sum over its total.
     """
 
     def __init__(self, prob: Problem, d: np.ndarray, partitions: Partitions):
@@ -163,23 +171,22 @@ class _EnergyDelta:
         d_hat = cosine_transform(prob.torus, d)
         self.a_vd = gradient_inner(prob.torus, partitions.spectrum, d_hat)
         self.a_dd = gradient_inner(prob.torus, d_hat, d_hat)
-        self.shifted = partitions
+        self.partitions = partitions
 
     def __call__(self) -> float:
         delta = -self.a_vd + 0.5 * self.a_dd
         log_terms = 0.0
-        u = np.empty_like(self.d)
-        shifted = self.shifted
-        rows = zip(shifted.alpha.tolist(), shifted.weight.tolist(), shifted.stack, shifted.totals.tolist())
+        partitions = self.partitions
         # a move past exp overflow makes the sum inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
-            for a, w, ex, total in rows:
-                np.multiply(self.d, -a, out=u)
-                np.expm1(u, out=u)
-                rel = float(ex @ u) / total
-                if not math.isfinite(rel):
-                    raise OverflowError("partition exponent out of range")
-                log_terms += w * math.log1p(rel)
+            sums = partitions.expm1_sums(self.d)
+        for w, f, total in zip(partitions.weight.tolist(), sums.tolist(), partitions.totals.tolist()):
+            rel = f / total
+            if not math.isfinite(rel):
+                raise OverflowError("partition exponent out of range")
+            # a step that all but empties a partition can round its sum
+            # to -1 or below: J(v - d) is as good as +inf there
+            log_terms += w * (math.log1p(rel) if rel > -1.0 else -math.inf)
         return delta - self.prob.lam * log_terms
 
 

@@ -1,8 +1,9 @@
 """Test oracles: the full-grid FFT calculus on grid fields, the dual
 energy expression, central differences in the circulation alpha, per-atom
 loops over the whole grid for J, the residual, the curvature, the Hessian
-product and the energy difference, the translation of a field by a
-sub-cell shift, and a check that a grid field is even bit for bit.
+product, the energy difference and its relative partition sums, the
+translation of a field by a sub-cell shift, and a check that a grid field
+is even bit for bit.
 
 The library computes on the cosine modes of even fields at their
 quarter-cell nodes; these recompute its quantities, or derivatives of
@@ -158,6 +159,14 @@ def curvature_per_atom(prob: Problem, v: Field) -> np.ndarray:
     return acc
 
 
+def relative_sums_per_atom(prob: Problem, v: Field, d: Field) -> np.ndarray:
+    """Per atom, the relative change of its partition integral from v to
+    v - d over the whole grid: the sum of e^{alpha v - m} expm1(-alpha d)
+    over the sum of e^{alpha v - m}."""
+    rows = zip(prob.P.atoms, _shifted_partitions(prob, v))
+    return np.array([float((ex * np.expm1(-a * d.values)).sum()) / total for (a, _), (_, ex, total) in rows])
+
+
 def energy_delta_per_atom(prob: Problem, v: Field, d: Field) -> float:
     """J(v - d) - J(v) in cancellation-free form over the whole grid, one
     atom at a time: the bilinear Dirichlet terms, and per atom log1p of
@@ -165,8 +174,8 @@ def energy_delta_per_atom(prob: Problem, v: Field, d: Field) -> float:
     T = prob.torus
     delta = -gradient_inner(T, v, d) + 0.5 * gradient_inner(T, d, d)
     log_terms = 0.0
-    for (a, w), (_, ex, total) in zip(prob.P.atoms, _shifted_partitions(prob, v)):
-        log_terms += w * math.log1p(float((ex * np.expm1(-a * d.values)).sum()) / total)
+    for (_, w), rel in zip(prob.P.atoms, relative_sums_per_atom(prob, v, d).tolist()):
+        log_terms += w * math.log1p(rel)
     return delta - prob.lam * log_terms
 
 

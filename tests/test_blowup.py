@@ -325,15 +325,16 @@ def test_rescale_profile_validation():
 def test_side_length_only_rescales_the_answer():
     # x -> L x maps the torus of side 1 onto the one of side L: v is the
     # same field, J shifts by -2 lambda log L, the residual scales by
-    # L^-2 (so grad_tol t at side L is t L^2 at side 1), lengths by L
+    # L^-2 (so grad_tol t at side L is t L^2 at side 1), lengths by L.  On
+    # 64^2 the profile's grid_n / 2 bins leave enough of them for the slope
     P = new_atomic([(-1.0, 0.5), (1.0, 0.5)])
     lam = 2.0 * EIGHT_PI  # lambda_bar(P): the pair concentrates
     runs = {}
     for side, tol in ((1.0, 4e-8), (2.0, 1e-8)):
-        T = SpectralTorus(side, 32)
+        T = SpectralTorus(side, 64)
         result = minimize(Problem(T, P, lam), MinimizeOptions(grad_tol=tol))
         assert result.status == "converged"
-        runs[side] = result, rescale_profile(result, T, P, n_bins=128)
+        runs[side] = result, rescale_profile(result, T, P)
     (unit, unit_prof), (double, double_prof) = runs[1.0], runs[2.0]
     assert double.iterations == unit.iterations
     assert double.J_value - unit.J_value == pytest.approx(-2.0 * lam * math.log(2.0), rel=1e-12)

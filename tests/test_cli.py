@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import vortexmf.cli
 import vortexmf.minimize
 from vortexmf.cli import build_parser, main
 
@@ -125,11 +126,16 @@ def test_a_bad_measure_is_an_input_error_on_a_command_that_reads_none(tmp_path, 
 
 
 def test_every_summary_records_its_schema_and_library_versions(tmp_path, capsys):
-    # the transform and quadrature bits depend on numpy and its BLAS
-    # library, so a rerun can only be checked byte for byte against a
-    # record of the same versions
+    # the transform and quadrature bits depend on numpy, its BLAS library
+    # and that library's thread count, so a rerun can only be checked byte
+    # for byte against a record of the same versions
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    versions = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    threads = vortexmf.cli._blas_thread_count()
+    versions = {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "blas_threads": None if threads is None else threads(),
+    }
     keys = {
         "lambda-bar": (
             ["--atoms", "1:1"],
@@ -150,6 +156,24 @@ def test_every_summary_records_its_schema_and_library_versions(tmp_path, capsys)
         summary = read_summary(out)
         assert set(summary) == {"schema_version", "versions", "command", "seed"} | own, command
         assert (summary["schema_version"], summary["versions"]) == (5, versions), command
+
+
+def test_the_record_holds_the_blas_thread_count_and_reruns_byte_for_byte(tmp_path, capsys, monkeypatch):
+    # a positive count read from numpy's bundled OpenBLAS, or null where no
+    # library exports it; either way two reruns write the same bytes
+    for name, patch in (("bundled", False), ("unknown", True)):
+        if patch:
+            monkeypatch.setattr(vortexmf.cli, "_blas_thread_count", lambda: None)
+        outs = [tmp_path / f"{name}-{k}" for k in "ab"]
+        for out in outs:
+            code, _, _ = run(capsys, "minimize", "--atoms", "1:1", "--lambdas", "12.0", "--grid-n", "32", "--out", str(out))
+            assert code == 0
+        threads = read_summary(str(outs[0]))["versions"]["blas_threads"]
+        if patch:
+            assert threads is None
+        else:
+            assert threads is None or (type(threads) is int and threads > 0)
+        assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
 
 
 def test_minimize_writes_artifacts(tmp_path, capsys):
@@ -620,6 +644,21 @@ def test_removed_settings_are_unknown_flags(tmp_path, capsys, argv):
     code, stdout, stderr = run(
         capsys, "minimize", "--atoms", "1:1", "--lambdas", "12.0", "--grid-n", "16", *argv, "--out", str(out)
     )
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: unrecognized arguments: {' '.join(argv)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--lambda", "1"), ("--grid", "16"), ("--frac", "0.5"), ("--max-iter", "3")],
+    ids=["--lambda", "--grid", "--frac", "--max-iter"],
+)
+def test_a_prefix_of_a_flag_is_an_unknown_flag(tmp_path, capsys, argv):
+    # argparse takes a unique prefix for its flag by default, so --lambda ran
+    # as --lambdas; every parser turns that off
+    out = tmp_path / "runs"
+    code, stdout, stderr = run(capsys, "minimize", "--atoms", "1:1", *argv, "--out", str(out))
     assert (code, stdout) == (2, "")
     assert stderr == f"error: unrecognized arguments: {' '.join(argv)}\n"
     assert not out.exists()

@@ -30,14 +30,16 @@ from oracles import (
     el_residual_per_atom,
     energy_delta_per_atom,
     hessian_product_per_atom,
+    gradient_inner,
     integrate,
     laplacian,
     quarter_stack,
+    relative_sums_per_atom,
     stack_per_atom,
 )
 from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product, log_partition, w_alpha
-from vortexmf.measure import new_atomic
-from vortexmf.minimize import _EnergyDelta, random_zero_mean
+from vortexmf.measure import lambda_bar, new_atomic
+from vortexmf.minimize import MinimizeOptions, _EnergyDelta, minimize, random_zero_mean
 from vortexmf import torus
 from vortexmf.torus import (
     Field,
@@ -228,18 +230,111 @@ def test_residual_hands_out_the_shifted_partitions():
 def test_one_pass_stack_of_128_atoms_is_the_per_atom_loop_bit_for_bit():
     # each row's shift is alpha max v or alpha min v, never a row max, and
     # the stack is filled and summed in whole-stack calls; the signed
-    # measure with a zero atom is test_residual_hands_out_the_shifted_partitions
+    # measure with a zero atom is test_residual_hands_out_the_shifted_partitions.
+    # v spans 150 here, so each side of 64 atoms would need as many nodes
+    # as atoms and keeps the atoms' own rows (at amplitude 5, v spans 19
+    # and each side reads its rows from 32 nodes)
     T = SpectralTorus(1.0, 64)
     atoms = [(-1.0 + (i + 0.5) / 64, 1.0 / 128) for i in range(128)]
     prob = Problem(T, new_atomic(atoms), 10.0)
-    v = random_even_field(T, np.random.default_rng(64), 5.0)
+    v = random_even_field(T, np.random.default_rng(64), 40.0)
     partitions = Partitions(prob)
     residual(prob, v, partitions)
+    assert all(lagrange is None for _, _, lagrange in partitions.layout)
     stack, _, shifts = stack_per_atom(prob, v)
     rows, row_sums = quarter_stack(T, stack)
     assert np.array_equal(partitions.stack, rows)
     assert np.array_equal(partitions.totals, row_sums)
     assert np.array_equal(partitions.shifts, shifts)
+
+
+@pytest.fixture(scope="module")
+def many_atom_state():
+    """The benchmark's 128 equal atoms over [-1, 1] at 0.9 lambda_bar on
+    128^2, converged from CLI seed 0, with its partitions filled."""
+    T = SpectralTorus(1.0, 128)
+    P = new_atomic([(-1.0 + (i + 0.5) / 64.0, 1.0 / 128.0) for i in range(128)])
+    prob = Problem(T, P, 0.9 * lambda_bar(P).lambda_bar)
+    v = minimize(prob, MinimizeOptions()).v
+    partitions = Partitions(prob)
+    residual(prob, v, partitions)
+    return prob, v, partitions
+
+
+def test_a_side_reads_its_atoms_rows_through_the_chebyshev_interpolant(many_atom_state):
+    # |v| <= 8.46, so each side of 64 atoms takes about 31 nodes, and every
+    # atom's row read through the interpolation matrix is its own row within
+    # rounding of the row maximum 1
+    prob, v, partitions = many_atom_state
+    T = prob.torus
+    rows, _ = quarter_stack(T, stack_per_atom(prob, v)[0])
+    assert len(partitions.layout) == 2
+    nodes = 0
+    for atoms, block, lagrange in partitions.layout:
+        assert lagrange is not None and lagrange.shape == (64, block.stop - block.start)
+        assert 20 <= lagrange.shape[1] <= 40
+        read = lagrange @ partitions.stack[block]
+        assert np.abs(read - rows[atoms]).max() <= 4e-15 * T.quarter_weights.max()
+        nodes += lagrange.shape[1]
+    assert partitions.stack.shape == (nodes, (T.grid_n // 2 + 1) ** 2)
+
+
+def _log_part(prob, v, d):
+    """The log-partition part of the oracle's energy difference, which is
+    all that the interpolation in alpha touches."""
+    T = prob.torus
+    return energy_delta_per_atom(prob, v, d) + gradient_inner(T, v, d) - 0.5 * gradient_inner(T, d, d)
+
+
+def test_interpolated_kernels_match_the_per_atom_oracles_on_the_converged_many_atom_state(many_atom_state, monkeypatch):
+    prob, v, partitions = many_atom_state
+    T = prob.torus
+    res = residual(prob, v, partitions).values
+    expected = el_residual_per_atom(prob, v).values
+    # the residual itself is below grad_tol; its density part, without each
+    # side's own Laplacian, is of order lambda
+    lin = project_zero_mean(T, Field(-laplacian(T, v).values)).values
+    density_gap = (res - cosine_laplacian(T, v)) - (expected - lin)
+    assert np.abs(density_gap).max() <= 1e-13 * np.abs(expected - lin).max()
+    _, totals, _ = stack_per_atom(prob, v)
+    assert np.abs(partitions.totals - totals).max() <= 1e-13 * totals.min()
+    curvature = curvature_per_atom(prob, v)
+    assert np.abs(unfold(T, partitions.curvature) - curvature).max() <= 1e-13 * curvature.max()
+    assert J(prob, quarter(T, v.values), partitions) == pytest.approx(J_per_atom(prob, v), rel=1e-13)
+    for seed in range(3):
+        phi = even(T, random_zero_mean(T, 40 + seed, amplitude=1.0))
+        _, kappa, hq_hat = hessian_product(prob, partitions, cosine_transform(T, quarter(T, phi.values)))
+        expected = hessian_product_per_atom(prob, v, phi).values
+        got = unfold(T, inverse_cosine_transform(T, hq_hat))
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert kappa == pytest.approx(integrate(T, Field(phi.values * expected)), rel=1e-13)
+    # a small step reads the node rows of the stack; a step that widens v's
+    # range takes rows at the nodes the wider range needs, and one that
+    # needs as many nodes as atoms takes each atom's own row: the exponentials
+    # each trial takes tell which
+    exps = []
+    real_exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x, *args, **kwargs: exps.append(np.size(x)) or real_exp(x, *args, **kwargs))
+    node_rows = partitions.stack.shape[0]
+    per_row = T.quarter_weights.size
+    for amplitude, rows_taken in ((1e-3, 0), (2.0, None), (300.0, 128)):
+        d = even(T, random_zero_mean(T, 20, amplitude=amplitude))
+        exps.clear()
+        sums = partitions.expm1_sums(quarter(T, d.values))
+        if rows_taken is None:
+            assert node_rows < sum(exps) // per_row < 128
+        else:
+            assert sum(exps) == rows_taken * per_row
+        # each atom's relative change of its partition integral, small |alpha|
+        # included, and the energy difference, of which the interpolation
+        # touches only the log-partition part
+        rel = relative_sums_per_atom(prob, v, d)
+        assert (np.abs(sums / partitions.totals - rel) <= 1e-13 * np.abs(rel)).all()
+        # the largest step changes J by 4e6, almost all of it Dirichlet
+        # energy, whose rounding alone is 1e-13 of the log-partition part
+        if amplitude < 100.0:
+            got = _EnergyDelta(prob, quarter(T, d.values), partitions)()
+            assert abs(got - energy_delta_per_atom(prob, v, d)) <= 1e-13 * abs(_log_part(prob, v, d))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 701.0])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import energy, even, gaussian_bump, hessian_field, residual, synthetic_result
-from oracles import J_per_atom, gradient_inner, hessian_product_per_atom, integrate, solve_poisson_zero_mean, translate
+from oracles import J_per_atom, el_residual_per_atom, gradient_inner, hessian_product_per_atom, integrate, solve_poisson_zero_mean, translate
 from vortexmf import torus
 from vortexmf.functional import Partitions, Problem, el_residual, hessian_product
 from vortexmf.measure import lambda_bar, new_atomic
@@ -402,6 +402,26 @@ def test_the_many_atom_workload_converges_to_its_reference_at_every_seed(seed):
     res = minimize(prob, MinimizeOptions(seed=seed))
     _assert_even_converged(prob, res, -17.7676455626036)
     assert res.iterations <= 19
+
+
+def test_a_density_of_1024_atoms_converges_on_few_node_rows():
+    # 1,024 midpoint atoms of uniform alpha on [-1, 1] at 0.9 lambda_bar on
+    # 64^2: each side reads its 512 atoms' rows from r Chebyshev nodes, so
+    # the stack holds 2r rows, and the residual the run converged to,
+    # recomputed one atom at a time over the whole grid, is within 2 grad_tol
+    T = SpectralTorus(1.0, 64)
+    n = 1024
+    P = new_atomic([(-1.0 + 2.0 * (i + 0.5) / n, 1.0 / n) for i in range(n)])
+    prob = Problem(T, P, 0.9 * lambda_bar(P).lambda_bar)
+    opts = MinimizeOptions()
+    res = minimize(prob, opts)
+    assert res.status == "converged"
+    assert np.abs(el_residual_per_atom(prob, res.v).values).max() <= 2.0 * opts.grad_tol
+    partitions = Partitions(prob)
+    residual(prob, res.v, partitions)
+    assert all(lagrange is not None for _, _, lagrange in partitions.layout)
+    r = max(rows.stop - rows.start for _, rows, _ in partitions.layout)
+    assert partitions.stack.shape[0] <= 2 * r <= 64
 
 
 def test_a_cold_start_near_bar_on_256_slides_onto_the_grid():
