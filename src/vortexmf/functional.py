@@ -92,26 +92,30 @@ class Partitions:
     e^{alpha (v - min v)} for alpha < 0, an entire function of alpha, so a
     Chebyshev interpolant in alpha on the side's range stands for all of
     the side's rows (Trefethen, *Approximation Theory and Approximation
-    Practice*, 2013).  Each iterate, :func:`_node_count` picks r, the fewest
-    nodes whose interpolant is within ``_NODE_TOL`` of the row maximum for
-    v's range.  A side of more than r atoms keeps its r node rows, and
-    every atom's row is read as sum_j l_j(alpha) row_j through its
-    interpolation matrix ``l_j(alpha_i)``; a side of at most r atoms, and a
-    zero atom, keeps the atoms' own rows.  ``stack`` holds the rows in use,
-    side by side in atom order, each e^{beta v - m} at the quarter-cell
-    nodes for its circulation beta, a node or an atom, and m = beta max v
-    or beta min v, times the node's weight, so that a row's sum, or its
-    product with the quarter-cell values of an even field, is that sum over
-    the whole grid.  ``layout`` holds, per side, its atoms, its rows and its
-    interpolation matrix, None where the rows are the atoms' own.  With
-    every side exact (``exact``), the stack is one row per atom in atom
-    order, the rows' values are the atoms', and every sum is the one
-    matrix product it was before the interpolation.
+    Practice*, 2013).  A side's *node set* for a range of v has r nodes,
+    the fewest whose interpolant is within ``_NODE_TOL`` of the row maximum
+    for that range (:func:`_node_count`): r Chebyshev circulations and the
+    count x r interpolation matrix ``l_j(alpha_i)``, through which every
+    atom's row is read as sum_j l_j(alpha) row_j, or, where r reaches the
+    side's count (always on a side of one atom, such as a zero atom), the
+    atoms themselves and None.  ``stack`` holds the rows of each side's
+    node set for v's range, side by side in atom order, each
+    e^{beta v - m} at the quarter-cell nodes for its circulation beta, a
+    node or an atom, and m = beta max v or beta min v, times the node's
+    weight, so that a row's sum, or its product with the quarter-cell
+    values of an even field, is that sum over the whole grid.
+    ``layout`` holds, per side, its atoms, its rows and its interpolation
+    matrix, None where the rows are the atoms' own.  An atom's own row is
+    shifted by the atom's m, bit for bit, so where every side keeps its
+    atoms' rows every sum is the one matrix product it was before the
+    interpolation.  A node set is built only when a side's node count
+    changes, and a side holds at most two: the iterate's and that of the
+    last trial step that widened v's range past it.
 
-    The arrays, the interpolation matrices included, are allocated here,
-    once per run, and every :func:`el_residual` refills them in place, so a
-    run never holds two stacks: a new stack allocated per residual while
-    the previous one was alive raised the peak resident set of 128 atoms at
+    The stack and the per-atom arrays are allocated here, once per run,
+    and every :func:`el_residual` refills them in place, so a run never
+    holds two stacks: a new stack allocated per residual while the
+    previous one was alive raised the peak resident set of 128 atoms at
     128^2 by 30 MiB.  ``stack`` is a view of the first rows of one buffer
     with a row per atom, and rows an iterate does not use are not touched.
     """
@@ -127,26 +131,30 @@ class Partitions:
         self.low = self.high = 0.0
         self._stack = np.empty((atoms, nodes))
         self.stack = self._stack
-        self._row_alpha = np.empty(atoms)
         self.totals = np.empty(atoms)
         self.shifts = np.empty(atoms)
         self.curvature = np.empty(nodes)
         self.hessian_weights = np.empty(atoms)
-        # per side: its atoms, their count k, half their range of alpha, and
-        # the buffers of the iterate's and of a trial's interpolation
-        # matrices and of a trial's nodes; a side interpolates on at most
-        # k - 1 nodes
+        # the atoms of each side, and its node sets: the iterate's, then a trial's
         signs = np.sign(self.alpha)
         self._sides = []
         for sign in (-1.0, 0.0, 1.0):
             (index,) = np.nonzero(signs == sign)
             if index.size:
-                k = index.size
-                side = slice(int(index[0]), int(index[-1]) + 1)
-                buffers = np.empty(k * (k - 1)), np.empty(k * (k - 1)), np.empty(k - 1)
-                self._sides.append((side, k, _half_width(self.alpha[side]), *buffers))
-        self._exact_layout = [(side, side, None) for side, *_ in self._sides]
-        self.layout, self.exact = self._exact_layout, True
+                self._sides.append(slice(int(index[0]), int(index[-1]) + 1))
+        self._node_sets = [[(self.alpha[side], None)] * 2 for side in self._sides]
+        self.layout = [(side, side, None) for side in self._sides]
+
+    def _node_set(self, k: int, width: float, slot: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Side k's node set for a range of v of the given width, kept in
+        ``slot``, 0 for the iterate and 1 for a trial step; it is the one
+        the side holds already if that has the node count the width needs."""
+        atoms = self.alpha[self._sides[k]]
+        r = _node_count(_half_width(atoms) * width, atoms.size)
+        held = self._node_sets[k]
+        found = [node_set for node_set in held if node_set[0].size == r]
+        held[slot] = found[0] if found else (atoms, None) if r == atoms.size else _chebyshev(atoms, r)
+        return held[slot]
 
     def fill(self, v: np.ndarray, lo: float, hi: float) -> None:
         """Choose each side's rows for the field v with min lo and max hi,
@@ -154,30 +162,18 @@ class Partitions:
         atoms' ``shifts`` are filled already."""
         self.values[...] = v
         self.low, self.high = lo, hi
-        nodes = [_node_count(half * (hi - lo), count) for _, count, half, *_ in self._sides]
-        self.exact = all(r >= count for r, (_, count, *_) in zip(nodes, self._sides))
-        if self.exact:
-            self.layout = self._exact_layout
-            self.stack = stack = self._stack
-            row_alpha, row_shifts = self.alpha, self.shifts
-        else:
-            layout, rows = [], 0
-            for (side, count, _, lagrange, _, _), r in zip(self._sides, nodes):
-                if r < count:
-                    block = slice(rows, rows + r)
-                    matrix = lagrange[: count * r].reshape(count, r)
-                    _chebyshev(self.alpha[side], self._row_alpha[block], matrix)
-                else:
-                    block, matrix = slice(rows, rows + count), None
-                    self._row_alpha[block] = self.alpha[side]
-                layout.append((side, block, matrix))
-                rows = block.stop
-            self.layout = layout
-            self.stack = stack = self._stack[:rows]
-            row_alpha = self._row_alpha[:rows]
-            row_shifts = row_alpha * np.where(row_alpha > 0.0, hi, lo)
+        layout, circulations, rows = [], [], 0
+        for k, side in enumerate(self._sides):
+            nodes, matrix = self._node_set(k, hi - lo, 0)
+            layout.append((side, slice(rows, rows + nodes.size), matrix))
+            circulations.append(nodes)
+            rows += nodes.size
+        self.layout = layout
+        self.stack = stack = self._stack[:rows]
+        row_alpha = np.concatenate(circulations)
+        # for an atom's own row, its shift in el_residual, bit for bit
         np.multiply(row_alpha[:, None], v, out=stack)
-        stack -= row_shifts[:, None]
+        stack -= (row_alpha * np.where(row_alpha > 0.0, hi, lo))[:, None]
         np.exp(stack, out=stack)
         stack *= self.quarter_weights
         self.totals[...] = self.to_atoms(stack.sum(axis=1))
@@ -186,8 +182,6 @@ class Partitions:
         """Each atom's value of a quantity linear in its row, such as the
         row's sum or its product with a field, from the rows' values: an
         exact row's own, or sum_j l_j(alpha) times the node rows' values."""
-        if self.exact:
-            return per_row
         out = np.empty(self.alpha.size)
         for atoms, rows, lagrange in self.layout:
             if lagrange is None:
@@ -200,8 +194,6 @@ class Partitions:
         """Weights per row of ``stack`` whose combination of the rows is
         sum_i per_atom_i row_i over the atoms' rows: an exact row's own
         weight, and sum_i per_atom_i l_j(alpha_i) for node j."""
-        if self.exact:
-            return per_atom
         out = np.empty(self.stack.shape[0])
         for atoms, rows, lagrange in self.layout:
             if lagrange is None:
@@ -215,40 +207,30 @@ class Partitions:
         even step d at the quarter-cell nodes: the relative change of the
         atom's partition integral from v to v - d, times its total.
 
-        An exact row takes one expm1 of its own.  On an interpolated side
-        the sum f(alpha) is an entire function of alpha with f(0) = 0, and
-        f(alpha) / alpha is interpolated from its values at the nodes, so an
-        atom of small |alpha| keeps its relative accuracy.  The exponents of
-        f span v's range widened by max d - min d; while that range needs
-        no more nodes than the iterate's, the node rows of the stack serve,
-        and otherwise the side takes rows of its own for this step, at the
-        nodes the wider range needs or, at as many nodes as atoms, at the
-        atoms.  A sum that overflows is inf or nan, and so is the atom's.
+        The exponents span v's range widened by max d - min d.  While that
+        range needs the iterate's node set, a side takes one expm1 per row
+        of the stack, and otherwise one per row of its own at the node set
+        the wider range needs, the atoms themselves when it needs as many
+        nodes as atoms.  An atom's own row gives its sum.  At Chebyshev
+        nodes the sum f(alpha) is an entire function of alpha with
+        f(0) = 0, and f(alpha) / alpha is interpolated from its values at
+        the nodes, so an atom of small |alpha| keeps its relative accuracy.
+        A sum that overflows is inf or nan, and so is the atom's.
         """
         sums = np.empty(self.alpha.size)
         u = np.empty_like(d)
-        if self.exact:
-            self._expm1_dots(d, u, self.alpha, sums, self.stack)
-            return sums
-        spread = max(float(d.max()), 0.0) - min(float(d.min()), 0.0)
-        for (atoms, rows, lagrange), (_, count, half, _, trial_lagrange, trial_nodes) in zip(self.layout, self._sides):
-            alpha = self.alpha[atoms]
+        width = self.high - self.low + (max(float(d.max()), 0.0) - min(float(d.min()), 0.0))
+        for k, (atoms, rows, _) in enumerate(self.layout):
+            nodes, lagrange = self._node_set(k, width, 1)
+            node_rows = self.stack[rows] if nodes is self._node_sets[k][0][0] else None
             if lagrange is None:
-                self._expm1_dots(d, u, alpha, sums[atoms], self.stack[rows])
+                self._expm1_dots(d, u, nodes, sums[atoms], node_rows)
                 continue
-            r = _node_count(half * (self.high - self.low + spread), count)
-            if r >= count:
-                self._expm1_dots(d, u, alpha, sums[atoms])
-                continue
-            nodes, node_rows = self._row_alpha[rows], self.stack[rows]
-            if r > nodes.size:
-                nodes, lagrange, node_rows = trial_nodes[:r], trial_lagrange[: count * r].reshape(count, r), None
-                _chebyshev(alpha, nodes, lagrange)
             f = np.empty(nodes.size)
             self._expm1_dots(d, u, nodes, f, node_rows)
             f /= nodes
             np.matmul(lagrange, f, out=sums[atoms])
-            sums[atoms] *= alpha
+            sums[atoms] *= self.alpha[atoms]
         return sums
 
     def _expm1_dots(
@@ -305,21 +287,19 @@ def _node_count(c: float, count: int) -> int:
     return count
 
 
-def _chebyshev(alpha: np.ndarray, nodes: np.ndarray, lagrange: np.ndarray) -> None:
-    """Fill ``nodes`` with the Chebyshev points of the first kind on
-    [alpha[0], alpha[-1]], as many as ``nodes`` holds, and ``lagrange`` with
-    the Lagrange basis at the sorted circulations alpha, l_j(alpha_i), by
-    the second barycentric formula (Berrut and Trefethen 2004) with the
-    points' weights (-1)^j sin theta_j; it interpolates at the nodes as
-    rounded, whatever the weights."""
-    r = nodes.size
+def _chebyshev(alpha: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r Chebyshev points of the first kind on [alpha[0], alpha[-1]]
+    and the count x r Lagrange basis at the sorted circulations alpha,
+    l_j(alpha_i), by the second barycentric formula (Berrut and Trefethen
+    2004) with the points' weights (-1)^j sin theta_j; it interpolates at
+    the nodes as rounded, whatever the weights."""
     theta = (np.arange(r) + 0.5) * (math.pi / r)
-    np.cos(theta, out=nodes)
+    nodes = np.cos(theta)
     nodes *= _half_width(alpha)
     nodes += 0.5 * (float(alpha[-1]) + float(alpha[0]))
     bary = np.sin(theta)
     bary[1::2] *= -1.0
-    np.subtract.outer(alpha, nodes, out=lagrange)
+    lagrange = np.subtract.outer(alpha, nodes)
     with np.errstate(divide="ignore"):
         np.divide(bary, lagrange, out=lagrange)
     sums = lagrange.sum(axis=1)
@@ -327,6 +307,7 @@ def _chebyshev(alpha: np.ndarray, nodes: np.ndarray, lagrange: np.ndarray) -> No
         lagrange[i] = np.isinf(lagrange[i])
         sums[i] = 1.0
     lagrange /= sums[:, None]
+    return nodes, lagrange
 
 
 def log_partition(T: SpectralTorus, v: Field, alpha: float) -> float:

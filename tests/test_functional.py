@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import i0
+from scipy.special import i0, ive
 
 from helpers import (
     energy,
@@ -37,7 +37,17 @@ from oracles import (
     relative_sums_per_atom,
     stack_per_atom,
 )
-from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product, log_partition, w_alpha
+from vortexmf.functional import (
+    _NODE_TOL,
+    J,
+    Partitions,
+    Problem,
+    _node_count,
+    el_residual,
+    hessian_product,
+    log_partition,
+    w_alpha,
+)
 from vortexmf.measure import lambda_bar, new_atomic
 from vortexmf.minimize import MinimizeOptions, _EnergyDelta, minimize, random_zero_mean
 from vortexmf import torus
@@ -421,6 +431,54 @@ def test_one_iterate_refills_the_stack_and_allocates_few_fields():
     # the calls work at the quarter-cell nodes: nothing they leave live is
     # larger than (n/2 + 1)^2 values
     assert largest <= d_nodes.nbytes
+
+
+def test_a_side_of_4096_atoms_holds_count_times_r_values_beside_the_stack():
+    # 4,096 atoms on 32^2: the stack buffer, a row per atom, is 9.0 MiB, and
+    # each side's node sets, the iterate's and that of a step that widens
+    # v's range, hold count x r values each (2.2 MiB more in all here);
+    # count^2 interpolation buffers per side traced 137.6 MiB
+    T = SpectralTorus(1.0, 32)
+    n_atoms = 4096
+    P = new_atomic([(-1.0 + 2.0 * (i + 0.5) / n_atoms, 1.0 / n_atoms) for i in range(n_atoms)])
+    prob = Problem(T, P, 10.0)
+    v = quarter(T, even(T, random_zero_mean(T, 0, amplitude=8.0)).values)
+    d = quarter(T, even(T, random_zero_mean(T, 1, amplitude=1.0)).values)
+    cosine_transform(T, v)  # the torus symbols are cached outside the trace
+    tracemalloc.start()
+    try:
+        partitions = Partitions(prob)
+        el_residual(prob, v, partitions)
+        _EnergyDelta(prob, d, partitions)()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    r = max(rows.stop - rows.start for _, rows, _ in partitions.layout)
+    assert r <= 32
+    assert peak <= 8 * n_atoms * (v.size + 4 * r)
+
+
+def test_node_count_meets_the_bessel_tail_it_bounds():
+    # the Chebyshev coefficients of a row relative to its maximum are at most
+    # 2 I_k(c) e^{-c}, so 4 sum_{k >= r} ive(k, c) bounds the interpolation
+    # error at r nodes.  The b_k bound of _node_count meets that tail at the
+    # count it returns, and up to c = 32 it spares at most one node, only
+    # where the tail at the count below is within 20% of the tolerance;
+    # above, it is loose (c = 300 returns 192, the tail first meets it at 152)
+    def tails(c):  # the bound at r nodes for r = 0, 1, ...
+        return 4.0 * np.cumsum(ive(np.arange(1000), c)[::-1])[::-1]
+
+    for c in np.geomspace(0.01, 300.0, 500).tolist():
+        bound = tails(c)
+        r = _node_count(c, 10**6)
+        assert bound[r] <= _NODE_TOL
+        fewest = int(np.argmax(bound <= _NODE_TOL))
+        if c <= 32.0:
+            assert r == fewest or (r == fewest + 1 and bound[fewest] > 0.8 * _NODE_TOL)
+    for c, r in ((1.0, 16), (8.32, 31), (32.0, 54)):
+        bound = tails(c)
+        assert _node_count(c, 10**6) == r
+        assert bound[r] <= _NODE_TOL < bound[r - 1]
 
 
 def _signed_hessian_setup():

@@ -424,6 +424,34 @@ def test_a_density_of_1024_atoms_converges_on_few_node_rows():
     assert partitions.stack.shape[0] <= 2 * r <= 64
 
 
+def test_a_side_builds_a_node_set_only_when_its_node_count_changes(monkeypatch):
+    # the benchmark's 128-atom solve at CLI seeds 0-3 builds 104 node sets;
+    # a build on every fill and every widening step took 218
+    builds = []
+    chebyshev = functional_module._chebyshev
+    monkeypatch.setattr(functional_module, "_chebyshev", lambda alpha, r: builds.append(r) or chebyshev(alpha, r))
+    requests = []  # per request: the partitions, the side, its node count, built or not
+    node_set = Partitions._node_set
+
+    def counted(self, k, width, slot):
+        before = len(builds)
+        nodes, matrix = node_set(self, k, width, slot)
+        requests.append((self, k, nodes.size, len(builds) > before))
+        return nodes, matrix
+
+    monkeypatch.setattr(Partitions, "_node_set", counted)
+    T = SpectralTorus(1.0, 128)
+    P = new_atomic([(-1.0 + (i + 0.5) / 64.0, 1.0 / 128.0) for i in range(128)])
+    prob = Problem(T, P, 0.9 * lambda_bar(P).lambda_bar)
+    for seed in range(4):
+        assert minimize(prob, MinimizeOptions(seed=seed)).status == "converged"
+    last = {}
+    for partitions, k, r, built in requests:
+        assert not built or last.get((partitions, k)) != r
+        last[(partitions, k)] = r
+    assert len(builds) <= 120
+
+
 def test_a_cold_start_near_bar_on_256_slides_onto_the_grid():
     # a resolved spike, about 8 cells wide, sits on a node of the even
     # fields, so no step crawls along its slide onto the grid: 24 steps,
