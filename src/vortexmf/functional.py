@@ -109,8 +109,8 @@ class Partitions:
     shifted by the atom's m, bit for bit, so where every side keeps its
     atoms' rows every sum is the one matrix product it was before the
     interpolation.  A node set is built only when a side's node count
-    changes, and a side holds at most two: the iterate's and that of the
-    last trial step that widened v's range past it.
+    changes, and a side holds at most two: the last fill's, and the last
+    widening trial step's or the fill's before (:meth:`_node_set`).
 
     The stack and the per-atom arrays are allocated here, once per run,
     and every :func:`el_residual` refills them in place, so a run never
@@ -146,15 +146,21 @@ class Partitions:
         self.layout = [(side, side, None) for side in self._sides]
 
     def _node_set(self, k: int, width: float, slot: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Side k's node set for a range of v of the given width, kept in
-        ``slot``, 0 for the iterate and 1 for a trial step; it is the one
-        the side holds already if that has the node count the width needs."""
+        """Side k's node set for a range of v of the given width, for a fill
+        in ``slot`` 0 or a trial step in slot 1.  Slot 0 holds the last
+        fill's set, and slot 1 the last trial's or the fill's before, so a
+        refill at v after a candidate finds v's set there.  Either is taken
+        if it has the node count the width needs; a new set goes to slot 1,
+        and a fill then swaps the slots."""
         atoms = self.alpha[self._sides[k]]
-        r = _node_count(_half_width(atoms) * width, atoms.size)
         held = self._node_sets[k]
-        found = [node_set for node_set in held if node_set[0].size == r]
-        held[slot] = found[0] if found else (atoms, None) if r == atoms.size else _chebyshev(atoms, r)
-        return held[slot]
+        r = _node_count(_half_width(atoms) * width, atoms.size, held[0][0].size)
+        if held[0][0].size != r:
+            if held[1][0].size != r:
+                held[1] = (atoms, None) if r == atoms.size else _chebyshev(atoms, r)
+            if slot == 0:
+                held.reverse()
+        return held[0] if held[0][0].size == r else held[1]
 
     def fill(self, v: np.ndarray, lo: float, hi: float) -> None:
         """Choose each side's rows for the field v with min lo and max hi,
@@ -261,7 +267,7 @@ def _half_width(alpha: np.ndarray) -> float:
     return 0.5 * (float(alpha[-1]) - float(alpha[0]))
 
 
-def _node_count(c: float, count: int) -> int:
+def _node_count(c: float, count: int, start: int) -> int:
     """The fewest Chebyshev nodes r < count whose interpolant in alpha is
     within ``_NODE_TOL`` of the row maximum on a side with c = half the
     side's range of alpha times the range of v, or ``count`` if none is.
@@ -276,15 +282,32 @@ def _node_count(c: float, count: int) -> int:
     interpolant at r points is within twice the coefficients' tail from
     k = r (Trefethen 2013, Thm 4.2), so within 4 b_r / (1 - q).  A side of
     one atom, or a constant v, has c = 0 and takes one node.
+
+    The walk over r starts at ``start``, the side's held count, within
+    [max(1, floor(c/2)), count].  There the bound falls as r grows, so the
+    counts that meet it are those from the answer up: the walk goes down
+    from a start that meets it, and up from one that does not.
     """
     if c == 0.0:
         return 1
     log_tol = math.log(_NODE_TOL / 4.0)
-    for r in range(max(1, math.floor(c / 2.0)), count):
+    log_half_c = math.log(c / 2.0)
+    lowest = max(1, math.floor(c / 2.0))
+
+    def meets(r: int) -> bool:
+        if r >= count:
+            return True
         q = c / (2.0 * (r + 1))
-        if r * math.log(c / 2.0) - math.lgamma(r + 1) + 0.5 * c * q - c - math.log1p(-q) <= log_tol:
-            return r
-    return count
+        return r * log_half_c - math.lgamma(r + 1) + 0.5 * c * q - c - math.log1p(-q) <= log_tol
+
+    r = min(max(start, lowest), count)
+    if meets(r):
+        while r > lowest and meets(r - 1):
+            r -= 1
+        return r
+    while not meets(r + 1):
+        r += 1
+    return r + 1
 
 
 def _chebyshev(alpha: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -334,13 +357,30 @@ def J(prob: Problem, v: np.ndarray, partitions: Partitions) -> float:
     It is read off the ``partitions`` that :func:`el_residual` handed out
     for v, so it takes no transform and no exponential: the Dirichlet
     energy is the Parseval sum of v's cosine modes, and each log-partition
-    is m + log(cell_area * total).
+    is m + log(cell_area * total), one logarithm over the totals, summed
+    over the atoms by ``math.fsum``.
     """
     T = prob.torus
     vbar = integrate(T, v) / T.volume
-    rows = zip(prob.P.atoms, partitions.shifts.tolist(), partitions.totals.tolist())
-    log_terms = math.fsum(w * (m + math.log(T.cell_area * total) - a * vbar) for (a, w), m, total in rows)
-    return dirichlet_energy(T, partitions.spectrum) - prob.lam * log_terms
+    log_terms = np.log(T.cell_area * partitions.totals)
+    log_terms += partitions.shifts
+    log_terms -= partitions.alpha * vbar
+    log_terms *= partitions.weight
+    return dirichlet_energy(T, partitions.spectrum) - prob.lam * math.fsum(log_terms.tolist())
+
+
+def energy_scale(prob: Problem, partitions: Partitions) -> float:
+    """S = (1/2) int |grad v|^2 + lambda sum w (1 + |m| + |log(cell_area total)|)
+    at the field the ``partitions`` were filled for, by which the rounding
+    error of :func:`J` there is measured.  Besides the magnitudes of the
+    terms J adds, each atom's term carries the rounding of its total, a
+    sum of positive values, whose relative error does not shrink with the
+    field: at a field near 0 every other term of S is near 0."""
+    T = prob.torus
+    log_terms = np.abs(np.log(T.cell_area * partitions.totals))
+    log_terms += np.abs(partitions.shifts)
+    log_terms += 1.0
+    return dirichlet_energy(T, partitions.spectrum) + prob.lam * float(partitions.weight @ log_terms)
 
 
 def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndarray:
@@ -364,15 +404,17 @@ def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndar
 
     ``partitions`` is refilled in place at v (see :class:`Partitions`).  A
     non-finite v, or a largest m above the guard, raises OverflowError
-    before any transform or exponential.
+    before any transform or exponential, and leaves ``partitions`` as it
+    was.
     """
     T = prob.torus
     alpha, weight, totals = partitions.alpha, partitions.weight, partitions.totals
     lo, hi = float(v.min()), float(v.max())
     # each atom's max of alpha v, bit for bit, with no pass over the rows
-    np.multiply(alpha, np.where(alpha > 0.0, hi, lo), out=partitions.shifts)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or float(partitions.shifts.max()) > _EXP_GUARD:
+    shifts = alpha * np.where(alpha > 0.0, hi, lo)
+    if not (math.isfinite(lo) and math.isfinite(hi)) or float(shifts.max()) > _EXP_GUARD:
         raise OverflowError("partition exponent out of range")
+    partitions.shifts[...] = shifts
     partitions.spectrum[...] = cosine_transform(T, v)
     res = -inverse_cosine_transform(T, laplacian(T, partitions.spectrum))  # -Laplacian v
     partitions.fill(v, lo, hi)

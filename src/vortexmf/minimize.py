@@ -30,19 +30,26 @@ The CG path grows monotonically in the H^1 norm, so after a rejected step
 the smaller radius cuts the path already computed at that iterate, and
 takes no Hessian product.
 
-The actual change of J is evaluated in cancellation-free form: the
-Dirichlet part expands exactly as a bilinear form in (v, d), and each
-log-partition difference is log1p of a relative expm1 sum.  Plain
-J(new) - J(old) subtraction stalls at the rounding floor of J long before
-the equation residual reaches the tolerances demanded here.
+The actual change of J is evaluated one of two ways (see
+:class:`_EnergyDelta`).  A step whose predicted decrease is at least
+``SUBTRACTION_RHO`` eps S(v), S the magnitudes J sums at v
+(:func:`energy_scale`), fills its candidate v - d into the partitions, and
+its change is J there less J(v): plain subtraction is exact enough for the
+ratio there, and an accepted candidate is the next iterate, whose
+partitions are then filled already.  A smaller step is evaluated in
+cancellation-free form: the Dirichlet part expands exactly as a bilinear
+form in (v, d), and each log-partition difference is log1p of a relative
+expm1 sum.  Plain subtraction there stalls at the rounding floor of J
+long before the equation residual reaches the tolerances demanded here.
 
 The iterate v is transformed, and its rows of exponentials taken, once
 per iterate, by :func:`el_residual` into the one :class:`Partitions` of a
 run; J, the energy differences and the Hessian products at v read them
-there, and an energy difference transforms only its step.  On a side of
-many atoms the rows are those of a few Chebyshev nodes in alpha, so the
-exponentials an iterate and a trial step take do not grow with the atom
-count (see :class:`Partitions`).
+there, and a cancellation-free energy difference transforms only its
+step.  A rejected candidate has filled the partitions, and v's are filled
+again, bit for bit.  On a side of many atoms the rows are those of a few
+Chebyshev nodes in alpha, so the exponentials an iterate and a trial step
+take do not grow with the atom count (see :class:`Partitions`).
 
 The layer does no I/O: a run keeps its per-iteration trace, and the count
 of steps it rejected, in its :class:`MinimizeResult`, and the caller
@@ -56,7 +63,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product, log_partition
+from vortexmf.functional import J, Partitions, Problem, el_residual, energy_scale, hessian_product, log_partition
 from vortexmf.measure import CirculationMeasure
 from vortexmf.torus import (
     Field,
@@ -76,6 +83,9 @@ from vortexmf.torus import (
 ACCEPT_RATIO = 1e-4
 MAX_REJECTIONS = 60  # rejected steps in a row that end a run diverged
 CG_MAX_ITERS = 200  # Hessian products per truncated-CG solve
+# the predicted decrease, over eps S(v), from which a trial step's change
+# of J is read by subtraction (derived in _EnergyDelta)
+SUBTRACTION_RHO = 4e6
 # the peak of |v| that stops a run as blown up on grids up to 64^2 (see blowup_threshold)
 BLOWUP_PEAK = 25.0
 
@@ -148,35 +158,82 @@ def center_bump(T: SpectralTorus, amplitude: float = 0.5) -> Field:
 
 
 class _EnergyDelta:
-    """Cancellation-free J(v - d) - J(v) for the iterate v and a zero-mean
-    step d, both at the quarter-cell nodes.
+    """J(v - d) - J(v) for the iterate v and a zero-mean step d, both at
+    the quarter-cell nodes, in one of two ways.
 
-    ``partitions`` holds v's cosine modes, the atoms' circulations and
-    weights, each atom's grid sum of e^{alpha v - m}, and the stack of
-    rows, as :func:`el_residual` hands them out for v, so only d is
-    transformed, for the bilinear terms <grad v, grad d> and |grad d|^2.
-    Per row of the stack, one expm1 runs in place in one buffer at the
-    quarter-cell nodes, and the row's sum of e^{beta v - m} expm1(-beta d)
-    is one dot product with the row, which carries the node weights.  A
-    side whose rows are Chebyshev nodes reads each atom's sum off the
-    nodes' sums, divided by beta, through its interpolation matrix, and a
-    step that widens v's range past what the nodes cover takes rows of its
-    own (:meth:`Partitions.expm1_sums`).  Each atom's log-partition
-    difference is log1p of its sum over its total.
+    ``partitions`` holds what :func:`el_residual` handed out for v: its
+    cosine modes, its values, the atoms' circulations and weights, each
+    atom's shift m and grid sum of e^{alpha v - m}, and the stack of rows.
+
+    A step whose predicted decrease -``model`` is at least
+    ``SUBTRACTION_RHO`` eps S(v) (:func:`energy_scale`) is evaluated by
+    subtraction: the candidate v - d, with its mean removed as for the next
+    iterate, is filled into ``partitions`` by :func:`el_residual`, and the
+    difference is J(v - d), read off that fill, less ``j_curr``.  The
+    candidate and its residual are kept, so an accepted step takes them as
+    the next iterate and fills nothing again; the caller refills v after a
+    rejected one.
+
+    The floor: J at a field u is exact to about c eps S(u), where c covers
+    the sums of the Dirichlet energy and of each total, a few times log2 of
+    the node count at most, and a few ulps per shift and logarithm; S
+    counts one unit per atom for the relative rounding of its total.
+    ``j_curr``, J at the start plus the differences of the steps taken,
+    carries a few such roundings.  So the difference is exact to about
+    2 c eps S(v) while S(v - d) is near S(v), and a step that moves S much
+    further changes J by about as much, which keeps the error a few ulps
+    of the change.  The ratio to the model is then exact to 2 c / rho, and
+    rho = 4e6 with c = 20 bounds that by 1e-5, a tenth of ``ACCEPT_RATIO``
+    and far below the radius tests at 0.25 and 0.75.  A candidate that
+    trips the exponent guard leaves ``partitions`` as they were, and is
+    evaluated the other way.
+
+    A smaller step, or one built without a model, is evaluated in
+    cancellation-free form, since there subtraction would lose the ratio.
+    Only d is transformed, for the bilinear terms <grad v, grad d> and
+    |grad d|^2.  Per row of the stack, one expm1 runs in place in one
+    buffer at the quarter-cell nodes, and the row's sum of
+    e^{beta v - m} expm1(-beta d) is one dot product with the row, which
+    carries the node weights.  A side whose rows are Chebyshev nodes reads
+    each atom's sum off the nodes' sums, divided by beta, through its
+    interpolation matrix, and a step that widens v's range past what the
+    nodes cover takes rows of its own (:meth:`Partitions.expm1_sums`).
+    Each atom's log-partition difference is log1p of its sum over its
+    total.
     """
 
-    def __init__(self, prob: Problem, d: np.ndarray, partitions: Partitions):
+    def __init__(
+        self, prob: Problem, d: np.ndarray, partitions: Partitions, model: float | None = None, j_curr: float = math.nan
+    ):
         self.prob = prob
         self.d = d
-        d_hat = cosine_transform(prob.torus, d)
-        self.a_vd = gradient_inner(prob.torus, partitions.spectrum, d_hat)
-        self.a_dd = gradient_inner(prob.torus, d_hat, d_hat)
         self.partitions = partitions
+        self.j_curr = j_curr
+        self.candidate: np.ndarray | None = None
+        self.residual: np.ndarray | None = None
+        self.subtract = model is not None and -model >= SUBTRACTION_RHO * math.ulp(1.0) * energy_scale(prob, partitions)
+        if not self.subtract:
+            self._transform_step()
+
+    def _transform_step(self) -> None:
+        T = self.prob.torus
+        d_hat = cosine_transform(T, self.d)
+        self.a_vd = gradient_inner(T, self.partitions.spectrum, d_hat)
+        self.a_dd = gradient_inner(T, d_hat, d_hat)
 
     def __call__(self) -> float:
+        prob, partitions = self.prob, self.partitions
+        if self.subtract:
+            candidate = _next_iterate(prob.torus, partitions.values, self.d)
+            try:
+                self.residual = el_residual(prob, candidate, partitions)
+            except OverflowError:  # past the guard: the partitions are still v's
+                self._transform_step()
+            else:
+                self.candidate = candidate
+                return J(prob, candidate, partitions) - self.j_curr
         delta = -self.a_vd + 0.5 * self.a_dd
         log_terms = 0.0
-        partitions = self.partitions
         # a move past exp overflow makes the sum inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
             sums = partitions.expm1_sums(self.d)
@@ -187,7 +244,14 @@ class _EnergyDelta:
             # a step that all but empties a partition can round its sum
             # to -1 or below: J(v - d) is as good as +inf there
             log_terms += w * (math.log1p(rel) if rel > -1.0 else -math.inf)
-        return delta - self.prob.lam * log_terms
+        return delta - prob.lam * log_terms
+
+
+def _next_iterate(T: SpectralTorus, v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """v - d with its mean removed: the iterate a step d from v leads to."""
+    v = v - d
+    v -= integrate(T, v) / T.volume
+    return v
 
 
 def blowup_threshold(T: SpectralTorus) -> float:
@@ -213,9 +277,9 @@ def _stop_status(opts: MinimizeOptions, T: SpectralTorus, v: np.ndarray, res_nor
     return None
 
 
-def _finite(what: str, value):
-    """Return value, or raise OverflowError naming ``what`` if any of it is not finite."""
-    if not np.isfinite(value).all():
+def _finite(what: str, value: float) -> float:
+    """Return value, or raise OverflowError naming ``what`` if it is not finite."""
+    if not math.isfinite(value):
         raise OverflowError(f"truncated CG: {what} is not finite")
     return value
 
@@ -309,7 +373,9 @@ class _SteihaugPath:
             dd += alpha * (2.0 * dq + alpha * qq)
             k += 1
         _finite("the model", model)
-        return _finite("the step", d), model, boundary, len(self.directions) - grown
+        if not np.isfinite(d).all():
+            raise OverflowError("truncated CG: the step is not finite")
+        return d, model, boundary, len(self.directions) - grown
 
 
 def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = None) -> MinimizeResult:
@@ -348,21 +414,25 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = No
                 radius = math.sqrt(path.rz0)
         step, model, boundary, n = path.step(radius)
         products += n
-        delta = _EnergyDelta(prob, step, partitions)
+        delta = _EnergyDelta(prob, step, partitions, model, j_curr)
         dj = delta()
         ratio = dj / model  # actual over predicted change; model < 0
         iterations += 1
         if ratio > ACCEPT_RATIO:
-            v = v - step
-            v -= integrate(T, v) / T.volume
             path = None
-            g = el_residual(prob, v, partitions)
+            if delta.candidate is None:
+                v = _next_iterate(T, v, step)
+                g = el_residual(prob, v, partitions)
+            else:
+                v, g = delta.candidate, delta.residual
             j_curr = j_curr + dj
             res_norm = float(np.abs(g).max())
             rejected_in_a_row = 0
         else:
             rejected += 1
             rejected_in_a_row += 1
+            if delta.candidate is not None:
+                el_residual(prob, v, partitions)  # v's partitions again, bit for bit
         trace.append((j_curr, res_norm, radius, float(v.max())))
         if rejected_in_a_row == MAX_REJECTIONS:
             status = "diverged"  # the trust radius collapsed

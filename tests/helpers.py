@@ -1,15 +1,18 @@
 """Shared test utilities: random measures, random and synthetic fields,
-and J, the residual and the Hessian product at a field outside a run.
+and J, the residual, the Hessian product and the trust region's energy
+difference at a field outside a run.
 
 The library's solver functions take even fields at their quarter-cell
 nodes; the wrappers here take a grid ``Field``, hand its quarter cell on
 and unfold what comes back."""
 
+import math
+
 import numpy as np
 
-from vortexmf.functional import J, Partitions, Problem, el_residual, hessian_product
+from vortexmf.functional import J, Partitions, Problem, el_residual, energy_scale, hessian_product
 from vortexmf.measure import CirculationMeasure, new_atomic
-from vortexmf.minimize import MinimizeResult
+from vortexmf.minimize import SUBTRACTION_RHO, MinimizeResult, _EnergyDelta
 from vortexmf.torus import (
     Field,
     SpectralTorus,
@@ -79,3 +82,20 @@ def hessian_field(prob: Problem, partitions: Partitions, phi: np.ndarray) -> Fie
     T = prob.torus
     _, _, hq_hat = hessian_product(prob, partitions, cosine_transform(T, phi))
     return Field(unfold(T, inverse_cosine_transform(T, hq_hat)))
+
+
+def subtracted_energy_delta(prob: Problem, v: Field, d: Field) -> tuple[float, float, float]:
+    """J(v - d) - J(v) for the even fields v and d as the trust region
+    evaluates a step at a model on the subtraction floor, read off the
+    candidate's partitions; the cancellation-free difference at v's
+    partitions; and eps S(v), S the floor's energy scale."""
+    T = prob.torus
+    v, d = quarter(T, v.values), quarter(T, d.values)
+    partitions = Partitions(prob)
+    el_residual(prob, v, partitions)
+    eps_s = math.ulp(1.0) * energy_scale(prob, partitions)
+    cancellation_free = _EnergyDelta(prob, d, partitions)()
+    delta = _EnergyDelta(prob, d, partitions, -SUBTRACTION_RHO * eps_s, J(prob, v, partitions))
+    subtracted = delta()
+    assert delta.candidate is not None
+    return subtracted, cancellation_free, eps_s

@@ -2,8 +2,9 @@
 energy expression, central differences in the circulation alpha, per-atom
 loops over the whole grid for J, the residual, the curvature, the Hessian
 product, the energy difference and its relative partition sums, the
-translation of a field by a sub-cell shift, and a check that a grid field
-is even bit for bit.
+translation of a field by a sub-cell shift, a check that a grid field
+is even bit for bit, and the walk for a side's Chebyshev node count from
+c/2 up.
 
 The library computes on the cosine modes of even fields at their
 quarter-cell nodes; these recompute its quantities, or derivatives of
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from vortexmf.functional import Problem, log_partition, w_alpha
+from vortexmf.functional import _NODE_TOL, Problem, log_partition, w_alpha
 from vortexmf.torus import Field, SpectralTorus, _check, project_zero_mean
 
 
@@ -281,3 +282,17 @@ def check_even(T: SpectralTorus, f: Field) -> None:
     vals = _check(T, f)
     if not (np.array_equal(vals[1:], vals[:0:-1]) and np.array_equal(vals[:, 1:], vals[:, :0:-1])):
         raise ValueError("field is not even about node (0, 0) in x and in y")
+
+
+def node_count_walk(c: float, count: int) -> int:
+    """The node count of ``functional._node_count`` by a walk over every r
+    from max(1, floor(c/2)) up: the first r < count whose bound
+    4 b_r / (1 - q) meets the tolerance, or ``count``."""
+    if c == 0.0:
+        return 1
+    log_tol = math.log(_NODE_TOL / 4.0)
+    for r in range(max(1, math.floor(c / 2.0)), count):
+        q = c / (2.0 * (r + 1))
+        if r * math.log(c / 2.0) - math.lgamma(r + 1) + 0.5 * c * q - c - math.log1p(-q) <= log_tol:
+            return r
+    return count

@@ -20,6 +20,7 @@ from helpers import (
     random_measure,
     random_zero_mean_field,
     residual,
+    subtracted_energy_delta,
 )
 from oracles import (
     J_dual,
@@ -33,6 +34,7 @@ from oracles import (
     gradient_inner,
     integrate,
     laplacian,
+    node_count_walk,
     quarter_stack,
     relative_sums_per_atom,
     stack_per_atom,
@@ -49,7 +51,7 @@ from vortexmf.functional import (
     w_alpha,
 )
 from vortexmf.measure import lambda_bar, new_atomic
-from vortexmf.minimize import MinimizeOptions, _EnergyDelta, minimize, random_zero_mean
+from vortexmf.minimize import SUBTRACTION_RHO, MinimizeOptions, _EnergyDelta, minimize, random_zero_mean
 from vortexmf import torus
 from vortexmf.torus import (
     Field,
@@ -347,6 +349,19 @@ def test_interpolated_kernels_match_the_per_atom_oracles_on_the_converged_many_a
             assert abs(got - energy_delta_per_atom(prob, v, d)) <= 1e-13 * abs(_log_part(prob, v, d))
 
 
+@pytest.mark.parametrize("amplitude", [1e-3, 0.1, 2.0, 20.0])
+def test_a_step_above_the_floor_reads_the_candidate_on_the_converged_many_atom_state(many_atom_state, amplitude):
+    # the candidate's interpolated fill, less J(v), is the cancellation-free
+    # difference within the floor rho eps S(v), and within 2c eps (S + |dJ|)
+    # for c = 20, the rounding of J at v and at v - d
+    prob, v, _ = many_atom_state
+    d = even(prob.torus, random_zero_mean(prob.torus, 20, amplitude=amplitude))
+    subtracted, cancellation_free, eps_s = subtracted_energy_delta(prob, v, d)
+    gap = abs(subtracted - cancellation_free)
+    assert gap <= SUBTRACTION_RHO * eps_s
+    assert gap <= 40.0 * (eps_s + math.ulp(1.0) * abs(cancellation_free))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 701.0])
 def test_residual_guard_rejects_a_non_finite_or_too_large_field(bad):
     # one cell at 701 puts alpha = 1's exponent above the guard
@@ -470,15 +485,26 @@ def test_node_count_meets_the_bessel_tail_it_bounds():
 
     for c in np.geomspace(0.01, 300.0, 500).tolist():
         bound = tails(c)
-        r = _node_count(c, 10**6)
+        r = _node_count(c, 10**6, 1)
         assert bound[r] <= _NODE_TOL
         fewest = int(np.argmax(bound <= _NODE_TOL))
         if c <= 32.0:
             assert r == fewest or (r == fewest + 1 and bound[fewest] > 0.8 * _NODE_TOL)
     for c, r in ((1.0, 16), (8.32, 31), (32.0, 54)):
         bound = tails(c)
-        assert _node_count(c, 10**6) == r
+        assert _node_count(c, 10**6, 1) == r
         assert bound[r] <= _NODE_TOL < bound[r - 1]
+
+
+def test_node_count_walks_from_the_held_count_to_the_same_answer():
+    # the bound falls with r past c/2, so a walk from any start, down from
+    # one that meets it and up from one that does not, ends where the walk
+    # up from c/2 does; a count of 64 caps it as a side of 64 atoms does,
+    # and every start past the count starts at the count
+    for c in np.geomspace(0.01, 300.0, 500).tolist():
+        for count, starts in ((10**6, 201), (64, 66)):
+            expected = node_count_walk(c, count)
+            assert all(_node_count(c, count, start) == expected for start in range(starts))
 
 
 def _signed_hessian_setup():

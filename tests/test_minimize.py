@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import energy, even, gaussian_bump, hessian_field, residual, synthetic_result
+from helpers import energy, even, gaussian_bump, hessian_field, residual, subtracted_energy_delta, synthetic_result
 from oracles import J_per_atom, el_residual_per_atom, gradient_inner, hessian_product_per_atom, integrate, solve_poisson_zero_mean, translate
 from vortexmf import torus
 from vortexmf.functional import Partitions, Problem, el_residual, hessian_product
@@ -298,6 +298,29 @@ def test_energy_delta_past_exp_overflow_raises():
         _energy_delta(prob, v, Field((800.0 / u_per_step) * d.values))()
 
 
+@pytest.mark.parametrize("max_u", [705.0, 800.0])
+def test_a_candidate_past_the_exponent_guard_falls_back_to_the_cancellation_free_form(max_u):
+    # at 705 the candidate's largest shift is past the guard and the
+    # cancellation-free form is finite; at 800 that form overflows too, as
+    # without the floor.  Either way the partitions stay v's
+    prob, v, d, u_per_step = _signed_three_atom_move()
+    T = prob.torus
+    step = quarter(T, (max_u / u_per_step) * d.values)
+    partitions = Partitions(prob)
+    v_q = quarter(T, v.values)
+    el_residual(prob, v_q, partitions)
+    before = [getattr(partitions, f).copy() for f in ("stack", "totals", "shifts", "spectrum", "values")]
+    delta = minimize_module._EnergyDelta(prob, step, partitions, -math.inf, 0.0)
+    if max_u < 800.0:
+        assert delta() == minimize_module._EnergyDelta(prob, step, partitions)()
+    else:
+        with pytest.raises(OverflowError, match="partition exponent out of range"):
+            delta()
+    assert delta.candidate is None
+    after = [getattr(partitions, f) for f in ("stack", "totals", "shifts", "spectrum", "values")]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
 def test_energy_delta_bilinear_terms_match_gradient_inner():
     # bit for bit the Parseval sums of the cosine modes, and the full-grid
     # forms to rounding
@@ -309,6 +332,106 @@ def test_energy_delta_bilinear_terms_match_gradient_inner():
     assert delta.a_dd == torus.gradient_inner(T, d_hat, d_hat)
     assert delta.a_vd == pytest.approx(gradient_inner(T, v, d), rel=1e-13)
     assert delta.a_dd == pytest.approx(gradient_inner(T, d, d), rel=1e-13)
+
+
+@pytest.mark.parametrize("max_u", [1e-3, 1.0, 40.0, 300.0])
+def test_a_step_above_the_floor_reads_the_difference_off_the_candidate(max_u):
+    # J(v - d) read off the candidate's fill, less J(v), is the
+    # cancellation-free difference within the floor rho eps S(v); within
+    # 2c eps (S + |dJ|) for c = 20, the rounding of J at v and at v - d
+    prob, v, d, u_per_step = _signed_three_atom_move()
+    subtracted, cancellation_free, eps_s = subtracted_energy_delta(prob, v, Field((max_u / u_per_step) * d.values))
+    gap = abs(subtracted - cancellation_free)
+    assert gap <= minimize_module.SUBTRACTION_RHO * eps_s
+    assert gap <= 40.0 * (eps_s + math.ulp(1.0) * abs(cancellation_free))
+
+
+def _trial_regimes(monkeypatch):
+    """Per trial step of the runs that follow, whether it filled its
+    candidate (True) or took the cancellation-free form (False)."""
+    filled = []
+    real_call = minimize_module._EnergyDelta.__call__
+
+    def recorded(self):
+        out = real_call(self)
+        filled.append(self.candidate is not None)
+        return out
+
+    monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", recorded)
+    return filled
+
+
+def _accepted(res):
+    """Per step of a run, whether it was accepted: a rejected step repeats
+    the J, residual and max of v of the trace row before."""
+    rows = [(j, r, max_v) for j, r, _, max_v in res.trace]
+    return [b != a for a, b in zip(rows, rows[1:])]
+
+
+def _partitions_state(partitions):
+    """Copies of what a fill leaves in ``partitions``; a node set's matrix
+    as its bytes."""
+    fields = ("stack", "totals", "shifts", "spectrum", "curvature", "hessian_weights", "values")
+    layout = [(atoms, rows, None if m is None else m.tobytes()) for atoms, rows, m in partitions.layout]
+    return [getattr(partitions, f).tobytes() for f in fields] + [layout, partitions.low, partitions.high]
+
+
+@pytest.mark.parametrize("many", [False, True])
+def test_a_rejected_candidate_leaves_the_partitions_of_v_bit_for_bit(monkeypatch, many):
+    # every step is rejected, the first ones after filling their candidate:
+    # each trial starts from the partitions el_residual(v) left, bit for
+    # bit, node sets included where 128 atoms read their rows from them
+    snapshots, filled = [], []
+    real_init, real_call = minimize_module._EnergyDelta.__init__, minimize_module._EnergyDelta.__call__
+
+    def snapshot(self, prob, d, partitions, *args):
+        snapshots.append(_partitions_state(partitions))
+        real_init(self, prob, d, partitions, *args)
+
+    def rejected(self):
+        real_call(self)
+        filled.append(self.candidate is not None)
+        return 1.0
+
+    monkeypatch.setattr(minimize_module._EnergyDelta, "__init__", snapshot)
+    monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", rejected)
+    T = SpectralTorus(1.0, 32)
+    if many:
+        P = new_atomic([(-1.0 + (i + 0.5) / 64.0, 1.0 / 128.0) for i in range(128)])
+        prob = Problem(T, P, 0.9 * lambda_bar(P).lambda_bar)
+    else:
+        prob = Problem(T, new_atomic([(-1.0, 0.3), (0.5, 0.3), (1.0, 0.4)]), 10.0)
+    res = minimize(prob, MinimizeOptions())
+    assert res.status == "diverged" and res.rejected == minimize_module.MAX_REJECTIONS
+    assert filled[0] and not filled[-1]
+    partitions = Partitions(prob)
+    el_residual(prob, quarter(T, even(T, random_zero_mean(T, 0)).values), partitions)
+    first = _partitions_state(partitions)
+    assert all(m is not None for _, _, m in first[-3]) == many
+    assert all(snap == first for snap in snapshots)
+
+
+def test_the_floor_moves_no_step(monkeypatch):
+    # with every step taken in cancellation-free form the runs take the same
+    # steps, rejections and Hessian products
+    T = SpectralTorus(1.0, 128)
+    P = new_atomic([(-1.0 + (i + 0.5) / 64.0, 1.0 / 128.0) for i in range(128)])
+    many = Problem(T, P, 0.9 * lambda_bar(P).lambda_bar)
+    schedule = [f * 2.0 * EIGHT_PI for f in (0.8, 0.9, 0.99, 1.0)]
+    pair = stage_problems(SpectralTorus(1.0, 64), new_atomic([(-1.0, 0.5), (1.0, 0.5)]), schedule)
+
+    def counts():
+        runs = [minimize(many, MinimizeOptions(seed=seed)) for seed in range(4)]
+        runs += continuation_sweep(pair, MinimizeOptions())
+        return [(r.status, r.iterations, r.rejected, r.hessian_products) for r in runs]
+
+    filled = _trial_regimes(monkeypatch)
+    floored = counts()
+    assert 0 < sum(filled) < len(filled)
+    monkeypatch.setattr(minimize_module, "SUBTRACTION_RHO", math.inf)
+    filled.clear()
+    assert counts() == floored
+    assert not any(filled)
 
 
 def _bump(T, center, height, width):
@@ -477,10 +600,11 @@ def test_a_many_atom_field_takes_no_translation():
 
 def test_every_iterate_and_every_trial_step_is_even_bit_for_bit(monkeypatch):
     # the signed pair at lambda_bar on 32^2 at seed 3 rejects a step; the
-    # cold start, made even, is the first iterate the residual sees.  The
-    # iterates and the trial steps are quarter-cell values, so each stands
-    # for the even field it unfolds to, and the result is the last iterate
-    # unfolded
+    # cold start, made even, is the first field the residual sees.  The
+    # residual sees each iterate, each candidate a trial fills and, after a
+    # rejected candidate, v again.  Those fields and the trial steps are
+    # quarter-cell values, so each stands for the even field it unfolds
+    # to, and the result is the last iterate unfolded
     iterates, steps = [], []
     real_residual, real_delta = minimize_module.el_residual, minimize_module._EnergyDelta.__init__
 
@@ -488,17 +612,23 @@ def test_every_iterate_and_every_trial_step_is_even_bit_for_bit(monkeypatch):
         iterates.append(v)
         return real_residual(prob, v, partitions)
 
-    def recorded_delta(self, prob, d, partitions):
-        real_delta(self, prob, d, partitions)
+    def recorded_delta(self, prob, d, partitions, *args):
+        real_delta(self, prob, d, partitions, *args)
         steps.append(d)
 
     monkeypatch.setattr(minimize_module, "el_residual", recorded_residual)
     monkeypatch.setattr(minimize_module._EnergyDelta, "__init__", recorded_delta)
+    filled = _trial_regimes(monkeypatch)
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
     res = minimize(prob, MinimizeOptions(seed=3))
     assert res.status == "converged" and res.rejected > 0
-    assert len(iterates) == res.iterations - res.rejected + 1 and len(steps) == res.iterations
+    trials = list(zip(filled, _accepted(res)))
+    # per regime: a filled trial's candidate, v again after a rejected one,
+    # and the next iterate after an accepted cancellation-free one
+    fields = sum(f + (f and not a) + (a and not f) for f, a in trials)
+    assert {f for f, _ in trials} == {True, False}
+    assert len(iterates) == 1 + fields and len(steps) == res.iterations
     r = T.reflection
     noise = random_zero_mean(T, 3).values
     assert not np.array_equal(noise, noise[r])
@@ -560,19 +690,26 @@ def test_residual_is_computed_once_per_iterate(monkeypatch):
         return el_residual(prob, v, partitions)
 
     monkeypatch.setattr(minimize_module, "el_residual", counted)
+    filled = _trial_regimes(monkeypatch)
     T = SpectralTorus(1.0, 32)
-    # the signed pair at lambda_bar rejects one of its steps at seed 3
+    # the signed pair at lambda_bar rejects one of its steps at seed 3,
+    # after filling its candidate
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
     res = minimize(prob, MinimizeOptions(seed=3))
     assert res.status == "converged"
     accepted = res.iterations - res.rejected
     assert 0 < accepted < res.iterations
-    assert len(calls) == accepted + 1
     # cross-check on the trace: a rejected step repeats the J, residual and
     # max of v of the row before, and only its step column, the radius, moves
     assert len(res.trace) == res.iterations + 1
-    rows = [(j, r, max_v) for j, r, _, max_v in res.trace]
-    assert sum(b != a for a, b in zip(rows, rows[1:])) == accepted
+    trials = list(zip(filled, _accepted(res)))
+    assert sum(a for _, a in trials) == accepted
+    # once per iterate: at the start, and per accepted step, at its
+    # candidate if it filled one; and twice per rejected candidate, its fill
+    # and v's again.  A rejected cancellation-free step computes none
+    rejected_filled = sum(f and not a for f, a in trials)
+    assert rejected_filled == res.rejected and sum(filled) < res.iterations
+    assert len(calls) == accepted + 1 + 2 * rejected_filled
     calls.clear()
     monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self: 1.0)
     last = minimize(Problem(T, delta_one(), 10.0), MinimizeOptions())
@@ -600,13 +737,16 @@ def test_run_refills_one_stack(monkeypatch):
 
 
 def test_work_per_iteration(monkeypatch):
-    # per step: 1 cosine transform for the energy difference, of the step
-    # (v's modes are the residual's); per path 1, of the residual g; per
-    # Hessian product 2 (q from its modes and the modes of the partition
-    # term); none for a preconditioner solve, which is a division of the
-    # modes; per accepted step 2 for the residual (v and its Laplacian); one
-    # exponential per atom at the quarter-cell nodes, in el_residual.  No
-    # real FFT is taken, and the only complex ones make the random start
+    # per path 1 cosine transform, of the residual g; per Hessian product 2
+    # (q from its modes and the modes of the partition term); none for a
+    # preconditioner solve, which is a division of the modes; per residual
+    # 2 (v and its Laplacian) and one exponential per atom at the
+    # quarter-cell nodes.  A step above the floor fills its candidate, one
+    # residual, and a rejected one refills v, another; a step below it
+    # takes 1 transform, of the step (v's modes are the residual's), and
+    # one expm1 per atom, and an accepted one the residual at the next
+    # iterate.  No real FFT is taken, and the only complex ones make the
+    # random start
     counts = {"fft": 0, "complex": 0, "cosine": 0, "exp": 0, "expm1": 0}
 
     def counting(fn, key, elements):
@@ -638,27 +778,31 @@ def test_work_per_iteration(monkeypatch):
                 monkeypatch.setattr(module, name, counting(getattr(module, name), "cosine", False))
     monkeypatch.setattr(np, "exp", counting(np.exp, "exp", True))
     monkeypatch.setattr(np, "expm1", counting(np.expm1, "expm1", True))
+    filled = _trial_regimes(monkeypatch)
     T = SpectralTorus(1.0, 32)
     P = new_atomic([(-1.0, 0.3), (0.5, 0.3), (1.0, 0.4)])
     res = minimize(Problem(T, P, 10.0), MinimizeOptions(max_iters=3))
     assert res.status == "budget" and res.iterations == 3
     # every step accepted, so each path took one step: the first on the
     # boundary, the others inside, where the preconditioned residual ended
-    # them without a transform
+    # them without a transform.  The first two steps fill their candidates,
+    # and the last, near the minimum, is below the floor
     accepted = res.iterations - res.rejected
     assert accepted == res.iterations
     assert boundary == [True, False, False]
+    assert filled == [True, True, False]
     assert res.hessian_products == 6
     paths = len(boundary)
+    below = filled.count(False)
     per_atom = len(P.atoms) * (T.grid_n // 2 + 1) ** 2
     # set-up: 2 complex transforms for the random start and 2 cosine
     # transforms for the first residual; J reads v's modes off the partitions
-    assert counts["cosine"] == 2 + res.iterations + 2 * accepted + 2 * res.hessian_products + paths == 26
+    assert counts["cosine"] == 2 + below + 2 * accepted + 2 * res.hessian_products + paths == 24
     assert counts["fft"] == counts["complex"] == 2
     # set-up: one exponential per atom in the first residual; J reads the partitions
     assert counts["exp"] == per_atom * (1 + accepted)
-    # one expm1 per atom and step
-    assert counts["expm1"] == per_atom * res.iterations
+    # one expm1 per atom and step below the floor
+    assert counts["expm1"] == per_atom * below
 
 
 def _counting_hessian(monkeypatch):
