@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import glob
 import json
@@ -147,7 +148,7 @@ def _sanitize(obj):
 
 
 # The layout of summary.json; raised when a key changes meaning or goes away.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 @functools.cache
@@ -210,7 +211,10 @@ def write_stage(
     want_profile: bool,
 ) -> dict:
     """Write ``trace_k.csv``, and ``profile_k.csv`` for a concentrated
-    stage or on request, and return the stage's summary entry.
+    stage or on request, and return the stage's summary entry.  The
+    trace, ``iterations``, ``rejected`` and ``hessian_products`` are the
+    requested grid's; ``levels`` holds one entry per grid the stage solved,
+    coarsest first (see :func:`vortexmf.minimize.minimize`).
 
     The concentration point and the profile are read at the peak of v,
     or at the peak of -v from the mirror image when only the negative
@@ -245,6 +249,7 @@ def write_stage(
         "rejected": result.rejected,
         "hessian_products": result.hessian_products,
         "status": result.status,
+        "levels": [dataclasses.asdict(level) for level in result.levels],
         "peak_point": list(result.peak_point),
         "peak_value": result.peak_value,
         "concentration": None if conc is None else list(conc),

@@ -142,7 +142,9 @@ class Partitions:
             (index,) = np.nonzero(signs == sign)
             if index.size:
                 self._sides.append(slice(int(index[0]), int(index[-1]) + 1))
-        self._node_sets = [[(self.alpha[side], None)] * 2 for side in self._sides]
+        # none yet: the first fill's node count is walked up from the fewest
+        # (see _node_count), not down from a side of thousands of atoms
+        self._node_sets = [[(np.empty(0), None)] * 2 for _ in self._sides]
         self.layout = [(side, side, None) for side in self._sides]
 
     def _node_set(self, k: int, width: float, slot: int) -> tuple[np.ndarray, np.ndarray | None]:

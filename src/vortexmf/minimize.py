@@ -15,6 +15,21 @@ constant.  A cold start of 1/2 delta_-1 + 1/2 delta_1 at lambda_bar takes
 25, 23, 34 and 44 steps on 32^2 to 256^2, and 65 on 512^2 (68 on one BLAS
 thread: the count there moves with the rounding).
 
+A cold start on a grid finer than ``COARSEST_GRID``^2 is grid-sequenced
+(nested iteration, Brandt 1977): the same problem is solved on 32^2 first,
+then on each grid twice as fine, each level starting from the last iterate
+of the one before, prolonged by zero-padding its cosine modes
+(:func:`vortexmf.torus.prolong`).  A level's state is prolonged only if it
+ended ``converged`` and its spectrum has decayed at the top of its grid
+(:func:`decay_ratio` at most ``RESOLVED_DECAY``): a lattice state, a spike
+of about one cell such as the pair's at lambda_bar, would lead the finer
+solve off the resolved branch, so at the first level that fails, the
+requested grid starts from its own noise, as it would without the
+sequence.  128 atoms at 0.9 lambda_bar on 128^2 take 17, 4 and 2 steps on
+32^2, 64^2 and 128^2 at seed 0, where a start from noise on 128^2 took 17
+there.  ``result.levels`` records every level; the rest of the result is
+the requested grid's.
+
 Every iterate is even about node (0, 0) in x and in y (see
 :mod:`vortexmf.torus`).  The start, cold or warm, is projected onto the
 even fields and taken at its (n/2 + 1)^2 quarter-cell nodes; the iterate,
@@ -46,10 +61,13 @@ The iterate v is transformed, and its rows of exponentials taken, once
 per iterate, by :func:`el_residual` into the one :class:`Partitions` of a
 run; J, the energy differences and the Hessian products at v read them
 there, and a cancellation-free energy difference transforms only its
-step.  A rejected candidate has filled the partitions, and v's are filled
-again, bit for bit.  On a side of many atoms the rows are those of a few
-Chebyshev nodes in alpha, so the exponentials an iterate and a trial step
-take do not grow with the atom count (see :class:`Partitions`).
+step.  A rejected candidate leaves its fill in the partitions, and v's are
+filled again, bit for bit, only when something reads them next: a Hessian
+product, or a trial below the floor.  A trial above the floor reads only
+v and S(v), which are kept from the iterate, so the candidate after a
+rejected one fills at once.  On a side of many atoms the rows are those
+of a few Chebyshev nodes in alpha, so the exponentials an iterate and a
+trial step take do not grow with the atom count (see :class:`Partitions`).
 
 The layer does no I/O: a run keeps its per-iteration trace, and the count
 of steps it rejected, in its :class:`MinimizeResult`, and the caller
@@ -60,6 +78,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -74,6 +93,7 @@ from vortexmf.torus import (
     periodic_distance,
     project_even,
     project_zero_mean,
+    prolong,
     quarter,
     solve_poisson_zero_mean,
     unfold,
@@ -88,6 +108,11 @@ CG_MAX_ITERS = 200  # Hessian products per truncated-CG solve
 SUBTRACTION_RHO = 4e6
 # the peak of |v| that stops a run as blown up on grids up to 64^2 (see blowup_threshold)
 BLOWUP_PEAK = 25.0
+# the grid a cold start on a finer one is solved on first (see minimize)
+COARSEST_GRID = 32
+# the largest decay_ratio of a level's state that is prolonged to the next
+# grid: resolved states read at most 0.15, lattice states 0.43-0.44
+RESOLVED_DECAY = 0.25
 
 
 @dataclass(frozen=True)
@@ -106,6 +131,21 @@ class MinimizeOptions:
 
 
 @dataclass(frozen=True)
+class Level:
+    """How the solve on one grid of a run ended: the grid, its status,
+    steps, rejected steps, Hessian products and J, and the
+    :func:`decay_ratio` of its last iterate."""
+
+    grid_n: int
+    status: str
+    iterations: int
+    rejected: int
+    hessian_products: int
+    J: float
+    decay_ratio: float
+
+
+@dataclass(frozen=True)
 class MinimizeResult:
     """The last iterate of a run; ``status`` says how the run ended:
     ``converged``, ``blown_up``, ``budget`` or ``diverged`` (see :func:`minimize`).
@@ -114,7 +154,9 @@ class MinimizeResult:
     ``iterations``.  ``trace`` holds one row
     (J, residual_norm, step, max_v) for the start and one per iteration:
     ``step`` is the trust radius of the iteration, 0.0 at the start, and a
-    rejected step repeats the J, residual and max of v of the row before."""
+    rejected step repeats the J, residual and max of v of the row before.
+    These are the requested grid's; ``levels`` holds one :class:`Level`
+    per grid solved, coarsest first, the requested grid last."""
 
     v: Field
     J_value: float
@@ -125,6 +167,7 @@ class MinimizeResult:
     hessian_products: int = 0
     rejected: int = 0
     trace: list[tuple[float, float, float, float]] = field(default_factory=list)
+    levels: list[Level] = field(default_factory=list)
 
     @property
     def peak_point(self) -> tuple[int, int]:
@@ -163,23 +206,25 @@ class _EnergyDelta:
 
     ``partitions`` holds what :func:`el_residual` handed out for v: its
     cosine modes, its values, the atoms' circulations and weights, each
-    atom's shift m and grid sum of e^{alpha v - m}, and the stack of rows.
+    atom's shift m and grid sum of e^{alpha v - m}, and the stack of rows;
+    or, after a rejected candidate, that candidate's fill, and then
+    ``refill`` fills v's again, bit for bit, before they are read.
 
-    A step whose predicted decrease -``model`` is at least
-    ``SUBTRACTION_RHO`` eps S(v) (:func:`energy_scale`) is evaluated by
-    subtraction: the candidate v - d, with its mean removed as for the next
-    iterate, is filled into ``partitions`` by :func:`el_residual`, and the
-    difference is J(v - d), read off that fill, less ``j_curr``.  The
+    A step whose predicted decrease is at least the floor
+    ``SUBTRACTION_RHO`` eps S(v) (:func:`_subtraction_floor`) is given
+    ``iterate``, v and J(v), and is evaluated by subtraction: the candidate
+    v - d, with its mean removed as for the next iterate, is filled into
+    ``partitions`` by :func:`el_residual`, and the difference is J(v - d),
+    read off that fill, less J(v).  So it reads nothing of v's fill.  The
     candidate and its residual are kept, so an accepted step takes them as
-    the next iterate and fills nothing again; the caller refills v after a
-    rejected one.
+    the next iterate and fills nothing again.
 
     The floor: J at a field u is exact to about c eps S(u), where c covers
     the sums of the Dirichlet energy and of each total, a few times log2 of
     the node count at most, and a few ulps per shift and logarithm; S
     counts one unit per atom for the relative rounding of its total.
-    ``j_curr``, J at the start plus the differences of the steps taken,
-    carries a few such roundings.  So the difference is exact to about
+    J(v), J at the start plus the differences of the steps taken, carries
+    a few such roundings.  So the difference is exact to about
     2 c eps S(v) while S(v - d) is near S(v), and a step that moves S much
     further changes J by about as much, which keeps the error a few ulps
     of the change.  The ratio to the model is then exact to 2 c / rho, and
@@ -188,7 +233,7 @@ class _EnergyDelta:
     trips the exponent guard leaves ``partitions`` as they were, and is
     evaluated the other way.
 
-    A smaller step, or one built without a model, is evaluated in
+    A smaller step, or one given no iterate, is evaluated in
     cancellation-free form, since there subtraction would lose the ratio.
     Only d is transformed, for the bilinear terms <grad v, grad d> and
     |grad d|^2.  Per row of the stack, one expm1 runs in place in one
@@ -203,19 +248,26 @@ class _EnergyDelta:
     """
 
     def __init__(
-        self, prob: Problem, d: np.ndarray, partitions: Partitions, model: float | None = None, j_curr: float = math.nan
+        self,
+        prob: Problem,
+        d: np.ndarray,
+        partitions: Partitions,
+        iterate: tuple[np.ndarray, float] | None = None,
+        refill: Callable[[], None] | None = None,
     ):
         self.prob = prob
         self.d = d
         self.partitions = partitions
-        self.j_curr = j_curr
+        self.iterate = iterate
+        self.refill = refill
         self.candidate: np.ndarray | None = None
         self.residual: np.ndarray | None = None
-        self.subtract = model is not None and -model >= SUBTRACTION_RHO * math.ulp(1.0) * energy_scale(prob, partitions)
-        if not self.subtract:
+        if iterate is None:
             self._transform_step()
 
     def _transform_step(self) -> None:
+        if self.refill is not None:
+            self.refill()
         T = self.prob.torus
         d_hat = cosine_transform(T, self.d)
         self.a_vd = gradient_inner(T, self.partitions.spectrum, d_hat)
@@ -223,28 +275,41 @@ class _EnergyDelta:
 
     def __call__(self) -> float:
         prob, partitions = self.prob, self.partitions
-        if self.subtract:
-            candidate = _next_iterate(prob.torus, partitions.values, self.d)
+        if self.iterate is not None:
+            v, j_v = self.iterate
+            candidate = _next_iterate(prob.torus, v, self.d)
             try:
                 self.residual = el_residual(prob, candidate, partitions)
-            except OverflowError:  # past the guard: the partitions are still v's
+            except OverflowError:  # past the guard: the partitions are as they were
                 self._transform_step()
             else:
                 self.candidate = candidate
-                return J(prob, candidate, partitions) - self.j_curr
+                return J(prob, candidate, partitions) - j_v
         delta = -self.a_vd + 0.5 * self.a_dd
-        log_terms = 0.0
         # a move past exp overflow makes the sum inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = partitions.expm1_sums(self.d)
-        for w, f, total in zip(partitions.weight.tolist(), sums.tolist(), partitions.totals.tolist()):
-            rel = f / total
-            if not math.isfinite(rel):
-                raise OverflowError("partition exponent out of range")
-            # a step that all but empties a partition can round its sum
-            # to -1 or below: J(v - d) is as good as +inf there
-            log_terms += w * (math.log1p(rel) if rel > -1.0 else -math.inf)
+            rel = partitions.expm1_sums(self.d) / partitions.totals
+        if not np.isfinite(rel).all():
+            raise OverflowError("partition exponent out of range")
+        # a step that all but empties a partition can round its sum to -1 or
+        # below: J(v - d) is as good as +inf there
+        emptied = rel <= -1.0
+        rel[emptied] = 0.0
+        # math.log1p, whose bits numpy's vector loop need not match, and the
+        # terms added in atom order
+        logs = np.fromiter(map(math.log1p, rel.tolist()), float, rel.size)
+        logs[emptied] = -math.inf
+        log_terms = 0.0
+        for term in (partitions.weight * logs).tolist():
+            log_terms += term
         return delta - prob.lam * log_terms
+
+
+def _subtraction_floor(prob: Problem, partitions: Partitions) -> float:
+    """``SUBTRACTION_RHO`` eps S(v) (:func:`energy_scale`) at the field v the
+    ``partitions`` were filled for: the least predicted decrease of a step
+    from v whose change of J is read by subtraction (see :class:`_EnergyDelta`)."""
+    return SUBTRACTION_RHO * math.ulp(1.0) * energy_scale(prob, partitions)
 
 
 def _next_iterate(T: SpectralTorus, v: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -305,12 +370,17 @@ class _SteihaugPath:
     Parseval sum.  :func:`hessian_product` takes the direction's modes and
     hands back q at the quarter-cell nodes, for the step, with <q, H q>
     and the modes of H q, for the residual.  A non-finite rz, <q, H q>,
-    model or step raises OverflowError before a transform.
+    model or step raises OverflowError before a transform.  ``refill``, if
+    given, runs before each product: it fills v's partitions again where a
+    rejected candidate's fill has replaced them.
     """
 
-    def __init__(self, prob: Problem, partitions: Partitions, g: np.ndarray):
+    def __init__(
+        self, prob: Problem, partitions: Partitions, g: np.ndarray, refill: Callable[[], None] | None = None
+    ):
         self.prob = prob
         self.partitions = partitions
+        self.refill = refill
         T = prob.torus
         self.r_hat = cosine_transform(T, g)  # the CG residual after the last direction kept
         self.q_hat = solve_poisson_zero_mean(T, self.r_hat)  # the next search direction
@@ -338,6 +408,8 @@ class _SteihaugPath:
             rz = rz_next
         else:
             rz = self.rz0
+        if self.refill is not None:
+            self.refill()
         q, kappa, hq_hat = hessian_product(self.prob, self.partitions, self.q_hat)
         self.directions.append((q, _finite("<q, H q>", kappa), rz))
         if kappa > 0.0:  # on negative curvature every step stops on this direction
@@ -378,29 +450,116 @@ class _SteihaugPath:
         return d, model, boundary, len(self.directions) - grown
 
 
+def decay_ratio(T: SpectralTorus, X: np.ndarray) -> float:
+    """How far the spectrum of the even field with cosine modes X on an
+    n^2 grid has decayed at the top of the grid: the largest |X_km| with
+    max(k, m) >= 3n/8, over the largest with n/4 <= max(k, m) < 3n/8.
+    A mode within n eps of the largest |X_km| counts as 0, since the
+    transform's rounding leaves about that much in every mode; a field
+    with no mode above that in either band reads 0, and one with none
+    only in the lower band inf.
+
+    A state the grid resolves reads at most 0.15: the signed pair at
+    0.99 lambda_bar on 32^2 reads 0.15, at 0.999 lambda_bar on 128^2 0.10,
+    and 128 atoms at 0.9 lambda_bar read 0.08 on 32^2 and 0.011 on 64^2.  A
+    level that took no step from its prolonged start has no mode above the
+    rounding from n/4 up, and reads 0.  A lattice state, whose spike has a
+    width of about one cell on every grid, reads 0.43-0.44 on
+    32^2-256^2."""
+    n, h = T.grid_n, T.grid_n // 2 + 1
+    modes = np.abs(X).reshape(h, h)
+    rounding = n * math.ulp(1.0) * float(modes.max())
+    band = np.maximum.outer(np.arange(h), np.arange(h))
+    top = float(modes[band >= 3 * n // 8].max())
+    below = float(modes[(band >= n // 4) & (band < 3 * n // 8)].max())
+    top, below = (m if m > rounding else 0.0 for m in (top, below))
+    if below == 0.0:
+        return 0.0 if top == 0.0 else math.inf
+    return top / below
+
+
+def _even_start(T: SpectralTorus, start: Field) -> np.ndarray:
+    """``start`` projected onto the even fields, with its grid mean
+    removed, at the quarter-cell nodes; a field of another grid raises
+    ValueError."""
+    return quarter(T, project_zero_mean(T, project_even(T, start)).values)
+
+
 def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = None) -> MinimizeResult:
     """Minimize J over the even fields to sup-norm residual <= grad_tol by
     trust-region steps.
 
-    Starts from ``warm_start``, or from seeded band-limited noise, projected
-    onto the even fields and with its mean subtracted; every iterate is
-    kept at the quarter-cell nodes, with its mean subtracted after each
-    step, and ``result.v`` is the last one unfolded to the grid, so it is
-    even bit for bit and has zero mean.  Ends on tolerance, a
-    peak of |v| reaching :func:`blowup_threshold` (so a spike of either
-    sign counts), the iteration budget, or ``MAX_REJECTIONS`` rejected
-    steps in a row; ``result.status`` says which, and ``result`` holds the
-    last iterate in every case.  Every step, accepted or rejected, is one
-    iteration toward the budget.
+    Starts from ``warm_start``, projected onto the even fields and with
+    its mean subtracted.  A cold start on an n^2 grid with n >
+    ``COARSEST_GRID`` first solves the same problem on the coarser grids,
+    ``COARSEST_GRID``^2, then twice as fine, and so on up to (n/2)^2
+    (nested iteration: Brandt 1977).  The first of them starts from seeded
+    band-limited noise on its own grid, and each later one from the last
+    iterate of the one before, prolonged (:func:`vortexmf.torus.prolong`)
+    and with its mean subtracted, but only while every level so far ended
+    ``converged`` with a :func:`decay_ratio` of at most
+    ``RESOLVED_DECAY``.  At the first level that does not, or that fails
+    numerically (OverflowError), the requested grid starts from its own
+    noise, as a grid of n <= ``COARSEST_GRID`` always does: a lattice
+    state, a spike of about one cell, prolonged, leads the finer solve off
+    the resolved branch.
+
+    Every iterate is kept at the quarter-cell nodes, with its mean
+    subtracted after each step, and ``result.v`` is the last one unfolded
+    to the grid, so it is even bit for bit and has zero mean.  Each level
+    ends on tolerance, a peak of |v| reaching :func:`blowup_threshold` (so
+    a spike of either sign counts), the iteration budget, or
+    ``MAX_REJECTIONS`` rejected steps in a row; ``result.status`` says
+    which on the requested grid, and ``result`` holds its last iterate in
+    every case.  Every step, accepted or rejected, is one iteration toward
+    the budget, which each level has in full.  ``result.levels`` records
+    every level run but one that failed numerically.
     """
     T = prob.torus
-    start = random_zero_mean(T, opts.seed) if warm_start is None else warm_start
-    # a warm start of another grid raises ValueError here
-    v = quarter(T, project_zero_mean(T, project_even(T, start)).values)
+    if warm_start is not None:
+        return _solve(prob, opts, _even_start(T, warm_start))
+    tori = [T]
+    while tori[0].grid_n > COARSEST_GRID:
+        tori.insert(0, SpectralTorus(T.side_length, tori[0].grid_n // 2))
+    levels: list[Level] = []
+    start = _even_start(tori[0], random_zero_mean(tori[0], opts.seed))  # the next level's
+    for coarse, fine in zip(tori, tori[1:]):
+        try:
+            level = _solve(replace(prob, torus=coarse), opts, start)
+        except OverflowError:  # a coarse grid's numerical failure is not the requested grid's
+            level = None
+        else:
+            levels += level.levels
+        if level is None or level.status != "converged" or level.levels[0].decay_ratio > RESOLVED_DECAY:
+            start = _even_start(T, random_zero_mean(T, opts.seed))
+            break
+        start = prolong(coarse, fine, quarter(coarse, level.v.values))
+        start -= integrate(fine, start) / fine.volume
+    result = _solve(prob, opts, start)
+    return replace(result, levels=levels + result.levels)
 
+
+def _solve(prob: Problem, opts: MinimizeOptions, v: np.ndarray) -> MinimizeResult:
+    """The trust-region run of :func:`minimize` on the grid of ``prob`` from
+    the quarter-cell values v, which it does not change.
+
+    A rejected candidate leaves its fill in the partitions, and v's are
+    filled again only when something reads them next: a Hessian product,
+    or a trial below the subtraction floor.  S(v), hence the floor, is
+    taken at each iterate's own fill, and a trial above it reads only v."""
+    T = prob.torus
     partitions = Partitions(prob)
     g = el_residual(prob, v, partitions)
     j_curr = J(prob, v, partitions)
+    floor = _subtraction_floor(prob, partitions)
+    stale = False  # the partitions hold a rejected candidate's fill, not v's
+
+    def refill() -> None:
+        nonlocal stale
+        if stale:
+            el_residual(prob, v, partitions)  # v's partitions again, bit for bit
+            stale = False
+
     res_norm = float(np.abs(g).max())
     iterations = products = rejected = rejected_in_a_row = 0
     path: _SteihaugPath | None = None
@@ -409,12 +568,12 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = No
 
     while (status := _stop_status(opts, T, v, res_norm, iterations)) is None:
         if path is None:
-            path = _SteihaugPath(prob, partitions, g)
+            path = _SteihaugPath(prob, partitions, g, refill)
             if iterations == 0:
                 radius = math.sqrt(path.rz0)
         step, model, boundary, n = path.step(radius)
         products += n
-        delta = _EnergyDelta(prob, step, partitions, model, j_curr)
+        delta = _EnergyDelta(prob, step, partitions, (v, j_curr) if -model >= floor else None, refill)
         dj = delta()
         ratio = dj / model  # actual over predicted change; model < 0
         iterations += 1
@@ -426,13 +585,15 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = No
             else:
                 v, g = delta.candidate, delta.residual
             j_curr = j_curr + dj
+            stale = False
+            floor = _subtraction_floor(prob, partitions)
             res_norm = float(np.abs(g).max())
             rejected_in_a_row = 0
         else:
             rejected += 1
             rejected_in_a_row += 1
-            if delta.candidate is not None:
-                el_residual(prob, v, partitions)  # v's partitions again, bit for bit
+            # a trial without a candidate has read, so refilled, v's partitions
+            stale = delta.candidate is not None
         trace.append((j_curr, res_norm, radius, float(v.max())))
         if rejected_in_a_row == MAX_REJECTIONS:
             status = "diverged"  # the trust radius collapsed
@@ -441,7 +602,11 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = No
             radius *= 0.25
         elif ratio > 0.75 and boundary:
             radius *= 2.0
-    return MinimizeResult(Field(unfold(T, v)), j_curr, res_norm, iterations, prob.lam, status, products, rejected, trace)
+    spectrum = cosine_transform(T, v) if stale else partitions.spectrum
+    level = Level(T.grid_n, status, iterations, rejected, products, j_curr, decay_ratio(T, spectrum))
+    return MinimizeResult(
+        Field(unfold(T, v)), j_curr, res_norm, iterations, prob.lam, status, products, rejected, trace, [level]
+    )
 
 
 def stage_problems(T: SpectralTorus, P: CirculationMeasure, lambda_schedule: list[float]) -> list[Problem]:

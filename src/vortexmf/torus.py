@@ -195,6 +195,26 @@ def inverse_cosine_transform(T: SpectralTorus, X: np.ndarray) -> np.ndarray:
     return cosine_transform(T, X) / T.grid_n**2
 
 
+def prolong(coarse: SpectralTorus, fine: SpectralTorus, x: np.ndarray) -> np.ndarray:
+    """The quarter-cell values on ``fine``, a grid of twice the points per
+    side of ``coarse``, of the even field with quarter-cell values x on
+    ``coarse``: its cosine modes, times 4, zero-padded to the fine modes.
+
+    The coarse Nyquist line, the modes with k or m = n/2, is dropped: on
+    the coarse grid cos(pi j) cannot tell cos(2 pi (n/2) x) from its
+    aliases, and on the fine grid it is not a Nyquist mode.  So a field of
+    the modes below n/2 is sampled on the fine grid as the same
+    trigonometric polynomial, and a field of the Nyquist line alone
+    prolongs to 0."""
+    if fine.grid_n != 2 * coarse.grid_n or fine.side_length != coarse.side_length:
+        raise ValueError("prolong needs a grid of twice the points per side on the same torus")
+    h = coarse.grid_n // 2
+    X = np.zeros((fine.grid_n // 2 + 1,) * 2)
+    # the fine transform divides by (2n)^2, the coarse one by n^2
+    X[:h, :h] = 4.0 * cosine_transform(coarse, x).reshape(h + 1, h + 1)[:h, :h]
+    return inverse_cosine_transform(fine, X.ravel())
+
+
 def integrate(T: SpectralTorus, x: np.ndarray) -> float:
     """Domain integral of the even field with quarter-cell values x by the
     uniform grid rule (L/n)^2 sum, summed over the quarter cell."""

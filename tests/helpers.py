@@ -12,7 +12,7 @@ import numpy as np
 
 from vortexmf.functional import J, Partitions, Problem, el_residual, energy_scale, hessian_product
 from vortexmf.measure import CirculationMeasure, new_atomic
-from vortexmf.minimize import SUBTRACTION_RHO, MinimizeResult, _EnergyDelta
+from vortexmf.minimize import MinimizeResult, _EnergyDelta
 from vortexmf.torus import (
     Field,
     SpectralTorus,
@@ -86,7 +86,7 @@ def hessian_field(prob: Problem, partitions: Partitions, phi: np.ndarray) -> Fie
 
 def subtracted_energy_delta(prob: Problem, v: Field, d: Field) -> tuple[float, float, float]:
     """J(v - d) - J(v) for the even fields v and d as the trust region
-    evaluates a step at a model on the subtraction floor, read off the
+    evaluates a step above the subtraction floor, read off the
     candidate's partitions; the cancellation-free difference at v's
     partitions; and eps S(v), S the floor's energy scale."""
     T = prob.torus
@@ -95,7 +95,7 @@ def subtracted_energy_delta(prob: Problem, v: Field, d: Field) -> tuple[float, f
     el_residual(prob, v, partitions)
     eps_s = math.ulp(1.0) * energy_scale(prob, partitions)
     cancellation_free = _EnergyDelta(prob, d, partitions)()
-    delta = _EnergyDelta(prob, d, partitions, -SUBTRACTION_RHO * eps_s, J(prob, v, partitions))
+    delta = _EnergyDelta(prob, d, partitions, (v, J(prob, v, partitions)))
     subtracted = delta()
     assert delta.candidate is not None
     return subtracted, cancellation_free, eps_s

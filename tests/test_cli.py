@@ -155,7 +155,7 @@ def test_every_summary_records_its_schema_and_library_versions(tmp_path, capsys)
         assert code == 0, command
         summary = read_summary(out)
         assert set(summary) == {"schema_version", "versions", "command", "seed"} | own, command
-        assert (summary["schema_version"], summary["versions"]) == (5, versions), command
+        assert (summary["schema_version"], summary["versions"]) == (6, versions), command
 
 
 def test_the_record_holds_the_blas_thread_count_and_reruns_byte_for_byte(tmp_path, capsys, monkeypatch):
@@ -188,13 +188,18 @@ def test_minimize_writes_artifacts(tmp_path, capsys):
     stage = payload["stages"][0]
     assert set(stage) == {
         "lambda", "J", "residual_norm", "iterations", "rejected", "hessian_products", "status",
-        "peak_point", "peak_value", "concentration", "profile",
+        "peak_point", "peak_value", "concentration", "profile", "levels",
     }
     assert payload["lambda_bar"] == EIGHT_PI
     assert stage["lambda"] == 12.0
     assert stage["residual_norm"] <= 1e-8
     assert stage["status"] == "converged" and "blown_up" not in stage
     assert (stage["iterations"], stage["rejected"], stage["hessian_products"]) == (4, 0, 10)
+    # a 32^2 grid is the coarsest, so the stage solved one level
+    (level,) = stage["levels"]
+    assert set(level) == {"grid_n", "status", "iterations", "rejected", "hessian_products", "J", "decay_ratio"}
+    assert (level["grid_n"], level["status"], level["J"]) == (32, "converged", stage["J"])
+    assert (level["iterations"], level["rejected"], level["hessian_products"]) == (4, 0, 10)
     assert "newton_steps" not in stage
     assert stage["concentration"] is None
 
@@ -270,6 +275,16 @@ def test_near_extremal_sweep_converges_every_stage(tmp_path, capsys):
     assert all(s["rejected"] <= s["iterations"] for s in stages)
     with open(out / "trace_2.csv") as fh:
         assert len(fh.read().splitlines()) == stages[2]["iterations"] + 3
+    # the cold stage solves 32^2 first, and its counts and trace are those
+    # of 64^2, the last level; a warm stage solves 64^2 alone
+    assert [[lv["grid_n"] for lv in s["levels"]] for s in stages] == [[32, 64], [64], [64], [64]]
+    for k, s in enumerate(stages):
+        last = s["levels"][-1]
+        assert (last["iterations"], last["rejected"], last["hessian_products"], last["J"], last["status"]) == (
+            s["iterations"], s["rejected"], s["hessian_products"], s["J"], s["status"],
+        )
+        with open(out / f"trace_{k}.csv") as fh:
+            assert len(fh.read().splitlines()) == s["iterations"] + 3
 
 
 def test_blowup_below_extremal_coupling_exits_1(tmp_path, capsys, monkeypatch):

@@ -310,7 +310,7 @@ def test_a_candidate_past_the_exponent_guard_falls_back_to_the_cancellation_free
     v_q = quarter(T, v.values)
     el_residual(prob, v_q, partitions)
     before = [getattr(partitions, f).copy() for f in ("stack", "totals", "shifts", "spectrum", "values")]
-    delta = minimize_module._EnergyDelta(prob, step, partitions, -math.inf, 0.0)
+    delta = minimize_module._EnergyDelta(prob, step, partitions, (v_q, 0.0))
     if max_u < 800.0:
         assert delta() == minimize_module._EnergyDelta(prob, step, partitions)()
     else:
@@ -319,6 +319,33 @@ def test_a_candidate_past_the_exponent_guard_falls_back_to_the_cancellation_free
     assert delta.candidate is None
     after = [getattr(partitions, f) for f in ("stack", "totals", "shifts", "spectrum", "values")]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def _log_terms_per_atom(partitions, d):
+    """sum w log1p(rel) over the atoms, one atom at a time in atom order,
+    rel each atom's expm1 sum over its total, -inf for rel <= -1."""
+    log_terms = 0.0
+    for w, f, total in zip(partitions.weight.tolist(), partitions.expm1_sums(d).tolist(), partitions.totals.tolist()):
+        rel = f / total
+        log_terms += w * (math.log1p(rel) if rel > -1.0 else -math.inf)
+    return log_terms
+
+
+@pytest.mark.parametrize("max_u", [1e-3, 1.0, 40.0, 300.0])
+def test_the_cancellation_free_difference_adds_the_atoms_log_terms_one_by_one(max_u):
+    # the per-atom log1p and the sum in atom order, bit for bit; three
+    # atoms, and 128 on node sets
+    prob, v, d, u_per_step = _signed_three_atom_move()
+    T = SpectralTorus(1.0, 32)
+    P = new_atomic([(-1.0 + (i + 0.5) / 64.0, 1.0 / 128.0) for i in range(128)])
+    many = Problem(T, P, 0.9 * lambda_bar(P).lambda_bar)
+    for prob in (prob, many):
+        partitions = Partitions(prob)
+        residual(prob, v, partitions)
+        step = quarter(T, (max_u / u_per_step) * d.values)
+        delta = minimize_module._EnergyDelta(prob, step, partitions)
+        want = -delta.a_vd + 0.5 * delta.a_dd - prob.lam * _log_terms_per_atom(partitions, step)
+        assert delta() == want
 
 
 def test_energy_delta_bilinear_terms_match_gradient_inner():
@@ -379,22 +406,36 @@ def _partitions_state(partitions):
 @pytest.mark.parametrize("many", [False, True])
 def test_a_rejected_candidate_leaves_the_partitions_of_v_bit_for_bit(monkeypatch, many):
     # every step is rejected, the first ones after filling their candidate:
-    # each trial starts from the partitions el_residual(v) left, bit for
-    # bit, node sets included where 128 atoms read their rows from them
-    snapshots, filled = [], []
-    real_init, real_call = minimize_module._EnergyDelta.__init__, minimize_module._EnergyDelta.__call__
-
-    def snapshot(self, prob, d, partitions, *args):
-        snapshots.append(_partitions_state(partitions))
-        real_init(self, prob, d, partitions, *args)
+    # the candidates' fills stay until a trial below the floor reads the
+    # partitions, and every reader, each Hessian product and each
+    # cancellation-free trial, finds those el_residual(v) left, bit for
+    # bit, node sets included where 128 atoms read their rows from them.
+    # v's partitions are filled again once, for the first such trial
+    snapshots, filled, residuals = [], [], []
+    real_call, real_sums = minimize_module._EnergyDelta.__call__, Partitions.expm1_sums
+    real_product, real_residual = minimize_module.hessian_product, minimize_module.el_residual
 
     def rejected(self):
         real_call(self)
         filled.append(self.candidate is not None)
         return 1.0
 
-    monkeypatch.setattr(minimize_module._EnergyDelta, "__init__", snapshot)
+    def read_sums(self, d):
+        snapshots.append(_partitions_state(self))
+        return real_sums(self, d)
+
+    def read_product(prob, partitions, q_hat):
+        snapshots.append(_partitions_state(partitions))
+        return real_product(prob, partitions, q_hat)
+
+    def counted(prob, v, partitions):
+        residuals.append(1)
+        return real_residual(prob, v, partitions)
+
     monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", rejected)
+    monkeypatch.setattr(Partitions, "expm1_sums", read_sums)
+    monkeypatch.setattr(minimize_module, "hessian_product", read_product)
+    monkeypatch.setattr(minimize_module, "el_residual", counted)
     T = SpectralTorus(1.0, 32)
     if many:
         P = new_atomic([(-1.0 + (i + 0.5) / 64.0, 1.0 / 128.0) for i in range(128)])
@@ -404,6 +445,9 @@ def test_a_rejected_candidate_leaves_the_partitions_of_v_bit_for_bit(monkeypatch
     res = minimize(prob, MinimizeOptions())
     assert res.status == "diverged" and res.rejected == minimize_module.MAX_REJECTIONS
     assert filled[0] and not filled[-1]
+    below = filled.count(False)
+    assert len(snapshots) == res.hessian_products + below
+    assert len(residuals) == 1 + sum(filled) + 1
     partitions = Partitions(prob)
     el_residual(prob, quarter(T, even(T, random_zero_mean(T, 0)).values), partitions)
     first = _partitions_state(partitions)
@@ -524,7 +568,10 @@ def test_the_many_atom_workload_converges_to_its_reference_at_every_seed(seed):
     prob = Problem(T, P, 0.9 * lambda_bar(P).lambda_bar)
     res = minimize(prob, MinimizeOptions(seed=seed))
     _assert_even_converged(prob, res, -17.7676455626036)
-    assert res.iterations <= 19
+    # from the 64^2 state, prolonged: 2 steps at every seed, where a start
+    # from noise on 128^2 took 15-17
+    assert [level.grid_n for level in res.levels] == [32, 64, 128]
+    assert res.iterations <= 3
 
 
 def test_a_density_of_1024_atoms_converges_on_few_node_rows():
@@ -590,19 +637,142 @@ def test_a_cold_start_near_bar_on_256_slides_onto_the_grid():
 
 def test_a_many_atom_field_takes_no_translation():
     # 128 equal atoms over [-1, 1] at 0.9 lambda_bar on 128^2 peak near 8.5:
-    # their field is smooth, and the even fields hold no translation
+    # their field is smooth, and the even fields hold no translation.  The
+    # cold start solves 32^2 and 64^2 first; each level's state is resolved
+    # and starts the next.  A start from noise on 128^2 took (17, 1, 38)
     T = SpectralTorus(1.0, 128)
     P = new_atomic([(-1.0 + (i + 0.5) / 64.0, 1.0 / 128.0) for i in range(128)])
     res = minimize(Problem(T, P, 0.9 * lambda_bar(P).lambda_bar), MinimizeOptions())
     assert res.status == "converged"
-    assert (res.iterations, res.rejected, res.hessian_products) == (17, 1, 38)
+    counts = [(lv.grid_n, lv.status, lv.iterations, lv.rejected, lv.hessian_products) for lv in res.levels]
+    assert counts == [(32, "converged", 17, 0, 36), (64, "converged", 4, 0, 16), (128, "converged", 2, 0, 6)]
+    assert (res.iterations, res.rejected, res.hessian_products) == (2, 0, 6)
+    assert all(lv.decay_ratio <= minimize_module.RESOLVED_DECAY for lv in res.levels)
+    assert res.levels[-1].J == res.J_value
+
+
+PAIR = new_atomic([(-1.0, 0.5), (1.0, 0.5)])
+
+
+def test_a_lattice_state_on_32_is_not_prolonged():
+    # at lambda_bar the pair's spike on 32^2 is about one cell wide, a
+    # lattice state, and fails the guard: the 64^2 grid starts from its own
+    # noise, and the run is the one warm-started from that noise, bit for bit
+    T = SpectralTorus(1.0, 64)
+    prob = Problem(T, PAIR, 2.0 * EIGHT_PI)
+    for seed in (0, 5):
+        opts = MinimizeOptions(seed=seed)
+        res = minimize(prob, opts)
+        plain = minimize(prob, opts, warm_start=random_zero_mean(T, seed))
+        assert np.array_equal(res.v.values, plain.v.values)
+        assert (res.J_value, res.residual_norm, res.status, res.trace) == (
+            plain.J_value, plain.residual_norm, plain.status, plain.trace,
+        )
+        assert (res.iterations, res.rejected, res.hessian_products) == (
+            plain.iterations, plain.rejected, plain.hessian_products,
+        )
+        coarse, fine = res.levels
+        assert (coarse.grid_n, coarse.status, fine.grid_n) == (32, "converged", 64)
+        assert coarse.decay_ratio > minimize_module.RESOLVED_DECAY
+        assert fine == plain.levels[0]
+
+
+def test_a_level_that_does_not_converge_is_not_prolonged():
+    # a budget of 3 steps stops the 32^2 level short of the tolerance, so the
+    # 64^2 grid starts from its own noise
+    T = SpectralTorus(1.0, 64)
+    prob = Problem(T, PAIR, 0.9 * 2.0 * EIGHT_PI)
+    opts = MinimizeOptions(max_iters=3)
+    res = minimize(prob, opts)
+    plain = minimize(prob, opts, warm_start=random_zero_mean(T, 0))
+    assert [(lv.grid_n, lv.status) for lv in res.levels] == [(32, "budget"), (64, "budget")]
+    assert np.array_equal(res.v.values, plain.v.values) and res.trace == plain.trace
+
+
+def test_a_coarse_level_that_fails_numerically_is_left_out():
+    # at lambda = 1e8 the pair's first step on 32^2 overflows an exponent,
+    # while 128^2 from its own noise blows up within the trust region, as
+    # it did before the grid sequence
+    prob = Problem(SpectralTorus(1.0, 128), PAIR, 1e8)
+    with pytest.raises(OverflowError, match="partition exponent out of range"):
+        minimize(Problem(SpectralTorus(1.0, 32), PAIR, 1e8), MinimizeOptions())
+    res = minimize(prob, MinimizeOptions())
+    plain = minimize(prob, MinimizeOptions(), warm_start=random_zero_mean(prob.torus, 0))
+    assert res.status == "blown_up" and [lv.grid_n for lv in res.levels] == [128]
+    assert np.array_equal(res.v.values, plain.v.values) and res.trace == plain.trace
+
+
+def test_a_resolved_state_is_prolonged_and_the_guard_keeps_the_branch(monkeypatch):
+    # 0.999 lambda_bar on 128^2: 32^2 holds only the lattice state, so the
+    # guard sends 128^2 to its own noise, from which it reaches the resolved
+    # branch.  Without the bound the lattice state, prolonged, leads every
+    # finer level to a lattice state of its own, far below
+    T = SpectralTorus(1.0, 128)
+    prob = Problem(T, PAIR, 0.999 * 2.0 * EIGHT_PI)
+    res = minimize(prob, MinimizeOptions())
+    assert res.status == "converged"
+    assert res.J_value == pytest.approx(-10.5797353421, rel=1e-10)
+    assert [lv.grid_n for lv in res.levels] == [32, 128]
+    assert res.levels[-1].decay_ratio <= 0.15
+    monkeypatch.setattr(minimize_module, "RESOLVED_DECAY", math.inf)
+    lattice = minimize(prob, MinimizeOptions())
+    assert lattice.status == "converged" and [lv.grid_n for lv in lattice.levels] == [32, 64, 128]
+    assert lattice.J_value < -21.0
+    assert all(lv.decay_ratio > 0.4 for lv in lattice.levels)
+
+
+def test_a_level_starts_from_the_prolonged_state_of_the_one_before(monkeypatch):
+    # 0.99 lambda_bar on 128^2: 32^2 and 64^2 are resolved, and each level
+    # starts from the last iterate of the one before, prolonged, with its
+    # mean removed
+    starts = []
+    real_solve = minimize_module._solve
+
+    def recorded(prob, opts, v):
+        starts.append((prob.torus, v.copy()))
+        out = real_solve(prob, opts, v)
+        starts[-1] += (out,)
+        return out
+
+    monkeypatch.setattr(minimize_module, "_solve", recorded)
+    T = SpectralTorus(1.0, 128)
+    res = minimize(Problem(T, PAIR, 0.99 * 2.0 * EIGHT_PI), MinimizeOptions())
+    assert [t.grid_n for t, _, _ in starts] == [32, 64, 128]
+    first, _, _ = starts[0]
+    assert np.array_equal(starts[0][1], quarter(first, even(first, random_zero_mean(first, 0)).values))
+    for (coarse, _, out), (fine, start, _) in zip(starts, starts[1:]):
+        prolonged = torus.prolong(coarse, fine, quarter(coarse, out.v.values))
+        assert np.array_equal(start, prolonged - torus.integrate(fine, prolonged) / fine.volume)
+    assert res.status == "converged" and res.iterations <= 4
+    assert all(lv.decay_ratio <= minimize_module.RESOLVED_DECAY for lv in res.levels)
+
+
+def test_decay_ratio_reads_the_top_of_the_spectrum():
+    # the largest mode of the top band over the largest just below it; a
+    # mode at the rounding of the largest counts as 0
+    T = SpectralTorus(1.0, 32)
+    X = np.zeros((17, 17))
+    X[0, 0] = 100.0
+    X[3, 9] = -2.0  # max(k, m) = 9, in [8, 12)
+    X[14, 1] = 0.5  # max(k, m) = 14 >= 12
+    assert minimize_module.decay_ratio(T, X.ravel()) == 0.25
+    X[16, 16] = -1.0
+    assert minimize_module.decay_ratio(T, X.ravel()) == 0.5
+    X[12:, :] = X[:, 12:] = 0.0
+    assert minimize_module.decay_ratio(T, X.ravel()) == 0.0
+    X[13, 13] = 1e-14
+    assert minimize_module.decay_ratio(T, X.ravel()) == 0.0
+    X[3, 9] = 0.0
+    X[13, 13] = 1.0
+    assert minimize_module.decay_ratio(T, X.ravel()) == math.inf
 
 
 def test_every_iterate_and_every_trial_step_is_even_bit_for_bit(monkeypatch):
     # the signed pair at lambda_bar on 32^2 at seed 3 rejects a step; the
     # cold start, made even, is the first field the residual sees.  The
-    # residual sees each iterate, each candidate a trial fills and, after a
-    # rejected candidate, v again.  Those fields and the trial steps are
+    # residual sees each iterate and each candidate a trial fills, and v
+    # again only where a reader follows a rejected candidate, which in this
+    # run the next candidate does not.  Those fields and the trial steps are
     # quarter-cell values, so each stands for the even field it unfolds
     # to, and the result is the last iterate unfolded
     iterates, steps = [], []
@@ -624,9 +794,9 @@ def test_every_iterate_and_every_trial_step_is_even_bit_for_bit(monkeypatch):
     res = minimize(prob, MinimizeOptions(seed=3))
     assert res.status == "converged" and res.rejected > 0
     trials = list(zip(filled, _accepted(res)))
-    # per regime: a filled trial's candidate, v again after a rejected one,
-    # and the next iterate after an accepted cancellation-free one
-    fields = sum(f + (f and not a) + (a and not f) for f, a in trials)
+    # per regime: a filled trial's candidate, and the next iterate after an
+    # accepted cancellation-free one
+    fields = sum(f + (a and not f) for f, a in trials)
     assert {f for f, _ in trials} == {True, False}
     assert len(iterates) == 1 + fields and len(steps) == res.iterations
     r = T.reflection
@@ -705,11 +875,14 @@ def test_residual_is_computed_once_per_iterate(monkeypatch):
     trials = list(zip(filled, _accepted(res)))
     assert sum(a for _, a in trials) == accepted
     # once per iterate: at the start, and per accepted step, at its
-    # candidate if it filled one; and twice per rejected candidate, its fill
-    # and v's again.  A rejected cancellation-free step computes none
+    # candidate if it filled one; and once per rejected candidate, its
+    # fill.  The trial after the rejected one fills its own candidate and is
+    # accepted, so nothing reads v's partitions in between, and they are not
+    # filled again.  A rejected cancellation-free step computes none
     rejected_filled = sum(f and not a for f, a in trials)
     assert rejected_filled == res.rejected and sum(filled) < res.iterations
-    assert len(calls) == accepted + 1 + 2 * rejected_filled
+    assert all(trials[k + 1] == (True, True) for k, (f, a) in enumerate(trials) if f and not a)
+    assert len(calls) == accepted + 1 + rejected_filled
     calls.clear()
     monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", lambda self: 1.0)
     last = minimize(Problem(T, delta_one(), 10.0), MinimizeOptions())

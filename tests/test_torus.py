@@ -24,6 +24,7 @@ from vortexmf.torus import (
     laplacian,
     periodic_distance,
     project_zero_mean,
+    prolong,
     radial_average,
     project_even,
     quarter,
@@ -426,3 +427,52 @@ def test_check_even_rejects_a_field_one_ulp_off_even():
             continue
         with pytest.raises(ValueError, match="not even"):
             check_even(T, Field(off))
+
+
+def _cosine_polynomial(T, coefficients):
+    """The even field sum c_km cos(2 pi k x) cos(2 pi m y) at the
+    quarter-cell nodes of T, for coefficients c_km, 0 <= k, m < 16."""
+    x = np.arange(T.grid_n // 2 + 1) / T.grid_n
+    basis = np.cos(2.0 * math.pi * np.outer(x, np.arange(coefficients.shape[0])))
+    return (basis @ coefficients @ basis.T).ravel()
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_prolong_samples_a_band_limited_cosine_polynomial_on_the_finer_grid(n):
+    # modes below the 32^2 Nyquist line are reproduced from the 32^2
+    # samples, through one or two doublings; |field| <= 1
+    rng = np.random.default_rng(5)
+    coefficients = rng.standard_normal((16, 16))
+    coefficients /= np.abs(coefficients).sum()
+    x = _cosine_polynomial(SpectralTorus(1.0, 32), coefficients)
+    grid = 32
+    while grid < n:
+        x = prolong(SpectralTorus(1.0, grid), SpectralTorus(1.0, 2 * grid), x)
+        grid *= 2
+    want = _cosine_polynomial(SpectralTorus(1.0, n), coefficients)
+    assert np.abs(x - want).max() <= 1e-14
+
+
+def test_prolong_drops_the_coarse_nyquist_line():
+    # a field of the modes with k or m = n/2 alone prolongs to 0, and the
+    # modes below the line are kept
+    coarse, fine = SpectralTorus(1.0, 32), SpectralTorus(1.0, 64)
+    X = np.zeros((17, 17))
+    X[16, :] = np.arange(17.0) + 1.0
+    X[:, 16] = 3.0
+    nyquist = inverse_cosine_transform(coarse, X.ravel())
+    assert np.abs(nyquist).max() > 0.1
+    assert np.abs(prolong(coarse, fine, nyquist)).max() <= 1e-15
+    X[3, 5] = 2.0
+    kept = prolong(coarse, fine, inverse_cosine_transform(coarse, X.ravel()))
+    modes_fine = cosine_transform(fine, kept).reshape(33, 33)
+    expected = np.zeros((33, 33))
+    expected[3, 5] = 4.0 * 2.0
+    assert np.abs(modes_fine - expected).max() <= 1e-12
+
+
+def test_prolong_needs_twice_the_grid_on_the_same_torus():
+    x = np.zeros(17 * 17)
+    for fine in (SpectralTorus(1.0, 128), SpectralTorus(2.0, 64), SpectralTorus(1.0, 32)):
+        with pytest.raises(ValueError, match="twice the points"):
+            prolong(SpectralTorus(1.0, 32), fine, x)
