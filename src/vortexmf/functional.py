@@ -36,6 +36,7 @@ of J, and the residual, unfolded to the grid, is its whole gradient.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -109,33 +110,23 @@ class Partitions:
     shifted by the atom's m, bit for bit, so where every side keeps its
     atoms' rows every sum is the one matrix product it was before the
     interpolation.  A node set is built only when a side's node count
-    changes, and a side holds at most two: the last fill's, and the last
-    widening trial step's or the fill's before (:meth:`_node_set`).
+    changes, and a side holds its last two (:meth:`_node_set`).
 
-    The stack and the per-atom arrays are allocated here, once per run,
-    and every :func:`el_residual` refills them in place, so a run never
-    holds two stacks: a new stack allocated per residual while the
-    previous one was alive raised the peak resident set of 128 atoms at
-    128^2 by 30 MiB.  ``stack`` is a view of the first rows of one buffer
-    with a row per atom, and rows an iterate does not use are not touched.
+    The per-atom and per-node arrays are allocated here, and every
+    :func:`el_residual` fills them in place; a run holds two partitions,
+    these and their :meth:`twin`, and no more: a new stack allocated per
+    residual while the previous one was alive raised the peak resident set
+    of 128 atoms at 128^2 by 30 MiB.  ``stack`` is a view of the first
+    rows of a buffer that grows only when a fill needs more rows than any
+    fill before it, so a side of thousands of atoms read from a few dozen
+    nodes holds a few dozen rows.
     """
 
     def __init__(self, prob: Problem) -> None:
-        T = prob.torus
-        atoms, nodes = len(prob.P.atoms), T.quarter_weights.size
-        self.quarter_weights = T.quarter_weights
+        self.quarter_weights = prob.torus.quarter_weights
         self.alpha = np.array([a for a, _ in prob.P.atoms])
         self.weight = np.array([w for _, w in prob.P.atoms])
-        self.spectrum = np.empty(nodes)
-        self.values = np.empty(nodes)
-        self.low = self.high = 0.0
-        self._stack = np.empty((atoms, nodes))
-        self.stack = self._stack
-        self.totals = np.empty(atoms)
-        self.shifts = np.empty(atoms)
-        self.curvature = np.empty(nodes)
-        self.hessian_weights = np.empty(atoms)
-        # the atoms of each side, and its node sets: the iterate's, then a trial's
+        # the atoms of each side, and its last two node sets
         signs = np.sign(self.alpha)
         self._sides = []
         for sign in (-1.0, 0.0, 1.0):
@@ -145,24 +136,43 @@ class Partitions:
         # none yet: the first fill's node count is walked up from the fewest
         # (see _node_count), not down from a side of thousands of atoms
         self._node_sets = [[(np.empty(0), None)] * 2 for _ in self._sides]
+        self._allocate()
+
+    def _allocate(self) -> None:
+        """The arrays of one fill, and an empty stack buffer."""
+        nodes, atoms = self.quarter_weights.size, self.alpha.size
+        self.spectrum = np.empty(nodes)
+        self.values = np.empty(nodes)
+        self.low = self.high = 0.0
+        self.stack = self._stack = np.empty((0, nodes))
+        self.totals = np.empty(atoms)
+        self.shifts = np.empty(atoms)
+        self.curvature = np.empty(nodes)
+        self.hessian_weights = np.empty(atoms)
         self.layout = [(side, side, None) for side in self._sides]
 
-    def _node_set(self, k: int, width: float, slot: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Side k's node set for a range of v of the given width, for a fill
-        in ``slot`` 0 or a trial step in slot 1.  Slot 0 holds the last
-        fill's set, and slot 1 the last trial's or the fill's before, so a
-        refill at v after a candidate finds v's set there.  Either is taken
-        if it has the node count the width needs; a new set goes to slot 1,
-        and a fill then swaps the slots."""
+    def twin(self) -> Partitions:
+        """Partitions for a second field of the same run, such as a trial
+        step's candidate: they share ``alpha``, ``weight``, the sides and
+        the node sets, and hold a fill of their own."""
+        twin = copy.copy(self)
+        twin._allocate()
+        return twin
+
+    def _node_set(self, k: int, width: float) -> tuple[np.ndarray, np.ndarray | None]:
+        """Side k's node set for a range of v of the given width.  Each side
+        holds its last two node sets, most recently used first, shared by
+        the partitions and their :meth:`twin`; one is taken if it has the
+        node count the width needs, and otherwise a new one replaces the
+        older."""
         atoms = self.alpha[self._sides[k]]
         held = self._node_sets[k]
         r = _node_count(_half_width(atoms) * width, atoms.size, held[0][0].size)
         if held[0][0].size != r:
             if held[1][0].size != r:
                 held[1] = (atoms, None) if r == atoms.size else _chebyshev(atoms, r)
-            if slot == 0:
-                held.reverse()
-        return held[0] if held[0][0].size == r else held[1]
+            held.reverse()
+        return held[0]
 
     def fill(self, v: np.ndarray, lo: float, hi: float) -> None:
         """Choose each side's rows for the field v with min lo and max hi,
@@ -172,11 +182,13 @@ class Partitions:
         self.low, self.high = lo, hi
         layout, circulations, rows = [], [], 0
         for k, side in enumerate(self._sides):
-            nodes, matrix = self._node_set(k, hi - lo, 0)
+            nodes, matrix = self._node_set(k, hi - lo)
             layout.append((side, slice(rows, rows + nodes.size), matrix))
             circulations.append(nodes)
             rows += nodes.size
         self.layout = layout
+        if rows > self._stack.shape[0]:
+            self._stack = np.empty((rows, self.values.size))
         self.stack = stack = self._stack[:rows]
         row_alpha = np.concatenate(circulations)
         # for an atom's own row, its shift in el_residual, bit for bit
@@ -229,8 +241,8 @@ class Partitions:
         u = np.empty_like(d)
         width = self.high - self.low + (max(float(d.max()), 0.0) - min(float(d.min()), 0.0))
         for k, (atoms, rows, _) in enumerate(self.layout):
-            nodes, lagrange = self._node_set(k, width, 1)
-            node_rows = self.stack[rows] if nodes is self._node_sets[k][0][0] else None
+            nodes, lagrange = self._node_set(k, width)
+            node_rows = self.stack[rows] if nodes.size == rows.stop - rows.start else None
             if lagrange is None:
                 self._expm1_dots(d, u, nodes, sums[atoms], node_rows)
                 continue
@@ -404,7 +416,7 @@ def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndar
     residual has zero mean (each density integrates to 1); the
     floating-point mean is projected out.
 
-    ``partitions`` is refilled in place at v (see :class:`Partitions`).  A
+    ``partitions`` is filled in place at v (see :class:`Partitions`).  A
     non-finite v, or a largest m above the guard, raises OverflowError
     before any transform or exponential, and leaves ``partitions`` as it
     was.

@@ -48,25 +48,23 @@ takes no Hessian product.
 The actual change of J is evaluated one of two ways (see
 :class:`_EnergyDelta`).  A step whose predicted decrease is at least
 ``SUBTRACTION_RHO`` eps S(v), S the magnitudes J sums at v
-(:func:`energy_scale`), fills its candidate v - d into the partitions, and
-its change is J there less J(v): plain subtraction is exact enough for the
-ratio there, and an accepted candidate is the next iterate, whose
-partitions are then filled already.  A smaller step is evaluated in
-cancellation-free form: the Dirichlet part expands exactly as a bilinear
-form in (v, d), and each log-partition difference is log1p of a relative
-expm1 sum.  Plain subtraction there stalls at the rounding floor of J
+(:func:`energy_scale`), fills its candidate v - d into the run's spare
+partitions, and its change is J there less J(v): plain subtraction is
+exact enough for the ratio there, and an accepted candidate is the next
+iterate, whose partitions are then filled already.  A smaller step is
+evaluated in cancellation-free form: the Dirichlet part expands exactly
+as a bilinear form in (v, d), and each log-partition difference is log1p
+of a relative expm1 sum.  Plain subtraction there stalls at the rounding floor of J
 long before the equation residual reaches the tolerances demanded here.
 
 The iterate v is transformed, and its rows of exponentials taken, once
-per iterate, by :func:`el_residual` into the one :class:`Partitions` of a
-run; J, the energy differences and the Hessian products at v read them
-there, and a cancellation-free energy difference transforms only its
-step.  A rejected candidate leaves its fill in the partitions, and v's are
-filled again, bit for bit, only when something reads them next: a Hessian
-product, or a trial below the floor.  A trial above the floor reads only
-v and S(v), which are kept from the iterate, so the candidate after a
-rejected one fills at once.  On a side of many atoms the rows are those
-of a few Chebyshev nodes in alpha, so the exponentials an iterate and a
+per iterate, by :func:`el_residual` into its :class:`Partitions`; J, the
+energy differences and the Hessian products at v read them there, and a
+cancellation-free energy difference transforms only its step.  A run
+holds two partitions, v's and a spare: a candidate is filled into the
+spare, and an accepted one swaps the two, so no trial writes v's, and
+nothing is filled twice.  On a side of many atoms the rows are those of
+a few Chebyshev nodes in alpha, so the exponentials an iterate and a
 trial step take do not grow with the atom count (see :class:`Partitions`).
 
 The layer does no I/O: a run keeps its per-iteration trace, and the count
@@ -78,7 +76,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -206,18 +203,18 @@ class _EnergyDelta:
 
     ``partitions`` holds what :func:`el_residual` handed out for v: its
     cosine modes, its values, the atoms' circulations and weights, each
-    atom's shift m and grid sum of e^{alpha v - m}, and the stack of rows;
-    or, after a rejected candidate, that candidate's fill, and then
-    ``refill`` fills v's again, bit for bit, before they are read.
+    atom's shift m and grid sum of e^{alpha v - m}, and the stack of rows.
+    Nothing here writes them.
 
     A step whose predicted decrease is at least the floor
     ``SUBTRACTION_RHO`` eps S(v) (:func:`_subtraction_floor`) is given
-    ``iterate``, v and J(v), and is evaluated by subtraction: the candidate
-    v - d, with its mean removed as for the next iterate, is filled into
-    ``partitions`` by :func:`el_residual`, and the difference is J(v - d),
-    read off that fill, less J(v).  So it reads nothing of v's fill.  The
-    candidate and its residual are kept, so an accepted step takes them as
-    the next iterate and fills nothing again.
+    ``iterate``, v, J(v) and the run's spare partitions (see
+    :meth:`Partitions.twin`), and is evaluated by subtraction: the
+    candidate v - d, with its mean removed as for the next iterate, is
+    filled into the spare by :func:`el_residual`, and the difference is
+    J(v - d), read off that fill, less J(v).  The candidate and its
+    residual are kept, so an accepted step takes them, and the spare, as
+    the next iterate's and fills nothing again.
 
     The floor: J at a field u is exact to about c eps S(u), where c covers
     the sums of the Dirichlet energy and of each total, a few times log2 of
@@ -230,8 +227,8 @@ class _EnergyDelta:
     of the change.  The ratio to the model is then exact to 2 c / rho, and
     rho = 4e6 with c = 20 bounds that by 1e-5, a tenth of ``ACCEPT_RATIO``
     and far below the radius tests at 0.25 and 0.75.  A candidate that
-    trips the exponent guard leaves ``partitions`` as they were, and is
-    evaluated the other way.
+    trips the exponent guard is evaluated the other way, at v's
+    partitions.
 
     A smaller step, or one given no iterate, is evaluated in
     cancellation-free form, since there subtraction would lose the ratio.
@@ -252,22 +249,18 @@ class _EnergyDelta:
         prob: Problem,
         d: np.ndarray,
         partitions: Partitions,
-        iterate: tuple[np.ndarray, float] | None = None,
-        refill: Callable[[], None] | None = None,
+        iterate: tuple[np.ndarray, float, Partitions] | None = None,
     ):
         self.prob = prob
         self.d = d
         self.partitions = partitions
         self.iterate = iterate
-        self.refill = refill
         self.candidate: np.ndarray | None = None
         self.residual: np.ndarray | None = None
         if iterate is None:
             self._transform_step()
 
     def _transform_step(self) -> None:
-        if self.refill is not None:
-            self.refill()
         T = self.prob.torus
         d_hat = cosine_transform(T, self.d)
         self.a_vd = gradient_inner(T, self.partitions.spectrum, d_hat)
@@ -276,15 +269,15 @@ class _EnergyDelta:
     def __call__(self) -> float:
         prob, partitions = self.prob, self.partitions
         if self.iterate is not None:
-            v, j_v = self.iterate
+            v, j_v, spare = self.iterate
             candidate = _next_iterate(prob.torus, v, self.d)
             try:
-                self.residual = el_residual(prob, candidate, partitions)
-            except OverflowError:  # past the guard: the partitions are as they were
+                self.residual = el_residual(prob, candidate, spare)
+            except OverflowError:  # past the guard: read v's partitions instead
                 self._transform_step()
             else:
                 self.candidate = candidate
-                return J(prob, candidate, partitions) - j_v
+                return J(prob, candidate, spare) - j_v
         delta = -self.a_vd + 0.5 * self.a_dd
         # a move past exp overflow makes the sum inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
@@ -370,17 +363,12 @@ class _SteihaugPath:
     Parseval sum.  :func:`hessian_product` takes the direction's modes and
     hands back q at the quarter-cell nodes, for the step, with <q, H q>
     and the modes of H q, for the residual.  A non-finite rz, <q, H q>,
-    model or step raises OverflowError before a transform.  ``refill``, if
-    given, runs before each product: it fills v's partitions again where a
-    rejected candidate's fill has replaced them.
+    model or step raises OverflowError before a transform.
     """
 
-    def __init__(
-        self, prob: Problem, partitions: Partitions, g: np.ndarray, refill: Callable[[], None] | None = None
-    ):
+    def __init__(self, prob: Problem, partitions: Partitions, g: np.ndarray):
         self.prob = prob
         self.partitions = partitions
-        self.refill = refill
         T = prob.torus
         self.r_hat = cosine_transform(T, g)  # the CG residual after the last direction kept
         self.q_hat = solve_poisson_zero_mean(T, self.r_hat)  # the next search direction
@@ -408,8 +396,6 @@ class _SteihaugPath:
             rz = rz_next
         else:
             rz = self.rz0
-        if self.refill is not None:
-            self.refill()
         q, kappa, hq_hat = hessian_product(self.prob, self.partitions, self.q_hat)
         self.directions.append((q, _finite("<q, H q>", kappa), rz))
         if kappa > 0.0:  # on negative curvature every step stops on this direction
@@ -543,23 +529,18 @@ def _solve(prob: Problem, opts: MinimizeOptions, v: np.ndarray) -> MinimizeResul
     """The trust-region run of :func:`minimize` on the grid of ``prob`` from
     the quarter-cell values v, which it does not change.
 
-    A rejected candidate leaves its fill in the partitions, and v's are
-    filled again only when something reads them next: a Hessian product,
-    or a trial below the subtraction floor.  S(v), hence the floor, is
-    taken at each iterate's own fill, and a trial above it reads only v."""
+    It holds v's partitions and a spare.  A trial above the subtraction
+    floor fills its candidate into the spare, and an accepted candidate
+    swaps the two; a step accepted below the floor fills the next iterate
+    into v's own.  So every reader, a Hessian product, a trial below the
+    floor, the guard's fallback or the level's :func:`decay_ratio`, finds
+    v's fill.  S(v), hence the floor, is taken at each iterate's fill."""
     T = prob.torus
     partitions = Partitions(prob)
+    spare = partitions.twin()
     g = el_residual(prob, v, partitions)
     j_curr = J(prob, v, partitions)
     floor = _subtraction_floor(prob, partitions)
-    stale = False  # the partitions hold a rejected candidate's fill, not v's
-
-    def refill() -> None:
-        nonlocal stale
-        if stale:
-            el_residual(prob, v, partitions)  # v's partitions again, bit for bit
-            stale = False
-
     res_norm = float(np.abs(g).max())
     iterations = products = rejected = rejected_in_a_row = 0
     path: _SteihaugPath | None = None
@@ -568,12 +549,12 @@ def _solve(prob: Problem, opts: MinimizeOptions, v: np.ndarray) -> MinimizeResul
 
     while (status := _stop_status(opts, T, v, res_norm, iterations)) is None:
         if path is None:
-            path = _SteihaugPath(prob, partitions, g, refill)
+            path = _SteihaugPath(prob, partitions, g)
             if iterations == 0:
                 radius = math.sqrt(path.rz0)
         step, model, boundary, n = path.step(radius)
         products += n
-        delta = _EnergyDelta(prob, step, partitions, (v, j_curr) if -model >= floor else None, refill)
+        delta = _EnergyDelta(prob, step, partitions, (v, j_curr, spare) if -model >= floor else None)
         dj = delta()
         ratio = dj / model  # actual over predicted change; model < 0
         iterations += 1
@@ -584,16 +565,14 @@ def _solve(prob: Problem, opts: MinimizeOptions, v: np.ndarray) -> MinimizeResul
                 g = el_residual(prob, v, partitions)
             else:
                 v, g = delta.candidate, delta.residual
+                partitions, spare = spare, partitions
             j_curr = j_curr + dj
-            stale = False
             floor = _subtraction_floor(prob, partitions)
             res_norm = float(np.abs(g).max())
             rejected_in_a_row = 0
         else:
             rejected += 1
             rejected_in_a_row += 1
-            # a trial without a candidate has read, so refilled, v's partitions
-            stale = delta.candidate is not None
         trace.append((j_curr, res_norm, radius, float(v.max())))
         if rejected_in_a_row == MAX_REJECTIONS:
             status = "diverged"  # the trust radius collapsed
@@ -602,8 +581,7 @@ def _solve(prob: Problem, opts: MinimizeOptions, v: np.ndarray) -> MinimizeResul
             radius *= 0.25
         elif ratio > 0.75 and boundary:
             radius *= 2.0
-    spectrum = cosine_transform(T, v) if stale else partitions.spectrum
-    level = Level(T.grid_n, status, iterations, rejected, products, j_curr, decay_ratio(T, spectrum))
+    level = Level(T.grid_n, status, iterations, rejected, products, j_curr, decay_ratio(T, partitions.spectrum))
     return MinimizeResult(
         Field(unfold(T, v)), j_curr, res_norm, iterations, prob.lam, status, products, rejected, trace, [level]
     )

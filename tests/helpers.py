@@ -87,15 +87,16 @@ def hessian_field(prob: Problem, partitions: Partitions, phi: np.ndarray) -> Fie
 def subtracted_energy_delta(prob: Problem, v: Field, d: Field) -> tuple[float, float, float]:
     """J(v - d) - J(v) for the even fields v and d as the trust region
     evaluates a step above the subtraction floor, read off the
-    candidate's partitions; the cancellation-free difference at v's
-    partitions; and eps S(v), S the floor's energy scale."""
+    candidate's partitions, the spare beside v's; the cancellation-free
+    difference at v's partitions; and eps S(v), S the floor's energy
+    scale."""
     T = prob.torus
     v, d = quarter(T, v.values), quarter(T, d.values)
     partitions = Partitions(prob)
     el_residual(prob, v, partitions)
     eps_s = math.ulp(1.0) * energy_scale(prob, partitions)
     cancellation_free = _EnergyDelta(prob, d, partitions)()
-    delta = _EnergyDelta(prob, d, partitions, (v, J(prob, v, partitions)))
+    delta = _EnergyDelta(prob, d, partitions, (v, J(prob, v, partitions), partitions.twin()))
     subtracted = delta()
     assert delta.candidate is not None
     return subtracted, cancellation_free, eps_s

@@ -407,12 +407,15 @@ def test_batched_layer_matches_the_per_atom_oracles():
         assert kappa == pytest.approx(integrate(T, Field(phi.values * expected)), rel=1e-13)
 
 
-def test_one_iterate_refills_the_stack_and_allocates_few_fields():
-    # 128 atoms on 64^2: a 4 MiB stack, 128 fields, made before the traced
-    # calls.  Refilled, multiplied and moved along, it takes at most 8
-    # fields beyond itself per call, and no allocation a call leaves live
-    # is larger than a field: a new stack per residual, made while the old
-    # one is alive, raises the peak resident set by a stack or more.
+def test_one_iterate_fills_the_stack_in_place_and_allocates_few_fields():
+    # 128 atoms on 64^2, whose two sides read their rows from 14 nodes
+    # each: a stack of 28 quarter-cell rows, made by the first fill, before
+    # the traced calls.  Filled again, multiplied and moved along, it takes
+    # at most 8 fields beyond itself per call, and no allocation a call
+    # leaves live is larger than a field: a new stack per residual, made
+    # while the old one is alive, raises the peak resident set by a stack
+    # or more.  A fill allocates a stack only when it needs more rows than
+    # any before
     T = SpectralTorus(1.0, 64)
     n_atoms = 128
     atoms = [(-1.0 + (i + 0.5) / 64, 1.0 / n_atoms) for i in range(n_atoms)]
@@ -424,6 +427,9 @@ def test_one_iterate_refills_the_stack_and_allocates_few_fields():
     field = v.values.nbytes
     residual(prob, v)  # the torus symbols are cached outside the traced calls
     partitions = Partitions(prob)
+    el_residual(prob, v_nodes, partitions)
+    rows, buffer = partitions.stack.shape[0], partitions.stack.ctypes.data
+    assert rows == 28
     calls = [
         lambda: el_residual(prob, v_nodes, partitions),
         lambda: hessian_product(prob, partitions, d_hat),
@@ -446,13 +452,22 @@ def test_one_iterate_refills_the_stack_and_allocates_few_fields():
     # the calls work at the quarter-cell nodes: nothing they leave live is
     # larger than (n/2 + 1)^2 values
     assert largest <= d_nodes.nbytes
+    assert (partitions.stack.shape[0], partitions.stack.ctypes.data) == (rows, buffer)
+    # a wider v needs more node rows, and a new stack; v then fills the
+    # first rows of that one
+    el_residual(prob, 4.0 * v_nodes, partitions)
+    wide, grown = partitions.stack.shape[0], partitions.stack.ctypes.data
+    assert wide > rows and grown != buffer
+    el_residual(prob, v_nodes, partitions)
+    assert (partitions.stack.shape[0], partitions.stack.ctypes.data) == (rows, grown)
 
 
 def test_a_side_of_4096_atoms_holds_count_times_r_values_beside_the_stack():
-    # 4,096 atoms on 32^2: the stack buffer, a row per atom, is 9.0 MiB, and
-    # each side's node sets, the iterate's and that of a step that widens
-    # v's range, hold count x r values each (2.2 MiB more in all here);
-    # count^2 interpolation buffers per side traced 137.6 MiB
+    # 4,096 atoms on 32^2: the stack holds the 2r node rows of the two
+    # sides, and each side's node sets, the iterate's and that of a step
+    # that widens v's range, hold count x r values each (2.1 MiB traced in
+    # all here); a stack buffer with a row per atom, 9.0 MiB, breaks the
+    # bound, and count^2 interpolation buffers per side traced 137.6 MiB
     T = SpectralTorus(1.0, 32)
     n_atoms = 4096
     P = new_atomic([(-1.0 + 2.0 * (i + 0.5) / n_atoms, 1.0 / n_atoms) for i in range(n_atoms)])
@@ -469,8 +484,30 @@ def test_a_side_of_4096_atoms_holds_count_times_r_values_beside_the_stack():
     finally:
         tracemalloc.stop()
     r = max(rows.stop - rows.start for _, rows, _ in partitions.layout)
-    assert r <= 32
-    assert peak <= 8 * n_atoms * (v.size + 4 * r)
+    assert r <= 32 and partitions.stack.shape[0] <= 2 * r
+    assert peak <= 8 * n_atoms * 4 * r < 8 * n_atoms * v.size
+
+
+def test_a_run_of_4096_atoms_holds_no_more_stack_rows_than_its_fills_use(monkeypatch):
+    # 4,096 atoms at 0.9 lambda_bar on 32^2: each of the run's two
+    # partitions grows its stack buffer to the most rows one of its fills
+    # used, a few dozen node rows, not a row per atom
+    fills = {}  # per partitions, the most rows a fill used
+    real_fill = Partitions.fill
+
+    def recorded(self, v, lo, hi):
+        real_fill(self, v, lo, hi)
+        fills[self] = max(fills.get(self, 0), self.stack.shape[0])
+
+    monkeypatch.setattr(Partitions, "fill", recorded)
+    T = SpectralTorus(1.0, 32)
+    n_atoms = 4096
+    P = new_atomic([(-1.0 + 2.0 * (i + 0.5) / n_atoms, 1.0 / n_atoms) for i in range(n_atoms)])
+    assert minimize(Problem(T, P, 0.9 * lambda_bar(P).lambda_bar), MinimizeOptions()).status == "converged"
+    assert len(fills) == 2
+    for partitions, rows in fills.items():
+        assert partitions._stack.shape == (rows, T.quarter_weights.size)
+        assert rows <= 64
 
 
 def test_node_count_meets_the_bessel_tail_it_bounds():

@@ -302,23 +302,25 @@ def test_energy_delta_past_exp_overflow_raises():
 def test_a_candidate_past_the_exponent_guard_falls_back_to_the_cancellation_free_form(max_u):
     # at 705 the candidate's largest shift is past the guard and the
     # cancellation-free form is finite; at 800 that form overflows too, as
-    # without the floor.  Either way the partitions stay v's
+    # without the floor.  Either way the partitions stay v's, and the spare,
+    # filled with another field, stays that field's
     prob, v, d, u_per_step = _signed_three_atom_move()
     T = prob.torus
     step = quarter(T, (max_u / u_per_step) * d.values)
     partitions = Partitions(prob)
+    spare = partitions.twin()
     v_q = quarter(T, v.values)
     el_residual(prob, v_q, partitions)
-    before = [getattr(partitions, f).copy() for f in ("stack", "totals", "shifts", "spectrum", "values")]
-    delta = minimize_module._EnergyDelta(prob, step, partitions, (v_q, 0.0))
+    el_residual(prob, 0.5 * v_q, spare)
+    before = [_partitions_state(partitions), _partitions_state(spare)]
+    delta = minimize_module._EnergyDelta(prob, step, partitions, (v_q, 0.0, spare))
     if max_u < 800.0:
         assert delta() == minimize_module._EnergyDelta(prob, step, partitions)()
     else:
         with pytest.raises(OverflowError, match="partition exponent out of range"):
             delta()
     assert delta.candidate is None
-    after = [getattr(partitions, f) for f in ("stack", "totals", "shifts", "spectrum", "values")]
-    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert [_partitions_state(partitions), _partitions_state(spare)] == before
 
 
 def _log_terms_per_atom(partitions, d):
@@ -405,12 +407,11 @@ def _partitions_state(partitions):
 
 @pytest.mark.parametrize("many", [False, True])
 def test_a_rejected_candidate_leaves_the_partitions_of_v_bit_for_bit(monkeypatch, many):
-    # every step is rejected, the first ones after filling their candidate:
-    # the candidates' fills stay until a trial below the floor reads the
-    # partitions, and every reader, each Hessian product and each
-    # cancellation-free trial, finds those el_residual(v) left, bit for
-    # bit, node sets included where 128 atoms read their rows from them.
-    # v's partitions are filled again once, for the first such trial
+    # every step is rejected, the first ones after filling their candidate
+    # into the spare: every reader, each Hessian product and each
+    # cancellation-free trial, finds the partitions el_residual(v) left,
+    # bit for bit, node sets included where 128 atoms read their rows from
+    # them, and v's partitions are never filled again
     snapshots, filled, residuals = [], [], []
     real_call, real_sums = minimize_module._EnergyDelta.__call__, Partitions.expm1_sums
     real_product, real_residual = minimize_module.hessian_product, minimize_module.el_residual
@@ -447,7 +448,7 @@ def test_a_rejected_candidate_leaves_the_partitions_of_v_bit_for_bit(monkeypatch
     assert filled[0] and not filled[-1]
     below = filled.count(False)
     assert len(snapshots) == res.hessian_products + below
-    assert len(residuals) == 1 + sum(filled) + 1
+    assert len(residuals) == 1 + sum(filled)
     partitions = Partitions(prob)
     el_residual(prob, quarter(T, even(T, random_zero_mean(T, 0)).values), partitions)
     first = _partitions_state(partitions)
@@ -595,18 +596,21 @@ def test_a_density_of_1024_atoms_converges_on_few_node_rows():
 
 
 def test_a_side_builds_a_node_set_only_when_its_node_count_changes(monkeypatch):
-    # the benchmark's 128-atom solve at CLI seeds 0-3 builds 104 node sets;
-    # a build on every fill and every widening step took 218
+    # the benchmark's 128-atom solve at CLI seeds 0-3 builds 114 node sets
+    # over its 32^2, 64^2 and 128^2 levels; a build on every fill and every
+    # widening step took 218.  A run's two partitions share each side's
+    # last two node sets, most recently used first, and a side builds one
+    # only when neither has the count it needs
     builds = []
     chebyshev = functional_module._chebyshev
     monkeypatch.setattr(functional_module, "_chebyshev", lambda alpha, r: builds.append(r) or chebyshev(alpha, r))
-    requests = []  # per request: the partitions, the side, its node count, built or not
+    requests = []  # per request: the run's node sets, the side, its node count, built or not
     node_set = Partitions._node_set
 
-    def counted(self, k, width, slot):
+    def counted(self, k, width):
         before = len(builds)
-        nodes, matrix = node_set(self, k, width, slot)
-        requests.append((self, k, nodes.size, len(builds) > before))
+        nodes, matrix = node_set(self, k, width)
+        requests.append((self._node_sets, k, nodes.size, len(builds) > before))
         return nodes, matrix
 
     monkeypatch.setattr(Partitions, "_node_set", counted)
@@ -615,11 +619,12 @@ def test_a_side_builds_a_node_set_only_when_its_node_count_changes(monkeypatch):
     prob = Problem(T, P, 0.9 * lambda_bar(P).lambda_bar)
     for seed in range(4):
         assert minimize(prob, MinimizeOptions(seed=seed)).status == "converged"
-    last = {}
-    for partitions, k, r, built in requests:
-        assert not built or last.get((partitions, k)) != r
-        last[(partitions, k)] = r
-    assert len(builds) <= 120
+    held = {}  # per run and side, the counts of its two node sets, most recent first
+    for node_sets, k, r, built in requests:
+        counts = held.setdefault((id(node_sets), k), [])
+        assert built == (r not in counts)
+        held[(id(node_sets), k)] = [r] + [c for c in counts if c != r][:1]
+    assert 0 < sum(built for *_, built in requests) == len(builds) <= 120
 
 
 def test_a_cold_start_near_bar_on_256_slides_onto_the_grid():
@@ -770,9 +775,8 @@ def test_decay_ratio_reads_the_top_of_the_spectrum():
 def test_every_iterate_and_every_trial_step_is_even_bit_for_bit(monkeypatch):
     # the signed pair at lambda_bar on 32^2 at seed 3 rejects a step; the
     # cold start, made even, is the first field the residual sees.  The
-    # residual sees each iterate and each candidate a trial fills, and v
-    # again only where a reader follows a rejected candidate, which in this
-    # run the next candidate does not.  Those fields and the trial steps are
+    # residual sees each iterate and each candidate a trial fills, and
+    # nothing else.  Those fields and the trial steps are
     # quarter-cell values, so each stands for the even field it unfolds
     # to, and the result is the last iterate unfolded
     iterates, steps = [], []
@@ -876,9 +880,9 @@ def test_residual_is_computed_once_per_iterate(monkeypatch):
     assert sum(a for _, a in trials) == accepted
     # once per iterate: at the start, and per accepted step, at its
     # candidate if it filled one; and once per rejected candidate, its
-    # fill.  The trial after the rejected one fills its own candidate and is
-    # accepted, so nothing reads v's partitions in between, and they are not
-    # filled again.  A rejected cancellation-free step computes none
+    # fill, into the spare, so v's partitions are never filled again.  Here
+    # the trial after the rejected one fills its own candidate and is
+    # accepted.  A rejected cancellation-free step computes none
     rejected_filled = sum(f and not a for f, a in trials)
     assert rejected_filled == res.rejected and sum(filled) < res.iterations
     assert all(trials[k + 1] == (True, True) for k, (f, a) in enumerate(trials) if f and not a)
@@ -890,23 +894,28 @@ def test_residual_is_computed_once_per_iterate(monkeypatch):
     assert len(calls) == 1
 
 
-def test_run_refills_one_stack(monkeypatch):
-    # every residual of a run refills the partitions allocated before the
-    # first one; holding each stack keeps a freed buffer's address from
-    # being handed out again
+def test_a_run_fills_two_stacks_in_turn(monkeypatch):
+    # a run holds two partitions, v's and a spare, and allocates each
+    # stack at its first fill: the first two steps fill their candidates
+    # into the spare, which an accepted one swaps with v's, and the third,
+    # below the floor, fills the next iterate into v's own.  Holding each
+    # stack keeps a freed buffer's address from being handed out again
     stacks = []
 
     def recorded(prob, v, partitions):
+        out = el_residual(prob, v, partitions)
         stacks.append(partitions.stack)
-        return el_residual(prob, v, partitions)
+        return out
 
     monkeypatch.setattr(minimize_module, "el_residual", recorded)
+    filled = _trial_regimes(monkeypatch)
     T = SpectralTorus(1.0, 32)
     P = new_atomic([(-1.0, 0.3), (0.5, 0.3), (1.0, 0.4)])
     res = minimize(Problem(T, P, 10.0), MinimizeOptions(max_iters=3))
-    assert (res.iterations, res.rejected) == (3, 0)
-    assert len(stacks) == 4
-    assert {s.ctypes.data for s in stacks} == {stacks[0].ctypes.data}
+    assert (res.iterations, res.rejected) == (3, 0) and filled == [True, True, False]
+    first, second = stacks[0].ctypes.data, stacks[1].ctypes.data
+    assert first != second
+    assert [s.ctypes.data for s in stacks] == [first, second, first, first]
 
 
 def test_work_per_iteration(monkeypatch):
@@ -915,8 +924,7 @@ def test_work_per_iteration(monkeypatch):
     # preconditioner solve, which is a division of the modes; per residual
     # 2 (v and its Laplacian) and one exponential per atom at the
     # quarter-cell nodes.  A step above the floor fills its candidate, one
-    # residual, and a rejected one refills v, another; a step below it
-    # takes 1 transform, of the step (v's modes are the residual's), and
+    # residual; a step below it takes 1 transform, of the step (v's modes are the residual's), and
     # one expm1 per atom, and an accepted one the residual at the next
     # iterate.  No real FFT is taken, and the only complex ones make the
     # random start
