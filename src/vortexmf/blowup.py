@@ -21,7 +21,7 @@ import numpy as np
 from vortexmf.functional import log_partition
 from vortexmf.measure import CirculationMeasure, tail_scan
 from vortexmf.minimize import MinimizeResult
-from vortexmf.torus import Field, SpectralTorus, radial_average
+from vortexmf.torus import Field, SpectralTorus, radial_average, unfold
 
 QUAD_REL_TOL = 1e-10
 MIN_FIT_SAMPLES = 8
@@ -313,16 +313,14 @@ def rescale_profile(
     the positive extremal subset K of the tail scan, so the reference slope
     is gamma0 = 4 P(K) / m_K, which is 4 / m1 under residual vanishing.
     """
-    vals = result.v.values
-    if vals.shape != (T.grid_n, T.grid_n):
-        raise ValueError("result grid does not match the torus")
+    vals = unfold(T, result.v)  # another grid's values raise ValueError
     peak = result.peak_point
     subset = tail_scan(P, "positive")[1]
     if not subset:
         raise ValueError("measure carries no positive circulation")
     mass = math.fsum(P.atoms[i][1] for i in subset)
     m_k = math.fsum(P.atoms[i][0] * P.atoms[i][1] for i in subset)
-    w1_peak = float(vals[peak]) - log_partition(T, result.v, 1.0)
+    w1_peak = float(vals[peak]) - log_partition(T, Field(vals), 1.0)
     bins = radial_average(T, Field(vals - vals[peak]), peak, T.grid_n // 2)
     r = np.array([b[0] for b in bins])
     mean_dw = np.array([b[1] for b in bins])

@@ -227,7 +227,7 @@ def write_stage(
             fh.write(f"{i},{j!r},{res!r},{step!r},{max_v!r}\n")
     seen, seen_P = result, P
     threshold = blowup_threshold(T)
-    negative_spike = result.peak_value < threshold <= -float(result.v.values.min())
+    negative_spike = result.peak_value < threshold <= -float(result.v.min())
     if negative_spike or moment(P, 1, "positive") == 0.0:
         seen, seen_P = mirror_image(result, P)
     conc = detect_concentration(seen, T, threshold)

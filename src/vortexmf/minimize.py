@@ -31,11 +31,10 @@ there.  ``result.levels`` records every level; the rest of the result is
 the requested grid's.
 
 Every iterate is even about node (0, 0) in x and in y (see
-:mod:`vortexmf.torus`).  The start, cold or warm, is projected onto the
-even fields and taken at its (n/2 + 1)^2 quarter-cell nodes; the iterate,
-the residual, the CG directions and the step stay at those nodes, and
-their spectra at the cosine modes, so only ``result.v`` is unfolded to the
-grid.  By the principle of symmetric criticality (Palais 1979) a converged
+:mod:`vortexmf.torus`).  The state, from the start through the levels and
+stages to ``result.v``, is its (n/2 + 1)^2 quarter-cell values, and its
+spectra their cosine modes; :func:`minimize` says where the grid appears.
+By the principle of symmetric criticality (Palais 1979) a converged
 iterate is a critical point of J on the whole torus; whether it is a
 minimizer against odd perturbations is not checked.  The even fields hold
 no translation, so a spike sits on a node that is its own reflection, and
@@ -144,18 +143,19 @@ class Level:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """The last iterate of a run; ``status`` says how the run ended:
-    ``converged``, ``blown_up``, ``budget`` or ``diverged`` (see :func:`minimize`).
-    ``hessian_products`` counts the Hessian products of the truncated CG,
-    and ``rejected`` the steps the trust region rejected, out of
-    ``iterations``.  ``trace`` holds one row
-    (J, residual_norm, step, max_v) for the start and one per iteration:
-    ``step`` is the trust radius of the iteration, 0.0 at the start, and a
-    rejected step repeats the J, residual and max of v of the row before.
-    These are the requested grid's; ``levels`` holds one :class:`Level`
-    per grid solved, coarsest first, the requested grid last."""
+    """The last iterate of a run, ``v``, at its quarter-cell nodes (the grid
+    field is ``unfold(T, v)``); ``status`` says how the run ended:
+    ``converged``, ``blown_up``, ``budget`` or ``diverged`` (see
+    :func:`minimize`).  ``hessian_products`` counts the Hessian products of
+    the truncated CG, and ``rejected`` the steps the trust region rejected,
+    out of ``iterations``.  ``trace`` holds one row (J, residual_norm, step,
+    max_v) for the start and one per iteration: ``step`` is the trust radius
+    of the iteration, 0.0 at the start, and a rejected step repeats the J,
+    residual and max of v of the row before.  These are the requested grid's;
+    ``levels`` holds one :class:`Level` per grid solved, coarsest first, the
+    requested grid last."""
 
-    v: Field
+    v: np.ndarray
     J_value: float
     residual_norm: float
     iterations: int
@@ -168,13 +168,14 @@ class MinimizeResult:
 
     @property
     def peak_point(self) -> tuple[int, int]:
-        """The first grid point, in row-major order, where v is largest."""
-        i, j = np.unravel_index(int(np.argmax(self.v.values)), self.v.values.shape)
-        return int(i), int(j)
+        """The first grid point, in row-major order, where v is largest: the
+        first largest quarter-cell value, since node (i, j) holds that of
+        (min(i, n - i), min(j, n - j)), which comes no later in that order."""
+        return divmod(int(np.argmax(self.v)), math.isqrt(self.v.size))
 
     @property
     def peak_value(self) -> float:
-        return float(self.v.values[self.peak_point])
+        return float(self.v.max())
 
 
 def random_zero_mean(T: SpectralTorus, seed: int, amplitude: float = 0.01) -> Field:
@@ -464,46 +465,47 @@ def decay_ratio(T: SpectralTorus, X: np.ndarray) -> float:
     return top / below
 
 
-def _even_start(T: SpectralTorus, start: Field) -> np.ndarray:
-    """``start`` projected onto the even fields, with its grid mean
-    removed, at the quarter-cell nodes; a field of another grid raises
-    ValueError."""
-    return quarter(T, project_zero_mean(T, project_even(T, start)).values)
+def _even_start(T: SpectralTorus, noise: Field) -> np.ndarray:
+    """The cold start's ``noise`` projected onto the even fields, with its
+    grid mean removed, at the quarter-cell nodes."""
+    return quarter(T, project_zero_mean(T, project_even(T, noise)).values)
 
 
-def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = None) -> MinimizeResult:
+def minimize(prob: Problem, opts: MinimizeOptions, warm_start: np.ndarray | None = None) -> MinimizeResult:
     """Minimize J over the even fields to sup-norm residual <= grad_tol by
     trust-region steps.
 
-    Starts from ``warm_start``, projected onto the even fields and with
-    its mean subtracted.  A cold start on an n^2 grid with n >
-    ``COARSEST_GRID`` first solves the same problem on the coarser grids,
-    ``COARSEST_GRID``^2, then twice as fine, and so on up to (n/2)^2
-    (nested iteration: Brandt 1977).  The first of them starts from seeded
-    band-limited noise on its own grid, and each later one from the last
-    iterate of the one before, prolonged (:func:`vortexmf.torus.prolong`)
+    Starts from ``warm_start``, quarter-cell values such as a ``result.v``,
+    with its mean subtracted; another grid's raise ValueError.  A cold start
+    on an n^2 grid with n > ``COARSEST_GRID`` first solves the same problem on
+    the coarser grids, ``COARSEST_GRID``^2, then twice as fine, and so on up
+    to (n/2)^2 (nested iteration: Brandt 1977).  The first of them starts from
+    seeded band-limited noise on its own grid, and each later one from the
+    last iterate of the one before, prolonged (:func:`vortexmf.torus.prolong`)
     and with its mean subtracted, but only while every level so far ended
-    ``converged`` with a :func:`decay_ratio` of at most
-    ``RESOLVED_DECAY``.  At the first level that does not, or that fails
-    numerically (OverflowError), the requested grid starts from its own
-    noise, as a grid of n <= ``COARSEST_GRID`` always does: a lattice
-    state, a spike of about one cell, prolonged, leads the finer solve off
-    the resolved branch.
+    ``converged`` with a :func:`decay_ratio` of at most ``RESOLVED_DECAY``.
+    At the first level that does not, or that fails numerically
+    (OverflowError), the requested grid starts from its own noise, as a grid
+    of n <= ``COARSEST_GRID`` always does: a lattice state, a spike of about
+    one cell, prolonged, leads the finer solve off the resolved branch.
 
-    Every iterate is kept at the quarter-cell nodes, with its mean
-    subtracted after each step, and ``result.v`` is the last one unfolded
-    to the grid, so it is even bit for bit and has zero mean.  Each level
-    ends on tolerance, a peak of |v| reaching :func:`blowup_threshold` (so
-    a spike of either sign counts), the iteration budget, or
-    ``MAX_REJECTIONS`` rejected steps in a row; ``result.status`` says
-    which on the requested grid, and ``result`` holds its last iterate in
-    every case.  Every step, accepted or rejected, is one iteration toward
-    the budget, which each level has in full.  ``result.levels`` records
-    every level run but one that failed numerically.
+    Every iterate is kept at the quarter-cell nodes, with its mean subtracted
+    after each step, and ``result.v`` is the last one; the grid holds only the
+    cold start's noise, a warm start's mean and the output side
+    (:func:`detect_concentration`, :func:`vortexmf.blowup.rescale_profile`).
+    Each level ends on tolerance, a peak of |v| reaching
+    :func:`blowup_threshold` (so a spike of either sign counts), the iteration
+    budget, or ``MAX_REJECTIONS`` rejected steps in a row; ``result.status``
+    says which on the requested grid, and ``result`` holds its last iterate in
+    every case.  Every step, accepted or rejected, is one iteration toward the
+    budget, which each level has in full.  ``result.levels`` records every
+    level run but one that failed numerically.
     """
     T = prob.torus
     if warm_start is not None:
-        return _solve(prob, opts, _even_start(T, warm_start))
+        # the grid mean of the field it stands for, as a grid start took it:
+        # integrate(T, x) / volume moves the last bits of J at every warm stage
+        return _solve(prob, opts, warm_start - unfold(T, warm_start).mean())
     tori = [T]
     while tori[0].grid_n > COARSEST_GRID:
         tori.insert(0, SpectralTorus(T.side_length, tori[0].grid_n // 2))
@@ -519,7 +521,7 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: Field | None = No
         if level is None or level.status != "converged" or level.levels[0].decay_ratio > RESOLVED_DECAY:
             start = _even_start(T, random_zero_mean(T, opts.seed))
             break
-        start = prolong(coarse, fine, quarter(coarse, level.v.values))
+        start = prolong(coarse, fine, level.v)
         start -= integrate(fine, start) / fine.volume
     result = _solve(prob, opts, start)
     return replace(result, levels=levels + result.levels)
@@ -582,9 +584,7 @@ def _solve(prob: Problem, opts: MinimizeOptions, v: np.ndarray) -> MinimizeResul
         elif ratio > 0.75 and boundary:
             radius *= 2.0
     level = Level(T.grid_n, status, iterations, rejected, products, j_curr, decay_ratio(T, partitions.spectrum))
-    return MinimizeResult(
-        Field(unfold(T, v)), j_curr, res_norm, iterations, prob.lam, status, products, rejected, trace, [level]
-    )
+    return MinimizeResult(v, j_curr, res_norm, iterations, prob.lam, status, products, rejected, trace, [level])
 
 
 def stage_problems(T: SpectralTorus, P: CirculationMeasure, lambda_schedule: list[float]) -> list[Problem]:
@@ -606,23 +606,20 @@ def continuation_sweep(problems: list[Problem], opts: MinimizeOptions) -> list[M
 
     The first stage starts cold, exactly as :func:`minimize` does; each
     later one starts from the previous solution plus a fixed bump at the
-    grid center, which is even (:func:`minimize` projects the start and
-    subtracts its mean).
+    grid center, which is even, both at the quarter-cell nodes
+    (:func:`minimize` subtracts the start's mean).
     Past lambda_bar(P) a stage normally blows up; the sweep stops after a
     stage that ended ``blown_up`` or ``diverged`` and returns the stages
     run so far.  A ``budget`` stage still warm-starts the next one.
     """
-    bump: Field | None = None
-    results: list[MinimizeResult] = []
-    for prob in problems:
-        warm: Field | None = None
-        if results:
-            if results[-1].status in ("blown_up", "diverged"):
-                break
-            if bump is None:
-                bump = center_bump(prob.torus)
-            warm = Field(results[-1].v.values + bump.values)
-        results.append(minimize(prob, opts, warm_start=warm))
+    results = [minimize(problems[0], opts)]
+    bump: np.ndarray | None = None
+    for prob in problems[1:]:
+        if results[-1].status in ("blown_up", "diverged"):
+            break
+        if bump is None:
+            bump = quarter(prob.torus, center_bump(prob.torus).values)
+        results.append(minimize(prob, opts, warm_start=results[-1].v + bump))
     return results
 
 
@@ -641,8 +638,8 @@ def detect_concentration(
     """
     if result.peak_value < peak_threshold:
         return None
-    vals = result.v.values
-    lp = log_partition(T, result.v, 1.0)
+    vals = unfold(T, result.v)
+    lp = log_partition(T, Field(vals), 1.0)
     density = np.exp(vals - lp)
     candidates = np.argwhere(vals == vals.max())
     best: tuple[int, int] | None = None
@@ -660,4 +657,4 @@ def mirror_image(result: MinimizeResult, P: CirculationMeasure) -> tuple[Minimiz
     """The stage as the state (-v, alpha -> -alpha), which has the same J:
     its peak is the spike of the minimum of v."""
     mirrored_P = CirculationMeasure(tuple((-a, w) for a, w in reversed(P.atoms)))
-    return replace(result, v=Field(-result.v.values)), mirrored_P
+    return replace(result, v=-result.v), mirrored_P

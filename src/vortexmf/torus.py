@@ -17,10 +17,11 @@ The solver works on even fields: f(-x, y) = f(x, -y) = f(x, y) about node
 quarter-cell nodes 0 <= i, j <= n/2 (:func:`quarter`), and a grid sum of
 any pointwise function of it is a sum over those nodes with weights 1 at
 the four corners (i and j each 0 or n/2), 2 on the edges and 4 inside
-(``SpectralTorus.quarter_weights``).  ``SpectralTorus.fold`` maps every
-node to its quarter-cell node, so :func:`unfold` gathers quarter-cell
-values back to the grid, even bit for bit by construction.
-:func:`project_even` is the mean of a field's four reflections.
+(``SpectralTorus.quarter_weights``).  The solver's state stays at those
+nodes; the grid holds only a cold start's noise, made even by
+:func:`project_even` (the mean of its four reflections), a warm start's
+mean and the output side, which :func:`unfold` serves through
+``SpectralTorus.fold``, even bit for bit by construction.
 
 An even field's spectrum is real and even, so it is fixed by its
 (n/2 + 1)^2 cosine modes 0 <= k, m <= n/2, the DCT-I of the quarter cell:
@@ -176,7 +177,10 @@ def quarter(T: SpectralTorus, values: np.ndarray) -> np.ndarray:
 
 
 def unfold(T: SpectralTorus, nodes: np.ndarray) -> np.ndarray:
-    """The even n x n grid values whose quarter-cell values are ``nodes``."""
+    """The even n x n grid values whose quarter-cell values are ``nodes``;
+    values of another grid raise ValueError."""
+    if nodes.shape != T.quarter_weights.shape:
+        raise ValueError(f"quarter-cell values of shape {nodes.shape} do not match grid {T.grid_n}")
     return nodes[T.fold]
 
 

@@ -3,13 +3,16 @@ and J, the residual, the Hessian product and the trust region's energy
 difference at a field outside a run.
 
 The library's solver functions take even fields at their quarter-cell
-nodes; the wrappers here take a grid ``Field``, hand its quarter cell on
-and unfold what comes back."""
+nodes, and a run's ``result.v`` holds them; the wrappers here take a grid
+``Field``, hand its quarter cell on and unfold what comes back, and
+:func:`grid` unfolds quarter-cell values, such as a result's, to the
+grid field they stand for."""
 
 import math
 
 import numpy as np
 
+from oracles import check_even
 from vortexmf.functional import J, Partitions, Problem, el_residual, energy_scale, hessian_product
 from vortexmf.measure import CirculationMeasure, new_atomic
 from vortexmf.minimize import MinimizeResult, _EnergyDelta
@@ -50,10 +53,23 @@ def random_even_field(T: SpectralTorus, rng, amplitude: float = 1.0) -> Field:
     return even(T, random_zero_mean_field(T, rng, amplitude))
 
 
+def grid(T: SpectralTorus, x: np.ndarray) -> Field:
+    """The even grid field whose quarter-cell values are x."""
+    return Field(unfold(T, x))
+
+
+def even_start(T: SpectralTorus, f: Field) -> np.ndarray:
+    """The quarter-cell values of f's even part, with its mean left for
+    minimize to subtract, as it subtracts a cold start's."""
+    return quarter(T, project_even(T, f).values)
+
+
 def synthetic_result(T: SpectralTorus, values: np.ndarray, lam: float = 1.0) -> MinimizeResult:
-    """Wrap raw grid values as a zero-mean, blown-up minimizer result."""
+    """Wrap grid values, which must be even bit for bit, as a zero-mean,
+    blown-up minimizer result at their quarter-cell nodes."""
     f = project_zero_mean(T, Field(np.asarray(values, dtype=float)))
-    return MinimizeResult(v=f, J_value=0.0, residual_norm=1.0, iterations=0, lam=lam, status="blown_up")
+    check_even(T, f)
+    return MinimizeResult(v=quarter(T, f.values), J_value=0.0, residual_norm=1.0, iterations=0, lam=lam, status="blown_up")
 
 
 def gaussian_bump(T: SpectralTorus, center: tuple[int, int], height: float, width: float) -> np.ndarray:

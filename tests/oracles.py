@@ -3,7 +3,7 @@ energy expression, central differences in the circulation alpha, per-atom
 loops over the whole grid for J, the residual, the curvature, the Hessian
 product, the energy difference and its relative partition sums, the
 translation of a field by a sub-cell shift, a check that a grid field
-is even bit for bit, and the walk for a side's Chebyshev node count from
+is even bit for bit, a warm start taken on the grid, and the walk for a side's Chebyshev node count from
 c/2 up.
 
 The library computes on the cosine modes of even fields at their
@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from vortexmf.functional import _NODE_TOL, Problem, log_partition, w_alpha
-from vortexmf.torus import Field, SpectralTorus, _check, project_zero_mean
+from vortexmf.torus import Field, SpectralTorus, _check, project_even, project_zero_mean, quarter, unfold
 
 
 def half_spectrum_eigenvalues(T: SpectralTorus) -> np.ndarray:
@@ -282,6 +282,14 @@ def check_even(T: SpectralTorus, f: Field) -> None:
     vals = _check(T, f)
     if not (np.array_equal(vals[1:], vals[:0:-1]) and np.array_equal(vals[:, 1:], vals[:, :0:-1])):
         raise ValueError("field is not even about node (0, 0) in x and in y")
+
+
+def grid_warm_start(T: SpectralTorus, v: np.ndarray, bump: Field) -> np.ndarray:
+    """The start of a stage warm-started from the quarter-cell values v
+    and the bump, taken on the grid: v unfolded plus the bump, projected
+    onto the even fields, with its grid mean subtracted, at the
+    quarter-cell nodes."""
+    return quarter(T, project_zero_mean(T, project_even(T, Field(unfold(T, v) + bump.values))).values)
 
 
 def node_count_walk(c: float, count: int) -> int:

@@ -15,6 +15,7 @@ from scipy.special import i0, ive
 from helpers import (
     energy,
     even,
+    grid,
     hessian_field,
     random_even_field,
     random_measure,
@@ -267,7 +268,7 @@ def many_atom_state():
     T = SpectralTorus(1.0, 128)
     P = new_atomic([(-1.0 + (i + 0.5) / 64.0, 1.0 / 128.0) for i in range(128)])
     prob = Problem(T, P, 0.9 * lambda_bar(P).lambda_bar)
-    v = minimize(prob, MinimizeOptions()).v
+    v = grid(T, minimize(prob, MinimizeOptions()).v)
     partitions = Partitions(prob)
     residual(prob, v, partitions)
     return prob, v, partitions

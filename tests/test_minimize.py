@@ -5,14 +5,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import energy, even, gaussian_bump, hessian_field, residual, subtracted_energy_delta, synthetic_result
-from oracles import J_per_atom, el_residual_per_atom, gradient_inner, hessian_product_per_atom, integrate, solve_poisson_zero_mean, translate
+from helpers import (
+    energy,
+    even,
+    even_start,
+    gaussian_bump,
+    grid,
+    hessian_field,
+    residual,
+    subtracted_energy_delta,
+    synthetic_result,
+)
+from oracles import (
+    J_per_atom,
+    el_residual_per_atom,
+    gradient_inner,
+    grid_warm_start,
+    hessian_product_per_atom,
+    integrate,
+    solve_poisson_zero_mean,
+    translate,
+)
 from vortexmf import torus
 from vortexmf.functional import Partitions, Problem, el_residual, hessian_product
 from vortexmf.measure import lambda_bar, new_atomic
 from vortexmf.minimize import (
     MinimizeOptions,
+    MinimizeResult,
     blowup_threshold,
     center_bump,
     continuation_sweep,
@@ -57,8 +79,7 @@ def test_options_validation():
 def test_zero_start_is_stationary():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 0.5 * EIGHT_PI)
-    zero = Field(np.zeros((32, 32)))
-    res = minimize(prob, MinimizeOptions(), warm_start=zero)
+    res = minimize(prob, MinimizeOptions(), warm_start=np.zeros(17 * 17))
     assert res.iterations == 0
     assert res.J_value == 0.0
     assert res.residual_norm == 0.0
@@ -74,7 +95,7 @@ def test_converges_from_random_start():
     assert res.residual_norm <= 1e-8
     # below the extremal coupling the flat state is the minimizer
     assert abs(res.J_value) <= 1e-12
-    assert np.abs(res.v.values).max() <= 1e-8
+    assert np.abs(res.v).max() <= 1e-8
 
 
 def test_warm_restart_terminates_immediately():
@@ -83,25 +104,26 @@ def test_warm_restart_terminates_immediately():
     first = minimize(prob, MinimizeOptions())
     again = minimize(prob, MinimizeOptions(), warm_start=first.v)
     assert again.iterations == 0
-    # the warm start is taken with its mean subtracted, which moves only rounding bits
-    assert np.array_equal(again.v.values, project_zero_mean(T, first.v).values)
+    # the warm start is taken with its grid mean subtracted, which moves only rounding bits
+    assert np.array_equal(grid(T, again.v).values, project_zero_mean(T, grid(T, first.v)).values)
 
 
 def test_warm_start_validation():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 1.0)
     # a constant is the flat state: a ones warm start ends like the zero field
-    zero = minimize(prob, MinimizeOptions(), warm_start=Field(np.zeros((32, 32))))
-    ones = minimize(prob, MinimizeOptions(), warm_start=Field(np.ones((32, 32))))
+    zero = minimize(prob, MinimizeOptions(), warm_start=np.zeros(17 * 17))
+    ones = minimize(prob, MinimizeOptions(), warm_start=np.ones(17 * 17))
     assert ones.iterations == zero.iterations == 0
     assert ones.J_value == pytest.approx(zero.J_value, abs=1e-15)
     assert ones.residual_norm <= 1e-12
     assert ones.status == "converged"
     # the warm start is taken with its mean subtracted
-    assert np.array_equal(ones.v.values, np.zeros((32, 32)))
-    wrong = Field(np.zeros((64, 64)))
-    with pytest.raises(ValueError, match="grid"):
-        minimize(prob, MinimizeOptions(), warm_start=wrong)
+    assert np.array_equal(ones.v, np.zeros(17 * 17))
+    # the quarter cell of another grid, and a grid field, are the wrong size
+    for wrong in (np.zeros(33 * 33), np.zeros((32, 32)), np.zeros((17, 17))):
+        with pytest.raises(ValueError, match="grid"):
+            minimize(prob, MinimizeOptions(), warm_start=wrong)
 
 
 def test_minimize_is_deterministic():
@@ -111,7 +133,7 @@ def test_minimize_is_deterministic():
     b = minimize(prob, MinimizeOptions(seed=3))
     assert a.iterations == b.iterations
     assert a.J_value == b.J_value
-    assert np.array_equal(a.v.values, b.v.values)
+    assert np.array_equal(a.v, b.v)
 
 
 def test_schedule_validation():
@@ -152,7 +174,7 @@ def test_single_stage_sweep_matches_minimize():
     direct = minimize(Problem(T, delta_one(), lam), opts)
     assert len(swept) == 1
     assert swept[0].iterations == direct.iterations
-    assert np.array_equal(swept[0].v.values, direct.v.values)
+    assert np.array_equal(swept[0].v, direct.v)
 
 
 def test_center_bump_is_built_once_and_only_for_a_second_stage(monkeypatch):
@@ -178,7 +200,7 @@ def test_blowup_guard_on_warm_start():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 1.0)
     tall = project_zero_mean(T, Field(gaussian_bump(T, (16, 16), 26.0, 0.1)))
-    res = minimize(prob, MinimizeOptions(), warm_start=tall)
+    res = minimize(prob, MinimizeOptions(), warm_start=quarter(T, tall.values))
     assert res.status == "blown_up"
     assert res.iterations == 0
     assert res.peak_value >= 25.0
@@ -191,7 +213,7 @@ def test_blowup_reached_dynamically(monkeypatch):
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 2.0 * EIGHT_PI)
     warm = project_zero_mean(T, Field(gaussian_bump(T, (16, 16), 4.0, 0.125)))
-    res = minimize(prob, MinimizeOptions(), warm_start=warm)
+    res = minimize(prob, MinimizeOptions(), warm_start=quarter(T, warm.values))
     assert res.status == "blown_up"
     assert res.iterations > 0
     assert res.peak_value >= 5.0
@@ -208,7 +230,7 @@ def test_blowup_threshold_grows_with_the_grid_beyond_64(monkeypatch):
         T = SpectralTorus(1.0, n)
         tall = project_zero_mean(T, Field(gaussian_bump(T, (n // 2, n // 2), 26.0, 0.1)))
         assert 25.0 <= tall.values.max() < 25.0 + 4.0 * math.log(2.0)
-        res = minimize(Problem(T, delta_one(), 1.0), MinimizeOptions(max_iters=1), warm_start=tall)
+        res = minimize(Problem(T, delta_one(), 1.0), MinimizeOptions(max_iters=1), warm_start=quarter(T, tall.values))
         assert (res.status, res.iterations) == (status, iterations)
     # the growth is added to the constant as it reads at the call
     monkeypatch.setattr(minimize_module, "BLOWUP_PEAK", 5.0)
@@ -223,8 +245,8 @@ def test_blowup_guard_sees_negative_spikes():
     runs = [minimize(prob, MinimizeOptions()) for prob in probs]
     assert [r.status for r in runs] == ["blown_up", "blown_up"]
     assert [r.iterations for r in runs] == [11, 11]
-    assert runs[0].v.values.max() >= 25.0
-    assert runs[1].v.values.min() <= -25.0
+    assert runs[0].v.max() >= 25.0
+    assert runs[1].v.min() <= -25.0
 
 
 @pytest.mark.parametrize("status", ["converged", "blown_up", "budget", "diverged"])
@@ -243,7 +265,7 @@ def test_minimize_reports_how_it_ended(monkeypatch, status):
     assert (res.residual_norm <= opts.grad_tol) == (status == "converged")
     if status in ("budget", "diverged"):
         assert res.iterations == (2 if status == "budget" else minimize_module.MAX_REJECTIONS)
-    assert res.peak_value == res.v.values.max() == res.v.values[res.peak_point]
+    assert res.peak_value == res.v.max() == grid(T, res.v).values[res.peak_point]
 
 
 def test_sweep_stops_after_a_diverged_stage(monkeypatch):
@@ -536,11 +558,12 @@ def _assert_even_converged(prob, res, reference):
     """The run converged to the reference J within 1e-9, and the J it
     recorded, J at the start plus the energy differences of its steps, is
     J at its final iterate within 1e-12; the iterate is even bit for bit."""
-    r = prob.torus.reflection
+    T = prob.torus
+    v = grid(T, res.v).values
     assert res.status == "converged"
     assert res.J_value == pytest.approx(reference, rel=1e-9)
-    assert res.J_value == pytest.approx(energy(prob, res.v), rel=1e-12)
-    assert np.array_equal(res.v.values, res.v.values[r]) and np.array_equal(res.v.values, res.v.values[:, r])
+    assert res.J_value == pytest.approx(energy(prob, Field(v)), rel=1e-12)
+    assert np.array_equal(v, v[T.reflection]) and np.array_equal(v, v[:, T.reflection])
 
 
 @pytest.mark.parametrize("seed", NEAR_BAR_SEEDS)
@@ -587,9 +610,9 @@ def test_a_density_of_1024_atoms_converges_on_few_node_rows():
     opts = MinimizeOptions()
     res = minimize(prob, opts)
     assert res.status == "converged"
-    assert np.abs(el_residual_per_atom(prob, res.v).values).max() <= 2.0 * opts.grad_tol
+    assert np.abs(el_residual_per_atom(prob, grid(T, res.v)).values).max() <= 2.0 * opts.grad_tol
     partitions = Partitions(prob)
-    residual(prob, res.v, partitions)
+    residual(prob, grid(T, res.v), partitions)
     assert all(lagrange is not None for _, _, lagrange in partitions.layout)
     r = max(rows.stop - rows.start for _, rows, _ in partitions.layout)
     assert partitions.stack.shape[0] <= 2 * r <= 64
@@ -668,8 +691,8 @@ def test_a_lattice_state_on_32_is_not_prolonged():
     for seed in (0, 5):
         opts = MinimizeOptions(seed=seed)
         res = minimize(prob, opts)
-        plain = minimize(prob, opts, warm_start=random_zero_mean(T, seed))
-        assert np.array_equal(res.v.values, plain.v.values)
+        plain = minimize(prob, opts, warm_start=even_start(T, random_zero_mean(T, seed)))
+        assert np.array_equal(res.v, plain.v)
         assert (res.J_value, res.residual_norm, res.status, res.trace) == (
             plain.J_value, plain.residual_norm, plain.status, plain.trace,
         )
@@ -689,9 +712,9 @@ def test_a_level_that_does_not_converge_is_not_prolonged():
     prob = Problem(T, PAIR, 0.9 * 2.0 * EIGHT_PI)
     opts = MinimizeOptions(max_iters=3)
     res = minimize(prob, opts)
-    plain = minimize(prob, opts, warm_start=random_zero_mean(T, 0))
+    plain = minimize(prob, opts, warm_start=even_start(T, random_zero_mean(T, 0)))
     assert [(lv.grid_n, lv.status) for lv in res.levels] == [(32, "budget"), (64, "budget")]
-    assert np.array_equal(res.v.values, plain.v.values) and res.trace == plain.trace
+    assert np.array_equal(res.v, plain.v) and res.trace == plain.trace
 
 
 def test_a_coarse_level_that_fails_numerically_is_left_out():
@@ -702,9 +725,9 @@ def test_a_coarse_level_that_fails_numerically_is_left_out():
     with pytest.raises(OverflowError, match="partition exponent out of range"):
         minimize(Problem(SpectralTorus(1.0, 32), PAIR, 1e8), MinimizeOptions())
     res = minimize(prob, MinimizeOptions())
-    plain = minimize(prob, MinimizeOptions(), warm_start=random_zero_mean(prob.torus, 0))
+    plain = minimize(prob, MinimizeOptions(), warm_start=even_start(prob.torus, random_zero_mean(prob.torus, 0)))
     assert res.status == "blown_up" and [lv.grid_n for lv in res.levels] == [128]
-    assert np.array_equal(res.v.values, plain.v.values) and res.trace == plain.trace
+    assert np.array_equal(res.v, plain.v) and res.trace == plain.trace
 
 
 def test_a_resolved_state_is_prolonged_and_the_guard_keeps_the_branch(monkeypatch):
@@ -746,7 +769,7 @@ def test_a_level_starts_from_the_prolonged_state_of_the_one_before(monkeypatch):
     first, _, _ = starts[0]
     assert np.array_equal(starts[0][1], quarter(first, even(first, random_zero_mean(first, 0)).values))
     for (coarse, _, out), (fine, start, _) in zip(starts, starts[1:]):
-        prolonged = torus.prolong(coarse, fine, quarter(coarse, out.v.values))
+        prolonged = torus.prolong(coarse, fine, out.v)
         assert np.array_equal(start, prolonged - torus.integrate(fine, prolonged) / fine.volume)
     assert res.status == "converged" and res.iterations <= 4
     assert all(lv.decay_ratio <= minimize_module.RESOLVED_DECAY for lv in res.levels)
@@ -778,7 +801,7 @@ def test_every_iterate_and_every_trial_step_is_even_bit_for_bit(monkeypatch):
     # residual sees each iterate and each candidate a trial fills, and
     # nothing else.  Those fields and the trial steps are
     # quarter-cell values, so each stands for the even field it unfolds
-    # to, and the result is the last iterate unfolded
+    # to, and the result is the last iterate
     iterates, steps = [], []
     real_residual, real_delta = minimize_module.el_residual, minimize_module._EnergyDelta.__init__
 
@@ -808,7 +831,7 @@ def test_every_iterate_and_every_trial_step_is_even_bit_for_bit(monkeypatch):
     assert not np.array_equal(noise, noise[r])
     assert np.array_equal(iterates[0], quarter(T, even(T, Field(noise)).values))
     assert all(x.shape == ((T.grid_n // 2 + 1) ** 2,) for x in iterates + steps)
-    assert np.array_equal(res.v.values, unfold(T, iterates[-1]))
+    assert np.array_equal(res.v, iterates[-1])
     for vals in [unfold(T, x) for x in iterates + steps]:
         assert np.array_equal(vals, vals[r]) and np.array_equal(vals, vals[:, r])
 
@@ -822,7 +845,7 @@ def test_translations_of_the_even_pair_raise_J():
     prob = Problem(T, P, 0.99 * 2.0 * EIGHT_PI)
     res = sweep(T, P, [f * 2.0 * EIGHT_PI for f in (0.8, 0.9, 0.99)], MinimizeOptions())[-1]
     _assert_even_converged(prob, res, NEAR_BAR_J[2])
-    spectrum = np.fft.rfft2(res.v.values)
+    spectrum = np.fft.rfft2(grid(T, res.v).values)
     # it rises by 4e-8 to 2e-7, the flat slide of a pinned spike, but far
     # above the rounding of J, which an integer shift reads
     for shift in ((0.25, 0.0), (0.0, -0.4), (0.3, 0.3), (0.5, 0.5)):
@@ -836,13 +859,106 @@ def test_warm_start_mean_does_not_matter():
     # guard nor change the run
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, delta_one(), 1.0)
-    bump = center_bump(T)
+    bump = quarter(T, center_bump(T).values)
     plain = minimize(prob, MinimizeOptions(), warm_start=bump)
-    shifted = minimize(prob, MinimizeOptions(), warm_start=Field(bump.values + 30.0))
+    shifted = minimize(prob, MinimizeOptions(), warm_start=bump + 30.0)
     assert shifted.status == "converged"
     assert shifted.iterations == plain.iterations > 0
     assert shifted.J_value == pytest.approx(plain.J_value, abs=1e-14)
-    assert abs(shifted.v.values.mean()) <= 1e-15
+    assert abs(grid(T, shifted.v).values.mean()) <= 1e-15
+
+
+# the sweeps whose warm starts are checked against the grid's: the near-bar
+# sweep at seeds 0-3, and delta_1 up to a stage past lambda_bar, on 64^2
+WARM_SWEEPS = [pytest.param(PAIR, (0.8, 0.9, 0.99, 1.0), seed, id=f"near-bar-{seed}") for seed in range(4)]
+WARM_SWEEPS.append(pytest.param(new_atomic([(1.0, 1.0)]), (0.3, 0.6, 0.9, 0.99, 2.0), 0, id="delta-one"))
+
+
+@pytest.mark.parametrize("P, fractions, seed", WARM_SWEEPS)
+def test_a_warm_start_is_the_start_taken_on_the_grid_bit_for_bit(monkeypatch, P, fractions, seed):
+    # each warm stage's start, the previous result plus the bump at the
+    # quarter-cell nodes with its grid mean subtracted, is the start the
+    # unfolded result plus the grid bump, made even, made zero-mean and
+    # quartered gave, bit for bit
+    starts = []
+    real_solve = minimize_module._solve
+
+    def recorded(prob, opts, v):
+        starts.append((prob, v.copy()))
+        return real_solve(prob, opts, v)
+
+    monkeypatch.setattr(minimize_module, "_solve", recorded)
+    T = SpectralTorus(1.0, 64)
+    problems = stage_problems(T, P, [f * lambda_bar(P).lambda_bar for f in fractions])
+    results = continuation_sweep(problems, MinimizeOptions(seed=seed))
+    assert len(results) == len(problems)
+    bump = center_bump(T)
+    for prob, before in zip(problems[1:], results):
+        (start,) = [v for p, v in starts if p is prob]
+        assert np.array_equal(start, grid_warm_start(T, before.v, bump))
+
+
+def test_the_solve_never_unfolds(monkeypatch):
+    # the state passes from level to level and from stage to stage as
+    # quarter-cell values: nothing unfolds inside a solve, a sequenced cold
+    # start unfolds nothing, and a sweep unfolds once per warm stage, for
+    # the start's grid mean.  The cold start's noise is made even once, and
+    # a warm start never
+    unfolds, evens, solving = [], [], []
+    real_unfold, real_even, real_solve = minimize_module.unfold, minimize_module.project_even, minimize_module._solve
+
+    def unfold_outside_the_solve(T, x):
+        if solving:
+            raise AssertionError("the solve unfolded its state")
+        unfolds.append(T.grid_n)
+        return real_unfold(T, x)
+
+    def solve(prob, opts, v):
+        solving.append(prob)
+        try:
+            return real_solve(prob, opts, v)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(minimize_module, "unfold", unfold_outside_the_solve)
+    monkeypatch.setattr(minimize_module, "project_even", lambda T, f: evens.append(T.grid_n) or real_even(T, f))
+    monkeypatch.setattr(minimize_module, "_solve", solve)
+    T = SpectralTorus(1.0, 128)
+    P = new_atomic([(-1.0 + (i + 0.5) / 64.0, 1.0 / 128.0) for i in range(128)])
+    res = minimize(Problem(T, P, 0.9 * lambda_bar(P).lambda_bar), MinimizeOptions())
+    assert res.status == "converged" and [lv.grid_n for lv in res.levels] == [32, 64, 128]
+    assert (unfolds, evens) == ([], [32])
+    T = SpectralTorus(1.0, 64)
+    problems = stage_problems(T, PAIR, [f * 2.0 * EIGHT_PI for f in (0.8, 0.9, 0.99, 1.0)])
+    results = continuation_sweep(problems, MinimizeOptions())
+    assert [r.status for r in results] == ["converged"] * 4
+    assert [lv.grid_n for lv in results[0].levels] == [32, 64]
+    assert (unfolds, evens) == ([64] * 3, [32, 32])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([16, 32, 64]),
+    seed=st.integers(0, 2**32 - 1),
+    planted=st.lists(st.tuples(st.integers(0, 32), st.integers(0, 32)), max_size=6),
+)
+def test_the_peak_read_off_the_quarter_cell_is_the_first_maximum_of_the_grid(n, seed, planted):
+    # values of a few levels, so that ties are common, with the largest
+    # planted at some quarter-cell nodes, edges and corners included; a node
+    # off the axes stands for its mirror images too, so the grid holds ties
+    # at those.  The peak of v, and of the mirror image -v, is the first
+    # largest grid value in row-major order, and the peak value that value
+    T = SpectralTorus(1.0, n)
+    h = n // 2 + 1
+    x = np.random.default_rng(seed).integers(-3, 3, size=(h, h)).astype(float)
+    for i, j in planted:
+        x[i % h, j % h] = 3.0
+    res = MinimizeResult(v=x.ravel(), J_value=0.0, residual_norm=0.0, iterations=0, lam=1.0, status="converged")
+    for state in (res, mirror_image(res, delta_one())[0]):
+        vals = unfold(T, state.v)
+        first = tuple(int(k) for k in np.unravel_index(np.argmax(vals), vals.shape))
+        assert state.peak_point == first
+        assert state.peak_value == vals[first]
 
 
 def test_diverged_error_carries_last_iterate(monkeypatch):
@@ -853,7 +969,7 @@ def test_diverged_error_carries_last_iterate(monkeypatch):
     assert last.status == "diverged"
     assert last.iterations == minimize_module.MAX_REJECTIONS
     assert last.residual_norm > 0.0
-    assert last.v.values.shape == (32, 32)
+    assert last.v.shape == (17 * 17,)
 
 
 def test_residual_is_computed_once_per_iterate(monkeypatch):
@@ -1008,7 +1124,7 @@ def test_collapsed_trust_radius_ends_diverged(monkeypatch):
     assert res.status == "diverged"
     assert res.iterations == res.rejected == minimize_module.MAX_REJECTIONS
     assert res.hessian_products == len(calls) == 1
-    assert np.array_equal(res.v.values, even(T, random_zero_mean(T, 0)).values)
+    assert np.array_equal(grid(T, res.v).values, even(T, random_zero_mean(T, 0)).values)
     radii = [step for _, _, step, _ in res.trace[1:]]
     assert len(radii) == res.iterations
     assert all(b == 0.25 * a for a, b in zip(radii, radii[1:]))
@@ -1080,7 +1196,7 @@ def test_the_path_keeps_its_directions_and_its_step_at_the_quarter_cell_nodes():
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
     v = minimize(prob, MinimizeOptions(max_iters=8)).v
     partitions = Partitions(prob)
-    path = minimize_module._SteihaugPath(prob, partitions, el_residual(prob, quarter(T, v.values), partitions))
+    path = minimize_module._SteihaugPath(prob, partitions, el_residual(prob, v, partitions))
     d, _, boundary, products = path.step(1e6)
     nodes = (T.grid_n // 2 + 1) ** 2
     assert not boundary and products == len(path.directions) >= 2
@@ -1140,7 +1256,7 @@ def test_rejected_step_cuts_the_stored_path(monkeypatch, steps, first_boundary):
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
     v = minimize(prob, MinimizeOptions(max_iters=steps)).v
     partitions = Partitions(prob)
-    g = el_residual(prob, quarter(T, v.values), partitions)
+    g = el_residual(prob, v, partitions)
     path = minimize_module._SteihaugPath(prob, partitions, g)
     first, _, on_boundary, grown = path.step(1e6)
     assert on_boundary == first_boundary
@@ -1189,36 +1305,54 @@ def test_detect_concentration_single_peak():
     T = SpectralTorus(1.0, 64)
     res = synthetic_result(T, gaussian_bump(T, (32, 32), 30.0, 0.05))
     assert detect_concentration(res, T, 25.0) == (32, 32)
+    # the quarter-cell values of 64^2 do not stand for a field on 32^2
+    with pytest.raises(ValueError, match="grid"):
+        detect_concentration(res, SpectralTorus(1.0, 32), 25.0)
 
 
 def test_detect_concentration_prefers_heavier_peak():
-    # equal heights, different widths: the wider bump holds more density mass
+    # equal heights, different widths, on the two nodes of the diagonal that
+    # are their own reflections: the wider bump holds more density mass,
+    # though the narrow one comes first in grid order
     T = SpectralTorus(1.0, 64)
-    narrow = gaussian_bump(T, (16, 16), 30.0, 0.01)
-    wide = gaussian_bump(T, (48, 48), 30.0, 0.04)
+    narrow = gaussian_bump(T, (0, 0), 30.0, 0.01)
+    wide = gaussian_bump(T, (32, 32), 30.0, 0.04)
     res = synthetic_result(T, narrow + wide)
-    assert detect_concentration(res, T, 25.0) == (48, 48)
+    assert res.peak_point == (0, 0)
+    assert detect_concentration(res, T, 25.0) == (32, 32)
 
 
 def test_detect_concentration_split_mass_is_none():
     # two identical bumps split the mass evenly; no majority point exists
     T = SpectralTorus(1.0, 64)
-    twin = gaussian_bump(T, (16, 16), 30.0, 0.04) + gaussian_bump(T, (48, 48), 30.0, 0.04)
+    twin = gaussian_bump(T, (0, 0), 30.0, 0.04) + gaussian_bump(T, (32, 32), 30.0, 0.04)
     res = synthetic_result(T, twin)
+    assert detect_concentration(res, T, 25.0) is None
+
+
+def test_a_spike_off_the_axes_is_four_spikes_and_does_not_concentrate():
+    # a spike at quarter-cell node (8, 20) stands for four equal spikes on
+    # the grid, at (8, 20) and its mirror images; the first is the peak
+    # point, and each holds a quarter of the mass
+    T = SpectralTorus(1.0, 64)
+    res = synthetic_result(T, even(T, Field(gaussian_bump(T, (8, 20), 120.0, 0.01))).values)
+    vals = grid(T, res.v).values
+    assert [tuple(c) for c in np.argwhere(vals == vals.max())] == [(8, 20), (8, 44), (56, 20), (56, 44)]
+    assert res.peak_point == (8, 20) and res.peak_value >= 25.0
     assert detect_concentration(res, T, 25.0) is None
 
 
 def test_mirror_image_reads_the_negative_spike():
     T = SpectralTorus(1.0, 64)
-    res = synthetic_result(T, -gaussian_bump(T, (16, 40), 30.0, 0.05))
+    res = synthetic_result(T, -gaussian_bump(T, (32, 0), 30.0, 0.05))
     assert detect_concentration(res, T, 25.0) is None
     P = new_atomic([(-1.0, 0.25), (0.5, 0.75)])
     mirrored, mirrored_P = mirror_image(res, P)
     assert mirrored_P.atoms == ((-0.5, 0.75), (1.0, 0.25))
-    assert np.array_equal(mirrored.v.values, -res.v.values)
-    assert mirrored.peak_point == (16, 40)
+    assert np.array_equal(grid(T, mirrored.v).values, -grid(T, res.v).values)
+    assert mirrored.peak_point == (32, 0)
     assert (mirrored.J_value, mirrored.lam) == (res.J_value, res.lam)
-    assert detect_concentration(mirrored, T, 25.0) == (16, 40)
+    assert detect_concentration(mirrored, T, 25.0) == (32, 0)
     # the mirror image of a state has the same energy
     v = even(T, random_zero_mean(T, 4, amplitude=2.0))
     same = energy(Problem(T, mirrored_P, 7.0), Field(-v.values))

@@ -403,6 +403,10 @@ def test_project_even_is_the_mean_of_the_four_reflections_and_even_bit_for_bit()
     # an even field comes back unchanged, and is its quarter cell unfolded
     assert np.array_equal(project_even(T, Field(even)).values, even)
     assert np.array_equal(unfold(T, quarter(T, even)), even)
+    # values of another grid's quarter cell, or a grid field, do not unfold
+    for wrong in (quarter(SpectralTorus(1.0, 64), np.zeros((64, 64))), even):
+        with pytest.raises(ValueError, match="do not match grid 32"):
+            unfold(T, wrong)
     # a field odd in x has no even part
     odd = f - f[r]
     assert np.abs(project_even(T, Field(odd)).values).max() == 0.0
