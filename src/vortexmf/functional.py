@@ -26,10 +26,10 @@ alpha, and a few nodes, chosen per iterate from an a-priori bound on the
 interpolation error, stand for all of the side's atoms, which read their
 rows through an interpolation matrix.  A side of fewer atoms than nodes
 keeps the atoms' own rows, so a measure of few atoms computes exactly as
-it did before the interpolation.  The sums over the atoms are matrix
-products with the stack: one for the residual's sum of densities, two for
-the partition part of :func:`hessian_product`, with weights per row built
-once per iterate.  By the principle of symmetric criticality
+it did before the interpolation, with no per-side pass.  The sums over
+the atoms are matrix products with the stack: one for the residual's sum
+of densities, two for the partition part of :func:`hessian_product`, with
+weights per row built once per iterate.  By the principle of symmetric criticality
 (Palais 1979) a critical point of J among even fields is a critical point
 of J, and the residual, unfolded to the grid, is its whole gradient.
 """
@@ -74,16 +74,23 @@ class Problem:
 
 class Partitions:
     """What :func:`el_residual` computes at one even field v for J, the
-    energy differences and :func:`hessian_product` at v to reuse.
+    energy differences and :func:`hessian_product` at v to reuse, each
+    computed once at the scope where it lives.
 
-    ``spectrum`` holds the (n/2 + 1)^2 cosine modes of v (see
-    :mod:`vortexmf.torus`), from which the Laplacian, the Dirichlet energy
-    and the bilinear term of an energy difference are read, ``values`` v
-    at the quarter-cell nodes, and ``low`` and ``high`` its min and max,
-    from which a trial step takes rows of its own.  ``alpha`` and ``weight`` hold the atoms'
-    circulations and weights, built once per run; ``shifts`` holds each
-    atom's m, the max of alpha v, and ``totals`` the grid sum of its
-    e^{alpha v - m}.  ``curvature`` is S = sum w alpha^2 rho_alpha at the
+    Per run, shared with every :meth:`twin`: ``alpha`` and ``weight``, the
+    atoms' circulations and weights, ``weighted_alpha`` (w alpha) and
+    ``weighted_alpha2`` (w alpha^2), the sides and their node sets.  Per
+    grid: ``torus``, its ``quarter_weights`` and ``mean_density``,
+    sum w alpha / |Omega|.  Per fill, at v: ``spectrum`` holds the
+    (n/2 + 1)^2 cosine modes of v (see :mod:`vortexmf.torus`), from which
+    the Laplacian and the bilinear term of an energy difference are read,
+    and ``dirichlet`` its Dirichlet energy; ``values`` holds v at the
+    quarter-cell nodes, and ``low`` and ``high`` its min and max, from
+    which a trial step takes rows of its own and the stop test its
+    :attr:`peak`.  ``shifts`` holds each atom's m, the max of alpha v,
+    ``totals`` the grid sum of its e^{alpha v - m} and ``logs``
+    log(cell_area total), the one logarithm J and :func:`energy_scale`
+    read.  ``curvature`` is S = sum w alpha^2 rho_alpha at the
     quarter-cell nodes, and ``hessian_weights`` is
     w alpha^2 / (cell_area total^2) per atom, so that the partition part of
     the second variation is phi S - sum_atoms weight (row . phi) row.
@@ -109,23 +116,30 @@ class Partitions:
     matrix, None where the rows are the atoms' own.  An atom's own row is
     shifted by the atom's m, bit for bit, so where every side keeps its
     atoms' rows every sum is the one matrix product it was before the
-    interpolation.  A node set is built only when a side's node count
-    changes, and a side holds its last two (:meth:`_node_set`).
+    interpolation; ``exact`` says so, and then row i is atom i's, the maps
+    between rows and atoms (:meth:`to_atoms`, :meth:`to_rows`) are the
+    identity and a trial's :meth:`expm1_sums` is one pass over the stack,
+    so a measure of few atoms takes no per-side loop.  A node set is built
+    only when a side's node count changes, and a side holds its last two
+    (:meth:`_node_set`); they do not depend on the grid, so each level of
+    a grid-sequenced run starts from the most recent one of the level
+    before (:meth:`twin`).
 
     The per-atom and per-node arrays are allocated here, and every
-    :func:`el_residual` fills them in place; a run holds two partitions,
-    these and their :meth:`twin`, and no more: a new stack allocated per
-    residual while the previous one was alive raised the peak resident set
-    of 128 atoms at 128^2 by 30 MiB.  ``stack`` is a view of the first
+    :func:`el_residual` fills them in place; a level of a run holds two
+    partitions, these and their :meth:`twin`, and no more: a new stack
+    allocated per residual while the previous one was alive raised the
+    peak resident set of 128 atoms at 128^2 by 30 MiB.  ``stack`` is a view of the first
     rows of a buffer that grows only when a fill needs more rows than any
     fill before it, so a side of thousands of atoms read from a few dozen
     nodes holds a few dozen rows.
     """
 
     def __init__(self, prob: Problem) -> None:
-        self.quarter_weights = prob.torus.quarter_weights
         self.alpha = np.array([a for a, _ in prob.P.atoms])
         self.weight = np.array([w for _, w in prob.P.atoms])
+        self.weighted_alpha = self.weight * self.alpha
+        self.weighted_alpha2 = self.weighted_alpha * self.alpha
         # the atoms of each side, and its last two node sets
         signs = np.sign(self.alpha)
         self._sides = []
@@ -136,10 +150,13 @@ class Partitions:
         # none yet: the first fill's node count is walked up from the fewest
         # (see _node_count), not down from a side of thousands of atoms
         self._node_sets = [[(np.empty(0), None)] * 2 for _ in self._sides]
-        self._allocate()
+        self._allocate(prob.torus)
 
-    def _allocate(self) -> None:
-        """The arrays of one fill, and an empty stack buffer."""
+    def _allocate(self, torus: SpectralTorus) -> None:
+        """The arrays of one fill on ``torus``, and an empty stack buffer."""
+        self.torus = torus
+        self.quarter_weights = torus.quarter_weights
+        self.mean_density = float(self.weight @ self.alpha) / torus.volume
         nodes, atoms = self.quarter_weights.size, self.alpha.size
         self.spectrum = np.empty(nodes)
         self.values = np.empty(nodes)
@@ -147,16 +164,27 @@ class Partitions:
         self.stack = self._stack = np.empty((0, nodes))
         self.totals = np.empty(atoms)
         self.shifts = np.empty(atoms)
+        self.logs = np.empty(atoms)
+        self.dirichlet = 0.0
         self.curvature = np.empty(nodes)
         self.hessian_weights = np.empty(atoms)
         self.layout = [(side, side, None) for side in self._sides]
+        self.exact = True
 
-    def twin(self) -> Partitions:
+    def twin(self, torus: SpectralTorus | None = None) -> Partitions:
         """Partitions for a second field of the same run, such as a trial
-        step's candidate: they share ``alpha``, ``weight``, the sides and
-        the node sets, and hold a fill of their own."""
+        step's candidate: they share ``alpha``, ``weight`` and their
+        products, the sides and the node sets, and hold a fill of their own.
+        Given ``torus``, they are the next level's of a grid-sequenced run:
+        a node set does not depend on the grid, so each side starts from
+        its most recent one, and drops the other, which the next level may
+        not need while its larger stack is alive."""
         twin = copy.copy(self)
-        twin._allocate()
+        if torus is None:
+            torus = self.torus
+        else:
+            twin._node_sets = [[held[0], (np.empty(0), None)] for held in self._node_sets]
+        twin._allocate(torus)
         return twin
 
     def _node_set(self, k: int, width: float) -> tuple[np.ndarray, np.ndarray | None]:
@@ -187,21 +215,37 @@ class Partitions:
             circulations.append(nodes)
             rows += nodes.size
         self.layout = layout
+        # the sides cover the atoms in order, so where each keeps its atoms'
+        # rows, row i is atom i's
+        self.exact = all(matrix is None for _, _, matrix in layout)
         if rows > self._stack.shape[0]:
             self._stack = np.empty((rows, self.values.size))
         self.stack = stack = self._stack[:rows]
-        row_alpha = np.concatenate(circulations)
         # for an atom's own row, its shift in el_residual, bit for bit
+        if self.exact:
+            row_alpha, row_shifts = self.alpha, self.shifts
+        else:
+            row_alpha = np.concatenate(circulations)
+            row_shifts = row_alpha * np.where(row_alpha > 0.0, hi, lo)
         np.multiply(row_alpha[:, None], v, out=stack)
-        stack -= (row_alpha * np.where(row_alpha > 0.0, hi, lo))[:, None]
+        stack -= row_shifts[:, None]
         np.exp(stack, out=stack)
         stack *= self.quarter_weights
         self.totals[...] = self.to_atoms(stack.sum(axis=1))
 
+    @property
+    def peak(self) -> float:
+        """max |v| at the field of the fill: max(high, -low), exactly."""
+        return max(self.high, -self.low)
+
     def to_atoms(self, per_row: np.ndarray) -> np.ndarray:
         """Each atom's value of a quantity linear in its row, such as the
         row's sum or its product with a field, from the rows' values: an
-        exact row's own, or sum_j l_j(alpha) times the node rows' values."""
+        exact row's own, or sum_j l_j(alpha) times the node rows' values.
+        Where every row is its atom's own (``exact``), that is ``per_row``
+        itself."""
+        if self.exact:
+            return per_row
         out = np.empty(self.alpha.size)
         for atoms, rows, lagrange in self.layout:
             if lagrange is None:
@@ -213,7 +257,10 @@ class Partitions:
     def to_rows(self, per_atom: np.ndarray) -> np.ndarray:
         """Weights per row of ``stack`` whose combination of the rows is
         sum_i per_atom_i row_i over the atoms' rows: an exact row's own
-        weight, and sum_i per_atom_i l_j(alpha_i) for node j."""
+        weight, and sum_i per_atom_i l_j(alpha_i) for node j.  Where every
+        row is its atom's own (``exact``), that is ``per_atom`` itself."""
+        if self.exact:
+            return per_atom
         out = np.empty(self.stack.shape[0])
         for atoms, rows, lagrange in self.layout:
             if lagrange is None:
@@ -227,10 +274,14 @@ class Partitions:
         even step d at the quarter-cell nodes: the relative change of the
         atom's partition integral from v to v - d, times its total.
 
-        The exponents span v's range widened by max d - min d.  While that
-        range needs the iterate's node set, a side takes one expm1 per row
-        of the stack, and otherwise one per row of its own at the node set
-        the wider range needs, the atoms themselves when it needs as many
+        Where every row of the stack is its atom's own (``exact``), the sums
+        are one pass over the stack: a range widened by the step needs at
+        least the node count v's range needs (:func:`_node_count`'s bound
+        grows with the range), so every side keeps its atoms.  Otherwise
+        the exponents span v's range widened by max d - min d.  While that
+        range needs the iterate's node set, a side takes an expm1 of the
+        stack's rows, and otherwise of rows of its own at the node set the
+        wider range needs, the atoms themselves when it needs as many
         nodes as atoms.  An atom's own row gives its sum.  At Chebyshev
         nodes the sum f(alpha) is an entire function of alpha with
         f(0) = 0, and f(alpha) / alpha is interpolated from its values at
@@ -238,37 +289,50 @@ class Partitions:
         A sum that overflows is inf or nan, and so is the atom's.
         """
         sums = np.empty(self.alpha.size)
-        u = np.empty_like(d)
+        if self.exact:
+            self._expm1_dots(d, self.alpha, sums, self.stack)
+            return sums
         width = self.high - self.low + (max(float(d.max()), 0.0) - min(float(d.min()), 0.0))
         for k, (atoms, rows, _) in enumerate(self.layout):
             nodes, lagrange = self._node_set(k, width)
             node_rows = self.stack[rows] if nodes.size == rows.stop - rows.start else None
             if lagrange is None:
-                self._expm1_dots(d, u, nodes, sums[atoms], node_rows)
+                self._expm1_dots(d, nodes, sums[atoms], node_rows)
                 continue
             f = np.empty(nodes.size)
-            self._expm1_dots(d, u, nodes, f, node_rows)
+            self._expm1_dots(d, nodes, f, node_rows)
             f /= nodes
             np.matmul(lagrange, f, out=sums[atoms])
             sums[atoms] *= self.alpha[atoms]
         return sums
 
-    def _expm1_dots(
-        self, d: np.ndarray, u: np.ndarray, betas: np.ndarray, out: np.ndarray, rows: np.ndarray | None = None
-    ) -> None:
+    def _expm1_dots(self, d: np.ndarray, betas: np.ndarray, out: np.ndarray, rows: np.ndarray | None = None) -> None:
         """out[j] = row_j . expm1(-beta_j d) for the circulations betas, with
         row_j the j-th of ``rows``, or without them e^{beta_j v - m} times
-        the node weights, taken afresh; u is the expm1 buffer."""
-        fresh = np.empty_like(d) if rows is None else None
-        for j, beta in enumerate(betas.tolist()):
+        the node weights, taken afresh, once per trial step.
+
+        The rows go in blocks of at most 8,192 values, or of one row where a
+        row is longer: per block one outer product -beta d, one expm1, the
+        fresh rows' one exponential, and one row-wise dot,
+        ``np.matmul(R[:, None, :], U[:, :, None])``, which takes the BLAS dot
+        that ``R[j] @ U[j]`` takes, so out[j] is that of a loop over the rows
+        bit for bit.  A block's two temporaries hold at most 8,192 values
+        each, or a row each, whatever the row count."""
+        block = max(1, 8192 // d.size)
+        for start in range(0, betas.size, block):
+            stop = min(start + block, betas.size)
+            beta = betas[start:stop]
+            u = np.multiply.outer(-beta, d)
+            np.expm1(u, out=u)
             if rows is None:
-                np.multiply(self.values, beta, out=fresh)
-                fresh -= beta * (self.high if beta > 0.0 else self.low)
+                fresh = np.multiply.outer(beta, self.values)
+                fresh -= (beta * np.where(beta > 0.0, self.high, self.low))[:, None]
                 np.exp(fresh, out=fresh)
                 fresh *= self.quarter_weights
-            np.multiply(d, -beta, out=u)
-            np.expm1(u, out=u)
-            out[j] = (fresh if rows is None else rows[j]) @ u
+                block_rows = fresh
+            else:
+                block_rows = rows[start:stop]
+            np.matmul(block_rows[:, None, :], u[:, :, None], out=out[start:stop, None, None])
 
 
 # the interpolation error in alpha that a side's node rows may carry,
@@ -369,18 +433,17 @@ def J(prob: Problem, v: np.ndarray, partitions: Partitions) -> float:
     J(v + c) = J(v) for every constant c.
 
     It is read off the ``partitions`` that :func:`el_residual` handed out
-    for v, so it takes no transform and no exponential: the Dirichlet
-    energy is the Parseval sum of v's cosine modes, and each log-partition
-    is m + log(cell_area * total), one logarithm over the totals, summed
-    over the atoms by ``math.fsum``.
+    for v, so it takes no transform, no exponential and no logarithm: the
+    Dirichlet energy is the fill's Parseval sum of v's cosine modes, and
+    each log-partition is m + log(cell_area * total), from the fill's one
+    logarithm over the totals, summed over the atoms by ``math.fsum``.
     """
     T = prob.torus
     vbar = integrate(T, v) / T.volume
-    log_terms = np.log(T.cell_area * partitions.totals)
-    log_terms += partitions.shifts
+    log_terms = partitions.logs + partitions.shifts
     log_terms -= partitions.alpha * vbar
     log_terms *= partitions.weight
-    return dirichlet_energy(T, partitions.spectrum) - prob.lam * math.fsum(log_terms.tolist())
+    return partitions.dirichlet - prob.lam * math.fsum(log_terms.tolist())
 
 
 def energy_scale(prob: Problem, partitions: Partitions) -> float:
@@ -389,12 +452,12 @@ def energy_scale(prob: Problem, partitions: Partitions) -> float:
     error of :func:`J` there is measured.  Besides the magnitudes of the
     terms J adds, each atom's term carries the rounding of its total, a
     sum of positive values, whose relative error does not shrink with the
-    field: at a field near 0 every other term of S is near 0."""
-    T = prob.torus
-    log_terms = np.abs(np.log(T.cell_area * partitions.totals))
+    field: at a field near 0 every other term of S is near 0.  Like J it
+    reads the fill's logarithms and Dirichlet energy."""
+    log_terms = np.abs(partitions.logs)
     log_terms += np.abs(partitions.shifts)
     log_terms += 1.0
-    return dirichlet_energy(T, partitions.spectrum) + prob.lam * float(partitions.weight @ log_terms)
+    return partitions.dirichlet + prob.lam * float(partitions.weight @ log_terms)
 
 
 def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndarray:
@@ -411,10 +474,16 @@ def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndar
     beta v is beta max v for beta > 0 and beta min v otherwise, bit for
     bit.  The densities are rho_alpha = row_alpha / (cell_area total), and
     sum w alpha rho_alpha is one matrix product of the stack with weights
-    per row, sum_i c_i l_j(alpha_i) for a node row j, divided by the node
-    weights.  Analytically the
-    residual has zero mean (each density integrates to 1); the
-    floating-point mean is projected out.
+    per row, sum_i c_i l_j(alpha_i) for a node row j, times the node
+    weights' reciprocals, which are exact.  Analytically the residual has
+    zero mean (each density integrates to 1); the floating-point mean is
+    projected out.
+
+    Per fill it computes once what J, :func:`energy_scale` and
+    :func:`hessian_product` read at v: the curvature and the Hessian
+    weights, the logarithms log(cell_area total) and the Dirichlet energy
+    of v; it reads the run's w alpha and w alpha^2 and the grid's
+    sum w alpha / |Omega| off ``partitions``.
 
     ``partitions`` is filled in place at v (see :class:`Partitions`).  A
     non-finite v, or a largest m above the guard, raises OverflowError
@@ -422,7 +491,7 @@ def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndar
     was.
     """
     T = prob.torus
-    alpha, weight, totals = partitions.alpha, partitions.weight, partitions.totals
+    alpha, totals = partitions.alpha, partitions.totals
     lo, hi = float(v.min()), float(v.max())
     # each atom's max of alpha v, bit for bit, with no pass over the rows
     shifts = alpha * np.where(alpha > 0.0, hi, lo)
@@ -433,15 +502,20 @@ def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndar
     res = -inverse_cosine_transform(T, laplacian(T, partitions.spectrum))  # -Laplacian v
     partitions.fill(v, lo, hi)
     stack = partitions.stack
-    c = weight * alpha / (T.cell_area * totals)
-    # the weights are powers of two, so dividing them out is exact
+    scaled = T.cell_area * totals
+    c = partitions.weighted_alpha / scaled
+    # the weights are powers of two: a product with their reciprocals is
+    # the quotient, exactly
     density_sum = partitions.to_rows(c) @ stack  # sum w alpha rho_alpha
-    density_sum /= T.quarter_weights
+    density_sum *= T.inverse_quarter_weights
     # sum w alpha^2 rho_alpha, which only the Hessian product reads
     np.matmul(partitions.to_rows(c * alpha), stack, out=partitions.curvature)
-    partitions.curvature /= T.quarter_weights
-    np.divide(weight * alpha * alpha, T.cell_area * totals * totals, out=partitions.hessian_weights)
-    density_sum -= float(weight @ alpha) / T.volume
+    partitions.curvature *= T.inverse_quarter_weights
+    np.divide(partitions.weighted_alpha2, scaled * totals, out=partitions.hessian_weights)
+    # what J and energy_scale read of this fill
+    np.log(scaled, out=partitions.logs)
+    partitions.dirichlet = dirichlet_energy(T, partitions.spectrum)
+    density_sum -= partitions.mean_density
     density_sum *= prob.lam
     res -= density_sum
     res -= integrate(T, res) / T.volume
@@ -470,7 +544,7 @@ def hessian_product(prob: Problem, partitions: Partitions, q_hat: np.ndarray) ->
     t = partitions.to_atoms(partitions.stack @ phi)
     t *= partitions.hessian_weights
     rank_one = partitions.to_rows(t) @ partitions.stack
-    rank_one /= T.quarter_weights
+    rank_one *= T.inverse_quarter_weights
     atom_term = phi * partitions.curvature
     atom_term -= rank_one
     atom_term *= prob.lam

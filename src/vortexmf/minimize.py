@@ -234,15 +234,15 @@ class _EnergyDelta:
     A smaller step, or one given no iterate, is evaluated in
     cancellation-free form, since there subtraction would lose the ratio.
     Only d is transformed, for the bilinear terms <grad v, grad d> and
-    |grad d|^2.  Per row of the stack, one expm1 runs in place in one
-    buffer at the quarter-cell nodes, and the row's sum of
-    e^{beta v - m} expm1(-beta d) is one dot product with the row, which
-    carries the node weights.  A side whose rows are Chebyshev nodes reads
-    each atom's sum off the nodes' sums, divided by beta, through its
-    interpolation matrix, and a step that widens v's range past what the
-    nodes cover takes rows of its own (:meth:`Partitions.expm1_sums`).
-    Each atom's log-partition difference is log1p of its sum over its
-    total.
+    |grad d|^2.  The rows of the stack go in blocks, each one expm1 at the
+    quarter-cell nodes, and a row's sum of e^{beta v - m} expm1(-beta d)
+    is one dot product with the row, which carries the node weights.  A
+    side whose rows are Chebyshev nodes reads each atom's sum off the
+    nodes' sums, divided by beta, through its interpolation matrix, and a
+    step that widens v's range past what the nodes cover takes rows of its
+    own (:meth:`Partitions.expm1_sums`).  Each atom's log-partition
+    difference is log1p of its sum over its total, by ``math.log1p``, and
+    the terms are added in atom order (:func:`_added_in_order`).
     """
 
     def __init__(
@@ -289,14 +289,22 @@ class _EnergyDelta:
         # below: J(v - d) is as good as +inf there
         emptied = rel <= -1.0
         rel[emptied] = 0.0
-        # math.log1p, whose bits numpy's vector loop need not match, and the
-        # terms added in atom order
+        # math.log1p, whose bits numpy's vector loop need not match
         logs = np.fromiter(map(math.log1p, rel.tolist()), float, rel.size)
         logs[emptied] = -math.inf
-        log_terms = 0.0
-        for term in (partitions.weight * logs).tolist():
-            log_terms += term
-        return delta - prob.lam * log_terms
+        return delta - prob.lam * _added_in_order(partitions.weight * logs)
+
+
+def _added_in_order(terms: np.ndarray) -> float:
+    """0.0 + terms[0] + terms[1] + ..., added left to right, as a loop over
+    the terms adds them: ``np.add.accumulate`` runs exactly those IEEE
+    additions, where ``np.sum`` pairs them, so its last sum is the loop's
+    bit for bit, -0.0 terms, subnormals and -inf included."""
+    sums = np.empty(terms.size + 1)
+    sums[0] = 0.0
+    sums[1:] = terms
+    np.add.accumulate(sums, out=sums)
+    return float(sums[-1])
 
 
 def _subtraction_floor(prob: Problem, partitions: Partitions) -> float:
@@ -324,12 +332,12 @@ def blowup_threshold(T: SpectralTorus) -> float:
     return BLOWUP_PEAK + 4.0 * math.log(max(T.grid_n, 64) / 64)
 
 
-def _stop_status(opts: MinimizeOptions, T: SpectralTorus, v: np.ndarray, res_norm: float, iterations: int) -> str | None:
-    """How a run ends at this iterate, or None to go on: the tolerance is
-    checked first, then the peak of |v|, then the budget."""
+def _stop_status(opts: MinimizeOptions, T: SpectralTorus, peak: float, res_norm: float, iterations: int) -> str | None:
+    """How a run ends at an iterate of max |v| ``peak``, or None to go on:
+    the tolerance is checked first, then the peak, then the budget."""
     if res_norm <= opts.grad_tol:
         return "converged"
-    if float(np.abs(v).max()) >= blowup_threshold(T):
+    if peak >= blowup_threshold(T):
         return "blown_up"
     if iterations >= opts.max_iters:
         return "budget"
@@ -510,35 +518,45 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: np.ndarray | None
     while tori[0].grid_n > COARSEST_GRID:
         tori.insert(0, SpectralTorus(T.side_length, tori[0].grid_n // 2))
     levels: list[Level] = []
+    # each level's partitions, twinned onto the next grid: the levels share
+    # their node sets, and hold no fill of another grid
+    partitions = Partitions(replace(prob, torus=tori[0]))
     start = _even_start(tori[0], random_zero_mean(tori[0], opts.seed))  # the next level's
     for coarse, fine in zip(tori, tori[1:]):
         try:
-            level = _solve(replace(prob, torus=coarse), opts, start)
+            level = _solve(replace(prob, torus=coarse), opts, start, partitions)
         except OverflowError:  # a coarse grid's numerical failure is not the requested grid's
             level = None
         else:
             levels += level.levels
         if level is None or level.status != "converged" or level.levels[0].decay_ratio > RESOLVED_DECAY:
             start = _even_start(T, random_zero_mean(T, opts.seed))
+            partitions = partitions.twin(T)
             break
         start = prolong(coarse, fine, level.v)
         start -= integrate(fine, start) / fine.volume
-    result = _solve(prob, opts, start)
+        partitions = partitions.twin(fine)
+    result = _solve(prob, opts, start, partitions)
     return replace(result, levels=levels + result.levels)
 
 
-def _solve(prob: Problem, opts: MinimizeOptions, v: np.ndarray) -> MinimizeResult:
+def _solve(prob: Problem, opts: MinimizeOptions, v: np.ndarray, partitions: Partitions | None = None) -> MinimizeResult:
     """The trust-region run of :func:`minimize` on the grid of ``prob`` from
     the quarter-cell values v, which it does not change.
 
-    It holds v's partitions and a spare.  A trial above the subtraction
-    floor fills its candidate into the spare, and an accepted candidate
-    swaps the two; a step accepted below the floor fills the next iterate
-    into v's own.  So every reader, a Hessian product, a trial below the
-    floor, the guard's fallback or the level's :func:`decay_ratio`, finds
-    v's fill.  S(v), hence the floor, is taken at each iterate's fill."""
+    It holds v's partitions, ``partitions`` or new ones, and a spare.  The
+    node sets do not depend on the grid, so each level of a cold start
+    starts from each side's most recent node set of the level before
+    (:meth:`Partitions.twin`) and builds it no more.  A trial above the
+    subtraction floor fills its candidate into the spare, and an accepted
+    candidate swaps the two; a step accepted below the floor fills the
+    next iterate into v's own.  So every reader, a Hessian product, a trial below the floor, the
+    guard's fallback, the stop test's peak of |v|, the trace's max of v or
+    the level's :func:`decay_ratio`, finds v's fill.  S(v), hence the
+    floor, is taken at each iterate's fill."""
     T = prob.torus
-    partitions = Partitions(prob)
+    if partitions is None:
+        partitions = Partitions(prob)
     spare = partitions.twin()
     g = el_residual(prob, v, partitions)
     j_curr = J(prob, v, partitions)
@@ -547,9 +565,9 @@ def _solve(prob: Problem, opts: MinimizeOptions, v: np.ndarray) -> MinimizeResul
     iterations = products = rejected = rejected_in_a_row = 0
     path: _SteihaugPath | None = None
     radius = math.nan  # set from the first path
-    trace = [(j_curr, res_norm, 0.0, float(v.max()))]
+    trace = [(j_curr, res_norm, 0.0, partitions.high)]
 
-    while (status := _stop_status(opts, T, v, res_norm, iterations)) is None:
+    while (status := _stop_status(opts, T, partitions.peak, res_norm, iterations)) is None:
         if path is None:
             path = _SteihaugPath(prob, partitions, g)
             if iterations == 0:
@@ -575,7 +593,7 @@ def _solve(prob: Problem, opts: MinimizeOptions, v: np.ndarray) -> MinimizeResul
         else:
             rejected += 1
             rejected_in_a_row += 1
-        trace.append((j_curr, res_norm, radius, float(v.max())))
+        trace.append((j_curr, res_norm, radius, partitions.high))
         if rejected_in_a_row == MAX_REJECTIONS:
             status = "diverged"  # the trust radius collapsed
             break

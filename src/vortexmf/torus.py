@@ -27,15 +27,19 @@ An even field's spectrum is real and even, so it is fixed by its
 (n/2 + 1)^2 cosine modes 0 <= k, m <= n/2, the DCT-I of the quarter cell:
 X = C x C^T for quarter-cell values x, and back x = C X C^T / n^2, with
 C = ``SpectralTorus.cosines`` (:func:`cosine_transform`,
-:func:`inverse_cosine_transform`).  This is the one calculus here: the
+:func:`inverse_cosine_transform`).  The way back is (C / n^2) X C^T, with
+C / n^2 cached per grid (``SpectralTorus.scaled_cosines``): n^2 is a
+power of two, so the scaling is exact and the products give the
+quotient's bits with no division pass.  This is the one calculus here: the
 symbols are built on the cosine modes, :func:`laplacian`,
 :func:`solve_poisson_zero_mean`, :func:`gradient_inner` and
 :func:`dirichlet_energy` take cosine modes, and :func:`integrate` takes
-quarter-cell values.  On one OpenBLAS thread of a 2-core Xeon the pair of
-matrix products takes 22 us against 88 us for numpy's pair of real 2-d
-FFTs at 64^2, 2.6 ms against 6.9 ms at 512^2 and 143 ms against 162 ms at
-2048^2; above 2048^2 its O(n^3) cost loses to the FFT.  Its last bits
-depend on the BLAS library and its thread count.
+quarter-cell values.  On one OpenBLAS thread of a 2-core Xeon a transform
+and its inverse take 11-13 us against 60 us for numpy's pair of real 2-d
+FFTs at 64^2 and 2.6-3.1 ms against 4.6-4.9 ms at 512^2; at 2048^2 they
+take 124 ms against 104-122 ms, where the products' O(n^3) cost has met
+the FFT's.  Their last bits depend on the BLAS library and its thread
+count.
 """
 
 from __future__ import annotations
@@ -61,11 +65,11 @@ class SpectralTorus:
         if n < 16 or n & (n - 1) != 0:
             raise ValueError("grid_n must be a power of two >= 16")
 
-    @property
+    @cached_property
     def volume(self) -> float:
         return self.side_length * self.side_length
 
-    @property
+    @cached_property
     def cell_area(self) -> float:
         return (self.side_length / self.grid_n) ** 2
 
@@ -114,6 +118,12 @@ class SpectralTorus:
         return np.outer(w, w).ravel()
 
     @cached_property
+    def inverse_quarter_weights(self) -> np.ndarray:
+        """1 / quarter_weights: 1, 1/2 or 1/4, exact, so a product with them
+        is the quotient by the weights bit for bit."""
+        return 1.0 / self.quarter_weights
+
+    @cached_property
     def cosines(self) -> np.ndarray:
         """C[j, k] = cos(2 pi ((j k) mod n) / n) w_k for 0 <= j, k <= n/2,
         w = 1, 2, ..., 2, 1.  The angle is reduced in integers: the unreduced
@@ -122,6 +132,14 @@ class SpectralTorus:
         C = np.cos((2.0 * math.pi / self.grid_n) * (np.outer(idx, idx) % self.grid_n))
         C[:, 1:-1] *= 2.0
         return C
+
+    @cached_property
+    def scaled_cosines(self) -> np.ndarray:
+        """C / n^2, the left factor of :func:`inverse_cosine_transform`.  n^2
+        is a power of two, so the scaling is exact: every product and sum
+        of (C / n^2) X C^T is that of C X C^T scaled by 2^-k, and rounds to
+        the same bits, scaled, away from the subnormal range."""
+        return self.cosines / self.grid_n**2
 
     @cached_property
     def parseval_weights(self) -> np.ndarray:
@@ -195,8 +213,10 @@ def cosine_transform(T: SpectralTorus, x: np.ndarray) -> np.ndarray:
 
 def inverse_cosine_transform(T: SpectralTorus, X: np.ndarray) -> np.ndarray:
     """The quarter-cell values x = C X C^T / n^2 of the even field with
-    cosine modes X."""
-    return cosine_transform(T, X) / T.grid_n**2
+    cosine modes X, as (C / n^2) X C^T: two matrix products and no division
+    pass, bit for bit the quotient (``SpectralTorus.scaled_cosines``)."""
+    h = T.grid_n // 2 + 1
+    return (T.scaled_cosines @ X.reshape(h, h) @ T.cosines.T).ravel()
 
 
 def prolong(coarse: SpectralTorus, fine: SpectralTorus, x: np.ndarray) -> np.ndarray:
@@ -241,12 +261,13 @@ def solve_poisson_zero_mean(T: SpectralTorus, F: np.ndarray) -> np.ndarray:
     return F * T.inverse_eigenvalues
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gradient_inner(T: SpectralTorus, F: np.ndarray, G: np.ndarray) -> float:
     """int grad f . grad g by Parseval, from the cosine modes F of the even
     field f and G of g.  A sum past the largest float is inf or nan with no
-    warning; the caller checks it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(F @ (G * T.parseval_weights))
+    warning; the caller checks it.  The error state is set by decorating,
+    which costs half what a ``with`` block built per call does."""
+    return float(F @ (G * T.parseval_weights))
 
 
 def dirichlet_energy(T: SpectralTorus, F: np.ndarray) -> float:

@@ -3,8 +3,11 @@ energy expression, central differences in the circulation alpha, per-atom
 loops over the whole grid for J, the residual, the curvature, the Hessian
 product, the energy difference and its relative partition sums, the
 translation of a field by a sub-cell shift, a check that a grid field
-is even bit for bit, a warm start taken on the grid, and the walk for a side's Chebyshev node count from
-c/2 up.
+is even bit for bit, a warm start taken on the grid, the walk for a side's Chebyshev node count from
+c/2 up, and the forms the solver's per-iterate kernels had before they
+were made leaner: the inverse cosine transform as a quotient by n^2, the
+per-row expm1 dots, the per-side row-atom maps and the loop that adds the
+energy difference's terms.
 
 The library computes on the cosine modes of even fields at their
 quarter-cell nodes; these recompute its quantities, or derivatives of
@@ -18,8 +21,17 @@ import math
 
 import numpy as np
 
-from vortexmf.functional import _NODE_TOL, Problem, log_partition, w_alpha
-from vortexmf.torus import Field, SpectralTorus, _check, project_even, project_zero_mean, quarter, unfold
+from vortexmf.functional import _NODE_TOL, Partitions, Problem, log_partition, w_alpha
+from vortexmf.torus import (
+    Field,
+    SpectralTorus,
+    _check,
+    cosine_transform,
+    project_even,
+    project_zero_mean,
+    quarter,
+    unfold,
+)
 
 
 def half_spectrum_eigenvalues(T: SpectralTorus) -> np.ndarray:
@@ -304,3 +316,79 @@ def node_count_walk(c: float, count: int) -> int:
         if r * math.log(c / 2.0) - math.lgamma(r + 1) + 0.5 * c * q - c - math.log1p(-q) <= log_tol:
             return r
     return count
+
+
+def inverse_cosine_transform_by_division(T: SpectralTorus, X: np.ndarray) -> np.ndarray:
+    """The quarter-cell values C X C^T / n^2 of the even field with cosine
+    modes X: the forward transform, then a division pass."""
+    return cosine_transform(T, X) / T.grid_n**2
+
+
+def expm1_dots_per_row(partitions: Partitions, d: np.ndarray, betas: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """row_j . expm1(-beta_j d) one row at a time, each a 1-d dot, with
+    row_j the j-th of ``rows``, or without them e^{beta_j v - m} times the
+    node weights at the field of the fill, taken afresh."""
+    out = np.empty(betas.size)
+    u, fresh = np.empty_like(d), np.empty_like(d)
+    for j, beta in enumerate(betas.tolist()):
+        if rows is None:
+            np.multiply(partitions.values, beta, out=fresh)
+            fresh -= beta * (partitions.high if beta > 0.0 else partitions.low)
+            np.exp(fresh, out=fresh)
+            fresh *= partitions.quarter_weights
+        np.multiply(d, -beta, out=u)
+        np.expm1(u, out=u)
+        out[j] = (fresh if rows is None else rows[j]) @ u
+    return out
+
+
+def expm1_sums_per_side(partitions: Partitions, d: np.ndarray) -> np.ndarray:
+    """``Partitions.expm1_sums`` side by side and row by row: each side
+    takes the node set of v's range widened by the step, its stack rows
+    where that is the iterate's and rows of its own otherwise, with no
+    pass of its own for a stack of the atoms' own rows."""
+    sums = np.empty(partitions.alpha.size)
+    width = partitions.high - partitions.low + (max(float(d.max()), 0.0) - min(float(d.min()), 0.0))
+    for k, (atoms, rows, _) in enumerate(partitions.layout):
+        nodes, lagrange = partitions._node_set(k, width)
+        node_rows = partitions.stack[rows] if nodes.size == rows.stop - rows.start else None
+        f = expm1_dots_per_row(partitions, d, nodes, node_rows)
+        if lagrange is None:
+            sums[atoms] = f
+            continue
+        f /= nodes
+        np.matmul(lagrange, f, out=sums[atoms])
+        sums[atoms] *= partitions.alpha[atoms]
+    return sums
+
+
+def to_atoms_per_side(partitions: Partitions, per_row: np.ndarray) -> np.ndarray:
+    """``Partitions.to_atoms`` side by side: an exact side's rows copied,
+    an interpolated side's through its matrix."""
+    out = np.empty(partitions.alpha.size)
+    for atoms, rows, lagrange in partitions.layout:
+        if lagrange is None:
+            out[atoms] = per_row[rows]
+        else:
+            np.matmul(lagrange, per_row[rows], out=out[atoms])
+    return out
+
+
+def to_rows_per_side(partitions: Partitions, per_atom: np.ndarray) -> np.ndarray:
+    """``Partitions.to_rows`` side by side: an exact side's atoms copied,
+    an interpolated side's through the transpose of its matrix."""
+    out = np.empty(partitions.stack.shape[0])
+    for atoms, rows, lagrange in partitions.layout:
+        if lagrange is None:
+            out[rows] = per_atom[atoms]
+        else:
+            np.matmul(per_atom[atoms], lagrange, out=out[rows])
+    return out
+
+
+def added_in_a_loop(terms: np.ndarray) -> float:
+    """0.0 plus the terms, one Python float addition at a time."""
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    return total

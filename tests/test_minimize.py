@@ -422,9 +422,10 @@ def _accepted(res):
 def _partitions_state(partitions):
     """Copies of what a fill leaves in ``partitions``; a node set's matrix
     as its bytes."""
-    fields = ("stack", "totals", "shifts", "spectrum", "curvature", "hessian_weights", "values")
+    fields = ("stack", "totals", "shifts", "logs", "spectrum", "curvature", "hessian_weights", "values")
     layout = [(atoms, rows, None if m is None else m.tobytes()) for atoms, rows, m in partitions.layout]
-    return [getattr(partitions, f).tobytes() for f in fields] + [layout, partitions.low, partitions.high]
+    scalars = [partitions.dirichlet, partitions.exact]
+    return [getattr(partitions, f).tobytes() for f in fields] + scalars + [layout, partitions.low, partitions.high]
 
 
 @pytest.mark.parametrize("many", [False, True])
@@ -619,15 +620,16 @@ def test_a_density_of_1024_atoms_converges_on_few_node_rows():
 
 
 def test_a_side_builds_a_node_set_only_when_its_node_count_changes(monkeypatch):
-    # the benchmark's 128-atom solve at CLI seeds 0-3 builds 114 node sets
-    # over its 32^2, 64^2 and 128^2 levels; a build on every fill and every
-    # widening step took 218.  A run's two partitions share each side's
-    # last two node sets, most recently used first, and a side builds one
-    # only when neither has the count it needs
+    # the benchmark's 128-atom solve at CLI seeds 0-3 builds 98 node sets
+    # over its 32^2, 64^2 and 128^2 levels, 114 with node sets per level; a
+    # build on every fill and every widening step took 218.  A level's two
+    # partitions share each side's last two node sets, most recently used
+    # first, a level starts from the most recent set of the level before,
+    # and a side builds one only when neither has the count it needs
     builds = []
     chebyshev = functional_module._chebyshev
     monkeypatch.setattr(functional_module, "_chebyshev", lambda alpha, r: builds.append(r) or chebyshev(alpha, r))
-    requests = []  # per request: the run's node sets, the side, its node count, built or not
+    requests = []  # per request: the level's node sets, the side, its node count, built or not
     node_set = Partitions._node_set
 
     def counted(self, k, width):
@@ -640,14 +642,50 @@ def test_a_side_builds_a_node_set_only_when_its_node_count_changes(monkeypatch):
     T = SpectralTorus(1.0, 128)
     P = new_atomic([(-1.0 + (i + 0.5) / 64.0, 1.0 / 128.0) for i in range(128)])
     prob = Problem(T, P, 0.9 * lambda_bar(P).lambda_bar)
+    built_in_all = 0
     for seed in range(4):
+        requests.clear()
         assert minimize(prob, MinimizeOptions(seed=seed)).status == "converged"
-    held = {}  # per run and side, the counts of its two node sets, most recent first
-    for node_sets, k, r, built in requests:
-        counts = held.setdefault((id(node_sets), k), [])
-        assert built == (r not in counts)
-        held[(id(node_sets), k)] = [r] + [c for c in counts if c != r][:1]
-    assert 0 < sum(built for *_, built in requests) == len(builds) <= 120
+        held, level = {}, None  # per side, the counts of its two node sets, most recent first
+        for node_sets, k, r, built in requests:
+            if node_sets is not level:  # a new level keeps each side's most recent set
+                level = node_sets
+                held = {side: counts[:1] for side, counts in held.items()}
+            counts = held.get(k, [])
+            assert built == (r not in counts)
+            held[k] = [r] + [c for c in counts if c != r][:1]
+        built_in_all += sum(built for *_, built in requests)
+    assert 0 < built_in_all == len(builds) <= 100
+
+
+def test_the_levels_of_a_cold_start_share_their_node_sets(monkeypatch):
+    # _chebyshev(atoms, r) does not depend on the grid: a sequenced cold
+    # start of 128 atoms on 128^2 builds no (side, r) twice over its three
+    # levels, where levels with node sets of their own build 4 again, and
+    # the two compute the same bits
+    builds = []
+    chebyshev = functional_module._chebyshev
+    monkeypatch.setattr(
+        functional_module, "_chebyshev", lambda alpha, r: builds.append((float(alpha[0]), r)) or chebyshev(alpha, r)
+    )
+    T = SpectralTorus(1.0, 128)
+    P = new_atomic([(-1.0 + (i + 0.5) / 64.0, 1.0 / 128.0) for i in range(128)])
+    prob = Problem(T, P, 0.9 * lambda_bar(P).lambda_bar)
+    shared = minimize(prob, MinimizeOptions())
+    assert shared.status == "converged" and [lv.grid_n for lv in shared.levels] == [32, 64, 128]
+    assert builds and len(builds) == len(set(builds))
+    builds.clear()
+    real_solve = minimize_module._solve
+    monkeypatch.setattr(minimize_module, "_solve", lambda prob, opts, v, *partitions: real_solve(prob, opts, v))
+    alone = minimize(prob, MinimizeOptions())
+    assert len(builds) - len(set(builds)) == 4
+    assert alone.v.tobytes() == shared.v.tobytes()
+    assert (alone.J_value, alone.residual_norm, alone.trace, alone.levels) == (
+        shared.J_value,
+        shared.residual_norm,
+        shared.trace,
+        shared.levels,
+    )
 
 
 def test_a_cold_start_near_bar_on_256_slides_onto_the_grid():
@@ -756,9 +794,9 @@ def test_a_level_starts_from_the_prolonged_state_of_the_one_before(monkeypatch):
     starts = []
     real_solve = minimize_module._solve
 
-    def recorded(prob, opts, v):
+    def recorded(prob, opts, v, *partitions):
         starts.append((prob.torus, v.copy()))
-        out = real_solve(prob, opts, v)
+        out = real_solve(prob, opts, v, *partitions)
         starts[-1] += (out,)
         return out
 
@@ -883,9 +921,9 @@ def test_a_warm_start_is_the_start_taken_on_the_grid_bit_for_bit(monkeypatch, P,
     starts = []
     real_solve = minimize_module._solve
 
-    def recorded(prob, opts, v):
+    def recorded(prob, opts, v, *partitions):
         starts.append((prob, v.copy()))
-        return real_solve(prob, opts, v)
+        return real_solve(prob, opts, v, *partitions)
 
     monkeypatch.setattr(minimize_module, "_solve", recorded)
     T = SpectralTorus(1.0, 64)
@@ -913,10 +951,10 @@ def test_the_solve_never_unfolds(monkeypatch):
         unfolds.append(T.grid_n)
         return real_unfold(T, x)
 
-    def solve(prob, opts, v):
+    def solve(prob, opts, v, *partitions):
         solving.append(prob)
         try:
-            return real_solve(prob, opts, v)
+            return real_solve(prob, opts, v, *partitions)
         finally:
             solving.pop()
 
