@@ -303,23 +303,27 @@ def rescale_profile(
     result: MinimizeResult,
     T: SpectralTorus,
     P: CirculationMeasure,
+    side: str = "positive",
 ) -> BlowupProfile:
     """Peak-rescaled radial profile of w_1 around the field maximum.
 
     dw is the radial average of w_1(x) - w_1(peak) = v(x) - v(peak) in
     grid_n / 2 bins, and sigma comes from w_1 at the peak.  The profile of
     w_alpha is alpha dw with the same sigma, so the circulation is no
-    parameter.  The spike carries the mass lambda m_K of
-    the positive extremal subset K of the tail scan, so the reference slope
-    is gamma0 = 4 P(K) / m_K, which is 4 / m1 under residual vanishing.
+    parameter.  The spike carries the mass lambda |m_K| of the extremal
+    subset K of the tail scan on P's ``side``, so the reference slope is
+    gamma0 = 4 P(K) / |m_K|, which is 4 / m1 under residual vanishing.  A
+    negative spike is read as the peak of -v with ``side="negative"``: the
+    state (-v, alpha -> -alpha) has the same J, and its positive tail is
+    P's negative tail, in the same order.
     """
     vals = unfold(T, result.v)  # another grid's values raise ValueError
     peak = result.peak_point
-    subset = tail_scan(P, "positive")[1]
+    subset = tail_scan(P, side)[1]
     if not subset:
-        raise ValueError("measure carries no positive circulation")
+        raise ValueError(f"measure carries no {side} circulation")
     mass = math.fsum(P.atoms[i][1] for i in subset)
-    m_k = math.fsum(P.atoms[i][0] * P.atoms[i][1] for i in subset)
+    m_k = abs(math.fsum(P.atoms[i][0] * P.atoms[i][1] for i in subset))
     w1_peak = float(vals[peak]) - log_partition(T, Field(vals), 1.0)
     bins = radial_average(T, Field(vals - vals[peak]), peak, T.grid_n // 2)
     r = np.array([b[0] for b in bins])

@@ -56,7 +56,6 @@ from vortexmf.minimize import (
     blowup_threshold,
     continuation_sweep,
     detect_concentration,
-    mirror_image,
     stage_problems,
 )
 from vortexmf.torus import SpectralTorus
@@ -136,10 +135,6 @@ def resolve_schedule(cfg: argparse.Namespace, bar: float) -> list[float]:
 def _sanitize(obj):
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
-    if isinstance(obj, np.floating):
-        return _sanitize(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -217,23 +212,25 @@ def write_stage(
     coarsest first (see :func:`vortexmf.minimize.minimize`).
 
     The concentration point and the profile are read at the peak of v,
-    or at the peak of -v from the mirror image when only the negative
-    spike reached the blow-up threshold or P has no positive circulation.
+    or, when only the negative spike reached the blow-up threshold or P has
+    no positive circulation, at the peak of -v with the reference slope of
+    P's negative side: (-v, alpha -> -alpha) has the same J, and its
+    positive side is P's negative one.
     """
     with open(os.path.join(cfg.out, f"trace_{k}.csv"), "w", encoding="utf-8") as fh:
         fh.write(f"# seed={cfg.seed}\n")
         fh.write("iter,J,residual_norm,step,max_v\n")
         for i, (j, res, step, max_v) in enumerate(result.trace):
             fh.write(f"{i},{j!r},{res!r},{step!r},{max_v!r}\n")
-    seen, seen_P = result, P
+    seen, side = result, "positive"
     threshold = blowup_threshold(T)
     negative_spike = result.peak_value < threshold <= -float(result.v.min())
     if negative_spike or moment(P, 1, "positive") == 0.0:
-        seen, seen_P = mirror_image(result, P)
+        seen, side = dataclasses.replace(result, v=-result.v), "negative"
     conc = detect_concentration(seen, T, threshold)
     profile = None
     if want_profile or conc is not None:
-        fitted = rescale_profile(seen, T, seen_P)
+        fitted = rescale_profile(seen, T, P, side)
         write_profile_csv(cfg, k, fitted)
         profile = {
             "sigma": fitted.sigma,

@@ -18,8 +18,8 @@ The solver's fields are even about node (0, 0) in x and in y (see
 :mod:`vortexmf.torus`), and the functions a run calls take and return them
 at the (n/2 + 1)^2 quarter-cell nodes, their spectra as cosine modes.  The
 residual transforms v once and fills a stack of exponential rows in one
-pass, and keeps both in :class:`Partitions`, where J, the energy
-differences of the solver and the Hessian product at v read them.  A row
+pass into :class:`Partitions`, the one holder of v, its residual and
+both, where J, the solver and the Hessian product at v read them.  A row
 is one atom's e^{alpha v - m}, or, on a side of many atoms of one sign,
 that of a Chebyshev node in alpha: the rows are entire functions of
 alpha, and a few nodes, chosen per iterate from an a-priori bound on the
@@ -87,10 +87,12 @@ class Partitions:
     and ``dirichlet`` its Dirichlet energy; ``values`` holds v at the
     quarter-cell nodes, and ``low`` and ``high`` its min and max, from
     which a trial step takes rows of its own and the stop test its
-    :attr:`peak`.  ``shifts`` holds each atom's m, the max of alpha v,
-    ``totals`` the grid sum of its e^{alpha v - m} and ``logs``
-    log(cell_area total), the one logarithm J and :func:`energy_scale`
-    read.  ``curvature`` is S = sum w alpha^2 rho_alpha at the
+    :attr:`peak`, and ``residual`` the residual at v that
+    :func:`el_residual` returns, and ``residual_norm`` its sup norm; v
+    enters a fill only there, so a reader cannot pair a fill with another
+    v.  ``shifts`` holds each atom's m, the max of alpha v, ``totals`` the
+    grid sum of its e^{alpha v - m} and ``logs`` log(cell_area total), the
+    one logarithm J and :func:`energy_scale` read.  ``curvature`` is S = sum w alpha^2 rho_alpha at the
     quarter-cell nodes, and ``hessian_weights`` is
     w alpha^2 / (cell_area total^2) per atom, so that the partition part of
     the second variation is phi S - sum_atoms weight (row . phi) row.
@@ -161,6 +163,8 @@ class Partitions:
         self.spectrum = np.empty(nodes)
         self.values = np.empty(nodes)
         self.low = self.high = 0.0
+        self.residual = np.empty(nodes)
+        self.residual_norm = math.nan
         self.stack = self._stack = np.empty((0, nodes))
         self.totals = np.empty(atoms)
         self.shifts = np.empty(atoms)
@@ -428,18 +432,18 @@ def w_alpha(prob: Problem, v: Field, alpha: float) -> Field:
     return Field(alpha * v.values - lp)
 
 
-def J(prob: Problem, v: np.ndarray, partitions: Partitions) -> float:
-    """Free energy value at the even field with quarter-cell values v;
-    J(v + c) = J(v) for every constant c.
+def J(prob: Problem, partitions: Partitions) -> float:
+    """Free energy value at the even field v the ``partitions`` were filled
+    for by :func:`el_residual`; J(v + c) = J(v) for every constant c.
 
-    It is read off the ``partitions`` that :func:`el_residual` handed out
-    for v, so it takes no transform, no exponential and no logarithm: the
+    It is read off the fill, so it takes no transform, no exponential and
+    no logarithm: the grid mean of v is that of the fill's values, the
     Dirichlet energy is the fill's Parseval sum of v's cosine modes, and
     each log-partition is m + log(cell_area * total), from the fill's one
     logarithm over the totals, summed over the atoms by ``math.fsum``.
     """
     T = prob.torus
-    vbar = integrate(T, v) / T.volume
+    vbar = integrate(T, partitions.values) / T.volume
     log_terms = partitions.logs + partitions.shifts
     log_terms -= partitions.alpha * vbar
     log_terms *= partitions.weight
@@ -485,10 +489,10 @@ def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndar
     of v; it reads the run's w alpha and w alpha^2 and the grid's
     sum w alpha / |Omega| off ``partitions``.
 
-    ``partitions`` is filled in place at v (see :class:`Partitions`).  A
-    non-finite v, or a largest m above the guard, raises OverflowError
-    before any transform or exponential, and leaves ``partitions`` as it
-    was.
+    ``partitions`` is filled in place at v (see :class:`Partitions`), the
+    returned residual and its sup norm included.  A non-finite v, or a
+    largest m above the guard, raises OverflowError before any transform
+    or exponential, and leaves ``partitions`` as it was.
     """
     T = prob.torus
     alpha, totals = partitions.alpha, partitions.totals
@@ -499,7 +503,8 @@ def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndar
         raise OverflowError("partition exponent out of range")
     partitions.shifts[...] = shifts
     partitions.spectrum[...] = cosine_transform(T, v)
-    res = -inverse_cosine_transform(T, laplacian(T, partitions.spectrum))  # -Laplacian v
+    res = partitions.residual
+    np.negative(inverse_cosine_transform(T, laplacian(T, partitions.spectrum)), out=res)  # -Laplacian v
     partitions.fill(v, lo, hi)
     stack = partitions.stack
     scaled = T.cell_area * totals
@@ -519,6 +524,7 @@ def el_residual(prob: Problem, v: np.ndarray, partitions: Partitions) -> np.ndar
     density_sum *= prob.lam
     res -= density_sum
     res -= integrate(T, res) / T.volume
+    partitions.residual_norm = float(np.abs(res).max())
     return res
 
 

@@ -57,14 +57,15 @@ of a relative expm1 sum.  Plain subtraction there stalls at the rounding floor o
 long before the equation residual reaches the tolerances demanded here.
 
 The iterate v is transformed, and its rows of exponentials taken, once
-per iterate, by :func:`el_residual` into its :class:`Partitions`; J, the
-energy differences and the Hessian products at v read them there, and a
+per iterate, by :func:`el_residual` into its :class:`Partitions`, which
+keep v and its residual too; every reader at v reads them there, and a
 cancellation-free energy difference transforms only its step.  A run
-holds two partitions, v's and a spare: a candidate is filled into the
-spare, and an accepted one swaps the two, so no trial writes v's, and
-nothing is filled twice.  On a side of many atoms the rows are those of
-a few Chebyshev nodes in alpha, so the exponentials an iterate and a
-trial step take do not grow with the atom count (see :class:`Partitions`).
+holds two partitions, v's and a spare, and no other copy of v: a
+candidate is filled into the spare, and an accepted one swaps the two, so
+no trial writes v's, and nothing is filled twice.  On a side of many atoms
+the rows are those of a few Chebyshev nodes in alpha, so the exponentials
+an iterate and a trial step take do not grow with the atom count (see
+:class:`Partitions`).
 
 The layer does no I/O: a run keeps its per-iteration trace, and the count
 of steps it rejected, in its :class:`MinimizeResult`, and the caller
@@ -202,20 +203,20 @@ class _EnergyDelta:
     """J(v - d) - J(v) for the iterate v and a zero-mean step d, both at
     the quarter-cell nodes, in one of two ways.
 
-    ``partitions`` holds what :func:`el_residual` handed out for v: its
-    cosine modes, its values, the atoms' circulations and weights, each
-    atom's shift m and grid sum of e^{alpha v - m}, and the stack of rows.
-    Nothing here writes them.
+    ``partitions`` is v's fill by :func:`el_residual`: its values, its
+    cosine modes, the atoms' circulations and weights, each atom's shift m
+    and grid sum of e^{alpha v - m}, and the stack of rows.  Nothing here
+    writes it.
 
     A step whose predicted decrease is at least the floor
     ``SUBTRACTION_RHO`` eps S(v) (:func:`_subtraction_floor`) is given
-    ``iterate``, v, J(v) and the run's spare partitions (see
+    ``iterate``, J(v) and the run's spare partitions (see
     :meth:`Partitions.twin`), and is evaluated by subtraction: the
     candidate v - d, with its mean removed as for the next iterate, is
     filled into the spare by :func:`el_residual`, and the difference is
-    J(v - d), read off that fill, less J(v).  The candidate and its
-    residual are kept, so an accepted step takes them, and the spare, as
-    the next iterate's and fills nothing again.
+    J(v - d), read off that fill, less J(v).  ``filled`` then says so: the
+    spare holds the candidate and its residual, so an accepted step takes
+    the spare as the next iterate's fill and fills nothing again.
 
     The floor: J at a field u is exact to about c eps S(u), where c covers
     the sums of the Dirichlet energy and of each total, a few times log2 of
@@ -246,18 +247,13 @@ class _EnergyDelta:
     """
 
     def __init__(
-        self,
-        prob: Problem,
-        d: np.ndarray,
-        partitions: Partitions,
-        iterate: tuple[np.ndarray, float, Partitions] | None = None,
+        self, prob: Problem, d: np.ndarray, partitions: Partitions, iterate: tuple[float, Partitions] | None = None
     ):
         self.prob = prob
         self.d = d
         self.partitions = partitions
         self.iterate = iterate
-        self.candidate: np.ndarray | None = None
-        self.residual: np.ndarray | None = None
+        self.filled = False
         if iterate is None:
             self._transform_step()
 
@@ -270,15 +266,14 @@ class _EnergyDelta:
     def __call__(self) -> float:
         prob, partitions = self.prob, self.partitions
         if self.iterate is not None:
-            v, j_v, spare = self.iterate
-            candidate = _next_iterate(prob.torus, v, self.d)
+            j_v, spare = self.iterate
             try:
-                self.residual = el_residual(prob, candidate, spare)
+                el_residual(prob, _next_iterate(prob.torus, partitions.values, self.d), spare)
             except OverflowError:  # past the guard: read v's partitions instead
                 self._transform_step()
             else:
-                self.candidate = candidate
-                return J(prob, candidate, spare) - j_v
+                self.filled = True
+                return J(prob, spare) - j_v
         delta = -self.a_vd + 0.5 * self.a_dd
         # a move past exp overflow makes the sum inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
@@ -356,7 +351,8 @@ class _SteihaugPath:
 
     The model m(d) = -<g, d> + 1/2 <d, H d> is the second-order expansion of
     J(v - d) - J(v); H is the second variation of J at v
-    (:func:`hessian_product`), and g the residual at v.  CG runs in the H^1
+    (:func:`hessian_product`), and g the residual at v, read off v's fill
+    ``partitions``.  CG runs in the H^1
     norm, preconditioned by (-Laplacian)^-1, from d = 0, and its iterates
     grow monotonically in that norm.  The path ends inside once the H^-1
     residual has fallen by min(1/2, sqrt(||g||_H-1)), or after CG_MAX_ITERS
@@ -375,11 +371,11 @@ class _SteihaugPath:
     model or step raises OverflowError before a transform.
     """
 
-    def __init__(self, prob: Problem, partitions: Partitions, g: np.ndarray):
+    def __init__(self, prob: Problem, partitions: Partitions):
         self.prob = prob
         self.partitions = partitions
         T = prob.torus
-        self.r_hat = cosine_transform(T, g)  # the CG residual after the last direction kept
+        self.r_hat = cosine_transform(T, partitions.residual)  # the CG residual after the last direction kept
         self.q_hat = solve_poisson_zero_mean(T, self.r_hat)  # the next search direction
         # ||(-Laplacian)^-1 g||_H1^2 = <g, (-Laplacian)^-1 g>
         self.rz0 = _finite("rz0", gradient_inner(T, self.q_hat, self.q_hat))
@@ -544,56 +540,53 @@ def _solve(prob: Problem, opts: MinimizeOptions, v: np.ndarray, partitions: Part
     """The trust-region run of :func:`minimize` on the grid of ``prob`` from
     the quarter-cell values v, which it does not change.
 
-    It holds v's partitions, ``partitions`` or new ones, and a spare.  The
-    node sets do not depend on the grid, so each level of a cold start
-    starts from each side's most recent node set of the level before
-    (:meth:`Partitions.twin`) and builds it no more.  A trial above the
-    subtraction floor fills its candidate into the spare, and an accepted
-    candidate swaps the two; a step accepted below the floor fills the
-    next iterate into v's own.  So every reader, a Hessian product, a trial below the floor, the
-    guard's fallback, the stop test's peak of |v|, the trace's max of v or
-    the level's :func:`decay_ratio`, finds v's fill.  S(v), hence the
-    floor, is taken at each iterate's fill."""
+    It holds two fills and no other copy of v or of its residual: v's,
+    ``partitions`` or new ones, and a spare.  The node sets do not depend
+    on the grid, so each level of a cold start starts from each side's most
+    recent node set of the level before (:meth:`Partitions.twin`) and
+    builds it no more.  A trial above the subtraction floor fills its
+    candidate into the spare, and an accepted candidate swaps the two; a
+    step accepted below the floor fills the next iterate into v's own.
+    Every reader, J, the CG path, a trial, the stop test, the trace and the
+    level's :func:`decay_ratio`, reads v's fill, which v enters only through
+    :func:`el_residual`, so none can be handed another v.  S(v), hence the
+    floor, is taken at each fill, and ``result.v`` is a copy of the last."""
     T = prob.torus
     if partitions is None:
         partitions = Partitions(prob)
     spare = partitions.twin()
-    g = el_residual(prob, v, partitions)
-    j_curr = J(prob, v, partitions)
+    el_residual(prob, v, partitions)
+    j_curr = J(prob, partitions)
     floor = _subtraction_floor(prob, partitions)
-    res_norm = float(np.abs(g).max())
     iterations = products = rejected = rejected_in_a_row = 0
     path: _SteihaugPath | None = None
     radius = math.nan  # set from the first path
-    trace = [(j_curr, res_norm, 0.0, partitions.high)]
+    trace = [(j_curr, partitions.residual_norm, 0.0, partitions.high)]
 
-    while (status := _stop_status(opts, T, partitions.peak, res_norm, iterations)) is None:
+    while (status := _stop_status(opts, T, partitions.peak, partitions.residual_norm, iterations)) is None:
         if path is None:
-            path = _SteihaugPath(prob, partitions, g)
+            path = _SteihaugPath(prob, partitions)
             if iterations == 0:
                 radius = math.sqrt(path.rz0)
         step, model, boundary, n = path.step(radius)
         products += n
-        delta = _EnergyDelta(prob, step, partitions, (v, j_curr, spare) if -model >= floor else None)
+        delta = _EnergyDelta(prob, step, partitions, (j_curr, spare) if -model >= floor else None)
         dj = delta()
         ratio = dj / model  # actual over predicted change; model < 0
         iterations += 1
         if ratio > ACCEPT_RATIO:
             path = None
-            if delta.candidate is None:
-                v = _next_iterate(T, v, step)
-                g = el_residual(prob, v, partitions)
-            else:
-                v, g = delta.candidate, delta.residual
+            if delta.filled:
                 partitions, spare = spare, partitions
+            else:
+                el_residual(prob, _next_iterate(T, partitions.values, step), partitions)
             j_curr = j_curr + dj
             floor = _subtraction_floor(prob, partitions)
-            res_norm = float(np.abs(g).max())
             rejected_in_a_row = 0
         else:
             rejected += 1
             rejected_in_a_row += 1
-        trace.append((j_curr, res_norm, radius, partitions.high))
+        trace.append((j_curr, partitions.residual_norm, radius, partitions.high))
         if rejected_in_a_row == MAX_REJECTIONS:
             status = "diverged"  # the trust radius collapsed
             break
@@ -602,6 +595,7 @@ def _solve(prob: Problem, opts: MinimizeOptions, v: np.ndarray, partitions: Part
         elif ratio > 0.75 and boundary:
             radius *= 2.0
     level = Level(T.grid_n, status, iterations, rejected, products, j_curr, decay_ratio(T, partitions.spectrum))
+    v, res_norm = partitions.values.copy(), partitions.residual_norm
     return MinimizeResult(v, j_curr, res_norm, iterations, prob.lam, status, products, rejected, trace, [level])
 
 
@@ -669,10 +663,3 @@ def detect_concentration(
             best = (int(ci), int(cj))
             best_mass = mass
     return best
-
-
-def mirror_image(result: MinimizeResult, P: CirculationMeasure) -> tuple[MinimizeResult, CirculationMeasure]:
-    """The stage as the state (-v, alpha -> -alpha), which has the same J:
-    its peak is the spike of the minimum of v."""
-    mirrored_P = CirculationMeasure(tuple((-a, w) for a, w in reversed(P.atoms)))
-    return replace(result, v=-result.v), mirrored_P

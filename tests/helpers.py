@@ -89,7 +89,7 @@ def energy(prob: Problem, v: Field) -> float:
     """J at v, read off the partitions that el_residual fills at v."""
     partitions = Partitions(prob)
     residual(prob, v, partitions)
-    return J(prob, quarter(prob.torus, v.values), partitions)
+    return J(prob, partitions)
 
 
 def hessian_field(prob: Problem, partitions: Partitions, phi: np.ndarray) -> Field:
@@ -112,7 +112,7 @@ def subtracted_energy_delta(prob: Problem, v: Field, d: Field) -> tuple[float, f
     el_residual(prob, v, partitions)
     eps_s = math.ulp(1.0) * energy_scale(prob, partitions)
     cancellation_free = _EnergyDelta(prob, d, partitions)()
-    delta = _EnergyDelta(prob, d, partitions, (v, J(prob, v, partitions), partitions.twin()))
+    delta = _EnergyDelta(prob, d, partitions, (J(prob, partitions), partitions.twin()))
     subtracted = delta()
-    assert delta.candidate is not None
+    assert delta.filled
     return subtracted, cancellation_free, eps_s

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gaussian_bump, synthetic_result
+from helpers import gaussian_bump, random_measure, synthetic_result
 from vortexmf.blowup import (
     BlowupProfile,
     bubble_profile,
@@ -21,7 +21,7 @@ from vortexmf.blowup import (
     rescale_profile,
 )
 from vortexmf.functional import Problem
-from vortexmf.measure import new_atomic
+from vortexmf.measure import CirculationMeasure, new_atomic
 from vortexmf.minimize import MinimizeOptions, minimize
 from vortexmf.torus import SpectralTorus, periodic_distance
 
@@ -302,6 +302,27 @@ def test_rescale_profile_reference_from_extremal_subset(pairs, gamma0):
     T = SpectralTorus(1.0, 32)
     res = synthetic_result(T, gaussian_bump(T, (16, 16), 10.0, 0.05))
     assert rescale_profile(res, T, new_atomic(pairs)).gamma0_reference == gamma0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_negative_side_reads_the_mirror_image_reference_bit_for_bit(seed):
+    # gamma0 of P's negative side is that of the positive side of the
+    # mirrored measure alpha -> -alpha, bit for bit: its tail is P's
+    # negative one in the same order, and fsum rounds correctly.  The
+    # two-atom measure is the CLI's negative profile, gamma0 = 4 / 0.75
+    T = SpectralTorus(1.0, 32)
+    res = synthetic_result(T, gaussian_bump(T, (16, 16), 10.0, 0.05))
+    rng = np.random.default_rng(seed)
+    P = new_atomic([(-1.0, 0.5), (-0.5, 0.5)]) if seed == 0 else random_measure(rng)
+    mirrored = CirculationMeasure(tuple((-a, w) for a, w in reversed(P.atoms)))
+    if all(a >= 0.0 for a, _ in P.atoms):
+        with pytest.raises(ValueError, match="negative circulation"):
+            rescale_profile(res, T, P, "negative")
+        return
+    got = rescale_profile(res, T, P, "negative").gamma0_reference
+    assert got.hex() == rescale_profile(res, T, mirrored).gamma0_reference.hex()
+    if seed == 0:
+        assert got == 5.333333333333333
 
 
 def test_rescale_profile_flat_field():

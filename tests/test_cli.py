@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,8 +373,8 @@ def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
     assert names == sorted(os.listdir(outs[1]))
     assert "trace_1.csv" in names
     for name in names:
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = Path(outs[0], name).read_bytes()
+        b = Path(outs[1], name).read_bytes()
         assert a == b, name
 
 
@@ -399,7 +400,7 @@ def test_profile_command_exports_profile(tmp_path, capsys):
     payload = read_summary(out)
     assert "profile" not in payload
     assert set(payload["stages"][0]["profile"]) == {"sigma", "peak_value", "fitted_slope", "gamma0_reference"}
-    lines = open(os.path.join(out, "profile_0.csv")).read().splitlines()
+    lines = Path(out, "profile_0.csv").read_text().splitlines()
     assert lines[0] == "# seed=0"
     assert lines[1].startswith("# sigma=")
     assert lines[2] == "r,dw,fit_prediction"
@@ -511,7 +512,7 @@ def test_negative_spike_is_located_and_profiled(tmp_path, capsys):
     assert stage["profile"]["gamma0_reference"] == 4.0
     assert all(isinstance(c, int) and 0 <= c < 32 for c in stage["concentration"])
     assert len(stage["concentration"]) == 2
-    lines = open(os.path.join(out, "profile_0.csv")).read().splitlines()
+    lines = Path(out, "profile_0.csv").read_text().splitlines()
     assert lines[2] == "r,dw,fit_prediction" and len(lines) > 3
 
 
@@ -526,7 +527,7 @@ def test_signed_profile_reference_comes_from_the_extremal_subset(tmp_path, capsy
     profile = read_summary(out)["stages"][0]["profile"]
     assert profile["gamma0_reference"] == 4.0
     assert abs(profile["fitted_slope"] - 4.0) < 1.0
-    lines = open(os.path.join(out, "profile_0.csv")).read().splitlines()
+    lines = Path(out, "profile_0.csv").read_text().splitlines()
     assert "gamma0_reference=4.0" in lines[1]
 
 
@@ -539,7 +540,7 @@ def test_profile_of_a_measure_without_positive_circulation_reads_the_mirror(tmp_
     stage = read_summary(out)["stages"][0]
     assert stage["status"] == "converged" and stage["concentration"] is None
     assert stage["profile"]["gamma0_reference"] == 4.0
-    lines = open(os.path.join(out, "profile_0.csv")).read().splitlines()
+    lines = Path(out, "profile_0.csv").read_text().splitlines()
     assert "gamma0_reference=4.0" in lines[1]
 
 
@@ -805,7 +806,7 @@ def test_quadrature_failure_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def _outputs(out_dir):
-    return {name: open(os.path.join(out_dir, name), "rb").read() for name in sorted(os.listdir(out_dir))}
+    return {name: Path(out_dir, name).read_bytes() for name in sorted(os.listdir(out_dir))}
 
 
 def test_negative_atoms_parse_with_or_without_equals(tmp_path, capsys):
@@ -931,7 +932,8 @@ runs = {{
 for name, argv in runs.items():
     out = {str(tmp_path)!r} + "/" + name
     code = main(argv + ["--out", out])
-    record = json.load(open(out + "/summary.json"))
+    with open(out + "/summary.json") as fh:
+        record = json.load(fh)
     print("ran", name, code, record.get("all_passed", True))
 """
     src = os.path.dirname(os.path.dirname(vortexmf.__file__))

@@ -237,7 +237,7 @@ def test_residual_hands_out_the_shifted_partitions():
     assert np.abs(partitions.totals - totals).max() <= 1e-13 * totals.min()
     # J read off the partitions takes no transform and no exponential, and
     # matches the per-atom J over the whole grid
-    assert J(prob, quarter(T, v.values), partitions) == pytest.approx(J_per_atom(prob, v), rel=1e-13)
+    assert J(prob, partitions) == pytest.approx(J_per_atom(prob, v), rel=1e-13)
 
 
 def test_one_pass_stack_of_128_atoms_is_the_per_atom_loop_bit_for_bit():
@@ -313,7 +313,7 @@ def test_interpolated_kernels_match_the_per_atom_oracles_on_the_converged_many_a
     assert np.abs(partitions.totals - totals).max() <= 1e-13 * totals.min()
     curvature = curvature_per_atom(prob, v)
     assert np.abs(unfold(T, partitions.curvature) - curvature).max() <= 1e-13 * curvature.max()
-    assert J(prob, quarter(T, v.values), partitions) == pytest.approx(J_per_atom(prob, v), rel=1e-13)
+    assert J(prob, partitions) == pytest.approx(J_per_atom(prob, v), rel=1e-13)
     for seed in range(3):
         phi = even(T, random_zero_mean(T, 40 + seed, amplitude=1.0))
         _, kappa, hq_hat = hessian_product(prob, partitions, cosine_transform(T, quarter(T, phi.values)))
@@ -372,6 +372,25 @@ def test_residual_guard_rejects_a_non_finite_or_too_large_field(bad):
     vals[3, 5] = bad
     with pytest.raises(OverflowError, match="^partition exponent out of range$"):
         residual(prob, Field(vals))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 701.0])
+def test_a_field_past_the_guard_leaves_the_residual_of_the_fill(bad):
+    # the fill keeps the residual it returned and its sup norm, and a field
+    # the guard refuses leaves both as they were
+    T = SpectralTorus(1.0, 16)
+    prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 5.0)
+    v = quarter(T, even(T, random_zero_mean(T, 2, amplitude=1.0)).values)
+    partitions = Partitions(prob)
+    g = el_residual(prob, v, partitions)
+    assert g is partitions.residual and np.array_equal(partitions.values, v)
+    assert partitions.residual_norm == float(np.abs(g).max()) > 0.0
+    before = g.tobytes(), partitions.residual_norm
+    far = v.copy()
+    far[5] = bad
+    with pytest.raises(OverflowError, match="^partition exponent out of range$"):
+        el_residual(prob, far, partitions)
+    assert (partitions.residual.tobytes(), partitions.residual_norm) == before
 
 
 def test_batched_layer_matches_the_per_atom_oracles():

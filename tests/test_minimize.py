@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from oracles import (
     translate,
 )
 from vortexmf import torus
+from vortexmf.blowup import rescale_profile
 from vortexmf.functional import Partitions, Problem, el_residual, hessian_product
-from vortexmf.measure import lambda_bar, new_atomic
+from vortexmf.measure import CirculationMeasure, lambda_bar, new_atomic
 from vortexmf.minimize import (
     MinimizeOptions,
     MinimizeResult,
@@ -40,7 +42,6 @@ from vortexmf.minimize import (
     continuation_sweep,
     detect_concentration,
     minimize,
-    mirror_image,
     random_zero_mean,
     stage_problems,
 )
@@ -335,13 +336,13 @@ def test_a_candidate_past_the_exponent_guard_falls_back_to_the_cancellation_free
     el_residual(prob, v_q, partitions)
     el_residual(prob, 0.5 * v_q, spare)
     before = [_partitions_state(partitions), _partitions_state(spare)]
-    delta = minimize_module._EnergyDelta(prob, step, partitions, (v_q, 0.0, spare))
+    delta = minimize_module._EnergyDelta(prob, step, partitions, (0.0, spare))
     if max_u < 800.0:
         assert delta() == minimize_module._EnergyDelta(prob, step, partitions)()
     else:
         with pytest.raises(OverflowError, match="partition exponent out of range"):
             delta()
-    assert delta.candidate is None
+    assert not delta.filled
     assert [_partitions_state(partitions), _partitions_state(spare)] == before
 
 
@@ -405,7 +406,7 @@ def _trial_regimes(monkeypatch):
 
     def recorded(self):
         out = real_call(self)
-        filled.append(self.candidate is not None)
+        filled.append(self.filled)
         return out
 
     monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", recorded)
@@ -422,9 +423,9 @@ def _accepted(res):
 def _partitions_state(partitions):
     """Copies of what a fill leaves in ``partitions``; a node set's matrix
     as its bytes."""
-    fields = ("stack", "totals", "shifts", "logs", "spectrum", "curvature", "hessian_weights", "values")
+    fields = ("stack", "totals", "shifts", "logs", "spectrum", "curvature", "hessian_weights", "values", "residual")
     layout = [(atoms, rows, None if m is None else m.tobytes()) for atoms, rows, m in partitions.layout]
-    scalars = [partitions.dirichlet, partitions.exact]
+    scalars = [partitions.dirichlet, partitions.exact, partitions.residual_norm]
     return [getattr(partitions, f).tobytes() for f in fields] + scalars + [layout, partitions.low, partitions.high]
 
 
@@ -441,7 +442,7 @@ def test_a_rejected_candidate_leaves_the_partitions_of_v_bit_for_bit(monkeypatch
 
     def rejected(self):
         real_call(self)
-        filled.append(self.candidate is not None)
+        filled.append(self.filled)
         return 1.0
 
     def read_sums(self, d):
@@ -992,7 +993,7 @@ def test_the_peak_read_off_the_quarter_cell_is_the_first_maximum_of_the_grid(n, 
     for i, j in planted:
         x[i % h, j % h] = 3.0
     res = MinimizeResult(v=x.ravel(), J_value=0.0, residual_norm=0.0, iterations=0, lam=1.0, status="converged")
-    for state in (res, mirror_image(res, delta_one())[0]):
+    for state in (res, replace(res, v=-res.v)):
         vals = unfold(T, state.v)
         first = tuple(int(k) for k in np.unravel_index(np.argmax(vals), vals.shape))
         assert state.peak_point == first
@@ -1046,6 +1047,57 @@ def test_residual_is_computed_once_per_iterate(monkeypatch):
     last = minimize(Problem(T, delta_one(), 10.0), MinimizeOptions())
     assert last.status == "diverged"
     assert len(calls) == 1
+
+
+def test_the_result_and_the_trace_read_the_last_accepted_fill(monkeypatch):
+    # each fill by el_residual is captured: its field, its residual and
+    # the sup norm it keeps.  A step is accepted by its ratio of actual to
+    # predicted change, read from the trial and the path, not from the
+    # trace; each trace row's residual and max of v, and the result's v
+    # and residual, are those of the last accepted fill, bit for bit, and
+    # the result's v is a copy of that fill's values
+    fills, models, trials, changes = [], [], [], []
+    real_residual = minimize_module.el_residual
+    real_step, real_call = minimize_module._SteihaugPath.step, minimize_module._EnergyDelta.__call__
+
+    def recorded_residual(prob, v, partitions):
+        g = real_residual(prob, v, partitions)
+        assert g is partitions.residual and np.array_equal(partitions.values, v)
+        fills.append((partitions, v.copy(), g.copy(), partitions.residual_norm, partitions.high, len(trials)))
+        return g
+
+    def recorded_step(self, radius):
+        out = real_step(self, radius)
+        models.append(out[1])
+        return out
+
+    def recorded_call(self):
+        trials.append(self)
+        changes.append(real_call(self))
+        return changes[-1]
+
+    monkeypatch.setattr(minimize_module, "el_residual", recorded_residual)
+    monkeypatch.setattr(minimize_module._SteihaugPath, "step", recorded_step)
+    monkeypatch.setattr(minimize_module._EnergyDelta, "__call__", recorded_call)
+    T = SpectralTorus(1.0, 32)
+    prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
+    res = minimize(prob, MinimizeOptions(seed=3))
+    assert res.status == "converged" and res.rejected > 0
+    assert len(models) == len(changes) == res.iterations == len(res.trace) - 1
+    # at most one fill per trial: its candidate, or the next iterate below the floor
+    per_trial = [[f for f in fills if f[-1] == t] for t in range(res.iterations + 1)]
+    assert len(per_trial[0]) == 1 and all(len(f) <= 1 for f in per_trial)
+    current = per_trial[0][0]
+    for t, (model, dj) in enumerate(zip(models, changes), start=1):
+        if dj / model > minimize_module.ACCEPT_RATIO:
+            (current,) = per_trial[t]
+        _, v, g, norm, high, _ = current
+        assert norm == float(np.abs(g).max())
+        assert res.trace[t][1] == norm and res.trace[t][3] == high == float(v.max())
+    partitions, v, g, norm, _, _ = current
+    assert res.rejected == sum(dj / model <= minimize_module.ACCEPT_RATIO for model, dj in zip(models, changes))
+    assert np.array_equal(res.v, v) and res.residual_norm == norm == res.trace[-1][1]
+    assert not any(np.shares_memory(res.v, f[0].values) for f in fills)
 
 
 def test_a_run_fills_two_stacks_in_turn(monkeypatch):
@@ -1218,7 +1270,7 @@ def _h1_norm(T, d):
 def test_truncated_cg_stops_on_the_trust_region_boundary():
     T, prob, g, partitions = _newton_model_setup()
     radius = 1e-3
-    d, model, boundary, products = minimize_module._SteihaugPath(prob, partitions, g).step(radius)
+    d, model, boundary, products = minimize_module._SteihaugPath(prob, partitions).step(radius)
     assert boundary
     assert products >= 1
     assert _h1_norm(T, d) == pytest.approx(radius, rel=1e-10)
@@ -1234,7 +1286,8 @@ def test_the_path_keeps_its_directions_and_its_step_at_the_quarter_cell_nodes():
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 2.0 * EIGHT_PI)
     v = minimize(prob, MinimizeOptions(max_iters=8)).v
     partitions = Partitions(prob)
-    path = minimize_module._SteihaugPath(prob, partitions, el_residual(prob, v, partitions))
+    el_residual(prob, v, partitions)
+    path = minimize_module._SteihaugPath(prob, partitions)
     d, _, boundary, products = path.step(1e6)
     nodes = (T.grid_n // 2 + 1) ** 2
     assert not boundary and products == len(path.directions) >= 2
@@ -1244,7 +1297,7 @@ def test_the_path_keeps_its_directions_and_its_step_at_the_quarter_cell_nodes():
 
 def test_truncated_cg_interior_step_solves_the_newton_equation():
     T, prob, g, partitions = _newton_model_setup()
-    d, model, boundary, products = minimize_module._SteihaugPath(prob, partitions, g).step(1e6)
+    d, model, boundary, products = minimize_module._SteihaugPath(prob, partitions).step(1e6)
     assert not boundary
     assert model == pytest.approx(_model(T, prob, partitions, g, d), rel=1e-9)
     # the H^-1 norm of the residual g - H d fell by the forcing term
@@ -1267,7 +1320,7 @@ def test_spectral_hessian_product_matches_the_per_atom_oracle():
     v = even(T, random_zero_mean(T, 3, amplitude=2.0))
     partitions = Partitions(prob)
     g = el_residual(prob, quarter(T, v.values), partitions)
-    path = minimize_module._SteihaugPath(prob, partitions, g)
+    path = minimize_module._SteihaugPath(prob, partitions)
     path.tol = 0.0
     g = unfold(T, g)
     g_scale = np.abs(np.fft.rfft2(g)).max()
@@ -1295,7 +1348,7 @@ def test_rejected_step_cuts_the_stored_path(monkeypatch, steps, first_boundary):
     v = minimize(prob, MinimizeOptions(max_iters=steps)).v
     partitions = Partitions(prob)
     g = el_residual(prob, v, partitions)
-    path = minimize_module._SteihaugPath(prob, partitions, g)
+    path = minimize_module._SteihaugPath(prob, partitions)
     first, _, on_boundary, grown = path.step(1e6)
     assert on_boundary == first_boundary
     assert grown >= 2
@@ -1306,7 +1359,7 @@ def test_rejected_step_cuts_the_stored_path(monkeypatch, steps, first_boundary):
     assert products == len(calls) == 0
     assert _h1_norm(T, d) == pytest.approx(radius, rel=1e-10)
     assert model == pytest.approx(_model(T, prob, partitions, g, d), rel=1e-9)
-    fresh = minimize_module._SteihaugPath(prob, partitions, g).step(radius)
+    fresh = minimize_module._SteihaugPath(prob, partitions).step(radius)
     assert np.array_equal(fresh[0], d)
     assert fresh[1:3] == (model, boundary)
     # the counter sees the fresh path's products, so the 0 above is no artefact
@@ -1380,18 +1433,26 @@ def test_a_spike_off_the_axes_is_four_spikes_and_does_not_concentrate():
     assert detect_concentration(res, T, 25.0) is None
 
 
-def test_mirror_image_reads_the_negative_spike():
+def test_the_negative_spike_is_read_at_the_peak_of_minus_v():
+    # as write_stage reads it: the state -v, and the reference slope of P's
+    # negative side, which is that of the mirror image's positive side
     T = SpectralTorus(1.0, 64)
     res = synthetic_result(T, -gaussian_bump(T, (32, 0), 30.0, 0.05))
     assert detect_concentration(res, T, 25.0) is None
     P = new_atomic([(-1.0, 0.25), (0.5, 0.75)])
-    mirrored, mirrored_P = mirror_image(res, P)
+    seen = replace(res, v=-res.v)
+    assert np.array_equal(grid(T, seen.v).values, -grid(T, res.v).values)
+    assert seen.peak_point == (32, 0)
+    assert (seen.J_value, seen.lam) == (res.J_value, res.lam)
+    assert detect_concentration(seen, T, 25.0) == (32, 0)
+    profile = rescale_profile(seen, T, P, "negative")
+    assert profile.gamma0_reference == 4.0  # K = {-1}: 4 P(K) / |m_K|
+    mirrored_P = CirculationMeasure(tuple((-a, w) for a, w in reversed(P.atoms)))
     assert mirrored_P.atoms == ((-0.5, 0.75), (1.0, 0.25))
-    assert np.array_equal(grid(T, mirrored.v).values, -grid(T, res.v).values)
-    assert mirrored.peak_point == (32, 0)
-    assert (mirrored.J_value, mirrored.lam) == (res.J_value, res.lam)
-    assert detect_concentration(mirrored, T, 25.0) == (32, 0)
-    # the mirror image of a state has the same energy
+    mirrored = rescale_profile(seen, T, mirrored_P)
+    assert (profile.peak_value, profile.gamma0_reference) == (mirrored.peak_value, mirrored.gamma0_reference)
+    assert np.array_equal(profile.dw, mirrored.dw)
+    # the mirror image (-v, alpha -> -alpha) of a state has the same energy
     v = even(T, random_zero_mean(T, 4, amplitude=2.0))
     same = energy(Problem(T, mirrored_P, 7.0), Field(-v.values))
     assert same == pytest.approx(energy(Problem(T, P, 7.0), v), rel=1e-12)
