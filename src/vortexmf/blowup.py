@@ -6,9 +6,11 @@ logarithmic slope fit, the concentration mass, the Pohozaev balance, and
 the Newton potential growth.  Quadratures run through a log-stretched
 adaptive rule so integrands localized near the origin survive integration
 domains spanning many decades: QUADPACK's 21-point Gauss-Kronrod rule,
-here in numpy, which evaluates the integrand on arrays of nodes.  Every
-radial callable handed to this module takes an array of radii and returns
-an array of the same shape, or a constant.
+here in numpy, which evaluates the integrand on arrays of nodes, for a
+family of integrals at once (the Newton potential at many radii), each
+member with the bits it gets alone.  Every radial callable handed to this
+module takes an array of radii and returns an array of the same shape, or
+a constant.
 """
 
 from __future__ import annotations
@@ -68,11 +70,14 @@ _EPS50 = 50.0 * np.finfo(float).eps
 _RESABS_FLOOR = np.finfo(float).tiny / _EPS50
 
 
-def _kronrod(f, lo: list[float], hi: list[float]) -> tuple[list[float], list[float]]:
+def _kronrod(f, lo: list[float], hi: list[float], member: np.ndarray) -> tuple[list[float], list[float]]:
     """qk21 on each interval [lo[i], hi[i]]: the Kronrod values and QUADPACK's
-    error estimates, from one call of f on the (intervals x 21) nodes."""
+    error estimates, from one call of f on the (intervals x 21) nodes and
+    the (intervals x 1) ``member`` each interval belongs to.  An interval
+    gets the same bits in a call of any size: the estimates are row-wise
+    sums, where a matrix-vector product's bits depend on the row count."""
     centre, half = np.array([[0.5 * (a + b), 0.5 * (b - a)] for a, b in zip(lo, hi)]).T
-    fx = f(centre[:, None] + half[:, None] * _NODES)
+    fx = f(centre[:, None] + half[:, None] * _NODES, member)
     pairs = fx[:, 1:11] + fx[:, 11:]
     # the Kronrod sum term by term in qk21's order, so that an interval
     # gets QUADPACK's bits wherever its node values do
@@ -82,9 +87,9 @@ def _kronrod(f, lo: list[float], hi: list[float]) -> tuple[list[float], list[flo
         for w, p in zip(_KRONROD[1:], row):
             k += w * p
         resk.append(k)
-    resg = pairs @ _GAUSS
-    resabs = np.abs(fx) @ _KRONROD_NODES
-    resasc = np.abs(fx - 0.5 * np.array(resk)[:, None]) @ _KRONROD_NODES
+    resg = (pairs * _GAUSS).sum(axis=1)
+    resabs = (np.abs(fx) * _KRONROD_NODES).sum(axis=1)
+    resasc = (np.abs(fx - 0.5 * np.array(resk)[:, None]) * _KRONROD_NODES).sum(axis=1)
     values, errors = [], []
     for k, g, s, asc, h in zip(resk, resg.tolist(), resabs.tolist(), resasc.tolist(), half.tolist()):
         err = abs((k - g) * h)
@@ -98,45 +103,55 @@ def _kronrod(f, lo: list[float], hi: list[float]) -> tuple[list[float], list[flo
     return values, errors
 
 
-def quad(f, a: float, b: float, epsrel: float, limit: int, points=None):
-    """Globally adaptive Gauss-Kronrod integral of f over [a, b].
+def quad(f, edges, epsrel: float, limit: int):
+    """Globally adaptive Gauss-Kronrod integrals of a family of integrands.
 
     QUADPACK's 21-point rule and its error estimate (qk21, Piessens et al.
-    1983).  f takes an array of nodes and returns an array of the same
-    shape.  Each round calls f once, on the nodes of every interval made
-    in the round before, and bisects every interval whose error estimate
-    exceeds tol / (number of intervals), tol = epsrel |value|, until the
-    estimates sum to at most tol.  ``points`` are sorted interior break
-    points: the first intervals end there.  The interval values are summed
-    with math.fsum.
+    1983).  Member m integrates over [edges[m][0], edges[m][-1]], its first
+    intervals ending at the sorted edges between.  f takes an (intervals x
+    21) array of nodes and the (intervals x 1) array of each row's member,
+    and returns an array of the nodes' shape.  Each round calls f once, on
+    the nodes of every interval made in the round before by a member still
+    open.  A member bisects every interval whose error estimate exceeds
+    tol / (number of its intervals), tol = epsrel |value|, until its
+    estimates, summed with math.fsum as its values are, reach at most tol.
+    A member's value, estimate and evaluations are the bits it gets alone.
 
-    Returns (value, abserr, {"neval": integrand evaluations}).  Raises
-    RuntimeError when more than ``limit`` intervals would be needed, which
-    also ends a non-finite integrand.
+    Returns ([value], [abserr], {"neval": integrand evaluations}), a value
+    and an abserr per member.  Raises RuntimeError when a member would need
+    more than ``limit`` intervals, which also ends a non-finite integrand.
     """
-    edges = [a, *(points or ()), b]
-    lo, hi = edges[:-1], edges[1:]
-    # (lo, hi, value, error) per interval, kept as Python floats: numpy's
-    # per-call overhead dominates on a handful of intervals
-    intervals: list[tuple[float, float, float, float]] = []
+    # per member, (lo, hi, value, error) of the intervals kept and (lo, hi)
+    # of those to evaluate, as Python floats: numpy's per-call overhead
+    # dominates on a handful of intervals
+    kept: list[list[tuple[float, float, float, float]]] = [[] for _ in edges]
+    fresh = [list(zip(e[:-1], e[1:])) for e in edges]
+    values, abserrs = [math.nan] * len(edges), [math.nan] * len(edges)
     neval = 0
-    while True:
-        values, errors = _kronrod(f, lo, hi)
-        neval += 21 * len(lo)
-        intervals += zip(lo, hi, values, errors)
-        value = math.fsum(iv[2] for iv in intervals)
-        abserr = math.fsum(iv[3] for iv in intervals)
-        tol = epsrel * abs(value)
-        if abserr <= tol:
-            return value, abserr, {"neval": neval}
-        cut = tol / len(intervals)
-        split = [iv for iv in intervals if not iv[3] <= cut]
-        if len(intervals) + len(split) > limit:
-            raise RuntimeError(f"quadrature did not converge within {limit} intervals (error {abserr:.3g})")
-        intervals = [iv for iv in intervals if iv[3] <= cut]
-        mids = [0.5 * (iv[0] + iv[1]) for iv in split]
-        lo = [x for iv, m in zip(split, mids) for x in (iv[0], m)]
-        hi = [x for iv, m in zip(split, mids) for x in (m, iv[1])]
+    while any(fresh):
+        owner = [m for m, ivs in enumerate(fresh) for _ in ivs]
+        lo = [a for ivs in fresh for a, _ in ivs]
+        hi = [b for ivs in fresh for _, b in ivs]
+        fresh = [[] for _ in edges]
+        vals, errs = _kronrod(f, lo, hi, np.array(owner)[:, None])
+        neval += 21 * len(owner)
+        for m, iv in zip(owner, zip(lo, hi, vals, errs)):
+            kept[m].append(iv)
+        for m in sorted(set(owner)):
+            intervals = kept[m]
+            value = math.fsum(iv[2] for iv in intervals)
+            abserr = math.fsum(iv[3] for iv in intervals)
+            tol = epsrel * abs(value)
+            if abserr <= tol:
+                values[m], abserrs[m] = value, abserr
+                continue
+            cut = tol / len(intervals)
+            split = [iv for iv in intervals if not iv[3] <= cut]
+            if not split or len(intervals) + len(split) > limit:
+                raise RuntimeError(f"quadrature did not converge within {limit} intervals (error {abserr:.3g})")
+            kept[m] = [iv for iv in intervals if iv[3] <= cut]
+            fresh[m] = [pair for a, b, _, _ in split for pair in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+    return values, abserrs, {"neval": neval}
 
 
 def _finite(what: str, r, values):
@@ -148,7 +163,7 @@ def _finite(what: str, r, values):
     return values
 
 
-def radial_integral(fn, a: float, b: float, breakpoints=None) -> float:
+def radial_integral(fn, a: float, b: float, breakpoints=None):
     """Adaptive integral of fn over [a, b] after substituting u = log1p(r),
     to relative tolerance ``QUAD_REL_TOL``.
 
@@ -156,21 +171,27 @@ def radial_integral(fn, a: float, b: float, breakpoints=None) -> float:
     a constant.  The substitution spends quadrature nodes evenly across
     decades, which integrands localized near the origin need once b runs
     into the millions.  ``breakpoints`` lists radii where fn has kinks or
-    jumps.  A value of fn that is not finite raises OverflowError.
+    jumps.  A 2-D ``breakpoints``, a row per member, makes a family of
+    integrals in one quadrature: fn then takes the radii and the (intervals
+    x 1) array of each row's member, and returns an array of the radii's
+    shape; the values come back as an array, each the float its member gets
+    alone.  A value of fn that is not finite raises OverflowError.
     """
     if not 0.0 <= a < b:
         raise ValueError("need 0 <= a < b")
+    family = np.ndim(breakpoints) == 2
 
-    def g(u: np.ndarray) -> np.ndarray:
+    def g(u: np.ndarray, member: np.ndarray) -> np.ndarray:
         r = np.expm1(u)
-        return _finite("integrand", r, fn(r) * (1.0 + r))
+        return _finite("integrand", r, (fn(r, member) if family else fn(r)) * (1.0 + r))
 
-    points = None
-    if breakpoints is not None:
-        points = sorted(math.log1p(p) for p in breakpoints if a < p < b)
+    rows = breakpoints if family else [() if breakpoints is None else breakpoints]
+    lo, hi = math.log1p(a), math.log1p(b)
+    edges = [[lo, *sorted(math.log1p(p) for p in row if a < p < b), hi] for row in rows]
     # a non-finite value is reported by g, not warned about
     with np.errstate(all="ignore"):
-        return quad(g, math.log1p(a), math.log1p(b), QUAD_REL_TOL, 400, points)[0]
+        values = quad(g, edges, QUAD_REL_TOL, 400)[0]
+    return np.array(values) if family else values[0]
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -404,26 +425,31 @@ def pohozaev_residual(u_radial, a_radial, big_f, radius: float) -> PohozaevRepor
     return PohozaevReport(lhs=lhs, rhs=rhs, relative_residual=gap)
 
 
-def newton_potential(f_radial, x_abs: float, rho_max: float = 1e6, breakpoints=None) -> float:
+def newton_potential(f_radial, x_abs, rho_max: float = 1e6, breakpoints=None):
     """Logarithmic potential z(x) = (1/2pi) int f(y) log(|x-y|/(1+|y|)) dy.
 
     Radial symmetry collapses the angle: the circle mean of log|x-y| over
     |y| = rho is log max(|x|, rho).  z grows like gamma log|x| with
     gamma = (1/2pi) int f whenever the density tail is integrable.
     f_radial takes an array of radii and returns an array of the same
-    shape, or a constant.
+    shape, or a constant.  x_abs is a radius or an array of radii, whose
+    potentials are one family of integrals (see :func:`radial_integral`):
+    a float gives a float, an array an array of its shape.
     """
-    _check_positive("x_abs", x_abs)
+    xs = np.asarray(x_abs, dtype=float)
+    for x in xs.flat:
+        _check_positive("x_abs", x)
     _check_positive("rho_max", rho_max)
-    log_r = math.log(x_abs)
+    flat = xs.ravel()
+    log_r = np.array([math.log(x) for x in flat])
 
-    def integrand(rho: np.ndarray) -> np.ndarray:
-        angular = np.where(rho >= x_abs, -np.log1p(1.0 / rho), log_r - np.log1p(rho))
+    def integrand(rho: np.ndarray, member: np.ndarray) -> np.ndarray:
+        angular = np.where(rho >= flat[member], -np.log1p(1.0 / rho), log_r[member] - np.log1p(rho))
         return f_radial(rho) * rho * angular
 
-    pts = [x_abs] + ([] if breakpoints is None else list(breakpoints))
-    val = radial_integral(integrand, 0.0, rho_max, breakpoints=pts)
+    extra = [] if breakpoints is None else list(breakpoints)
+    vals = radial_integral(integrand, 0.0, rho_max, np.column_stack([flat, np.tile(extra, (flat.size, 1))]))
     probe = abs(float(f_radial(rho_max))) * rho_max * rho_max
-    if probe > TAIL_SAFETY * (1.0 + abs(val)):
+    if np.any(probe > TAIL_SAFETY * (1.0 + np.abs(vals))):
         raise RuntimeError("density tail too heavy at rho_max; potential tail not negligible")
-    return val
+    return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)

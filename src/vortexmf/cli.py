@@ -451,7 +451,7 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
     add("pohozaev_constant", lambda: balance(lambda r: 0.7), 0.0, 4.0 * math.ulp(boundary_term))
 
     fit_rs = np.geomspace(1e2, 1e4, 9)
-    growth = lambda f, **kw: np.polyfit(np.log(fit_rs), [newton_potential(f, R, **kw) for R in fit_rs], 1)[0]
+    growth = lambda f, **kw: np.polyfit(np.log(fit_rs), newton_potential(f, fit_rs, **kw), 1)[0]
     add("newton_slope_bubble", lambda: growth(density), 4.0, 0.01 * 4.0)
     disk = lambda r: np.where(r <= 1.0, 2.0, 0.0)
     add("newton_slope_disk", lambda: growth(disk, breakpoints=[1.0]), 1.0, 0.01 * 1.0)

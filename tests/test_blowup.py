@@ -20,6 +20,7 @@ from vortexmf.blowup import (
     radial_integral,
     rescale_profile,
 )
+from vortexmf.blowup import _kronrod
 from vortexmf.functional import Problem
 from vortexmf.measure import CirculationMeasure, new_atomic
 from vortexmf.minimize import MinimizeOptions, minimize
@@ -53,9 +54,9 @@ def test_polynomial_of_degree_31_is_exact_on_one_interval():
     coeffs = np.random.default_rng(31).uniform(-1.0, 1.0, 32)
     poly = np.polynomial.Polynomial(coeffs)
     exact = poly.integ()(1.5) - poly.integ()(-0.5)
-    value, _, info = quad(poly, -0.5, 1.5, 1.0, 400)
+    values, _, info = quad(lambda x, member: poly(x), [[-0.5, 1.5]], 1.0, 400)
     assert info == {"neval": 21}
-    assert value == pytest.approx(exact, rel=1e-14, abs=1e-14)
+    assert values[0] == pytest.approx(exact, rel=1e-14, abs=1e-14)
     assert poly.degree() == 31
 
 
@@ -69,18 +70,96 @@ def test_step_at_a_breakpoint_is_exact():
 def test_neval_counts_21_nodes_per_interval_evaluated():
     rows = []
 
-    def f(x):
-        rows.append(x.shape)
+    def f(x, member):
+        rows.append((x.shape, member.shape, member.tolist()))
         return np.exp(-x) * np.sin(20.0 * x)
 
-    value, _, info = quad(f, 0.0, 3.0, 1e-10, 400, points=[1.0])
-    assert len(rows) > 1 and all(shape[1] == 21 for shape in rows)
-    assert info["neval"] == 21 * sum(shape[0] for shape in rows)
+    values, _, info = quad(f, [[0.0, 1.0, 3.0]], 1e-10, 400)
+    assert len(rows) > 1 and all(shape[1] == 21 and ms == (shape[0], 1) for shape, ms, _ in rows)
+    assert all(m == [[0]] * len(m) for _, _, m in rows)
+    assert info["neval"] == 21 * sum(shape[0] for shape, _, _ in rows)
     exact = (20.0 - math.exp(-3.0) * (math.sin(60.0) + 20.0 * math.cos(60.0))) / 401.0
-    assert value == pytest.approx(exact, rel=1e-10)
+    assert values[0] == pytest.approx(exact, rel=1e-10)
 
 
-@pytest.mark.parametrize(
+def _recording_quad(monkeypatch):
+    """Patch blowup.quad to record, per call, its result and the member
+    array of every round."""
+    from vortexmf import blowup
+
+    calls = []
+    original = blowup.quad
+
+    def recorded(f, edges, epsrel, limit):
+        rounds = []
+
+        def g(x, member):
+            rounds.append(member.ravel().copy())
+            return f(x, member)
+
+        out = original(g, edges, epsrel, limit)
+        calls.append((out, rounds, len(edges)))
+        return out
+
+    monkeypatch.setattr(blowup, "quad", recorded)
+    return calls
+
+
+def _members(call):
+    """Per member of a recorded call: the hex of its value and error
+    estimate, its share of the evaluations, and its rounds."""
+    (values, errors, info), rounds, n = call
+    shares = [21 * sum(int((r == m).sum()) for r in rounds) for m in range(n)]
+    assert sum(shares) == info["neval"]
+    counts = [sum(1 for r in rounds if m in r) for m in range(n)]
+    return [(v.hex(), e.hex(), s, c) for v, e, s, c in zip(values, errors, shares, counts)]
+
+
+@pytest.mark.parametrize("density, kw", [(bubble_density, {}), (lambda r: np.where(r <= 1.0, 2.0, 0.0), {"breakpoints": [1.0]})], ids=["bubble", "disk"])
+def test_every_newton_member_gets_the_bits_it_gets_alone(monkeypatch, density, kw):
+    # verify's growth fit: the potential at 9 radii as one family
+    fit_rs = np.geomspace(1e2, 1e4, 9)
+    calls = _recording_quad(monkeypatch)
+    family = newton_potential(density, fit_rs, **kw)
+    alone = [newton_potential(density, R, **kw) for R in fit_rs]
+    assert len(calls) == 10 and [n for _, _, n in calls] == [9] + [1] * 9
+    assert _members(calls[0]) == [_members(call)[0] for call in calls[1:]]
+    assert [v.hex() for v in family] == [v.hex() for v in alone]
+    assert all(type(v) is float for v in alone)
+
+
+def test_members_that_need_different_rounds_keep_their_own_bits(monkeypatch):
+    # the bubble family's members take 4 and 5 rounds; these take 1 to many
+    k = np.array([0.0, 3.0, 40.0, 1.0, 200.0])
+    f = lambda x, member: np.exp(-x) * np.sin(k[member] * x) + x * x
+    edges = [[0.0, 3.0], [0.0, 1.0, 3.0], [0.0, 3.0], [-1.0, 0.5, 2.0, 3.0], [0.0, 0.25]]
+    calls = _recording_quad(monkeypatch)
+    from vortexmf import blowup
+
+    blowup.quad(f, edges, 1e-10, 400)
+    for m, e in enumerate(edges):
+        blowup.quad(lambda x, member: f(x, np.full_like(member, m)), [e], 1e-10, 400)
+    family = _members(calls[0])
+    assert family == [_members(call)[0] for call in calls[1:]]
+    assert len({rounds for *_, rounds in family}) >= 3
+
+
+def test_kronrod_gives_each_interval_the_bits_it_gets_alone():
+    # a matrix-vector product's bits depend on the number of rows; the
+    # estimates' row-wise reductions do not
+    rng = np.random.default_rng(60)
+    for n in range(1, 61):
+        lo = rng.uniform(-5.0, 5.0, n)
+        hi = lo + rng.uniform(1e-6, 3.0, n) * 10.0 ** rng.integers(-3, 2, n)
+        scale = 10.0 ** rng.uniform(-8.0, 8.0, n)
+        f = lambda x, member: scale[member] * np.exp(-x * x) * np.cos(7.0 * x) + np.sqrt(np.abs(x))
+        values, errors = _kronrod(f, lo.tolist(), hi.tolist(), np.arange(n)[:, None])
+        for i in range(n):
+            v, e = _kronrod(f, [lo[i]], [hi[i]], np.array([[i]]))
+            assert (v[0].hex(), e[0].hex()) == (values[i].hex(), errors[i].hex()), (n, i)
+
+
+BAD_INTEGRANDS = pytest.mark.parametrize(
     "fn, error, match",
     [
         (lambda r: np.full_like(r, math.nan), OverflowError, "^integrand is not finite at r = "),
@@ -89,37 +168,72 @@ def test_neval_counts_21_nodes_per_interval_evaluated():
     ],
     ids=["nan", "inf", "one-over-r"],
 )
+
+
+@BAD_INTEGRANDS
 def test_bad_integrands_raise_and_do_not_hang(fn, error, match):
     with pytest.raises(error, match=match):
         radial_integral(fn, 0.0, 1.0)
 
 
+@BAD_INTEGRANDS
+def test_a_bad_member_raises_after_a_good_one(fn, error, match):
+    with pytest.raises(error, match=match):
+        radial_integral(lambda r, member: np.where(member == 1, fn(r), 1.0), 0.0, 1.0, [[], []])
+
+
 def test_quadrature_of_a_nan_integrand_ends_at_the_interval_limit():
     with pytest.raises(RuntimeError, match="did not converge"):
-        quad(lambda x: np.full_like(x, math.nan), 0.0, 1.0, 1e-10, 400)
+        quad(lambda x, member: np.full_like(x, math.nan), [[0.0, 1.0]], 1e-10, 400)
+
+
+def test_a_member_past_the_limit_raises():
+    # the other members converge; the one with 1/x on [0, 1] needs more
+    # than the limit allows
+    f = lambda x, member: np.where(member == 2, 1.0 / x, x)
+    with pytest.raises(RuntimeError, match="^quadrature did not converge within 50 intervals"):
+        quad(f, [[0.0, 1.0], [0.0, 2.0], [0.0, 1.0]], 1e-10, 50)
+    values, _, _ = quad(f, [[0.0, 1.0], [0.0, 2.0]], 1e-10, 50)
+    assert values == pytest.approx([0.5, 2.0], rel=1e-14)
+
+
+def test_a_non_finite_member_names_its_radius():
+    fn = lambda r: np.where(r > 0.75, math.inf, 1.0)
+    with pytest.raises(OverflowError) as alone:
+        radial_integral(fn, 0.0, 1.0, [0.5])
+    with pytest.raises(OverflowError) as member:
+        radial_integral(lambda r, m: np.where(m == 1, fn(r), 1.0), 0.0, 1.0, [[0.5], [0.5]])
+    assert str(member.value) == str(alone.value)
+    assert float(str(alone.value).rpartition("= ")[2]) > 0.75
 
 
 def test_verify_integrals_match_quadpack(monkeypatch):
     # every integral of the oracle suite against scipy's QUADPACK on the same
-    # substitution u = log1p(r)
+    # substitution u = log1p(r), each member of a family on its own
     from scipy.integrate import quad as quadpack
 
     from vortexmf import blowup, cli
 
-    pairs = []
+    pairs, calls = [], []
 
     def recorded(fn, a, b, breakpoints=None):
         value = radial_integral(fn, a, b, breakpoints)
-        g = lambda u: float(fn(np.array(math.expm1(u)))) * math.exp(u)
-        points = sorted(math.log1p(p) for p in breakpoints if a < p < b) if breakpoints else None
-        ref = quadpack(g, math.log1p(a), math.log1p(b), epsabs=0.0, epsrel=1e-10, limit=400, points=points)[0]
-        pairs.append((value, ref))
+        calls.append(np.size(value))
+        family = np.ndim(breakpoints) == 2
+        rows = breakpoints if family else [breakpoints]
+        for m, (row, v) in enumerate(zip(rows, np.atleast_1d(value))):
+            member = fn if not family else lambda r, m=m: fn(r, np.array(m))
+            g = lambda u: float(member(np.array(math.expm1(u)))) * math.exp(u)
+            points = sorted(math.log1p(p) for p in row if a < p < b) if row is not None and len(row) else None
+            ref = quadpack(g, math.log1p(a), math.log1p(b), epsabs=0.0, epsrel=1e-10, limit=400, points=points)[0]
+            pairs.append((v, ref))
         return value
 
     monkeypatch.setattr(blowup, "radial_integral", recorded)
     monkeypatch.setattr(cli, "radial_integral", recorded)
     assert all(check["passed"] for check in cli.verify_checks())
-    assert len(pairs) == 22
+    # four integrals alone, and the Newton potentials at 9 radii per density
+    assert calls == [1, 1, 1, 1, 9, 9] and len(pairs) == 22
     for value, ref in pairs:
         assert value == pytest.approx(ref, rel=1e-12)
 
@@ -442,3 +556,34 @@ def test_newton_potential_guards():
         newton_potential(lambda r: 0.0, -1.0)
     with pytest.raises(RuntimeError, match="tail"):
         newton_potential(lambda r: 1.0 / (1.0 + r), 10.0, rho_max=1e4)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_newton_potential_checks_every_radius(bad):
+    for x_abs in ([bad, 10.0], [10.0, bad], np.array([[10.0, 20.0], [30.0, bad]])):
+        with pytest.raises(ValueError, match="^x_abs must be positive and finite$"):
+            newton_potential(bubble_density, x_abs)
+
+
+def test_newton_potential_applies_the_tail_guard_per_radius():
+    # the probe |f(rho_max)| rho_max^2, about 2.0e-3, against 1e-3 (1 + |z(x)|):
+    # z(1e3) is about 5.4 and passes, z(3) about 0.14 and fails
+    density = lambda r: 2.0 / (1.0 + r) ** 3
+    far = newton_potential(density, 1e3, rho_max=1e3)
+    with pytest.raises(RuntimeError, match="tail"):
+        newton_potential(density, 3.0, rho_max=1e3)
+    assert newton_potential(density, [1e3, 1e3], rho_max=1e3).tolist() == [far, far]
+    with pytest.raises(RuntimeError, match="tail"):
+        newton_potential(density, [1e3, 3.0], rho_max=1e3)
+
+
+def test_newton_potential_keeps_the_shape_of_its_radii():
+    disk = lambda r: np.where(r <= 1.0, 2.0, 0.0)
+    radii = np.array([[0.5, 1.0, 2.0], [4.0, 8.0, 16.0]])
+    grid = newton_potential(disk, radii, breakpoints=[1.0])
+    assert grid.shape == (2, 3)
+    for x, z in zip(radii.flat, grid.flat):
+        alone = newton_potential(disk, float(x), breakpoints=[1.0])
+        assert type(alone) is float and alone.hex() == z.hex()
+    assert newton_potential(disk, np.array(2.0), breakpoints=[1.0]) == grid[0, 2]
+    assert newton_potential(disk, np.empty((0,))).shape == (0,)
