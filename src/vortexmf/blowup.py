@@ -1,16 +1,16 @@
 """Radial asymptotics of concentrating fields and their quadrature oracles.
 
 Everything here is radial: the model bubble solving -Lap(w) = lam e^w on
-the plane, peak-rescaled profiles read off torus minimizers, the
-logarithmic slope fit, the concentration mass, the Pohozaev balance, and
-the Newton potential growth.  Quadratures run through a log-stretched
-adaptive rule so integrands localized near the origin survive integration
-domains spanning many decades: QUADPACK's 21-point Gauss-Kronrod rule,
-here in numpy, which evaluates the integrand on arrays of nodes, for a
-family of integrals at once (the Newton potential at many radii), each
-member with the bits it gets alone.  Every radial callable handed to this
-module takes an array of radii and returns an array of the same shape, or
-a constant.
+the plane, peak-rescaled profiles read off the quarter-cell values of a
+torus minimizer's spike, the logarithmic slope fit, the concentration
+mass, the Pohozaev balance, and the Newton potential growth.  Quadratures
+run through a log-stretched adaptive rule so integrands localized near
+the origin survive integration domains spanning many decades: QUADPACK's
+21-point Gauss-Kronrod rule, here in numpy, which evaluates the integrand
+on arrays of nodes, for a family of integrals at once (the Newton
+potential at many radii), each member with the bits it gets alone.  Every
+radial callable handed to this module takes an array of radii and returns
+an array of the same shape, or a constant.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from vortexmf.functional import log_partition
 from vortexmf.measure import CirculationMeasure, tail_scan
-from vortexmf.minimize import MinimizeResult
 from vortexmf.torus import Field, SpectralTorus, radial_average, unfold
 
 QUAD_REL_TOL = 1e-10
@@ -320,26 +319,23 @@ def bubble_profile(mu: float, lam: float, radii, alpha: float = 1.0) -> BlowupPr
     return _fitted_profile(peak, rs, alpha * (liouville_bubble(mu, lam, rs) - peak), 4.0)
 
 
-def rescale_profile(
-    result: MinimizeResult,
-    T: SpectralTorus,
-    P: CirculationMeasure,
-    side: str = "positive",
-) -> BlowupProfile:
-    """Peak-rescaled radial profile of w_1 around the field maximum.
+def rescale_profile(T: SpectralTorus, P: CirculationMeasure, v: np.ndarray, side: str = "positive") -> BlowupProfile:
+    """Peak-rescaled radial profile of w_1 around the maximum of the field
+    with quarter-cell values v, a minimizer's ``result.v``.
 
-    dw is the radial average of w_1(x) - w_1(peak) = v(x) - v(peak) in
-    grid_n / 2 bins, and sigma comes from w_1 at the peak.  The profile of
-    w_alpha is alpha dw with the same sigma, so the circulation is no
-    parameter.  The spike carries the mass lambda |m_K| of the extremal
-    subset K of the tail scan on P's ``side``, so the reference slope is
-    gamma0 = 4 P(K) / |m_K|, which is 4 / m1 under residual vanishing.  A
-    negative spike is read as the peak of -v with ``side="negative"``: the
-    state (-v, alpha -> -alpha) has the same J, and its positive tail is
-    P's negative tail, in the same order.
+    The peak is the first grid maximum in row-major order, a result's
+    ``peak_point``.  dw is the radial average of w_1(x) - w_1(peak) =
+    v(x) - v(peak) in grid_n / 2 bins, and sigma comes from w_1 at the
+    peak.  The profile of w_alpha is alpha dw with the same sigma, so the
+    circulation is no parameter.  The spike carries the mass
+    lambda |m_K| of the extremal subset K of the tail scan on P's ``side``,
+    so the reference slope is gamma0 = 4 P(K) / |m_K|, which is 4 / m1
+    under residual vanishing.  A negative spike is read from -v with
+    ``side="negative"``: the state (-v, alpha -> -alpha) has the same J,
+    and its positive tail is P's negative tail, in the same order.
     """
-    vals = unfold(T, result.v)  # another grid's values raise ValueError
-    peak = result.peak_point
+    vals = unfold(T, v)  # another grid's values raise ValueError
+    peak = divmod(int(np.argmax(vals)), T.grid_n)
     subset = tail_scan(P, side)[1]
     if not subset:
         raise ValueError(f"measure carries no {side} circulation")

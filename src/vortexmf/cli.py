@@ -211,26 +211,26 @@ def write_stage(
     requested grid's; ``levels`` holds one entry per grid the stage solved,
     coarsest first (see :func:`vortexmf.minimize.minimize`).
 
-    The concentration point and the profile are read at the peak of v,
-    or, when only the negative spike reached the blow-up threshold or P has
-    no positive circulation, at the peak of -v with the reference slope of
-    P's negative side: (-v, alpha -> -alpha) has the same J, and its
-    positive side is P's negative one.
+    The concentration point and the profile are read from the spike's
+    quarter-cell values: v, or, when only the negative spike reached the
+    blow-up threshold or P has no positive circulation, -v with the
+    reference slope of P's negative side: (-v, alpha -> -alpha) has the same
+    J, and its positive side is P's negative one.
     """
     with open(os.path.join(cfg.out, f"trace_{k}.csv"), "w", encoding="utf-8") as fh:
         fh.write(f"# seed={cfg.seed}\n")
         fh.write("iter,J,residual_norm,step,max_v\n")
         for i, (j, res, step, max_v) in enumerate(result.trace):
             fh.write(f"{i},{j!r},{res!r},{step!r},{max_v!r}\n")
-    seen, side = result, "positive"
+    spike, side = result.v, "positive"
     threshold = blowup_threshold(T)
     negative_spike = result.peak_value < threshold <= -float(result.v.min())
     if negative_spike or moment(P, 1, "positive") == 0.0:
-        seen, side = dataclasses.replace(result, v=-result.v), "negative"
-    conc = detect_concentration(seen, T, threshold)
+        spike, side = -result.v, "negative"
+    conc = detect_concentration(T, spike, threshold)
     profile = None
     if want_profile or conc is not None:
-        fitted = rescale_profile(seen, T, P, side)
+        fitted = rescale_profile(T, P, spike, side)
         write_profile_csv(cfg, k, fitted)
         profile = {
             "sigma": fitted.sigma,

@@ -495,7 +495,8 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: np.ndarray | None
 
     Every iterate is kept at the quarter-cell nodes, with its mean subtracted
     after each step, and ``result.v`` is the last one; the grid holds only the
-    cold start's noise, a warm start's mean and the output side
+    cold start's noise, a warm start's mean and the output side, which takes
+    the spike's quarter-cell values, ``result.v`` or its negation
     (:func:`detect_concentration`, :func:`vortexmf.blowup.rescale_profile`).
     Each level ends on tolerance, a peak of |v| reaching
     :func:`blowup_threshold` (so a spike of either sign counts), the iteration
@@ -635,12 +636,9 @@ def continuation_sweep(problems: list[Problem], opts: MinimizeOptions) -> list[M
     return results
 
 
-def detect_concentration(
-    result: MinimizeResult,
-    T: SpectralTorus,
-    peak_threshold: float,
-) -> tuple[int, int] | None:
-    """Locate a single concentration point, if any.
+def detect_concentration(T: SpectralTorus, v: np.ndarray, peak_threshold: float) -> tuple[int, int] | None:
+    """Locate a single concentration point of the field with quarter-cell
+    values v, if any; a negative spike is read from -v.
 
     A point qualifies when the field peak exceeds ``peak_threshold`` and
     the unit-circulation density e^{w_1} puts more than half its mass in
@@ -648,9 +646,9 @@ def detect_concentration(
     the one holding more mass wins; remaining ties go to the first in
     lexicographic grid order.
     """
-    if result.peak_value < peak_threshold:
+    if v.max() < peak_threshold:
         return None
-    vals = unfold(T, result.v)
+    vals = unfold(T, v)
     lp = log_partition(T, Field(vals), 1.0)
     density = np.exp(vals - lp)
     candidates = np.argwhere(vals == vals.max())

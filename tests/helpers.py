@@ -15,7 +15,7 @@ import numpy as np
 from oracles import check_even
 from vortexmf.functional import J, Partitions, Problem, el_residual, energy_scale, hessian_product
 from vortexmf.measure import CirculationMeasure, new_atomic
-from vortexmf.minimize import MinimizeResult, _EnergyDelta
+from vortexmf.minimize import _EnergyDelta
 from vortexmf.torus import (
     Field,
     SpectralTorus,
@@ -64,12 +64,19 @@ def even_start(T: SpectralTorus, f: Field) -> np.ndarray:
     return quarter(T, project_even(T, f).values)
 
 
-def synthetic_result(T: SpectralTorus, values: np.ndarray, lam: float = 1.0) -> MinimizeResult:
-    """Wrap grid values, which must be even bit for bit, as a zero-mean,
-    blown-up minimizer result at their quarter-cell nodes."""
+def synthetic_v(T: SpectralTorus, values: np.ndarray) -> np.ndarray:
+    """The quarter-cell values of grid values, which must be even bit for
+    bit, with their mean subtracted: a spike as a minimizer's ``result.v``
+    holds it."""
     f = project_zero_mean(T, Field(np.asarray(values, dtype=float)))
     check_even(T, f)
-    return MinimizeResult(v=quarter(T, f.values), J_value=0.0, residual_norm=1.0, iterations=0, lam=lam, status="blown_up")
+    return quarter(T, f.values)
+
+
+def grid_peak(T: SpectralTorus, v: np.ndarray) -> tuple[int, int]:
+    """The first node, in row-major order, where the grid field with
+    quarter-cell values v is largest."""
+    return divmod(int(np.argmax(unfold(T, v))), T.grid_n)
 
 
 def gaussian_bump(T: SpectralTorus, center: tuple[int, int], height: float, width: float) -> np.ndarray:

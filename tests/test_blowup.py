@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gaussian_bump, random_measure, synthetic_result
+from helpers import gaussian_bump, random_measure, synthetic_v
 from vortexmf.blowup import (
     BlowupProfile,
     bubble_profile,
@@ -391,9 +391,9 @@ def test_rescale_profile_recovers_radial_law():
     T = SpectralTorus(1.0, 128)
     s = 1.0 / 32.0
     r = periodic_distance(T, (64, 64))
-    res = synthetic_result(T, -2.0 * np.log1p((r / s) ** 2))
+    v = synthetic_v(T, -2.0 * np.log1p((r / s) ** 2))
     P = new_atomic([(1.0, 1.0)])
-    prof = rescale_profile(res, T, P)
+    prof = rescale_profile(T, P, v)
     assert prof.sigma == pytest.approx(math.exp(-0.5 * prof.peak_value), rel=1e-12)
     assert prof.gamma0_reference == 4.0
     checked = 0
@@ -414,8 +414,8 @@ def test_rescale_profile_recovers_radial_law():
 )
 def test_rescale_profile_reference_from_extremal_subset(pairs, gamma0):
     T = SpectralTorus(1.0, 32)
-    res = synthetic_result(T, gaussian_bump(T, (16, 16), 10.0, 0.05))
-    assert rescale_profile(res, T, new_atomic(pairs)).gamma0_reference == gamma0
+    v = synthetic_v(T, gaussian_bump(T, (16, 16), 10.0, 0.05))
+    assert rescale_profile(T, new_atomic(pairs), v).gamma0_reference == gamma0
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -425,24 +425,24 @@ def test_the_negative_side_reads_the_mirror_image_reference_bit_for_bit(seed):
     # negative one in the same order, and fsum rounds correctly.  The
     # two-atom measure is the CLI's negative profile, gamma0 = 4 / 0.75
     T = SpectralTorus(1.0, 32)
-    res = synthetic_result(T, gaussian_bump(T, (16, 16), 10.0, 0.05))
+    v = synthetic_v(T, gaussian_bump(T, (16, 16), 10.0, 0.05))
     rng = np.random.default_rng(seed)
     P = new_atomic([(-1.0, 0.5), (-0.5, 0.5)]) if seed == 0 else random_measure(rng)
     mirrored = CirculationMeasure(tuple((-a, w) for a, w in reversed(P.atoms)))
     if all(a >= 0.0 for a, _ in P.atoms):
         with pytest.raises(ValueError, match="negative circulation"):
-            rescale_profile(res, T, P, "negative")
+            rescale_profile(T, P, v, "negative")
         return
-    got = rescale_profile(res, T, P, "negative").gamma0_reference
-    assert got.hex() == rescale_profile(res, T, mirrored).gamma0_reference.hex()
+    got = rescale_profile(T, P, v, "negative").gamma0_reference
+    assert got.hex() == rescale_profile(T, mirrored, v).gamma0_reference.hex()
     if seed == 0:
         assert got == 5.333333333333333
 
 
 def test_rescale_profile_flat_field():
     T = SpectralTorus(1.0, 64)
-    res = synthetic_result(T, np.zeros((64, 64)))
-    prof = rescale_profile(res, T, new_atomic([(1.0, 1.0)]))
+    v = synthetic_v(T, np.zeros((64, 64)))
+    prof = rescale_profile(T, new_atomic([(1.0, 1.0)]), v)
     assert prof.sigma == 1.0
     assert np.all(prof.dw == 0.0)
     assert math.isnan(prof.fitted_slope)
@@ -450,11 +450,11 @@ def test_rescale_profile_flat_field():
 
 def test_rescale_profile_validation():
     T = SpectralTorus(1.0, 64)
-    res = synthetic_result(T, np.zeros((64, 64)))
+    v = synthetic_v(T, np.zeros((64, 64)))
     with pytest.raises(ValueError, match="positive circulation"):
-        rescale_profile(res, T, new_atomic([(-1.0, 1.0)]))
+        rescale_profile(T, new_atomic([(-1.0, 1.0)]), v)
     with pytest.raises(ValueError, match="grid"):
-        rescale_profile(res, SpectralTorus(1.0, 32), new_atomic([(1.0, 1.0)]))
+        rescale_profile(SpectralTorus(1.0, 32), new_atomic([(1.0, 1.0)]), v)
 
 
 def test_side_length_only_rescales_the_answer():
@@ -469,7 +469,7 @@ def test_side_length_only_rescales_the_answer():
         T = SpectralTorus(side, 64)
         result = minimize(Problem(T, P, lam), MinimizeOptions(grad_tol=tol))
         assert result.status == "converged"
-        runs[side] = result, rescale_profile(result, T, P)
+        runs[side] = result, rescale_profile(T, P, result.v)
     (unit, unit_prof), (double, double_prof) = runs[1.0], runs[2.0]
     assert double.iterations == unit.iterations
     assert double.J_value - unit.J_value == pytest.approx(-2.0 * lam * math.log(2.0), rel=1e-12)

@@ -1,5 +1,6 @@
 """The library surface holds what the program runs: test oracles live in
-tests/, not in src/, and no table or helper outlives its last user."""
+tests/, not in src/, no table or helper outlives its last user, and the
+modules import each other in layers."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,16 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "vortexmf"
 
 # kept only because perfbench/spans.py wraps it as a layer boundary
 UNREFERENCED = {("functional", "w_alpha")}
+
+# the package modules each module may import; cli and __main__ may import any
+LAYERS = {
+    "__init__": set(),
+    "measure": set(),
+    "torus": set(),
+    "functional": {"measure", "torus"},
+    "minimize": {"functional", "measure", "torus"},
+    "blowup": {"functional", "measure", "torus"},
+}
 
 
 def _public_names(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
@@ -54,3 +65,31 @@ def test_every_public_name_of_the_package_is_referenced_in_src():
                 unreferenced.append(f"{module}.{name}")
     assert unreferenced == []
 
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports anywhere in it, by
+    ``from vortexmf.m import ...``, ``from vortexmf import m`` or
+    ``import vortexmf.m``."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "vortexmf":
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vortexmf."):
+            modules.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            modules |= {a.name.split(".")[1] for a in node.names if a.name.startswith("vortexmf.")}
+    return modules
+
+
+def test_the_modules_import_each_other_in_layers():
+    # the output side (detect_concentration, rescale_profile) reads values,
+    # so blowup needs no solver type
+    stems = sorted(path.stem for path in SRC.glob("*.py"))
+    assert set(stems) == set(LAYERS) | {"cli", "__main__"}
+    crossings = {}
+    for module in LAYERS:
+        imported = _package_imports(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")))
+        if not imported <= LAYERS[module]:
+            crossings[module] = sorted(imported - LAYERS[module])
+    assert crossings == {}

@@ -15,10 +15,11 @@ from helpers import (
     even_start,
     gaussian_bump,
     grid,
+    grid_peak,
     hessian_field,
     residual,
     subtracted_energy_delta,
-    synthetic_result,
+    synthetic_v,
 )
 from oracles import (
     J_per_atom,
@@ -1388,17 +1389,17 @@ def test_center_bump_shape():
 
 def test_detect_concentration_flat_field_is_none():
     T = SpectralTorus(1.0, 64)
-    res = synthetic_result(T, np.zeros((64, 64)))
-    assert detect_concentration(res, T, 25.0) is None
+    v = synthetic_v(T, np.zeros((64, 64)))
+    assert detect_concentration(T, v, 25.0) is None
 
 
 def test_detect_concentration_single_peak():
     T = SpectralTorus(1.0, 64)
-    res = synthetic_result(T, gaussian_bump(T, (32, 32), 30.0, 0.05))
-    assert detect_concentration(res, T, 25.0) == (32, 32)
+    v = synthetic_v(T, gaussian_bump(T, (32, 32), 30.0, 0.05))
+    assert detect_concentration(T, v, 25.0) == (32, 32)
     # the quarter-cell values of 64^2 do not stand for a field on 32^2
     with pytest.raises(ValueError, match="grid"):
-        detect_concentration(res, SpectralTorus(1.0, 32), 25.0)
+        detect_concentration(SpectralTorus(1.0, 32), v, 25.0)
 
 
 def test_detect_concentration_prefers_heavier_peak():
@@ -1408,17 +1409,17 @@ def test_detect_concentration_prefers_heavier_peak():
     T = SpectralTorus(1.0, 64)
     narrow = gaussian_bump(T, (0, 0), 30.0, 0.01)
     wide = gaussian_bump(T, (32, 32), 30.0, 0.04)
-    res = synthetic_result(T, narrow + wide)
-    assert res.peak_point == (0, 0)
-    assert detect_concentration(res, T, 25.0) == (32, 32)
+    v = synthetic_v(T, narrow + wide)
+    assert grid_peak(T, v) == (0, 0)
+    assert detect_concentration(T, v, 25.0) == (32, 32)
 
 
 def test_detect_concentration_split_mass_is_none():
     # two identical bumps split the mass evenly; no majority point exists
     T = SpectralTorus(1.0, 64)
     twin = gaussian_bump(T, (0, 0), 30.0, 0.04) + gaussian_bump(T, (32, 32), 30.0, 0.04)
-    res = synthetic_result(T, twin)
-    assert detect_concentration(res, T, 25.0) is None
+    v = synthetic_v(T, twin)
+    assert detect_concentration(T, v, 25.0) is None
 
 
 def test_a_spike_off_the_axes_is_four_spikes_and_does_not_concentrate():
@@ -1426,30 +1427,29 @@ def test_a_spike_off_the_axes_is_four_spikes_and_does_not_concentrate():
     # the grid, at (8, 20) and its mirror images; the first is the peak
     # point, and each holds a quarter of the mass
     T = SpectralTorus(1.0, 64)
-    res = synthetic_result(T, even(T, Field(gaussian_bump(T, (8, 20), 120.0, 0.01))).values)
-    vals = grid(T, res.v).values
+    v = synthetic_v(T, even(T, Field(gaussian_bump(T, (8, 20), 120.0, 0.01))).values)
+    vals = grid(T, v).values
     assert [tuple(c) for c in np.argwhere(vals == vals.max())] == [(8, 20), (8, 44), (56, 20), (56, 44)]
-    assert res.peak_point == (8, 20) and res.peak_value >= 25.0
-    assert detect_concentration(res, T, 25.0) is None
+    assert grid_peak(T, v) == (8, 20) and v.max() >= 25.0
+    assert detect_concentration(T, v, 25.0) is None
 
 
 def test_the_negative_spike_is_read_at_the_peak_of_minus_v():
-    # as write_stage reads it: the state -v, and the reference slope of P's
+    # as write_stage reads it: the values -v, and the reference slope of P's
     # negative side, which is that of the mirror image's positive side
     T = SpectralTorus(1.0, 64)
-    res = synthetic_result(T, -gaussian_bump(T, (32, 0), 30.0, 0.05))
-    assert detect_concentration(res, T, 25.0) is None
+    v = synthetic_v(T, -gaussian_bump(T, (32, 0), 30.0, 0.05))
+    assert detect_concentration(T, v, 25.0) is None
     P = new_atomic([(-1.0, 0.25), (0.5, 0.75)])
-    seen = replace(res, v=-res.v)
-    assert np.array_equal(grid(T, seen.v).values, -grid(T, res.v).values)
-    assert seen.peak_point == (32, 0)
-    assert (seen.J_value, seen.lam) == (res.J_value, res.lam)
-    assert detect_concentration(seen, T, 25.0) == (32, 0)
-    profile = rescale_profile(seen, T, P, "negative")
+    spike = -v
+    assert np.array_equal(grid(T, spike).values, -grid(T, v).values)
+    assert grid_peak(T, spike) == (32, 0)
+    assert detect_concentration(T, spike, 25.0) == (32, 0)
+    profile = rescale_profile(T, P, spike, "negative")
     assert profile.gamma0_reference == 4.0  # K = {-1}: 4 P(K) / |m_K|
     mirrored_P = CirculationMeasure(tuple((-a, w) for a, w in reversed(P.atoms)))
     assert mirrored_P.atoms == ((-0.5, 0.75), (1.0, 0.25))
-    mirrored = rescale_profile(seen, T, mirrored_P)
+    mirrored = rescale_profile(T, mirrored_P, spike)
     assert (profile.peak_value, profile.gamma0_reference) == (mirrored.peak_value, mirrored.gamma0_reference)
     assert np.array_equal(profile.dw, mirrored.dw)
     # the mirror image (-v, alpha -> -alpha) of a state has the same energy
