@@ -8,21 +8,24 @@ run through a log-stretched adaptive rule so integrands localized near
 the origin survive integration domains spanning many decades: QUADPACK's
 21-point Gauss-Kronrod rule, here in numpy, which evaluates the integrand
 on arrays of nodes, for a family of integrals at once (the Newton
-potential at many radii), each member with the bits it gets alone.  Every
-radial callable handed to this module takes an array of radii and returns
-an array of the same shape, or a constant.
+potential at many radii), each member with the bits it gets alone.  The
+members may differ in integrand and limits: :func:`gather` runs the
+integrals of several checks as one family.  Every radial callable handed
+to this module takes an array of radii and returns an array of the same
+shape, or a constant.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from vortexmf.functional import log_partition
+from vortexmf.functional import spike_grid
 from vortexmf.measure import CirculationMeasure, tail_scan
-from vortexmf.torus import Field, SpectralTorus, radial_average, unfold
+from vortexmf.torus import Field, SpectralTorus, radial_average
 
 QUAD_REL_TOL = 1e-10
 MIN_FIT_SAMPLES = 8
@@ -75,31 +78,24 @@ def _kronrod(f, lo: list[float], hi: list[float], member: np.ndarray) -> tuple[l
     the (intervals x 1) ``member`` each interval belongs to.  An interval
     gets the same bits in a call of any size: the estimates are row-wise
     sums, where a matrix-vector product's bits depend on the row count."""
-    centre, half = np.array([[0.5 * (a + b), 0.5 * (b - a)] for a, b in zip(lo, hi)]).T
+    centre, half = 0.5 * (np.array(lo) + hi), 0.5 * (np.array(hi) - lo)
     fx = f(centre[:, None] + half[:, None] * _NODES, member)
     pairs = fx[:, 1:11] + fx[:, 11:]
-    # the Kronrod sum term by term in qk21's order, so that an interval
-    # gets QUADPACK's bits wherever its node values do
-    resk = []
-    for k, row in zip(fx[:, 0].tolist(), pairs.tolist()):
-        k *= _KRONROD[0]
-        for w, p in zip(_KRONROD[1:], row):
-            k += w * p
-        resk.append(k)
+    # the Kronrod sum term by term in qk21's order (accumulate adds in turn),
+    # so that an interval gets QUADPACK's bits wherever its node values do
+    terms = pairs * _KRONROD_NODES[1:11]
+    terms[:, 0] += fx[:, 0] * _KRONROD[0]
+    resk = np.add.accumulate(terms, axis=1)[:, -1]
     resg = (pairs * _GAUSS).sum(axis=1)
-    resabs = (np.abs(fx) * _KRONROD_NODES).sum(axis=1)
-    resasc = (np.abs(fx - 0.5 * np.array(resk)[:, None]) * _KRONROD_NODES).sum(axis=1)
-    values, errors = [], []
-    for k, g, s, asc, h in zip(resk, resg.tolist(), resabs.tolist(), resasc.tolist(), half.tolist()):
-        err = abs((k - g) * h)
-        s, asc = s * abs(h), asc * abs(h)
-        if asc != 0.0 and err != 0.0:
-            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
-        if s > _RESABS_FLOOR:
-            err = max(_EPS50 * s, err)
-        values.append(k * h)
-        errors.append(err)
-    return values, errors
+    resabs = (np.abs(fx) * _KRONROD_NODES).sum(axis=1) * np.abs(half)
+    resasc = (np.abs(fx - 0.5 * resk[:, None]) * _KRONROD_NODES).sum(axis=1) * np.abs(half)
+    err = np.abs((resk - resg) * half)
+    # ** 1.5 on Python floats: numpy's power differs from it in the last bit;
+    # fmin and fmax pass over a nan as Python's min and max do here
+    power = [(200.0 * e / asc) ** 1.5 if asc else 0.0 for e, asc in zip(err.tolist(), resasc.tolist())]
+    err = np.where((resasc != 0.0) & (err != 0.0), resasc * np.fmin(1.0, power), err)
+    err = np.where(resabs > _RESABS_FLOOR, np.fmax(_EPS50 * resabs, err), err)
+    return (resk * half).tolist(), err.tolist()
 
 
 def quad(f, edges, epsrel: float, limit: int):
@@ -107,14 +103,16 @@ def quad(f, edges, epsrel: float, limit: int):
 
     QUADPACK's 21-point rule and its error estimate (qk21, Piessens et al.
     1983).  Member m integrates over [edges[m][0], edges[m][-1]], its first
-    intervals ending at the sorted edges between.  f takes an (intervals x
-    21) array of nodes and the (intervals x 1) array of each row's member,
-    and returns an array of the nodes' shape.  Each round calls f once, on
-    the nodes of every interval made in the round before by a member still
-    open.  A member bisects every interval whose error estimate exceeds
-    tol / (number of its intervals), tol = epsrel |value|, until its
-    estimates, summed with math.fsum as its values are, reach at most tol.
-    A member's value, estimate and evaluations are the bits it gets alone.
+    intervals ending at the sorted edges between, so members may differ in
+    limits, and f may integrate each member's own function.  f takes an
+    (intervals x 21) array of nodes and the (intervals x 1) array of each
+    row's member, rows in member order, and returns an array of the nodes'
+    shape.  Each round calls f once, on the nodes of every interval made in
+    the round before by a member still open.  A member bisects every
+    interval whose error estimate exceeds tol / (number of its intervals),
+    tol = epsrel |value|, until its estimates, summed with math.fsum as its
+    values are, reach at most tol.  A member's value, estimate and
+    evaluations are the bits it gets alone.
 
     Returns ([value], [abserr], {"neval": integrand evaluations}), a value
     and an abserr per member.  Raises RuntimeError when a member would need
@@ -138,8 +136,7 @@ def quad(f, edges, epsrel: float, limit: int):
             kept[m].append(iv)
         for m in sorted(set(owner)):
             intervals = kept[m]
-            value = math.fsum(iv[2] for iv in intervals)
-            abserr = math.fsum(iv[3] for iv in intervals)
+            value, abserr = map(math.fsum, list(zip(*intervals))[2:])
             tol = epsrel * abs(value)
             if abserr <= tol:
                 values[m], abserrs[m] = value, abserr
@@ -162,7 +159,14 @@ def _finite(what: str, r, values):
     return values
 
 
-def radial_integral(fn, a: float, b: float, breakpoints=None):
+def _requested(a, b, breakpoints) -> tuple[bool, list]:
+    """Whether a request of :func:`radial_integral` is a family, and each member's (a, b, breakpoints)."""
+    family = np.ndim(breakpoints) == 2
+    rows = breakpoints if family else [() if breakpoints is None else breakpoints]
+    return family, list(zip(*(list(x) if np.ndim(x) else [x] * len(rows) for x in (a, b)), rows))
+
+
+def radial_integral(fn, a, b, breakpoints=None):
     """Adaptive integral of fn over [a, b] after substituting u = log1p(r),
     to relative tolerance ``QUAD_REL_TOL``.
 
@@ -173,24 +177,72 @@ def radial_integral(fn, a: float, b: float, breakpoints=None):
     jumps.  A 2-D ``breakpoints``, a row per member, makes a family of
     integrals in one quadrature: fn then takes the radii and the (intervals
     x 1) array of each row's member, and returns an array of the radii's
-    shape; the values come back as an array, each the float its member gets
-    alone.  A value of fn that is not finite raises OverflowError.
+    shape; a and b may give a limit per member; the values come back as an
+    array, each the float its member gets alone.  A value of fn that is not
+    finite raises OverflowError.
     """
-    if not 0.0 <= a < b:
+    family, members = _requested(a, b, breakpoints)
+    if not all(0.0 <= lo < hi for lo, hi, _ in members):
         raise ValueError("need 0 <= a < b")
-    family = np.ndim(breakpoints) == 2
 
     def g(u: np.ndarray, member: np.ndarray) -> np.ndarray:
         r = np.expm1(u)
         return _finite("integrand", r, (fn(r, member) if family else fn(r)) * (1.0 + r))
 
-    rows = breakpoints if family else [() if breakpoints is None else breakpoints]
-    lo, hi = math.log1p(a), math.log1p(b)
-    edges = [[lo, *sorted(math.log1p(p) for p in row if a < p < b), hi] for row in rows]
+    log = math.log1p
+    edges = [[log(lo), *sorted(log(p) for p in row if lo < p < hi), log(hi)] for lo, hi, row in members]
     # a non-finite value is reported by g, not warned about
     with np.errstate(all="ignore"):
         values = quad(g, edges, QUAD_REL_TOL, 400)[0]
     return np.array(values) if family else values[0]
+
+
+def gather(jobs: list) -> list:
+    """What each job returns, from one :func:`radial_integral` of their
+    requests, whose members keep the bits they get alone.  A job, such as a
+    ``job`` of :func:`mass_gamma`, is a generator that yields one request
+    (fn, a, b, breakpoints) and is sent its value.  When the quadrature
+    fails, the error of the first request that fails alone is thrown into
+    its job."""
+    requests = [next(job) for job in jobs]
+    shapes = [_requested(a, b, breakpoints) for _, a, b, breakpoints in requests]
+    members = [member for _, own in shapes for member in own]
+    bounds = np.cumsum([0] + [len(own) for _, own in shapes]).tolist()
+    # rows of one length, padded with the member's upper limit, where an edge is anyway
+    width = max((len(row) for *_, row in members), default=0)
+    rows = np.array([[*row, *[hi] * (width - len(row))] for _, hi, row in members]).reshape(len(members), width)
+
+    def fn(r: np.ndarray, member: np.ndarray) -> np.ndarray:
+        out = np.empty_like(r)
+        cuts = np.searchsorted(member[:, 0], bounds).tolist()  # quad orders rows by member
+        for (f, *_), (family, _), start, i, j in zip(requests, shapes, bounds, cuts, cuts[1:]):
+            if i < j:
+                out[i:j] = f(r[i:j], member[i:j] - start) if family else f(r[i:j])
+        return out
+
+    try:
+        values = radial_integral(fn, [m[0] for m in members], [m[1] for m in members], rows)
+    except (OverflowError, RuntimeError):
+        for job, request in zip(jobs, requests):
+            try:
+                radial_integral(*request)
+            except (OverflowError, RuntimeError) as exc:
+                job.throw(exc)
+        raise
+    results = []
+    for job, (family, _), start, stop in zip(jobs, shapes, bounds, bounds[1:]):
+        try:
+            job.send(values[start:stop] if family else float(values[start]))
+        except StopIteration as done:
+            results.append(done.value)
+    return results
+
+
+def _one_request(job):
+    """The function that runs ``job`` alone (see :func:`gather`), with ``job`` as its attribute of that name."""
+    alone = functools.wraps(job)(lambda *args, **kwargs: gather([job(*args, **kwargs)])[0])
+    alone.job = job
+    return alone
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -319,7 +371,9 @@ def bubble_profile(mu: float, lam: float, radii, alpha: float = 1.0) -> BlowupPr
     return _fitted_profile(peak, rs, alpha * (liouville_bubble(mu, lam, rs) - peak), 4.0)
 
 
-def rescale_profile(T: SpectralTorus, P: CirculationMeasure, v: np.ndarray, side: str = "positive") -> BlowupProfile:
+def rescale_profile(
+    T: SpectralTorus, P: CirculationMeasure, v: np.ndarray, side: str = "positive", grid=None
+) -> BlowupProfile:
     """Peak-rescaled radial profile of w_1 around the maximum of the field
     with quarter-cell values v, a minimizer's ``result.v``.
 
@@ -333,21 +387,23 @@ def rescale_profile(T: SpectralTorus, P: CirculationMeasure, v: np.ndarray, side
     under residual vanishing.  A negative spike is read from -v with
     ``side="negative"``: the state (-v, alpha -> -alpha) has the same J,
     and its positive tail is P's negative tail, in the same order.
+    ``grid`` is ``spike_grid(T, v)`` where the caller holds it.
     """
-    vals = unfold(T, v)  # another grid's values raise ValueError
+    vals, lp = grid or spike_grid(T, v)
     peak = divmod(int(np.argmax(vals)), T.grid_n)
     subset = tail_scan(P, side)[1]
     if not subset:
         raise ValueError(f"measure carries no {side} circulation")
     mass = math.fsum(P.atoms[i][1] for i in subset)
     m_k = abs(math.fsum(P.atoms[i][0] * P.atoms[i][1] for i in subset))
-    w1_peak = float(vals[peak]) - log_partition(T, Field(vals), 1.0)
+    w1_peak = float(vals[peak]) - lp
     bins = radial_average(T, Field(vals - vals[peak]), peak, T.grid_n // 2)
     r = np.array([b[0] for b in bins])
     mean_dw = np.array([b[1] for b in bins])
     return _fitted_profile(w1_peak, r, mean_dw, 4.0 * mass / m_k, T.side_length)
 
 
+@_one_request
 def mass_gamma(f_radial, r_max: float, breakpoints=None) -> float:
     """Concentration mass (1/2pi) integral of a radial plane density.
 
@@ -358,7 +414,7 @@ def mass_gamma(f_radial, r_max: float, breakpoints=None) -> float:
     returns an array of the same shape, or a constant.
     """
     _check_positive("r_max", r_max)
-    main = radial_integral(lambda r: f_radial(r) * r, 0.0, r_max, breakpoints)
+    main = yield (lambda r: f_radial(r) * r), 0.0, r_max, breakpoints
     probes = np.geomspace(r_max / 10.0, r_max, 16)
     f_vals = np.broadcast_to(np.asarray(f_radial(probes), dtype=float), probes.shape)
     if np.any(f_vals < 0.0):
@@ -385,6 +441,7 @@ class PohozaevReport:
     relative_residual: float
 
 
+@_one_request
 def pohozaev_residual(u_radial, a_radial, big_f, radius: float) -> PohozaevReport:
     """Radial Pohozaev balance on the disk of the given radius.
 
@@ -416,11 +473,12 @@ def pohozaev_residual(u_radial, a_radial, big_f, radius: float) -> PohozaevRepor
     with np.errstate(all="ignore"):
         boundary = 2.0 * math.pi * radius * radius * a_radial(radius) * big_f(u_radial(radius))
     boundary = float(_finite("boundary term", radius, boundary))
-    rhs = boundary - 2.0 * math.pi * radial_integral(volume_term, 0.0, radius)
+    rhs = boundary - 2.0 * math.pi * (yield volume_term, 0.0, radius, None)
     gap = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
     return PohozaevReport(lhs=lhs, rhs=rhs, relative_residual=gap)
 
 
+@_one_request
 def newton_potential(f_radial, x_abs, rho_max: float = 1e6, breakpoints=None):
     """Logarithmic potential z(x) = (1/2pi) int f(y) log(|x-y|/(1+|y|)) dy.
 
@@ -444,7 +502,7 @@ def newton_potential(f_radial, x_abs, rho_max: float = 1e6, breakpoints=None):
         return f_radial(rho) * rho * angular
 
     extra = [] if breakpoints is None else list(breakpoints)
-    vals = radial_integral(integrand, 0.0, rho_max, np.column_stack([flat, np.tile(extra, (flat.size, 1))]))
+    vals = yield integrand, 0.0, rho_max, np.column_stack([flat, np.tile(extra, (flat.size, 1))])
     probe = abs(float(f_radial(rho_max))) * rho_max * rho_max
     if np.any(probe > TAIL_SAFETY * (1.0 + np.abs(vals))):
         raise RuntimeError("density tail too heavy at rho_max; potential tail not negligible")

@@ -31,13 +31,14 @@ from vortexmf.blowup import (
     BlowupProfile,
     bubble_profile,
     fit_li_slope,
+    gather,
     liouville_bubble,
     mass_gamma,
     newton_potential,
     pohozaev_residual,
-    radial_integral,
     rescale_profile,
 )
+from vortexmf.functional import spike_grid
 from vortexmf.measure import (
     EIGHT_PI,
     CirculationMeasure,
@@ -227,10 +228,11 @@ def write_stage(
     negative_spike = result.peak_value < threshold <= -float(result.v.min())
     if negative_spike or moment(P, 1, "positive") == 0.0:
         spike, side = -result.v, "negative"
-    conc = detect_concentration(T, spike, threshold)
+    grid = spike_grid(T, spike) if want_profile or spike.max() >= threshold else None
+    conc = detect_concentration(T, spike, threshold, grid)
     profile = None
     if want_profile or conc is not None:
-        fitted = rescale_profile(T, P, spike, side)
+        fitted = rescale_profile(T, P, spike, side, grid)
         write_profile_csv(cfg, k, fitted)
         profile = {
             "sigma": fitted.sigma,
@@ -390,7 +392,8 @@ def cmd_scan(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions, P
 
 def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
     """The oracle suite: bubble mass and PDE, concentration mass, slope
-    fits, Pohozaev balance, Newton potential growth.
+    fits, Pohozaev balance, Newton potential growth.  Its integrals run in
+    one quadrature (:func:`vortexmf.blowup.gather`).
 
     ``debug_bubble_scale`` shifts the bubble fed to the Pohozaev check by
     2 log(scale); any value other than 1 breaks the equation it is
@@ -399,26 +402,39 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
     lam, mu = 8.0, 1.0
     # every radial callable takes an array of radii (see vortexmf.blowup)
     density = lambda r: lam * np.exp(liouville_bubble(mu, lam, r))
-    checks: list[dict] = []
+    shift = 2.0 * math.log(debug_bubble_scale)
+    u = lambda r: liouville_bubble(mu, lam, r) + shift
+    source = lambda t: lam * np.exp(t)
+    fit_rs = np.geomspace(1e2, 1e4, 9)
+    disk = lambda r: np.where(r <= 1.0, 2.0, 0.0)
 
-    def add(name: str, compute: Callable[[], float], target: float, tol: float) -> float:
+    def bubble_mass():
+        return 2.0 * math.pi * (yield (lambda r: density(r) * r), 0.0, 1e6, None)
+
+    def check(name: str, job):
         try:
-            value = float(compute())
+            return (yield from job)
         except (OverflowError, RuntimeError) as exc:
             raise type(exc)(f"{name}: {exc}") from exc
-        target = float(target)
-        checks.append(
-            {
-                "name": name,
-                "value": value,
-                "target": target,
-                "tolerance": tol,
-                "passed": bool(abs(value - target) <= tol),
-            }
-        )
+
+    mass, gamma, pohozaev_bubble, pohozaev_constant, z_bubble, z_disk = gather(
+        [
+            check("bubble_mass", bubble_mass()),
+            check("mass_gamma", mass_gamma.job(density, 1e4)),
+            check("pohozaev_bubble", pohozaev_residual.job(u, lambda r: 1.0, source, 10.0)),
+            check("pohozaev_constant", pohozaev_residual.job(lambda r: 0.7, lambda r: 1.0, source, 10.0)),
+            check("newton_slope_bubble", newton_potential.job(density, fit_rs)),
+            check("newton_slope_disk", newton_potential.job(disk, fit_rs, breakpoints=[1.0])),
+        ]
+    )
+    checks: list[dict] = []
+
+    def add(name: str, value: float, target: float, tol: float) -> float:
+        value = float(value)
+        passed = bool(abs(value - target) <= tol)
+        checks.append({"name": name, "value": value, "target": target, "tolerance": tol, "passed": passed})
         return value
 
-    mass = lambda: 2.0 * math.pi * radial_integral(lambda r: density(r) * r, 0.0, 1e6)
     add("bubble_mass", mass, EIGHT_PI, 1e-6 * EIGHT_PI)
 
     def pde_residual(r: np.ndarray) -> np.ndarray:
@@ -428,33 +444,26 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
         d2 = (w(r + h) - 2.0 * w(r) + w(r - h)) / (h * h)
         return np.abs(d2 + d1 / r + density(r))
 
-    worst = lambda: pde_residual(np.geomspace(0.1, 100.0, 61)).max()
-    add("bubble_pde_residual", worst, 0.0, 1e-6)
+    add("bubble_pde_residual", pde_residual(np.geomspace(0.1, 100.0, 61)).max(), 0.0, 1e-6)
 
-    gamma = add("mass_gamma", lambda: mass_gamma(density, 1e4), 4.0, 1e-6)
-    add("pi_gamma_sq_vs_2lambda_bar", lambda: math.pi * gamma * gamma, 2.0 * EIGHT_PI, 1e-4)
+    gamma = add("mass_gamma", gamma, 4.0, 1e-6)
+    add("pi_gamma_sq_vs_2lambda_bar", math.pi * gamma * gamma, 2.0 * EIGHT_PI, 1e-4)
 
     radii = np.geomspace(1e-2, 3e4, 600)
     slope = lambda alpha: fit_li_slope(bubble_profile(mu, lam, radii, alpha=alpha), (1e2, 1e4))
-    add("li_slope_alpha_1", lambda: slope(1.0), 4.0, 0.02 * 4.0)
-    add("li_slope_alpha_half", lambda: slope(0.5), 2.0, 0.02 * 2.0)
+    add("li_slope_alpha_1", slope(1.0), 4.0, 0.02 * 4.0)
+    add("li_slope_alpha_half", slope(0.5), 2.0, 0.02 * 2.0)
 
-    shift = 2.0 * math.log(debug_bubble_scale)
-    u = lambda r: liouville_bubble(mu, lam, r) + shift
-    source = lambda t: lam * np.exp(t)
-    balance = lambda f: pohozaev_residual(f, lambda r: 1.0, source, 10.0).relative_residual
-    add("pohozaev_bubble", lambda: balance(u), 0.0, 1e-3)
+    add("pohozaev_bubble", pohozaev_bubble.relative_residual, 0.0, 1e-3)
     # the gap of a constant is the rounding left when two terms equal to the
     # boundary term 2 pi R^2 lam e^0.7, about 1.0e4, cancel: bound it by a
     # few of their ulps, not by a fixed 1e-12, which lies below one ulp
     boundary_term = 2.0 * math.pi * 10.0**2 * lam * math.exp(0.7)
-    add("pohozaev_constant", lambda: balance(lambda r: 0.7), 0.0, 4.0 * math.ulp(boundary_term))
+    add("pohozaev_constant", pohozaev_constant.relative_residual, 0.0, 4.0 * math.ulp(boundary_term))
 
-    fit_rs = np.geomspace(1e2, 1e4, 9)
-    growth = lambda f, **kw: np.polyfit(np.log(fit_rs), newton_potential(f, fit_rs, **kw), 1)[0]
-    add("newton_slope_bubble", lambda: growth(density), 4.0, 0.01 * 4.0)
-    disk = lambda r: np.where(r <= 1.0, 2.0, 0.0)
-    add("newton_slope_disk", lambda: growth(disk, breakpoints=[1.0]), 1.0, 0.01 * 1.0)
+    growth = lambda z: np.polyfit(np.log(fit_rs), z, 1)[0]
+    add("newton_slope_bubble", growth(z_bubble), 4.0, 0.01 * 4.0)
+    add("newton_slope_disk", growth(z_disk), 1.0, 0.01 * 1.0)
     return checks
 
 

@@ -52,6 +52,7 @@ from vortexmf.torus import (
     integrate,
     inverse_cosine_transform,
     laplacian,
+    unfold,
 )
 
 # bound on a shift m = max(alpha v): the shifted exponents are <= 0 by
@@ -424,6 +425,13 @@ def log_partition(T: SpectralTorus, v: Field, alpha: float) -> float:
     av -= m
     np.exp(av, out=av)
     return m + math.log(T.cell_area * float(av.sum()))
+
+
+def spike_grid(T: SpectralTorus, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """The grid values of the even field with quarter-cell values v, and
+    log int_Omega e^v: what the output side reads of a spike."""
+    vals = unfold(T, v)  # another grid's values raise ValueError
+    return vals, log_partition(T, Field(vals), 1.0)
 
 
 def w_alpha(prob: Problem, v: Field, alpha: float) -> Field:

@@ -79,7 +79,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from vortexmf.functional import J, Partitions, Problem, el_residual, energy_scale, hessian_product, log_partition
+from vortexmf.functional import J, Partitions, Problem, el_residual, energy_scale, hessian_product, spike_grid
 from vortexmf.measure import CirculationMeasure
 from vortexmf.torus import (
     Field,
@@ -636,9 +636,10 @@ def continuation_sweep(problems: list[Problem], opts: MinimizeOptions) -> list[M
     return results
 
 
-def detect_concentration(T: SpectralTorus, v: np.ndarray, peak_threshold: float) -> tuple[int, int] | None:
+def detect_concentration(T: SpectralTorus, v: np.ndarray, peak_threshold: float, grid=None) -> tuple[int, int] | None:
     """Locate a single concentration point of the field with quarter-cell
-    values v, if any; a negative spike is read from -v.
+    values v, if any; a negative spike is read from -v.  ``grid`` is
+    ``spike_grid(T, v)`` where the caller holds it.
 
     A point qualifies when the field peak exceeds ``peak_threshold`` and
     the unit-circulation density e^{w_1} puts more than half its mass in
@@ -648,8 +649,7 @@ def detect_concentration(T: SpectralTorus, v: np.ndarray, peak_threshold: float)
     """
     if v.max() < peak_threshold:
         return None
-    vals = unfold(T, v)
-    lp = log_partition(T, Field(vals), 1.0)
+    vals, lp = grid or spike_grid(T, v)
     density = np.exp(vals - lp)
     candidates = np.argwhere(vals == vals.max())
     best: tuple[int, int] | None = None

@@ -6,8 +6,9 @@ translation of a field by a sub-cell shift, a check that a grid field
 is even bit for bit, a warm start taken on the grid, the walk for a side's Chebyshev node count from
 c/2 up, and the forms the solver's per-iterate kernels had before they
 were made leaner: the inverse cosine transform as a quotient by n^2, the
-per-row expm1 dots, the per-side row-atom maps and the loop that adds the
-energy difference's terms.
+per-row expm1 dots, the per-side row-atom maps, the loop that adds the
+energy difference's terms, and the 21-point Kronrod rule and its error
+estimate one interval at a time in Python floats.
 
 The library computes on the cosine modes of even fields at their
 quarter-cell nodes; these recompute its quantities, or derivatives of
@@ -392,3 +393,34 @@ def added_in_a_loop(terms: np.ndarray) -> float:
     for term in terms.tolist():
         total += term
     return total
+
+
+def kronrod_per_interval(f, lo: list[float], hi: list[float], member: np.ndarray) -> tuple[list[float], list[float]]:
+    """QUADPACK's qk21 value and error estimate of each interval, its
+    Kronrod sum and estimate in Python floats, term by term in qk21's order,
+    from one call of f on the (intervals x 21) nodes (``blowup._NODES``)."""
+    from vortexmf.blowup import _EPS50, _GAUSS, _KRONROD, _KRONROD_NODES, _NODES, _RESABS_FLOOR
+
+    centre, half = np.array([[0.5 * (a + b), 0.5 * (b - a)] for a, b in zip(lo, hi)]).T
+    fx = f(centre[:, None] + half[:, None] * _NODES, member)
+    pairs = fx[:, 1:11] + fx[:, 11:]
+    resk = []
+    for k, row in zip(fx[:, 0].tolist(), pairs.tolist()):
+        k *= _KRONROD[0]
+        for w, p in zip(_KRONROD[1:], row):
+            k += w * p
+        resk.append(k)
+    resg = (pairs * _GAUSS).sum(axis=1)
+    resabs = (np.abs(fx) * _KRONROD_NODES).sum(axis=1)
+    resasc = (np.abs(fx - 0.5 * np.array(resk)[:, None]) * _KRONROD_NODES).sum(axis=1)
+    values, errors = [], []
+    for k, g, s, asc, h in zip(resk, resg.tolist(), resabs.tolist(), resasc.tolist(), half.tolist()):
+        err = abs((k - g) * h)
+        s, asc = s * abs(h), asc * abs(h)
+        if asc != 0.0 and err != 0.0:
+            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
+        if s > _RESABS_FLOOR:
+            err = max(_EPS50 * s, err)
+        values.append(k * h)
+        errors.append(err)
+    return values, errors

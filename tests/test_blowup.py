@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from helpers import gaussian_bump, random_measure, synthetic_v
 from vortexmf.blowup import (
     BlowupProfile,
@@ -12,6 +13,7 @@ from vortexmf.blowup import (
     default_fit_window,
     fit_li_line,
     fit_li_slope,
+    gather,
     liouville_bubble,
     mass_gamma,
     newton_potential,
@@ -144,6 +146,68 @@ def test_members_that_need_different_rounds_keep_their_own_bits(monkeypatch):
     assert len({rounds for *_, rounds in family}) >= 3
 
 
+def test_verify_is_one_family_whose_members_keep_the_bits_they_get_alone(monkeypatch):
+    # verify's 22 integrals, over [0, 1e6], [0, 1e4] and [0, 10] with five
+    # integrands, in one quadrature; each again alone through its helper
+    from vortexmf import cli
+
+    calls = _recording_quad(monkeypatch)
+    cli.verify_checks()
+    assert len(calls) == 1 and calls[0][2] == 22
+    (_, _, info), rounds, _ = calls[0]
+    assert [r.size for r in rounds] == [49, 24, 22, 22, 8] and info["neval"] == 2625 == 21 * 125
+    fit_rs = np.geomspace(1e2, 1e4, 9)
+    u = lambda r: liouville_bubble(1.0, 8.0, r) + 2.0 * math.log(1.0)
+    source = lambda t: 8.0 * np.exp(t)
+    disk = lambda r: np.where(r <= 1.0, 2.0, 0.0)
+    radial_integral(lambda r: bubble_density(r) * r, 0.0, 1e6)
+    mass_gamma(bubble_density, 1e4)
+    pohozaev_residual(u, lambda r: 1.0, source, 10.0)
+    pohozaev_residual(lambda r: 0.7, lambda r: 1.0, source, 10.0)
+    for R in fit_rs:
+        newton_potential(bubble_density, R)
+    for R in fit_rs:
+        newton_potential(disk, R, breakpoints=[1.0])
+    assert len(calls) == 23 and all(n == 1 for *_, n in calls[1:])
+    assert _members(calls[0]) == [_members(call)[0] for call in calls[1:]]
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(lambda r: np.where(r > 0.75, math.inf, 1.0), OverflowError), (lambda r: 1.0 / r, RuntimeError)],
+    ids=["inf", "one-over-r"],
+)
+def test_a_failing_batch_throws_the_error_into_the_job_whose_request_fails_alone(bad, error):
+    thrown = []
+
+    def job(name, fn, b):
+        try:
+            return (yield fn, 0.0, b, [0.5])
+        except error:
+            thrown.append(name)
+            raise
+
+    newton = newton_potential.job(bubble_density, [1.0, 2.0])
+    with pytest.raises(error) as batch:
+        gather([job("first", lambda r: r, 2.0), job("bad", bad, 1.0), newton, job("last", bad, 1.0)])
+    with pytest.raises(error) as alone:
+        radial_integral(bad, 0.0, 1.0, [0.5])
+    assert thrown == ["bad"] and str(batch.value) == str(alone.value)
+
+
+def test_a_batch_returns_what_each_job_returns_alone():
+    def job(fn, b):
+        return 2.0 * (yield fn, 0.0, b, None)
+
+    newton = newton_potential.job(bubble_density, [1.0, 2.0])
+    got = gather([mass_gamma.job(bubble_density, 1e4), job(lambda r: r, 3.0), newton])
+    alone = mass_gamma(bubble_density, 1e4)
+    assert got[0].hex() == alone.hex() and type(got[0]) is type(alone)
+    assert got[1].hex() == (2.0 * radial_integral(lambda r: r, 0.0, 3.0)).hex()
+    assert [v.hex() for v in got[2]] == [v.hex() for v in newton_potential(bubble_density, np.array([1.0, 2.0]))]
+    assert gather([]) == []
+
+
 def test_kronrod_gives_each_interval_the_bits_it_gets_alone():
     # a matrix-vector product's bits depend on the number of rows; the
     # estimates' row-wise reductions do not
@@ -157,6 +221,29 @@ def test_kronrod_gives_each_interval_the_bits_it_gets_alone():
         for i in range(n):
             v, e = _kronrod(f, [lo[i]], [hi[i]], np.array([[i]]))
             assert (v[0].hex(), e[0].hex()) == (values[i].hex(), errors[i].hex()), (n, i)
+
+
+def test_kronrod_is_the_per_interval_rule_bit_for_bit():
+    # the column sums and the error estimate's array steps against qk21 one
+    # interval at a time, in Python floats; integrands over many scales,
+    # constant ones (no variation about the mean) and zero ones (no error)
+    rng = np.random.default_rng(41)
+    shapes = (
+        lambda x: np.exp(-x * x) * np.cos(7.0 * x) + np.sqrt(np.abs(x)),
+        lambda x: np.sin(40.0 * x) / (1.0 + x * x),
+        lambda x: np.ones_like(x),
+        lambda x: np.zeros_like(x),
+        lambda x: np.where(x < 0.3, 1.0, -2.0),
+    )
+    for n in (1, 2, 8, 49, 125):
+        for shape in shapes:
+            lo = rng.uniform(-5.0, 5.0, n)
+            hi = lo + rng.uniform(1e-6, 3.0, n) * 10.0 ** rng.integers(-3, 2, n)
+            scale = 10.0 ** rng.uniform(-320.0, 300.0, n)
+            f = lambda x, member: scale[member] * shape(x)
+            got = _kronrod(f, lo.tolist(), hi.tolist(), np.arange(n)[:, None])
+            want = oracles.kronrod_per_interval(f, lo.tolist(), hi.tolist(), np.arange(n)[:, None])
+            assert [[v.hex() for v in part] for part in got] == [[v.hex() for v in part] for part in want]
 
 
 BAD_INTEGRANDS = pytest.mark.parametrize(
@@ -209,7 +296,7 @@ def test_a_non_finite_member_names_its_radius():
 
 def test_verify_integrals_match_quadpack(monkeypatch):
     # every integral of the oracle suite against scipy's QUADPACK on the same
-    # substitution u = log1p(r), each member of a family on its own
+    # substitution u = log1p(r), each member of the family on its own
     from scipy.integrate import quad as quadpack
 
     from vortexmf import blowup, cli
@@ -221,8 +308,10 @@ def test_verify_integrals_match_quadpack(monkeypatch):
         calls.append(np.size(value))
         family = np.ndim(breakpoints) == 2
         rows = breakpoints if family else [breakpoints]
-        for m, (row, v) in enumerate(zip(rows, np.atleast_1d(value))):
-            member = fn if not family else lambda r, m=m: fn(r, np.array(m))
+        limits = zip(np.broadcast_to(a, len(rows)).tolist(), np.broadcast_to(b, len(rows)).tolist())
+        for m, (row, (a, b), v) in enumerate(zip(rows, limits, np.atleast_1d(value))):
+            # a family's integrand takes (intervals x 21) radii and (intervals x 1) members
+            member = fn if not family else lambda r, m=m: fn(np.reshape(r, (1, 1)), np.array([[m]]))[0, 0]
             g = lambda u: float(member(np.array(math.expm1(u)))) * math.exp(u)
             points = sorted(math.log1p(p) for p in row if a < p < b) if row is not None and len(row) else None
             ref = quadpack(g, math.log1p(a), math.log1p(b), epsabs=0.0, epsrel=1e-10, limit=400, points=points)[0]
@@ -230,10 +319,10 @@ def test_verify_integrals_match_quadpack(monkeypatch):
         return value
 
     monkeypatch.setattr(blowup, "radial_integral", recorded)
-    monkeypatch.setattr(cli, "radial_integral", recorded)
     assert all(check["passed"] for check in cli.verify_checks())
-    # four integrals alone, and the Newton potentials at 9 radii per density
-    assert calls == [1, 1, 1, 1, 9, 9] and len(pairs) == 22
+    # one family of 22 members: four integrals alone, and the Newton
+    # potentials at 9 radii per density
+    assert calls == [22] and len(pairs) == 22
     for value, ref in pairs:
         assert value == pytest.approx(ref, rel=1e-12)
 

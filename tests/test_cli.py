@@ -516,6 +516,28 @@ def test_negative_spike_is_located_and_profiled(tmp_path, capsys):
     assert lines[2] == "r,dw,fit_prediction" and len(lines) > 3
 
 
+@pytest.mark.parametrize(
+    "argv, reads",
+    [
+        (("minimize", "--atoms=-1:1", "--fractions", "2.0", "--grid-n", "32"), 1),  # concentrated
+        (("profile", "--atoms=-1:1", "--fractions", "0.5", "--grid-n", "32"), 1),  # profiled
+        (("minimize", "--atoms=-1:1", "--fractions", "0.5", "--grid-n", "32"), 0),  # neither
+    ],
+    ids=["concentrated", "profiled", "neither"],
+)
+def test_a_stage_unfolds_its_spike_and_sums_its_partition_at_most_once(tmp_path, capsys, monkeypatch, argv, reads):
+    # the concentration point and the profile share one reading of the spike
+    import vortexmf.functional as functional
+
+    calls = []
+    for name in ("unfold", "log_partition"):
+        original = getattr(functional, name)
+        counted = lambda *args, name=name, original=original: calls.append(name) or original(*args)
+        monkeypatch.setattr(functional, name, counted)
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "runs"))
+    assert code == 0 and calls == ["unfold", "log_partition"] * reads
+
+
 def test_signed_profile_reference_comes_from_the_extremal_subset(tmp_path, capsys):
     # at lambda_bar of 1/2 delta_-1 + 1/2 delta_1 the positive spike carries
     # the mass of K = {1}: gamma0 = 4 P(K) / m_K = 4, not 4 / m1 = 8
@@ -769,8 +791,15 @@ def test_non_finite_input_is_an_input_error(tmp_path, capsys, argv):
         (("minimize", "--atoms", "1:1", "--lambdas", "1e200", "--grid-n", "64"), "truncated CG: rz0 is not finite", []),
         (("minimize", "--atoms", "1:1", "--lambdas", "1e308", "--grid-n", "64"), "truncated CG: rz0 is not finite", []),
         (("verify", "--debug-bubble-scale", "1e300"), "pohozaev_bubble: boundary term is not finite at r = 10.0", None),
+        # the boundary term is finite, the integrand is not: the one
+        # quadrature of the suite names the check whose integral failed
+        (("verify", "--debug-bubble-scale", "1e154"),
+         "pohozaev_bubble: integrand is not finite at r = 2.3166247903554003", None),
     ],
-    ids=["partition-overflow", "coupling-1e100", "coupling-1e200", "coupling-1e308", "bubble-overflow"],
+    ids=[
+        "partition-overflow", "coupling-1e100", "coupling-1e200", "coupling-1e308", "bubble-overflow",
+        "integrand-overflow",
+    ],
 )
 def test_numerical_failure_exits_1_with_a_message(tmp_path, capsys, argv, message, files):
     # every file is written after the last stage, so a solver command that
