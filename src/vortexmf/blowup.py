@@ -1,8 +1,8 @@
 """Radial asymptotics of concentrating fields and their quadrature oracles.
 
 Everything here is radial: the model bubble solving -Lap(w) = lam e^w on
-the plane, peak-rescaled profiles read off the quarter-cell values of a
-torus minimizer's spike, the logarithmic slope fit, the concentration
+the plane, peak-rescaled profiles (samples read off the grid values of a
+torus minimizer's spike), the one logarithmic slope fit, the concentration
 mass, the Pohozaev balance, and the Newton potential growth.  Quadratures
 run through a log-stretched adaptive rule so integrands localized near
 the origin survive integration domains spanning many decades: QUADPACK's
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vortexmf.functional import spike_grid
 from vortexmf.measure import CirculationMeasure, tail_scan
 from vortexmf.torus import Field, SpectralTorus, radial_average
 
@@ -266,23 +265,20 @@ def liouville_bubble(mu: float, lam: float, r):
 
 @dataclass(frozen=True, eq=False)
 class BlowupProfile:
-    """Peak-rescaled radial profile of a normalized field.
+    """Peak-rescaled radial profile of a normalized field: its samples.
 
     ``peak_value`` is the unit-circulation normalized field w_1 at the
     peak; it sets the rescaling length sigma = e^{-peak_value/2}.
     ``radii`` holds the sample radii, strictly increasing, and ``dw`` the
     profile at each, w_1(x) - w_1(peak) averaged over the circle of that
     radius (times alpha in :func:`bubble_profile`), which never exceeds
-    zero.  The fitted line is dw = fitted_slope * (-log(1 + r/sigma)) +
-    fitted_intercept over the default window, nan when that window holds
-    too few samples.
+    zero.  ``gamma0_reference`` is the slope the line of
+    :func:`fit_li_line` is read against.
     """
 
     peak_value: float
     radii: np.ndarray
     dw: np.ndarray
-    fitted_slope: float
-    fitted_intercept: float
     gamma0_reference: float
 
     def __post_init__(self) -> None:
@@ -298,46 +294,13 @@ class BlowupProfile:
         return math.exp(-0.5 * self.peak_value)
 
 
-def default_fit_window(sigma: float, side_length: float | None = None) -> tuple[float, float]:
-    """Fit window in sigma units: [3, 30], capped at L/4 on a torus.
+def default_fit_window(sigma: float, side_length: float) -> tuple[float, float]:
+    """Fit window in sigma units: [3, 30], capped at L/4 on a torus of side L.
 
     Below 3 sigma the smooth core dominates; beyond L/4 periodic images
     contaminate radial averages.
     """
-    hi = DEFAULT_WINDOW[1]
-    if side_length is not None:
-        hi = min(hi, 0.25 * side_length / sigma)
-    return (DEFAULT_WINDOW[0], hi)
-
-
-def _li_fit(radii: np.ndarray, dw: np.ndarray, sigma: float, window) -> tuple[float, float]:
-    lo, hi = window
-    if not 0.0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi in the fit window")
-    t = radii / sigma
-    mask = (t >= lo) & (t <= hi)
-    n = int(mask.sum())
-    if n < MIN_FIT_SAMPLES:
-        raise ValueError(
-            f"fit window [{lo:g}, {hi:g}] sigma units holds {n} samples, "
-            f"need at least {MIN_FIT_SAMPLES}"
-        )
-    x = -np.log1p(t[mask])
-    slope, intercept = np.polyfit(x, dw[mask], 1)
-    return float(slope), float(intercept)
-
-
-def _fitted_profile(
-    peak_value: float, radii: np.ndarray, dw: np.ndarray, gamma0: float, side_length: float | None = None
-) -> BlowupProfile:
-    """The profile of the samples (radii, dw), its line fitted over the
-    default window, or nan when that window holds too few samples."""
-    sigma = math.exp(-0.5 * peak_value)
-    try:
-        slope, intercept = _li_fit(radii, dw, sigma, default_fit_window(sigma, side_length))
-    except ValueError:
-        slope = intercept = math.nan
-    return BlowupProfile(peak_value, radii, dw, slope, intercept, gamma0)
+    return (DEFAULT_WINDOW[0], min(DEFAULT_WINDOW[1], 0.25 * side_length / sigma))
 
 
 def fit_li_line(profile: BlowupProfile, fit_window) -> tuple[float, float]:
@@ -347,7 +310,20 @@ def fit_li_line(profile: BlowupProfile, fit_window) -> tuple[float, float]:
     dw = -alpha gamma0 log(1 + r/sigma) + O(1) between core and far field,
     so the slope estimates alpha gamma0.
     """
-    return _li_fit(profile.radii, profile.dw, profile.sigma, fit_window)
+    lo, hi = fit_window
+    if not 0.0 <= lo < hi:
+        raise ValueError("need 0 <= lo < hi in the fit window")
+    t = profile.radii / profile.sigma
+    mask = (t >= lo) & (t <= hi)
+    n = int(mask.sum())
+    if n < MIN_FIT_SAMPLES:
+        raise ValueError(
+            f"fit window [{lo:g}, {hi:g}] sigma units holds {n} samples, "
+            f"need at least {MIN_FIT_SAMPLES}"
+        )
+    x = -np.log1p(t[mask])
+    slope, intercept = np.polyfit(x, profile.dw[mask], 1)
+    return float(slope), float(intercept)
 
 
 def fit_li_slope(profile: BlowupProfile, fit_window) -> float:
@@ -368,14 +344,13 @@ def bubble_profile(mu: float, lam: float, radii, alpha: float = 1.0) -> BlowupPr
     if rs.size == 0 or rs[0] < 0.0:
         raise ValueError("radii must be nonnegative")
     peak = liouville_bubble(mu, lam, 0.0)
-    return _fitted_profile(peak, rs, alpha * (liouville_bubble(mu, lam, rs) - peak), 4.0)
+    return BlowupProfile(peak, rs, alpha * (liouville_bubble(mu, lam, rs) - peak), 4.0)
 
 
-def rescale_profile(
-    T: SpectralTorus, P: CirculationMeasure, v: np.ndarray, side: str = "positive", grid=None
-) -> BlowupProfile:
-    """Peak-rescaled radial profile of w_1 around the maximum of the field
-    with quarter-cell values v, a minimizer's ``result.v``.
+def rescale_profile(T: SpectralTorus, P: CirculationMeasure, grid, side: str = "positive") -> BlowupProfile:
+    """Peak-rescaled radial profile of w_1 around the maximum of a spike,
+    from ``grid``, its grid values and log-partition ``spike_grid(T, v)``
+    of a minimizer's ``result.v``.
 
     The peak is the first grid maximum in row-major order, a result's
     ``peak_point``.  dw is the radial average of w_1(x) - w_1(peak) =
@@ -387,10 +362,9 @@ def rescale_profile(
     under residual vanishing.  A negative spike is read from -v with
     ``side="negative"``: the state (-v, alpha -> -alpha) has the same J,
     and its positive tail is P's negative tail, in the same order.
-    ``grid`` is ``spike_grid(T, v)`` where the caller holds it.
     """
-    vals, lp = grid or spike_grid(T, v)
-    peak = divmod(int(np.argmax(vals)), T.grid_n)
+    vals, lp = grid
+    peak = divmod(int(np.argmax(vals)), len(vals))  # in the grid given; radial_average checks it is T's
     subset = tail_scan(P, side)[1]
     if not subset:
         raise ValueError(f"measure carries no {side} circulation")
@@ -400,7 +374,7 @@ def rescale_profile(
     bins = radial_average(T, Field(vals - vals[peak]), peak, T.grid_n // 2)
     r = np.array([b[0] for b in bins])
     mean_dw = np.array([b[1] for b in bins])
-    return _fitted_profile(w1_peak, r, mean_dw, 4.0 * mass / m_k, T.side_length)
+    return BlowupProfile(w1_peak, r, mean_dw, 4.0 * mass / m_k)
 
 
 @_one_request

@@ -30,6 +30,8 @@ import numpy as np
 from vortexmf.blowup import (
     BlowupProfile,
     bubble_profile,
+    default_fit_window,
+    fit_li_line,
     fit_li_slope,
     gather,
     liouville_bubble,
@@ -183,17 +185,17 @@ def write_summary(cfg: argparse.Namespace, payload: dict) -> None:
         fh.write(text)
 
 
-def write_profile_csv(cfg: argparse.Namespace, k: int, profile: BlowupProfile) -> str:
+def write_profile_csv(cfg: argparse.Namespace, k: int, profile: BlowupProfile, slope: float, intercept: float) -> str:
     path = os.path.join(cfg.out, f"profile_{k}.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# seed={cfg.seed}\n")
         fh.write(
-            f"# sigma={profile.sigma!r} fitted_slope={profile.fitted_slope!r} "
+            f"# sigma={profile.sigma!r} fitted_slope={slope!r} "
             f"gamma0_reference={profile.gamma0_reference!r}\n"
         )
         fh.write("r,dw,fit_prediction\n")
         for r, dw in zip(profile.radii.tolist(), profile.dw.tolist()):
-            pred = profile.fitted_slope * (-math.log1p(r / profile.sigma)) + profile.fitted_intercept
+            pred = slope * (-math.log1p(r / profile.sigma)) + intercept
             fh.write(f"{r!r},{dw!r},{pred!r}\n")
     return path
 
@@ -212,9 +214,9 @@ def write_stage(
     requested grid's; ``levels`` holds one entry per grid the stage solved,
     coarsest first (see :func:`vortexmf.minimize.minimize`).
 
-    The concentration point and the profile are read from the spike's
-    quarter-cell values: v, or, when only the negative spike reached the
-    blow-up threshold or P has no positive circulation, -v with the
+    The concentration point and the profile read one ``spike_grid`` of the
+    spike's quarter-cell values: v, or, when only the negative spike reached
+    the blow-up threshold or P has no positive circulation, -v with the
     reference slope of P's negative side: (-v, alpha -> -alpha) has the same
     J, and its positive side is P's negative one.
     """
@@ -229,16 +231,20 @@ def write_stage(
     if negative_spike or moment(P, 1, "positive") == 0.0:
         spike, side = -result.v, "negative"
     grid = spike_grid(T, spike) if want_profile or spike.max() >= threshold else None
-    conc = detect_concentration(T, spike, threshold, grid)
+    conc = None if grid is None else detect_concentration(T, grid, threshold)
     profile = None
     if want_profile or conc is not None:
-        fitted = rescale_profile(T, P, spike, side, grid)
-        write_profile_csv(cfg, k, fitted)
+        samples = rescale_profile(T, P, grid, side)
+        try:
+            slope, intercept = fit_li_line(samples, default_fit_window(samples.sigma, T.side_length))
+        except ValueError:  # the window holds too few radial bins, as on 32^2
+            slope = intercept = math.nan
+        write_profile_csv(cfg, k, samples, slope, intercept)
         profile = {
-            "sigma": fitted.sigma,
-            "peak_value": fitted.peak_value,
-            "fitted_slope": fitted.fitted_slope,
-            "gamma0_reference": fitted.gamma0_reference,
+            "sigma": samples.sigma,
+            "peak_value": samples.peak_value,
+            "fitted_slope": slope,
+            "gamma0_reference": samples.gamma0_reference,
         }
     return {
         "lambda": result.lam,

@@ -79,7 +79,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from vortexmf.functional import J, Partitions, Problem, el_residual, energy_scale, hessian_product, spike_grid
+from vortexmf.functional import J, Partitions, Problem, el_residual, energy_scale, hessian_product
 from vortexmf.measure import CirculationMeasure
 from vortexmf.torus import (
     Field,
@@ -495,8 +495,8 @@ def minimize(prob: Problem, opts: MinimizeOptions, warm_start: np.ndarray | None
 
     Every iterate is kept at the quarter-cell nodes, with its mean subtracted
     after each step, and ``result.v`` is the last one; the grid holds only the
-    cold start's noise, a warm start's mean and the output side, which takes
-    the spike's quarter-cell values, ``result.v`` or its negation
+    cold start's noise, a warm start's mean and the output side, which reads
+    the spike, ``result.v`` or its negation, once for both its readers
     (:func:`detect_concentration`, :func:`vortexmf.blowup.rescale_profile`).
     Each level ends on tolerance, a peak of |v| reaching
     :func:`blowup_threshold` (so a spike of either sign counts), the iteration
@@ -636,10 +636,10 @@ def continuation_sweep(problems: list[Problem], opts: MinimizeOptions) -> list[M
     return results
 
 
-def detect_concentration(T: SpectralTorus, v: np.ndarray, peak_threshold: float, grid=None) -> tuple[int, int] | None:
-    """Locate a single concentration point of the field with quarter-cell
-    values v, if any; a negative spike is read from -v.  ``grid`` is
-    ``spike_grid(T, v)`` where the caller holds it.
+def detect_concentration(T: SpectralTorus, grid, peak_threshold: float) -> tuple[int, int] | None:
+    """Locate a single concentration point of a spike, if any, from
+    ``grid``, its grid values and log-partition ``spike_grid(T, v)`` of the
+    quarter-cell values v; a negative spike is read from -v.
 
     A point qualifies when the field peak exceeds ``peak_threshold`` and
     the unit-circulation density e^{w_1} puts more than half its mass in
@@ -647,9 +647,9 @@ def detect_concentration(T: SpectralTorus, v: np.ndarray, peak_threshold: float,
     the one holding more mass wins; remaining ties go to the first in
     lexicographic grid order.
     """
-    if v.max() < peak_threshold:
+    vals, lp = grid
+    if vals.max() < peak_threshold:
         return None
-    vals, lp = grid or spike_grid(T, v)
     density = np.exp(vals - lp)
     candidates = np.argwhere(vals == vals.max())
     best: tuple[int, int] | None = None

@@ -23,7 +23,7 @@ from vortexmf.blowup import (
     rescale_profile,
 )
 from vortexmf.blowup import _kronrod
-from vortexmf.functional import Problem
+from vortexmf.functional import Problem, spike_grid
 from vortexmf.measure import CirculationMeasure, new_atomic
 from vortexmf.minimize import MinimizeOptions, minimize
 from vortexmf.torus import SpectralTorus, periodic_distance
@@ -421,28 +421,28 @@ def test_bubble_profile_sigma_and_samples():
 
 def test_profile_validation():
     with pytest.raises(ValueError, match="increasing"):
-        BlowupProfile(0.0, np.array([2.0, 1.0]), np.array([-1.0, -2.0]), 4.0, 0.0, 4.0)
+        BlowupProfile(0.0, np.array([2.0, 1.0]), np.array([-1.0, -2.0]), 4.0)
     with pytest.raises(ValueError, match="peak"):
-        BlowupProfile(0.0, np.array([1.0]), np.array([0.5]), 4.0, 0.0, 4.0)
+        BlowupProfile(0.0, np.array([1.0]), np.array([0.5]), 4.0)
     with pytest.raises(ValueError, match="one value per sample"):
-        BlowupProfile(0.0, np.array([1.0, 2.0]), np.array([-1.0]), 4.0, 0.0, 4.0)
+        BlowupProfile(0.0, np.array([1.0, 2.0]), np.array([-1.0]), 4.0)
 
 
 def test_li_slope_on_exact_line():
     radii = np.geomspace(0.1, 100.0, 50)
     dw = -4.0 * np.log1p(radii)
-    prof = BlowupProfile(0.0, radii, dw, 4.0, 0.0, 4.0)
+    prof = BlowupProfile(0.0, radii, dw, 4.0)
     slope, intercept = fit_li_line(prof, (0.5, 50.0))
     assert slope == pytest.approx(4.0, rel=1e-12)
     assert abs(intercept) <= 1e-12
-    flat = BlowupProfile(0.0, radii, np.zeros(50), 0.0, 0.0, 4.0)
+    flat = BlowupProfile(0.0, radii, np.zeros(50), 4.0)
     assert fit_li_slope(flat, (0.5, 50.0)) == 0.0
 
 
 def test_li_fit_window_validation():
     radii = np.geomspace(0.1, 100.0, 50)
     dw = -4.0 * np.log1p(radii)
-    prof = BlowupProfile(0.0, radii, dw, 4.0, 0.0, 4.0)
+    prof = BlowupProfile(0.0, radii, dw, 4.0)
     with pytest.raises(ValueError, match="lo < hi"):
         fit_li_slope(prof, (5.0, 5.0))
     with pytest.raises(ValueError, match="lo < hi"):
@@ -470,7 +470,7 @@ def test_li_slope_near_field_window_overshoots():
 
 
 def test_default_fit_window_torus_cap():
-    assert default_fit_window(1.0) == (3.0, 30.0)
+    assert default_fit_window(0.001, side_length=1.0) == (3.0, 30.0)
     assert default_fit_window(0.01, side_length=1.0) == (3.0, 25.0)
     assert default_fit_window(1.0, side_length=1.0) == (3.0, 0.25)
 
@@ -482,7 +482,7 @@ def test_rescale_profile_recovers_radial_law():
     r = periodic_distance(T, (64, 64))
     v = synthetic_v(T, -2.0 * np.log1p((r / s) ** 2))
     P = new_atomic([(1.0, 1.0)])
-    prof = rescale_profile(T, P, v)
+    prof = rescale_profile(T, P, spike_grid(T, v))
     assert prof.sigma == pytest.approx(math.exp(-0.5 * prof.peak_value), rel=1e-12)
     assert prof.gamma0_reference == 4.0
     checked = 0
@@ -504,7 +504,7 @@ def test_rescale_profile_recovers_radial_law():
 def test_rescale_profile_reference_from_extremal_subset(pairs, gamma0):
     T = SpectralTorus(1.0, 32)
     v = synthetic_v(T, gaussian_bump(T, (16, 16), 10.0, 0.05))
-    assert rescale_profile(T, new_atomic(pairs), v).gamma0_reference == gamma0
+    assert rescale_profile(T, new_atomic(pairs), spike_grid(T, v)).gamma0_reference == gamma0
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -520,10 +520,10 @@ def test_the_negative_side_reads_the_mirror_image_reference_bit_for_bit(seed):
     mirrored = CirculationMeasure(tuple((-a, w) for a, w in reversed(P.atoms)))
     if all(a >= 0.0 for a, _ in P.atoms):
         with pytest.raises(ValueError, match="negative circulation"):
-            rescale_profile(T, P, v, "negative")
+            rescale_profile(T, P, spike_grid(T, v), "negative")
         return
-    got = rescale_profile(T, P, v, "negative").gamma0_reference
-    assert got.hex() == rescale_profile(T, mirrored, v).gamma0_reference.hex()
+    got = rescale_profile(T, P, spike_grid(T, v), "negative").gamma0_reference
+    assert got.hex() == rescale_profile(T, mirrored, spike_grid(T, v)).gamma0_reference.hex()
     if seed == 0:
         assert got == 5.333333333333333
 
@@ -531,19 +531,24 @@ def test_the_negative_side_reads_the_mirror_image_reference_bit_for_bit(seed):
 def test_rescale_profile_flat_field():
     T = SpectralTorus(1.0, 64)
     v = synthetic_v(T, np.zeros((64, 64)))
-    prof = rescale_profile(T, new_atomic([(1.0, 1.0)]), v)
+    prof = rescale_profile(T, new_atomic([(1.0, 1.0)]), spike_grid(T, v))
     assert prof.sigma == 1.0
     assert np.all(prof.dw == 0.0)
-    assert math.isnan(prof.fitted_slope)
+    # L/4 = 0.25 sigma: the default window is empty, and the stage writes nan
+    # (tests/test_cli.py::test_a_profiled_stage_writes_the_default_window_fit)
+    with pytest.raises(ValueError, match="lo < hi"):
+        fit_li_line(prof, default_fit_window(prof.sigma, T.side_length))
 
 
 def test_rescale_profile_validation():
     T = SpectralTorus(1.0, 64)
     v = synthetic_v(T, np.zeros((64, 64)))
     with pytest.raises(ValueError, match="positive circulation"):
-        rescale_profile(T, new_atomic([(-1.0, 1.0)]), v)
-    with pytest.raises(ValueError, match="grid"):
-        rescale_profile(SpectralTorus(1.0, 32), new_atomic([(1.0, 1.0)]), v)
+        rescale_profile(T, new_atomic([(-1.0, 1.0)]), spike_grid(T, v))
+    spike = synthetic_v(T, gaussian_bump(T, (32, 32), 30.0, 0.05))
+    for field in (v, spike):  # the spike's peak lies outside the 32^2 grid
+        with pytest.raises(ValueError, match="grid"):
+            rescale_profile(SpectralTorus(1.0, 32), new_atomic([(1.0, 1.0)]), spike_grid(T, field))
 
 
 def test_side_length_only_rescales_the_answer():
@@ -558,14 +563,15 @@ def test_side_length_only_rescales_the_answer():
         T = SpectralTorus(side, 64)
         result = minimize(Problem(T, P, lam), MinimizeOptions(grad_tol=tol))
         assert result.status == "converged"
-        runs[side] = result, rescale_profile(T, P, result.v)
-    (unit, unit_prof), (double, double_prof) = runs[1.0], runs[2.0]
+        profile = rescale_profile(T, P, spike_grid(T, result.v))
+        runs[side] = result, profile, fit_li_slope(profile, default_fit_window(profile.sigma, side))
+    (unit, unit_prof, unit_slope), (double, double_prof, double_slope) = runs[1.0], runs[2.0]
     assert double.iterations == unit.iterations
     assert double.J_value - unit.J_value == pytest.approx(-2.0 * lam * math.log(2.0), rel=1e-12)
     assert unit.residual_norm / double.residual_norm == pytest.approx(4.0, rel=1e-9)
     assert double_prof.sigma / unit_prof.sigma == pytest.approx(2.0, rel=1e-12)
-    assert math.isfinite(unit_prof.fitted_slope)
-    assert double_prof.fitted_slope == pytest.approx(unit_prof.fitted_slope, rel=1e-9)
+    assert math.isfinite(unit_slope)
+    assert double_slope == pytest.approx(unit_slope, rel=1e-9)
 
 
 # ----------------------------------------------------------------- Pohozaev

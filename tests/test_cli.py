@@ -14,7 +14,11 @@ import pytest
 
 import vortexmf.cli
 import vortexmf.minimize
+from vortexmf.blowup import default_fit_window, fit_li_line, rescale_profile
 from vortexmf.cli import build_parser, main
+from vortexmf.functional import spike_grid
+from vortexmf.measure import parse_atoms_inline
+from vortexmf.torus import SpectralTorus
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -553,6 +557,45 @@ def test_signed_profile_reference_comes_from_the_extremal_subset(tmp_path, capsy
     assert "gamma0_reference=4.0" in lines[1]
 
 
+@pytest.mark.parametrize(
+    "spec, fraction, n",
+    [("-1:0.5,1:0.5", "1.0", 64), ("1:1", "0.5", 32)],
+    ids=["fitted", "too-few-bins"],
+)
+def test_a_profiled_stage_writes_the_default_window_fit(tmp_path, capsys, monkeypatch, spec, fraction, n):
+    # the stage fits its samples once, over the default window, and the CSV,
+    # the summary and stdout read that one line; on 32^2 the window holds
+    # too few bins, and all of them read nan
+    results = []
+    sweep = vortexmf.cli.continuation_sweep
+    monkeypatch.setattr(vortexmf.cli, "continuation_sweep", lambda *args: results.extend(sweep(*args)) or results)
+    out = str(tmp_path / "runs")
+    code, stdout, _ = run(
+        capsys, "profile", f"--atoms={spec}", "--fractions", fraction, "--grid-n", str(n), "--out", out
+    )
+    assert code == 0
+    T = SpectralTorus(1.0, n)
+    samples = rescale_profile(T, parse_atoms_inline(spec), spike_grid(T, results[0].v))
+    window = default_fit_window(samples.sigma, 1.0)
+    if n == 32:
+        with pytest.raises(ValueError):
+            fit_li_line(samples, window)
+        slope = intercept = math.nan
+    else:
+        slope, intercept = fit_li_line(samples, window)
+        assert math.isfinite(slope)
+    profile = read_summary(out)["stages"][0]["profile"]
+    assert profile["sigma"] == samples.sigma
+    assert float(profile["fitted_slope"]).hex() == slope.hex()
+    assert stdout.rstrip("\n").endswith(f"fitted_slope={slope!r}")
+    lines = Path(out, "profile_0.csv").read_text().splitlines()
+    assert lines[1] == f"# sigma={samples.sigma!r} fitted_slope={slope!r} gamma0_reference=4.0"
+    rows = [[float(x) for x in line.split(",")] for line in lines[3:]]
+    assert len(rows) == samples.radii.size
+    for r, _, prediction in rows:
+        assert prediction.hex() == (slope * (-math.log1p(r / samples.sigma)) + intercept).hex()
+
+
 def test_profile_of_a_measure_without_positive_circulation_reads_the_mirror(tmp_path, capsys):
     out = str(tmp_path / "runs")
     code, _, stderr = run(
@@ -620,6 +663,15 @@ def test_verify_passes(tmp_path, capsys):
     names = {c["name"] for c in payload["checks"]}
     assert {"bubble_mass", "mass_gamma", "li_slope_alpha_1", "pohozaev_bubble",
             "newton_slope_bubble", "newton_slope_disk"} <= names
+
+
+def test_verify_fits_each_line_it_reads_once(monkeypatch):
+    # two Li windows and two Newton growths: a profile fits no window of its own
+    calls = []
+    polyfit = np.polyfit
+    monkeypatch.setattr(np, "polyfit", lambda *args: calls.append(len(args[0])) or polyfit(*args))
+    vortexmf.cli.verify_checks()
+    assert len(calls) == 4
 
 
 def test_verify_negative_control_fails(tmp_path, capsys):

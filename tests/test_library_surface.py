@@ -17,7 +17,7 @@ LAYERS = {
     "torus": set(),
     "functional": {"measure", "torus"},
     "minimize": {"functional", "measure", "torus"},
-    "blowup": {"functional", "measure", "torus"},
+    "blowup": {"measure", "torus"},
 }
 
 

@@ -33,7 +33,7 @@ from oracles import (
 )
 from vortexmf import torus
 from vortexmf.blowup import rescale_profile
-from vortexmf.functional import Partitions, Problem, el_residual, hessian_product
+from vortexmf.functional import Partitions, Problem, el_residual, hessian_product, spike_grid
 from vortexmf.measure import CirculationMeasure, lambda_bar, new_atomic
 from vortexmf.minimize import (
     MinimizeOptions,
@@ -1390,16 +1390,16 @@ def test_center_bump_shape():
 def test_detect_concentration_flat_field_is_none():
     T = SpectralTorus(1.0, 64)
     v = synthetic_v(T, np.zeros((64, 64)))
-    assert detect_concentration(T, v, 25.0) is None
+    assert detect_concentration(T, spike_grid(T, v), 25.0) is None
 
 
 def test_detect_concentration_single_peak():
     T = SpectralTorus(1.0, 64)
     v = synthetic_v(T, gaussian_bump(T, (32, 32), 30.0, 0.05))
-    assert detect_concentration(T, v, 25.0) == (32, 32)
+    assert detect_concentration(T, spike_grid(T, v), 25.0) == (32, 32)
     # the quarter-cell values of 64^2 do not stand for a field on 32^2
     with pytest.raises(ValueError, match="grid"):
-        detect_concentration(SpectralTorus(1.0, 32), v, 25.0)
+        spike_grid(SpectralTorus(1.0, 32), v)
 
 
 def test_detect_concentration_prefers_heavier_peak():
@@ -1411,7 +1411,7 @@ def test_detect_concentration_prefers_heavier_peak():
     wide = gaussian_bump(T, (32, 32), 30.0, 0.04)
     v = synthetic_v(T, narrow + wide)
     assert grid_peak(T, v) == (0, 0)
-    assert detect_concentration(T, v, 25.0) == (32, 32)
+    assert detect_concentration(T, spike_grid(T, v), 25.0) == (32, 32)
 
 
 def test_detect_concentration_split_mass_is_none():
@@ -1419,7 +1419,7 @@ def test_detect_concentration_split_mass_is_none():
     T = SpectralTorus(1.0, 64)
     twin = gaussian_bump(T, (0, 0), 30.0, 0.04) + gaussian_bump(T, (32, 32), 30.0, 0.04)
     v = synthetic_v(T, twin)
-    assert detect_concentration(T, v, 25.0) is None
+    assert detect_concentration(T, spike_grid(T, v), 25.0) is None
 
 
 def test_a_spike_off_the_axes_is_four_spikes_and_does_not_concentrate():
@@ -1431,7 +1431,7 @@ def test_a_spike_off_the_axes_is_four_spikes_and_does_not_concentrate():
     vals = grid(T, v).values
     assert [tuple(c) for c in np.argwhere(vals == vals.max())] == [(8, 20), (8, 44), (56, 20), (56, 44)]
     assert grid_peak(T, v) == (8, 20) and v.max() >= 25.0
-    assert detect_concentration(T, v, 25.0) is None
+    assert detect_concentration(T, spike_grid(T, v), 25.0) is None
 
 
 def test_the_negative_spike_is_read_at_the_peak_of_minus_v():
@@ -1439,17 +1439,17 @@ def test_the_negative_spike_is_read_at_the_peak_of_minus_v():
     # negative side, which is that of the mirror image's positive side
     T = SpectralTorus(1.0, 64)
     v = synthetic_v(T, -gaussian_bump(T, (32, 0), 30.0, 0.05))
-    assert detect_concentration(T, v, 25.0) is None
+    assert detect_concentration(T, spike_grid(T, v), 25.0) is None
     P = new_atomic([(-1.0, 0.25), (0.5, 0.75)])
     spike = -v
     assert np.array_equal(grid(T, spike).values, -grid(T, v).values)
     assert grid_peak(T, spike) == (32, 0)
-    assert detect_concentration(T, spike, 25.0) == (32, 0)
-    profile = rescale_profile(T, P, spike, "negative")
+    assert detect_concentration(T, spike_grid(T, spike), 25.0) == (32, 0)
+    profile = rescale_profile(T, P, spike_grid(T, spike), "negative")
     assert profile.gamma0_reference == 4.0  # K = {-1}: 4 P(K) / |m_K|
     mirrored_P = CirculationMeasure(tuple((-a, w) for a, w in reversed(P.atoms)))
     assert mirrored_P.atoms == ((-0.5, 0.75), (1.0, 0.25))
-    mirrored = rescale_profile(T, mirrored_P, spike)
+    mirrored = rescale_profile(T, mirrored_P, spike_grid(T, spike))
     assert (profile.peak_value, profile.gamma0_reference) == (mirrored.peak_value, mirrored.gamma0_reference)
     assert np.array_equal(profile.dw, mirrored.dw)
     # the mirror image (-v, alpha -> -alpha) of a state has the same energy
