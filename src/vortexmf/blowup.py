@@ -7,17 +7,20 @@ mass, the Pohozaev balance, and the Newton potential growth.  Quadratures
 run through a log-stretched adaptive rule so integrands localized near
 the origin survive integration domains spanning many decades: QUADPACK's
 21-point Gauss-Kronrod rule, here in numpy, which evaluates the integrand
-on arrays of nodes, for a family of integrals at once (the Newton
-potential at many radii), each member with the bits it gets alone.  The
-members may differ in integrand and limits: :func:`gather` runs the
-integrals of several checks as one family.  Every radial callable handed
-to this module takes an array of radii and returns an array of the same
+on arrays of nodes, for a family of integrals at once, each member with
+the bits it gets alone.  A request for integrals is one shape, (fn,
+members): members lists each integral's (a, b, breakpoints), and fn takes
+an array of radii and the array of each radius's member; one integral is
+a family of one.  The checks that integrate (:func:`mass_gamma`,
+:func:`pohozaev_residual`, :func:`newton_potential`) are jobs, generators
+that yield one request and are sent its values, and :func:`gather` runs
+the requests of several jobs as one family.  Every radial callable handed
+to a check takes an array of radii and returns an array of the same
 shape, or a constant.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -158,69 +161,55 @@ def _finite(what: str, r, values):
     return values
 
 
-def _requested(a, b, breakpoints) -> tuple[bool, list]:
-    """Whether a request of :func:`radial_integral` is a family, and each member's (a, b, breakpoints)."""
-    family = np.ndim(breakpoints) == 2
-    rows = breakpoints if family else [() if breakpoints is None else breakpoints]
-    return family, list(zip(*(list(x) if np.ndim(x) else [x] * len(rows) for x in (a, b)), rows))
+def radial_integral(fn, members: list) -> list[float]:
+    """Adaptive integrals of fn after substituting u = log1p(r), to
+    relative tolerance ``QUAD_REL_TOL``, one per member (a, b, breakpoints):
+    fn over [a, b], with ``breakpoints`` listing radii where it has kinks
+    or jumps.
 
-
-def radial_integral(fn, a, b, breakpoints=None):
-    """Adaptive integral of fn over [a, b] after substituting u = log1p(r),
-    to relative tolerance ``QUAD_REL_TOL``.
-
-    fn takes an array of radii and returns an array of the same shape, or
-    a constant.  The substitution spends quadrature nodes evenly across
+    fn takes an array of radii and the array of each radius's member, an
+    index into ``members``, and returns an array of the radii's shape, or a
+    constant.  The substitution spends quadrature nodes evenly across
     decades, which integrands localized near the origin need once b runs
-    into the millions.  ``breakpoints`` lists radii where fn has kinks or
-    jumps.  A 2-D ``breakpoints``, a row per member, makes a family of
-    integrals in one quadrature: fn then takes the radii and the (intervals
-    x 1) array of each row's member, and returns an array of the radii's
-    shape; a and b may give a limit per member; the values come back as an
-    array, each the float its member gets alone.  A value of fn that is not
-    finite raises OverflowError.
+    into the millions.  All members run in one quadrature, and each value
+    is the float its member gets alone.  A value of fn that is not finite
+    raises OverflowError.
     """
-    family, members = _requested(a, b, breakpoints)
     if not all(0.0 <= lo < hi for lo, hi, _ in members):
         raise ValueError("need 0 <= a < b")
 
     def g(u: np.ndarray, member: np.ndarray) -> np.ndarray:
         r = np.expm1(u)
-        return _finite("integrand", r, (fn(r, member) if family else fn(r)) * (1.0 + r))
+        return _finite("integrand", r, fn(r, member) * (1.0 + r))
 
     log = math.log1p
     edges = [[log(lo), *sorted(log(p) for p in row if lo < p < hi), log(hi)] for lo, hi, row in members]
     # a non-finite value is reported by g, not warned about
     with np.errstate(all="ignore"):
-        values = quad(g, edges, QUAD_REL_TOL, 400)[0]
-    return np.array(values) if family else values[0]
+        return quad(g, edges, QUAD_REL_TOL, 400)[0]
 
 
 def gather(jobs: list) -> list:
     """What each job returns, from one :func:`radial_integral` of their
-    requests, whose members keep the bits they get alone.  A job, such as a
-    ``job`` of :func:`mass_gamma`, is a generator that yields one request
-    (fn, a, b, breakpoints) and is sent its value.  When the quadrature
-    fails, the error of the first request that fails alone is thrown into
-    its job."""
+    requests, whose members keep the bits they get alone.  A job, such as
+    :func:`mass_gamma`'s, is a generator that yields one request (fn,
+    members) and is sent its list of values; ``gather([job])[0]`` runs one
+    alone.  When the quadrature fails, the error of the first request that
+    fails alone is thrown into its job."""
     requests = [next(job) for job in jobs]
-    shapes = [_requested(a, b, breakpoints) for _, a, b, breakpoints in requests]
-    members = [member for _, own in shapes for member in own]
-    bounds = np.cumsum([0] + [len(own) for _, own in shapes]).tolist()
-    # rows of one length, padded with the member's upper limit, where an edge is anyway
-    width = max((len(row) for *_, row in members), default=0)
-    rows = np.array([[*row, *[hi] * (width - len(row))] for _, hi, row in members]).reshape(len(members), width)
+    members = [member for _, own in requests for member in own]
+    bounds = np.cumsum([0] + [len(own) for _, own in requests]).tolist()
 
     def fn(r: np.ndarray, member: np.ndarray) -> np.ndarray:
         out = np.empty_like(r)
         cuts = np.searchsorted(member[:, 0], bounds).tolist()  # quad orders rows by member
-        for (f, *_), (family, _), start, i, j in zip(requests, shapes, bounds, cuts, cuts[1:]):
+        for (f, _), start, i, j in zip(requests, bounds, cuts, cuts[1:]):
             if i < j:
-                out[i:j] = f(r[i:j], member[i:j] - start) if family else f(r[i:j])
+                out[i:j] = f(r[i:j], member[i:j] - start)
         return out
 
     try:
-        values = radial_integral(fn, [m[0] for m in members], [m[1] for m in members], rows)
+        values = radial_integral(fn, members)
     except (OverflowError, RuntimeError):
         for job, request in zip(jobs, requests):
             try:
@@ -229,19 +218,12 @@ def gather(jobs: list) -> list:
                 job.throw(exc)
         raise
     results = []
-    for job, (family, _), start, stop in zip(jobs, shapes, bounds, bounds[1:]):
+    for job, start, stop in zip(jobs, bounds, bounds[1:]):
         try:
-            job.send(values[start:stop] if family else float(values[start]))
+            job.send(values[start:stop])
         except StopIteration as done:
             results.append(done.value)
     return results
-
-
-def _one_request(job):
-    """The function that runs ``job`` alone (see :func:`gather`), with ``job`` as its attribute of that name."""
-    alone = functools.wraps(job)(lambda *args, **kwargs: gather([job(*args, **kwargs)])[0])
-    alone.job = job
-    return alone
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -377,9 +359,9 @@ def rescale_profile(T: SpectralTorus, P: CirculationMeasure, grid, side: str = "
     return BlowupProfile(w1_peak, r, mean_dw, 4.0 * mass / m_k)
 
 
-@_one_request
-def mass_gamma(f_radial, r_max: float, breakpoints=None) -> float:
-    """Concentration mass (1/2pi) integral of a radial plane density.
+def mass_gamma(f_radial, r_max: float, breakpoints=()):
+    """Concentration mass (1/2pi) integral of a radial plane density, as a
+    job of :func:`gather`.
 
     Equals int_0^inf f(r) r dr: adaptive quadrature to r_max plus a
     power-law tail estimate calibrated on the last decade.  The density
@@ -388,7 +370,7 @@ def mass_gamma(f_radial, r_max: float, breakpoints=None) -> float:
     returns an array of the same shape, or a constant.
     """
     _check_positive("r_max", r_max)
-    main = yield (lambda r: f_radial(r) * r), 0.0, r_max, breakpoints
+    (main,) = yield (lambda r, member: f_radial(r) * r), [(0.0, r_max, breakpoints)]
     probes = np.geomspace(r_max / 10.0, r_max, 16)
     f_vals = np.broadcast_to(np.asarray(f_radial(probes), dtype=float), probes.shape)
     if np.any(f_vals < 0.0):
@@ -415,69 +397,60 @@ class PohozaevReport:
     relative_residual: float
 
 
-@_one_request
-def pohozaev_residual(u_radial, a_radial, big_f, radius: float) -> PohozaevReport:
-    """Radial Pohozaev balance on the disk of the given radius.
+def pohozaev_residual(u_radial, big_f, radius: float):
+    """Radial Pohozaev balance on the disk of the given radius, as a job of
+    :func:`gather` that returns a :class:`PohozaevReport`.
 
-    For u solving -Lap(u) = A(r) F'(u), the identity
+    For u solving -Lap(u) = F'(u), the identity
 
-      R ring(|grad u|^2 / 2 - u_r^2) = R ring(A F(u))
-          - int_{B_R} [2 A F(u) + (x . grad A) F(u)]
+      R ring(|grad u|^2 / 2 - u_r^2) = R ring(F(u)) - int_{B_R} 2 F(u)
 
-    holds exactly (ring = boundary integral).  Both sides are reported
-    with their scaled gap |lhs - rhs| / (1 + |lhs| + |rhs|).  Radial
-    derivatives of u and A come from central differences, so the check is
-    meaningful only for smooth inputs.  u_radial and a_radial take an array
-    of radii and big_f an array of values of u; each returns an array of
-    the same shape, or a constant.  A boundary term that is not finite
-    raises OverflowError.
+    holds exactly (ring = boundary integral); a constant coefficient A of
+    -Lap(u) = A f(u) is folded into F.  Both sides are reported with their
+    scaled gap |lhs - rhs| / (1 + |lhs| + |rhs|).  The radial derivative
+    of u comes from central differences, so the check is meaningful only
+    for smooth inputs.  u_radial takes an array of radii and big_f an
+    array of values of u; each returns an array of the same shape, or a
+    constant.  A boundary term that is not finite raises OverflowError.
     """
     _check_positive("radius", radius)
     h = FD_STEP * max(1.0, radius)
     ur = (u_radial(radius + h) - u_radial(radius - h)) / (2.0 * h)
     lhs = float(-math.pi * radius * radius * ur * ur)
-
-    def volume_term(r: np.ndarray) -> np.ndarray:
-        fu = big_f(u_radial(r))
-        step = FD_STEP * np.maximum(1.0, r)
-        lo = np.maximum(r - step, 0.0)
-        da = (a_radial(r + step) - a_radial(lo)) / (r + step - lo)
-        return (2.0 * a_radial(r) * fu + fu * r * da) * r
-
     with np.errstate(all="ignore"):
-        boundary = 2.0 * math.pi * radius * radius * a_radial(radius) * big_f(u_radial(radius))
+        boundary = 2.0 * math.pi * radius * radius * big_f(u_radial(radius))
     boundary = float(_finite("boundary term", radius, boundary))
-    rhs = boundary - 2.0 * math.pi * (yield volume_term, 0.0, radius, None)
+    (volume,) = yield (lambda r, member: 2.0 * big_f(u_radial(r)) * r), [(0.0, radius, ())]
+    rhs = boundary - 2.0 * math.pi * volume
     gap = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
     return PohozaevReport(lhs=lhs, rhs=rhs, relative_residual=gap)
 
 
-@_one_request
-def newton_potential(f_radial, x_abs, rho_max: float = 1e6, breakpoints=None):
-    """Logarithmic potential z(x) = (1/2pi) int f(y) log(|x-y|/(1+|y|)) dy.
+def newton_potential(f_radial, x_abs, rho_max: float = 1e6, breakpoints=()):
+    """Logarithmic potential z(x) = (1/2pi) int f(y) log(|x-y|/(1+|y|)) dy
+    at each radius |x| of the 1-D sequence ``x_abs``, as a job of
+    :func:`gather` that returns a 1-D array.
 
     Radial symmetry collapses the angle: the circle mean of log|x-y| over
     |y| = rho is log max(|x|, rho).  z grows like gamma log|x| with
     gamma = (1/2pi) int f whenever the density tail is integrable.
     f_radial takes an array of radii and returns an array of the same
-    shape, or a constant.  x_abs is a radius or an array of radii, whose
-    potentials are one family of integrals (see :func:`radial_integral`):
-    a float gives a float, an array an array of its shape.
+    shape, or a constant.  Each radius is a member of the request, and a
+    breakpoint of its own integral.
     """
     xs = np.asarray(x_abs, dtype=float)
-    for x in xs.flat:
+    listed = xs.tolist()
+    for x in listed:
         _check_positive("x_abs", x)
     _check_positive("rho_max", rho_max)
-    flat = xs.ravel()
-    log_r = np.array([math.log(x) for x in flat])
+    log_r = np.array([math.log(x) for x in listed])
 
     def integrand(rho: np.ndarray, member: np.ndarray) -> np.ndarray:
-        angular = np.where(rho >= flat[member], -np.log1p(1.0 / rho), log_r[member] - np.log1p(rho))
+        angular = np.where(rho >= xs[member], -np.log1p(1.0 / rho), log_r[member] - np.log1p(rho))
         return f_radial(rho) * rho * angular
 
-    extra = [] if breakpoints is None else list(breakpoints)
-    vals = yield integrand, 0.0, rho_max, np.column_stack([flat, np.tile(extra, (flat.size, 1))])
+    vals = np.array((yield integrand, [(0.0, rho_max, (x, *breakpoints)) for x in listed]))
     probe = abs(float(f_radial(rho_max))) * rho_max * rho_max
     if np.any(probe > TAIL_SAFETY * (1.0 + np.abs(vals))):
         raise RuntimeError("density tail too heavy at rho_max; potential tail not negligible")
-    return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
+    return vals

@@ -415,7 +415,8 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
     disk = lambda r: np.where(r <= 1.0, 2.0, 0.0)
 
     def bubble_mass():
-        return 2.0 * math.pi * (yield (lambda r: density(r) * r), 0.0, 1e6, None)
+        (mass,) = yield (lambda r, member: density(r) * r), [(0.0, 1e6, ())]
+        return 2.0 * math.pi * mass
 
     def check(name: str, job):
         try:
@@ -426,11 +427,11 @@ def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
     mass, gamma, pohozaev_bubble, pohozaev_constant, z_bubble, z_disk = gather(
         [
             check("bubble_mass", bubble_mass()),
-            check("mass_gamma", mass_gamma.job(density, 1e4)),
-            check("pohozaev_bubble", pohozaev_residual.job(u, lambda r: 1.0, source, 10.0)),
-            check("pohozaev_constant", pohozaev_residual.job(lambda r: 0.7, lambda r: 1.0, source, 10.0)),
-            check("newton_slope_bubble", newton_potential.job(density, fit_rs)),
-            check("newton_slope_disk", newton_potential.job(disk, fit_rs, breakpoints=[1.0])),
+            check("mass_gamma", mass_gamma(density, 1e4)),
+            check("pohozaev_bubble", pohozaev_residual(u, source, 10.0)),
+            check("pohozaev_constant", pohozaev_residual(lambda r: 0.7, source, 10.0)),
+            check("newton_slope_bubble", newton_potential(density, fit_rs)),
+            check("newton_slope_disk", newton_potential(disk, fit_rs, breakpoints=[1.0])),
         ]
     )
     checks: list[dict] = []

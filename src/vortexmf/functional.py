@@ -122,11 +122,11 @@ class Partitions:
     interpolation; ``exact`` says so, and then row i is atom i's, the maps
     between rows and atoms (:meth:`to_atoms`, :meth:`to_rows`) are the
     identity and a trial's :meth:`expm1_sums` is one pass over the stack,
-    so a measure of few atoms takes no per-side loop.  A node set is built
-    only when a side's node count changes, and a side holds its last two
-    (:meth:`_node_set`); they do not depend on the grid, so each level of
-    a grid-sequenced run starts from the most recent one of the level
-    before (:meth:`twin`).
+    so a measure of few atoms takes no per-side loop.  A side holds one
+    node set, which is built anew only when the side's node count changes
+    (:meth:`_node_set`); a node set does not depend on the grid, so the
+    partitions, their :meth:`twin` and the next level of a grid-sequenced
+    run share it.
 
     The per-atom and per-node arrays are allocated here, and every
     :func:`el_residual` fills them in place; a level of a run holds two
@@ -143,7 +143,7 @@ class Partitions:
         self.weight = np.array([w for _, w in prob.P.atoms])
         self.weighted_alpha = self.weight * self.alpha
         self.weighted_alpha2 = self.weighted_alpha * self.alpha
-        # the atoms of each side, and its last two node sets
+        # the atoms of each side, and its node set
         signs = np.sign(self.alpha)
         self._sides = []
         for sign in (-1.0, 0.0, 1.0):
@@ -152,7 +152,7 @@ class Partitions:
                 self._sides.append(slice(int(index[0]), int(index[-1]) + 1))
         # none yet: the first fill's node count is walked up from the fewest
         # (see _node_count), not down from a side of thousands of atoms
-        self._node_sets = [[(np.empty(0), None)] * 2 for _ in self._sides]
+        self._node_sets = [(np.empty(0), None) for _ in self._sides]
         self._allocate(prob.torus)
 
     def _allocate(self, torus: SpectralTorus) -> None:
@@ -180,32 +180,23 @@ class Partitions:
         """Partitions for a second field of the same run, such as a trial
         step's candidate: they share ``alpha``, ``weight`` and their
         products, the sides and the node sets, and hold a fill of their own.
-        Given ``torus``, they are the next level's of a grid-sequenced run:
-        a node set does not depend on the grid, so each side starts from
-        its most recent one, and drops the other, which the next level may
-        not need while its larger stack is alive."""
+        Given ``torus``, they are the next level's of a grid-sequenced run,
+        which shares the node sets too: they do not depend on the grid."""
         twin = copy.copy(self)
-        if torus is None:
-            torus = self.torus
-        else:
-            twin._node_sets = [[held[0], (np.empty(0), None)] for held in self._node_sets]
-        twin._allocate(torus)
+        twin._allocate(self.torus if torus is None else torus)
         return twin
 
     def _node_set(self, k: int, width: float) -> tuple[np.ndarray, np.ndarray | None]:
         """Side k's node set for a range of v of the given width.  Each side
-        holds its last two node sets, most recently used first, shared by
-        the partitions and their :meth:`twin`; one is taken if it has the
-        node count the width needs, and otherwise a new one replaces the
-        older."""
+        holds one node set, shared by the partitions and their :meth:`twin`;
+        it is taken if it has the node count the width needs, and otherwise
+        a new one replaces it."""
         atoms = self.alpha[self._sides[k]]
-        held = self._node_sets[k]
-        r = _node_count(_half_width(atoms) * width, atoms.size, held[0][0].size)
-        if held[0][0].size != r:
-            if held[1][0].size != r:
-                held[1] = (atoms, None) if r == atoms.size else _chebyshev(atoms, r)
-            held.reverse()
-        return held[0]
+        held = self._node_sets[k][0].size
+        r = _node_count(_half_width(atoms) * width, atoms.size, held)
+        if held != r:
+            self._node_sets[k] = (atoms, None) if r == atoms.size else _chebyshev(atoms, r)
+        return self._node_sets[k]
 
     def fill(self, v: np.ndarray, lo: float, hi: float) -> None:
         """Choose each side's rows for the field v with min lo and max hi,

@@ -543,11 +543,11 @@ def _solve(prob: Problem, opts: MinimizeOptions, v: np.ndarray, partitions: Part
 
     It holds two fills and no other copy of v or of its residual: v's,
     ``partitions`` or new ones, and a spare.  The node sets do not depend
-    on the grid, so each level of a cold start starts from each side's most
-    recent node set of the level before (:meth:`Partitions.twin`) and
-    builds it no more.  A trial above the subtraction floor fills its
-    candidate into the spare, and an accepted candidate swaps the two; a
-    step accepted below the floor fills the next iterate into v's own.
+    on the grid, so each level of a cold start starts from each side's node
+    set of the level before (:meth:`Partitions.twin`) and builds it no
+    more.  A trial above the subtraction floor fills its candidate into
+    the spare, and an accepted candidate swaps the two; a step accepted
+    below the floor fills the next iterate into v's own.
     Every reader, J, the CG path, a trial, the stop test, the trace and the
     level's :func:`decay_ratio`, reads v's fill, which v enters only through
     :func:`el_residual`, so none can be handed another v.  S(v), hence the

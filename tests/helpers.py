@@ -1,6 +1,6 @@
 """Shared test utilities: random measures, random and synthetic fields,
-and J, the residual, the Hessian product and the trust region's energy
-difference at a field outside a run.
+J, the residual, the Hessian product and the trust region's energy
+difference at a field outside a run, and a radial check run alone.
 
 The library's solver functions take even fields at their quarter-cell
 nodes, and a run's ``result.v`` holds them; the wrappers here take a grid
@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from oracles import check_even
+from vortexmf.blowup import gather
 from vortexmf.functional import J, Partitions, Problem, el_residual, energy_scale, hessian_product
 from vortexmf.measure import CirculationMeasure, new_atomic
 from vortexmf.minimize import _EnergyDelta
@@ -123,3 +124,9 @@ def subtracted_energy_delta(prob: Problem, v: Field, d: Field) -> tuple[float, f
     subtracted = delta()
     assert delta.filled
     return subtracted, cancellation_free, eps_s
+
+
+def alone(job):
+    """What a job of a radial check, such as ``mass_gamma(f, r_max)``,
+    returns when it is gathered by itself."""
+    return gather([job])[0]

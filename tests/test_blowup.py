@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import gaussian_bump, random_measure, synthetic_v
+from helpers import alone, gaussian_bump, random_measure, synthetic_v
 from vortexmf.blowup import (
     BlowupProfile,
     bubble_profile,
@@ -39,13 +39,13 @@ def bubble_density(r, mu: float = 1.0, lam: float = 8.0):
 
 
 def test_radial_integral_polynomial_exact():
-    assert radial_integral(lambda r: r, 0.0, 7.0) == pytest.approx(24.5, rel=1e-10)
-    assert radial_integral(lambda r: 1.0, 2.0, 5.0) == pytest.approx(3.0, rel=1e-10)
+    assert radial_integral(lambda r, m: r, [(0.0, 7.0, ())]) == pytest.approx([24.5], rel=1e-10)
+    assert radial_integral(lambda r, m: 1.0, [(2.0, 5.0, ())]) == pytest.approx([3.0], rel=1e-10)
 
 
 def test_radial_integral_with_breakpoints():
-    step = lambda r: np.where(r <= 1.0, 1.0, 0.0)
-    val = radial_integral(step, 0.0, 2.0, breakpoints=[1.0])
+    step = lambda r, m: np.where(r <= 1.0, 1.0, 0.0)
+    (val,) = radial_integral(step, [(0.0, 2.0, [1.0])])
     assert val == pytest.approx(1.0, rel=1e-9)
 
 
@@ -65,8 +65,8 @@ def test_polynomial_of_degree_31_is_exact_on_one_interval():
 def test_step_at_a_breakpoint_is_exact():
     # on u = log1p(r) the step integrates e^u over [0, log 2], which one
     # interval resolves to rounding
-    step = lambda r: np.where(r <= 1.0, 1.0, 0.0)
-    assert radial_integral(step, 0.0, 2.0, breakpoints=[1.0]) == pytest.approx(1.0, rel=1e-15)
+    step = lambda r, m: np.where(r <= 1.0, 1.0, 0.0)
+    assert radial_integral(step, [(0.0, 2.0, [1.0])]) == pytest.approx([1.0], rel=1e-15)
 
 
 def test_neval_counts_21_nodes_per_interval_evaluated():
@@ -117,17 +117,32 @@ def _members(call):
     return [(v.hex(), e.hex(), s, c) for v, e, s, c in zip(values, errors, shares, counts)]
 
 
-@pytest.mark.parametrize("density, kw", [(bubble_density, {}), (lambda r: np.where(r <= 1.0, 2.0, 0.0), {"breakpoints": [1.0]})], ids=["bubble", "disk"])
-def test_every_newton_member_gets_the_bits_it_gets_alone(monkeypatch, density, kw):
-    # verify's growth fit: the potential at 9 radii as one family
-    fit_rs = np.geomspace(1e2, 1e4, 9)
+DISK = lambda r: np.where(r <= 1.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "density, radii, kw",
+    [
+        (bubble_density, np.geomspace(1e2, 1e4, 9), {}),
+        (DISK, np.geomspace(1e2, 1e4, 9), {"breakpoints": [1.0]}),
+        # radii inside the disk, and one on its edge, which is then an edge twice
+        (DISK, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0], {"breakpoints": [1.0]}),
+    ],
+    ids=["bubble", "disk", "disk-near"],
+)
+def test_every_newton_member_gets_the_bits_it_gets_alone(monkeypatch, density, radii, kw):
+    # the potential at several radii as one family, as verify's growth fit
+    # takes it at 9
     calls = _recording_quad(monkeypatch)
-    family = newton_potential(density, fit_rs, **kw)
-    alone = [newton_potential(density, R, **kw) for R in fit_rs]
-    assert len(calls) == 10 and [n for _, _, n in calls] == [9] + [1] * 9
+    family = alone(newton_potential(density, radii, **kw))
+    each = [alone(newton_potential(density, [R], **kw)) for R in radii]
+    n = len(radii)
+    assert len(calls) == n + 1 and [k for _, _, k in calls] == [n] + [1] * n
     assert _members(calls[0]) == [_members(call)[0] for call in calls[1:]]
-    assert [v.hex() for v in family] == [v.hex() for v in alone]
-    assert all(type(v) is float for v in alone)
+    assert family.shape == (n,) and all(z.shape == (1,) for z in each)
+    assert [v.hex() for v in family.tolist()] == [z[0].hex() for z in each]
+    # no radii: an empty family, and an empty array
+    assert alone(newton_potential(density, [], **kw)).shape == (0,)
 
 
 def test_members_that_need_different_rounds_keep_their_own_bits(monkeypatch):
@@ -146,6 +161,32 @@ def test_members_that_need_different_rounds_keep_their_own_bits(monkeypatch):
     assert len({rounds for *_, rounds in family}) >= 3
 
 
+def test_verify_gathers_six_jobs_of_one_request_each(monkeypatch):
+    # each job yields one (fn, members) request, members a list of
+    # (a, b, breakpoints) triples, and returns when it is sent its values
+    from vortexmf import cli
+
+    requests = []
+
+    def watched(job):
+        request = next(job)
+        requests.append(request)
+        values = yield request
+        with pytest.raises(StopIteration) as done:
+            job.send(values)
+        return done.value.value
+
+    monkeypatch.setattr(cli, "gather", lambda jobs: gather([watched(job) for job in jobs]))
+    assert all(check["passed"] for check in cli.verify_checks())
+    assert len(requests) == 6
+    for request in requests:
+        fn, members = request
+        assert callable(fn) and type(members) is list and members
+        for a, b, breakpoints in members:
+            assert 0.0 <= a < b and all(type(p) is float for p in breakpoints)
+    assert [len(members) for _, members in requests] == [1, 1, 1, 1, 9, 9]
+
+
 def test_verify_is_one_family_whose_members_keep_the_bits_they_get_alone(monkeypatch):
     # verify's 22 integrals, over [0, 1e6], [0, 1e4] and [0, 10] with five
     # integrands, in one quadrature; each again alone through its helper
@@ -159,15 +200,14 @@ def test_verify_is_one_family_whose_members_keep_the_bits_they_get_alone(monkeyp
     fit_rs = np.geomspace(1e2, 1e4, 9)
     u = lambda r: liouville_bubble(1.0, 8.0, r) + 2.0 * math.log(1.0)
     source = lambda t: 8.0 * np.exp(t)
-    disk = lambda r: np.where(r <= 1.0, 2.0, 0.0)
-    radial_integral(lambda r: bubble_density(r) * r, 0.0, 1e6)
-    mass_gamma(bubble_density, 1e4)
-    pohozaev_residual(u, lambda r: 1.0, source, 10.0)
-    pohozaev_residual(lambda r: 0.7, lambda r: 1.0, source, 10.0)
+    radial_integral(lambda r, m: bubble_density(r) * r, [(0.0, 1e6, ())])
+    alone(mass_gamma(bubble_density, 1e4))
+    alone(pohozaev_residual(u, source, 10.0))
+    alone(pohozaev_residual(lambda r: 0.7, source, 10.0))
     for R in fit_rs:
-        newton_potential(bubble_density, R)
+        alone(newton_potential(bubble_density, [R]))
     for R in fit_rs:
-        newton_potential(disk, R, breakpoints=[1.0])
+        alone(newton_potential(DISK, [R], breakpoints=[1.0]))
     assert len(calls) == 23 and all(n == 1 for *_, n in calls[1:])
     assert _members(calls[0]) == [_members(call)[0] for call in calls[1:]]
 
@@ -182,29 +222,31 @@ def test_a_failing_batch_throws_the_error_into_the_job_whose_request_fails_alone
 
     def job(name, fn, b):
         try:
-            return (yield fn, 0.0, b, [0.5])
+            return (yield (lambda r, member: fn(r)), [(0.0, b, [0.5])])
         except error:
             thrown.append(name)
             raise
 
-    newton = newton_potential.job(bubble_density, [1.0, 2.0])
+    newton = newton_potential(bubble_density, [1.0, 2.0])
     with pytest.raises(error) as batch:
         gather([job("first", lambda r: r, 2.0), job("bad", bad, 1.0), newton, job("last", bad, 1.0)])
-    with pytest.raises(error) as alone:
-        radial_integral(bad, 0.0, 1.0, [0.5])
-    assert thrown == ["bad"] and str(batch.value) == str(alone.value)
+    with pytest.raises(error) as by_itself:
+        radial_integral(lambda r, m: bad(r), [(0.0, 1.0, [0.5])])
+    assert thrown == ["bad"] and str(batch.value) == str(by_itself.value)
 
 
 def test_a_batch_returns_what_each_job_returns_alone():
     def job(fn, b):
-        return 2.0 * (yield fn, 0.0, b, None)
+        (value,) = yield fn, [(0.0, b, ())]
+        return 2.0 * value
 
-    newton = newton_potential.job(bubble_density, [1.0, 2.0])
-    got = gather([mass_gamma.job(bubble_density, 1e4), job(lambda r: r, 3.0), newton])
-    alone = mass_gamma(bubble_density, 1e4)
-    assert got[0].hex() == alone.hex() and type(got[0]) is type(alone)
-    assert got[1].hex() == (2.0 * radial_integral(lambda r: r, 0.0, 3.0)).hex()
-    assert [v.hex() for v in got[2]] == [v.hex() for v in newton_potential(bubble_density, np.array([1.0, 2.0]))]
+    newton = newton_potential(bubble_density, [1.0, 2.0])
+    got = gather([mass_gamma(bubble_density, 1e4), job(lambda r, m: r, 3.0), newton])
+    mass = alone(mass_gamma(bubble_density, 1e4))
+    assert got[0].hex() == mass.hex() and type(got[0]) is type(mass)
+    assert got[1].hex() == (2.0 * radial_integral(lambda r, m: r, [(0.0, 3.0, ())])[0]).hex()
+    by_itself = alone(newton_potential(bubble_density, [1.0, 2.0]))
+    assert [v.hex() for v in got[2].tolist()] == [v.hex() for v in by_itself.tolist()]
     assert gather([]) == []
 
 
@@ -260,13 +302,13 @@ BAD_INTEGRANDS = pytest.mark.parametrize(
 @BAD_INTEGRANDS
 def test_bad_integrands_raise_and_do_not_hang(fn, error, match):
     with pytest.raises(error, match=match):
-        radial_integral(fn, 0.0, 1.0)
+        radial_integral(lambda r, m: fn(r), [(0.0, 1.0, ())])
 
 
 @BAD_INTEGRANDS
 def test_a_bad_member_raises_after_a_good_one(fn, error, match):
     with pytest.raises(error, match=match):
-        radial_integral(lambda r, member: np.where(member == 1, fn(r), 1.0), 0.0, 1.0, [[], []])
+        radial_integral(lambda r, member: np.where(member == 1, fn(r), 1.0), [(0.0, 1.0, ())] * 2)
 
 
 def test_quadrature_of_a_nan_integrand_ends_at_the_interval_limit():
@@ -286,12 +328,12 @@ def test_a_member_past_the_limit_raises():
 
 def test_a_non_finite_member_names_its_radius():
     fn = lambda r: np.where(r > 0.75, math.inf, 1.0)
-    with pytest.raises(OverflowError) as alone:
-        radial_integral(fn, 0.0, 1.0, [0.5])
+    with pytest.raises(OverflowError) as by_itself:
+        radial_integral(lambda r, m: fn(r), [(0.0, 1.0, [0.5])])
     with pytest.raises(OverflowError) as member:
-        radial_integral(lambda r, m: np.where(m == 1, fn(r), 1.0), 0.0, 1.0, [[0.5], [0.5]])
-    assert str(member.value) == str(alone.value)
-    assert float(str(alone.value).rpartition("= ")[2]) > 0.75
+        radial_integral(lambda r, m: np.where(m == 1, fn(r), 1.0), [(0.0, 1.0, [0.5])] * 2)
+    assert str(member.value) == str(by_itself.value)
+    assert float(str(by_itself.value).rpartition("= ")[2]) > 0.75
 
 
 def test_verify_integrals_match_quadpack(monkeypatch):
@@ -303,20 +345,17 @@ def test_verify_integrals_match_quadpack(monkeypatch):
 
     pairs, calls = [], []
 
-    def recorded(fn, a, b, breakpoints=None):
-        value = radial_integral(fn, a, b, breakpoints)
-        calls.append(np.size(value))
-        family = np.ndim(breakpoints) == 2
-        rows = breakpoints if family else [breakpoints]
-        limits = zip(np.broadcast_to(a, len(rows)).tolist(), np.broadcast_to(b, len(rows)).tolist())
-        for m, (row, (a, b), v) in enumerate(zip(rows, limits, np.atleast_1d(value))):
-            # a family's integrand takes (intervals x 21) radii and (intervals x 1) members
-            member = fn if not family else lambda r, m=m: fn(np.reshape(r, (1, 1)), np.array([[m]]))[0, 0]
-            g = lambda u: float(member(np.array(math.expm1(u)))) * math.exp(u)
-            points = sorted(math.log1p(p) for p in row if a < p < b) if row is not None and len(row) else None
+    def recorded(fn, members):
+        values = radial_integral(fn, members)
+        calls.append(len(values))
+        for m, ((a, b, row), v) in enumerate(zip(members, values)):
+            # the integrand takes (intervals x 21) radii and (intervals x 1) members
+            member = lambda r, m=m: fn(np.reshape(r, (1, 1)), np.array([[m]]))[0, 0]
+            g = lambda u: float(member(math.expm1(u))) * math.exp(u)
+            points = sorted(math.log1p(p) for p in row if a < p < b) or None
             ref = quadpack(g, math.log1p(a), math.log1p(b), epsabs=0.0, epsrel=1e-10, limit=400, points=points)[0]
             pairs.append((v, ref))
-        return value
+        return values
 
     monkeypatch.setattr(blowup, "radial_integral", recorded)
     assert all(check["passed"] for check in cli.verify_checks())
@@ -329,9 +368,9 @@ def test_verify_integrals_match_quadpack(monkeypatch):
 
 def test_radial_integral_bounds_validation():
     with pytest.raises(ValueError):
-        radial_integral(lambda r: r, -1.0, 2.0)
+        radial_integral(lambda r, m: r, [(-1.0, 2.0, ())])
     with pytest.raises(ValueError):
-        radial_integral(lambda r: r, 3.0, 3.0)
+        radial_integral(lambda r, m: r, [(3.0, 3.0, ())])
 
 
 # -------------------------------------------------------------------- bubble
@@ -365,9 +404,8 @@ def test_bubble_float_path_is_the_array_path_bit_for_bit(mu, lam):
 
 def test_bubble_total_mass_is_eight_pi():
     for mu in (0.5, 1.0, 3.0):
-        mass = 2.0 * math.pi * radial_integral(
-            lambda r: bubble_density(r, mu=mu) * r, 0.0, 1e6
-        )
+        (half,) = radial_integral(lambda r, m: bubble_density(r, mu=mu) * r, [(0.0, 1e6, ())])
+        mass = 2.0 * math.pi * half
         assert mass == pytest.approx(EIGHT_PI, rel=1e-6)
 
 
@@ -382,25 +420,25 @@ def test_bubble_solves_its_equation():
 
 
 def test_concentration_mass_of_bubble():
-    assert mass_gamma(bubble_density, 1e4) == pytest.approx(4.0, abs=1e-6)
+    gamma = alone(mass_gamma(bubble_density, 1e4))
+    assert gamma == pytest.approx(4.0, abs=1e-6)
     # pi gamma^2 = 2 lambda_bar(delta_1) ties the mass to the coupling
-    gamma = mass_gamma(bubble_density, 1e4)
     assert math.pi * gamma * gamma == pytest.approx(2.0 * EIGHT_PI, rel=1e-9)
 
 
 def test_concentration_mass_edge_cases():
-    assert mass_gamma(lambda r: 0.0, 10.0) == 0.0
-    base = mass_gamma(bubble_density, 1e4)
-    doubled = mass_gamma(lambda r: 2.0 * bubble_density(r), 1e4)
+    assert alone(mass_gamma(lambda r: 0.0, 10.0)) == 0.0
+    base = alone(mass_gamma(bubble_density, 1e4))
+    doubled = alone(mass_gamma(lambda r: 2.0 * bubble_density(r), 1e4))
     assert doubled == pytest.approx(2.0 * base, rel=1e-10)
     with pytest.raises(ValueError):
-        mass_gamma(bubble_density, -1.0)
+        alone(mass_gamma(bubble_density, -1.0))
     with pytest.raises(ValueError):
-        mass_gamma(lambda r: -1.0, 10.0)
+        alone(mass_gamma(lambda r: -1.0, 10.0))
     with pytest.raises(RuntimeError, match="not decreasing"):
-        mass_gamma(lambda r: 1.0 / (1.0 + r * r), 1e4)
+        alone(mass_gamma(lambda r: 1.0 / (1.0 + r * r), 1e4))
     with pytest.raises(RuntimeError, match="does not converge"):
-        mass_gamma(lambda r: 1.0 / np.maximum(r, 1.0) ** 2, 1e4, breakpoints=[1.0])
+        alone(mass_gamma(lambda r: 1.0 / np.maximum(r, 1.0) ** 2, 1e4, breakpoints=[1.0]))
 
 
 # ------------------------------------------------------------------ profiles
@@ -579,7 +617,7 @@ def test_side_length_only_rescales_the_answer():
 
 def test_pohozaev_balance_on_bubble():
     w = lambda r: liouville_bubble(1.0, 8.0, r)
-    rep = pohozaev_residual(w, lambda r: 8.0, np.exp, 10.0)
+    rep = alone(pohozaev_residual(w, lambda t: 8.0 * np.exp(t), 10.0))
     assert rep.relative_residual <= 1e-6
     expected = abs(rep.lhs - rep.rhs) / (1.0 + abs(rep.lhs) + abs(rep.rhs))
     assert rep.relative_residual == expected
@@ -588,12 +626,12 @@ def test_pohozaev_balance_on_bubble():
 def test_pohozaev_boundary_term_limit():
     # as R grows the boundary kinetic term approaches -2 lambda_bar = -16 pi
     w = lambda r: liouville_bubble(1.0, 8.0, r)
-    rep = pohozaev_residual(w, lambda r: 8.0, np.exp, 500.0)
+    rep = alone(pohozaev_residual(w, lambda t: 8.0 * np.exp(t), 500.0))
     assert abs(rep.lhs + 16.0 * math.pi) <= 1e-3
 
 
 def test_pohozaev_constant_field_is_exact():
-    rep = pohozaev_residual(lambda r: 0.7, lambda r: 1.0, np.exp, 3.0)
+    rep = alone(pohozaev_residual(lambda r: 0.7, np.exp, 3.0))
     assert rep.lhs == 0.0
     assert rep.relative_residual <= 1e-12
 
@@ -601,13 +639,13 @@ def test_pohozaev_constant_field_is_exact():
 def test_pohozaev_detects_non_solution():
     # shifting the bubble amplitude breaks the equation, not just its scale
     w = lambda r: liouville_bubble(1.0, 8.0, r) + 2.0 * math.log(2.0)
-    rep = pohozaev_residual(w, lambda r: 8.0, np.exp, 10.0)
+    rep = alone(pohozaev_residual(w, lambda t: 8.0 * np.exp(t), 10.0))
     assert rep.relative_residual >= 0.1
 
 
 def test_pohozaev_rejects_bad_radius():
     with pytest.raises(ValueError):
-        pohozaev_residual(lambda r: 0.0, lambda r: 1.0, np.exp, 0.0)
+        alone(pohozaev_residual(lambda r: 0.0, np.exp, 0.0))
 
 
 # ----------------------------------------------------------- Newton potential
@@ -619,10 +657,10 @@ def test_pohozaev_rejects_bad_radius():
     [
         ("mu", lambda x: liouville_bubble(x, 8.0, 1.0)),
         ("lam", lambda x: liouville_bubble(1.0, x, 1.0)),
-        ("x_abs", lambda x: newton_potential(bubble_density, x)),
-        ("r_max", lambda x: mass_gamma(bubble_density, x)),
-        ("radius", lambda x: pohozaev_residual(lambda r: 0.0, lambda r: 1.0, np.exp, x)),
-        ("rho_max", lambda x: newton_potential(bubble_density, 10.0, rho_max=x)),
+        ("x_abs", lambda x: alone(newton_potential(bubble_density, [x]))),
+        ("r_max", lambda x: alone(mass_gamma(bubble_density, x))),
+        ("radius", lambda x: alone(pohozaev_residual(lambda r: 0.0, np.exp, x))),
+        ("rho_max", lambda x: alone(newton_potential(bubble_density, [10.0], rho_max=x))),
     ],
 )
 def test_radial_parameters_must_be_positive_and_finite(name, call, bad):
@@ -631,54 +669,41 @@ def test_radial_parameters_must_be_positive_and_finite(name, call, bad):
 
 
 def test_newton_potential_zero_density():
-    assert newton_potential(lambda r: 0.0, 10.0) == 0.0
+    assert alone(newton_potential(lambda r: 0.0, [10.0])).tolist() == [0.0]
 
 
 def test_newton_potential_doubling_matches_mass():
     # z(2R) - z(R) -> gamma log 2 with gamma = (1/2pi) int f
     disk = lambda r: np.where(r <= 1.0, 2.0, 0.0)
-    gamma = mass_gamma(disk, 2.0, breakpoints=[1.0])
+    gamma = alone(mass_gamma(disk, 2.0, breakpoints=[1.0]))
     assert gamma == pytest.approx(1.0, rel=1e-9)
     for R in (100.0, 400.0):
-        dz = newton_potential(disk, 2.0 * R, breakpoints=[1.0]) - newton_potential(
-            disk, R, breakpoints=[1.0]
-        )
-        assert abs(dz - gamma * math.log(2.0)) <= 0.01
+        z_r, z_2r = alone(newton_potential(disk, [R, 2.0 * R], breakpoints=[1.0]))
+        assert abs(z_2r - z_r - gamma * math.log(2.0)) <= 0.01
 
 
 def test_newton_potential_guards():
     with pytest.raises(ValueError):
-        newton_potential(lambda r: 0.0, -1.0)
+        alone(newton_potential(lambda r: 0.0, [-1.0]))
     with pytest.raises(RuntimeError, match="tail"):
-        newton_potential(lambda r: 1.0 / (1.0 + r), 10.0, rho_max=1e4)
+        alone(newton_potential(lambda r: 1.0 / (1.0 + r), [10.0], rho_max=1e4))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_newton_potential_checks_every_radius(bad):
-    for x_abs in ([bad, 10.0], [10.0, bad], np.array([[10.0, 20.0], [30.0, bad]])):
+    for x_abs in ([bad, 10.0], [10.0, bad], np.array([10.0, 20.0, 30.0, bad])):
         with pytest.raises(ValueError, match="^x_abs must be positive and finite$"):
-            newton_potential(bubble_density, x_abs)
+            alone(newton_potential(bubble_density, x_abs))
 
 
 def test_newton_potential_applies_the_tail_guard_per_radius():
     # the probe |f(rho_max)| rho_max^2, about 2.0e-3, against 1e-3 (1 + |z(x)|):
     # z(1e3) is about 5.4 and passes, z(3) about 0.14 and fails
     density = lambda r: 2.0 / (1.0 + r) ** 3
-    far = newton_potential(density, 1e3, rho_max=1e3)
+    (far,) = alone(newton_potential(density, [1e3], rho_max=1e3))
     with pytest.raises(RuntimeError, match="tail"):
-        newton_potential(density, 3.0, rho_max=1e3)
-    assert newton_potential(density, [1e3, 1e3], rho_max=1e3).tolist() == [far, far]
+        alone(newton_potential(density, [3.0], rho_max=1e3))
+    assert alone(newton_potential(density, [1e3, 1e3], rho_max=1e3)).tolist() == [far, far]
     with pytest.raises(RuntimeError, match="tail"):
-        newton_potential(density, [1e3, 3.0], rho_max=1e3)
+        alone(newton_potential(density, [1e3, 3.0], rho_max=1e3))
 
-
-def test_newton_potential_keeps_the_shape_of_its_radii():
-    disk = lambda r: np.where(r <= 1.0, 2.0, 0.0)
-    radii = np.array([[0.5, 1.0, 2.0], [4.0, 8.0, 16.0]])
-    grid = newton_potential(disk, radii, breakpoints=[1.0])
-    assert grid.shape == (2, 3)
-    for x, z in zip(radii.flat, grid.flat):
-        alone = newton_potential(disk, float(x), breakpoints=[1.0])
-        assert type(alone) is float and alone.hex() == z.hex()
-    assert newton_potential(disk, np.array(2.0), breakpoints=[1.0]) == grid[0, 2]
-    assert newton_potential(disk, np.empty((0,))).shape == (0,)

@@ -622,16 +622,16 @@ def test_a_density_of_1024_atoms_converges_on_few_node_rows():
 
 
 def test_a_side_builds_a_node_set_only_when_its_node_count_changes(monkeypatch):
-    # the benchmark's 128-atom solve at CLI seeds 0-3 builds 98 node sets
-    # over its 32^2, 64^2 and 128^2 levels, 114 with node sets per level; a
-    # build on every fill and every widening step took 218.  A level's two
-    # partitions share each side's last two node sets, most recently used
-    # first, a level starts from the most recent set of the level before,
-    # and a side builds one only when neither has the count it needs
+    # the benchmark's 128-atom solve at CLI seeds 0-3 builds 100 node sets
+    # over its 32^2, 64^2 and 128^2 levels, 98 where a side held its last
+    # two, 114 with node sets per level; a build on every fill and every
+    # widening step took 218.  Every partitions of a run, the levels'
+    # included, share each side's one node set, and a side builds one only
+    # when the count it needs is not the held one's
     builds = []
     chebyshev = functional_module._chebyshev
     monkeypatch.setattr(functional_module, "_chebyshev", lambda alpha, r: builds.append(r) or chebyshev(alpha, r))
-    requests = []  # per request: the level's node sets, the side, its node count, built or not
+    requests = []  # per request: the node sets, the side, its node count, built or not
     node_set = Partitions._node_set
 
     def counted(self, k, width):
@@ -648,14 +648,11 @@ def test_a_side_builds_a_node_set_only_when_its_node_count_changes(monkeypatch):
     for seed in range(4):
         requests.clear()
         assert minimize(prob, MinimizeOptions(seed=seed)).status == "converged"
-        held, level = {}, None  # per side, the counts of its two node sets, most recent first
+        held = {}  # per side, the count of its one node set
         for node_sets, k, r, built in requests:
-            if node_sets is not level:  # a new level keeps each side's most recent set
-                level = node_sets
-                held = {side: counts[:1] for side, counts in held.items()}
-            counts = held.get(k, [])
-            assert built == (r not in counts)
-            held[k] = [r] + [c for c in counts if c != r][:1]
+            assert node_sets is requests[0][0]
+            assert built == (r != held.get(k))
+            held[k] = r
         built_in_all += sum(built for *_, built in requests)
     assert 0 < built_in_all == len(builds) <= 100
 
