@@ -30,6 +30,8 @@ from vortexmf.measure import CirculationMeasure, tail_scan
 from vortexmf.torus import Field, SpectralTorus, radial_average
 
 QUAD_REL_TOL = 1e-10
+QUAD_LIMIT = 400  # intervals per member
+NEWTON_RHO_MAX = 1e6  # outer radius of the Newton potential's integrals
 MIN_FIT_SAMPLES = 8
 DEFAULT_WINDOW = (3.0, 30.0)
 PEAK_SLACK = 1e-9
@@ -100,7 +102,7 @@ def _kronrod(f, lo: list[float], hi: list[float], member: np.ndarray) -> tuple[l
     return (resk * half).tolist(), err.tolist()
 
 
-def quad(f, edges, epsrel: float, limit: int):
+def quad(f, edges):
     """Globally adaptive Gauss-Kronrod integrals of a family of integrands.
 
     QUADPACK's 21-point rule and its error estimate (qk21, Piessens et al.
@@ -112,13 +114,13 @@ def quad(f, edges, epsrel: float, limit: int):
     shape.  Each round calls f once, on the nodes of every interval made in
     the round before by a member still open.  A member bisects every
     interval whose error estimate exceeds tol / (number of its intervals),
-    tol = epsrel |value|, until its estimates, summed with math.fsum as its
-    values are, reach at most tol.  A member's value, estimate and
-    evaluations are the bits it gets alone.
+    tol = ``QUAD_REL_TOL`` |value|, until its estimates, summed with
+    math.fsum as its values are, reach at most tol.  A member's value,
+    estimate and evaluations are the bits it gets alone.
 
     Returns ([value], [abserr], {"neval": integrand evaluations}), a value
     and an abserr per member.  Raises RuntimeError when a member would need
-    more than ``limit`` intervals, which also ends a non-finite integrand.
+    more than ``QUAD_LIMIT`` (400) intervals, which ends a non-finite one.
     """
     # per member, (lo, hi, value, error) of the intervals kept and (lo, hi)
     # of those to evaluate, as Python floats: numpy's per-call overhead
@@ -139,14 +141,14 @@ def quad(f, edges, epsrel: float, limit: int):
         for m in sorted(set(owner)):
             intervals = kept[m]
             value, abserr = map(math.fsum, list(zip(*intervals))[2:])
-            tol = epsrel * abs(value)
+            tol = QUAD_REL_TOL * abs(value)
             if abserr <= tol:
                 values[m], abserrs[m] = value, abserr
                 continue
             cut = tol / len(intervals)
             split = [iv for iv in intervals if not iv[3] <= cut]
-            if not split or len(intervals) + len(split) > limit:
-                raise RuntimeError(f"quadrature did not converge within {limit} intervals (error {abserr:.3g})")
+            if not split or len(intervals) + len(split) > QUAD_LIMIT:
+                raise RuntimeError(f"quadrature did not converge within {QUAD_LIMIT} intervals (error {abserr:.3g})")
             kept[m] = [iv for iv in intervals if iv[3] <= cut]
             fresh[m] = [pair for a, b, _, _ in split for pair in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
     return values, abserrs, {"neval": neval}
@@ -163,9 +165,9 @@ def _finite(what: str, r, values):
 
 def radial_integral(fn, members: list) -> list[float]:
     """Adaptive integrals of fn after substituting u = log1p(r), to
-    relative tolerance ``QUAD_REL_TOL``, one per member (a, b, breakpoints):
-    fn over [a, b], with ``breakpoints`` listing radii where it has kinks
-    or jumps.
+    relative tolerance ``QUAD_REL_TOL`` within ``QUAD_LIMIT`` intervals,
+    one per member (a, b, breakpoints): fn over [a, b], with
+    ``breakpoints`` listing radii where it has kinks or jumps.
 
     fn takes an array of radii and the array of each radius's member, an
     index into ``members``, and returns an array of the radii's shape, or a
@@ -186,7 +188,7 @@ def radial_integral(fn, members: list) -> list[float]:
     edges = [[log(lo), *sorted(log(p) for p in row if lo < p < hi), log(hi)] for lo, hi, row in members]
     # a non-finite value is reported by g, not warned about
     with np.errstate(all="ignore"):
-        return quad(g, edges, QUAD_REL_TOL, 400)[0]
+        return quad(g, edges)[0]
 
 
 def gather(jobs: list) -> list:
@@ -313,7 +315,7 @@ def fit_li_slope(profile: BlowupProfile, fit_window) -> float:
     return fit_li_line(profile, fit_window)[0]
 
 
-def bubble_profile(mu: float, lam: float, radii, alpha: float = 1.0) -> BlowupProfile:
+def bubble_profile(mu: float, lam: float, radii, alpha: float) -> BlowupProfile:
     """Directly sampled bubble profile (construction oracle for the fits).
 
     ``alpha`` scales dw the way a circulation-alpha normalized field
@@ -329,19 +331,20 @@ def bubble_profile(mu: float, lam: float, radii, alpha: float = 1.0) -> BlowupPr
     return BlowupProfile(peak, rs, alpha * (liouville_bubble(mu, lam, rs) - peak), 4.0)
 
 
-def rescale_profile(T: SpectralTorus, P: CirculationMeasure, grid, side: str = "positive") -> BlowupProfile:
+def rescale_profile(T: SpectralTorus, P: CirculationMeasure, grid, side: str) -> BlowupProfile:
     """Peak-rescaled radial profile of w_1 around the maximum of a spike,
     from ``grid``, its grid values and log-partition ``spike_grid(T, v)``
     of a minimizer's ``result.v``.
 
     The peak is the first grid maximum in row-major order, a result's
     ``peak_point``.  dw is the radial average of w_1(x) - w_1(peak) =
-    v(x) - v(peak) in grid_n / 2 bins, and sigma comes from w_1 at the
-    peak.  The profile of w_alpha is alpha dw with the same sigma, so the
-    circulation is no parameter.  The spike carries the mass
-    lambda |m_K| of the extremal subset K of the tail scan on P's ``side``,
-    so the reference slope is gamma0 = 4 P(K) / |m_K|, which is 4 / m1
-    under residual vanishing.  A negative spike is read from -v with
+    v(x) - v(peak) in the grid_n / 2 bins of :func:`radial_average`, and
+    sigma comes from w_1 at the peak.  The profile of w_alpha is alpha dw
+    with the same sigma, so the circulation is no parameter.  The spike
+    carries the mass lambda |m_K| of the extremal subset K of the tail scan
+    on P's ``side``, so the reference slope is gamma0 = 4 P(K) / |m_K|,
+    which is 4 / m1 under residual vanishing.  A positive spike is read
+    with ``side="positive"``, and a negative one from -v with
     ``side="negative"``: the state (-v, alpha -> -alpha) has the same J,
     and its positive tail is P's negative tail, in the same order.
     """
@@ -353,13 +356,13 @@ def rescale_profile(T: SpectralTorus, P: CirculationMeasure, grid, side: str = "
     mass = math.fsum(P.atoms[i][1] for i in subset)
     m_k = abs(math.fsum(P.atoms[i][0] * P.atoms[i][1] for i in subset))
     w1_peak = float(vals[peak]) - lp
-    bins = radial_average(T, Field(vals - vals[peak]), peak, T.grid_n // 2)
+    bins = radial_average(T, Field(vals - vals[peak]), peak)
     r = np.array([b[0] for b in bins])
     mean_dw = np.array([b[1] for b in bins])
     return BlowupProfile(w1_peak, r, mean_dw, 4.0 * mass / m_k)
 
 
-def mass_gamma(f_radial, r_max: float, breakpoints=()):
+def mass_gamma(f_radial, r_max: float):
     """Concentration mass (1/2pi) integral of a radial plane density, as a
     job of :func:`gather`.
 
@@ -370,7 +373,7 @@ def mass_gamma(f_radial, r_max: float, breakpoints=()):
     returns an array of the same shape, or a constant.
     """
     _check_positive("r_max", r_max)
-    (main,) = yield (lambda r, member: f_radial(r) * r), [(0.0, r_max, breakpoints)]
+    (main,) = yield (lambda r, member: f_radial(r) * r), [(0.0, r_max, ())]
     probes = np.geomspace(r_max / 10.0, r_max, 16)
     f_vals = np.broadcast_to(np.asarray(f_radial(probes), dtype=float), probes.shape)
     if np.any(f_vals < 0.0):
@@ -426,7 +429,7 @@ def pohozaev_residual(u_radial, big_f, radius: float):
     return PohozaevReport(lhs=lhs, rhs=rhs, relative_residual=gap)
 
 
-def newton_potential(f_radial, x_abs, rho_max: float = 1e6, breakpoints=()):
+def newton_potential(f_radial, x_abs, breakpoints=()):
     """Logarithmic potential z(x) = (1/2pi) int f(y) log(|x-y|/(1+|y|)) dy
     at each radius |x| of the 1-D sequence ``x_abs``, as a job of
     :func:`gather` that returns a 1-D array.
@@ -436,21 +439,21 @@ def newton_potential(f_radial, x_abs, rho_max: float = 1e6, breakpoints=()):
     gamma = (1/2pi) int f whenever the density tail is integrable.
     f_radial takes an array of radii and returns an array of the same
     shape, or a constant.  Each radius is a member of the request, and a
-    breakpoint of its own integral.
+    breakpoint of its own integral over [0, rho_max], rho_max =
+    ``NEWTON_RHO_MAX`` (1e6).
     """
     xs = np.asarray(x_abs, dtype=float)
     listed = xs.tolist()
     for x in listed:
         _check_positive("x_abs", x)
-    _check_positive("rho_max", rho_max)
     log_r = np.array([math.log(x) for x in listed])
 
     def integrand(rho: np.ndarray, member: np.ndarray) -> np.ndarray:
         angular = np.where(rho >= xs[member], -np.log1p(1.0 / rho), log_r[member] - np.log1p(rho))
         return f_radial(rho) * rho * angular
 
-    vals = np.array((yield integrand, [(0.0, rho_max, (x, *breakpoints)) for x in listed]))
-    probe = abs(float(f_radial(rho_max))) * rho_max * rho_max
+    vals = np.array((yield integrand, [(0.0, NEWTON_RHO_MAX, (x, *breakpoints)) for x in listed]))
+    probe = abs(float(f_radial(NEWTON_RHO_MAX))) * NEWTON_RHO_MAX * NEWTON_RHO_MAX
     if np.any(probe > TAIL_SAFETY * (1.0 + np.abs(vals))):
         raise RuntimeError("density tail too heavy at rho_max; potential tail not negligible")
     return vals

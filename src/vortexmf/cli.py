@@ -73,8 +73,8 @@ class _Parser(argparse.ArgumentParser):
     which takes no prefix of a flag for the flag: ``--lambda`` is unknown,
     not ``--lambdas``.  Each command's parser is one too."""
 
-    def __init__(self, *args, allow_abbrev: bool = False, **kwargs) -> None:
-        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> NoReturn:
         raise InputError(message)
@@ -396,14 +396,14 @@ def cmd_scan(cfg: argparse.Namespace, T: SpectralTorus, opts: MinimizeOptions, P
     return 0
 
 
-def verify_checks(debug_bubble_scale: float = 1.0) -> list[dict]:
+def verify_checks(debug_bubble_scale: float) -> list[dict]:
     """The oracle suite: bubble mass and PDE, concentration mass, slope
     fits, Pohozaev balance, Newton potential growth.  Its integrals run in
     one quadrature (:func:`vortexmf.blowup.gather`).
 
     ``debug_bubble_scale`` shifts the bubble fed to the Pohozaev check by
-    2 log(scale); any value other than 1 breaks the equation it is
-    supposed to solve and must make that check fail (negative control).
+    2 log(scale); 1 leaves it, and any other value breaks the equation it
+    is supposed to solve and must make that check fail (negative control).
     """
     lam, mu = 8.0, 1.0
     # every radial callable takes an array of radii (see vortexmf.blowup)

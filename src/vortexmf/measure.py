@@ -45,7 +45,8 @@ class CirculationMeasure:
 
     atoms are (alpha, weight) pairs sorted by increasing alpha, with all
     alphas in [-1, 1], distinct beyond ``ALPHA_MERGE_TOL``, strictly
-    positive weights, and weights summing to 1.
+    positive weights, and weights whose math.fsum, as in :func:`new_atomic`,
+    is within 1e-12 of 1.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -53,7 +54,6 @@ class CirculationMeasure:
     def __post_init__(self) -> None:
         if not self.atoms:
             raise ValueError("measure needs at least one atom")
-        total = 0.0
         prev = None
         for alpha, weight in self.atoms:
             if not -1.0 <= alpha <= 1.0:
@@ -63,7 +63,7 @@ class CirculationMeasure:
             if prev is not None and alpha - prev <= ALPHA_MERGE_TOL:
                 raise ValueError("atoms must be sorted with distinct alphas")
             prev = alpha
-            total += weight
+        total = math.fsum(w for _, w in self.atoms)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, expected 1")
 

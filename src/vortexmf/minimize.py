@@ -75,7 +75,7 @@ decides what to write.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,10 +162,10 @@ class MinimizeResult:
     iterations: int
     lam: float
     status: str
-    hessian_products: int = 0
-    rejected: int = 0
-    trace: list[tuple[float, float, float, float]] = field(default_factory=list)
-    levels: list[Level] = field(default_factory=list)
+    hessian_products: int
+    rejected: int
+    trace: list[tuple[float, float, float, float]]
+    levels: list[Level]
 
     @property
     def peak_point(self) -> tuple[int, int]:
@@ -179,8 +179,8 @@ class MinimizeResult:
         return float(self.v.max())
 
 
-def random_zero_mean(T: SpectralTorus, seed: int, amplitude: float = 0.01) -> Field:
-    """Band-limited noise of given sup amplitude, zero-mean, seeded."""
+def random_zero_mean(T: SpectralTorus, seed: int) -> Field:
+    """Band-limited noise of sup amplitude 0.01, zero-mean, seeded."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((T.grid_n, T.grid_n))
     # complex transforms: every cold start is these bits
@@ -188,15 +188,15 @@ def random_zero_mean(T: SpectralTorus, seed: int, amplitude: float = 0.01) -> Fi
     cutoff = max(2, T.grid_n // 8)
     keep = np.abs(np.fft.fftfreq(T.grid_n, 1.0 / T.grid_n)) <= cutoff
     vals = np.fft.ifft2(spectrum * np.outer(keep, keep)).real
-    vals *= amplitude / np.abs(vals).max()
+    vals *= 0.01 / np.abs(vals).max()
     return project_zero_mean(T, Field(vals))
 
 
-def center_bump(T: SpectralTorus, amplitude: float = 0.5) -> Field:
-    """Gaussian bump of width L/8 at the grid center (symmetry breaking)."""
+def center_bump(T: SpectralTorus) -> Field:
+    """Gaussian bump of height 0.5 and width L/8 at the grid center (symmetry breaking)."""
     r = periodic_distance(T, (T.grid_n // 2, T.grid_n // 2))
     width = T.side_length / 8.0
-    return Field(amplitude * np.exp(-(r * r) / (2.0 * width * width)))
+    return Field(0.5 * np.exp(-(r * r) / (2.0 * width * width)))
 
 
 class _EnergyDelta:
@@ -232,7 +232,7 @@ class _EnergyDelta:
     trips the exponent guard is evaluated the other way, at v's
     partitions.
 
-    A smaller step, or one given no iterate, is evaluated in
+    A smaller step, given None for ``iterate``, is evaluated in
     cancellation-free form, since there subtraction would lose the ratio.
     Only d is transformed, for the bilinear terms <grad v, grad d> and
     |grad d|^2.  The rows of the stack go in blocks, each one expm1 at the
@@ -246,9 +246,7 @@ class _EnergyDelta:
     the terms are added in atom order (:func:`_added_in_order`).
     """
 
-    def __init__(
-        self, prob: Problem, d: np.ndarray, partitions: Partitions, iterate: tuple[float, Partitions] | None = None
-    ):
+    def __init__(self, prob: Problem, d: np.ndarray, partitions: Partitions, iterate: tuple[float, Partitions] | None):
         self.prob = prob
         self.d = d
         self.partitions = partitions

@@ -288,20 +288,15 @@ def periodic_distance(T: SpectralTorus, center: tuple[int, int]) -> np.ndarray:
     return np.hypot(dx, dy)
 
 
-def radial_average(
-    T: SpectralTorus,
-    f: Field,
-    center: tuple[int, int],
-    n_bins: int,
-) -> list[tuple[float, float, int]]:
-    """Bin f by periodic distance to center, up to L/2.
+def radial_average(T: SpectralTorus, f: Field, center: tuple[int, int]) -> list[tuple[float, float, int]]:
+    """Bin f by periodic distance to center, up to L/2, in n/2 bins of
+    width L/n on an n^2 grid.
 
     Returns (mean radius, mean value, count) per nonempty bin, ordered by
     radius.  Bin radii are sample means, not bin midpoints, so a radial
     function is reproduced up to in-bin variation only.
     """
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+    n_bins = T.grid_n // 2
     vals = _check(T, f)
     r = periodic_distance(T, center)
     r_max = T.side_length / 2.0

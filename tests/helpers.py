@@ -16,7 +16,7 @@ from oracles import check_even
 from vortexmf.blowup import gather
 from vortexmf.functional import J, Partitions, Problem, el_residual, energy_scale, hessian_product
 from vortexmf.measure import CirculationMeasure, new_atomic
-from vortexmf.minimize import _EnergyDelta
+from vortexmf.minimize import _EnergyDelta, random_zero_mean
 from vortexmf.torus import (
     Field,
     SpectralTorus,
@@ -42,6 +42,12 @@ def random_measure(rng, max_atoms: int = 12, signed: bool = True, low: float = 0
 def random_zero_mean_field(T: SpectralTorus, rng, amplitude: float = 1.0) -> Field:
     raw = amplitude * rng.standard_normal((T.grid_n, T.grid_n))
     return project_zero_mean(T, Field(raw))
+
+
+def scaled_noise(T: SpectralTorus, seed: int, amplitude: float) -> Field:
+    """A cold start's noise, ``random_zero_mean(T, seed)``, scaled from its
+    sup amplitude 0.01 to ``amplitude``."""
+    return Field(random_zero_mean(T, seed).values * (amplitude / 0.01))
 
 
 def even(T: SpectralTorus, f: Field) -> Field:
@@ -119,7 +125,7 @@ def subtracted_energy_delta(prob: Problem, v: Field, d: Field) -> tuple[float, f
     partitions = Partitions(prob)
     el_residual(prob, v, partitions)
     eps_s = math.ulp(1.0) * energy_scale(prob, partitions)
-    cancellation_free = _EnergyDelta(prob, d, partitions)()
+    cancellation_free = _EnergyDelta(prob, d, partitions, None)()
     delta = _EnergyDelta(prob, d, partitions, (J(prob, partitions), partitions.twin()))
     subtracted = delta()
     assert delta.filled

@@ -175,7 +175,7 @@ def test_criterion_07_li_slope():
     t0 = time.perf_counter()
     radii = np.geomspace(1e-2, 3e4, 600)
     window = (1e2, 1e4)
-    s1 = fit_li_slope(bubble_profile(1.0, 8.0, radii), window)
+    s1 = fit_li_slope(bubble_profile(1.0, 8.0, radii, alpha=1.0), window)
     s_half = fit_li_slope(bubble_profile(1.0, 8.0, radii, alpha=0.5), window)
     elapsed = time.perf_counter() - t0
     ok = abs(s1 - 4.0) <= 0.08 and abs(s_half - 2.0) <= 0.04 and elapsed < 5.0

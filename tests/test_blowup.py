@@ -8,6 +8,8 @@ import pytest
 import oracles
 from helpers import alone, gaussian_bump, random_measure, synthetic_v
 from vortexmf.blowup import (
+    NEWTON_RHO_MAX,
+    QUAD_LIMIT,
     BlowupProfile,
     bubble_profile,
     default_fit_window,
@@ -52,14 +54,19 @@ def test_radial_integral_with_breakpoints():
 def test_polynomial_of_degree_31_is_exact_on_one_interval():
     # the 21-point Kronrod rule integrates degree 3 * 10 + 1 exactly; the
     # error estimate compares it with the 10-point Gauss rule, exact to
-    # degree 19 only, so a loose tolerance keeps the one interval
+    # degree 19 only, so the quadrature keeps the one interval up to degree
+    # 19 and bisects from degree 20
     coeffs = np.random.default_rng(31).uniform(-1.0, 1.0, 32)
-    poly = np.polynomial.Polynomial(coeffs)
-    exact = poly.integ()(1.5) - poly.integ()(-0.5)
-    values, _, info = quad(lambda x, member: poly(x), [[-0.5, 1.5]], 1.0, 400)
-    assert info == {"neval": 21}
-    assert values[0] == pytest.approx(exact, rel=1e-14, abs=1e-14)
-    assert poly.degree() == 31
+    for degree, neval in ((31, None), (19, 21), (20, 63)):
+        poly = np.polynomial.Polynomial(coeffs[: degree + 1])
+        exact = poly.integ()(1.5) - poly.integ()(-0.5)
+        if neval is None:
+            values, _ = _kronrod(lambda x, member: poly(x), [-0.5], [1.5], np.zeros((1, 1), dtype=int))
+        else:
+            values, _, info = quad(lambda x, member: poly(x), [[-0.5, 1.5]])
+            assert info == {"neval": neval}
+        assert values[0] == pytest.approx(exact, rel=1e-14, abs=1e-14)
+        assert poly.degree() == degree
 
 
 def test_step_at_a_breakpoint_is_exact():
@@ -76,7 +83,7 @@ def test_neval_counts_21_nodes_per_interval_evaluated():
         rows.append((x.shape, member.shape, member.tolist()))
         return np.exp(-x) * np.sin(20.0 * x)
 
-    values, _, info = quad(f, [[0.0, 1.0, 3.0]], 1e-10, 400)
+    values, _, info = quad(f, [[0.0, 1.0, 3.0]])
     assert len(rows) > 1 and all(shape[1] == 21 and ms == (shape[0], 1) for shape, ms, _ in rows)
     assert all(m == [[0]] * len(m) for _, _, m in rows)
     assert info["neval"] == 21 * sum(shape[0] for shape, _, _ in rows)
@@ -92,14 +99,14 @@ def _recording_quad(monkeypatch):
     calls = []
     original = blowup.quad
 
-    def recorded(f, edges, epsrel, limit):
+    def recorded(f, edges):
         rounds = []
 
         def g(x, member):
             rounds.append(member.ravel().copy())
             return f(x, member)
 
-        out = original(g, edges, epsrel, limit)
+        out = original(g, edges)
         calls.append((out, rounds, len(edges)))
         return out
 
@@ -153,9 +160,9 @@ def test_members_that_need_different_rounds_keep_their_own_bits(monkeypatch):
     calls = _recording_quad(monkeypatch)
     from vortexmf import blowup
 
-    blowup.quad(f, edges, 1e-10, 400)
+    blowup.quad(f, edges)
     for m, e in enumerate(edges):
-        blowup.quad(lambda x, member: f(x, np.full_like(member, m)), [e], 1e-10, 400)
+        blowup.quad(lambda x, member: f(x, np.full_like(member, m)), [e])
     family = _members(calls[0])
     assert family == [_members(call)[0] for call in calls[1:]]
     assert len({rounds for *_, rounds in family}) >= 3
@@ -177,7 +184,7 @@ def test_verify_gathers_six_jobs_of_one_request_each(monkeypatch):
         return done.value.value
 
     monkeypatch.setattr(cli, "gather", lambda jobs: gather([watched(job) for job in jobs]))
-    assert all(check["passed"] for check in cli.verify_checks())
+    assert all(check["passed"] for check in cli.verify_checks(1.0))
     assert len(requests) == 6
     for request in requests:
         fn, members = request
@@ -193,7 +200,7 @@ def test_verify_is_one_family_whose_members_keep_the_bits_they_get_alone(monkeyp
     from vortexmf import cli
 
     calls = _recording_quad(monkeypatch)
-    cli.verify_checks()
+    cli.verify_checks(1.0)
     assert len(calls) == 1 and calls[0][2] == 22
     (_, _, info), rounds, _ = calls[0]
     assert [r.size for r in rounds] == [49, 24, 22, 22, 8] and info["neval"] == 2625 == 21 * 125
@@ -313,16 +320,16 @@ def test_a_bad_member_raises_after_a_good_one(fn, error, match):
 
 def test_quadrature_of_a_nan_integrand_ends_at_the_interval_limit():
     with pytest.raises(RuntimeError, match="did not converge"):
-        quad(lambda x, member: np.full_like(x, math.nan), [[0.0, 1.0]], 1e-10, 400)
+        quad(lambda x, member: np.full_like(x, math.nan), [[0.0, 1.0]])
 
 
 def test_a_member_past_the_limit_raises():
     # the other members converge; the one with 1/x on [0, 1] needs more
     # than the limit allows
     f = lambda x, member: np.where(member == 2, 1.0 / x, x)
-    with pytest.raises(RuntimeError, match="^quadrature did not converge within 50 intervals"):
-        quad(f, [[0.0, 1.0], [0.0, 2.0], [0.0, 1.0]], 1e-10, 50)
-    values, _, _ = quad(f, [[0.0, 1.0], [0.0, 2.0]], 1e-10, 50)
+    with pytest.raises(RuntimeError, match=f"^quadrature did not converge within {QUAD_LIMIT} intervals"):
+        quad(f, [[0.0, 1.0], [0.0, 2.0], [0.0, 1.0]])
+    values, _, _ = quad(f, [[0.0, 1.0], [0.0, 2.0]])
     assert values == pytest.approx([0.5, 2.0], rel=1e-14)
 
 
@@ -358,7 +365,7 @@ def test_verify_integrals_match_quadpack(monkeypatch):
         return values
 
     monkeypatch.setattr(blowup, "radial_integral", recorded)
-    assert all(check["passed"] for check in cli.verify_checks())
+    assert all(check["passed"] for check in cli.verify_checks(1.0))
     # one family of 22 members: four integrals alone, and the Newton
     # potentials at 9 radii per density
     assert calls == [22] and len(pairs) == 22
@@ -438,7 +445,7 @@ def test_concentration_mass_edge_cases():
     with pytest.raises(RuntimeError, match="not decreasing"):
         alone(mass_gamma(lambda r: 1.0 / (1.0 + r * r), 1e4))
     with pytest.raises(RuntimeError, match="does not converge"):
-        alone(mass_gamma(lambda r: 1.0 / np.maximum(r, 1.0) ** 2, 1e4, breakpoints=[1.0]))
+        alone(mass_gamma(lambda r: 1.0 / np.maximum(r, 1.0) ** 2, 1e4))
 
 
 # ------------------------------------------------------------------ profiles
@@ -446,7 +453,7 @@ def test_concentration_mass_edge_cases():
 
 def test_bubble_profile_sigma_and_samples():
     radii = np.geomspace(1e-2, 3e4, 600)
-    prof = bubble_profile(1.0, 8.0, radii)
+    prof = bubble_profile(1.0, 8.0, radii, alpha=1.0)
     assert prof.sigma == 1.0
     assert prof.peak_value == 0.0
     assert prof.radii.shape == prof.dw.shape == (600,)
@@ -454,7 +461,7 @@ def test_bubble_profile_sigma_and_samples():
     with pytest.raises(ValueError):
         bubble_profile(1.0, 8.0, radii, alpha=1.5)
     with pytest.raises(ValueError):
-        bubble_profile(1.0, 8.0, [-1.0, 2.0])
+        bubble_profile(1.0, 8.0, [-1.0, 2.0], alpha=1.0)
 
 
 def test_profile_validation():
@@ -491,7 +498,7 @@ def test_li_fit_window_validation():
 
 def test_li_slope_far_field_window():
     radii = np.geomspace(1e-2, 3e4, 600)
-    assert fit_li_slope(bubble_profile(1.0, 8.0, radii), (1e2, 1e4)) == pytest.approx(
+    assert fit_li_slope(bubble_profile(1.0, 8.0, radii, alpha=1.0), (1e2, 1e4)) == pytest.approx(
         4.0, rel=0.02
     )
     assert fit_li_slope(bubble_profile(1.0, 8.0, radii, alpha=0.5), (1e2, 1e4)) == pytest.approx(
@@ -503,7 +510,7 @@ def test_li_slope_near_field_window_overshoots():
     # between 3 and 30 sigma the core still bends the line upward; the
     # fitted slope sits measurably above the far-field value 4
     radii = np.geomspace(1e-2, 3e4, 600)
-    slope = fit_li_slope(bubble_profile(1.0, 8.0, radii), (3.0, 30.0))
+    slope = fit_li_slope(bubble_profile(1.0, 8.0, radii, alpha=1.0), (3.0, 30.0))
     assert 4.1 < slope < 4.6
 
 
@@ -520,7 +527,7 @@ def test_rescale_profile_recovers_radial_law():
     r = periodic_distance(T, (64, 64))
     v = synthetic_v(T, -2.0 * np.log1p((r / s) ** 2))
     P = new_atomic([(1.0, 1.0)])
-    prof = rescale_profile(T, P, spike_grid(T, v))
+    prof = rescale_profile(T, P, spike_grid(T, v), "positive")
     assert prof.sigma == pytest.approx(math.exp(-0.5 * prof.peak_value), rel=1e-12)
     assert prof.gamma0_reference == 4.0
     checked = 0
@@ -542,7 +549,7 @@ def test_rescale_profile_recovers_radial_law():
 def test_rescale_profile_reference_from_extremal_subset(pairs, gamma0):
     T = SpectralTorus(1.0, 32)
     v = synthetic_v(T, gaussian_bump(T, (16, 16), 10.0, 0.05))
-    assert rescale_profile(T, new_atomic(pairs), spike_grid(T, v)).gamma0_reference == gamma0
+    assert rescale_profile(T, new_atomic(pairs), spike_grid(T, v), "positive").gamma0_reference == gamma0
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -561,7 +568,7 @@ def test_the_negative_side_reads_the_mirror_image_reference_bit_for_bit(seed):
             rescale_profile(T, P, spike_grid(T, v), "negative")
         return
     got = rescale_profile(T, P, spike_grid(T, v), "negative").gamma0_reference
-    assert got.hex() == rescale_profile(T, mirrored, spike_grid(T, v)).gamma0_reference.hex()
+    assert got.hex() == rescale_profile(T, mirrored, spike_grid(T, v), "positive").gamma0_reference.hex()
     if seed == 0:
         assert got == 5.333333333333333
 
@@ -569,7 +576,7 @@ def test_the_negative_side_reads_the_mirror_image_reference_bit_for_bit(seed):
 def test_rescale_profile_flat_field():
     T = SpectralTorus(1.0, 64)
     v = synthetic_v(T, np.zeros((64, 64)))
-    prof = rescale_profile(T, new_atomic([(1.0, 1.0)]), spike_grid(T, v))
+    prof = rescale_profile(T, new_atomic([(1.0, 1.0)]), spike_grid(T, v), "positive")
     assert prof.sigma == 1.0
     assert np.all(prof.dw == 0.0)
     # L/4 = 0.25 sigma: the default window is empty, and the stage writes nan
@@ -582,11 +589,11 @@ def test_rescale_profile_validation():
     T = SpectralTorus(1.0, 64)
     v = synthetic_v(T, np.zeros((64, 64)))
     with pytest.raises(ValueError, match="positive circulation"):
-        rescale_profile(T, new_atomic([(-1.0, 1.0)]), spike_grid(T, v))
+        rescale_profile(T, new_atomic([(-1.0, 1.0)]), spike_grid(T, v), "positive")
     spike = synthetic_v(T, gaussian_bump(T, (32, 32), 30.0, 0.05))
     for field in (v, spike):  # the spike's peak lies outside the 32^2 grid
         with pytest.raises(ValueError, match="grid"):
-            rescale_profile(SpectralTorus(1.0, 32), new_atomic([(1.0, 1.0)]), spike_grid(T, field))
+            rescale_profile(SpectralTorus(1.0, 32), new_atomic([(1.0, 1.0)]), spike_grid(T, field), "positive")
 
 
 def test_side_length_only_rescales_the_answer():
@@ -601,7 +608,7 @@ def test_side_length_only_rescales_the_answer():
         T = SpectralTorus(side, 64)
         result = minimize(Problem(T, P, lam), MinimizeOptions(grad_tol=tol))
         assert result.status == "converged"
-        profile = rescale_profile(T, P, spike_grid(T, result.v))
+        profile = rescale_profile(T, P, spike_grid(T, result.v), "positive")
         runs[side] = result, profile, fit_li_slope(profile, default_fit_window(profile.sigma, side))
     (unit, unit_prof, unit_slope), (double, double_prof, double_slope) = runs[1.0], runs[2.0]
     assert double.iterations == unit.iterations
@@ -660,7 +667,6 @@ def test_pohozaev_rejects_bad_radius():
         ("x_abs", lambda x: alone(newton_potential(bubble_density, [x]))),
         ("r_max", lambda x: alone(mass_gamma(bubble_density, x))),
         ("radius", lambda x: alone(pohozaev_residual(lambda r: 0.0, np.exp, x))),
-        ("rho_max", lambda x: alone(newton_potential(bubble_density, [10.0], rho_max=x))),
     ],
 )
 def test_radial_parameters_must_be_positive_and_finite(name, call, bad):
@@ -675,7 +681,7 @@ def test_newton_potential_zero_density():
 def test_newton_potential_doubling_matches_mass():
     # z(2R) - z(R) -> gamma log 2 with gamma = (1/2pi) int f
     disk = lambda r: np.where(r <= 1.0, 2.0, 0.0)
-    gamma = alone(mass_gamma(disk, 2.0, breakpoints=[1.0]))
+    gamma = alone(mass_gamma(disk, 2.0))
     assert gamma == pytest.approx(1.0, rel=1e-9)
     for R in (100.0, 400.0):
         z_r, z_2r = alone(newton_potential(disk, [R, 2.0 * R], breakpoints=[1.0]))
@@ -686,7 +692,7 @@ def test_newton_potential_guards():
     with pytest.raises(ValueError):
         alone(newton_potential(lambda r: 0.0, [-1.0]))
     with pytest.raises(RuntimeError, match="tail"):
-        alone(newton_potential(lambda r: 1.0 / (1.0 + r), [10.0], rho_max=1e4))
+        alone(newton_potential(lambda r: 1.0 / (1.0 + r), [10.0]))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
@@ -697,13 +703,16 @@ def test_newton_potential_checks_every_radius(bad):
 
 
 def test_newton_potential_applies_the_tail_guard_per_radius():
-    # the probe |f(rho_max)| rho_max^2, about 2.0e-3, against 1e-3 (1 + |z(x)|):
-    # z(1e3) is about 5.4 and passes, z(3) about 0.14 and fails
-    density = lambda r: 2.0 / (1.0 + r) ** 3
-    (far,) = alone(newton_potential(density, [1e3], rho_max=1e3))
+    # 2 / (1 + r)^3 stretched by 1e3 at the same mass: the probe
+    # |f(rho_max)| rho_max^2 at rho_max = 1e6, about 2.0e-3, against
+    # 1e-3 (1 + |z(x)|): z(1e5) is about 3.6 and passes, z(3e3) about 0.64
+    # and fails
+    assert NEWTON_RHO_MAX == 1e6
+    density = lambda r: 2e-6 / (1.0 + 1e-3 * r) ** 3
+    (far,) = alone(newton_potential(density, [1e5]))
     with pytest.raises(RuntimeError, match="tail"):
-        alone(newton_potential(density, [3.0], rho_max=1e3))
-    assert alone(newton_potential(density, [1e3, 1e3], rho_max=1e3)).tolist() == [far, far]
+        alone(newton_potential(density, [3e3]))
+    assert alone(newton_potential(density, [1e5, 1e5])).tolist() == [far, far]
     with pytest.raises(RuntimeError, match="tail"):
-        alone(newton_potential(density, [1e3, 3.0], rho_max=1e3))
+        alone(newton_potential(density, [1e5, 3e3]))
 

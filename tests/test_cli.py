@@ -575,7 +575,7 @@ def test_a_profiled_stage_writes_the_default_window_fit(tmp_path, capsys, monkey
     )
     assert code == 0
     T = SpectralTorus(1.0, n)
-    samples = rescale_profile(T, parse_atoms_inline(spec), spike_grid(T, results[0].v))
+    samples = rescale_profile(T, parse_atoms_inline(spec), spike_grid(T, results[0].v), "positive")
     window = default_fit_window(samples.sigma, 1.0)
     if n == 32:
         with pytest.raises(ValueError):
@@ -670,7 +670,7 @@ def test_verify_fits_each_line_it_reads_once(monkeypatch):
     calls = []
     polyfit = np.polyfit
     monkeypatch.setattr(np, "polyfit", lambda *args: calls.append(len(args[0])) or polyfit(*args))
-    vortexmf.cli.verify_checks()
+    vortexmf.cli.verify_checks(1.0)
     assert len(calls) == 4
 
 

@@ -21,6 +21,7 @@ from helpers import (
     random_measure,
     random_zero_mean_field,
     residual,
+    scaled_noise,
     subtracted_energy_delta,
 )
 from oracles import (
@@ -52,7 +53,7 @@ from vortexmf.functional import (
     w_alpha,
 )
 from vortexmf.measure import lambda_bar, new_atomic
-from vortexmf.minimize import SUBTRACTION_RHO, MinimizeOptions, _EnergyDelta, minimize, random_zero_mean
+from vortexmf.minimize import SUBTRACTION_RHO, MinimizeOptions, _EnergyDelta, minimize
 from vortexmf import torus
 from vortexmf.torus import (
     Field,
@@ -315,7 +316,7 @@ def test_interpolated_kernels_match_the_per_atom_oracles_on_the_converged_many_a
     assert np.abs(unfold(T, partitions.curvature) - curvature).max() <= 1e-13 * curvature.max()
     assert J(prob, partitions) == pytest.approx(J_per_atom(prob, v), rel=1e-13)
     for seed in range(3):
-        phi = even(T, random_zero_mean(T, 40 + seed, amplitude=1.0))
+        phi = even(T, scaled_noise(T, 40 + seed, 1.0))
         _, kappa, hq_hat = hessian_product(prob, partitions, cosine_transform(T, quarter(T, phi.values)))
         expected = hessian_product_per_atom(prob, v, phi).values
         got = unfold(T, inverse_cosine_transform(T, hq_hat))
@@ -331,7 +332,7 @@ def test_interpolated_kernels_match_the_per_atom_oracles_on_the_converged_many_a
     node_rows = partitions.stack.shape[0]
     per_row = T.quarter_weights.size
     for amplitude, rows_taken in ((1e-3, 0), (2.0, None), (300.0, 128)):
-        d = even(T, random_zero_mean(T, 20, amplitude=amplitude))
+        d = even(T, scaled_noise(T, 20, amplitude))
         exps.clear()
         sums = partitions.expm1_sums(quarter(T, d.values))
         if rows_taken is None:
@@ -346,7 +347,7 @@ def test_interpolated_kernels_match_the_per_atom_oracles_on_the_converged_many_a
         # the largest step changes J by 4e6, almost all of it Dirichlet
         # energy, whose rounding alone is 1e-13 of the log-partition part
         if amplitude < 100.0:
-            got = _EnergyDelta(prob, quarter(T, d.values), partitions)()
+            got = _EnergyDelta(prob, quarter(T, d.values), partitions, None)()
             assert abs(got - energy_delta_per_atom(prob, v, d)) <= 1e-13 * abs(_log_part(prob, v, d))
 
 
@@ -356,7 +357,7 @@ def test_a_step_above_the_floor_reads_the_candidate_on_the_converged_many_atom_s
     # difference within the floor rho eps S(v), and within 2c eps (S + |dJ|)
     # for c = 20, the rounding of J at v and at v - d
     prob, v, _ = many_atom_state
-    d = even(prob.torus, random_zero_mean(prob.torus, 20, amplitude=amplitude))
+    d = even(prob.torus, scaled_noise(prob.torus, 20, amplitude))
     subtracted, cancellation_free, eps_s = subtracted_energy_delta(prob, v, d)
     gap = abs(subtracted - cancellation_free)
     assert gap <= SUBTRACTION_RHO * eps_s
@@ -380,7 +381,7 @@ def test_a_field_past_the_guard_leaves_the_residual_of_the_fill(bad):
     # the guard refuses leaves both as they were
     T = SpectralTorus(1.0, 16)
     prob = Problem(T, new_atomic([(-1.0, 0.5), (1.0, 0.5)]), 5.0)
-    v = quarter(T, even(T, random_zero_mean(T, 2, amplitude=1.0)).values)
+    v = quarter(T, even(T, scaled_noise(T, 2, 1.0)).values)
     partitions = Partitions(prob)
     g = el_residual(prob, v, partitions)
     assert g is partitions.residual and np.array_equal(partitions.values, v)
@@ -398,7 +399,7 @@ def test_batched_layer_matches_the_per_atom_oracles():
     T = SpectralTorus(1.0, 32)
     atoms = [(-1.0, 0.1), (-0.6, 0.2), (-0.1, 0.1), (0.0, 0.2), (0.3, 0.1), (0.8, 0.1), (1.0, 0.2)]
     prob = Problem(T, new_atomic(atoms), 30.0)
-    v = even(T, random_zero_mean(T, 3, amplitude=2.0))
+    v = even(T, scaled_noise(T, 3, 2.0))
     partitions = Partitions(prob)
     res = residual(prob, v, partitions).values
     expected = el_residual_per_atom(prob, v).values
@@ -412,13 +413,13 @@ def test_batched_layer_matches_the_per_atom_oracles():
     curvature = curvature_per_atom(prob, v)
     assert np.abs(unfold(T, partitions.curvature) - curvature).max() <= 1e-13 * curvature.max()
     for seed in range(3):
-        d = even(T, random_zero_mean(T, 20 + seed, amplitude=0.5))
+        d = even(T, scaled_noise(T, 20 + seed, 0.5))
         delta = energy_delta_per_atom(prob, v, d)
-        assert _EnergyDelta(prob, quarter(T, d.values), partitions)() == pytest.approx(delta, rel=1e-13)
+        assert _EnergyDelta(prob, quarter(T, d.values), partitions, None)() == pytest.approx(delta, rel=1e-13)
     # the product runs on cosine modes, the oracle one atom at a time on the
     # grid; it hands q back at the quarter-cell nodes
     for seed in range(3):
-        phi = even(T, random_zero_mean(T, 40 + seed, amplitude=1.0))
+        phi = even(T, scaled_noise(T, 40 + seed, 1.0))
         q, kappa, hq_hat = hessian_product(prob, partitions, cosine_transform(T, quarter(T, phi.values)))
         expected = hessian_product_per_atom(prob, v, phi).values
         got = unfold(T, inverse_cosine_transform(T, hq_hat))
@@ -440,8 +441,8 @@ def test_one_iterate_fills_the_stack_in_place_and_allocates_few_fields():
     n_atoms = 128
     atoms = [(-1.0 + (i + 0.5) / 64, 1.0 / n_atoms) for i in range(n_atoms)]
     prob = Problem(T, new_atomic(atoms), 100.0)
-    v = even(T, random_zero_mean(T, 0, amplitude=1.0))
-    d = even(T, random_zero_mean(T, 1, amplitude=0.1))
+    v = even(T, scaled_noise(T, 0, 1.0))
+    d = even(T, scaled_noise(T, 1, 0.1))
     v_nodes, d_nodes = quarter(T, v.values), quarter(T, d.values)
     d_hat = cosine_transform(T, d_nodes)
     field = v.values.nbytes
@@ -453,7 +454,7 @@ def test_one_iterate_fills_the_stack_in_place_and_allocates_few_fields():
     calls = [
         lambda: el_residual(prob, v_nodes, partitions),
         lambda: hessian_product(prob, partitions, d_hat),
-        lambda: _EnergyDelta(prob, d_nodes, partitions)(),
+        lambda: _EnergyDelta(prob, d_nodes, partitions, None)(),
     ]
     rises = []  # each call's traced peak above what was live when it began
     tracemalloc.start()
@@ -492,14 +493,14 @@ def test_a_side_of_4096_atoms_holds_count_times_r_values_beside_the_stack():
     n_atoms = 4096
     P = new_atomic([(-1.0 + 2.0 * (i + 0.5) / n_atoms, 1.0 / n_atoms) for i in range(n_atoms)])
     prob = Problem(T, P, 10.0)
-    v = quarter(T, even(T, random_zero_mean(T, 0, amplitude=8.0)).values)
-    d = quarter(T, even(T, random_zero_mean(T, 1, amplitude=1.0)).values)
+    v = quarter(T, even(T, scaled_noise(T, 0, 8.0)).values)
+    d = quarter(T, even(T, scaled_noise(T, 1, 1.0)).values)
     cosine_transform(T, v)  # the torus symbols are cached outside the trace
     tracemalloc.start()
     try:
         partitions = Partitions(prob)
         el_residual(prob, v, partitions)
-        _EnergyDelta(prob, d, partitions)()
+        _EnergyDelta(prob, d, partitions, None)()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -567,7 +568,7 @@ def test_node_count_walks_from_the_held_count_to_the_same_answer():
 def _signed_hessian_setup():
     T = SpectralTorus(1.0, 32)
     prob = Problem(T, new_atomic([(-0.7, 0.3), (0.2, 0.3), (0.9, 0.4)]), 30.0)
-    v = even(T, random_zero_mean(T, 3, amplitude=2.0))
+    v = even(T, scaled_noise(T, 3, 2.0))
     partitions = Partitions(prob)
     residual(prob, v, partitions)
     return T, prob, v, partitions
@@ -593,7 +594,7 @@ def test_hessian_product_is_the_derivative_of_the_residual():
     T, prob, v, partitions = _signed_hessian_setup()
     h = 1e-4
     for seed in range(4):
-        phi = even(T, random_zero_mean(T, 100 + seed, amplitude=1.0))
+        phi = even(T, scaled_noise(T, 100 + seed, 1.0))
         plus = residual(prob, Field(v.values + h * phi.values)).values
         minus = residual(prob, Field(v.values - h * phi.values)).values
         fd = (plus - minus) / (2.0 * h)

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import even
+from helpers import even, scaled_noise
 from vortexmf.functional import Partitions, Problem, el_residual
 from vortexmf.measure import new_atomic
-from vortexmf.minimize import MinimizeOptions, _added_in_order, _stop_status, blowup_threshold, random_zero_mean
+from vortexmf.minimize import MinimizeOptions, _added_in_order, _stop_status, blowup_threshold
 from vortexmf.torus import SpectralTorus, cosine_transform, inverse_cosine_transform, quarter
 
 PAIR = [(-1.0, 0.5), (1.0, 0.5)]
@@ -35,7 +35,7 @@ def filled(atoms, n: int, amplitude: float, seed: int = 0) -> tuple[Partitions, 
     field at the quarter-cell nodes."""
     T = SpectralTorus(1.0, n)
     prob = Problem(T, new_atomic(atoms), 10.0)
-    v = quarter(T, even(T, random_zero_mean(T, seed, amplitude=amplitude)).values)
+    v = quarter(T, even(T, scaled_noise(T, seed, amplitude)).values)
     partitions = Partitions(prob)
     el_residual(prob, v, partitions)
     return partitions, v
@@ -43,7 +43,7 @@ def filled(atoms, n: int, amplitude: float, seed: int = 0) -> tuple[Partitions, 
 
 def step(partitions: Partitions, amplitude: float, seed: int) -> np.ndarray:
     T = partitions.torus
-    return quarter(T, even(T, random_zero_mean(T, seed, amplitude=amplitude)).values)
+    return quarter(T, even(T, scaled_noise(T, seed, amplitude)).values)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
@@ -53,7 +53,7 @@ def test_the_prescaled_inverse_transform_is_the_quotient_by_n2_bit_for_bit(n):
     T = SpectralTorus(1.0, n)
     rng = np.random.default_rng(n)
     h = n // 2 + 1
-    field_modes = cosine_transform(T, quarter(T, even(T, random_zero_mean(T, n, amplitude=5.0)).values))
+    field_modes = cosine_transform(T, quarter(T, even(T, scaled_noise(T, n, 5.0)).values))
     wide = rng.standard_normal(h * h) * np.exp(rng.uniform(-300.0, 300.0, h * h))
     for X in (field_modes, rng.standard_normal(h * h), wide):
         assert same_bits(inverse_cosine_transform(T, X), oracles.inverse_cosine_transform_by_division(T, X))

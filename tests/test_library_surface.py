@@ -1,6 +1,7 @@
 """The library surface holds what the program runs: test oracles live in
-tests/, not in src/, no table or helper outlives its last user, and the
-modules import each other in layers."""
+tests/, not in src/, no table or helper outlives its last user, no
+parameter takes a value that only tests set, and the modules import each
+other in layers."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,89 @@ def test_the_modules_import_each_other_in_layers():
         if not imported <= LAYERS[module]:
             crossings[module] = sorted(imported - LAYERS[module])
     assert crossings == {}
+
+
+# the parameters whose default may stand with no use in src/ overriding it:
+# the program's input, which the process reads from sys.argv and a caller
+# passes as a list
+INPUTS = {"cli.main.argv"}
+
+
+def _name(node: ast.expr) -> str | None:
+    """The name a call, a decorator or a reference reads: ``f`` of ``f``,
+    ``obj.f`` and ``f(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _signature(name: str, owner: str, args: ast.arguments, skip: int) -> tuple[str, list[str], set[str]]:
+    positional = (args.posonlyargs + args.args)[skip:]
+    params = [f"{owner}.{a.arg}" for a in positional + args.kwonlyargs]
+    defaulted = params[len(positional) - len(args.defaults) : len(positional)]
+    defaulted += [f"{owner}.{a.arg}" for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return name, params, set(defaulted)
+
+
+def _signatures(module: str, tree: ast.Module) -> list[tuple[str, list[str], set[str]]]:
+    """(the name a use reads it by, its parameters in call order, those
+    with a default) for every function, method and dataclass of a module,
+    a parameter named ``module.function.parameter``: a method is read by
+    its own name, and ``__init__`` and a dataclass's fields by the class
+    name."""
+    methods = {id(s) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for s in c.body}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            owner = f"{module}.{node.name}"
+            if "dataclass" in map(_name, node.decorator_list):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                params = [f"{owner}.{f.target.id}" for f in fields]
+                out.append((node.name, params, {p for p, f in zip(params, fields) if f.value is not None}))
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    name = node.name if fn.name == "__init__" else fn.name
+                    out.append(_signature(name, f"{owner}.{fn.name}", fn.args, skip=1))
+        elif isinstance(node, ast.FunctionDef) and id(node) not in methods:
+            out.append(_signature(node.name, f"{module}.{node.name}", node.args, skip=0))
+    return out
+
+
+def _uses(tree: ast.Module) -> list[tuple[str, int, set[str] | None]]:
+    """(name, positional count, keyword names) of every call in a module,
+    ``functools.partial(f, ...)`` a use of f, and (name, 0, None) of a
+    function passed by name, such as a handler to ``set_defaults``, which
+    is called with every default left.  A call with ``*args`` or
+    ``**kwargs`` gives no use."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee, args = _name(node), node.args
+        if callee == "partial":
+            callee, args = _name(args[0]), args[1:]
+        else:
+            out += [(a.id, 0, None) for a in [*args, *(k.value for k in node.keywords)] if isinstance(a, ast.Name)]
+        if any(isinstance(a, ast.Starred) for a in args) or any(k.arg is None for k in node.keywords):
+            continue
+        out.append((callee, len(args), {k.arg for k in node.keywords}))
+    return out
+
+
+def test_every_parameter_default_in_src_is_both_left_and_overridden_by_uses_in_src():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    uses = [use for tree in trees.values() for use in _uses(tree)]
+    signatures = [sig for module, tree in trees.items() for sig in _signatures(module, tree)]
+    left, overridden = set(), set()
+    for name, params, defaulted in signatures:
+        for callee, count, keywords in uses:
+            if callee != name:
+                continue
+            for k, param in enumerate(params):
+                given = keywords is not None and (k < count or param.rsplit(".", 1)[1] in keywords)
+                (overridden if given else left).add(param)
+    defaults = set().union(*(defaulted for _, _, defaulted in signatures))
+    # a default every use overrides is a required argument, and one no use
+    # overrides a constant: either way a value that only tests turn
+    required, constant = sorted(defaults - left), sorted(defaults - overridden - INPUTS)
+    assert required == constant == [], f"required: {required}; constant: {constant}"

@@ -54,6 +54,18 @@ def test_new_atomic_normalizes_tiny_drift():
     assert math.fsum(w for _, w in P.atoms) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [99_999, 100_000])
+def test_a_measure_new_atomic_normalised_is_accepted(tmp_path, n):
+    # n equal midpoint atoms on [-1, 1]: added one at a time, the rescaled
+    # weights miss 1 by about 2e-12, which an exact sum does not
+    pairs = [(-1.0 + 2.0 * (i + 0.5) / n, 1.0 / n) for i in range(n)]
+    P = new_atomic(pairs)
+    assert len(P.atoms) == n
+    path = tmp_path / "density.txt"
+    path.write_text("".join(f"{a!r} {w!r}\n" for a, w in pairs))
+    assert load_measure(str(path)).atoms == P.atoms
+
+
 def test_moment_examples():
     assert moment(new_atomic([(1.0, 1.0)]), 1) == 1.0
     P = new_atomic([(0.5, 0.5), (1.0, 0.5)])
